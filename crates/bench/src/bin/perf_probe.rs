@@ -15,7 +15,10 @@
 //!   `results/BENCH_netsim.json`, the committed perf baseline.
 //! * `--check <baseline.json>` — CI regression gate: re-measures
 //!   single-thread throughput and exits non-zero if it is more than 25%
-//!   below the baseline's `events_per_sec`.
+//!   below the baseline's `events_per_sec`; on a host with at least two
+//!   cores it also re-measures the 1- and 2-shard `intra_run_scaling`
+//!   points and exits non-zero unless two shards beat one (ROADMAP: a
+//!   mechanism that cannot show its benefit gets fixed or removed).
 //!
 //! `--par-threads N` switches the default and `--audited` modes onto the
 //! conservative parallel engine with N shard threads.
@@ -198,22 +201,25 @@ fn measure_sweep_scaling() -> (Vec<SweepPoint>, bool) {
     (points, deterministic)
 }
 
+/// Threads this host can run at once (the sweep runner's own clamp).
+fn threads_available() -> usize {
+    sweep::effective_threads(usize::MAX)
+}
+
 /// Scaling of the conservative parallel engine *inside* one simulation:
-/// the standard probe at 5 ms of load, sharded 1/2/4/8 ways. Every point
+/// the standard probe at 5 ms of load, sharded `widths` ways (the first
+/// width must be 1, the reference), best of [`RUNS`] each. Every point
 /// must process the identical event count — the engine is byte-identical
 /// to serial by construction, and the differential tests enforce it; the
 /// fingerprint here keeps the perf report honest on its own.
-fn measure_intra_run_scaling() -> (Vec<IntraRunPoint>, bool) {
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+fn measure_intra_run_scaling(widths: &[usize]) -> (Vec<IntraRunPoint>, bool) {
+    let avail = threads_available();
     let mut points: Vec<IntraRunPoint> = Vec::new();
     let mut serial_wall = 0.0;
-    for threads in [1usize, 2, 4, 8] {
-        let runs = if threads == 1 { RUNS } else { 1 };
+    for &threads in widths {
         let mut best: Option<ProbeRun> = None;
         let mut shards = 1usize;
-        for _ in 0..runs {
+        for _ in 0..RUNS {
             let topo = Topology::two_tier_clos(8, 16, 4, 100.0, 100.0, 5_000);
             shards = topo.partition(threads).len();
             let r = standard_probe(5, 5, threads);
@@ -298,11 +304,31 @@ fn check(baseline_path: &str) -> i32 {
             (1.0 - eps / base_eps) * 100.0,
             REGRESSION_FRAC * 100.0
         );
-        1
-    } else {
-        println!("perf check passed");
-        0
+        return 1;
     }
+    // The sharded engine has to earn its keep wherever it can: with two
+    // cores to run on, two shards must beat one.
+    let avail = threads_available();
+    if avail < 2 {
+        println!("sharding check skipped: {avail} thread available, no speed-up to show");
+    } else {
+        let (points, deterministic) = measure_intra_run_scaling(&[1, 2]);
+        let two = &points[1];
+        println!(
+            "sharding check: {} shards on {} effective threads, {:.2}s vs {:.2}s serial, speedup {:.2}x",
+            two.shards, two.threads_effective, two.wall_seconds, points[0].wall_seconds, two.speedup
+        );
+        if !deterministic {
+            println!("REGRESSION: the sharded run processed a different event count");
+            return 1;
+        }
+        if two.speedup < 1.0 {
+            println!("REGRESSION: two shards on two cores are slower than the serial engine");
+            return 1;
+        }
+    }
+    println!("perf check passed");
+    0
 }
 
 /// `--audited` mode: run the standard probe under the invariant auditor
@@ -368,7 +394,7 @@ fn main() {
             eps / 1e6
         );
         let (scaling, deterministic) = measure_sweep_scaling();
-        let (intra, intra_deterministic) = measure_intra_run_scaling();
+        let (intra, intra_deterministic) = measure_intra_run_scaling(&[1, 2, 4, 8]);
         let report = Report {
             schema: 2,
             probe: "two_tier_clos(8x16, 4 leaves, 100G, 5us) + fb_hadoop poisson \
@@ -380,9 +406,7 @@ fn main() {
             completions: r.completions,
             wall_seconds: r.wall_s,
             events_per_sec: eps,
-            threads_available: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            threads_available: threads_available(),
             sweep_scaling: scaling,
             sweep_deterministic: deterministic,
             intra_run_scaling: intra,

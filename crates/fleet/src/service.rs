@@ -6,8 +6,9 @@
 //! * **Phase A (fabric)** — every tenant admits its due flows, delivers
 //!   due control-plane dispatches, advances its fabric one λ_MI and
 //!   collects interval metrics. Tenants are mutually independent, so
-//!   phase A may run on worker threads ([`FleetConfig::threads`]); every
-//!   telemetry emission is captured per tenant and replayed by the
+//!   phase A may run on worker threads ([`FleetConfig::threads`]); while
+//!   the coordinator's telemetry registry is enabled (sampled once per
+//!   tick), every emission is captured per tenant and replayed by the
 //!   coordinator in ascending tenant id — the same order the serial
 //!   scheduler emits in, which is what makes `--threads N` byte-
 //!   identical to `--serial`.
@@ -233,19 +234,9 @@ impl FleetService {
     /// the coordinator).
     pub fn tick(&mut self) -> TickReport {
         let t0 = Instant::now();
-        // Phase A: advance every fabric, capturing telemetry per
-        // tenant. The serial path captures on the coordinator, the
-        // threaded path on workers — either way nothing is recorded
-        // until the replay below, so both paths emit identically.
-        let results: Vec<(Vec<tel::Captured>, PendingInterval)> =
-            if self.cfg.threads > 1 && self.tenants.len() > 1 {
-                self.phase_a_threaded()
-            } else {
-                self.tenants
-                    .iter_mut()
-                    .map(Tenant::advance_captured)
-                    .collect()
-            };
+        // Phase A: advance every fabric, capturing telemetry per tenant
+        // iff the replay below would record it.
+        let results = self.phase_a(tel::enabled());
         // Replay and enqueue in ascending tenant id — the one canonical
         // emission order. The tenant id is stamped onto series entities
         // and flight events here (workers run untenanted).
@@ -315,13 +306,21 @@ impl FleetService {
         }
     }
 
-    /// Phase A on `cfg.threads` scoped workers, tenants split into
-    /// contiguous chunks. Workers advance fabrics and capture telemetry
-    /// on their own thread-local registries; results are joined back in
-    /// chunk (= tenant id) order, so downstream processing is
-    /// order-identical to the serial path.
-    fn phase_a_threaded(&mut self) -> Vec<(Vec<tel::Captured>, PendingInterval)> {
-        let threads = self.cfg.threads.min(self.tenants.len()).max(1);
+    /// Advance every fabric one interval. The serial path captures on
+    /// the coordinator, the threaded path (`cfg.threads` scoped workers,
+    /// tenants split into contiguous chunks) on the workers' own
+    /// thread-local registries — either way nothing is recorded until
+    /// the caller's replay, so both paths emit identically. Results come
+    /// back in tenant id order.
+    fn phase_a(&mut self, capture: bool) -> Vec<(Vec<tel::Captured>, PendingInterval)> {
+        let threads = self.cfg.threads.min(self.tenants.len());
+        if threads <= 1 {
+            return self
+                .tenants
+                .iter_mut()
+                .map(|t| t.advance_captured(capture))
+                .collect();
+        }
         let per = self.tenants.len().div_ceil(threads);
         let mut out = Vec::with_capacity(self.tenants.len());
         std::thread::scope(|scope| {
@@ -332,7 +331,7 @@ impl FleetService {
                     scope.spawn(move || {
                         chunk
                             .iter_mut()
-                            .map(Tenant::advance_captured)
+                            .map(|t| t.advance_captured(capture))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -567,6 +566,106 @@ mod tests {
             tel::series_get("utility", 0).is_empty(),
             "no emission leaks onto the untenanted entity"
         );
+        tel::reset();
+    }
+
+    #[test]
+    fn phase_a_captures_only_for_a_recording_coordinator() {
+        for threads in [1, 3] {
+            let mut fleet = FleetService::new(FleetConfig {
+                threads,
+                ..FleetConfig::default()
+            });
+            for s in [clos_spec(51), rail_spec(52), mixed_spec(53)] {
+                fleet.admit(s);
+            }
+            let off = fleet.phase_a(false);
+            assert!(
+                off.iter().all(|(captured, _)| captured.is_empty()),
+                "{threads} thread(s): nothing to replay into a disabled registry"
+            );
+            let on = fleet.phase_a(true);
+            assert!(
+                on.iter().all(|(captured, _)| !captured.is_empty()),
+                "{threads} thread(s): an enabled registry gets every tenant's emissions"
+            );
+        }
+    }
+
+    /// What the registry holds, minus the `fleet_*` counters a standalone
+    /// loop has no scheduler to bump.
+    type TelemetryState = (
+        Vec<(&'static str, u64)>,
+        Vec<tel::SeriesPoint>,
+        Vec<tel::TimedEvent>,
+    );
+
+    fn telemetry_state() -> TelemetryState {
+        let counters = tel::counters_snapshot()
+            .into_iter()
+            .filter(|(name, _)| !name.starts_with("fleet_"))
+            .collect();
+        (counters, tel::series_points(), tel::flight_events())
+    }
+
+    /// The registry flag is sampled per tick, so flipping it between two
+    /// ticks must record exactly what a tenant's standalone loop records
+    /// under the same flips, and the same on the threaded scheduler as on
+    /// the serial one. The first tenant is sharded, so the engine's own
+    /// per-run sampling is crossed too.
+    #[test]
+    fn telemetry_toggled_between_ticks_matches_standalone() {
+        const FLIPS: [bool; 6] = [false, true, true, false, true, false];
+        let mut spec = clos_spec(61);
+        spec.engine_threads = 2;
+        // A 3:1 incast per interval, so marks, CNPs and rate cuts reach
+        // the flight recorder from shard workers in every tick.
+        spec.schedule = (0..FLIPS.len() as u64)
+            .flat_map(|i| {
+                (0..3).map(move |src| FlowRequest {
+                    src,
+                    dst: 3,
+                    bytes: 1_000_000,
+                    start: i * MILLI,
+                })
+            })
+            .collect();
+        let fleet_run = |threads: usize, specs: &[TenantSpec]| {
+            tel::reset();
+            let mut fleet = FleetService::new(FleetConfig {
+                threads,
+                ..FleetConfig::default()
+            });
+            for s in specs {
+                fleet.admit(s.clone());
+            }
+            for on in FLIPS {
+                tel::set_enabled(on);
+                fleet.tick();
+            }
+            tel::set_enabled(false);
+            telemetry_state()
+        };
+
+        // Standalone, stamped as the tenant id the fleet will assign.
+        tel::reset();
+        tel::set_tenant(1);
+        let mut cl = spec.closed_loop();
+        let mut next = 0usize;
+        for on in FLIPS {
+            tel::set_enabled(on);
+            let lambda = cl.cell.cfg.lambda_mi;
+            crate::tenant::admit_due(&mut cl.sim, &spec.schedule, &mut next, lambda);
+            cl.step();
+        }
+        tel::set_enabled(false);
+        tel::set_tenant(0);
+        let standalone = telemetry_state();
+        assert!(!standalone.1.is_empty() && !standalone.2.is_empty());
+        assert_eq!(fleet_run(1, &[spec.clone()]), standalone);
+
+        let pair = [spec, rail_spec(62)];
+        assert_eq!(fleet_run(2, &pair), fleet_run(1, &pair));
         tel::reset();
     }
 }

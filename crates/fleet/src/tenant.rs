@@ -107,7 +107,12 @@ impl TenantSpec {
 /// 2·λ_MI lookahead horizon. Shared verbatim by [`Tenant::advance`] and
 /// [`standalone_run`] — the admission rule is part of the byte-identity
 /// contract between them.
-fn admit_due(sim: &mut Engine, schedule: &[FlowRequest], next: &mut usize, lambda: Nanos) {
+pub(crate) fn admit_due(
+    sim: &mut Engine,
+    schedule: &[FlowRequest],
+    next: &mut usize,
+    lambda: Nanos,
+) {
     let horizon = sim.now() + 2 * lambda;
     while *next < schedule.len() && schedule[*next].start <= horizon {
         let f = schedule[*next];
@@ -233,12 +238,21 @@ impl Tenant {
         PendingInterval { metrics }
     }
 
-    /// [`Tenant::advance`] with every telemetry emission diverted into
-    /// a capture buffer, so worker threads need no telemetry state and
-    /// the coordinator can replay all tenants' emissions in one
+    /// [`Tenant::advance`] as phase A runs it. `capture` is the
+    /// coordinator's registry flag, sampled once per tick before the
+    /// fan-out: when set, every telemetry emission is diverted into a
+    /// capture buffer, so worker threads need no telemetry state and the
+    /// coordinator can replay all tenants' emissions in one
     /// deterministic order (ascending tenant id) in both the serial and
-    /// threaded schedulers.
-    pub(crate) fn advance_captured(&mut self) -> (Vec<tel::Captured>, PendingInterval) {
+    /// threaded schedulers; when clear, the replay would record nothing,
+    /// so nothing is captured and the buffer comes back empty.
+    pub(crate) fn advance_captured(
+        &mut self,
+        capture: bool,
+    ) -> (Vec<tel::Captured>, PendingInterval) {
+        if !capture {
+            return (Vec::new(), self.advance());
+        }
         tel::capture_begin();
         let pending = self.advance();
         (tel::capture_take(), pending)

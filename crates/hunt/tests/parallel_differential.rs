@@ -11,6 +11,10 @@
 //!   reordering or loss shows up here);
 //! * audit violation counts (zero or not, shard workers fold their
 //!   thread-local registries back into the coordinator's).
+//!
+//! The property runs keep telemetry on throughout; one fixed-point test
+//! flips the registry between intervals (and leaves it off) to pin the
+//! engine's per-run capture gating against the serial engine.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -248,6 +252,68 @@ fn collective_over_rail_topology_is_byte_identical() {
             par, serial,
             "{threads} threads diverged from serial on the collective workload"
         );
+    }
+}
+
+/// The engine samples the coordinator's registry once per `run_until`
+/// and its workers capture only when the replay would record. Flipping
+/// the registry between intervals must therefore leave exactly what the
+/// serial engine leaves under the same flips: every counter, the whole
+/// series log and the whole flight stream — and the tuner must not
+/// notice (same history with telemetry partly, fully or never on).
+#[test]
+fn telemetry_toggled_between_intervals_matches_serial() {
+    let point = generated_point(0xC0FFEE, 4, 1);
+    assert!(
+        point.topo.build().partition(4).len() > 1,
+        "the point's fabric must actually shard"
+    );
+    let run = |threads: usize, flips: [bool; INTERVALS as usize]| {
+        tel::reset();
+        let mut cl = ClosedLoop::builder(point.topo.build())
+            .scheme(SchemeKind::Paraleon)
+            .parallel(threads)
+            .sim_config(SimConfig {
+                dcqcn: point.params,
+                seed: point.seed,
+                ..SimConfig::default()
+            })
+            .loop_config(LoopConfig {
+                lambda_mi: MILLI,
+                force_tuning: true,
+                ..LoopConfig::default()
+            })
+            .seed(point.seed)
+            .build();
+        for (src, dst, bytes, start) in point.expand_flows() {
+            cl.sim
+                .try_add_flow(src, dst, bytes, start)
+                .expect("reachable genomes only emit valid flows");
+        }
+        for on in flips {
+            tel::set_enabled(on);
+            cl.step();
+        }
+        tel::set_enabled(false);
+        (
+            cl.cell.history.clone(),
+            tel::counters_snapshot(),
+            tel::series_points(),
+            tel::flight_events(),
+        )
+    };
+    let mixed = [true, false, true, true, false];
+    let serial = run(1, mixed);
+    assert!(
+        !serial.2.is_empty() && !serial.3.is_empty(),
+        "the point must emit series and flight events while the registry is on"
+    );
+    let serial_off = run(1, [false; INTERVALS as usize]);
+    assert_eq!(serial_off.0, serial.0, "telemetry changed the serial run");
+    for threads in [2usize, 4] {
+        assert_eq!(run(threads, mixed), serial, "{threads} threads, mixed");
+        let off = run(threads, [false; INTERVALS as usize]);
+        assert_eq!(off, serial_off, "{threads} threads, registry off");
     }
 }
 

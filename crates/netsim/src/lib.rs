@@ -21,6 +21,7 @@
 //!
 //! Everything is synchronous and seeded: same inputs, same packet trace.
 
+pub(crate) mod barrier;
 pub mod config;
 pub mod ctrl;
 pub mod event;

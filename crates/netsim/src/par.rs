@@ -29,16 +29,20 @@
 //!   the serial engine — f64 merging is selection, never reassociation;
 //! * telemetry is **captured** on worker threads tagged `(at, key)` and
 //!   replayed on the coordinator in that order — the exact serial
-//!   emission order.
+//!   emission order. The coordinator's registry is sampled once per
+//!   `run_until`: when nothing there would record the replay, workers
+//!   capture nothing (their own registries are off, as the serial
+//!   engine's would be).
 //!
 //! The differential proptest in `crates/hunt/tests/parallel_differential.rs`
 //! enforces byte-identity (metrics, flight-recorder tail, audit state)
 //! against the serial engine over search-reachable configurations.
 
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use paraleon_telemetry as tel;
 
+use crate::barrier::{run_shards, BarrierBroken, EpochBarrier};
 use crate::config::SimConfig;
 use crate::fault::FaultPlan;
 use crate::metrics::{FlowRecord, IntervalMetrics};
@@ -49,7 +53,23 @@ use crate::{FlowId, Nanos, NodeId};
 use paraleon_dcqcn::DcqcnParams;
 
 /// Per-(source, destination) shard mailboxes for one barrier exchange.
+/// Each slot has exactly one writer (the source shard, before the
+/// barrier) and one reader (the destination, after it), so the mutexes
+/// are never contended; they exist to share the slots safely.
 type Mailboxes = Vec<Vec<Mutex<Vec<RemoteMsg>>>>;
+
+fn mailboxes(n: usize) -> Mailboxes {
+    (0..n)
+        .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
+        .collect()
+}
+
+fn lock_slot(slot: &Mutex<Vec<RemoteMsg>>) -> MutexGuard<'_, Vec<RemoteMsg>> {
+    // Only a worker panicking mid-drain can poison a slot, and that
+    // breaks the barrier every peer must pass before touching it again.
+    slot.lock()
+        .expect("mailbox poisoned behind a broken barrier")
+}
 
 /// The conservative parallel engine: one event core per shard, barrier
 /// epochs of the cut lookahead, byte-identical to [`Simulator`].
@@ -62,6 +82,13 @@ pub struct ParallelSim {
     /// when single-sharded (no cut).
     lookahead: Nanos,
     now: Nanos,
+    /// The workers' epoch barrier, reused by every `run_until`.
+    barrier: EpochBarrier,
+    /// Two mailbox matrices, indexed by epoch parity: epoch `k` posts
+    /// into and drains from `mailboxes[k & 1]`, so a shard already
+    /// posting epoch `k + 1` never touches a slot a slower shard is
+    /// still draining, and one barrier per epoch suffices.
+    mailboxes: [Mailboxes; 2],
 }
 
 impl ParallelSim {
@@ -79,17 +106,13 @@ impl ParallelSim {
                 if la > 0 {
                     let shards = (0..n)
                         .map(|me| {
-                            let mut s = Simulator::new_shard(
+                            Simulator::new_shard(
                                 topo.clone(),
                                 cfg.clone(),
                                 Arc::clone(&shard_of),
                                 me as u16,
                                 n,
-                            );
-                            // Workers run on threads whose telemetry
-                            // registries are dead: capture for replay.
-                            s.set_tel_capture(true);
-                            s
+                            )
                         })
                         .collect();
                     return Self {
@@ -97,6 +120,8 @@ impl ParallelSim {
                         shard_of,
                         lookahead: la,
                         now: 0,
+                        barrier: EpochBarrier::new(n),
+                        mailboxes: [mailboxes(n), mailboxes(n)],
                     };
                 }
             }
@@ -106,6 +131,8 @@ impl ParallelSim {
             shard_of: Arc::new(Vec::new()),
             lookahead: 0,
             now: 0,
+            barrier: EpochBarrier::new(1),
+            mailboxes: [Vec::new(), Vec::new()],
         }
     }
 
@@ -293,13 +320,16 @@ impl ParallelSim {
     /// no coordinator runs inside the thread scope):
     ///
     /// 1. while `cur < t`: run the half-open window `[cur, e)` with
-    ///    `e = min(t, cur + Δ)`, post outboxes, barrier, drain inboxes
-    ///    in source-shard order, barrier;
+    ///    `e = min(t, cur + Δ)`, post outboxes into this epoch's mailbox
+    ///    matrix, barrier, drain inboxes in source-shard order;
     /// 2. run the inclusive window at `t` (events at exactly `t` run
     ///    only after the last exchange, preserving key order for
     ///    same-instant cross-shard arrivals);
     /// 3. one final exchange parks events generated at `t` (timestamps
     ///    `≥ t + Δ`) in their destination queues.
+    ///
+    /// A panic on a worker (an audit violation under `debug_assertions`)
+    /// releases the others from the barrier and is re-raised here.
     pub fn run_until(&mut self, t: Nanos) {
         assert!(t >= self.now, "time cannot run backward");
         let n = self.shards.len();
@@ -308,61 +338,71 @@ impl ParallelSim {
             self.now = t;
             return;
         }
+        assert!(
+            !self.barrier.is_broken(),
+            "a shard worker panicked in an earlier run; the engine's state is torn"
+        );
         let lookahead = self.lookahead;
-        let barrier = Barrier::new(n);
-        let mailboxes: Mailboxes = (0..n)
-            .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
-            .collect();
-        // Worker threads have fresh thread-local audit registries:
+        let barrier = &self.barrier;
+        let mailboxes = &self.mailboxes;
+        // Worker threads have fresh thread-local registries. Audit:
         // propagate the coordinator's configuration out, drain tallies
-        // back through each shard's carry slot.
+        // back through each shard's carry slot. Telemetry: a worker's
+        // emissions only matter if replaying them here would record (or,
+        // under a fleet worker, re-capture) them, so sample that once and
+        // let workers skip capture altogether when it would not.
         let audit_on = paraleon_audit::enabled();
         let audit_panic = paraleon_audit::panic_on_violation();
-        std::thread::scope(|scope| {
-            for (me, shard) in self.shards.iter_mut().enumerate() {
-                let barrier = &barrier;
-                let mailboxes = &mailboxes;
-                scope.spawn(move || {
-                    paraleon_audit::set_enabled(audit_on);
-                    paraleon_audit::set_panic_on_violation(audit_panic);
-                    // Divert every telemetry emission on this thread —
-                    // from any crate, not just the simulator — into the
-                    // capture buffer; the shard stamps each event's
-                    // (time, key) so the coordinator can replay in
-                    // serial order.
-                    tel::capture_begin();
-                    let mut cur = shard.now();
-                    while cur < t {
-                        let e = t.min(cur + lookahead);
-                        shard.run_window(e, false);
-                        cur = e;
-                        exchange(shard, me, mailboxes, barrier);
-                    }
-                    shard.run_window(t, true);
-                    exchange(shard, me, mailboxes, barrier);
-                    let (count, reports) = paraleon_audit::drain();
-                    shard.audit_carry.0 += count;
-                    shard.audit_carry.1.extend(reports);
-                    shard.tel_carry = tel::capture_take();
-                });
+        let tel_on = tel::enabled() || tel::capture_active();
+        run_shards(&mut self.shards, barrier, |me, shard| {
+            paraleon_audit::set_enabled(audit_on);
+            paraleon_audit::set_panic_on_violation(audit_panic);
+            shard.tel_capture = tel_on;
+            if tel_on {
+                // Divert every telemetry emission on this thread — from
+                // any crate, not just the simulator — into the capture
+                // buffer; the shard stamps each event's (time, key) so
+                // the coordinator can replay in serial order.
+                tel::capture_begin();
             }
+            let mut cur = shard.now();
+            let mut epoch = 0usize;
+            while cur < t {
+                let e = t.min(cur + lookahead);
+                shard.run_window(e, false);
+                cur = e;
+                exchange(shard, me, &mailboxes[epoch & 1], barrier)?;
+                epoch += 1;
+            }
+            shard.run_window(t, true);
+            exchange(shard, me, &mailboxes[epoch & 1], barrier)?;
+            let (count, reports) = paraleon_audit::drain();
+            shard.audit_carry.0 += count;
+            shard.audit_carry.1.extend(reports);
+            if tel_on {
+                shard.tel_carry = tel::capture_take();
+            }
+            Ok(())
         });
         // Absorb worker audit tallies in shard order (deterministic).
         for shard in &mut self.shards {
             let (count, reports) = std::mem::take(&mut shard.audit_carry);
             paraleon_audit::absorb(count, reports);
         }
-        // Replay captured telemetry in global (at, key) order — the
-        // serial emission order. Each shard's buffer is already sorted
-        // (events are handled in that order), so this is a k-way merge;
-        // a stable sort over the concatenation keeps it simple.
-        let mut captured: Vec<tel::Captured> = self
-            .shards
-            .iter_mut()
-            .flat_map(|s| std::mem::take(&mut s.tel_carry))
-            .collect();
-        captured.sort_by_key(|c| (c.at, c.key));
-        tel::capture_replay(&captured);
+        if tel_on {
+            // Replay captured telemetry in global (at, key) order — the
+            // serial emission order. Each shard's buffer is already
+            // sorted (events are handled in that order), so this is a
+            // k-way merge; a stable sort over the concatenation keeps it
+            // simple.
+            let mut captured: Vec<tel::Captured> = self
+                .shards
+                .iter_mut()
+                .flat_map(|s| std::mem::take(&mut s.tel_carry))
+                .collect();
+            captured.sort_by_key(|c| (c.at, c.key));
+            tel::capture_replay(&captured);
+        }
         self.now = t;
     }
 
@@ -397,26 +437,37 @@ impl ParallelSim {
     }
 }
 
-/// One barrier exchange: post this shard's outboxes into the shared
-/// mailbox matrix, wait for everyone, then drain the column addressed to
-/// this shard in source-shard order (deterministic arena re-insertion
-/// order), and wait again so nobody posts the next epoch into a slot
-/// still being drained.
-fn exchange(shard: &mut Simulator, me: usize, mailboxes: &Mailboxes, barrier: &Barrier) {
-    for (dst, slot) in mailboxes[me].iter().enumerate() {
+/// One barrier exchange over `mail`, this epoch's mailbox matrix: hand
+/// this shard's outboxes to their destinations' slots, wait for
+/// everyone, then drain the column addressed to this shard in
+/// source-shard order (deterministic arena re-insertion order). The
+/// caller alternates between two matrices, which is what lets a fast
+/// shard post its next epoch while a slow one is still draining this one.
+fn exchange(
+    shard: &mut Simulator,
+    me: usize,
+    mail: &Mailboxes,
+    barrier: &EpochBarrier,
+) -> Result<(), BarrierBroken> {
+    for (dst, slot) in mail[me].iter().enumerate() {
         if dst != me {
-            *slot.lock().unwrap() = shard.take_outbox(dst);
+            // The slot was drained two epochs ago; swapping (rather than
+            // moving the outbox in and leaving a fresh `Vec` behind)
+            // hands its capacity back to the outbox.
+            let mut slot = lock_slot(slot);
+            debug_assert!(slot.is_empty(), "mailbox {me}->{dst} posted before drained");
+            std::mem::swap(&mut *slot, shard.outbox_mut(dst));
         }
     }
-    barrier.wait();
-    for (src, row) in mailboxes.iter().enumerate() {
+    barrier.wait()?;
+    for (src, row) in mail.iter().enumerate() {
         if src != me {
-            for msg in row[me].lock().unwrap().drain(..) {
+            for msg in lock_slot(&row[me]).drain(..) {
                 shard.inject_remote(msg);
             }
         }
     }
-    barrier.wait();
+    Ok(())
 }
 
 /// The execution engine behind a closed loop: the serial [`Simulator`]
@@ -685,8 +736,13 @@ mod tests {
         eng.add_flow(15, 2, 400_000, 5 * MICRO);
         let mut metrics = Vec::new();
         let mut completions = Vec::new();
-        for _ in 0..5 {
-            eng.run_for(200 * MICRO);
+        // Uneven intervals over the fixture's 1 µs lookahead: whole and
+        // partial last windows, odd and even exchange counts (windows +
+        // the closing one: 201, 8, 195, 200, 201) back to back, so every
+        // call finds the mailbox matrices and the barrier as the previous
+        // one left them, on either parity.
+        for dt in [200_000, 7_000, 193_500, 198_500, 200_000] {
+            eng.run_for(dt);
             metrics.push(eng.collect_interval());
             completions.extend(eng.take_completions());
         }
@@ -748,6 +804,45 @@ mod tests {
             assert_eq!(serial.0, par.0, "{threads} threads: interval metrics");
             assert_eq!(serial.1, par.1, "{threads} threads: completions");
             assert_eq!(serial.2, par.2, "{threads} threads: events processed");
+        }
+    }
+
+    /// The coordinator's registry decides, once per `run_until`, whether
+    /// workers capture: off (the default) nothing is stamped or parked —
+    /// the coordinator does not drain `tel_carry` then, so anything a
+    /// worker did capture would still be sitting there — and flipping the
+    /// flag between two intervals records exactly what the serial engine
+    /// records under the same flips.
+    #[test]
+    fn worker_capture_follows_the_coordinators_registry() {
+        let toggled = |threads: usize| {
+            tel::reset();
+            let mut eng = Engine::new(clos(), cfg(), threads);
+            for src in 4..12 {
+                eng.add_flow(src, 0, 300_000, (src as u64) * 2 * MICRO);
+            }
+            for on in [false, true, false, true] {
+                tel::set_enabled(on);
+                eng.run_for(150 * MICRO);
+                if let Engine::Parallel(p) = &eng {
+                    assert!(p.shards.iter().all(|s| s.tel_capture == on));
+                    assert!(p.shards.iter().all(|s| s.tel_carry.is_empty()));
+                }
+            }
+            tel::set_enabled(false);
+            (
+                tel::counters_snapshot(),
+                tel::histogram(tel::Hist::QueueBytes).nonzero_buckets(),
+                tel::flight_events(),
+            )
+        };
+        let serial = toggled(1);
+        assert!(
+            serial.0.iter().any(|&(_, n)| n > 0) && !serial.2.is_empty(),
+            "the incast must emit while the registry is on"
+        );
+        for threads in [2, 4] {
+            assert_eq!(toggled(threads), serial, "{threads} threads");
         }
     }
 

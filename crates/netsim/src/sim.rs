@@ -28,9 +28,9 @@
 //! parallel engine ([`crate::par::ParallelSim`]): a shard holds the full
 //! topology but *owns* only a subset of nodes (an ownership mask), runs
 //! only events targeting owned nodes, and routes events aimed at foreign
-//! nodes into per-destination-shard outboxes that the coordinator drains
-//! at epoch barriers. Everything that makes the serial and sharded
-//! executions bit-identical is centralized here:
+//! nodes into per-destination-shard outboxes that the shard workers swap
+//! into each other's mailboxes at epoch barriers. Everything that makes
+//! the serial and sharded executions bit-identical is centralized here:
 //!
 //! * event tie-breaks are *causal keys* — `(source-node namespace <<
 //!   KEY_SHIFT) | per-source counter` — which a shard can reproduce
@@ -257,8 +257,10 @@ pub struct Simulator {
     /// When set, [`run_window`](Self::run_window) stamps each event's
     /// `(time, key)` onto the thread's telemetry capture (see
     /// `paraleon_telemetry::capture_stamp`) so emissions diverted on
-    /// worker threads can be replayed in serial order.
-    tel_capture: bool,
+    /// worker threads can be replayed in serial order. The parallel
+    /// engine sets it at the start of every run, on exactly when its
+    /// workers capture.
+    pub(crate) tel_capture: bool,
     /// Telemetry captured on this shard's worker thread during a
     /// parallel run, parked here for the coordinator to replay.
     pub(crate) tel_carry: Vec<tel::Captured>,
@@ -462,9 +464,10 @@ impl Simulator {
         self.events.push(at, key, ev);
     }
 
-    /// Take the outbox bound for shard `dst` (coordinator-side drain).
-    pub(crate) fn take_outbox(&mut self, dst: usize) -> Vec<RemoteMsg> {
-        std::mem::take(&mut self.outboxes[dst])
+    /// The outbox bound for shard `dst`, for the epoch exchange to swap
+    /// against that shard's (empty) mailbox slot.
+    pub(crate) fn outbox_mut(&mut self, dst: usize) -> &mut Vec<RemoteMsg> {
+        &mut self.outboxes[dst]
     }
 
     /// How many cross-shard handoffs are waiting in outboxes.
@@ -490,14 +493,6 @@ impl Simulator {
             (ev, Some(_)) => unreachable!("packet attached to non-arrive event {ev:?}"),
         };
         self.events.push(msg.at, msg.key, ev);
-    }
-
-    /// Enable/disable per-event `(time, key)` stamping of the thread's
-    /// telemetry capture (workers of a parallel run capture every
-    /// emission — including those from the congestion-control crates —
-    /// and the coordinator replays them in global key order).
-    pub(crate) fn set_tel_capture(&mut self, on: bool) {
-        self.tel_capture = on;
     }
 
     /// Current simulated time.
