@@ -15,10 +15,14 @@
 //!   `results/BENCH_netsim.json`, the committed perf baseline.
 //! * `--check <baseline.json>` — CI regression gate: re-measures
 //!   single-thread throughput and exits non-zero if it is more than 25%
-//!   below the baseline's `events_per_sec`; on a host with at least two
-//!   cores it also re-measures the 1- and 2-shard `intra_run_scaling`
-//!   points and exits non-zero unless two shards beat one (ROADMAP: a
-//!   mechanism that cannot show its benefit gets fixed or removed).
+//!   below the baseline's `events_per_sec`, or if the process's peak
+//!   resident set after that measurement is more than 1.25× the
+//!   baseline's `peak_rss_mb` (memory the event core touches once per
+//!   wheel rotation costs cache misses an ev/s gate on a quiet host does
+//!   not see); on a host with at least two cores it also re-measures the
+//!   1- and 2-shard `intra_run_scaling` points and exits non-zero unless
+//!   two shards beat one (ROADMAP: a mechanism that cannot show its
+//!   benefit gets fixed or removed).
 //!
 //! `--par-threads N` switches the default and `--audited` modes onto the
 //! conservative parallel engine with N shard threads.
@@ -41,6 +45,9 @@ const RUNS: usize = 3;
 /// `--check` fails when throughput drops more than this fraction below
 /// the committed baseline.
 const REGRESSION_FRAC: f64 = 0.25;
+/// `--check` fails when the probe's peak resident set is more than this
+/// multiple of the committed baseline's.
+const RSS_CEILING: f64 = 1.25;
 /// Seeds fanned through the parallel runner for the scaling measurement.
 const SWEEP_SEEDS: u64 = 8;
 
@@ -96,6 +103,17 @@ fn measure_single_thread() -> ProbeRun {
     best.expect("RUNS > 0")
 }
 
+/// This process's peak resident set (`VmHWM`) in MiB; `None` where the
+/// kernel does not report one. Both `--json` and `--check` read it right
+/// after the single-thread measurement — the first thing either does —
+/// so the two numbers cover the same work.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 #[derive(Serialize)]
 struct SweepPoint {
     /// Worker threads asked for.
@@ -138,6 +156,9 @@ struct Report {
     wall_seconds: f64,
     /// The number the CI gate compares.
     events_per_sec: f64,
+    /// `VmHWM` of the probe process after the single-thread runs; the
+    /// CI gate's memory ceiling is a multiple of it.
+    peak_rss_mb: Option<f64>,
     /// Worker threads the measuring machine could actually run; scaling
     /// points beyond this are expected to be flat.
     threads_available: usize,
@@ -290,6 +311,7 @@ fn check(baseline_path: &str) -> i32 {
         return 2;
     };
     let r = measure_single_thread();
+    let rss = peak_rss_mb();
     let eps = r.events as f64 / r.wall_s;
     let floor = base_eps * (1.0 - REGRESSION_FRAC);
     println!(
@@ -305,6 +327,25 @@ fn check(baseline_path: &str) -> i32 {
             REGRESSION_FRAC * 100.0
         );
         return 1;
+    }
+    match (rss, field(&baseline, "peak_rss_mb").and_then(as_f64)) {
+        (Some(rss), Some(base_rss)) => {
+            let ceiling = base_rss * RSS_CEILING;
+            println!(
+                "memory check: peak RSS {rss:.1} MiB, baseline {base_rss:.1} MiB, ceiling {ceiling:.1} MiB"
+            );
+            if rss > ceiling {
+                println!(
+                    "REGRESSION: the probe's peak resident set grew {:.0}% (limit {:.0}%)",
+                    (rss / base_rss - 1.0) * 100.0,
+                    (RSS_CEILING - 1.0) * 100.0
+                );
+                return 1;
+            }
+        }
+        _ => println!(
+            "memory check skipped: no VmHWM on this host or no peak_rss_mb in the baseline"
+        ),
     }
     // The sharded engine has to earn its keep wherever it can: with two
     // cores to run on, two shards must beat one.
@@ -386,17 +427,19 @@ fn main() {
     if args.iter().any(|a| a == "--json") {
         eprintln!("measuring single-thread throughput ({RUNS} runs)...");
         let r = measure_single_thread();
+        let peak_rss_mb = peak_rss_mb();
         let eps = r.events as f64 / r.wall_s;
         eprintln!(
-            "single thread: {:.2}s, {} events, {:.2}M ev/s",
+            "single thread: {:.2}s, {} events, {:.2}M ev/s, peak RSS {:.1} MiB",
             r.wall_s,
             r.events,
-            eps / 1e6
+            eps / 1e6,
+            peak_rss_mb.unwrap_or(f64::NAN)
         );
         let (scaling, deterministic) = measure_sweep_scaling();
         let (intra, intra_deterministic) = measure_intra_run_scaling(&[1, 2, 4, 8]);
         let report = Report {
-            schema: 2,
+            schema: 3,
             probe: "two_tier_clos(8x16, 4 leaves, 100G, 5us) + fb_hadoop poisson \
                     load 0.3 seed 5, 20ms of load run to 25ms, full PARALEON loop"
                 .to_string(),
@@ -406,6 +449,7 @@ fn main() {
             completions: r.completions,
             wall_seconds: r.wall_s,
             events_per_sec: eps,
+            peak_rss_mb,
             threads_available: threads_available(),
             sweep_scaling: scaling,
             sweep_deterministic: deterministic,

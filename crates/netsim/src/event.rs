@@ -13,12 +13,15 @@
 //!
 //! Two implementations share one total order on `(time, key)`:
 //!
-//! * [`EventQueue`] — the production scheduler, a **calendar queue**
-//!   (hierarchical bucket wheel + overflow heap). Pushes into the wheel
-//!   are an amortized-O(1) `Vec::push`; only the handful of events that
-//!   land in the already-active bucket, or beyond the wheel horizon, pay
-//!   a heap operation. This is the same trick ns-3 / HPCC-style
-//!   simulators use to keep the future-event list off the profile.
+//! * [`EventQueue`] — the production scheduler, a **two-level calendar
+//!   queue**. An outer wheel of 256 ns buckets holds the future as
+//!   unsorted appends; the one bucket the clock is in is spread over an
+//!   inner wheel of 256 one-nanosecond slots, each a short key-ordered
+//!   linked list, with an occupancy bitmap to find the head. A push is an
+//!   append or a list insert, a pop is `trailing_zeros` plus an unlink:
+//!   no comparison sort and no binary heap on the per-event path. Two
+//!   binary heaps remain for what is rare: events beyond the outer
+//!   wheel's horizon, and events pushed behind the cursor.
 //! * [`BinaryHeapQueue`] — the straightforward binary heap the simulator
 //!   originally shipped with. Kept as the *reference implementation*:
 //!   the differential property test replays random workloads through
@@ -29,13 +32,22 @@
 //! carries a unique key (per-source counters never repeat), so
 //! `(at, key)` is a *strict* total order — no two events compare equal.
 //! Any correct priority structure over a strict total order pops the same
-//! sequence; the calendar queue merely partitions events by time bucket
-//! (a partition respecting the order's first component) and delegates
-//! intra-bucket ordering to a sort keyed by the full `(at, key)` pair.
+//! sequence. The calendar queue partitions events by time bucket (a
+//! partition respecting the order's first component), the inner wheel
+//! partitions the active bucket by exact timestamp (the order's whole
+//! first component), and each slot's list is ascending in the second
+//! component; whatever sits in a heap instead is compared on the full
+//! `(at, key)` pair against the inner wheel's head at every pop.
 //! Same-timestamp bursts therefore pop in key order on both
 //! implementations, bit-identically — and identically whether the events
 //! were enqueued by one serial engine or routed through parallel-shard
 //! mailboxes in any interleaving.
+//!
+//! Cost: appending to or prepending to a slot's list is O(1); an insert
+//! into the middle walks a bounded number of nodes and then gives the
+//! event to the behind-the-cursor heap, so even one timestamp flooded
+//! with 10⁵ events in adversarial key order costs O(log n) per event,
+//! like the reference heap, not a list walk each.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -119,57 +131,100 @@ impl Ord for Scheduled {
 /// concentrate on a few dozen hot wheel slots (serialization of one MTU
 /// at 100 G is ~84 ns, propagation delays are 1–5 µs — about 20 buckets
 /// out), which keeps the wheel's working set cache-resident. Narrower
-/// buckets were measured slower: they scatter pushes over hundreds of
-/// cold slots. The intra-bucket cost is absorbed by the sort-once
-/// consume-by-cursor active set, not a heap, so wide buckets stay cheap.
+/// buckets were measured slower: 64 ns × 32 768 buckets scatter pushes
+/// over four times as many slots (6–9 % slower). 256 ns is also what
+/// makes the inner wheel cheap: one slot per nanosecond of the active
+/// bucket is a 2 KiB array and a four-word bitmap, and two fifths of all
+/// pushes (one MTU's serialization later, or the same instant) land in
+/// it directly.
 const BUCKET_SHIFT: u32 = 8;
 /// Number of wheel buckets (power of two). Horizon = 8192 × 256 ns ≈
 /// 2.1 ms, which covers pacing rechecks (≤ 50 µs) and the retransmission
 /// timer (~1 ms); only rare far-future events (lazily admitted flow
 /// starts) spill into the overflow heap.
 const N_BUCKETS: usize = 8192;
+/// One inner slot per nanosecond of the active bucket.
+const INNER_SLOTS: usize = 1 << BUCKET_SHIFT;
+/// End-of-list / empty-slot marker for slab indices.
+const NIL: u32 = u32::MAX;
+/// Longest walk an insert makes into the middle of a slot's list before
+/// it hands the event to the `behind` heap instead. Real lists hold one
+/// to three events; the bound is what keeps a same-instant flood with
+/// adversarial keys at O(log n) per insert instead of O(n).
+const SCAN_LIMIT: usize = 16;
 
-/// Deterministic future-event list: calendar-queue implementation.
+/// One pending event of the active bucket: a slab cell linked into its
+/// nanosecond's list. The timestamp is not stored — it is the slot.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    key: u64,
+    ev: Event,
+    /// Next node of the slot's list, or of the free list.
+    next: u32,
+}
+
+/// Ends of one nanosecond's list; `head == NIL` means empty (and then
+/// `tail` is stale).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+}
+
+/// Deterministic future-event list: two-level calendar queue.
 ///
 /// Invariants (with `b(e) = e.at >> BUCKET_SHIFT` the absolute bucket of
 /// an event):
 ///
-/// * the *active set* — `sorted[head..]` plus `late` — holds every
-///   pending event with `b(e) <= active`; `sorted[head..]` is ascending
-///   under `(at, key)`;
-/// * `wheel[b & (N_BUCKETS-1)]` holds events with
-///   `active < b <= active + N_BUCKETS` (distinct buckets never alias a
-///   slot because the range spans exactly `N_BUCKETS` buckets);
+/// * **inner wheel** — `slots[i]` is the list of pending events at
+///   exactly `(active << BUCKET_SHIFT) | i`, ascending by key, linked
+///   through `nodes`; bit `i` of `occupied` is set iff that list is
+///   non-empty. Nodes not on a list are on the free list headed by
+///   `free`, most recently released first, so the slab stays as small as
+///   the fullest active bucket and its hot end stays in L1;
+/// * **`behind`** holds events with `b(e) <= active` that are not in the
+///   inner wheel: everything pushed with `b(e) < active` (a handler can
+///   not do that — time does not run backwards — but `add_flow` at a
+///   collection boundary and `inject_remote` after a shard's window
+///   primed past the barrier can), and the rare `b(e) == active` insert
+///   that would have walked more than `SCAN_LIMIT` nodes;
+/// * **outer wheel** — `wheel[b & (N_BUCKETS-1)]` holds events with
+///   `active < b <= active + N_BUCKETS`, unsorted (distinct buckets never
+///   alias a slot because the range spans exactly `N_BUCKETS` buckets).
+///   An empty slot owns no buffer: it takes one from `pool` on its first
+///   push and hands it back when drained, so the buffers in existence
+///   are as many as buckets ever held events at once (a few dozen near
+///   ones plus one per parked timer bucket), not all 8192;
 /// * `overflow` holds events with `b > active + N_BUCKETS`, and its
 ///   minimum is always beyond `active`.
 ///
 /// All wheel/overflow events are in strictly later buckets than
-/// everything in the active set, so the smaller of `sorted[head]` and
-/// `late`'s head is the global minimum under `(at, key)`.
+/// everything in the inner wheel and `behind`, so the smaller of the
+/// first occupied slot's head and `behind`'s head is the global minimum
+/// under `(at, key)`.
 ///
-/// Why sort-and-scan instead of a heap for the active bucket: a busy
-/// fabric puts hundreds of events in one 256 ns bucket, and a binary
-/// heap pays an O(log n) pointer-chasing sift per pop. Sorting the
-/// drained bucket once (contiguous, branch-predictable) and consuming it
-/// with a cursor makes the common pop a bounds check and an index
-/// increment. Only events scheduled *into the already-active bucket*
-/// (same-instant follow-ups, sub-256 ns serialization gaps) take the
-/// `late` heap, which stays small.
+/// A fresh queue owns the wheel's 8192 empty slot headers and nothing
+/// else: pool, slab and heaps start empty and grow on demand.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// The drained active bucket, ascending by `(at, key)`; consumed from
-    /// `head`.
-    sorted: Vec<Scheduled>,
-    /// Cursor into `sorted`.
-    head: usize,
-    /// Events pushed at/behind the active bucket after it was drained,
-    /// earliest-first.
-    late: BinaryHeap<Scheduled>,
-    /// The bucket wheel; slot vectors keep their capacity across reuse.
+    /// The inner wheel: one list per nanosecond of the active bucket.
+    slots: [Slot; INNER_SLOTS],
+    /// Bit `i` set iff `slots[i]` is non-empty.
+    occupied: [u64; INNER_SLOTS / 64],
+    /// Slab backing every inner list and the free list.
+    nodes: Vec<Node>,
+    /// Head of the free list through `Node::next`.
+    free: u32,
+    /// Events at or behind the active bucket that are not in the inner
+    /// wheel, earliest-first.
+    behind: BinaryHeap<Scheduled>,
+    /// The bucket wheel; a slot holds a buffer only while it holds events.
     wheel: Vec<Vec<Scheduled>>,
+    /// Drained (empty, capacity kept) bucket buffers, last in first out.
+    pool: Vec<Vec<Scheduled>>,
     /// Events beyond the wheel horizon.
     overflow: BinaryHeap<Scheduled>,
-    /// Absolute index of the bucket currently drained into the active set.
+    /// Absolute index of the bucket spread over the inner wheel.
     active: u64,
     /// Total events resident in `wheel`.
     wheel_len: usize,
@@ -182,10 +237,16 @@ pub struct EventQueue {
 impl Default for EventQueue {
     fn default() -> Self {
         Self {
-            sorted: Vec::new(),
-            head: 0,
-            late: BinaryHeap::new(),
+            slots: [Slot {
+                head: NIL,
+                tail: NIL,
+            }; INNER_SLOTS],
+            occupied: [0; INNER_SLOTS / 64],
+            nodes: Vec::new(),
+            free: NIL,
+            behind: BinaryHeap::new(),
             wheel: (0..N_BUCKETS).map(|_| Vec::new()).collect(),
+            pool: Vec::new(),
             overflow: BinaryHeap::new(),
             active: 0,
             wheel_len: 0,
@@ -193,6 +254,15 @@ impl Default for EventQueue {
             order: paraleon_audit::OrderAudit::default(),
         }
     }
+}
+
+/// Where the earliest pending event sits.
+#[derive(Clone, Copy)]
+enum Head {
+    /// At the head of this inner slot's list.
+    Slot(usize),
+    /// On top of the `behind` heap.
+    Behind,
 }
 
 impl EventQueue {
@@ -209,117 +279,196 @@ impl EventQueue {
     #[inline]
     pub fn push(&mut self, at: Nanos, key: u64, ev: Event) {
         self.len += 1;
-        let s = Scheduled { at, key, ev };
         let bucket = at >> BUCKET_SHIFT;
         if bucket > self.active {
+            let s = Scheduled { at, key, ev };
             if bucket - self.active <= N_BUCKETS as u64 {
-                self.wheel[(bucket as usize) & (N_BUCKETS - 1)].push(s);
+                let buf = &mut self.wheel[(bucket as usize) & (N_BUCKETS - 1)];
+                if buf.capacity() == 0 {
+                    if let Some(recycled) = self.pool.pop() {
+                        *buf = recycled;
+                    }
+                }
+                buf.push(s);
                 self.wheel_len += 1;
             } else {
                 self.overflow.push(s);
             }
+        } else if bucket == self.active {
+            self.insert_active(at, key, ev);
         } else {
-            self.late.push(s);
+            self.behind.push(Scheduled { at, key, ev });
         }
     }
 
-    /// Advance `active` until the active set holds the global minimum
-    /// (no-op when it already does). Empty stretches are skipped by
-    /// jumping straight to the earliest populated bucket when the wheel
-    /// is empty.
-    fn prime(&mut self) {
-        while self.head == self.sorted.len() && self.late.is_empty() {
-            self.sorted.clear();
-            self.head = 0;
-            if self.wheel_len == 0 {
-                // Whole wheel empty: jump to the earliest overflow bucket
-                // (or give up — the queue is empty).
-                let Some(min) = self.overflow.peek() else {
+    /// Link an event of the active bucket into its nanosecond's list,
+    /// keeping the list ascending by key. Appending (the common case: a
+    /// source's counter only grows) and prepending are O(1); an insert
+    /// into the middle walks at most `SCAN_LIMIT` nodes and otherwise
+    /// goes to `behind`, which every pop compares against anyway.
+    #[inline]
+    fn insert_active(&mut self, at: Nanos, key: u64, ev: Event) {
+        debug_assert_eq!(at >> BUCKET_SHIFT, self.active);
+        let i = (at as usize) & (INNER_SLOTS - 1);
+        let Slot { head, tail } = self.slots[i];
+        if head == NIL {
+            let n = self.alloc(key, ev, NIL);
+            self.slots[i] = Slot { head: n, tail: n };
+            self.occupied[i >> 6] |= 1 << (i & 63);
+        } else if key >= self.nodes[tail as usize].key {
+            let n = self.alloc(key, ev, NIL);
+            self.nodes[tail as usize].next = n;
+            self.slots[i].tail = n;
+        } else if key < self.nodes[head as usize].key {
+            let n = self.alloc(key, ev, head);
+            self.slots[i].head = n;
+        } else {
+            // head.key <= key < tail.key: the first node with a larger
+            // key exists, so `next` is never NIL inside the walk.
+            let mut prev = head;
+            for _ in 0..SCAN_LIMIT {
+                let next = self.nodes[prev as usize].next;
+                if key < self.nodes[next as usize].key {
+                    let n = self.alloc(key, ev, next);
+                    self.nodes[prev as usize].next = n;
                     return;
-                };
-                self.active = self.active.max(min.at >> BUCKET_SHIFT);
-            } else {
-                self.active += 1;
-                let slot = (self.active as usize) & (N_BUCKETS - 1);
-                // Swap, don't copy: the slot's buffer becomes the active
-                // buffer and the old (cleared) active buffer parks in the
-                // slot, so both keep their capacity across reuse.
-                std::mem::swap(&mut self.sorted, &mut self.wheel[slot]);
-                self.wheel_len -= self.sorted.len();
-            }
-            // Overflow events whose bucket the cursor has reached become
-            // part of the active set.
-            while let Some(min) = self.overflow.peek() {
-                if min.at >> BUCKET_SHIFT > self.active {
-                    break;
                 }
-                let s = self.overflow.pop().expect("peeked");
-                self.sorted.push(s);
+                prev = next;
             }
-            self.sorted.sort_unstable_by_key(|s| (s.at, s.key));
+            self.behind.push(Scheduled { at, key, ev });
         }
     }
 
-    /// The earliest event of the primed active set, without removing it.
+    /// Take a slab cell — the most recently released one, else a new one.
     #[inline]
-    fn head_min(&self) -> Option<&Scheduled> {
-        match (self.sorted.get(self.head), self.late.peek()) {
-            (Some(a), Some(b)) => {
-                if (a.at, a.key) <= (b.at, b.key) {
-                    Some(a)
-                } else {
-                    Some(b)
-                }
-            }
-            (a @ Some(_), None) => a,
-            (None, b) => b,
+    fn alloc(&mut self, key: u64, ev: Event, next: u32) -> u32 {
+        let node = Node { key, ev, next };
+        let n = self.free;
+        if n != NIL {
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            n
+        } else {
+            let n = u32::try_from(self.nodes.len()).expect("under 4G events in one bucket");
+            self.nodes.push(node);
+            n
         }
     }
 
-    /// Remove the earliest event of the primed, non-empty active set.
+    /// Move the cursor to the next bucket that may hold events and spread
+    /// it over the inner wheel; only called with the inner wheel and
+    /// `behind` both empty. Empty stretches are skipped by jumping
+    /// straight to the earliest overflow bucket when the wheel is empty.
+    /// Returns false when nothing is pending anywhere.
+    fn advance(&mut self) -> bool {
+        if self.wheel_len == 0 {
+            let Some(min) = self.overflow.peek() else {
+                return false;
+            };
+            self.active = self.active.max(min.at >> BUCKET_SHIFT);
+        } else {
+            self.active += 1;
+            let slot = (self.active as usize) & (N_BUCKETS - 1);
+            if !self.wheel[slot].is_empty() {
+                let mut buf = std::mem::take(&mut self.wheel[slot]);
+                self.wheel_len -= buf.len();
+                for s in buf.drain(..) {
+                    self.insert_active(s.at, s.key, s.ev);
+                }
+                self.pool.push(buf);
+            }
+        }
+        // Overflow events whose bucket the cursor has reached join the
+        // active bucket.
+        while let Some(min) = self.overflow.peek() {
+            if min.at >> BUCKET_SHIFT > self.active {
+                break;
+            }
+            let s = self.overflow.pop().expect("peeked");
+            self.insert_active(s.at, s.key, s.ev);
+        }
+        true
+    }
+
+    /// Locate the earliest pending event and its time, advancing the
+    /// cursor until the inner wheel or `behind` holds it.
     #[inline]
-    fn take_min(&mut self) -> Scheduled {
-        self.len -= 1;
-        let s = match (self.sorted.get(self.head), self.late.peek()) {
-            (Some(a), Some(b)) if (b.at, b.key) < (a.at, a.key) => {
-                let _ = b;
-                self.late.pop().expect("peeked")
+    fn head(&mut self) -> Option<(Nanos, Head)> {
+        loop {
+            let first = self
+                .occupied
+                .iter()
+                .position(|&w| w != 0)
+                .map(|w| w * 64 + self.occupied[w].trailing_zeros() as usize);
+            let behind = self.behind.peek().map(|b| (b.at, b.key));
+            return match (first, behind) {
+                (Some(i), None) => Some((self.slot_time(i), Head::Slot(i))),
+                (Some(i), Some(b)) => {
+                    let at = self.slot_time(i);
+                    let key = self.nodes[self.slots[i].head as usize].key;
+                    if b < (at, key) {
+                        Some((b.0, Head::Behind))
+                    } else {
+                        Some((at, Head::Slot(i)))
+                    }
+                }
+                (None, Some(b)) => Some((b.0, Head::Behind)),
+                (None, None) if self.advance() => continue,
+                (None, None) => None,
+            };
+        }
+    }
+
+    /// The timestamp inner slot `i` stands for.
+    #[inline]
+    fn slot_time(&self, i: usize) -> Nanos {
+        (self.active << BUCKET_SHIFT) | i as u64
+    }
+
+    /// Pop the earliest event if `admit` accepts its time.
+    #[inline]
+    fn pop_if(&mut self, admit: impl FnOnce(Nanos) -> bool) -> Option<(Nanos, u64, Event)> {
+        let (at, head) = self.head()?;
+        if !admit(at) {
+            return None;
+        }
+        let (key, ev) = match head {
+            Head::Slot(i) => {
+                let h = self.slots[i].head;
+                let Node { key, ev, next } = self.nodes[h as usize];
+                self.slots[i].head = next;
+                if next == NIL {
+                    self.occupied[i >> 6] &= !(1 << (i & 63));
+                }
+                self.nodes[h as usize].next = self.free;
+                self.free = h;
+                (key, ev)
             }
-            (Some(a), _) => {
-                let s = *a;
-                self.head += 1;
-                s
+            Head::Behind => {
+                let s = self.behind.pop().expect("peeked");
+                (s.key, s.ev)
             }
-            (None, _) => self.late.pop().expect("primed non-empty"),
         };
-        self.order.observe(s.at, s.key);
-        s
+        self.len -= 1;
+        self.order.observe(at, key);
+        Some((at, key, ev))
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&mut self) -> Option<Nanos> {
-        self.prime();
-        self.head_min().map(|s| s.at)
+        self.head().map(|(at, _)| at)
     }
 
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(Nanos, u64, Event)> {
-        self.prime();
-        self.head_min()?;
-        let s = self.take_min();
-        Some((s.at, s.key, s.ev))
+        self.pop_if(|_| true)
     }
 
     /// Pop the earliest event only if it is scheduled at or before `t` —
     /// the single-lookup form of `peek_time` + `pop` the simulator's hot
     /// loop uses.
     pub fn pop_before(&mut self, t: Nanos) -> Option<(Nanos, u64, Event)> {
-        self.prime();
-        if self.head_min()?.at > t {
-            return None;
-        }
-        let s = self.take_min();
-        Some((s.at, s.key, s.ev))
+        self.pop_if(|at| at <= t)
     }
 
     /// Pop the earliest event only if it is scheduled *strictly* before
@@ -327,12 +476,7 @@ impl EventQueue {
     /// `[start, end)` intervals — events at exactly the barrier time must
     /// wait for the cross-shard mailbox exchange before they run.
     pub fn pop_strictly_before(&mut self, t: Nanos) -> Option<(Nanos, u64, Event)> {
-        self.prime();
-        if self.head_min()?.at >= t {
-            return None;
-        }
-        let s = self.take_min();
-        Some((s.at, s.key, s.ev))
+        self.pop_if(|at| at < t)
     }
 
     /// Number of pending events.
@@ -519,7 +663,7 @@ mod tests {
     #[test]
     fn len_tracks_all_tiers() {
         let mut q = EventQueue::new();
-        q.push(1, 0, Event::FlowStart(0)); // cur
+        q.push(1, 0, Event::FlowStart(0)); // inner wheel
         q.push(100_000, 1, Event::FlowStart(1)); // wheel
         q.push(u64::MAX / 2, 2, Event::FlowStart(2)); // overflow
         assert_eq!(q.len(), 3);
@@ -529,6 +673,70 @@ mod tests {
         assert!(!q.is_empty());
         q.pop();
         assert!(q.is_empty());
+    }
+
+    /// `Engine::new` builds one of these per simulator (and per shard):
+    /// nothing is pre-sized, everything grows with the first events.
+    #[test]
+    fn fresh_queue_owns_only_the_wheel_headers_and_the_inner_arrays() {
+        let q = EventQueue::new();
+        assert_eq!(q.wheel.len(), N_BUCKETS);
+        assert!(q.wheel.iter().all(|buf| buf.capacity() == 0));
+        assert_eq!(q.pool.capacity(), 0);
+        assert_eq!(q.nodes.capacity(), 0);
+        assert_eq!(q.behind.capacity(), 0);
+        assert_eq!(q.overflow.capacity(), 0);
+        assert!(q.slots.iter().all(|s| s.head == NIL));
+        assert_eq!(q.occupied, [0; INNER_SLOTS / 64]);
+    }
+
+    /// Fifty event chains rescheduling themselves one propagation delay
+    /// out keep ~20 buckets populated at any time; after five rotations
+    /// of the wheel the queue must still own about that many bucket
+    /// buffers — not one per slot it ever touched — and a slab no larger
+    /// than the fullest bucket.
+    #[test]
+    fn bucket_buffers_and_slab_cells_are_recycled() {
+        let mut q = EventQueue::new();
+        for i in 0..50u64 {
+            q.push(i * 100, i << 40, Event::QpSend(i));
+        }
+        let five_rotations = 5 * ((N_BUCKETS as u64) << BUCKET_SHIFT);
+        let (mut last, mut popped) = (0, 0u64);
+        while last <= five_rotations {
+            let (t, key, ev) = q.pop().expect("chains never end");
+            assert!(t >= last);
+            last = t;
+            popped += 1;
+            if let Event::QpSend(_) = ev {
+                q.push(t + 5_080, key + 2, ev);
+                if popped.is_multiple_of(3) {
+                    q.push(t + 84, key + 1, Event::PortFree { node: 0, port: 0 });
+                }
+            }
+        }
+        assert!(popped > 100_000);
+        let owned = q.pool.len() + q.wheel.iter().filter(|b| b.capacity() > 0).count();
+        assert!(owned <= 5_080 / (1 << BUCKET_SHIFT) + 3, "{owned} buffers");
+        assert!(q.nodes.len() <= 8, "{} slab cells", q.nodes.len());
+    }
+
+    /// More than `SCAN_LIMIT` same-instant events inserted mid-list: the
+    /// spill to `behind` must not change the order.
+    #[test]
+    fn long_same_instant_lists_spill_without_reordering() {
+        let mut q = EventQueue::new();
+        let n = 4 * SCAN_LIMIT as u64;
+        q.push(9, 0, Event::FlowStart(0));
+        q.push(9, 2 * n, Event::FlowStart(2 * n));
+        // Odd keys descending, then even keys ascending: all but the
+        // first few land between head and tail, ever deeper.
+        for k in (1..n).rev().map(|i| 2 * i - 1).chain((1..n).map(|i| 2 * i)) {
+            q.push(9, k, Event::FlowStart(k));
+        }
+        assert!(!q.behind.is_empty(), "the walk is bounded");
+        let keys: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, k, _)| k)).collect();
+        assert_eq!(keys, (0..2 * n - 1).chain([2 * n]).collect::<Vec<_>>());
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! SplitMix64 finalisation keyed by a per-row seed: cheap, stateless and
 //! deterministic across runs, which keeps whole-simulation replays exact.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// One member of the hash family, keyed by `seed`.
 #[inline]
 pub fn hash64(key: u64, seed: u64) -> u64 {
@@ -14,6 +17,41 @@ pub fn hash64(key: u64, seed: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// [`Hasher`] over [`hash64`] for the control plane's flow-keyed maps.
+///
+/// The standard `RandomState` seeds SipHash per map instance, so two
+/// identically fed maps iterate in different orders — and a float sum
+/// taken in iteration order (`SlidingWindowClassifier::local_fsd`) then
+/// differs between runs. With a fixed function, iteration order depends
+/// on the inserts and removals alone. Not DoS-resistant: the keys are the
+/// simulator's own flow ids.
+#[derive(Default)]
+pub(crate) struct FlowIdHasher(u64);
+
+impl Hasher for FlowIdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = hash64(n, self.0);
+    }
+}
+
+/// A flow-keyed `HashMap` whose iteration order is run-independent.
+pub(crate) type FlowMap<V> = HashMap<crate::FlowId, V, BuildHasherDefault<FlowIdHasher>>;
 
 /// Map `key` to a bucket index in `[0, n)` using hash row `seed`.
 #[inline]

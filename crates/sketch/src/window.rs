@@ -21,11 +21,10 @@
 //! The unit tests reproduce the exact trace of Figure 4 of the paper
 //! (δ = 3, τ = 1 MB, flows f₁/f₂/f₃ over eight monitor intervals).
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::fsd::{Fsd, FsdBuilder};
+use crate::hash::FlowMap;
 use crate::FlowId;
 
 /// Ternary classification of one flow.
@@ -78,7 +77,8 @@ struct FlowRecord {
 #[derive(Debug, Clone)]
 pub struct SlidingWindowClassifier {
     cfg: WindowConfig,
-    flows: HashMap<FlowId, FlowRecord>,
+    /// Fixed-hasher map: `local_fsd` sums floats in its iteration order.
+    flows: FlowMap<FlowRecord>,
     /// Number of `end_interval` calls so far.
     pub intervals_processed: u64,
 }
@@ -89,7 +89,7 @@ impl SlidingWindowClassifier {
         assert!(cfg.delta >= 1 && cfg.tau_bytes > 0);
         Self {
             cfg,
-            flows: HashMap::new(),
+            flows: FlowMap::default(),
             intervals_processed: 0,
         }
     }
@@ -107,7 +107,7 @@ impl SlidingWindowClassifier {
         I: IntoIterator<Item = (FlowId, u64)>,
     {
         self.intervals_processed += 1;
-        let mut seen: HashMap<FlowId, u64> = HashMap::new();
+        let mut seen: FlowMap<u64> = FlowMap::default();
         for (f, b) in interval_bytes {
             *seen.entry(f).or_insert(0) += b;
         }
@@ -358,6 +358,26 @@ mod tests {
         let fsd = c.local_fsd();
         // One elephant carrying almost all bytes.
         assert!(fsd.elephant_share() > 0.99);
+    }
+
+    /// With τ not a power of two the PE weights Φ/τ are not dyadic, so
+    /// the float sums in `local_fsd` depend on the order flows are
+    /// visited in; two identically fed classifiers must still agree.
+    #[test]
+    fn local_fsd_is_instance_independent_at_non_power_of_two_tau() {
+        let cfg = WindowConfig {
+            tau_bytes: 1_000_000,
+            ..WindowConfig::default()
+        };
+        let fed = || {
+            let mut c = SlidingWindowClassifier::new(cfg);
+            for _ in 0..cfg.delta {
+                c.end_interval((0..3_000u64).map(|f| (f, 1_000 + 37 * f)));
+            }
+            assert_eq!(c.state(2_999), Some(FlowState::PotentialElephant));
+            c
+        };
+        assert_eq!(fed().local_fsd(), fed().local_fsd());
     }
 
     #[test]
