@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 
 use paraleon_dcqcn::{DcqcnParams, EcnMarker, ParamSpace, RpState};
 use paraleon_netsim::event::{BinaryHeapQueue, Event, EventQueue};
-use paraleon_netsim::{SimConfig, Simulator, Topology, MILLI};
+use paraleon_netsim::{Engine, SimConfig, Topology, MILLI};
 use paraleon_sketch::FlowType;
 use paraleon_sketch::{
     ElasticSketch, FsdBuilder, SketchConfig, SlidingWindowClassifier, WindowConfig,
@@ -193,7 +193,7 @@ fn bench_simulator(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let topo = Topology::two_tier_clos(2, 4, 2, 100.0, 100.0, 1_000);
-                let mut sim = Simulator::new(topo, SimConfig::default());
+                let mut sim = Engine::new(topo, SimConfig::default(), 1);
                 for src in 1..8usize {
                     sim.add_flow(src, 0, 4 << 20, 0);
                 }
@@ -201,7 +201,7 @@ fn bench_simulator(c: &mut Criterion) {
             },
             |mut sim| {
                 sim.run_until(MILLI);
-                black_box(sim.events_processed)
+                black_box(sim.events_processed())
             },
             criterion::BatchSize::SmallInput,
         )

@@ -125,11 +125,6 @@ impl ClosedLoop {
         self.sim.active_flows() == 0
     }
 
-    /// Raw access to the last interval metrics' equivalents via history.
-    pub fn last_record(&self) -> Option<&IntervalRecord> {
-        self.cell.history.last()
-    }
-
     /// Step until the control plane quiesces — the previous interval
     /// dispatched nothing, no dispatch awaits its ACK, and nothing is in
     /// flight on either lane — or `max_extra` intervals pass. Returns

@@ -13,13 +13,15 @@ use crate::Nanos;
 /// Admit a pre-generated (sorted-by-start) flow schedule and run the loop
 /// until `until`. Returns the number of flows admitted.
 ///
-/// Flows are admitted lazily just before their start times so the
-/// simulator's event queue stays proportional to in-flight work.
+/// Flows are admitted lazily, inside a horizon of two λ_MI, so the
+/// simulator's event queue stays proportional to in-flight work. Each
+/// step advances exactly one λ_MI, so a flow starting later than the
+/// horizon is always still ahead of the clock on a later pass.
 pub fn run_schedule(cl: &mut ClosedLoop, flows: &[FlowRequest], until: Nanos) -> usize {
     let mut admitted = 0;
     let mut idx = 0;
     while cl.sim.now() < until {
-        let horizon = cl.sim.now() + 2 * interval_of(cl);
+        let horizon = cl.sim.now() + 2 * cl.cell.cfg.lambda_mi;
         while idx < flows.len() && flows[idx].start <= horizon {
             let f = flows[idx];
             if f.start >= cl.sim.now() {
@@ -125,16 +127,6 @@ pub fn qp_id(src: usize, dst: usize) -> u64 {
     0x5150_0000_0000_0000 | ((src as u64) << 24) | dst as u64
 }
 
-fn interval_of(cl: &ClosedLoop) -> Nanos {
-    // The loop advances exactly one λ_MI per step; infer it from history
-    // or fall back to 1 ms before the first step.
-    match cl.cell.history.len() {
-        0 => 1_000_000,
-        1 => cl.cell.history[0].t,
-        n => cl.cell.history[n - 1].t - cl.cell.history[n - 2].t,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,6 +154,32 @@ mod tests {
         let n = run_schedule(&mut cl, &flows, 20 * MILLI);
         assert_eq!(n, 20);
         assert_eq!(cl.completions.len(), 20);
+    }
+
+    /// The admission horizon follows the loop's own λ_MI: guessing it
+    /// (1 ms before the first step) left flows starting in (2 ms, λ)
+    /// behind the clock after the first step, and they were skipped.
+    #[test]
+    fn schedule_driver_admits_every_flow_at_any_lambda() {
+        let flows: Vec<FlowRequest> = (0..40)
+            .map(|i| FlowRequest {
+                src: i % 8,
+                dst: (i + 1) % 8,
+                bytes: 20_000,
+                start: i as Nanos * 250_000,
+            })
+            .collect();
+        for lambda_ms in [1, 2, 4, 8] {
+            let mut cl = ClosedLoop::builder(topo())
+                .scheme(SchemeKind::Expert)
+                .loop_config(crate::closed_loop::LoopConfig {
+                    lambda_mi: lambda_ms * MILLI,
+                    ..Default::default()
+                })
+                .build();
+            let n = run_schedule(&mut cl, &flows, 16 * MILLI);
+            assert_eq!(n, flows.len(), "λ_MI = {lambda_ms} ms");
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub mod prelude {
     pub use paraleon_monitor::UtilityWeights;
     pub use paraleon_netsim::{
         ClosSpec, FaultEvent, FaultKind, FaultPlan, FlowRecord, MixedRateSpec, RailSpec, SimConfig,
-        SimError, Simulator, ThreeTierSpec, TopoSpec, Topology, MICRO, MILLI, SEC,
+        SimError, ThreeTierSpec, TopoSpec, Topology, MICRO, MILLI, SEC,
     };
     pub use paraleon_sketch::{FlowType, Fsd, WindowConfig};
     pub use paraleon_tuner::SaConfig;

@@ -210,11 +210,6 @@ impl Tenant {
         self.queue.len()
     }
 
-    /// Scheduled flows not yet admitted to the fabric.
-    pub fn flows_not_yet_admitted(&self) -> usize {
-        self.spec.schedule.len() - self.next_flow
-    }
-
     /// Phase-A work: admit due flows, deliver due control-plane
     /// dispatches, advance the fabric one λ_MI, and collect the
     /// interval's metrics. Mirrors the fabric half of

@@ -15,7 +15,7 @@ use serde::{Serialize, Value};
 
 use paraleon::{ClosedLoop, CtrlPlaneConfig, LoopConfig, MonitorKind, SchemeKind};
 use paraleon_dcqcn::DcqcnParams;
-use paraleon_netsim::{FaultPlan, FlowId, FlowRecord, Nanos, SimConfig, Simulator, MILLI};
+use paraleon_netsim::{Engine, FaultPlan, FlowId, FlowRecord, Nanos, SimConfig, MILLI};
 use paraleon_workloads::Progress;
 
 use crate::genome::HuntPoint;
@@ -114,7 +114,7 @@ fn run_one(
         seed: point.seed,
         ..SimConfig::default()
     };
-    let mut sim = Simulator::new(point.topo.build(), sim_cfg);
+    let mut sim = Engine::new(point.topo.build(), sim_cfg, 1);
     let flows = point.expand_flows();
     let mut starts = Vec::with_capacity(flows.len());
     for (src, dst, bytes, start) in flows {
@@ -209,12 +209,12 @@ fn run_one(
         m.pfc_events.push(iv.pfc_events);
         truth.push(iv.truth_flow_bytes);
         m.intervals_run += 1;
-        if sim.events_processed > cfg.event_budget {
+        if sim.events_processed() > cfg.event_budget {
             m.aborted_early = true;
             break;
         }
     }
-    m.events_processed = sim.events_processed;
+    m.events_processed = sim.events_processed();
     m.active_flows_end = sim.active_flows() as u64;
 
     let tail_start_iv = (m.intervals_run as usize).saturating_sub(cfg.tail);

@@ -61,11 +61,6 @@ impl ParaleonMonitor {
         self
     }
 
-    /// The per-switch classifier configuration.
-    pub fn window_config(&self) -> &WindowConfig {
-        &self.cfg
-    }
-
     /// Number of live per-point classifiers.
     pub fn n_agents(&self) -> usize {
         self.agents.len()
@@ -75,11 +70,6 @@ impl ParaleonMonitor {
     /// silence.
     pub fn aged_out(&self) -> u64 {
         self.aged_out
-    }
-
-    /// Current network-wide FSD (last merge result).
-    pub fn current_fsd(&self) -> &Fsd {
-        &self.last_fsd
     }
 
     /// Total control-plane memory across switch agents (Table IV).

@@ -2,7 +2,7 @@
 //! Metric Monitor.
 //!
 //! The simulator accumulates counters between calls to
-//! `Simulator::collect_interval`, which snapshots them into an
+//! `Engine::collect_interval`, which snapshots them into an
 //! [`IntervalMetrics`] — the in-simulation equivalent of the switch/RNIC
 //! agents uploading throughput, RTT and PFC statistics to the centralized
 //! controller once per monitor interval λ_MI.

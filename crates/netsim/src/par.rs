@@ -1,42 +1,43 @@
-//! Conservative parallel execution of a single simulation.
+//! The engine: one event core per shard; one shard is the serial engine.
 //!
-//! [`ParallelSim`] partitions the topology into shards — each a ToR
-//! subtree slice plus its share of the leaf tier, from
-//! [`Topology::partition`] — and runs one full
-//! [`Simulator`] per shard, restricted by an ownership mask to the
-//! events targeting its own nodes. Shards advance in *barrier epochs* of
-//! the cut lookahead Δ (the minimum propagation delay across links whose
-//! endpoints live on different shards): any event generated in epoch
-//! `[cur, cur + Δ)` for a foreign node carries a timestamp `≥ cur + Δ`,
-//! so exchanging the per-(src, dst)-shard mailboxes at each barrier
-//! delivers every cross-cut event strictly before the window that could
-//! run it. No shard ever sees an event out of `(time, key)` order.
+//! [`Engine`] is the only way to run the fabric. It holds one crate-private
+//! event core (`crate::sim`) per shard, and the shard count after clamping
+//! is the only thing that selects how a call executes:
 //!
-//! # Why the result is byte-identical to the serial engine
+//! * **One shard** (`threads <= 1`, or nothing to cut) owns every node and
+//!   runs in place on the caller's thread: no thread scope, barrier,
+//!   mailbox, partition or shard map exists for it.
+//! * **Several shards** — each a ToR subtree slice plus its share of the
+//!   upper tiers, from [`Topology::partition`] — each hold the full
+//!   topology but run only the events targeting nodes they own. They
+//!   advance in *barrier epochs* of the cut lookahead Δ (the minimum
+//!   propagation delay across links whose ends live on different shards):
+//!   an event generated in epoch `[cur, cur + Δ)` for a foreign node
+//!   carries a timestamp `≥ cur + Δ`, so exchanging the per-(src, dst)
+//!   mailboxes at each barrier delivers every cross-cut event strictly
+//!   before the window that could run it. No shard ever sees an event out
+//!   of `(time, key)` order.
 //!
-//! Determinism does not come from the schedule — it comes from the
-//! simulator core ([`crate::sim`]) being written so that *nothing
-//! observable depends on global event interleaving*:
+//! # Why every shard count gives byte-identical results
+//!
+//! Nothing observable in the event core depends on global interleaving:
 //!
 //! * ties at one timestamp break on **causal keys** assigned from
-//!   per-source-node counters, which advance identically in both
-//!   engines;
+//!   per-source-node counters, which advance identically under any cut;
 //! * every random draw comes from a **per-entity stream** (per-switch
 //!   ECN RNG, per-node corruption RNG) driven only by that entity's own
 //!   event sequence;
 //! * interval metrics accumulate **per entity** and are folded in global
-//!   node order by `Simulator::finalize_interval`, shared verbatim with
-//!   the serial engine — f64 merging is selection, never reassociation;
+//!   node order by one `finalize_interval` — f64 merging is selection,
+//!   never reassociation;
 //! * telemetry is **captured** on worker threads tagged `(at, key)` and
-//!   replayed on the coordinator in that order — the exact serial
-//!   emission order. The coordinator's registry is sampled once per
-//!   `run_until`: when nothing there would record the replay, workers
-//!   capture nothing (their own registries are off, as the serial
-//!   engine's would be).
+//!   replayed on the caller's thread in that order — the order one shard
+//!   emits it in. The caller's registry is sampled once per `run_until`:
+//!   when nothing there would record the replay, workers capture nothing.
 //!
-//! The differential proptest in `crates/hunt/tests/parallel_differential.rs`
-//! enforces byte-identity (metrics, flight-recorder tail, audit state)
-//! against the serial engine over search-reachable configurations.
+//! `crates/hunt/tests/parallel_differential.rs` enforces the identity
+//! (metrics, flight-recorder tail, audit state) between one shard and
+//! several over search-reachable configurations.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -44,7 +45,7 @@ use paraleon_telemetry as tel;
 
 use crate::barrier::{run_shards, BarrierBroken, EpochBarrier};
 use crate::config::SimConfig;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, LinkState};
 use crate::metrics::{FlowRecord, IntervalMetrics};
 use crate::sim::{RemoteMsg, SimError, Simulator};
 use crate::topology::Topology;
@@ -71,17 +72,12 @@ fn lock_slot(slot: &Mutex<Vec<RemoteMsg>>) -> MutexGuard<'_, Vec<RemoteMsg>> {
         .expect("mailbox poisoned behind a broken barrier")
 }
 
-/// The conservative parallel engine: one event core per shard, barrier
-/// epochs of the cut lookahead, byte-identical to [`Simulator`].
-pub struct ParallelSim {
-    /// One full-topology simulator per shard, ownership-masked.
-    shards: Vec<Simulator>,
-    /// Owner shard of every node (empty when running single-sharded).
+/// What exists only when the topology is cut across several shards.
+struct Cut {
+    /// Owner shard of every node.
     shard_of: Arc<Vec<u16>>,
-    /// Epoch length: minimum propagation delay across cut links. Zero
-    /// when single-sharded (no cut).
+    /// Epoch length: minimum propagation delay across cut links.
     lookahead: Nanos,
-    now: Nanos,
     /// The workers' epoch barrier, reused by every `run_until`.
     barrier: EpochBarrier,
     /// Two mailbox matrices, indexed by epoch parity: epoch `k` posts
@@ -91,48 +87,61 @@ pub struct ParallelSim {
     mailboxes: [Mailboxes; 2],
 }
 
-impl ParallelSim {
-    /// Build a parallel engine over `topo` with `n_shards` event cores.
-    ///
-    /// `n_shards` is clamped to the topology's ToR count; one shard (or
-    /// a degenerate zero lookahead) degrades gracefully to the serial
-    /// engine run in-place.
-    pub fn new(topo: Topology, cfg: SimConfig, n_shards: usize) -> Self {
-        let specs = topo.partition(n_shards);
-        let n = specs.len();
-        if n > 1 {
-            let shard_of = Arc::new(topo.shard_map(&specs));
-            if let Some(la) = topo.lookahead(&shard_of) {
-                if la > 0 {
-                    let shards = (0..n)
-                        .map(|me| {
-                            Simulator::new_shard(
-                                topo.clone(),
-                                cfg.clone(),
-                                Arc::clone(&shard_of),
-                                me as u16,
-                                n,
-                            )
-                        })
-                        .collect();
-                    return Self {
-                        shards,
-                        shard_of,
-                        lookahead: la,
-                        now: 0,
-                        barrier: EpochBarrier::new(n),
-                        mailboxes: [mailboxes(n), mailboxes(n)],
-                    };
-                }
+/// Where to cut `topo` for `threads` workers: shard map, lookahead, shard
+/// count. `None` for one thread (before any partitioning work), a single
+/// ToR subtree, or a cut with no lookahead to run epochs on.
+fn plan_cut(topo: &Topology, threads: usize) -> Option<(Arc<Vec<u16>>, Nanos, usize)> {
+    if threads <= 1 {
+        return None;
+    }
+    let specs = topo.partition(threads);
+    if specs.len() < 2 {
+        return None;
+    }
+    let shard_of = Arc::new(topo.shard_map(&specs));
+    let lookahead = topo.lookahead(&shard_of).filter(|&la| la > 0)?;
+    Some((shard_of, lookahead, specs.len()))
+}
+
+/// The fabric engine: the one type every harness drives. Byte-identical
+/// results at every shard count.
+pub struct Engine {
+    /// One full-topology event core per shard, ownership-masked; a
+    /// single unmasked core when `cut` is `None`.
+    shards: Vec<Simulator>,
+    cut: Option<Cut>,
+    now: Nanos,
+}
+
+impl Engine {
+    /// Build an engine over `topo` with up to `threads` event cores,
+    /// clamped to the ToR count. `threads <= 1` (or a clamp to one shard)
+    /// is the serial engine and builds exactly its one core: no partition,
+    /// shard map or lookahead scan, no mailboxes, and no barrier — whose
+    /// constructor probes `available_parallelism()` (cgroup file reads);
+    /// routed through it this call took 0.167 ms, not 0.104, on 128 hosts.
+    pub fn new(topo: Topology, cfg: SimConfig, threads: usize) -> Self {
+        let (shards, cut) = match plan_cut(&topo, threads) {
+            None => (vec![Simulator::new(topo, cfg)], None),
+            Some((shard_of, lookahead, n)) => {
+                // Cores before the cut's small allocations: right after an
+                // engine is dropped, the other order splits the chunks the
+                // cores would reuse (128 hosts, 2 shards: 0.26 ms vs 0.16).
+                let shard = |i| Simulator::new_shard(topo.clone(), cfg.clone(), &shard_of, i, n);
+                let shards = (0..n).map(shard).collect();
+                let cut = Cut {
+                    shard_of,
+                    lookahead,
+                    barrier: EpochBarrier::new(n),
+                    mailboxes: [mailboxes(n), mailboxes(n)],
+                };
+                (shards, Some(cut))
             }
-        }
+        };
         Self {
-            shards: vec![Simulator::new(topo, cfg)],
-            shard_of: Arc::new(Vec::new()),
-            lookahead: 0,
+            shards,
+            cut,
             now: 0,
-            barrier: EpochBarrier::new(1),
-            mailboxes: [Vec::new(), Vec::new()],
         }
     }
 
@@ -141,9 +150,9 @@ impl ParallelSim {
         self.shards.len()
     }
 
-    /// The engine's epoch length (0 when running single-sharded).
+    /// The epoch length (0 with one shard: there is no cut).
     pub fn lookahead(&self) -> Nanos {
-        self.lookahead
+        self.cut.as_ref().map_or(0, |c| c.lookahead)
     }
 
     /// Current simulated time.
@@ -171,8 +180,8 @@ impl ParallelSim {
         self.shards.iter().map(Simulator::active_flows).sum()
     }
 
-    /// Total events processed across shards (fault replicas un-count
-    /// themselves, so this matches the serial engine's figure).
+    /// Total events processed (fault replicas on a second shard un-count
+    /// themselves, so the figure is the same at every shard count).
     pub fn events_processed(&self) -> u64 {
         self.shards.iter().map(|s| s.events_processed).sum()
     }
@@ -199,29 +208,43 @@ impl ParallelSim {
             .any(|s| s.has_pending_events() || s.outboxes_pending() > 0)
     }
 
-    /// Base RTT between two hosts.
+    /// Base RTT between two hosts (cached; used for RTT normalisation).
     pub fn base_rtt(&mut self, a: NodeId, b: NodeId) -> Nanos {
         self.shards[0].base_rtt(a, b)
     }
 
-    /// Whether `node` still has at least one live link, judged by the
-    /// shard that owns it (foreign link rows are never faulted).
-    pub fn node_reachable(&self, node: NodeId) -> bool {
-        let owner = self
-            .shard_of
-            .get(node)
-            .map_or(0, |&s| s as usize)
-            .min(self.shards.len() - 1);
-        self.shards[owner].node_reachable(node)
+    /// The shard owning `node` — the only one that ever faults its link rows.
+    fn owner(&self, node: NodeId) -> &Simulator {
+        match &self.cut {
+            None => &self.shards[0],
+            Some(c) => &self.shards[c.shard_of[node] as usize],
+        }
     }
 
-    /// Admit a flow; see [`Simulator::add_flow`].
+    /// Runtime state of the directed link at `(node, port)`.
+    pub fn link_state(&self, node: NodeId, port: usize) -> LinkState {
+        self.owner(node).link_state(node, port)
+    }
+
+    /// Whether `node` still has at least one live link — a fully
+    /// cut-off switch cannot upload observations or sketch readings.
+    pub fn node_reachable(&self, node: NodeId) -> bool {
+        self.owner(node).node_reachable(node)
+    }
+
+    /// Admit a flow of `bytes` from host `src` to host `dst` at `start`
+    /// (not in the past) on a QP of its own; returns its id. Panics on
+    /// invalid arguments; see [`Engine::try_add_flow`].
     pub fn add_flow(&mut self, src: NodeId, dst: NodeId, bytes: u64, start: Nanos) -> FlowId {
         let qp = self.shards[0].flow_count();
         self.add_flow_on_qp(src, dst, bytes, start, qp)
     }
 
-    /// Admit a flow on an explicit QP; see [`Simulator::add_flow_on_qp`].
+    /// Admit a flow carried on an explicit QP identity: sketches, ground
+    /// truth and ECMP hashing observe `qp`, so successive transfers on
+    /// one QP appear as a single long-lived entity to the monitor (NCCL
+    /// reuses QPs across collective rounds). Panics on invalid arguments;
+    /// see [`Engine::try_add_flow_on_qp`] for the checked variant.
     pub fn add_flow_on_qp(
         &mut self,
         src: NodeId,
@@ -230,13 +253,11 @@ impl ParallelSim {
         start: Nanos,
         qp: FlowId,
     ) -> FlowId {
-        match self.try_add_flow_on_qp(src, dst, bytes, start, qp) {
-            Ok(id) => id,
-            Err(e) => panic!("add_flow_on_qp: {e}"),
-        }
+        self.try_add_flow_on_qp(src, dst, bytes, start, qp)
+            .unwrap_or_else(|e| panic!("add_flow_on_qp: {e}"))
     }
 
-    /// Bounds-checked [`ParallelSim::add_flow`].
+    /// Bounds-checked [`Engine::add_flow`].
     pub fn try_add_flow(
         &mut self,
         src: NodeId,
@@ -248,9 +269,9 @@ impl ParallelSim {
         self.try_add_flow_on_qp(src, dst, bytes, start, qp)
     }
 
-    /// Bounds-checked [`ParallelSim::add_flow_on_qp`]. Every shard
-    /// registers the flow (flow ids are global table indices); only the
-    /// source owner schedules it.
+    /// Bounds-checked [`Engine::add_flow_on_qp`]. Every shard registers
+    /// the flow (flow ids are global table indices); only the source
+    /// owner schedules it.
     pub fn try_add_flow_on_qp(
         &mut self,
         src: NodeId,
@@ -268,8 +289,11 @@ impl ParallelSim {
         Ok(id)
     }
 
-    /// Install a fault plan on every shard; each schedules only the
-    /// transitions touching links it owns an end of.
+    /// Install a [`FaultPlan`]: validates every transition, reseeds the
+    /// per-node corruption RNGs from the plan's seed, and schedules the
+    /// transitions on the event queue, so faults interleave
+    /// deterministically with traffic (each shard schedules those
+    /// touching links it owns an end of).
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
         for s in &mut self.shards {
             s.install_fault_plan(plan)?;
@@ -277,7 +301,8 @@ impl ParallelSim {
         Ok(())
     }
 
-    /// Dispatch a parameter setting to every RNIC and switch.
+    /// Dispatch a DCQCN parameter setting to every RNIC and switch (the
+    /// controller's action after a tuning round).
     pub fn set_dcqcn_params(&mut self, params: &DcqcnParams) {
         for s in &mut self.shards {
             s.set_dcqcn_params(params);
@@ -289,8 +314,10 @@ impl ParallelSim {
         self.shards[0].dcqcn_params()
     }
 
-    /// Override one switch's ECN thresholds; see
-    /// [`Simulator::set_switch_ecn`].
+    /// Override one switch's ECN thresholds only (ACC-style per-switch
+    /// tuning). `switch_index` counts ToRs first, then leaves, matching
+    /// `IntervalMetrics::switch_obs`; a stale index is an error, not a
+    /// crash of the fabric model.
     pub fn set_switch_ecn(
         &mut self,
         switch_index: usize,
@@ -302,20 +329,29 @@ impl ParallelSim {
         Ok(())
     }
 
-    /// Drain completed flows, in the canonical `(finish, flow)` order.
+    /// Drain the flows completed since the last call in the canonical
+    /// `(finish, flow)` order: one sort over the shards' processing-order lists.
     pub fn take_completions(&mut self) -> Vec<FlowRecord> {
-        let mut v: Vec<FlowRecord> = self
-            .shards
-            .iter_mut()
-            .flat_map(Simulator::take_completions)
-            .collect();
+        let mut v = self.shards[0].take_completions();
+        for s in &mut self.shards[1..] {
+            v.append(&mut s.take_completions());
+        }
         v.sort_unstable_by_key(|r| (r.finish, r.flow));
         v
     }
 
     /// Process all events up to and including `t` on every shard, then
-    /// set the clock to `t`.
-    ///
+    /// set the clock to `t`. One shard runs its window in place; several
+    /// follow the epoch protocol of `run_epochs`.
+    pub fn run_until(&mut self, t: Nanos) {
+        assert!(t >= self.now, "time cannot run backward");
+        match &self.cut {
+            None => self.shards[0].run_window(t, true),
+            Some(cut) => Self::run_epochs(&mut self.shards, cut, t),
+        }
+        self.now = t;
+    }
+
     /// Epoch protocol (every worker computes the identical schedule, so
     /// no coordinator runs inside the thread scope):
     ///
@@ -330,21 +366,11 @@ impl ParallelSim {
     ///
     /// A panic on a worker (an audit violation under `debug_assertions`)
     /// releases the others from the barrier and is re-raised here.
-    pub fn run_until(&mut self, t: Nanos) {
-        assert!(t >= self.now, "time cannot run backward");
-        let n = self.shards.len();
-        if n == 1 {
-            self.shards[0].run_until(t);
-            self.now = t;
-            return;
-        }
+    fn run_epochs(shards: &mut [Simulator], cut: &Cut, t: Nanos) {
         assert!(
-            !self.barrier.is_broken(),
+            !cut.barrier.is_broken(),
             "a shard worker panicked in an earlier run; the engine's state is torn"
         );
-        let lookahead = self.lookahead;
-        let barrier = &self.barrier;
-        let mailboxes = &self.mailboxes;
         // Worker threads have fresh thread-local registries. Audit:
         // propagate the coordinator's configuration out, drain tallies
         // back through each shard's carry slot. Telemetry: a worker's
@@ -354,7 +380,7 @@ impl ParallelSim {
         let audit_on = paraleon_audit::enabled();
         let audit_panic = paraleon_audit::panic_on_violation();
         let tel_on = tel::enabled() || tel::capture_active();
-        run_shards(&mut self.shards, barrier, |me, shard| {
+        run_shards(shards, &cut.barrier, |me, shard| {
             paraleon_audit::set_enabled(audit_on);
             paraleon_audit::set_panic_on_violation(audit_panic);
             shard.tel_capture = tel_on;
@@ -368,14 +394,14 @@ impl ParallelSim {
             let mut cur = shard.now();
             let mut epoch = 0usize;
             while cur < t {
-                let e = t.min(cur + lookahead);
+                let e = t.min(cur + cut.lookahead);
                 shard.run_window(e, false);
                 cur = e;
-                exchange(shard, me, &mailboxes[epoch & 1], barrier)?;
+                exchange(shard, me, &cut.mailboxes[epoch & 1], &cut.barrier)?;
                 epoch += 1;
             }
             shard.run_window(t, true);
-            exchange(shard, me, &mailboxes[epoch & 1], barrier)?;
+            exchange(shard, me, &cut.mailboxes[epoch & 1], &cut.barrier)?;
             let (count, reports) = paraleon_audit::drain();
             shard.audit_carry.0 += count;
             shard.audit_carry.1.extend(reports);
@@ -385,7 +411,7 @@ impl ParallelSim {
             Ok(())
         });
         // Absorb worker audit tallies in shard order (deterministic).
-        for shard in &mut self.shards {
+        for shard in shards.iter_mut() {
             let (count, reports) = std::mem::take(&mut shard.audit_carry);
             paraleon_audit::absorb(count, reports);
         }
@@ -395,15 +421,13 @@ impl ParallelSim {
             // sorted (events are handled in that order), so this is a
             // k-way merge; a stable sort over the concatenation keeps it
             // simple.
-            let mut captured: Vec<tel::Captured> = self
-                .shards
+            let mut captured: Vec<tel::Captured> = shards
                 .iter_mut()
                 .flat_map(|s| std::mem::take(&mut s.tel_carry))
                 .collect();
             captured.sort_by_key(|c| (c.at, c.key));
             tel::capture_replay(&captured);
         }
-        self.now = t;
     }
 
     /// Convenience: run for `dt` more nanoseconds.
@@ -411,14 +435,11 @@ impl ParallelSim {
         self.run_until(self.now + dt);
     }
 
-    /// Snapshot and reset the per-interval metrics; see
-    /// [`Simulator::collect_interval`]. Runs the per-shard audit sweeps
-    /// on the coordinator thread and checks cross-shard conservation
-    /// (no handoff may be parked in an outbox at a collection barrier).
+    /// Snapshot and reset the per-interval metrics and drain the ToR
+    /// sketches (the once-per-λ_MI control-plane read-and-reset). Runs
+    /// the shards' audit sweeps on the caller's thread and checks that no
+    /// handoff is still parked in an outbox.
     pub fn collect_interval(&mut self) -> IntervalMetrics {
-        if self.shards.len() == 1 {
-            return self.shards[0].collect_interval();
-        }
         for (i, s) in self.shards.iter().enumerate() {
             let pending = s.outboxes_pending();
             paraleon_audit::check(pending == 0, || {
@@ -470,244 +491,6 @@ fn exchange(
     Ok(())
 }
 
-/// The execution engine behind a closed loop: the serial [`Simulator`]
-/// (the default) or the conservative parallel [`ParallelSim`] (opt-in).
-/// Byte-identical results either way; every method delegates.
-pub enum Engine {
-    /// The serial event core.
-    Serial(Box<Simulator>),
-    /// Sharded event cores with link-delay lookahead.
-    Parallel(ParallelSim),
-}
-
-impl Engine {
-    /// Build the engine named by `threads`: `<= 1` serial, otherwise
-    /// parallel with `threads` shards (clamped to the ToR count).
-    pub fn new(topo: Topology, cfg: SimConfig, threads: usize) -> Self {
-        if threads <= 1 {
-            Engine::Serial(Box::new(Simulator::new(topo, cfg)))
-        } else {
-            Engine::Parallel(ParallelSim::new(topo, cfg, threads))
-        }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> Nanos {
-        match self {
-            Engine::Serial(s) => s.now(),
-            Engine::Parallel(p) => p.now(),
-        }
-    }
-
-    /// The topology.
-    pub fn topology(&self) -> &Topology {
-        match self {
-            Engine::Serial(s) => s.topology(),
-            Engine::Parallel(p) => p.topology(),
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SimConfig {
-        match self {
-            Engine::Serial(s) => s.config(),
-            Engine::Parallel(p) => p.config(),
-        }
-    }
-
-    /// Number of switches (ToRs + leaves).
-    pub fn n_switches(&self) -> usize {
-        match self {
-            Engine::Serial(s) => s.n_switches(),
-            Engine::Parallel(p) => p.n_switches(),
-        }
-    }
-
-    /// Number of admitted flows not yet completed.
-    pub fn active_flows(&self) -> usize {
-        match self {
-            Engine::Serial(s) => s.active_flows(),
-            Engine::Parallel(p) => p.active_flows(),
-        }
-    }
-
-    /// Total events processed.
-    pub fn events_processed(&self) -> u64 {
-        match self {
-            Engine::Serial(s) => s.events_processed,
-            Engine::Parallel(p) => p.events_processed(),
-        }
-    }
-
-    /// Total data packets dropped over the whole run.
-    pub fn total_drops(&self) -> u64 {
-        match self {
-            Engine::Serial(s) => s.total_drops,
-            Engine::Parallel(p) => p.total_drops(),
-        }
-    }
-
-    /// Total packets lost to injected faults over the whole run.
-    pub fn total_fault_drops(&self) -> u64 {
-        match self {
-            Engine::Serial(s) => s.total_fault_drops,
-            Engine::Parallel(p) => p.total_fault_drops(),
-        }
-    }
-
-    /// Total PFC pause frames over the whole run.
-    pub fn total_pfc_events(&self) -> u64 {
-        match self {
-            Engine::Serial(s) => s.total_pfc_events,
-            Engine::Parallel(p) => p.total_pfc_events(),
-        }
-    }
-
-    /// Whether any events remain scheduled.
-    pub fn has_pending_events(&self) -> bool {
-        match self {
-            Engine::Serial(s) => s.has_pending_events(),
-            Engine::Parallel(p) => p.has_pending_events(),
-        }
-    }
-
-    /// Base RTT between two hosts.
-    pub fn base_rtt(&mut self, a: NodeId, b: NodeId) -> Nanos {
-        match self {
-            Engine::Serial(s) => s.base_rtt(a, b),
-            Engine::Parallel(p) => p.base_rtt(a, b),
-        }
-    }
-
-    /// Whether `node` still has at least one live link.
-    pub fn node_reachable(&self, node: NodeId) -> bool {
-        match self {
-            Engine::Serial(s) => s.node_reachable(node),
-            Engine::Parallel(p) => p.node_reachable(node),
-        }
-    }
-
-    /// Admit a flow; see [`Simulator::add_flow`].
-    pub fn add_flow(&mut self, src: NodeId, dst: NodeId, bytes: u64, start: Nanos) -> FlowId {
-        match self {
-            Engine::Serial(s) => s.add_flow(src, dst, bytes, start),
-            Engine::Parallel(p) => p.add_flow(src, dst, bytes, start),
-        }
-    }
-
-    /// Admit a flow on an explicit QP; see [`Simulator::add_flow_on_qp`].
-    pub fn add_flow_on_qp(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        start: Nanos,
-        qp: FlowId,
-    ) -> FlowId {
-        match self {
-            Engine::Serial(s) => s.add_flow_on_qp(src, dst, bytes, start, qp),
-            Engine::Parallel(p) => p.add_flow_on_qp(src, dst, bytes, start, qp),
-        }
-    }
-
-    /// Bounds-checked [`Engine::add_flow`].
-    pub fn try_add_flow(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        start: Nanos,
-    ) -> Result<FlowId, SimError> {
-        match self {
-            Engine::Serial(s) => s.try_add_flow(src, dst, bytes, start),
-            Engine::Parallel(p) => p.try_add_flow(src, dst, bytes, start),
-        }
-    }
-
-    /// Bounds-checked [`Engine::add_flow_on_qp`].
-    pub fn try_add_flow_on_qp(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        start: Nanos,
-        qp: FlowId,
-    ) -> Result<FlowId, SimError> {
-        match self {
-            Engine::Serial(s) => s.try_add_flow_on_qp(src, dst, bytes, start, qp),
-            Engine::Parallel(p) => p.try_add_flow_on_qp(src, dst, bytes, start, qp),
-        }
-    }
-
-    /// Install a fault plan; see [`Simulator::install_fault_plan`].
-    pub fn install_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
-        match self {
-            Engine::Serial(s) => s.install_fault_plan(plan),
-            Engine::Parallel(p) => p.install_fault_plan(plan),
-        }
-    }
-
-    /// Dispatch a parameter setting to every RNIC and switch.
-    pub fn set_dcqcn_params(&mut self, params: &DcqcnParams) {
-        match self {
-            Engine::Serial(s) => s.set_dcqcn_params(params),
-            Engine::Parallel(p) => p.set_dcqcn_params(params),
-        }
-    }
-
-    /// The active parameter setting.
-    pub fn dcqcn_params(&self) -> &DcqcnParams {
-        match self {
-            Engine::Serial(s) => s.dcqcn_params(),
-            Engine::Parallel(p) => p.dcqcn_params(),
-        }
-    }
-
-    /// Override one switch's ECN thresholds.
-    pub fn set_switch_ecn(
-        &mut self,
-        switch_index: usize,
-        params: &DcqcnParams,
-    ) -> Result<(), SimError> {
-        match self {
-            Engine::Serial(s) => s.set_switch_ecn(switch_index, params),
-            Engine::Parallel(p) => p.set_switch_ecn(switch_index, params),
-        }
-    }
-
-    /// Drain completed flows in `(finish, flow)` order.
-    pub fn take_completions(&mut self) -> Vec<FlowRecord> {
-        match self {
-            Engine::Serial(s) => s.take_completions(),
-            Engine::Parallel(p) => p.take_completions(),
-        }
-    }
-
-    /// Process all events up to and including `t`.
-    pub fn run_until(&mut self, t: Nanos) {
-        match self {
-            Engine::Serial(s) => s.run_until(t),
-            Engine::Parallel(p) => p.run_until(t),
-        }
-    }
-
-    /// Convenience: run for `dt` more nanoseconds.
-    pub fn run_for(&mut self, dt: Nanos) {
-        match self {
-            Engine::Serial(s) => s.run_for(dt),
-            Engine::Parallel(p) => p.run_for(dt),
-        }
-    }
-
-    /// Snapshot and reset the per-interval metrics.
-    pub fn collect_interval(&mut self) -> IntervalMetrics {
-        match self {
-            Engine::Serial(s) => s.collect_interval(),
-            Engine::Parallel(p) => p.collect_interval(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -725,9 +508,11 @@ mod tests {
         }
     }
 
-    /// Run the reference workload on an engine; returns per-interval
-    /// metrics, completions, and the events-processed total.
-    fn reference_run(mut eng: Engine) -> (Vec<IntervalMetrics>, Vec<FlowRecord>, u64) {
+    /// Per-interval metrics, completions, and the events-processed total.
+    type Run = (Vec<IntervalMetrics>, Vec<FlowRecord>, u64);
+
+    /// Run the reference workload on an engine.
+    fn reference_run(mut eng: Engine) -> Run {
         // Cross-rack incast into host 0 plus background pairs, staggered.
         for src in 4..12 {
             eng.add_flow(src, 0, 300_000, (src as u64) * 2 * MICRO);
@@ -755,8 +540,8 @@ mod tests {
     }
 
     fn fault_plan() -> FaultPlan {
-        // Kill one ToR uplink mid-run (a cross-cut link under 2+ shards),
-        // degrade another, corrupt a host link, then restore.
+        // Kill one ToR uplink mid-run, degrade another (a cross-cut link
+        // under 2+ shards), corrupt a host link, then restore.
         let tor0 = 16usize; // 16 hosts, ToRs at 16..20 in the 4x4x2 clos
         let mut plan = FaultPlan::new(99);
         plan.link_down(150 * MICRO, tor0, 4) // first uplink after 4 down-ports
@@ -772,32 +557,12 @@ mod tests {
                 port: 0,
                 kind: FaultKind::PktLoss { drop_prob: 0.05 },
             })
-            .push(FaultEvent {
-                at: 600 * MICRO,
-                node: tor0,
-                port: 4,
-                kind: FaultKind::LinkUp,
-            });
+            .link_up(600 * MICRO, tor0, 4);
         plan
     }
 
-    #[test]
-    fn parallel_matches_serial_bit_for_bit() {
-        let serial = reference_run(Engine::new(clos(), cfg(), 1));
-        for threads in [2, 4] {
-            let par = reference_run(Engine::new(clos(), cfg(), threads));
-            assert_eq!(serial.0, par.0, "{threads} threads: interval metrics");
-            assert_eq!(serial.1, par.1, "{threads} threads: completions");
-            assert_eq!(serial.2, par.2, "{threads} threads: events processed");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial_under_faults() {
-        let run = |mut eng: Engine| {
-            eng.install_fault_plan(&fault_plan()).expect("plan");
-            reference_run(eng)
-        };
+    /// `run` on 2 and 4 shards must reproduce its one-shard result.
+    fn assert_matches_serial(run: fn(Engine) -> Run) {
         let serial = run(Engine::new(clos(), cfg(), 1));
         for threads in [2, 4] {
             let par = run(Engine::new(clos(), cfg(), threads));
@@ -807,12 +572,25 @@ mod tests {
         }
     }
 
+    #[test]
+    fn parallel_matches_serial_bit_for_bit() {
+        assert_matches_serial(reference_run);
+    }
+
+    #[test]
+    fn parallel_matches_serial_under_faults() {
+        assert_matches_serial(|mut eng| {
+            eng.install_fault_plan(&fault_plan()).expect("plan");
+            reference_run(eng)
+        });
+    }
+
     /// The coordinator's registry decides, once per `run_until`, whether
     /// workers capture: off (the default) nothing is stamped or parked —
     /// the coordinator does not drain `tel_carry` then, so anything a
     /// worker did capture would still be sitting there — and flipping the
-    /// flag between two intervals records exactly what the serial engine
-    /// records under the same flips.
+    /// flag between two intervals records exactly what one shard records
+    /// under the same flips.
     #[test]
     fn worker_capture_follows_the_coordinators_registry() {
         let toggled = |threads: usize| {
@@ -824,10 +602,10 @@ mod tests {
             for on in [false, true, false, true] {
                 tel::set_enabled(on);
                 eng.run_for(150 * MICRO);
-                if let Engine::Parallel(p) = &eng {
-                    assert!(p.shards.iter().all(|s| s.tel_capture == on));
-                    assert!(p.shards.iter().all(|s| s.tel_carry.is_empty()));
-                }
+                // One shard runs on this thread and never captures.
+                let capturing = on && eng.cut.is_some();
+                assert!(eng.shards.iter().all(|s| s.tel_capture == capturing));
+                assert!(eng.shards.iter().all(|s| s.tel_carry.is_empty()));
             }
             tel::set_enabled(false);
             (
@@ -846,16 +624,57 @@ mod tests {
         }
     }
 
+    /// `threads <= 1`, and any count on a one-ToR topology, is the serial
+    /// engine: one unmasked core and no cut state at all.
     #[test]
     fn engine_clamps_to_topology() {
-        // A dumbbell has one ToR: any thread count degrades to 1 shard.
-        let eng = Engine::new(Topology::dumbbell(100.0, 1_000), cfg(), 8);
-        match eng {
-            Engine::Parallel(p) => {
-                assert_eq!(p.n_shards(), 1);
-                assert_eq!(p.lookahead(), 0);
+        for eng in [
+            Engine::new(clos(), cfg(), 0),
+            Engine::new(clos(), cfg(), 1),
+            Engine::new(Topology::dumbbell(100.0, 1_000), cfg(), 8),
+        ] {
+            assert_eq!(eng.n_shards(), 1);
+            assert_eq!(eng.lookahead(), 0);
+            assert!(eng.cut.is_none());
+        }
+        let eng = Engine::new(clos(), cfg(), 8);
+        assert_eq!(eng.n_shards(), 4, "clamped to the ToR count");
+        assert!(eng.lookahead() > 0);
+    }
+
+    /// Link state and reachability are the owning shard's: each end of a
+    /// downed cut link is written by its owner into its own row only, so
+    /// any other shard would answer from a clean, never-faulted row.
+    #[test]
+    fn link_queries_are_answered_by_the_owning_shard() {
+        let (tor0, uplink, last_host) = (16usize, 5usize, 15usize);
+        let leaf = clos().ports(tor0)[uplink];
+        let mut plan = FaultPlan::new(3);
+        plan.link_down(10 * MICRO, tor0, uplink)
+            .link_down(10 * MICRO, last_host, 0); // its only link
+        let probe = |threads: usize| {
+            let mut eng = Engine::new(clos(), cfg(), threads);
+            eng.install_fault_plan(&plan).expect("plan");
+            eng.run_for(20 * MICRO);
+            if let Some(cut) = &eng.cut {
+                assert_ne!(cut.shard_of[tor0], cut.shard_of[leaf.peer], "a cut link");
+                assert_ne!(cut.shard_of[last_host], 0);
             }
-            Engine::Serial(_) => unreachable!("threads > 1 builds ParallelSim"),
+            (
+                eng.link_state(tor0, uplink).up,
+                eng.link_state(leaf.peer, leaf.peer_port).up,
+                eng.link_state(tor0, uplink - 1).is_clean(),
+                (0..eng.topology().n_nodes())
+                    .map(|n| eng.node_reachable(n))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let serial = probe(1);
+        assert_eq!((serial.0, serial.1, serial.2), (false, false, true));
+        let cut_off: Vec<_> = (0..serial.3.len()).filter(|&n| !serial.3[n]).collect();
+        assert_eq!(cut_off, [last_host]);
+        for threads in [2, 4] {
+            assert_eq!(probe(threads), serial, "{threads} threads");
         }
     }
 }

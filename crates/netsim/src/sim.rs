@@ -1,20 +1,20 @@
-//! The discrete-event RoCEv2 fabric simulator.
+//! The per-shard event core of the RoCEv2 fabric simulator.
 //!
-//! One [`Simulator`] owns a [`Topology`], the
-//! per-node state (host RNICs with per-QP DCQCN reaction/notification
-//! points; shared-buffer switches with RED/ECN marking, dynamic-threshold
-//! PFC and ToR measurement sketches) and a deterministic event queue.
-//!
-//! The embedding harness drives it with:
+//! One `Simulator` owns a [`Topology`], the per-node state (host RNICs
+//! with per-QP DCQCN reaction/notification points; shared-buffer switches
+//! with RED/ECN marking, dynamic-threshold PFC and ToR measurement
+//! sketches) and a deterministic event queue. It is crate-private:
+//! harnesses drive the fabric through [`crate::Engine`], which holds one
+//! core per shard and fans every call out to them:
 //!
 //! ```text
-//! let mut sim = Simulator::new(topo, cfg);
-//! sim.add_flow(src, dst, bytes, start);
+//! let mut eng = Engine::new(topo, cfg, threads);
+//! eng.add_flow(src, dst, bytes, start);
 //! loop {
-//!     sim.run_until(next_monitor_interval_end);
-//!     let metrics = sim.collect_interval();      // switch/RNIC agents upload
+//!     eng.run_until(next_monitor_interval_end);
+//!     let metrics = eng.collect_interval();      // switch/RNIC agents upload
 //!     if let Some(p) = controller(&metrics) {    // PARALEON tuning round
-//!         sim.set_dcqcn_params(&p);              // dispatch to devices
+//!         eng.set_dcqcn_params(&p);              // dispatch to devices
 //!     }
 //! }
 //! ```
@@ -24,13 +24,14 @@
 //!
 //! # Sharded execution
 //!
-//! The same `Simulator` type doubles as one *shard* of the conservative
-//! parallel engine ([`crate::par::ParallelSim`]): a shard holds the full
-//! topology but *owns* only a subset of nodes (an ownership mask), runs
-//! only events targeting owned nodes, and routes events aimed at foreign
-//! nodes into per-destination-shard outboxes that the shard workers swap
-//! into each other's mailboxes at epoch barriers. Everything that makes
-//! the serial and sharded executions bit-identical is centralized here:
+//! A core built by `Simulator::new` owns every node — that is the whole
+//! engine when there is one shard. One built by `new_shard` holds the
+//! full topology but *owns* only a subset of nodes (an ownership mask),
+//! runs only events targeting owned nodes, and routes events aimed at
+//! foreign nodes into per-destination-shard outboxes that the shard
+//! workers swap into each other's mailboxes at epoch barriers.
+//! Everything that makes every shard count bit-identical is centralized
+//! here:
 //!
 //! * event tie-breaks are *causal keys* — `(source-node namespace <<
 //!   KEY_SHIFT) | per-source counter` — which a shard can reproduce
@@ -39,8 +40,8 @@
 //!   RNG, per-node fault-corruption RNG), so draw order depends only on
 //!   that entity's own event sequence;
 //! * interval metrics accumulate per entity and are folded in global
-//!   node order by [`Simulator::finalize_interval`], which both engines
-//!   share.
+//!   node order by `Simulator::finalize_interval`, whatever the number
+//!   of raw snapshots.
 
 use std::sync::Arc;
 
@@ -179,7 +180,7 @@ const FAULT_NS: u64 = 1;
 const NODE_NS_BASE: u64 = 2;
 
 /// Sharding context: which shard this simulator instance is, and who
-/// owns each node. `None` (the serial engine) owns everything.
+/// owns each node. `None` (a one-shard engine) owns everything.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardCtx {
     /// Owner shard of every node id.
@@ -197,7 +198,7 @@ pub(crate) struct RemoteMsg {
     /// Absolute event time.
     pub at: Nanos,
     /// Causal key (assigned by the *sending* shard from the source
-    /// node's counter — identical to the key the serial engine assigns).
+    /// node's counter — identical to the key one shard would assign).
     pub key: u64,
     /// The event (its `PacketId` is stale for `Arrive`; see `pkt`).
     pub ev: Event,
@@ -206,7 +207,7 @@ pub(crate) struct RemoteMsg {
 }
 
 /// Per-interval raw data from one shard, merged across shards (trivially
-/// for the serial engine) by [`Simulator::finalize_interval`].
+/// for one) by [`Simulator::finalize_interval`].
 #[derive(Debug)]
 pub(crate) struct IntervalRaw {
     /// Interval start.
@@ -228,8 +229,8 @@ pub(crate) struct IntervalRaw {
     pub sketches: Vec<(NodeId, Vec<(FlowId, u64)>)>,
 }
 
-/// The packet-level simulator.
-pub struct Simulator {
+/// The packet-level event core: one per [`crate::Engine`] shard.
+pub(crate) struct Simulator {
     cfg: SimConfig,
     topo: Topology,
     hosts: Vec<HostState>,
@@ -249,23 +250,23 @@ pub struct Simulator {
     now: Nanos,
     /// Per-source-node causal-key counters (tie-break assignment).
     key_seq: Vec<u64>,
-    /// Sharding context; `None` = the serial engine (owns every node).
+    /// Sharding context; `None` = the only shard (owns every node).
     shard: Option<ShardCtx>,
     /// Cross-shard handoff outboxes, one per destination shard (empty
-    /// vec for the serial engine).
+    /// vec for a one-shard engine).
     outboxes: Vec<Vec<RemoteMsg>>,
     /// When set, [`run_window`](Self::run_window) stamps each event's
     /// `(time, key)` onto the thread's telemetry capture (see
     /// `paraleon_telemetry::capture_stamp`) so emissions diverted on
-    /// worker threads can be replayed in serial order. The parallel
-    /// engine sets it at the start of every run, on exactly when its
-    /// workers capture.
+    /// worker threads can be replayed in one-shard order. The
+    /// engine sets it at the start of every sharded run, on exactly when
+    /// its workers capture.
     pub(crate) tel_capture: bool,
     /// Telemetry captured on this shard's worker thread during a
-    /// parallel run, parked here for the coordinator to replay.
+    /// sharded run, parked here for the coordinator to replay.
     pub(crate) tel_carry: Vec<tel::Captured>,
     /// Audit tallies drained on the worker thread at the end of a
-    /// parallel run, parked here for the coordinator to absorb.
+    /// sharded run, parked here for the coordinator to absorb.
     pub(crate) audit_carry: (u64, Vec<paraleon_audit::AuditReport>),
     flows: Vec<FlowMeta>,
     completions: Vec<FlowRecord>,
@@ -307,7 +308,7 @@ pub struct Simulator {
 /// flow identically to a row on another — correlated estimation errors
 /// that the controller's merge (which assumes independent per-switch
 /// error) cannot average away.
-pub fn tor_sketch_seed(base: u64, node: usize) -> u64 {
+pub(crate) fn tor_sketch_seed(base: u64, node: usize) -> u64 {
     crate::fasthash::mix64(base ^ node as u64)
 }
 
@@ -391,20 +392,23 @@ impl Simulator {
         }
     }
 
-    /// Build one shard of the parallel engine: a full-topology simulator
-    /// that owns (runs events for) only the nodes `shard_of` maps to
-    /// `me`, and routes events for foreign nodes into per-shard outboxes.
+    /// Build shard `me` of `n_shards`: a full-topology simulator that
+    /// owns (runs events for) only the nodes `shard_of` maps to `me`, and
+    /// routes events for foreign nodes into per-shard outboxes.
     pub(crate) fn new_shard(
         topo: Topology,
         cfg: SimConfig,
-        shard_of: Arc<Vec<u16>>,
-        me: u16,
+        shard_of: &Arc<Vec<u16>>,
+        me: usize,
         n_shards: usize,
     ) -> Self {
         let mut s = Self::new(topo, cfg);
         debug_assert_eq!(shard_of.len(), s.topo.n_nodes());
         s.outboxes = (0..n_shards).map(|_| Vec::new()).collect();
-        s.shard = Some(ShardCtx { shard_of, me });
+        s.shard = Some(ShardCtx {
+            shard_of: Arc::clone(shard_of),
+            me: me as u16,
+        });
         s
     }
 
@@ -515,47 +519,11 @@ impl Simulator {
         self.active_flows
     }
 
-    /// Admit a flow of `bytes` from host `src` to host `dst` at `start`
-    /// (must not be in the past). Returns its id. The flow's measurement
-    /// identity (QP) defaults to its own id; collectives that reuse QPs
-    /// across rounds should use [`Simulator::add_flow_on_qp`].
-    pub fn add_flow(&mut self, src: NodeId, dst: NodeId, bytes: u64, start: Nanos) -> FlowId {
-        let qp = self.flows.len() as FlowId;
-        self.add_flow_on_qp(src, dst, bytes, start, qp)
-    }
-
-    /// Bounds-checked [`Simulator::add_flow`].
-    pub fn try_add_flow(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        start: Nanos,
-    ) -> Result<FlowId, SimError> {
-        let qp = self.flows.len() as FlowId;
-        self.try_add_flow_on_qp(src, dst, bytes, start, qp)
-    }
-
-    /// Admit a flow carried on an explicit QP identity: sketches, ground
-    /// truth and ECMP hashing observe `qp`, so successive transfers on
-    /// one QP appear as a single long-lived entity to the monitor (NCCL
-    /// reuses QPs across collective rounds). Panics on invalid arguments;
-    /// see [`Simulator::try_add_flow_on_qp`] for the checked variant.
-    pub fn add_flow_on_qp(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        start: Nanos,
-        qp: FlowId,
-    ) -> FlowId {
-        match self.try_add_flow_on_qp(src, dst, bytes, start, qp) {
-            Ok(id) => id,
-            Err(e) => panic!("add_flow_on_qp: {e}"),
-        }
-    }
-
-    /// Bounds-checked [`Simulator::add_flow_on_qp`].
+    /// Validate and admit a flow on QP identity `qp` (the checks behind
+    /// `Engine::try_add_flow_on_qp`). Every shard registers every flow —
+    /// flow ids are indices into `flows`, so the table must stay globally
+    /// aligned — but only the source owner schedules it and counts it as
+    /// active.
     pub fn try_add_flow_on_qp(
         &mut self,
         src: NodeId,
@@ -577,22 +545,6 @@ impl Simulator {
                 now: self.now,
             });
         }
-        Ok(self.register_flow(src, dst, bytes, start, qp))
-    }
-
-    /// Record a (pre-validated) flow and, when this engine instance owns
-    /// its source host, schedule its start. Every shard of a parallel
-    /// run registers every flow — flow ids are indices into `flows`, so
-    /// the table must stay globally aligned — but only the source owner
-    /// schedules and counts it as active.
-    pub(crate) fn register_flow(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        start: Nanos,
-        qp: FlowId,
-    ) -> FlowId {
         let id = self.flows.len() as FlowId;
         self.flows.push(FlowMeta {
             src,
@@ -605,27 +557,21 @@ impl Simulator {
         if self.owns(src) {
             self.active_flows += 1;
             // External namespace with the flow id as counter: identical
-            // in both engines without any shared counter state.
+            // at every shard count without any shared counter state.
             let key = (FLOW_NS << KEY_SHIFT) | id;
             self.events.push(start, key, Event::FlowStart(id));
         }
-        id
+        Ok(id)
     }
 
-    /// Drain the list of flows completed since the last call, sorted by
-    /// `(finish, flow)`. The sort (rather than raw completion-processing
-    /// order) gives both engines one canonical order: a parallel run
-    /// concatenates per-shard completion lists before sorting the same
-    /// way.
+    /// Drain the flows this shard completed since the last call, in
+    /// processing order; `Engine::take_completions` sorts the shards'
+    /// lists into the canonical `(finish, flow)` order.
     pub fn take_completions(&mut self) -> Vec<FlowRecord> {
-        let mut v = std::mem::take(&mut self.completions);
-        v.sort_unstable_by_key(|r| (r.finish, r.flow));
-        v
+        std::mem::take(&mut self.completions)
     }
 
-    /// Dispatch a new DCQCN parameter setting to every RNIC and switch
-    /// (the controller's action after a tuning round; homogeneous, like
-    /// the paper's centralized design).
+    /// Dispatch a parameter setting to every RNIC and switch.
     pub fn set_dcqcn_params(&mut self, params: &DcqcnParams) {
         self.cfg.dcqcn = *params;
         for h in &mut self.hosts {
@@ -641,11 +587,7 @@ impl Simulator {
         &self.cfg.dcqcn
     }
 
-    /// Override one switch's ECN thresholds only (ACC-style per-switch
-    /// tuning; RNIC parameters are untouched). `switch_index` counts ToRs
-    /// first, then leaves, matching `IntervalMetrics::switch_obs`.
-    /// Bounds-checked: a stale or corrupt index from the controller must
-    /// not crash the fabric model.
+    /// Override one switch's ECN thresholds (ToRs first, then leaves).
     pub fn set_switch_ecn(
         &mut self,
         switch_index: usize,
@@ -672,10 +614,9 @@ impl Simulator {
     // Fault injection
     // ------------------------------------------------------------------
 
-    /// Install a [`FaultPlan`]: validates every transition, reseeds the
-    /// dedicated corruption RNG from the plan's seed, and schedules one
-    /// `Event::Fault` per transition on the ordinary event queue (so
-    /// faults interleave deterministically with traffic).
+    /// One shard's share of `Engine::install_fault_plan`: validate and
+    /// record every transition, reseed the corruption RNGs, and schedule
+    /// one `Event::Fault` for each transition this shard must run.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
         let n_nodes = self.topo.n_nodes();
         let n_hosts = self.topo.n_hosts();
@@ -741,7 +682,7 @@ impl Simulator {
 
     /// Whether this engine instance must run a fault transition: it owns
     /// the addressed node or the peer across the addressed link. The
-    /// serial engine owns everything.
+    /// only shard of an uncut topology owns everything.
     fn fault_relevant(&self, ev: &FaultEvent) -> bool {
         if self.shard.is_none() {
             return true;
@@ -773,7 +714,7 @@ impl Simulator {
         // owning `ev.node` is the *primary* and performs the one-time
         // side effects (telemetry, global counters). The secondary only
         // updates its own side's link state — and un-counts the replica
-        // so `events_processed` sums to the serial figure.
+        // so `events_processed` sums to the one-shard figure.
         let primary = self.owns(node);
         if !primary {
             self.events_processed -= 1;
@@ -807,7 +748,7 @@ impl Simulator {
                 // Restart any idle port that queued packets while down —
                 // each side's owner restarts its own end (the restart
                 // only generates events sourced at that end, so causal
-                // keys stay consistent with the serial engine).
+                // keys stay consistent with a one-shard run).
                 if self.owns(node) {
                     self.kick_port(node, port);
                 }
@@ -876,7 +817,7 @@ impl Simulator {
     }
 
     /// Apply `f` to the owned end(s) of the directed link pair at
-    /// `(node, port)`. The serial engine owns both ends; a shard touches
+    /// `(node, port)`. A lone shard owns both ends; one of several touches
     /// only its own rows (a foreign row would never be consulted here,
     /// but writing it would race under parallel execution).
     fn set_link_owned(&mut self, node: NodeId, port: usize, f: impl Fn(&mut LinkState)) {
@@ -941,16 +882,9 @@ impl Simulator {
         delivered
     }
 
-    /// Process all events up to and including time `t`, then set the
-    /// clock to `t`.
-    pub fn run_until(&mut self, t: Nanos) {
-        assert!(t >= self.now, "time cannot run backward");
-        self.run_window(t, true);
-    }
-
     /// Run one execution window: all pending events with `ts <= end`
-    /// (`inclusive`, the serial engine's whole-run case) or `ts < end`
-    /// (the parallel engine's half-open epoch windows — events at
+    /// (`inclusive`, a whole `Engine::run_until` on one shard) or
+    /// `ts < end` (the half-open epoch windows of several — events at
     /// exactly the barrier must wait for the mailbox exchange so
     /// same-instant cross-shard events keep their key order). The clock
     /// is left at `end` either way; an exclusive window may be followed
@@ -980,11 +914,6 @@ impl Simulator {
         self.now = end;
     }
 
-    /// Convenience: run for `dt` more nanoseconds.
-    pub fn run_for(&mut self, dt: Nanos) {
-        self.run_until(self.now + dt);
-    }
-
     /// Whether any events remain scheduled.
     pub fn has_pending_events(&self) -> bool {
         !self.events.is_empty()
@@ -1003,17 +932,9 @@ impl Simulator {
         v
     }
 
-    /// Snapshot and reset the per-interval metrics; drains ToR sketches
-    /// (the once-per-λ_MI control-plane read-and-reset).
-    pub fn collect_interval(&mut self) -> IntervalMetrics {
-        let raw = self.interval_raw();
-        Self::finalize_interval(&self.topo, &self.cfg, vec![raw])
-    }
-
     /// The per-shard half of interval collection: close pause intervals,
     /// take the accumulators, snapshot per-switch observables and drain
     /// sketches — for *owned* entities only — and run the audit sweep.
-    /// The serial engine is the one-shard special case.
     pub(crate) fn interval_raw(&mut self) -> IntervalRaw {
         let dt = self.now.saturating_sub(self.interval_start);
         self.finalize_pause_accounting();
@@ -1989,6 +1910,72 @@ impl Simulator {
         }
         if reschedule {
             self.sched_local(src, self.now + rto, Event::RetxCheck(f));
+        }
+    }
+}
+
+/// Per-switch sketch seeds must be pairwise decorrelated.
+///
+/// The previous derivation, `base + node`, left adjacent ToRs' seeds a
+/// tiny XOR apart — and the Elastic light part keys its count-min row
+/// `r` as `seed ^ (row constant + r)`, so a small seed delta can equal a
+/// row-constant delta. Concretely, with the default base seed on the
+/// 128-host CLOS, ToR 128's row 1 and ToR 129's row 0 hashed every flow
+/// identically: their estimation errors were perfectly correlated, and
+/// the controller merge (which assumes independent per-switch error)
+/// preserved the shared error instead of averaging it away. Both tests
+/// fail against the additive derivation.
+#[cfg(test)]
+mod sketch_seed_tests {
+    use super::tor_sketch_seed;
+
+    /// Base seeds to exercise: the sketch default, the degenerate zero,
+    /// and two arbitrary extremes. All fixed — the tests are deterministic.
+    const BASES: [u64; 4] = [0xE1A5_71C5, 0, 0xDEAD_BEEF, u64::MAX];
+
+    /// Node-id range covering every switch id any supported topology
+    /// produces (hosts come first, so ToR ids start in the hundreds).
+    const NODES: std::ops::Range<usize> = 0..512;
+
+    /// The smallest XOR distance and Hamming distance between any two
+    /// seeds derived from `base`.
+    fn closest_pair(base: u64) -> (u64, u32) {
+        let seeds: Vec<u64> = NODES.map(|n| tor_sketch_seed(base, n)).collect();
+        let pairs = seeds
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &a)| seeds[i + 1..].iter().map(move |&b| a ^ b));
+        pairs.fold((u64::MAX, u32::MAX), |(x, h), d| {
+            (x.min(d), h.min(d.count_ones()))
+        })
+    }
+
+    /// Seeds derived from related inputs must avalanche: any two switches'
+    /// seeds should differ like independent random words (~32 bits), never
+    /// by a handful of bits as `base + node` produces for neighbours.
+    #[test]
+    fn derived_seeds_avalanche() {
+        for base in BASES {
+            let (_, min_dist) = closest_pair(base);
+            assert!(
+                min_dist >= 8,
+                "base {base:#x}: two derived seeds differ by only {min_dist} bits"
+            );
+        }
+    }
+
+    /// No two derived seeds may sit within a row-constant-sized XOR delta
+    /// of each other — that is exactly the distance at which the sketch's
+    /// XOR-keyed row family collapses two switches' rows into the same
+    /// hash function.
+    #[test]
+    fn derived_seeds_never_differ_by_a_row_constant_delta() {
+        for base in BASES {
+            let (min_delta, _) = closest_pair(base);
+            assert!(
+                min_delta > 0xFFFF,
+                "base {base:#x}: two derived seeds differ by a small delta ({min_delta:#x})"
+            );
         }
     }
 }

@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 
 use paraleon_audit as audit;
-use paraleon_netsim::{FaultPlan, IntervalMetrics, SimConfig, Simulator, Topology, MICRO, MILLI};
+use paraleon_netsim::{Engine, FaultPlan, IntervalMetrics, SimConfig, Topology, MICRO, MILLI};
 
 /// A randomized scenario: topology dimensions, incast-ish flow set,
 /// shrunken shared buffer (to provoke PFC), and a fault plan.
@@ -73,7 +73,7 @@ fn run_scenario(sc: &Scenario, audited: bool) -> Vec<IntervalMetrics> {
         seed: sc.seed,
         ..SimConfig::default()
     };
-    let mut sim = Simulator::new(topo, cfg);
+    let mut sim = Engine::new(topo, cfg, 1);
     let mut plan = FaultPlan::new(sc.seed ^ 0xF417);
     if sc.flap_uplink {
         // First ToR's first uplink (port index = hosts_per_tor).

@@ -2,7 +2,7 @@
 //! deliberately broken, and PFC side effects the paper's motivation
 //! section describes (head-of-line blocking, pause propagation).
 
-use paraleon_netsim::{SimConfig, Simulator, Topology, MICRO, MILLI, SEC};
+use paraleon_netsim::{Engine, SimConfig, Topology, MICRO, MILLI, SEC};
 
 fn small_clos() -> Topology {
     Topology::two_tier_clos(2, 4, 2, 100.0, 100.0, 1_000)
@@ -18,12 +18,12 @@ fn drops_occur_without_pfc_and_flows_still_complete() {
         switch_buffer_bytes: 64 * 1024,
         ..SimConfig::default()
     };
-    let mut s = Simulator::new(small_clos(), cfg);
+    let mut s = Engine::new(small_clos(), cfg, 1);
     for src in 1..8usize {
         s.add_flow(src, 0, 1_000_000, 0);
     }
     s.run_until(5 * SEC);
-    assert!(s.total_drops > 0, "tiny buffer without PFC must drop");
+    assert!(s.total_drops() > 0, "tiny buffer without PFC must drop");
     assert_eq!(
         s.take_completions().len(),
         7,
@@ -43,13 +43,13 @@ fn pfc_prevents_the_drops_the_previous_test_forced() {
         pfc_alpha: 1.0 / 8.0,
         ..SimConfig::default()
     };
-    let mut s = Simulator::new(small_clos(), cfg);
+    let mut s = Engine::new(small_clos(), cfg, 1);
     for src in 1..8usize {
         s.add_flow(src, 0, 1_000_000, 0);
     }
     s.run_until(5 * SEC);
-    assert_eq!(s.total_drops, 0);
-    assert!(s.total_pfc_events > 0, "PFC must have intervened");
+    assert_eq!(s.total_drops(), 0);
+    assert!(s.total_pfc_events() > 0, "PFC must have intervened");
     assert_eq!(s.take_completions().len(), 7);
 }
 
@@ -64,7 +64,7 @@ fn pfc_head_of_line_blocking_hurts_innocent_flows() {
             switch_buffer_bytes: 128 * 1024, // aggressive pausing
             ..SimConfig::default()
         };
-        let mut s = Simulator::new(small_clos(), cfg);
+        let mut s = Engine::new(small_clos(), cfg, 1);
         // Victim: host 1 -> host 5 (cross-ToR, shares ToR0 uplinks).
         s.add_flow(1, 5, 2_000_000, 0);
         if with_incast {
@@ -100,7 +100,7 @@ fn control_traffic_is_never_pfc_blocked() {
         switch_buffer_bytes: 128 * 1024,
         ..SimConfig::default()
     };
-    let mut s = Simulator::new(small_clos(), cfg);
+    let mut s = Engine::new(small_clos(), cfg, 1);
     for src in 1..8usize {
         s.add_flow(src, 0, 2_000_000, 0);
     }
@@ -116,7 +116,7 @@ fn pause_accounting_is_bounded_by_interval() {
         switch_buffer_bytes: 96 * 1024,
         ..SimConfig::default()
     };
-    let mut s = Simulator::new(small_clos(), cfg);
+    let mut s = Engine::new(small_clos(), cfg, 1);
     for src in 1..8usize {
         s.add_flow(src, 0, 8_000_000, 0);
     }
@@ -140,7 +140,7 @@ fn rto_sweep_recovers_from_drops_at_any_timeout() {
             rto: rto_us * MICRO,
             ..SimConfig::default()
         };
-        let mut s = Simulator::new(small_clos(), cfg);
+        let mut s = Engine::new(small_clos(), cfg, 1);
         for src in 1..6usize {
             s.add_flow(src, 0, 500_000, 0);
         }

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use paraleon_netsim::{FaultPlan, SimConfig, SimError, Simulator, Topology, MICRO, MILLI, SEC};
+use paraleon_netsim::{Engine, FaultPlan, SimConfig, SimError, Topology, MICRO, MILLI, SEC};
 use paraleon_telemetry as tel;
 
 fn small_clos() -> Topology {
@@ -20,7 +20,7 @@ fn flows_survive_a_link_flap_via_ecmp_reroute() {
     // Cross-ToR flows with one ToR0 uplink flapping: the masked ECMP
     // steers affected flows over the surviving uplink, go-back-N cleans
     // up whatever was in flight, and every flow completes.
-    let mut s = Simulator::new(small_clos(), SimConfig::default());
+    let mut s = Engine::new(small_clos(), SimConfig::default(), 1);
     let mut plan = FaultPlan::new(3);
     plan.link_flap(TOR0, 4, 200 * MICRO, 300 * MICRO, 800 * MICRO, 3);
     s.install_fault_plan(&plan).unwrap();
@@ -30,7 +30,7 @@ fn flows_survive_a_link_flap_via_ecmp_reroute() {
     s.run_until(5 * SEC);
     assert_eq!(s.take_completions().len(), 4, "all flows must complete");
     assert!(
-        s.total_fault_drops > 0,
+        s.total_fault_drops() > 0,
         "in-flight packets on the dying link must be lost"
     );
     assert!(s.link_state(TOR0, 4).is_clean(), "flap must end link-up");
@@ -41,7 +41,7 @@ fn dead_link_stops_delivering_until_recovery() {
     // Single-path victim: host 0's only link goes down mid-transfer.
     // Nothing can reroute (hosts are single-homed), so the flow stalls
     // and only finishes after recovery.
-    let mut s = Simulator::new(small_clos(), SimConfig::default());
+    let mut s = Engine::new(small_clos(), SimConfig::default(), 1);
     let mut plan = FaultPlan::new(1);
     plan.link_down(20 * MICRO, 0, 0);
     plan.link_up(2 * MILLI, 0, 0);
@@ -57,7 +57,7 @@ fn dead_link_stops_delivering_until_recovery() {
 #[test]
 fn degraded_link_slows_the_flow_down() {
     let fct = |factor: Option<f64>| {
-        let mut s = Simulator::new(small_clos(), SimConfig::default());
+        let mut s = Engine::new(small_clos(), SimConfig::default(), 1);
         if let Some(f) = factor {
             let mut plan = FaultPlan::new(0);
             plan.degrade(0, 0, 0, f);
@@ -77,20 +77,23 @@ fn degraded_link_slows_the_flow_down() {
 
 #[test]
 fn corruption_drops_packets_but_flows_recover() {
-    let mut s = Simulator::new(small_clos(), SimConfig::default());
+    let mut s = Engine::new(small_clos(), SimConfig::default(), 1);
     let mut plan = FaultPlan::new(42);
     plan.pkt_loss(0, 4 * MILLI, 0, 0, 0.05);
     s.install_fault_plan(&plan).unwrap();
     s.add_flow(0, 5, 2_000_000, 0);
     s.run_until(10 * SEC);
-    assert!(s.total_fault_drops > 0, "5% corruption must hit something");
+    assert!(
+        s.total_fault_drops() > 0,
+        "5% corruption must hit something"
+    );
     assert_eq!(s.take_completions().len(), 1, "go-back-N must recover");
     assert!(s.link_state(0, 0).is_clean(), "window must self-clear");
 }
 
 #[test]
 fn pfc_storm_pauses_the_tor_down_port_and_spikes_the_ratio() {
-    let mut s = Simulator::new(small_clos(), SimConfig::default());
+    let mut s = Engine::new(small_clos(), SimConfig::default(), 1);
     let mut plan = FaultPlan::new(0);
     plan.pfc_storm(0, 0, MILLI);
     s.install_fault_plan(&plan).unwrap();
@@ -120,7 +123,7 @@ fn pfc_storm_pauses_the_tor_down_port_and_spikes_the_ratio() {
 
 #[test]
 fn cut_off_switch_is_omitted_from_uploads_not_zeroed() {
-    let mut s = Simulator::new(small_clos(), SimConfig::default());
+    let mut s = Engine::new(small_clos(), SimConfig::default(), 1);
     let n_switches = s.n_switches();
     // Kill every link of ToR1 (node 9: 4 down-ports + 2 uplinks).
     let mut plan = FaultPlan::new(0);
@@ -143,7 +146,7 @@ fn cut_off_switch_is_omitted_from_uploads_not_zeroed() {
 
 #[test]
 fn install_validates_the_plan() {
-    let mut s = Simulator::new(small_clos(), SimConfig::default());
+    let mut s = Engine::new(small_clos(), SimConfig::default(), 1);
     s.run_until(MILLI);
 
     let mut past = FaultPlan::new(0);
@@ -177,7 +180,7 @@ fn install_validates_the_plan() {
 
 #[test]
 fn set_switch_ecn_rejects_out_of_range_indexes() {
-    let mut s = Simulator::new(small_clos(), SimConfig::default());
+    let mut s = Engine::new(small_clos(), SimConfig::default(), 1);
     let p = paraleon_dcqcn::DcqcnParams::nvidia_default();
     assert!(s.set_switch_ecn(0, &p).is_ok());
     assert!(matches!(
@@ -188,7 +191,7 @@ fn set_switch_ecn_rejects_out_of_range_indexes() {
 
 #[test]
 fn try_add_flow_rejects_bad_endpoints() {
-    let mut s = Simulator::new(small_clos(), SimConfig::default());
+    let mut s = Engine::new(small_clos(), SimConfig::default(), 1);
     assert!(matches!(
         s.try_add_flow(0, 50, 1_000, 0),
         Err(SimError::BadEndpoints { .. })
@@ -220,7 +223,7 @@ fn run_once(
         seed,
         ..SimConfig::default()
     };
-    let mut s = Simulator::new(small_clos(), cfg);
+    let mut s = Engine::new(small_clos(), cfg, 1);
     s.install_fault_plan(plan).unwrap();
     for &(src, dst, bytes, start) in flows {
         s.add_flow(src, dst, bytes, start);
@@ -308,11 +311,11 @@ proptest! {
             let (done, _) = {
                 tel::reset();
                 let cfg = SimConfig { seed, ..SimConfig::default() };
-                let mut s = Simulator::new(small_clos(), cfg);
+                let mut s = Engine::new(small_clos(), cfg, 1);
                 s.install_fault_plan(&plan).unwrap();
                 s.add_flow(0, 5, 500_000, 0);
                 s.run_until(10 * SEC);
-                prop_assert!(s.total_fault_drops > 0);
+                prop_assert!(s.total_fault_drops() > 0);
                 (s.take_completions(), ())
             };
             prop_assert_eq!(done.len(), 1);

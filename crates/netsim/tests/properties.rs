@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use paraleon_netsim::{SimConfig, Simulator, Topology, MILLI, SEC};
+use paraleon_netsim::{Engine, SimConfig, Topology, MILLI, SEC};
 
 /// Random small scenarios: up to 12 flows between random host pairs.
 fn scenarios() -> impl Strategy<Value = Vec<(usize, usize, u64, u64)>> {
@@ -21,7 +21,7 @@ proptest! {
     #[test]
     fn all_flows_complete_exactly_once(scenario in scenarios()) {
         let topo = Topology::two_tier_clos(2, 4, 2, 100.0, 100.0, 1_000);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Engine::new(topo, SimConfig::default(), 1);
         let mut expected = 0;
         for (src, dst, bytes, start) in scenario {
             if src != dst {
@@ -33,7 +33,7 @@ proptest! {
         let done = sim.take_completions();
         prop_assert_eq!(done.len(), expected, "missing completions");
         prop_assert_eq!(sim.active_flows(), 0);
-        prop_assert_eq!(sim.total_drops, 0, "PFC must keep it lossless");
+        prop_assert_eq!(sim.total_drops(), 0, "PFC must keep it lossless");
         let mut ids: Vec<_> = done.iter().map(|r| r.flow).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -51,7 +51,7 @@ proptest! {
     #[test]
     fn payload_bytes_are_conserved(scenario in scenarios()) {
         let topo = Topology::two_tier_clos(2, 4, 2, 100.0, 100.0, 1_000);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Engine::new(topo, SimConfig::default(), 1);
         let mut total = 0u64;
         for (src, dst, bytes, start) in scenario {
             if src != dst {
@@ -72,7 +72,7 @@ proptest! {
     #[test]
     fn metric_terms_stay_normalized(scenario in scenarios()) {
         let topo = Topology::two_tier_clos(2, 4, 2, 100.0, 100.0, 1_000);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Engine::new(topo, SimConfig::default(), 1);
         for (src, dst, bytes, start) in scenario {
             if src != dst {
                 sim.add_flow(src, dst, bytes, start);

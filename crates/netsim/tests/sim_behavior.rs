@@ -1,15 +1,15 @@
 //! End-to-end behavioural tests of the RoCEv2 fabric simulator.
 
 use paraleon_dcqcn::DcqcnParams;
-use paraleon_netsim::{SimConfig, Simulator, Topology, MICRO, MILLI, SEC};
+use paraleon_netsim::{Engine, SimConfig, Topology, MICRO, MILLI, SEC};
 
 fn small_clos() -> Topology {
     // 2 ToRs × 4 hosts, 2 leaves, 100G everywhere, 1 µs links.
     Topology::two_tier_clos(2, 4, 2, 100.0, 100.0, 1_000)
 }
 
-fn sim(topo: Topology) -> Simulator {
-    Simulator::new(topo, SimConfig::default())
+fn sim(topo: Topology) -> Engine {
+    Engine::new(topo, SimConfig::default(), 1)
 }
 
 #[test]
@@ -114,7 +114,7 @@ fn severe_incast_triggers_pfc_but_no_drops() {
         switch_buffer_bytes: 256 * 1024,
         ..SimConfig::default()
     };
-    let mut s = Simulator::new(small_clos(), cfg);
+    let mut s = Engine::new(small_clos(), cfg, 1);
     for src in 1..8usize {
         s.add_flow(src, 0, 2_000_000, 0);
     }
@@ -122,7 +122,7 @@ fn severe_incast_triggers_pfc_but_no_drops() {
     let m = s.collect_interval();
     assert!(m.pfc_events > 0, "tiny buffers must trigger PFC");
     assert!(m.pfc_pause_ratio > 0.0);
-    assert_eq!(s.total_drops, 0, "PFC must prevent drops");
+    assert_eq!(s.total_drops(), 0, "PFC must prevent drops");
 }
 
 #[test]
@@ -189,7 +189,7 @@ fn tor_sketches_capture_flows_with_tos_dedup() {
         tos_dedup: true,
         ..SimConfig::default()
     };
-    let mut s = Simulator::new(small_clos(), cfg);
+    let mut s = Engine::new(small_clos(), cfg, 1);
     s.add_flow(0, 6, 2_000_000, 0); // crosses two ToRs
     s.run_until(MILLI);
     let m = s.collect_interval();
@@ -214,7 +214,7 @@ fn disabling_tos_dedup_double_counts_across_tors() {
             tos_dedup: dedup,
             ..SimConfig::default()
         };
-        let mut s = Simulator::new(small_clos(), cfg);
+        let mut s = Engine::new(small_clos(), cfg, 1);
         s.add_flow(0, 6, 2_000_000, 0); // crosses both ToRs
         s.run_until(4 * MILLI);
         let m = s.collect_interval();
@@ -237,7 +237,7 @@ fn ground_truth_tracks_injected_bytes() {
         track_ground_truth: true,
         ..SimConfig::default()
     };
-    let mut s = Simulator::new(small_clos(), cfg);
+    let mut s = Engine::new(small_clos(), cfg, 1);
     let f = s.add_flow(0, 5, 300_000, 0);
     s.run_until(5 * MILLI);
     let m = s.collect_interval();
@@ -289,7 +289,7 @@ fn expert_params_beat_default_for_alltoall_elephants() {
             dcqcn: params,
             ..SimConfig::default()
         };
-        let mut s = Simulator::new(small_clos(), cfg);
+        let mut s = Engine::new(small_clos(), cfg, 1);
         for i in 0..8usize {
             for j in 0..8usize {
                 if i != j {
@@ -344,7 +344,7 @@ fn dcqcn_plus_mode_runs_and_completes() {
         dcqcn_plus: true,
         ..SimConfig::default()
     };
-    let mut s = Simulator::new(small_clos(), cfg);
+    let mut s = Engine::new(small_clos(), cfg, 1);
     for src in 1..8usize {
         s.add_flow(src, 0, 2_000_000, 0);
     }

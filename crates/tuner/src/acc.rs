@@ -175,11 +175,6 @@ impl AccScheme {
             initial,
         }
     }
-
-    /// Current ECN setting of agent `i` (diagnostics).
-    pub fn agent_ecn(&self, i: usize) -> Option<&DcqcnParams> {
-        self.agents.get(i).map(|a| &a.ecn)
-    }
 }
 
 impl TuningScheme for AccScheme {
