@@ -25,7 +25,7 @@
 //! by running both and comparing the serialized outcomes).
 //!
 //! Run: `cargo run --release -p paraleon-bench --bin exp_ctrl_faults
-//! [--smoke] [--check] [--serial | --threads N]`
+//! [--check] [--serial | --threads N]`
 
 use paraleon::prelude::*;
 use paraleon_bench::{gbps_of, print_table, telemetry_begin, telemetry_dump, write_json};
@@ -53,40 +53,16 @@ const MEASURE_INTERVALS: u64 = 12;
 /// the fault-free run's.
 const RECOVERY_FLOOR: f64 = 0.95;
 
-/// Experiment scale: identical fabric in both modes (the gate pins one
-/// seed, so the scripted scenario must not change shape under CI); the
-/// smoke flag only exists for symmetry with the other experiment
-/// binaries and to keep a short-run escape hatch.
-#[derive(Clone, Copy)]
-struct CtrlScale {
-    smoke: bool,
-}
+/// The fabric: 2 ToRs × 4 hosts. One scale only — the gate pins one
+/// seed, so the scripted scenario must not change shape under CI.
+const N_HOSTS: usize = 8;
+const HOSTS_PER_TOR: usize = 4;
 
-impl CtrlScale {
-    fn clos(self) -> Topology {
-        Topology::two_tier_clos(2, 4, 2, 100.0, 100.0, 5_000)
-    }
+/// Per-host bytes injected per monitor interval (~80% uplink load).
+const BYTES_PER_INTERVAL: u64 = 5_000_000;
 
-    fn n_hosts(self) -> usize {
-        8
-    }
-
-    fn hosts_per_tor(self) -> usize {
-        4
-    }
-
-    /// Per-host bytes injected per monitor interval (~80% uplink load).
-    fn bytes_per_interval(self) -> u64 {
-        5_000_000
-    }
-
-    fn label(self) -> &'static str {
-        if self.smoke {
-            "smoke"
-        } else {
-            "full"
-        }
-    }
+fn clos() -> Topology {
+    Topology::two_tier_clos(2, HOSTS_PER_TOR, 2, 100.0, 100.0, 5_000)
 }
 
 /// The scripted control-plane beating: both lanes impaired from 2 ms
@@ -106,18 +82,12 @@ fn ctrl_fault_plan() -> FaultPlan {
 /// its counterpart one ToR over. Fresh flows every interval keep
 /// dispatch-relevant pressure on the fabric and make the post-recovery
 /// measurement phase start clean under whatever parameters survived.
-fn inject_interval(cl: &mut ClosedLoop, scale: CtrlScale) {
-    let n = scale.n_hosts();
-    let shift = scale.hosts_per_tor();
+fn inject_interval(cl: &mut ClosedLoop) {
     let now = cl.sim.now();
-    for src in 0..n {
-        let dst = (src + shift) % n;
-        cl.sim.add_flow(
-            src,
-            dst,
-            scale.bytes_per_interval(),
-            now + (src as u64) * 100,
-        );
+    for src in 0..N_HOSTS {
+        let dst = (src + HOSTS_PER_TOR) % N_HOSTS;
+        cl.sim
+            .add_flow(src, dst, BYTES_PER_INTERVAL, now + (src as u64) * 100);
     }
 }
 
@@ -142,9 +112,9 @@ struct CtrlOutcome {
 
 /// Run one scenario: scripted run → quiesce → divergence verdict →
 /// fresh-load measurement phase.
-fn run_scenario(scale: CtrlScale, label: &'static str, faulted: bool, naive: bool) -> CtrlOutcome {
+fn run_scenario(label: &'static str, faulted: bool, naive: bool) -> CtrlOutcome {
     telemetry_begin();
-    let mut cl = ClosedLoop::builder(scale.clos())
+    let mut cl = ClosedLoop::builder(clos())
         .scheme(SchemeKind::Paraleon)
         .loop_config(LoopConfig {
             force_tuning: true,
@@ -160,7 +130,7 @@ fn run_scenario(scale: CtrlScale, label: &'static str, faulted: bool, naive: boo
         cl.install_fault_plan(&ctrl_fault_plan()).expect("plan");
     }
     for _ in 0..RUN_INTERVALS {
-        inject_interval(&mut cl, scale);
+        inject_interval(&mut cl);
         cl.step();
     }
     let settled = cl.ctrl_settle(SETTLE_INTERVALS);
@@ -169,13 +139,13 @@ fn run_scenario(scale: CtrlScale, label: &'static str, faulted: bool, naive: boo
     let diverged = cl.ctrl_diverged();
     let measure_from = cl.cell.history.len();
     for _ in 0..MEASURE_INTERVALS {
-        inject_interval(&mut cl, scale);
+        inject_interval(&mut cl);
         cl.step();
     }
     let phase = &cl.cell.history[measure_from..];
     let recovery_goodput = phase.iter().map(|r| r.goodput).sum::<f64>() / phase.len().max(1) as f64;
-    let stats = cl.ctrl().expect("ctrl plane armed").stats();
-    let dump = telemetry_dump(&format!("ctrl_faults_{}_{label}", scale.label()));
+    let stats = cl.ctrl().stats();
+    let dump = telemetry_dump(&format!("ctrl_faults_{label}"));
     if faulted {
         assert!(
             !dump.events_named("ctrl_crash").is_empty(),
@@ -205,12 +175,12 @@ fn run_scenario(scale: CtrlScale, label: &'static str, faulted: bool, naive: boo
 
 /// Fan the three scenarios across the sweep runner; results come back
 /// in job order regardless of worker count.
-fn run_all(scale: CtrlScale, threads: usize) -> Vec<CtrlOutcome> {
+fn run_all(threads: usize) -> Vec<CtrlOutcome> {
     type Job<'a> = Box<dyn FnOnce() -> CtrlOutcome + Send + 'a>;
     let jobs: Vec<Job> = vec![
-        Box::new(move || run_scenario(scale, "faultfree", false, false)),
-        Box::new(move || run_scenario(scale, "hardened", true, false)),
-        Box::new(move || run_scenario(scale, "naive", true, true)),
+        Box::new(|| run_scenario("faultfree", false, false)),
+        Box::new(|| run_scenario("hardened", true, false)),
+        Box::new(|| run_scenario("naive", true, true)),
     ];
     sweep::run(threads, jobs)
 }
@@ -222,20 +192,15 @@ fn passes_gate(o: &CtrlOutcome, faultfree: &CtrlOutcome) -> bool {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     let check_identical = std::env::args().any(|a| a == "--check");
-    let scale = CtrlScale { smoke };
     let threads = sweep::threads_from_args();
-    println!(
-        "Control-plane fault experiment ({} scale, {threads} thread(s))",
-        scale.label()
-    );
+    println!("Control-plane fault experiment ({threads} thread(s))");
 
-    let outcomes = run_all(scale, threads);
+    let outcomes = run_all(threads);
     // `--check`: replay the whole sweep serially and require the
     // serialized outcomes to match the parallel run byte for byte.
     if check_identical {
-        let serial = run_all(scale, 1);
+        let serial = run_all(1);
         let a = serde_json::to_string(&outcomes).expect("outcomes serialize");
         let b = serde_json::to_string(&serial).expect("outcomes serialize");
         assert_eq!(
@@ -279,7 +244,7 @@ fn main() {
         ],
         &[row(faultfree), row(hardened), row(naive)],
     );
-    write_json(&format!("ctrl_faults_{}", scale.label()), &outcomes);
+    write_json("ctrl_faults", &outcomes);
 
     // --- Acceptance checks (CI smoke gate): exit non-zero on failure. ---
     let mut failures = Vec::new();

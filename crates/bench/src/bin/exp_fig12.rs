@@ -66,7 +66,7 @@ fn run_llm(scale: Scale, scheme: SchemeKind) -> Series {
         rounds: None,
     });
     let until = 2 * scale.fb_window();
-    drivers::run_alltoall(&mut cl, &mut a2a, 0, until);
+    drivers::run_collective(&mut cl, &mut a2a, 0, until);
     to_series(scheme.name(), "LLM alltoall")
 }
 

@@ -41,7 +41,7 @@ fn run_one(scale: Scale, scheme: SchemeKind, workers: usize) -> f64 {
         off_time: MILLI,
         rounds: Some(rounds),
     });
-    drivers::run_alltoall(&mut cl, &mut a2a, 0, 30 * SEC);
+    drivers::run_collective(&mut cl, &mut a2a, 0, 30 * SEC);
     // Steady state: mean algbw over the last half of the rounds (the
     // early rounds include PARALEON's search transient).
     let done = a2a.round_durations.len();

@@ -68,52 +68,19 @@ fn run_one(scale: Scale, scheme: SchemeKind) -> Series {
     let mut rng = StdRng::seed_from_u64(41);
     let rpc_flows = rpc.generate(&mut rng);
 
-    let mut idx = 0;
-    let mut next_round = Some(0u64);
-    let mut seen = 0usize;
-    let mut collective: std::collections::HashSet<u64> = Default::default();
-    let mut rpc_ids: std::collections::HashSet<u64> = Default::default();
-    let mut rpc_fcts_us: Vec<f64> = Vec::new();
+    let mut stepper = drivers::Stepper::new(&rpc_flows).collective(&mut a2a, 0);
     while cl.sim.now() < total {
-        if let Some(t) = next_round {
-            if cl.sim.now() >= t {
-                for f in a2a
-                    .start_round(cl.sim.now())
-                    .expect("round start while idle")
-                {
-                    let qp = drivers::qp_id(f.src, f.dst);
-                    collective.insert(cl.sim.add_flow_on_qp(
-                        f.src,
-                        f.dst,
-                        f.bytes,
-                        cl.sim.now(),
-                        qp,
-                    ));
-                }
-                next_round = None;
-            }
-        }
-        let horizon = cl.sim.now() + 2 * MILLI;
-        while idx < rpc_flows.len() && rpc_flows[idx].start <= horizon {
-            let f = rpc_flows[idx];
-            if f.start >= cl.sim.now() {
-                rpc_ids.insert(cl.sim.add_flow(f.src, f.dst, f.bytes, f.start));
-            }
-            idx += 1;
-        }
-        cl.step();
-        let new = cl.completions[seen..].to_vec();
-        seen = cl.completions.len();
-        for r in new {
-            if collective.remove(&r.flow) {
-                if let Some(t) = a2a.on_flow_done(r.finish).expect("round in flight") {
-                    next_round = Some(t);
-                }
-            } else if rpc_ids.remove(&r.flow) {
-                rpc_fcts_us.push(r.fct() as f64 / 1e3);
-            }
-        }
+        stepper.step(&mut cl);
     }
+    // Everything that completed and was not the collective's is an RPC.
+    let collective: std::collections::HashSet<u64> =
+        stepper.records.iter().map(|r| r.flow).collect();
+    let rpc_fcts_us: Vec<f64> = cl
+        .completions
+        .iter()
+        .filter(|r| !collective.contains(&r.flow))
+        .map(|r| r.fct() as f64 / 1e3)
+        .collect();
     let burst_end = burst_start + burst_len;
     // Time series come from the run's exported telemetry; RPC-only FCTs
     // still need the per-flow completion records (the histogram

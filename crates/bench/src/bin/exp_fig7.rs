@@ -120,7 +120,7 @@ fn llm(scale: Scale) -> Vec<LlmRow> {
                 // intervals) converges within the first third of the run.
                 rounds: Some(24),
             });
-            let records = drivers::run_alltoall(&mut cl, &mut a2a, 0, 20 * SEC);
+            let records = drivers::run_collective(&mut cl, &mut a2a, 0, 20 * SEC);
             // Steady-state measurement: discard the warm-up third of the
             // run (covers the adaptive schemes' tuning transient) for
             // every scheme alike.

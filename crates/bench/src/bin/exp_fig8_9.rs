@@ -74,48 +74,9 @@ fn run_influx(scale: Scale, scheme: SchemeKind, seed: u64, fig: &str) -> Series 
     let mut rng = StdRng::seed_from_u64(21);
     let influx_flows = wl.generate(&mut rng);
 
-    // Drive both workloads manually through the loop.
-    let mut idx = 0;
-    let mut next_round = Some(0u64);
-    let mut seen = 0usize;
-    let mut collective: std::collections::HashSet<u64> = Default::default();
+    let mut stepper = drivers::Stepper::new(&influx_flows).collective(&mut a2a, 0);
     while cl.sim.now() < total {
-        if let Some(t) = next_round {
-            if cl.sim.now() >= t {
-                for f in a2a
-                    .start_round(cl.sim.now())
-                    .expect("round start while idle")
-                {
-                    let qp = drivers::qp_id(f.src, f.dst);
-                    collective.insert(cl.sim.add_flow_on_qp(
-                        f.src,
-                        f.dst,
-                        f.bytes,
-                        cl.sim.now(),
-                        qp,
-                    ));
-                }
-                next_round = None;
-            }
-        }
-        let horizon = cl.sim.now() + 2 * MILLI;
-        while idx < influx_flows.len() && influx_flows[idx].start <= horizon {
-            let f = influx_flows[idx];
-            if f.start >= cl.sim.now() {
-                cl.sim.add_flow(f.src, f.dst, f.bytes, f.start);
-            }
-            idx += 1;
-        }
-        cl.step();
-        let new = cl.completions[seen..].to_vec();
-        seen = cl.completions.len();
-        for r in new {
-            if collective.remove(&r.flow) {
-                if let Some(t) = a2a.on_flow_done(r.finish).expect("round in flight") {
-                    next_round = Some(t);
-                }
-            }
-        }
+        stepper.step(&mut cl);
     }
     let dump = telemetry_dump(&format!("{}_{}", fig, scheme.name()));
     let goodput = dump.series_get("goodput_bytes_per_sec", 0);
@@ -161,7 +122,7 @@ fn pretrain_alltoall(scale: Scale) -> DcqcnParams {
         off_time: 3 * MILLI,
         rounds: Some(12),
     });
-    drivers::run_alltoall(&mut cl, &mut a2a, 0, 2 * SEC);
+    drivers::run_collective(&mut cl, &mut a2a, 0, 2 * SEC);
     cl.cell.last_params
 }
 

@@ -295,7 +295,7 @@ fn run_size(n: usize, ticks: u64, check: bool, scale: Scale, dump: bool) -> Flee
         // Gate 3: snapshot + restore mid-run changes nothing.
         let mut snapped = build_fleet(&specs, 1);
         snapped.run(ticks / 2);
-        let snap = snapped.snapshot().expect("armed cells checkpoint");
+        let snap = snapped.snapshot().expect("always Some");
         snapped.restore(&snap).expect("same tenant set restores");
         snapped.run(ticks - ticks / 2);
         snapshot_ok = Some(fleets_identical(&fleet, &snapped));

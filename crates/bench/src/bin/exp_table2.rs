@@ -52,7 +52,7 @@ fn main() {
                 off_time: 0,
                 rounds: Some(1),
             });
-            drivers::run_alltoall(&mut cl, &mut a2a, 0, 20 * SEC);
+            drivers::run_collective(&mut cl, &mut a2a, 0, 20 * SEC);
             let algbw = a2a.algbw_bytes_per_sec(0).unwrap_or(0.0);
             let round_ms = a2a.round_durations.first().copied().unwrap_or(0) as f64 / 1e6;
             rows.push(vec![

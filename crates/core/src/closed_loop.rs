@@ -7,6 +7,13 @@
 //! hand everything to the tuning scheme, dispatch whatever it returns,
 //! and account the control-channel traffic (Table IV).
 //!
+//! There is one loop: uploads and dispatches always cross the control
+//! plane ([`crate::ctrl_plane`]). A dispatch decided while interval
+//! `k−1` is processed is delivered at the top of step `k`, before the
+//! fabric advances — on a clean channel, zero delay in send order.
+//! [`ClosedLoopBuilder::ctrl_plane`] only configures the plane's knobs;
+//! fault plans impair it.
+//!
 //! The controller half lives in [`TunerCell`]; `ClosedLoop` is the
 //! 1-tenant special case pairing one cell with one [`Engine`]. The
 //! fleet service (`paraleon-fleet`) runs many cells against many
@@ -56,34 +63,22 @@ impl ClosedLoop {
         self.cell.guard()
     }
 
-    /// The hardened control plane, when armed.
-    pub fn ctrl(&self) -> Option<&CtrlPlane> {
+    /// The control plane (channel lanes, protocol state, counters).
+    pub fn ctrl(&self) -> &CtrlPlane {
         self.cell.ctrl()
-    }
-
-    /// Route all control traffic through the hardened, impairable
-    /// control plane. With no impairments scheduled the armed loop is
-    /// byte-identical to the direct loop, so arming is always safe; it
-    /// is required before control-plane fault events can do anything.
-    /// No-op if already armed. The checkpoint taken here is the
-    /// cold-restart target, so arm before stepping.
-    pub fn arm_ctrl(&mut self, cfg: CtrlPlaneConfig) {
-        self.cell.arm_ctrl(cfg);
     }
 
     /// Install a fault plan: data-plane events go to the simulator,
     /// control-plane events are consumed by the controller cell at their
-    /// scheduled times (the simulator ignores them). A plan containing
-    /// control-plane events arms the hardened control plane with
-    /// default knobs if it is not armed yet.
+    /// scheduled times (the simulator ignores them).
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
         self.cell.install_ctrl_events(plan);
         self.sim.install_fault_plan(plan)
     }
 
     /// Whether the fabric's applied global parameters differ from what
-    /// the controller believes it deployed — the end-state a hardened
-    /// control plane must drive back to `false` after any fault.
+    /// the controller believes it deployed — the end-state the control
+    /// plane must drive back to `false` after any fault.
     pub fn ctrl_diverged(&self) -> bool {
         self.cell.ctrl_diverged(&self.sim)
     }
@@ -94,16 +89,15 @@ impl ClosedLoop {
         // Control-channel time is the interval index: coarse enough for
         // the protocol, exact enough for determinism.
         let interval_idx = self.cell.interval_index();
-        // Dispatches due now apply before the fabric advances — for a
-        // clean channel this is indistinguishable from the direct
-        // loop's immediate apply at the end of the previous interval.
+        // Dispatches due now apply before the fabric advances: on a
+        // clean channel, what the previous interval decided.
         self.cell
             .deliver_due_dispatches(&mut self.sim, interval_idx);
         let target = self.sim.now() + self.cell.cfg.lambda_mi;
         self.sim.run_until(target);
         let metrics = self.sim.collect_interval();
         self.completions.extend(self.sim.take_completions());
-        self.cell.process_interval(&mut self.sim, &metrics)
+        self.cell.process_interval(&self.sim, &metrics)
     }
 
     /// Step until the simulator clock reaches `t`.
@@ -160,7 +154,7 @@ pub struct ClosedLoopBuilder {
     custom_scheme: Option<Box<dyn TuningScheme>>,
     monitor: MonitorKind,
     guardrail: Option<GuardrailConfig>,
-    ctrl: Option<CtrlPlaneConfig>,
+    ctrl: CtrlPlaneConfig,
     seed: u64,
     parallel: usize,
 }
@@ -176,7 +170,7 @@ impl ClosedLoopBuilder {
             custom_scheme: None,
             monitor: MonitorKind::Paraleon,
             guardrail: None,
-            ctrl: None,
+            ctrl: CtrlPlaneConfig::default(),
             seed: 1,
             parallel: 1,
         }
@@ -231,9 +225,11 @@ impl ClosedLoopBuilder {
         self
     }
 
-    /// Arm the hardened control plane (see [`ClosedLoop::arm_ctrl`]).
+    /// Configure the control plane (retry, checkpoint and staleness
+    /// knobs; the `naive` strawman). Defaults to
+    /// [`CtrlPlaneConfig::default`].
     pub fn ctrl_plane(mut self, cfg: CtrlPlaneConfig) -> Self {
-        self.ctrl = Some(cfg);
+        self.ctrl = cfg;
         self
     }
 
@@ -258,18 +254,16 @@ impl ClosedLoopBuilder {
             .custom_scheme
             .unwrap_or_else(|| self.scheme.build_tuner(self.seed));
         let guard = self.guardrail.map(|cfg| Guardrail::new(cfg, initial));
-        let mut cell = TunerCell::new(
+        let cell = TunerCell::new(
             self.monitor.build(),
             scheme,
             guard,
             self.loop_cfg,
+            self.ctrl,
             initial,
             truth,
             self.seed,
         );
-        if let Some(cfg) = self.ctrl {
-            cell.arm_ctrl(cfg);
-        }
         ClosedLoop {
             sim,
             cell,
@@ -461,33 +455,22 @@ mod tests {
     }
 
     #[test]
-    fn clean_ctrl_plane_is_byte_identical_to_the_direct_loop() {
-        let build = |armed: bool| {
-            let mut b = ClosedLoop::builder(topo())
-                .scheme(SchemeKind::Paraleon)
-                .guardrail(GuardrailConfig::default())
-                .seed(5);
-            if armed {
-                b = b.ctrl_plane(CtrlPlaneConfig::default());
-            }
-            b.build()
-        };
-        let mut direct = build(false);
-        let mut armed = build(true);
-        drive(&mut direct, 24);
-        drive(&mut armed, 24);
-        assert_eq!(direct.cell.history, armed.cell.history);
-        assert_eq!(direct.cell.last_params, armed.cell.last_params);
-        assert_eq!(direct.cell.last_fsd, armed.cell.last_fsd);
-        assert_eq!(direct.cell.ledger, armed.cell.ledger);
-        assert!(!armed.ctrl_diverged());
-        let stats = armed.ctrl().unwrap().stats();
+    fn clean_channel_never_loses_retries_or_diverges() {
+        let mut cl = ClosedLoop::builder(topo())
+            .scheme(SchemeKind::Paraleon)
+            .guardrail(GuardrailConfig::default())
+            .seed(5)
+            .build();
+        drive(&mut cl, 24);
+        let stats = cl.ctrl().stats();
         assert_eq!(stats.up.lost + stats.down.lost, 0);
         assert_eq!(stats.retries, 0);
         assert!(
-            direct.cell.history.iter().any(|r| r.dispatched),
-            "the comparison is vacuous unless something was dispatched"
+            cl.cell.history.iter().any(|r| r.dispatched),
+            "the check is vacuous unless something was dispatched"
         );
+        assert!(cl.ctrl_settle(300), "loop failed to quiesce");
+        assert!(!cl.ctrl_diverged());
     }
 
     #[test]
@@ -503,11 +486,10 @@ mod tests {
                 ..LoopConfig::default()
             })
             .seed(5)
-            .ctrl_plane(CtrlPlaneConfig::default())
             .build();
         cl.install_fault_plan(&plan).unwrap();
         drive(&mut cl, 48);
-        let stats = cl.ctrl().unwrap().stats();
+        let stats = cl.ctrl().stats();
         assert!(
             stats.up.lost + stats.down.lost > 0,
             "the impairment must actually bite"
@@ -561,11 +543,10 @@ mod tests {
                 ..LoopConfig::default()
             })
             .seed(5)
-            .ctrl_plane(CtrlPlaneConfig::default())
             .build();
         cl.install_fault_plan(&plan).unwrap();
         drive(&mut cl, 40);
-        let stats = cl.ctrl().unwrap().stats();
+        let stats = cl.ctrl().stats();
         assert_eq!(stats.crashes, 1);
         assert_eq!(stats.resyncs, 1);
         assert!(cl.ctrl_settle(300), "loop failed to quiesce");
@@ -590,11 +571,10 @@ mod tests {
                 ..LoopConfig::default()
             })
             .seed(5)
-            .ctrl_plane(CtrlPlaneConfig::default())
             .build();
         cl.install_fault_plan(&plan).unwrap();
         drive(&mut cl, 24);
-        let stats = cl.ctrl().unwrap().stats();
+        let stats = cl.ctrl().stats();
         assert_eq!(stats.crashes, 1);
         assert!(
             cl.guard().unwrap().in_safe_mode(),
@@ -628,7 +608,6 @@ mod tests {
                 .scheme(SchemeKind::Paraleon)
                 .guardrail(GuardrailConfig::default())
                 .seed(7)
-                .ctrl_plane(CtrlPlaneConfig::default())
                 .build()
         };
         // One interval of the `drive` pattern at global index `i` (the
@@ -653,7 +632,7 @@ mod tests {
         for i in 0..12 {
             drive_one(&mut b, i);
         }
-        let snap = b.cell.checkpoint().expect("armed loop checkpoints");
+        let snap = b.cell.checkpoint();
         b.cell.restore(&snap);
         for i in 12..24 {
             drive_one(&mut b, i);

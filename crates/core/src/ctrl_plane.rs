@@ -3,12 +3,13 @@
 //! parameter dispatches idempotently and monotonically, and the
 //! controller-side epoch/ACK/retry state machine.
 //!
-//! The closed loop's monitor→tuner→dispatch round trip normally assumes
-//! a perfect control network: every FSD upload arrives, every dispatch
-//! applies, and the controller process never dies. A production fabric
-//! offers none of that. When [`crate::ClosedLoop`] is armed with a
-//! [`CtrlPlaneConfig`], both directions of the control traffic are
-//! routed through seeded lossy channels and survive their impairments:
+//! A monitor→tuner→dispatch round trip that assumes a perfect control
+//! network — every FSD upload arrives, every dispatch applies, the
+//! controller process never dies — describes no production fabric. So
+//! the loop never assumes it: every [`crate::TunerCell`] owns a
+//! [`CtrlPlane`], both directions of the control traffic always cross
+//! its seeded, impairable channels, and [`CtrlPlaneConfig`] only tunes
+//! its knobs:
 //!
 //! * **Uploads** ([`UpMsg::Fsd`]) are sequence-numbered per monitoring
 //!   point; the controller folds whatever arrives into a
@@ -20,15 +21,14 @@
 //!   harmless, and always ACKs its current epoch. The controller keeps
 //!   one in-flight dispatch and re-sends it on ACK timeout with
 //!   exponential backoff and seeded jitter.
-//! * **Crashes** are handled by [`crate::ClosedLoop`] itself (it owns
+//! * **Crashes** are handled by [`crate::TunerCell`] itself (it owns
 //!   the tuner and guardrail state being checkpointed); the
 //!   [`CtrlSnapshot`] here covers the controller half of the protocol
 //!   state so a restore resumes mid-conversation.
 //!
-//! With a clean channel (no impairments scheduled) the armed loop is
-//! byte-identical to the direct loop: messages deliver with zero delay
-//! in send order, the merger reproduces the central merge bit-for-bit,
-//! and no retry or jitter randomness is ever drawn.
+//! With a clean channel (no impairments scheduled) messages deliver
+//! with zero delay in send order, the merger's age-0 merge is the plain
+//! central merge, and no retry or jitter randomness is ever drawn.
 
 use paraleon_monitor::{FsdUpload, StalenessMerger, DEFAULT_STALE_AFTER_INTERVALS};
 use paraleon_netsim::fasthash::mix64;
@@ -37,7 +37,7 @@ use paraleon_tuner::TuningAction;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Knobs for the hardened control plane.
+/// Knobs for the control plane.
 #[derive(Debug, Clone)]
 pub struct CtrlPlaneConfig {
     /// Intervals the controller waits for an ACK before re-sending the

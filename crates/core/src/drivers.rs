@@ -1,125 +1,44 @@
 //! Workload drivers: feed workload-crate generators into a closed loop.
 //!
-//! The generators in `paraleon-workloads` are pure; these helpers supply
-//! the glue (flow admission, completion feedback for synchronized
-//! collectives) that the examples and the experiment harness share.
+//! The generators in `paraleon-workloads` are pure; this module is the
+//! one piece of glue between them and the fabric, shared by the
+//! examples, the experiment harness, the fleet and the hunt:
+//!
+//! * [`admit_due`] — the admission rule for a pre-generated schedule
+//!   (lazy, inside a horizon of two of the loop's own λ_MI);
+//! * [`Barrier`] — a synchronized [`Collective`] driven at interval
+//!   granularity against a bare [`Engine`];
+//! * [`Stepper`] — one loop step with both attached:
+//!   `[start round if due] → [admit schedule flows] → cl.step() →
+//!   [feed completions to the collective]`.
+//!
+//! [`run_schedule`] and [`run_collective`] are `while now < until
+//! { stepper.step(cl) }`.
 
-use paraleon_netsim::{FlowId, FlowRecord};
-use paraleon_workloads::{AllToAll, Collective, FlowRequest, Progress};
+use std::collections::HashSet;
 
-use crate::closed_loop::ClosedLoop;
+use paraleon_netsim::{Engine, FlowId, FlowRecord};
+use paraleon_workloads::{Collective, FlowRequest, Progress};
+
+use crate::closed_loop::{ClosedLoop, IntervalRecord};
 use crate::Nanos;
 
-/// Admit a pre-generated (sorted-by-start) flow schedule and run the loop
-/// until `until`. Returns the number of flows admitted.
+/// Admit every flow of a sorted-by-start `schedule` whose start falls
+/// inside `now + 2·lambda`, advancing the cursor `next` past them.
 ///
-/// Flows are admitted lazily, inside a horizon of two λ_MI, so the
-/// simulator's event queue stays proportional to in-flight work. Each
-/// step advances exactly one λ_MI, so a flow starting later than the
-/// horizon is always still ahead of the clock on a later pass.
-pub fn run_schedule(cl: &mut ClosedLoop, flows: &[FlowRequest], until: Nanos) -> usize {
-    let mut admitted = 0;
-    let mut idx = 0;
-    while cl.sim.now() < until {
-        let horizon = cl.sim.now() + 2 * cl.cell.cfg.lambda_mi;
-        while idx < flows.len() && flows[idx].start <= horizon {
-            let f = flows[idx];
-            if f.start >= cl.sim.now() {
-                cl.sim.add_flow(f.src, f.dst, f.bytes, f.start);
-                admitted += 1;
-            }
-            idx += 1;
-        }
-        cl.step();
+/// Flows are admitted lazily so the simulator's event queue stays
+/// proportional to in-flight work. `lambda` must be the loop's own
+/// λ_MI: each step advances exactly one λ_MI, so a flow starting later
+/// than the horizon is still ahead of the clock on the next pass. A
+/// flow whose start is already behind the clock is admitted *now*, not
+/// dropped — offered load never disappears without a trace.
+pub fn admit_due(sim: &mut Engine, schedule: &[FlowRequest], next: &mut usize, lambda: Nanos) {
+    let horizon = sim.now() + 2 * lambda;
+    while *next < schedule.len() && schedule[*next].start <= horizon {
+        let f = schedule[*next];
+        sim.add_flow(f.src, f.dst, f.bytes, f.start.max(sim.now()));
+        *next += 1;
     }
-    admitted
-}
-
-/// Admit one wave of collective flows at the loop's current time with
-/// stable per-pair QP identity: the monitor sees one long-lived QP per
-/// (src, dst), as NCCL reuses QPs across rounds and waves.
-fn admit_wave(
-    cl: &mut ClosedLoop,
-    flows: &[FlowRequest],
-    flow_ids: &mut std::collections::HashSet<FlowId>,
-) {
-    for f in flows {
-        let qp = qp_id(f.src, f.dst);
-        let id = cl
-            .sim
-            .add_flow_on_qp(f.src, f.dst, f.bytes, cl.sim.now(), qp);
-        flow_ids.insert(id);
-    }
-}
-
-/// Run any synchronized [`Collective`] (alltoall, ring/tree allreduce,
-/// pipeline bursts) inside the loop until `until` or until the
-/// configured number of rounds completes. Returns the flow records of
-/// all completed flows belonging to the collective.
-///
-/// Barrier semantics: completions are observed at the loop's control
-/// interval (λ_MI), so wave releases and round starts quantize to
-/// interval boundaries. The quantization is identical under every
-/// tuning scheme and engine, so collective round times stay directly
-/// comparable — and serial/parallel byte-identity is preserved because
-/// admission depends only on the completion-record stream, which the
-/// conservative engine reproduces exactly.
-pub fn run_collective(
-    cl: &mut ClosedLoop,
-    coll: &mut dyn Collective,
-    start: Nanos,
-    until: Nanos,
-) -> Vec<FlowRecord> {
-    let mut records = Vec::new();
-    let mut next_round: Option<Nanos> = Some(start.max(cl.sim.now()));
-    let mut seen_completions = cl.completions.len();
-    let mut flow_ids = std::collections::HashSet::new();
-    while cl.sim.now() < until && !coll.finished() {
-        if let Some(t) = next_round {
-            if cl.sim.now() >= t {
-                let flows = coll
-                    .start_round(cl.sim.now())
-                    .expect("driver starts rounds only when the collective is idle");
-                admit_wave(cl, &flows, &mut flow_ids);
-                next_round = None;
-            }
-        }
-        cl.step();
-        // Feed completions back into the round state machine.
-        let new = cl.completions[seen_completions..].to_vec();
-        seen_completions = cl.completions.len();
-        for r in new {
-            if flow_ids.remove(&r.flow) {
-                records.push(r);
-                let progress = coll
-                    .on_flow_done(r.finish)
-                    .expect("driver only feeds completions it admitted");
-                match progress {
-                    Progress::Pending => {}
-                    Progress::NextWave(flows) => admit_wave(cl, &flows, &mut flow_ids),
-                    Progress::RoundDone { next_round: nr } => {
-                        if let Some(t) = nr {
-                            next_round = Some(t);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    records
-}
-
-/// Run an ON-OFF alltoall collective inside the loop until `until` (or
-/// until the configured number of rounds completes). Returns the flow
-/// records of all completed flows belonging to the collective. Thin
-/// wrapper over [`run_collective`].
-pub fn run_alltoall(
-    cl: &mut ClosedLoop,
-    a2a: &mut AllToAll,
-    start: Nanos,
-    until: Nanos,
-) -> Vec<FlowRecord> {
-    run_collective(cl, a2a, start, until)
 }
 
 /// Stable QP identity for a (src, dst) pair (collectives reuse QPs).
@@ -127,12 +46,182 @@ pub fn qp_id(src: usize, dst: usize) -> u64 {
     0x5150_0000_0000_0000 | ((src as u64) << 24) | dst as u64
 }
 
+/// The barrier of one synchronized [`Collective`], driven against a
+/// bare engine at whatever granularity the caller steps it.
+///
+/// Barrier semantics: completions are observed at the caller's control
+/// interval (λ_MI), so wave releases and round starts quantize to
+/// interval boundaries. The quantization is identical under every
+/// tuning scheme and engine, so collective round times stay directly
+/// comparable — and serial/parallel byte-identity is preserved because
+/// admission depends only on the completion-record stream, which the
+/// conservative engine reproduces exactly.
+pub struct Barrier {
+    next_round: Option<Nanos>,
+    in_flight: HashSet<FlowId>,
+}
+
+impl Barrier {
+    /// A barrier whose first round starts at `start` (or at the first
+    /// [`Barrier::start_due`] after it).
+    pub fn new(start: Nanos) -> Self {
+        Self {
+            next_round: Some(start),
+            in_flight: HashSet::new(),
+        }
+    }
+
+    /// Admit one wave at the engine's current time with stable per-pair
+    /// QP identity: the monitor sees one long-lived QP per (src, dst),
+    /// as NCCL reuses QPs across rounds and waves.
+    fn admit_wave(&mut self, sim: &mut Engine, wave: &[FlowRequest]) -> Result<(), String> {
+        for f in wave {
+            let id = sim
+                .try_add_flow_on_qp(f.src, f.dst, f.bytes, sim.now(), qp_id(f.src, f.dst))
+                .map_err(|e| format!("collective flow {}->{}: {e}", f.src, f.dst))?;
+            self.in_flight.insert(id);
+        }
+        Ok(())
+    }
+
+    /// Start the next round if its time has come. Errors only on a
+    /// collective whose flows the fabric refuses.
+    pub fn start_due(&mut self, sim: &mut Engine, coll: &mut dyn Collective) -> Result<(), String> {
+        if self.next_round.is_some_and(|t| sim.now() >= t) && !coll.finished() {
+            let wave = coll
+                .start_round(sim.now())
+                .map_err(|e| format!("collective round: {e}"))?;
+            self.admit_wave(sim, &wave)?;
+            self.next_round = None;
+        }
+        Ok(())
+    }
+
+    /// Feed one completion into the round state machine, releasing the
+    /// next wave when it drains the current one. Returns whether the
+    /// flow belonged to this collective.
+    pub fn on_done(
+        &mut self,
+        sim: &mut Engine,
+        coll: &mut dyn Collective,
+        done: &FlowRecord,
+    ) -> Result<bool, String> {
+        if !self.in_flight.remove(&done.flow) {
+            return Ok(false);
+        }
+        match coll
+            .on_flow_done(done.finish)
+            .map_err(|e| format!("collective completion: {e}"))?
+        {
+            Progress::Pending => {}
+            Progress::NextWave(wave) => self.admit_wave(sim, &wave)?,
+            // No round is pending while one is in flight, so this only
+            // ever replaces `None`.
+            Progress::RoundDone { next_round } => self.next_round = next_round,
+        }
+        Ok(true)
+    }
+}
+
+/// The one workload driver: steps a [`ClosedLoop`] with a flow schedule
+/// and, optionally, a synchronized collective attached. Anything a
+/// harness wants per step (printing, FCT bookkeeping) it reads from the
+/// returned record and `cl.completions`.
+pub struct Stepper<'a> {
+    schedule: &'a [FlowRequest],
+    /// Schedule flows admitted so far (the schedule cursor).
+    pub admitted: usize,
+    collective: Option<(&'a mut dyn Collective, Barrier)>,
+    /// `cl.completions` already fed to the collective.
+    seen: usize,
+    /// Completed flows that belonged to the collective.
+    pub records: Vec<FlowRecord>,
+}
+
+impl<'a> Stepper<'a> {
+    /// Drive a sorted-by-start flow schedule (possibly empty).
+    pub fn new(schedule: &'a [FlowRequest]) -> Self {
+        Self {
+            schedule,
+            admitted: 0,
+            collective: None,
+            seen: 0,
+            records: Vec::new(),
+        }
+    }
+
+    /// Also drive `coll`, its first round starting at `start`.
+    pub fn collective(mut self, coll: &'a mut dyn Collective, start: Nanos) -> Self {
+        self.collective = Some((coll, Barrier::new(start)));
+        self
+    }
+
+    /// Whether an attached collective has completed all its rounds.
+    fn collective_finished(&self) -> bool {
+        self.collective.as_ref().is_some_and(|(c, _)| c.finished())
+    }
+
+    /// One monitor interval: start the collective's round if due, admit
+    /// the schedule flows inside the horizon, step the loop, and feed
+    /// the new completions back to the collective.
+    pub fn step<'c>(&mut self, cl: &'c mut ClosedLoop) -> &'c IntervalRecord {
+        if let Some((coll, barrier)) = self.collective.as_mut() {
+            barrier
+                .start_due(&mut cl.sim, &mut **coll)
+                .expect("driver starts rounds only when the collective is idle");
+        }
+        let lambda = cl.cell.cfg.lambda_mi;
+        admit_due(&mut cl.sim, self.schedule, &mut self.admitted, lambda);
+        cl.step();
+        if let Some((coll, barrier)) = self.collective.as_mut() {
+            for i in self.seen..cl.completions.len() {
+                let done = cl.completions[i];
+                let ours = barrier
+                    .on_done(&mut cl.sim, &mut **coll, &done)
+                    .expect("driver only feeds completions it admitted");
+                if ours {
+                    self.records.push(done);
+                }
+            }
+        }
+        self.seen = cl.completions.len();
+        cl.cell.history.last().expect("just stepped")
+    }
+}
+
+/// Admit a pre-generated (sorted-by-start) flow schedule and run the loop
+/// until `until`. Returns the number of flows admitted.
+pub fn run_schedule(cl: &mut ClosedLoop, flows: &[FlowRequest], until: Nanos) -> usize {
+    let mut stepper = Stepper::new(flows);
+    while cl.sim.now() < until {
+        stepper.step(cl);
+    }
+    stepper.admitted
+}
+
+/// Run any synchronized [`Collective`] (alltoall, ring/tree allreduce,
+/// pipeline bursts) inside the loop until `until` or until the
+/// configured number of rounds completes. Returns the flow records of
+/// all completed flows belonging to the collective.
+pub fn run_collective(
+    cl: &mut ClosedLoop,
+    coll: &mut dyn Collective,
+    start: Nanos,
+    until: Nanos,
+) -> Vec<FlowRecord> {
+    let mut stepper = Stepper::new(&[]).collective(coll, start);
+    while cl.sim.now() < until && !stepper.collective_finished() {
+        stepper.step(cl);
+    }
+    stepper.records
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schemes::SchemeKind;
     use paraleon_netsim::{Topology, MILLI};
-    use paraleon_workloads::AllToAllConfig;
+    use paraleon_workloads::{AllToAll, AllToAllConfig};
 
     fn topo() -> Topology {
         Topology::two_tier_clos(2, 4, 2, 100.0, 100.0, 1_000)
@@ -180,6 +269,69 @@ mod tests {
             let n = run_schedule(&mut cl, &flows, 16 * MILLI);
             assert_eq!(n, flows.len(), "λ_MI = {lambda_ms} ms");
         }
+    }
+
+    /// The same rule with a collective attached: the stepper reads the
+    /// horizon off the loop it steps, so there is no λ_MI to guess.
+    #[test]
+    fn mixed_driver_admits_every_flow_at_any_lambda() {
+        let flows: Vec<FlowRequest> = (0..40)
+            .map(|i| FlowRequest {
+                src: i % 8,
+                dst: (i + 1) % 8,
+                bytes: 20_000,
+                start: i as Nanos * 250_000,
+            })
+            .collect();
+        for lambda_ms in [1, 2, 4, 8] {
+            let mut cl = ClosedLoop::builder(topo())
+                .scheme(SchemeKind::Expert)
+                .loop_config(crate::closed_loop::LoopConfig {
+                    lambda_mi: lambda_ms * MILLI,
+                    ..Default::default()
+                })
+                .build();
+            let mut a2a = AllToAll::new(AllToAllConfig {
+                workers: (0..4).collect(),
+                message_bytes: 100_000,
+                off_time: MILLI,
+                rounds: Some(2),
+            });
+            let mut stepper = Stepper::new(&flows).collective(&mut a2a, 0);
+            while cl.sim.now() < 64 * MILLI {
+                stepper.step(&mut cl);
+            }
+            assert_eq!(stepper.admitted, flows.len(), "λ_MI = {lambda_ms} ms");
+            assert_eq!(stepper.records.len(), 2 * 4 * 3, "λ_MI = {lambda_ms} ms");
+            assert!(a2a.finished(), "λ_MI = {lambda_ms} ms");
+            assert_eq!(
+                cl.completions.len(),
+                flows.len() + 2 * 4 * 3,
+                "λ_MI = {lambda_ms} ms: every admitted flow completes"
+            );
+        }
+    }
+
+    /// A flow whose start is already behind the clock is admitted at
+    /// the clock, not dropped.
+    #[test]
+    fn past_start_flows_are_admitted_now() {
+        let mut cl = ClosedLoop::builder(topo())
+            .scheme(SchemeKind::Expert)
+            .build();
+        cl.run_until(3 * MILLI);
+        let flows = [FlowRequest {
+            src: 0,
+            dst: 5,
+            bytes: 50_000,
+            start: MILLI,
+        }];
+        let mut next = 0;
+        admit_due(&mut cl.sim, &flows, &mut next, cl.cell.cfg.lambda_mi);
+        assert_eq!(next, 1);
+        assert!(cl.run_to_completion(20 * MILLI));
+        assert_eq!(cl.completions.len(), 1);
+        assert_eq!(cl.completions[0].start, 3 * MILLI);
     }
 
     #[test]
@@ -250,7 +402,7 @@ mod tests {
             off_time: 2 * MILLI,
             rounds: Some(3),
         });
-        let records = run_alltoall(&mut cl, &mut a2a, 0, 500 * MILLI);
+        let records = run_collective(&mut cl, &mut a2a, 0, 500 * MILLI);
         assert!(a2a.finished(), "3 rounds should finish well within 500 ms");
         assert_eq!(records.len(), 3 * 4 * 3);
         assert_eq!(a2a.round_durations.len(), 3);

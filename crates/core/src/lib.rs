@@ -21,8 +21,9 @@
 //!   KL trigger → tuning round → dispatch.
 //! * [`schemes::SchemeKind`] / [`schemes::MonitorKind`] — factories for
 //!   every tuning scheme and monitoring scheme the paper evaluates.
-//! * [`drivers`] — workload drivers (Poisson open-loop, ON-OFF alltoall)
-//!   shared by the examples and the experiment harness.
+//! * [`drivers`] — the one workload driver (schedule admission plus the
+//!   collective barrier, as [`drivers::Stepper`]) shared by the
+//!   examples, the experiment harness, the fleet and the hunt.
 //! * [`stats`] — FCT/percentile helpers used to regenerate the paper's
 //!   tables and figures.
 //!

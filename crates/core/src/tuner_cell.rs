@@ -2,11 +2,22 @@
 //!
 //! [`TunerCell`] owns everything the *controller process* holds for one
 //! fabric: the monitoring scheme, the KL change detector, the tuning
-//! scheme, the deployment guardrail, the control-plane protocol state
-//! (epochs, retry machine, upload merger), the per-interval history and
-//! the control-channel byte ledger. It deliberately does **not** own
-//! the simulated fabric: every method that needs the fabric takes the
-//! [`Engine`] as a parameter.
+//! scheme, the deployment guardrail, the control plane (both channel
+//! lanes, epochs, retry machine, upload merger), the per-interval
+//! history and the control-channel byte ledger. It deliberately does
+//! **not** own the simulated fabric: every method that needs the fabric
+//! takes the [`Engine`] as a parameter.
+//!
+//! There is one loop (Figure 2). Monitor uploads always ride the up
+//! lane into the staleness merger, and every parameter change — a tuner
+//! candidate, a guardrail correction, a post-crash resync — always
+//! leaves as an epoch-stamped dispatch on the down lane.
+//! [`TunerCell::deliver_due_dispatches`] is the only controller code
+//! that writes parameters into the fabric, which is why
+//! [`TunerCell::process_interval`] takes the engine by shared
+//! reference. On a clean channel a dispatch sent while interval `k−1`
+//! is processed lands at the start of interval `k`, before the fabric
+//! advances, and the age-0 merge is the plain merge.
 //!
 //! [`crate::ClosedLoop`] is the 1-tenant special case — one `Engine`
 //! plus one `TunerCell`, stepped in lockstep. The fleet service
@@ -164,20 +175,16 @@ pub struct TunerCell {
     /// Ground-truth classifier (same ternary semantics, exact inputs);
     /// present when `SimConfig::track_ground_truth` is set.
     truth: Option<SlidingWindowClassifier>,
-    /// Hardened control plane, when armed. `None` keeps the classic
-    /// direct loop: monitor readings merged in-process, dispatches
-    /// applied instantly.
-    ctrl: Option<CtrlPlane>,
+    /// The control plane between this controller and its fabric.
+    ctrl: CtrlPlane,
     /// Control-plane fault events (impairments, crashes) consumed by
     /// the cell at their scheduled times, sorted by time.
     ctrl_events: Vec<FaultEvent>,
     ctrl_event_idx: usize,
     /// Latest periodic checkpoint — the warm-restart target.
-    snapshot: Option<CellSnapshot>,
+    snapshot: CellSnapshot,
     /// Build-time checkpoint — the cold-restart target.
-    initial_snapshot: Option<CellSnapshot>,
-    /// Run seed (kept so late arming can derive the ctrl RNG lanes).
-    seed: u64,
+    initial_snapshot: CellSnapshot,
     /// Channel/merger counters at the end of the previous interval, for
     /// per-interval telemetry deltas.
     prev_lost: u64,
@@ -185,22 +192,73 @@ pub struct TunerCell {
     prev_stale_rejected: u64,
 }
 
+/// What the monitoring stage concluded about one interval.
+struct Monitored {
+    /// Staleness-weighted network-wide FSD.
+    fsd: Fsd,
+    triggered: bool,
+    dominant: FlowType,
+    mu: f64,
+    fsd_accuracy: Option<f64>,
+}
+
+/// The interval's utility-function terms and value.
+struct Scored {
+    sample: MetricSample,
+    utility: f64,
+}
+
+/// What the guardrail did about the previous dispatch.
+#[derive(Default)]
+struct Verdict {
+    /// The guard corrected the fabric this interval (rollback or
+    /// safe-mode entry), so the scheme is not consulted: a fresh
+    /// candidate would overwrite the correction at the same instant.
+    acted: bool,
+    rolled_back: bool,
+    safe_mode: bool,
+    /// Wire bytes of the guard's own correction.
+    dispatch_bytes: u64,
+}
+
 impl TunerCell {
     /// Build a cell. `initial` is the parameter set the fabric boots
     /// with (the cell's initial believed parameters); `truth` carries
-    /// the ground-truth classifier when the simulator tracks it.
+    /// the ground-truth classifier when the simulator tracks it; `ctrl`
+    /// configures the control plane, whose RNG lanes derive from `seed`.
+    /// The checkpoint taken here is the cold-restart target.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         monitor: Box<dyn FsdMonitor>,
         scheme: Box<dyn TuningScheme>,
-        guard: Option<Guardrail>,
+        mut guard: Option<Guardrail>,
         cfg: LoopConfig,
+        ctrl: CtrlPlaneConfig,
         initial: DcqcnParams,
         truth: Option<SlidingWindowClassifier>,
         seed: u64,
     ) -> Self {
+        // The guardrail's backoff jitter joins the run's control-plane
+        // fault randomness: same seed, decorrelated lane.
+        if let Some(g) = guard.as_mut() {
+            g.seed_jitter(mix64(seed ^ 0x6A4D));
+        }
+        let detector = ChangeDetector::new(cfg.theta);
+        let ctrl = CtrlPlane::new(ctrl, seed);
+        let boot = || CellSnapshot {
+            scheme: scheme.snapshot_state(),
+            guard: guard.clone(),
+            detector: detector.clone(),
+            ctrl: ctrl.snapshot(),
+            believed: initial,
+            window_fsd: Fsd::empty(),
+            window_count: 0,
+            first_interval: true,
+        };
+        let (snapshot, initial_snapshot) = (boot(), boot());
         TunerCell {
             monitor,
-            detector: ChangeDetector::new(cfg.theta),
+            detector,
             scheme,
             guard,
             cfg,
@@ -215,12 +273,11 @@ impl TunerCell {
             window_fsd: Fsd::empty(),
             window_count: 0,
             truth,
-            ctrl: None,
+            ctrl,
             ctrl_events: Vec::new(),
             ctrl_event_idx: 0,
-            snapshot: None,
-            initial_snapshot: None,
-            seed,
+            snapshot,
+            initial_snapshot,
             prev_lost: 0,
             prev_duplicated: 0,
             prev_stale_rejected: 0,
@@ -249,75 +306,46 @@ impl TunerCell {
         self.guard.as_ref()
     }
 
-    /// The hardened control plane, when armed.
-    pub fn ctrl(&self) -> Option<&CtrlPlane> {
-        self.ctrl.as_ref()
-    }
-
-    /// Route all control traffic through the hardened, impairable
-    /// control plane. With no impairments scheduled the armed cell is
-    /// byte-identical to the direct cell, so arming is always safe; it
-    /// is required before control-plane fault events can do anything.
-    /// No-op if already armed. The checkpoint taken here is the
-    /// cold-restart target, so arm before stepping.
-    pub fn arm_ctrl(&mut self, cfg: CtrlPlaneConfig) {
-        if self.ctrl.is_some() {
-            return;
-        }
-        self.ctrl = Some(CtrlPlane::new(cfg, self.seed));
-        // The guardrail's backoff jitter joins the run's control-plane
-        // fault randomness: same seed, decorrelated lane.
-        if let Some(g) = self.guard.as_mut() {
-            g.seed_jitter(mix64(self.seed ^ 0x6A4D));
-        }
-        self.initial_snapshot = self.checkpoint();
-        self.snapshot = self.checkpoint();
+    /// The control plane (channel lanes, protocol state, counters).
+    pub fn ctrl(&self) -> &CtrlPlane {
+        &self.ctrl
     }
 
     /// Queue the control-plane half of a fault plan (impairments and
-    /// crashes), arming the hardened control plane with default knobs
-    /// if needed. Data-plane events go to the simulator separately.
+    /// crashes). Data-plane events go to the simulator separately.
     pub fn install_ctrl_events(&mut self, plan: &FaultPlan) {
-        if self.ctrl.is_none() && plan.events().iter().any(|e| e.kind.is_ctrl()) {
-            self.arm_ctrl(CtrlPlaneConfig::default());
-        }
         self.ctrl_events
             .extend(plan.events().iter().filter(|e| e.kind.is_ctrl()));
         self.ctrl_events.sort_by_key(|e| e.at);
     }
 
     /// Whether the fabric's applied global parameters differ from what
-    /// the controller believes it deployed — the end-state a hardened
-    /// control plane must drive back to `false` after any fault.
+    /// the controller believes it deployed — the end-state the control
+    /// plane must drive back to `false` after any fault.
     pub fn ctrl_diverged(&self, sim: &Engine) -> bool {
         *sim.dcqcn_params() != self.last_params
     }
 
     /// Whether the control-plane conversation is quiet: no dispatch
-    /// awaits its ACK and nothing is in flight on either lane. Always
-    /// true for an unarmed cell.
+    /// awaits its ACK and nothing is in flight on either lane.
     pub fn ctrl_quiet(&self) -> bool {
-        match self.ctrl.as_ref() {
-            Some(c) => !c.has_pending() && c.down.in_flight() == 0 && c.up.in_flight() == 0,
-            None => true,
-        }
+        let c = &self.ctrl;
+        !c.has_pending() && c.down.in_flight() == 0 && c.up.in_flight() == 0
     }
 
     /// Checkpoint the controller process (tuner, guardrail, detector,
-    /// protocol state, believed parameters). `None` when the control
-    /// plane is not armed.
-    pub fn checkpoint(&self) -> Option<CellSnapshot> {
-        let ctrl = self.ctrl.as_ref()?;
-        Some(CellSnapshot {
+    /// protocol state, believed parameters).
+    pub fn checkpoint(&self) -> CellSnapshot {
+        CellSnapshot {
             scheme: self.scheme.snapshot_state(),
             guard: self.guard.clone(),
             detector: self.detector.clone(),
-            ctrl: ctrl.snapshot(),
+            ctrl: self.ctrl.snapshot(),
             believed: self.last_params,
             window_fsd: self.window_fsd.clone(),
             window_count: self.window_count,
             first_interval: self.first_interval,
-        })
+        }
     }
 
     /// Restore the controller state from a checkpoint, with no crash
@@ -332,9 +360,7 @@ impl TunerCell {
         }
         self.guard = snap.guard.clone();
         self.detector = snap.detector.clone();
-        if let Some(ctrl) = self.ctrl.as_mut() {
-            ctrl.restore(&snap.ctrl);
-        }
+        self.ctrl.restore(&snap.ctrl);
         self.last_params = snap.believed;
         self.window_fsd = snap.window_fsd.clone();
         self.window_count = snap.window_count;
@@ -351,39 +377,36 @@ impl TunerCell {
     /// at a fresh epoch so fabric and controller re-converge. The fleet
     /// service uses this to restore a whole fleet mid-run.
     pub fn crash_restore(&mut self, snap: &CellSnapshot, k: u64) {
-        tel::event(tel::Event::CtrlCrash { warm: true });
-        {
-            let ctrl = self
-                .ctrl
-                .as_mut()
-                .expect("crash_restore requires an armed control plane");
-            ctrl.crashes += 1;
-            ctrl.up.clear_in_flight();
-        }
+        self.die(true);
         self.restore(snap);
         self.resync(k);
+    }
+
+    /// The controller process dies. In-flight messages addressed to it
+    /// die with it; dispatches already in the network keep flying.
+    fn die(&mut self, warm: bool) {
+        tel::event(tel::Event::CtrlCrash { warm });
+        self.ctrl.crashes += 1;
+        self.ctrl.up.clear_in_flight();
     }
 
     /// Re-assert the believed parameters toward the fabric at a fresh
     /// epoch (the post-restore convergence step).
     fn resync(&mut self, k: u64) {
         let believed = self.last_params;
-        let ctrl = self.ctrl.as_mut().expect("resync requires arming");
-        ctrl.resyncs += 1;
-        ctrl.extra_dispatch_bytes += believed.wire_size_bytes() as u64;
-        let epoch = ctrl.send_dispatch(k, TuningAction::Global(believed));
+        self.ctrl.resyncs += 1;
+        self.ctrl.extra_dispatch_bytes += believed.wire_size_bytes() as u64;
+        let epoch = self.ctrl.send_dispatch(k, TuningAction::Global(believed));
         tel::event(tel::Event::CtrlResync { epoch });
     }
 
     /// Deliver dispatches due at the start of interval `k` and apply
-    /// them at the fabric. A clean-channel dispatch sent during interval
-    /// `k−1`'s controller phase lands here, before the fabric advances —
-    /// the same simulator state and telemetry timestamp the direct
-    /// loop's immediate apply saw.
+    /// them at the fabric — the one place the controller's decisions
+    /// reach the simulator. A clean-channel dispatch sent during
+    /// interval `k−1`'s controller phase lands here, before the fabric
+    /// advances.
     pub fn deliver_due_dispatches(&mut self, sim: &mut Engine, k: u64) {
-        let Some(ctrl) = self.ctrl.as_mut() else {
-            return;
-        };
+        let ctrl = &mut self.ctrl;
         for msg in ctrl.down.deliver(k) {
             let (action, acked) = ctrl.fabric.on_dispatch(msg);
             ctrl.up.send(k, UpMsg::Ack { epoch: acked });
@@ -399,6 +422,8 @@ impl TunerCell {
                         scope: tel::DispatchScope::PerSwitch,
                     });
                     for (idx, p) in updates {
+                        // `set_switch_ecn` bounds-checks; an out-of-range
+                        // index simply does not reach any switch.
                         let _ = sim.set_switch_ecn(idx, &p);
                     }
                 }
@@ -411,9 +436,9 @@ impl TunerCell {
     /// and ACKs in, emit retry events for epoch-behind re-sends, and
     /// return the staleness-weighted network-wide FSD. A clean channel
     /// delivers everything in send order with no delay, and the merger's
-    /// zero-age merge is bit-identical to the direct in-process merge.
+    /// zero-age merge is the plain in-process merge.
     fn ctrl_receive(&mut self, k: u64) -> Fsd {
-        let ctrl = self.ctrl.as_mut().expect("ctrl_receive requires arming");
+        let ctrl = &mut self.ctrl;
         let mut resent = Vec::new();
         for msg in ctrl.up.deliver(k) {
             match msg {
@@ -459,17 +484,26 @@ impl TunerCell {
                         delay_max,
                         dup,
                     };
-                    let ctrl = self.ctrl.as_mut().expect("ctrl events require arming");
                     if up {
-                        ctrl.up.set_impairment(imp);
+                        self.ctrl.up.set_impairment(imp);
                     }
                     if down {
-                        ctrl.down.set_impairment(imp);
+                        self.ctrl.down.set_impairment(imp);
                     }
                 }
                 FaultKind::CtrlCrash { warm } => self.handle_crash(warm, k),
                 _ => {}
             }
+        }
+    }
+
+    /// The cell's own restart target: the latest periodic checkpoint
+    /// (warm) or the build-time one (cold).
+    fn own_checkpoint(&mut self, warm: bool) -> &mut CellSnapshot {
+        if warm {
+            &mut self.snapshot
+        } else {
+            &mut self.initial_snapshot
         }
     }
 
@@ -480,28 +514,13 @@ impl TunerCell {
     /// the believed parameters are re-asserted at a fresh epoch so the
     /// fabric and controller re-converge.
     fn handle_crash(&mut self, warm: bool, k: u64) {
-        tel::event(tel::Event::CtrlCrash { warm });
-        {
-            let ctrl = self.ctrl.as_mut().expect("crash requires arming");
-            ctrl.crashes += 1;
-            // In-flight messages addressed to the dead process die with
-            // it; dispatches already in the network keep flying.
-            ctrl.up.clear_in_flight();
-        }
-        let slot = if warm {
-            &mut self.snapshot
-        } else {
-            &mut self.initial_snapshot
-        };
-        if let Some(snap) = slot.take() {
-            self.restore(&snap);
-            let slot = if warm {
-                &mut self.snapshot
-            } else {
-                &mut self.initial_snapshot
-            };
-            *slot = Some(snap);
-        }
+        self.die(warm);
+        // `restore` borrows the whole cell, so the checkpoint it reads
+        // is lent out of its slot against a throwaway one for the call.
+        let placeholder = self.checkpoint();
+        let snap = std::mem::replace(self.own_checkpoint(warm), placeholder);
+        self.restore(&snap);
+        *self.own_checkpoint(warm) = snap;
         if !warm {
             if let Some(g) = self.guard.as_mut() {
                 let GuardAction::EnterSafeMode {
@@ -523,13 +542,27 @@ impl TunerCell {
     /// Execute one monitor-tune-dispatch round over the metrics the
     /// fabric produced for one λ_MI. This is the controller's half of
     /// [`crate::ClosedLoop::step`]; the caller has already advanced the
-    /// fabric and harvested completions. Returns the interval's record.
-    pub fn process_interval(
-        &mut self,
-        sim: &mut Engine,
-        metrics: &IntervalMetrics,
-    ) -> &IntervalRecord {
-        let interval_idx = self.interval_index();
+    /// fabric and harvested completions. The fabric is read, never
+    /// written: whatever this round decides leaves on the dispatch lane
+    /// and lands through [`TunerCell::deliver_due_dispatches`]. Returns
+    /// the interval's record.
+    pub fn process_interval(&mut self, sim: &Engine, metrics: &IntervalMetrics) -> &IntervalRecord {
+        let k = self.begin_interval(metrics);
+        let seen = self.monitor_stage(k, metrics);
+        let scored = self.score_stage(sim, metrics, &seen);
+        let verdict = self.guard_stage(k, sim, metrics, scored.utility);
+        let candidate = self.scheme_stage(sim, metrics, &seen, &scored, verdict.acted);
+        let (action, rejected) = self.screen_stage(sim, candidate);
+        let dispatched = action.is_some() || verdict.acted;
+        self.dispatch_stage(k, sim, action, verdict.dispatch_bytes);
+        self.record_stage(metrics, seen, scored, verdict, rejected, dispatched)
+    }
+
+    /// Begin: audit the interval's shape, stamp the telemetry clock and
+    /// consume the control-plane fault events scheduled inside it.
+    /// Returns the interval index.
+    fn begin_interval(&mut self, metrics: &IntervalMetrics) -> u64 {
+        let k = self.interval_index();
         // Audit: every monitor upload must cover exactly one λ_MI and end
         // on a λ_MI boundary (all sim advancement goes through the loop).
         paraleon_audit::check(
@@ -550,29 +583,20 @@ impl TunerCell {
         // Control-plane fault transitions scheduled inside this interval
         // take effect now, before this interval's uploads are sent: an
         // impairment degrades them, a crash loses what was in flight.
-        if self.ctrl.is_some() {
-            self.process_ctrl_events(metrics.end, interval_idx);
-        }
+        self.process_ctrl_events(metrics.end, k);
+        k
+    }
 
-        // --- Monitoring half (switch CP agents + controller merge). ---
+    /// Monitor (switch CP agents + controller merge): uploads → up lane
+    /// → merge → window/trigger → accuracy.
+    fn monitor_stage(&mut self, k: u64, metrics: &IntervalMetrics) -> Monitored {
         let t0 = Instant::now();
-        let fsd = if self.ctrl.is_some() {
-            // Device side: sequence-numbered per-point uploads onto the
-            // (possibly impaired) up lane.
-            let ups = self
-                .monitor
-                .uploads(&metrics.tor_sketches, metrics.end, interval_idx);
-            if let Some(ctrl) = self.ctrl.as_mut() {
-                for u in ups {
-                    ctrl.up.send(interval_idx, UpMsg::Fsd(u));
-                }
-            }
-            self.ctrl_receive(interval_idx)
-        } else {
-            self.monitor
-                .on_interval(&metrics.tor_sketches, metrics.end)
-                .unwrap_or_else(Fsd::empty)
-        };
+        // Device side: sequence-numbered per-point uploads onto the
+        // (possibly impaired) up lane.
+        for u in self.monitor.uploads(&metrics.tor_sketches, metrics.end, k) {
+            self.ctrl.up.send(k, UpMsg::Fsd(u));
+        }
+        let fsd = self.ctrl_receive(k);
         // Trigger check at window granularity over the aggregated FSD.
         self.window_fsd.merge(&fsd);
         self.window_count += 1;
@@ -600,8 +624,19 @@ impl TunerCell {
             }
         });
         self.monitor_cpu += t0.elapsed();
+        Monitored {
+            fsd,
+            triggered,
+            dominant,
+            mu,
+            fsd_accuracy,
+        }
+    }
 
-        // --- Utility function. ---
+    /// Utility function (Eq. 1) plus the per-interval series behind
+    /// Figures 8/9/12/14 (entity 0 = fabric-wide, switch series keyed by
+    /// switch index).
+    fn score_stage(&self, sim: &Engine, metrics: &IntervalMetrics, seen: &Monitored) -> Scored {
         let sample = MetricSample::new(
             metrics.avg_uplink_utilization,
             metrics.avg_normalized_rtt,
@@ -617,9 +652,7 @@ impl TunerCell {
                 value: utility,
             },
         );
-
-        // --- Telemetry: the per-interval series behind Figures 8/9/12/14
-        // (entity 0 = fabric-wide, switch series keyed by switch index).
+        let mu = seen.mu;
         tel::gauge_set(tel::Gauge::LastUtility, utility);
         tel::gauge_set(tel::Gauge::Mu, mu);
         tel::gauge_set(tel::Gauge::ActiveFlows, sim.active_flows() as f64);
@@ -633,15 +666,15 @@ impl TunerCell {
         tel::series(
             "mu_mice",
             0,
-            match dominant {
+            match seen.dominant {
                 FlowType::Mice => mu,
                 _ => 1.0 - mu,
             },
         );
-        tel::series("triggered", 0, if triggered { 1.0 } else { 0.0 });
+        tel::series("triggered", 0, if seen.triggered { 1.0 } else { 0.0 });
         tel::series("cnps", 0, metrics.cnps as f64);
         tel::series("pfc_events", 0, metrics.pfc_events as f64);
-        if let Some(acc) = fsd_accuracy {
+        if let Some(acc) = seen.fsd_accuracy {
             tel::series("fsd_accuracy", 0, acc);
         }
         // Under fault injection unreachable switches are absent from
@@ -654,21 +687,24 @@ impl TunerCell {
             tel::series("switch_marking_rate", idx, s.marking_rate);
             tel::series("switch_queue_frac", idx, s.queue_frac);
         }
+        Scored { sample, utility }
+    }
 
-        // --- Guardrail: judge the previous dispatch on this interval's
-        // health before the tuner gets to emit a new candidate.
+    /// Guardrail: judge the previous dispatch on this interval's health
+    /// before the tuner gets to emit a new candidate.
+    fn guard_stage(
+        &mut self,
+        k: u64,
+        sim: &Engine,
+        metrics: &IntervalMetrics,
+        utility: f64,
+    ) -> Verdict {
+        let n_hosts = sim.topology().n_hosts();
         let reporting: Vec<usize> = metrics
             .switch_obs
             .iter()
             .map(|s| s.node - n_hosts)
             .collect();
-        let mut rejected = false;
-        let mut rolled_back = false;
-        let mut guard_dispatch_bytes = 0u64;
-        // When the guard corrects the fabric this interval, the scheme is
-        // not consulted: a fresh candidate would overwrite the correction
-        // at the same instant.
-        let mut guard_acted = false;
         let guard_action = self.guard.as_mut().and_then(|guard| {
             guard.observe(
                 utility,
@@ -677,46 +713,59 @@ impl TunerCell {
                 &reporting,
             )
         });
-        match guard_action {
+        let mut verdict = Verdict::default();
+        let correction = match guard_action {
             Some(GuardAction::Rollback(p)) => {
                 tel::event(tel::Event::GuardrailRollback);
-                self.push_params(sim, interval_idx, &p);
-                guard_dispatch_bytes += p.wire_size_bytes() as u64;
-                self.last_params = p;
-                self.scheme
-                    .on_feedback(&TuningFeedback::RolledBack { restored: p });
-                rolled_back = true;
-                guard_acted = true;
+                verdict.rolled_back = true;
+                Some((p, TuningFeedback::RolledBack { restored: p }))
             }
             Some(GuardAction::EnterSafeMode {
                 params,
                 backoff_intervals,
             }) => {
                 tel::event(tel::Event::SafeModeEnter { backoff_intervals });
-                self.push_params(sim, interval_idx, &params);
-                guard_dispatch_bytes += params.wire_size_bytes() as u64;
-                self.last_params = params;
-                self.scheme
-                    .on_feedback(&TuningFeedback::Frozen { fallback: params });
-                guard_acted = true;
+                Some((params, TuningFeedback::Frozen { fallback: params }))
             }
             Some(GuardAction::ExitSafeMode) => {
                 tel::event(tel::Event::SafeModeExit);
                 self.scheme.on_feedback(&TuningFeedback::Unfrozen);
+                None
             }
-            None => {}
+            None => None,
+        };
+        if let Some((p, feedback)) = correction {
+            self.send_dispatch(k, TuningAction::Global(p));
+            self.scheme.on_feedback(&feedback);
+            verdict.dispatch_bytes = p.wire_size_bytes() as u64;
+            verdict.acted = true;
         }
-        let safe_mode = self.guard.as_ref().is_some_and(Guardrail::in_safe_mode);
-        tel::series("safe_mode", 0, if safe_mode { 1.0 } else { 0.0 });
+        verdict.safe_mode = self.guard.as_ref().is_some_and(Guardrail::in_safe_mode);
+        tel::series("safe_mode", 0, if verdict.safe_mode { 1.0 } else { 0.0 });
+        verdict
+    }
 
-        // --- Tuning half. ---
+    /// Scheme step: hand the interval's observation to the tuner, unless
+    /// the guard just corrected the fabric.
+    fn scheme_stage(
+        &mut self,
+        sim: &Engine,
+        metrics: &IntervalMetrics,
+        seen: &Monitored,
+        scored: &Scored,
+        guard_acted: bool,
+    ) -> Option<TuningAction> {
+        if guard_acted {
+            return None;
+        }
+        let n_hosts = sim.topology().n_hosts();
         let obs = Observation {
             now: metrics.end,
-            utility,
-            sample,
-            dominant,
-            mu,
-            tuning_triggered: triggered,
+            utility: scored.utility,
+            sample: scored.sample,
+            dominant: seen.dominant,
+            mu: seen.mu,
+            tuning_triggered: seen.triggered,
             switch_obs: metrics
                 .switch_obs
                 .iter()
@@ -728,64 +777,77 @@ impl TunerCell {
                 })
                 .collect(),
         };
-        let action = if guard_acted {
-            None
-        } else {
-            let t1 = Instant::now();
-            let action = self.scheme.on_interval(&obs);
-            self.tuner_cpu += t1.elapsed();
-            action
-        };
+        let t1 = Instant::now();
+        let action = self.scheme.on_interval(&obs);
+        self.tuner_cpu += t1.elapsed();
+        action
+    }
 
-        // --- Screen, dispatch + control-channel accounting. ---
-        let action = match (action, self.guard.as_mut()) {
-            (Some(a), Some(guard)) => match guard.screen(a, sim.n_switches()) {
-                ScreenOutcome::Dispatch(a) => Some(a),
-                ScreenOutcome::Rejected(reason) => {
-                    tel::event(tel::Event::GuardrailReject);
-                    tel::series("guardrail_reject", 0, 1.0);
-                    let _ = reason; // carried in telemetry counters
-                    self.scheme.on_feedback(&TuningFeedback::Rejected {
-                        deployed: self.last_params,
-                    });
-                    rejected = true;
-                    None
-                }
-                ScreenOutcome::Suppressed => None,
-            },
-            (a, _) => a,
+    /// Screen the tuner's candidate through the guardrail. Returns what
+    /// may be dispatched and whether the candidate was refused.
+    fn screen_stage(
+        &mut self,
+        sim: &Engine,
+        candidate: Option<TuningAction>,
+    ) -> (Option<TuningAction>, bool) {
+        let Some(guard) = self.guard.as_mut() else {
+            return (candidate, false);
         };
-        let dispatched = action.is_some() || rolled_back || guard_acted;
-        let dispatch_bytes = action
-            .as_ref()
-            .map(|a| self.scheme.dispatch_bytes(a))
-            .unwrap_or(0)
-            + guard_dispatch_bytes;
-        if let Some(action) = action {
-            self.apply(sim, interval_idx, action);
-        }
-        // Re-send the in-flight dispatch when its ACK timed out, and
-        // surface this interval's channel losses as counters.
-        if let Some(ctrl) = self.ctrl.as_mut() {
-            if let Some(epoch) = ctrl.check_retry(interval_idx) {
-                tel::event(tel::Event::CtrlRetry { epoch });
+        let Some(candidate) = candidate else {
+            return (None, false);
+        };
+        match guard.screen(candidate, sim.n_switches()) {
+            ScreenOutcome::Dispatch(a) => (Some(a), false),
+            ScreenOutcome::Rejected(_) => {
+                // The reason is carried in the guard's own counters.
+                tel::event(tel::Event::GuardrailReject);
+                tel::series("guardrail_reject", 0, 1.0);
+                self.scheme.on_feedback(&TuningFeedback::Rejected {
+                    deployed: self.last_params,
+                });
+                (None, true)
             }
-            let lost = ctrl.up.stats.lost + ctrl.down.stats.lost;
-            let duplicated = ctrl.up.stats.duplicated + ctrl.down.stats.duplicated;
-            let stale = ctrl.merger.rejected;
-            tel::count_n(tel::Ctr::CtrlMsgsLost, lost - self.prev_lost);
-            tel::count_n(
-                tel::Ctr::CtrlMsgsDuplicated,
-                duplicated - self.prev_duplicated,
-            );
-            tel::count_n(
-                tel::Ctr::CtrlStaleRejected,
-                stale - self.prev_stale_rejected,
-            );
-            self.prev_lost = lost;
-            self.prev_duplicated = duplicated;
-            self.prev_stale_rejected = stale;
+            ScreenOutcome::Suppressed => (None, false),
         }
+    }
+
+    /// Dispatch + control-channel accounting: send the screened action,
+    /// re-send the in-flight dispatch when its ACK timed out, surface
+    /// this interval's channel losses as counters, and record the
+    /// interval's control traffic in the ledger (Table IV).
+    fn dispatch_stage(
+        &mut self,
+        k: u64,
+        sim: &Engine,
+        action: Option<TuningAction>,
+        guard_dispatch_bytes: u64,
+    ) {
+        let mut dispatch_bytes = guard_dispatch_bytes;
+        if let Some(action) = action {
+            dispatch_bytes += self.scheme.dispatch_bytes(&action);
+            self.send_dispatch(k, action);
+        }
+        let ctrl = &mut self.ctrl;
+        if let Some(epoch) = ctrl.check_retry(k) {
+            tel::event(tel::Event::CtrlRetry { epoch });
+        }
+        let lost = ctrl.up.stats.lost + ctrl.down.stats.lost;
+        let duplicated = ctrl.up.stats.duplicated + ctrl.down.stats.duplicated;
+        let stale = ctrl.merger.rejected;
+        tel::count_n(tel::Ctr::CtrlMsgsLost, lost - self.prev_lost);
+        tel::count_n(
+            tel::Ctr::CtrlMsgsDuplicated,
+            duplicated - self.prev_duplicated,
+        );
+        tel::count_n(
+            tel::Ctr::CtrlStaleRejected,
+            stale - self.prev_stale_rejected,
+        );
+        self.prev_lost = lost;
+        self.prev_duplicated = duplicated;
+        self.prev_stale_rejected = stale;
+        let ctrl_extra = std::mem::take(&mut ctrl.extra_dispatch_bytes);
+
         let rnic_upload = sim.topology().n_hosts() as u64 * MetricSample::wire_size_bytes() as u64;
         let switch_metric_upload = sim.n_switches() as u64 * MetricSample::wire_size_bytes() as u64;
         let uploaded_total = self.monitor.uploaded_bytes();
@@ -794,91 +856,59 @@ impl TunerCell {
         // but the ledger must not be able to underflow regardless.
         let fsd_upload = uploaded_total.saturating_sub(self.prev_uploaded);
         self.prev_uploaded = uploaded_total;
-        let ctrl_extra = self
-            .ctrl
-            .as_mut()
-            .map(|c| std::mem::take(&mut c.extra_dispatch_bytes))
-            .unwrap_or(0);
         self.ledger.record_interval(
             fsd_upload + switch_metric_upload,
             rnic_upload,
             dispatch_bytes + ctrl_extra,
         );
+    }
 
-        self.last_fsd = fsd;
+    /// Record the interval in the history and take the periodic
+    /// controller checkpoint — the warm-restart target.
+    fn record_stage(
+        &mut self,
+        metrics: &IntervalMetrics,
+        seen: Monitored,
+        scored: Scored,
+        verdict: Verdict,
+        rejected: bool,
+        dispatched: bool,
+    ) -> &IntervalRecord {
+        self.last_fsd = seen.fsd;
         self.history.push(IntervalRecord {
             t: metrics.end,
             goodput: metrics.goodput_bytes_per_sec(),
             avg_rtt_ns: metrics.avg_rtt_ns,
-            utility,
-            o_tp: sample.o_tp,
-            o_rtt: sample.o_rtt,
-            o_pfc: sample.o_pfc,
-            dominant,
-            mu,
-            triggered,
+            utility: scored.utility,
+            o_tp: scored.sample.o_tp,
+            o_rtt: scored.sample.o_rtt,
+            o_pfc: scored.sample.o_pfc,
+            dominant: seen.dominant,
+            mu: seen.mu,
+            triggered: seen.triggered,
             dispatched,
             rejected,
-            rolled_back,
-            safe_mode,
+            rolled_back: verdict.rolled_back,
+            safe_mode: verdict.safe_mode,
             cnps: metrics.cnps,
             pfc_events: metrics.pfc_events,
-            fsd_accuracy,
+            fsd_accuracy: seen.fsd_accuracy,
         });
-        // Periodic controller checkpoint — the warm-restart target.
-        let checkpoint_due = self
-            .ctrl
-            .as_ref()
-            .map(|c| c.cfg.snapshot_every_intervals.max(1))
-            .is_some_and(|every| (interval_idx + 1).is_multiple_of(every));
-        if checkpoint_due {
+        let every = self.ctrl.cfg.snapshot_every_intervals.max(1);
+        if self.interval_index().is_multiple_of(every) {
             self.snapshot = self.checkpoint();
         }
         self.history.last().expect("just pushed")
     }
 
-    /// Apply a screened tuner action: instantly in the direct loop, via
-    /// an epoch-stamped dispatch in ctrl mode. Either way the believed
-    /// parameters update at dispatch time — that is the controller's
-    /// claim the fabric must converge to.
-    fn apply(&mut self, sim: &mut Engine, k: u64, action: TuningAction) {
-        if let Some(ctrl) = self.ctrl.as_mut() {
-            if let TuningAction::Global(p) = &action {
-                self.last_params = *p;
-            }
-            ctrl.send_dispatch(k, action);
-            return;
+    /// Send one parameter change toward the fabric as an epoch-stamped
+    /// dispatch. The believed parameters update at dispatch time — that
+    /// is the controller's claim the fabric must converge to.
+    fn send_dispatch(&mut self, k: u64, action: TuningAction) {
+        if let TuningAction::Global(p) = &action {
+            self.last_params = *p;
         }
-        match action {
-            TuningAction::Global(p) => {
-                tel::event(tel::Event::Dispatch {
-                    scope: tel::DispatchScope::Global,
-                });
-                sim.set_dcqcn_params(&p);
-                self.last_params = p;
-            }
-            TuningAction::PerSwitchEcn(updates) => {
-                tel::event(tel::Event::Dispatch {
-                    scope: tel::DispatchScope::PerSwitch,
-                });
-                for (idx, p) in updates {
-                    // `set_switch_ecn` bounds-checks; an out-of-range
-                    // index simply does not reach any switch.
-                    let _ = sim.set_switch_ecn(idx, &p);
-                }
-            }
-        }
-    }
-
-    /// Push one guardrail correction at the fabric: instantly in the
-    /// direct loop, via an epoch-stamped dispatch in ctrl mode.
-    fn push_params(&mut self, sim: &mut Engine, k: u64, p: &DcqcnParams) {
-        match self.ctrl.as_mut() {
-            Some(ctrl) => {
-                ctrl.send_dispatch(k, TuningAction::Global(*p));
-            }
-            None => sim.set_dcqcn_params(p),
-        }
+        self.ctrl.send_dispatch(k, action);
     }
 
     /// Estimated controller-resident bytes for this cell: the struct
@@ -889,11 +919,9 @@ impl TunerCell {
         let mut total = std::mem::size_of::<Self>();
         total += self.history.capacity() * std::mem::size_of::<IntervalRecord>();
         total += self.ctrl_events.capacity() * std::mem::size_of::<FaultEvent>();
-        if let Some(c) = self.ctrl.as_ref() {
-            // Each retained merger point holds one FSD (3 f64 bins +
-            // bookkeeping) plus the BTreeMap node.
-            total += c.merger.n_points() * (std::mem::size_of::<Fsd>() + 64);
-        }
+        // Each retained merger point holds one FSD (3 f64 bins +
+        // bookkeeping) plus the BTreeMap node.
+        total += self.ctrl.merger.n_points() * (std::mem::size_of::<Fsd>() + 64);
         total
     }
 }

@@ -273,7 +273,7 @@ impl FleetService {
                     }
                     let pending = t.queue.pop().expect("queue checked non-empty");
                     tel::set_tenant(t.id);
-                    t.cell.process_interval(&mut t.sim, &pending.metrics);
+                    t.cell.process_interval(&t.sim, &pending.metrics);
                     tel::set_tenant(0);
                     turns += 1;
                 }
@@ -651,12 +651,10 @@ mod tests {
         tel::reset();
         tel::set_tenant(1);
         let mut cl = spec.closed_loop();
-        let mut next = 0usize;
+        let mut stepper = drivers::Stepper::new(&spec.schedule);
         for on in FLIPS {
             tel::set_enabled(on);
-            let lambda = cl.cell.cfg.lambda_mi;
-            crate::tenant::admit_due(&mut cl.sim, &spec.schedule, &mut next, lambda);
-            cl.step();
+            stepper.step(&mut cl);
         }
         tel::set_enabled(false);
         tel::set_tenant(0);

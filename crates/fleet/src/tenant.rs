@@ -12,7 +12,9 @@
 //! scheduler keeps up (the default config guarantees one turn per
 //! interval), the operation sequence the cell observes is identical to
 //! [`ClosedLoop::step`]'s — which is the fleet's headline byte-identity
-//! property, checked against [`standalone_run`].
+//! property, checked against [`standalone_run`]. Flow admission is not
+//! re-implemented here: the tenant and the standalone comparator both
+//! call [`drivers::admit_due`], the rule every workload driver uses.
 
 use paraleon::prelude::*;
 use paraleon::Nanos;
@@ -40,9 +42,7 @@ pub struct TenantSpec {
     pub monitor: MonitorKind,
     /// Optional deployment guardrail.
     pub guardrail: Option<GuardrailConfig>,
-    /// Control-plane knobs. Always armed: the fleet checkpoint requires
-    /// it, and an armed clean channel is byte-identical to the direct
-    /// loop anyway.
+    /// Control-plane knobs.
     pub ctrl: CtrlPlaneConfig,
     /// Closed-loop knobs (λ_MI, utility weights, trigger).
     pub loop_cfg: LoopConfig,
@@ -103,38 +103,15 @@ impl TenantSpec {
     }
 }
 
-/// Admit every scheduled flow whose requested start falls within the
-/// 2·λ_MI lookahead horizon. Shared verbatim by [`Tenant::advance`] and
-/// [`standalone_run`] — the admission rule is part of the byte-identity
-/// contract between them.
-pub(crate) fn admit_due(
-    sim: &mut Engine,
-    schedule: &[FlowRequest],
-    next: &mut usize,
-    lambda: Nanos,
-) {
-    let horizon = sim.now() + 2 * lambda;
-    while *next < schedule.len() && schedule[*next].start <= horizon {
-        let f = schedule[*next];
-        sim.add_flow(f.src, f.dst, f.bytes, f.start.max(sim.now()));
-        *next += 1;
-    }
-}
-
 /// Run `spec` as an ordinary standalone [`ClosedLoop`] for `ticks`
 /// monitor intervals — the comparator the fleet's byte-identity checks
-/// measure against. Uses [`ClosedLoop::step`], not any fleet code path.
+/// measure against. Uses the shared [`drivers::Stepper`] over
+/// [`ClosedLoop::step`], not any fleet code path.
 pub fn standalone_run(spec: &TenantSpec, ticks: u64) -> ClosedLoop {
     let mut cl = spec.closed_loop();
-    let mut next = 0usize;
+    let mut stepper = drivers::Stepper::new(&spec.schedule);
     for _ in 0..ticks {
-        admit_due(
-            &mut cl.sim,
-            &spec.schedule,
-            &mut next,
-            cl.cell.cfg.lambda_mi,
-        );
-        cl.step();
+        stepper.step(&mut cl);
     }
     cl
 }
@@ -218,7 +195,7 @@ impl Tenant {
     /// time (they agree whenever the controller has no backlog).
     pub(crate) fn advance(&mut self) -> PendingInterval {
         let lambda = self.cell.cfg.lambda_mi;
-        admit_due(
+        drivers::admit_due(
             &mut self.sim,
             &self.spec.schedule,
             &mut self.next_flow,

@@ -103,7 +103,7 @@ proptest! {
         let mut control = fleet_with(&specs, 1);
         fleet.run(before);
         control.run(before);
-        let snap = fleet.snapshot().expect("armed cells checkpoint");
+        let snap = fleet.snapshot().expect("always Some");
         fleet.restore(&snap).unwrap();
         fleet.run(after);
         control.run(after);

@@ -13,10 +13,10 @@
 
 use serde::{Serialize, Value};
 
+use paraleon::drivers::Barrier;
 use paraleon::{ClosedLoop, CtrlPlaneConfig, LoopConfig, MonitorKind, SchemeKind};
 use paraleon_dcqcn::DcqcnParams;
-use paraleon_netsim::{Engine, FaultPlan, FlowId, FlowRecord, Nanos, SimConfig, MILLI};
-use paraleon_workloads::Progress;
+use paraleon_netsim::{Engine, FaultPlan, FlowId, FlowRecord, SimConfig, MILLI};
 
 use crate::genome::HuntPoint;
 use crate::oracle::{judge, CtrlMeasure, OracleConfig, OracleReport};
@@ -138,66 +138,29 @@ fn run_one(
         intervals_run: 0,
         tail_len: cfg.tail,
     };
-    // An attached collective is driven at interval granularity: waves
-    // and round starts quantize to λ_MI boundaries exactly like the
-    // `paraleon::drivers::run_collective` barrier, so the genome field
-    // changes nothing about how the plain workload path executes. The
-    // mid-run completion drains only happen on this path — fault-only
-    // genomes keep the byte-identical single-drain execution the corpus
-    // was recorded under.
-    let mut collective = point.collective.as_ref().map(|c| c.build());
-    let mut next_round: Option<Nanos> = collective.as_ref().map(|_| 0);
-    let mut coll_flows: std::collections::HashSet<FlowId> = Default::default();
+    // An attached collective is driven at interval granularity through
+    // the same `paraleon::drivers::Barrier` the loop's stepper uses, so
+    // the genome field changes nothing about how the plain workload path
+    // executes. The mid-run completion drains only happen on this path —
+    // fault-only genomes keep the byte-identical single-drain execution
+    // the corpus was recorded under.
+    let mut collective = point
+        .collective
+        .as_ref()
+        .map(|c| (c.build(), Barrier::new(0)));
     let mut drained: Vec<FlowRecord> = Vec::new();
     // Exact per-flow bytes for every interval; the tail slice feeds the
     // fairness oracle after we know where the run actually ended.
     let mut truth: Vec<Vec<(FlowId, u64)>> = Vec::new();
     for i in 0..cfg.intervals {
-        if let Some(coll) = collective.as_mut() {
-            if let Some(t) = next_round {
-                if sim.now() >= t && !coll.finished() {
-                    let wave = coll
-                        .start_round(sim.now())
-                        .map_err(|e| format!("collective round: {e}"))?;
-                    for f in &wave {
-                        let qp = paraleon::drivers::qp_id(f.src, f.dst);
-                        let id = sim
-                            .try_add_flow_on_qp(f.src, f.dst, f.bytes, sim.now(), qp)
-                            .map_err(|e| format!("collective flow {}->{}: {e}", f.src, f.dst))?;
-                        coll_flows.insert(id);
-                    }
-                    next_round = None;
-                }
-            }
+        if let Some((coll, barrier)) = collective.as_mut() {
+            barrier.start_due(&mut sim, coll.as_mut())?;
         }
         sim.run_until((i + 1) * cfg.lambda_mi);
-        if let Some(coll) = collective.as_mut() {
+        if let Some((coll, barrier)) = collective.as_mut() {
             let recs = sim.take_completions();
             for r in &recs {
-                if coll_flows.remove(&r.flow) {
-                    match coll
-                        .on_flow_done(r.finish)
-                        .map_err(|e| format!("collective completion: {e}"))?
-                    {
-                        Progress::Pending => {}
-                        Progress::NextWave(wave) => {
-                            for f in &wave {
-                                let qp = paraleon::drivers::qp_id(f.src, f.dst);
-                                let id = sim
-                                    .try_add_flow_on_qp(f.src, f.dst, f.bytes, sim.now(), qp)
-                                    .map_err(|e| {
-                                        format!("collective flow {}->{}: {e}", f.src, f.dst)
-                                    })?;
-                                coll_flows.insert(id);
-                            }
-                        }
-                        Progress::RoundDone { next_round: nr } => {
-                            if let Some(t) = nr {
-                                next_round = Some(t);
-                            }
-                        }
-                    }
-                }
+                barrier.on_done(&mut sim, coll.as_mut(), r)?;
             }
             drained.extend(recs);
         }
@@ -306,7 +269,7 @@ fn ctrl_probe(cfg: &EvalConfig, point: &HuntPoint) -> Result<Option<CtrlMeasure>
         }
         let settled = cl.ctrl_settle(PROBE_SETTLE);
         let converged = settled && !cl.ctrl_diverged();
-        let stats = cl.ctrl().expect("probe armed the ctrl plane").stats();
+        let stats = cl.ctrl().stats();
         let sent = stats.up.sent + stats.down.sent;
         let lost = stats.up.lost + stats.down.lost;
         Ok((

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use paraleon::{ClosedLoop, CtrlPlaneConfig, IntervalRecord, LoopConfig, MonitorKind, SchemeKind};
+use paraleon::{ClosedLoop, IntervalRecord, LoopConfig, MonitorKind, SchemeKind};
 use paraleon_hunt::genome::{GenomeCaps, HuntPoint};
 use paraleon_hunt::mutate::{mutate, seed_point};
 use paraleon_hunt::oracle::ALL_ORACLES;
@@ -130,7 +130,6 @@ fn run_loop(point: &HuntPoint, threads: usize) -> LoopFingerprint {
             force_tuning: true,
             ..LoopConfig::default()
         })
-        .ctrl_plane(CtrlPlaneConfig::default())
         .seed(point.seed)
         .build();
     for (src, dst, bytes, start) in point.expand_flows() {
@@ -151,7 +150,7 @@ fn run_loop(point: &HuntPoint, threads: usize) -> LoopFingerprint {
     }
     let flight = tel::flight_events();
     let tail_start = flight.len().saturating_sub(FLIGHT_TAIL);
-    let stats = cl.ctrl().expect("ctrl plane is armed").stats();
+    let stats = cl.ctrl().stats();
     LoopFingerprint {
         history: cl.cell.history.clone(),
         completions: cl.completions.clone(),

@@ -47,49 +47,9 @@ fn main() {
         influx.len()
     );
 
-    let mut idx = 0;
-    let mut next_round = Some(0u64);
-    let mut seen = 0usize;
-    let mut collective = std::collections::HashSet::new();
+    let mut stepper = drivers::Stepper::new(&influx).collective(&mut a2a, 0);
     while cl.sim.now() < 60 * MILLI {
-        if let Some(t) = next_round {
-            if cl.sim.now() >= t {
-                let wave = a2a
-                    .start_round(cl.sim.now())
-                    .expect("rounds start only while the collective is idle");
-                for f in wave {
-                    let qp = drivers::qp_id(f.src, f.dst);
-                    collective.insert(cl.sim.add_flow_on_qp(
-                        f.src,
-                        f.dst,
-                        f.bytes,
-                        cl.sim.now(),
-                        qp,
-                    ));
-                }
-                next_round = None;
-            }
-        }
-        let horizon = cl.sim.now() + 2 * MILLI;
-        while idx < influx.len() && influx[idx].start <= horizon {
-            let f = influx[idx];
-            if f.start >= cl.sim.now() {
-                cl.sim.add_flow(f.src, f.dst, f.bytes, f.start);
-            }
-            idx += 1;
-        }
-        let r = cl.step().clone();
-        for done in cl.completions[seen..].iter().copied() {
-            if collective.remove(&done.flow) {
-                if let Some(t) = a2a
-                    .on_flow_done(done.finish)
-                    .expect("only admitted completions are fed back")
-                {
-                    next_round = Some(t);
-                }
-            }
-        }
-        seen = cl.completions.len();
+        let r = stepper.step(&mut cl);
         if (r.t / MILLI).is_multiple_of(2) {
             println!(
                 "t={:>4}ms  TP={:>6.1}Gbps  RTT={:>7.1}us  mu={:.2} {:?}{}",

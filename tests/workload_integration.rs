@@ -51,7 +51,7 @@ fn alltoall_rounds_are_synchronized_and_gapped() {
         off_time: off,
         rounds: Some(3),
     });
-    let records = drivers::run_alltoall(&mut cl, &mut a2a, 0, 10 * SEC);
+    let records = drivers::run_collective(&mut cl, &mut a2a, 0, 10 * SEC);
     assert!(a2a.finished());
     assert_eq!(records.len(), 3 * 8 * 7);
     assert_eq!(a2a.round_durations.len(), 3);
