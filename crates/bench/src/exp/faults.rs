@@ -11,27 +11,32 @@
 //!   window (≤ 8 monitor intervals), the fabric rolls back to the
 //!   last-known-good setting and recovers ≥ 90% of pre-fault goodput.
 //!
-//! A second scenario hammers the guardrail with repeated bad dispatches
+//! A third scenario hammers the guardrail with repeated bad dispatches
 //! plus one out-of-bounds candidate: the candidate is rejected outright,
 //! the repeats escalate to safe mode (tuning frozen, paper-default
 //! fallback deployed), and the freeze exits after the backoff.
 //!
 //! Every fault/rollback/safe-mode transition lands in the exported
-//! telemetry JSONL; the binary exits non-zero if any acceptance check
-//! fails, so CI can run it as a smoke job:
-//!
-//! Run: `cargo run --release -p paraleon-bench --bin exp_faults [--smoke]`
+//! telemetry JSONL (`results/telemetry/faults_<scale>_*.jsonl`, which
+//! also carries the per-interval goodput/utility series); every
+//! acceptance check is a gate, so CI runs `exp faults --smoke --check`
+//! as a smoke job.
 
 use paraleon::prelude::*;
-use paraleon_bench::{gbps_of, print_table, telemetry_begin, telemetry_dump, write_json};
 use paraleon_hunt::oracle::{goodput_collapse, pfc_storm};
 use paraleon_tuner::{Observation, TuningAction, TuningFeedback, TuningScheme};
 use serde::Serialize;
 
+use crate::{gbps_of, inject_interval, Ctx, Scale};
+
 /// Interval the rogue tuner first dispatches the collapsing setting.
 const BAD_DISPATCH_AT: u64 = 24;
-/// The ISSUE's detection budget: rollback within this many intervals.
+/// The detection budget: rollback within this many intervals.
 const DETECT_BUDGET: u64 = 8;
+/// Storm-oracle sliding window (intervals) — mirrors the anomaly
+/// hunter's default so both harnesses judge "sustained storm" the same
+/// way.
+const STORM_WINDOW: usize = 5;
 
 /// A deliberately pathological — but bounds-valid — parameter set:
 /// hair-trigger marking (K_min at the floor, P_max at 1), CNPs as fast
@@ -80,21 +85,18 @@ struct RogueScheme {
     emit_out_of_bounds_at: Option<u64>,
     redispatch_at: Option<u64>,
     frozen: bool,
-    /// Intervals at which this scheme emitted the collapsing setting.
-    dispatches: Vec<u64>,
 }
 
 impl RogueScheme {
-    fn new(bad_at: u64, persistent: bool, emit_out_of_bounds_at: Option<u64>) -> Self {
-        Self {
+    fn boxed(bad_at: u64, persistent: bool, emit_out_of_bounds_at: Option<u64>) -> Box<Self> {
+        Box::new(Self {
             interval: 0,
             bad_at,
             persistent,
             emit_out_of_bounds_at,
             redispatch_at: None,
             frozen: false,
-            dispatches: Vec::new(),
-        }
+        })
     }
 }
 
@@ -110,7 +112,6 @@ impl TuningScheme for RogueScheme {
         let due = self.interval == self.bad_at || Some(self.interval) == self.redispatch_at;
         if due {
             self.redispatch_at = None;
-            self.dispatches.push(self.interval);
             return Some(TuningAction::Global(collapsing_params()));
         }
         None
@@ -132,120 +133,31 @@ impl TuningScheme for RogueScheme {
     }
 }
 
-/// Experiment scale: the reduced CLOS by default, a minimal fabric with
-/// shortened phases under `--smoke` (the CI job).
-#[derive(Clone, Copy)]
-struct FaultScale {
-    smoke: bool,
-}
-
-impl FaultScale {
-    fn clos(self) -> Topology {
-        if self.smoke {
-            Topology::two_tier_clos(2, 4, 2, 100.0, 100.0, 5_000)
-        } else {
-            Topology::two_tier_clos(4, 8, 2, 100.0, 100.0, 5_000)
-        }
-    }
-
-    fn n_hosts(self) -> usize {
-        if self.smoke {
-            8
-        } else {
-            32
-        }
-    }
-
-    fn hosts_per_tor(self) -> usize {
-        if self.smoke {
-            4
-        } else {
-            8
-        }
-    }
-
-    /// Per-host bytes injected per monitor interval (~80% uplink load).
-    fn bytes_per_interval(self) -> u64 {
-        if self.smoke {
-            5_000_000
-        } else {
-            2_500_000
-        }
-    }
-
-    fn total_intervals(self) -> u64 {
-        if self.smoke {
-            60
-        } else {
-            70
-        }
-    }
-
-    fn label(self) -> &'static str {
-        if self.smoke {
-            "smoke"
-        } else {
-            "reduced"
-        }
+/// `(per-host bytes injected per monitor interval (~80% uplink load),
+/// intervals in the run)`.
+fn load(scale: Scale) -> (u64, u64) {
+    match scale {
+        Scale::Smoke => (5_000_000, 60),
+        _ => (2_500_000, 70),
     }
 }
 
-/// One interval's offered load: every host sends one cross-ToR flow to
-/// its counterpart one ToR over (host 0 receives too, so the PFC storm
-/// scenario has traffic aimed at the stormer). Fresh flows every
-/// interval keep queue pressure on the fabric — which is what lets the
-/// collapse vector bite — and mean recovery after a rollback is
-/// immediate: new QPs start clean at line rate under the restored
-/// parameters.
-fn inject_interval(cl: &mut ClosedLoop, scale: FaultScale) {
-    let n = scale.n_hosts();
-    let shift = scale.hosts_per_tor();
-    let now = cl.sim.now();
-    for src in 0..n {
-        let dst = (src + shift) % n;
-        cl.sim.add_flow(
-            src,
-            dst,
-            scale.bytes_per_interval(),
-            now + (src as u64) * 100,
+/// Step `cl` through `intervals` of the cross-ToR load, then export the
+/// run's telemetry as `faults_<scale>_<tag>` and gate on the flight
+/// recorder carrying every one of `events`.
+fn drive(ctx: &Ctx, cl: &mut ClosedLoop, intervals: u64, tag: &str, events: &[&str]) {
+    for _ in 0..intervals {
+        inject_interval(cl, ctx.scale, load(ctx.scale).0);
+        cl.step();
+    }
+    let dump = ctx.telemetry_dump(&format!("{}_{tag}", ctx.scale.label()));
+    for ev in events {
+        ctx.gate(
+            !dump.events_named(ev).is_empty(),
+            format!("{tag}: telemetry is missing {ev} events"),
         );
     }
 }
-
-/// Per-interval history dump for threshold tuning (`FAULTS_DEBUG=1`).
-fn debug_dump(tag: &str, cl: &ClosedLoop) {
-    if std::env::var("FAULTS_DEBUG").is_err() {
-        return;
-    }
-    for (i, r) in cl.cell.history.iter().enumerate() {
-        eprintln!(
-            "[{tag}] MI {:>3} goodput {:>8.2} Gbps util {:.3} disp {} rej {} rb {} safe {}",
-            i + 1,
-            r.goodput * 8.0 / 1e9,
-            r.utility,
-            r.dispatched as u8,
-            r.rejected as u8,
-            r.rolled_back as u8,
-            r.safe_mode as u8
-        );
-    }
-}
-
-/// The shared fault schedule: one ToR0 uplink flaps three times and
-/// host 0 runs a sustained PFC storm, all inside the fault window.
-fn fault_plan(scale: FaultScale) -> FaultPlan {
-    let tor0 = scale.n_hosts();
-    let uplink = scale.hosts_per_tor();
-    let mut plan = FaultPlan::new(7);
-    plan.link_flap(tor0, uplink, 20 * MILLI, 2 * MILLI, 5 * MILLI, 3);
-    plan.pfc_storm(0, 22 * MILLI, 30 * MILLI);
-    plan
-}
-
-/// Storm-oracle sliding window (intervals) — mirrors the anomaly
-/// hunter's default so both harnesses judge "sustained storm" the same
-/// way.
-const STORM_WINDOW: usize = 5;
 
 #[derive(Serialize)]
 struct LoopOutcome {
@@ -265,22 +177,33 @@ struct LoopOutcome {
     fault_drops: u64,
 }
 
-/// Run the flap+storm scenario once, guarded or not.
-fn run_scenario(scale: FaultScale, guarded: bool) -> LoopOutcome {
-    telemetry_begin();
+/// Run the flap+storm scenario once, guarded or not: one ToR0 uplink
+/// flaps three times and host 0 runs a sustained PFC storm, all inside
+/// the fault window, and the rogue dispatch lands mid-fault.
+fn run_scenario(ctx: &Ctx, guarded: bool) -> LoopOutcome {
+    let scale = ctx.scale;
+    ctx.telemetry_begin();
     let mut builder = ClosedLoop::builder(scale.clos())
-        .scheme_boxed(Box::new(RogueScheme::new(BAD_DISPATCH_AT, false, None)))
+        .scheme_boxed(RogueScheme::boxed(BAD_DISPATCH_AT, false, None))
         .seed(11);
     if guarded {
         builder = builder.guardrail(GuardrailConfig::default());
     }
     let mut cl = builder.build();
-    cl.sim.install_fault_plan(&fault_plan(scale)).expect("plan");
-    for _ in 0..scale.total_intervals() {
-        inject_interval(&mut cl, scale);
-        cl.step();
-    }
-    debug_dump(if guarded { "guarded" } else { "unguarded" }, &cl);
+    let mut plan = FaultPlan::new(7);
+    let (tor0, uplink) = (scale.hosts(), scale.hosts_per_tor());
+    plan.link_flap(tor0, uplink, 20 * MILLI, 2 * MILLI, 5 * MILLI, 3);
+    plan.pfc_storm(0, 22 * MILLI, 30 * MILLI);
+    cl.sim.install_fault_plan(&plan).expect("plan");
+    let tag = if guarded { "guarded" } else { "unguarded" };
+    // The flight recorder must carry every fault transition.
+    let events = [
+        "fault_link_down",
+        "fault_link_up",
+        "pfc_storm_start",
+        "pfc_storm_end",
+    ];
+    drive(ctx, &mut cl, load(scale).1, tag, &events);
 
     // Recovery and storm measures come from the shared oracle detectors
     // (crates/hunt), judged over the closed-loop history: baseline is
@@ -296,24 +219,6 @@ fn run_scenario(scale: FaultScale, guarded: bool) -> LoopOutcome {
         .position(|r| r.rolled_back)
         .map(|i| i as u64 + 1);
     let guard_stats = cl.guard().map(|g| g.stats()).unwrap_or_default();
-    let name = format!(
-        "faults_{}_{}",
-        scale.label(),
-        if guarded { "guarded" } else { "unguarded" }
-    );
-    let dump = telemetry_dump(&name);
-    // The flight recorder must carry every fault transition.
-    for ev in [
-        "fault_link_down",
-        "fault_link_up",
-        "pfc_storm_start",
-        "pfc_storm_end",
-    ] {
-        assert!(
-            !dump.events_named(ev).is_empty(),
-            "telemetry is missing {ev} events"
-        );
-    }
     LoopOutcome {
         guarded,
         pre_fault_goodput: collapse.baseline,
@@ -340,61 +245,55 @@ struct SafeModeOutcome {
     rejected_interval_seen: bool,
 }
 
-/// Scenario 2: no netsim faults — a persistent rogue re-dispatches the
-/// collapsing setting after every rollback until the guardrail freezes
-/// tuning, then the freeze expires and tuning unfreezes.
-fn run_safe_mode(scale: FaultScale) -> SafeModeOutcome {
-    telemetry_begin();
-    let mut cl = ClosedLoop::builder(scale.clos())
-        .scheme_boxed(Box::new(RogueScheme::new(12, true, Some(8))))
+/// No netsim faults — a persistent rogue re-dispatches the collapsing
+/// setting after every rollback until the guardrail freezes tuning, then
+/// the freeze expires and tuning unfreezes.
+fn run_safe_mode(ctx: &Ctx) -> SafeModeOutcome {
+    ctx.telemetry_begin();
+    let mut cl = ClosedLoop::builder(ctx.scale.clos())
+        .scheme_boxed(RogueScheme::boxed(12, true, Some(8)))
         .guardrail(GuardrailConfig {
             safe_mode_backoff_intervals: 10,
             ..GuardrailConfig::default()
         })
         .seed(12)
         .build();
-    let total = scale.total_intervals() + 20;
-    for _ in 0..total {
-        inject_interval(&mut cl, scale);
-        cl.step();
-    }
-    debug_dump("safemode", &cl);
-    let guard = cl.guard().expect("guarded").stats();
-    let safe_intervals = cl.cell.history.iter().filter(|r| r.safe_mode).count() as u64;
-    let outcome = SafeModeOutcome {
-        rejects: guard.rejects,
-        rollbacks: guard.rollbacks,
-        safe_mode_entries: guard.safe_mode_entries,
-        safe_mode_intervals: safe_intervals,
-        exited_safe_mode: !guard.in_safe_mode,
-        rejected_interval_seen: cl.cell.history.iter().any(|r| r.rejected),
-    };
-    let dump = telemetry_dump(&format!("faults_{}_safemode", scale.label()));
-    for ev in [
+    let events = [
         "guardrail_reject",
         "guardrail_rollback",
         "safe_mode_enter",
         "safe_mode_exit",
-    ] {
-        assert!(
-            !dump.events_named(ev).is_empty(),
-            "telemetry is missing {ev} events"
-        );
+    ];
+    drive(ctx, &mut cl, load(ctx.scale).1 + 20, "safemode", &events);
+    let guard = cl.guard().expect("guarded").stats();
+    SafeModeOutcome {
+        rejects: guard.rejects,
+        rollbacks: guard.rollbacks,
+        safe_mode_entries: guard.safe_mode_entries,
+        safe_mode_intervals: cl.cell.history.iter().filter(|r| r.safe_mode).count() as u64,
+        exited_safe_mode: !guard.in_safe_mode,
+        rejected_interval_seen: cl.cell.history.iter().any(|r| r.rejected),
     }
-    outcome
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let scale = FaultScale { smoke };
-    println!(
-        "Fault injection + guardrail experiment ({} scale)",
-        scale.label()
-    );
+/// One sweep cell's result: the three scenarios have two row shapes.
+enum Outcome {
+    Loop(LoopOutcome),
+    SafeMode(SafeModeOutcome),
+}
 
-    let unguarded = run_scenario(scale, false);
-    let guarded = run_scenario(scale, true);
-    let safe = run_safe_mode(scale);
+pub fn run(ctx: &Ctx) {
+    let outcomes = ctx.sweep(
+        vec![Some(false), Some(true), None],
+        |guarded| match guarded {
+            Some(g) => Outcome::Loop(run_scenario(ctx, g)),
+            None => Outcome::SafeMode(run_safe_mode(ctx)),
+        },
+    );
+    let [Outcome::Loop(unguarded), Outcome::Loop(guarded), Outcome::SafeMode(safe)] = &outcomes[..]
+    else {
+        unreachable!("three scenarios, in cell order");
+    };
 
     let row = |o: &LoopOutcome| {
         vec![
@@ -413,7 +312,7 @@ fn main() {
             format!("{}", o.rollbacks),
         ]
     };
-    print_table(
+    ctx.table(
         "Flap + PFC storm + rogue dispatch: recovery",
         &[
             "loop",
@@ -423,9 +322,9 @@ fn main() {
             "detect (MIs)",
             "rollbacks",
         ],
-        &[row(&unguarded), row(&guarded)],
+        &[row(unguarded), row(guarded)],
     );
-    print_table(
+    ctx.table(
         "Repeated bad dispatches: guardrail escalation",
         &[
             "rejects",
@@ -442,50 +341,41 @@ fn main() {
             format!("{}", safe.exited_safe_mode),
         ]],
     );
-    write_json(
-        &format!("faults_{}", scale.label()),
-        &(&unguarded, &guarded, &safe),
-    );
+    ctx.write(&(unguarded, guarded, safe));
+    accept(ctx, unguarded, guarded, safe);
+}
 
-    // --- Acceptance checks (CI smoke gate): exit non-zero on failure. ---
-    let mut failures = Vec::new();
-    let mut check = |ok: bool, msg: String| {
-        if !ok {
-            failures.push(msg);
-        }
-    };
-    check(
+/// The acceptance checks (CI smoke gate).
+fn accept(ctx: &Ctx, unguarded: &LoopOutcome, guarded: &LoopOutcome, safe: &SafeModeOutcome) {
+    ctx.gate(
         guarded.first_rollback_interval.is_some(),
-        "guardrailed loop never rolled back".into(),
+        "guardrailed loop never rolled back",
     );
     if let Some(d) = guarded.detect_latency {
-        check(
+        ctx.gate(
             d <= DETECT_BUDGET,
             format!("detection took {d} intervals (budget {DETECT_BUDGET})"),
         );
     }
-    check(
+    ctx.gate(
         guarded.recovery_ratio >= 0.9,
         format!(
             "guardrailed loop recovered only {:.0}% of pre-fault goodput",
             guarded.recovery_ratio * 100.0
         ),
     );
-    check(
+    ctx.gate(
         guarded.recovery_ratio > unguarded.recovery_ratio,
         format!(
             "guardrail did not beat the unguarded loop ({:.2} vs {:.2})",
             guarded.recovery_ratio, unguarded.recovery_ratio
         ),
     );
-    check(
-        unguarded.fault_drops > 0,
-        "fault plan injected no drops".into(),
-    );
+    ctx.gate(unguarded.fault_drops > 0, "fault plan injected no drops");
     // The shared storm oracle must see the injected sustained-XOFF storm
     // in both loops (it runs 22–30 ms regardless of tuning).
-    for o in [&unguarded, &guarded] {
-        check(
+    for o in [unguarded, guarded] {
+        ctx.gate(
             o.peak_pause_window > 0.0,
             format!(
                 "storm detector saw no pause pressure ({} loop)",
@@ -493,39 +383,14 @@ fn main() {
             ),
         );
     }
-    check(
-        safe.rejects >= 1,
-        "out-of-bounds candidate not rejected".into(),
-    );
-    check(
+    ctx.gate(safe.rejects >= 1, "out-of-bounds candidate not rejected");
+    ctx.gate(
         safe.safe_mode_entries >= 1,
-        "repeated rollbacks never escalated to safe mode".into(),
+        "repeated rollbacks never escalated to safe mode",
     );
-    check(
-        safe.exited_safe_mode,
-        "safe-mode backoff never expired".into(),
-    );
-    check(
+    ctx.gate(safe.exited_safe_mode, "safe-mode backoff never expired");
+    ctx.gate(
         safe.rejected_interval_seen,
-        "no interval recorded the rejection".into(),
+        "no interval recorded the rejection",
     );
-    // When built with the audit feature, a non-panicking (release) run
-    // still fails the gate on any recorded invariant violation.
-    if paraleon_audit::compiled_in() {
-        let v = paraleon_audit::violation_count();
-        for rep in paraleon_audit::violations().iter().take(5) {
-            eprintln!("audit violation: {}", rep.violation);
-        }
-        check(v == 0, format!("{v} invariant violations recorded"));
-    }
-
-    if failures.is_empty() {
-        println!("\nall acceptance checks passed");
-    } else {
-        eprintln!("\nACCEPTANCE FAILURES:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
 }

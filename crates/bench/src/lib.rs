@@ -1,27 +1,37 @@
-//! Shared harness utilities for the per-figure/per-table experiment
-//! binaries (`src/bin/exp_*.rs`).
+//! The experiment harness behind the one `exp` binary: every paper
+//! table/figure (and the fault/fleet acceptance scenarios) is a module
+//! under [`exp`] registered in the static table [`exp::ALL`], run through
+//! one [`Ctx`] that owns argv, threads, `results/` and the exit status.
 //!
-//! Every binary regenerates one table or figure of the paper. Because
-//! the substrate is a packet-level simulator on one machine (not the
-//! authors' 128-server ns-3 runs or the 32×H100 testbed), each
-//! experiment has two scales:
+//! Because the substrate is a packet-level simulator on one machine (not
+//! the authors' 128-server ns-3 runs or the 32×H100 testbed), experiments
+//! have up to three scales ([`Scale`]): **reduced** (default — smaller
+//! fabric / shorter windows, preserves the qualitative shape), **paper**
+//! (`--paper`, the paper's topology and durations) and **smoke**
+//! (`--smoke`, a minimal fabric for the CI acceptance scenarios).
 //!
-//! * **reduced** (default) — smaller fabric / shorter windows, minutes of
-//!   wall clock for the whole suite; preserves the qualitative shape.
-//! * **paper** (`--paper`) — the paper's topology and durations.
-//!
-//! Results print as aligned text tables and are also dumped as JSON under
-//! `results/` so EXPERIMENTS.md can reference machine-readable runs.
+//! This file holds what experiments share: the scale's dimensions and
+//! the scenario pieces (workload generators, the fig5/fig6 load, the
+//! cross-ToR injector, series/FCT extraction) that two or more of them
+//! build on.
 
-// The parallel sweep runner moved into `paraleon-hunt` (its search loop
-// fans candidate evaluations through it); re-exported here so the
-// experiment binaries keep their `paraleon_bench::sweep::` paths.
+// The parallel sweep runner lives in `paraleon-hunt` (its search loop
+// fans candidate evaluations through it); re-exported for `perf_probe`.
 pub use paraleon_hunt::sweep;
 
-use std::io::Write;
-use std::path::PathBuf;
+mod ctx;
+pub mod exp;
+
+pub use ctx::{run, Ctx, Experiment};
+
+use std::io;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 
 use paraleon::prelude::*;
+use paraleon_telemetry::export::TelemetryDump;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::Serialize;
 
 /// Experiment scale selector.
@@ -31,43 +41,45 @@ pub enum Scale {
     Reduced,
     /// The paper's NS3 fabric: 8 ToR × 16 hosts, 4 leaves.
     Paper,
+    /// Minimal fabric for CI acceptance scenarios: 2 ToR × 4 hosts.
+    /// Everything but the fabric dimensions follows `Reduced`.
+    Smoke,
 }
 
 impl Scale {
-    /// Parse from process args: `--paper` selects paper scale.
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--paper") {
-            Scale::Paper
-        } else {
-            Scale::Reduced
+    /// `(ToRs, hosts per ToR, leaves)`; every scale is 4:1 (smoke 2:1)
+    /// oversubscribed at the ToR uplinks.
+    fn dims(self) -> (usize, usize, usize) {
+        match self {
+            Scale::Reduced => (4, 8, 2),
+            Scale::Paper => (8, 16, 4),
+            Scale::Smoke => (2, 4, 2),
         }
     }
 
-    /// The evaluation fabric at this scale (4:1 oversubscribed CLOS,
-    /// 100 G links, 5 µs propagation — §IV-B).
+    /// The evaluation fabric at this scale (oversubscribed CLOS, 100 G
+    /// links, 5 µs propagation — §IV-B).
     pub fn clos(self) -> Topology {
-        match self {
-            // 8 hosts/ToR vs 2 uplinks: 4:1 oversubscription.
-            Scale::Reduced => Topology::two_tier_clos(4, 8, 2, 100.0, 100.0, 5_000),
-            // 16 hosts/ToR vs 4 uplinks: 4:1, the paper's 128 servers.
-            Scale::Paper => Topology::two_tier_clos(8, 16, 4, 100.0, 100.0, 5_000),
-        }
+        let (tors, per_tor, leaves) = self.dims();
+        Topology::two_tier_clos(tors, per_tor, leaves, 100.0, 100.0, 5_000)
     }
 
     /// Hosts in the fabric.
     pub fn hosts(self) -> usize {
-        match self {
-            Scale::Reduced => 32,
-            Scale::Paper => 128,
-        }
+        self.dims().0 * self.dims().1
+    }
+
+    /// Hosts under one ToR.
+    pub fn hosts_per_tor(self) -> usize {
+        self.dims().1
     }
 
     /// FB_Hadoop measurement window (long enough for a scaled SA episode
     /// to converge well before the end).
     pub fn fb_window(self) -> u64 {
         match self {
-            Scale::Reduced => 150 * MILLI,
             Scale::Paper => 500 * MILLI,
+            _ => 150 * MILLI,
         }
     }
 
@@ -75,148 +87,218 @@ impl Scale {
     /// stabilizes within a few tens of intervals).
     pub fn monitor_window(self) -> u64 {
         match self {
-            Scale::Reduced => 60 * MILLI,
             Scale::Paper => 200 * MILLI,
+            _ => 60 * MILLI,
         }
     }
 
-    /// The SA schedule for this scale: the paper's Table III settings at
-    /// paper scale; a proportionally shortened episode (same shape,
-    /// fewer iterations per temperature level) at reduced scale, so the
-    /// episode length stays well inside the reduced windows.
-    pub fn sa_config(self) -> SaConfig {
-        match self {
-            Scale::Reduced => SaConfig {
-                total_iter_num: 4,
-                cooling_rate: 0.6,
-                ..SaConfig::paper_default()
-            },
-            Scale::Paper => SaConfig::paper_default(),
-        }
-    }
-
-    /// Monitor intervals each SA candidate is evaluated over: small
+    /// The PARALEON scheme configured for this scale: the paper's
+    /// Table III SA schedule at paper scale; below it a proportionally
+    /// shortened episode (same shape, fewer iterations per temperature
+    /// level, so it stays well inside the reduced windows) whose
+    /// candidates are each evaluated over 3 monitor intervals — small
     /// fabrics have few flows per 1 ms interval, so single-interval
     /// utility is too noisy to rank candidates.
-    pub fn sa_eval_intervals(self) -> u32 {
+    pub fn paraleon(self) -> SchemeKind {
         match self {
-            Scale::Reduced => 3,
-            Scale::Paper => 1,
+            Scale::Paper => SchemeKind::ParaleonSa(SaConfig::paper_default(), 1),
+            _ => SchemeKind::ParaleonSa(
+                SaConfig {
+                    total_iter_num: 4,
+                    cooling_rate: 0.6,
+                    ..SaConfig::paper_default()
+                },
+                3,
+            ),
         }
     }
 
-    /// The PARALEON scheme configured for this scale.
-    pub fn paraleon(self) -> SchemeKind {
-        SchemeKind::ParaleonSa(self.sa_config(), self.sa_eval_intervals())
+    /// The five tuning schemes of §IV-B1, in display order.
+    pub fn all_schemes(self) -> Vec<SchemeKind> {
+        vec![
+            SchemeKind::Default,
+            SchemeKind::Expert,
+            SchemeKind::DcqcnPlus,
+            SchemeKind::Acc,
+            self.paraleon(),
+        ]
     }
 
     /// LLM alltoall message size per worker pair.
     pub fn llm_message(self) -> u64 {
         match self {
-            Scale::Reduced => 1 << 20, // 1 MB keeps rounds ~ms
-            Scale::Paper => 12 << 20,  // the paper's 12 MB
+            Scale::Paper => 12 << 20, // the paper's 12 MB
+            _ => 1 << 20,             // 1 MB keeps rounds ~ms
         }
     }
 
-    /// Display label.
+    /// Display label; also the `results/<name>_<label>.json` suffix of
+    /// every scale but the default.
     pub fn label(self) -> &'static str {
         match self {
             Scale::Reduced => "reduced",
             Scale::Paper => "paper",
+            Scale::Smoke => "smoke",
         }
+    }
+
+    /// Seeded Poisson schedule over this scale's hosts (100 G access
+    /// links): `load` of aggregate bandwidth drawn from `dist` inside
+    /// `window`.
+    pub fn poisson(
+        self,
+        dist: FlowSizeDist,
+        load: f64,
+        window: Range<u64>,
+        seed: u64,
+    ) -> Vec<FlowRequest> {
+        poisson_flows(self.hosts(), 12.5e9, dist, load, window, seed)
     }
 }
 
-/// Print an aligned text table.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for r in rows {
-        for (i, c) in r.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-    }
-    let fmt_row = |cells: &[String]| {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>w$}", c, w = widths.get(i).copied().unwrap_or(8)))
-            .collect::<Vec<_>>()
-            .join("  ")
+/// Seeded Poisson flow schedule: the one place a `PoissonWorkload` is
+/// configured, seeded and generated.
+pub fn poisson_flows(
+    hosts: usize,
+    host_bw_bytes_per_sec: f64,
+    dist: FlowSizeDist,
+    load: f64,
+    window: Range<u64>,
+    seed: u64,
+) -> Vec<FlowRequest> {
+    let cfg = PoissonConfig {
+        hosts,
+        host_bw_bytes_per_sec,
+        load,
+        start: window.start,
+        end: window.end,
     };
-    println!(
-        "{}",
-        fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    for r in rows {
-        println!("{}", fmt_row(r));
-    }
+    PoissonWorkload::new(cfg, dist).generate(&mut StdRng::seed_from_u64(seed))
 }
 
-/// Write a JSON result blob under `results/<name>.json`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = f.write_all(
-            serde_json::to_string_pretty(value)
-                .unwrap_or_default()
-                .as_bytes(),
-        );
-        println!("[results -> {}]", path.display());
-    }
-}
-
-fn results_dir() -> PathBuf {
-    // Workspace root when run via cargo, else CWD.
-    std::env::var("CARGO_MANIFEST_DIR")
-        .map(|m| PathBuf::from(m).join("../../results"))
-        .unwrap_or_else(|_| PathBuf::from("results"))
-}
-
-/// Start a telemetry-instrumented experiment run: clears any previous
-/// recording and turns the registry on.
-pub fn telemetry_begin() {
-    paraleon_telemetry::reset();
-    paraleon_telemetry::set_enabled(true);
-}
-
-/// Finish a telemetry-instrumented run: export the registry to
-/// `results/telemetry/<name>.jsonl`, clear it for the next run, and
-/// return the dump read back from disk — the figure binaries build
-/// their plot data from this, so the JSONL on disk is exactly what the
-/// figures consumed.
-pub fn telemetry_dump(name: &str) -> paraleon_telemetry::export::TelemetryDump {
-    let path = results_dir()
-        .join("telemetry")
-        .join(format!("{}.jsonl", sanitize(name)));
-    let dump = paraleon_telemetry::export::write_jsonl(&path)
-        .and_then(paraleon_telemetry::export::read_jsonl)
-        .unwrap_or_else(|e| {
-            eprintln!("[telemetry export failed: {e}]");
-            Default::default()
-        });
-    println!("[telemetry -> {}]", path.display());
-    paraleon_telemetry::reset();
-    dump
-}
-
-/// File-name-safe version of a scheme/run label.
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
-                c.to_ascii_lowercase()
-            } else {
-                '_'
-            }
-        })
+/// Row-major cartesian product: the cells of a two-axis sweep.
+pub fn grid<A: Clone, B: Clone>(rows: &[A], cols: &[B]) -> Vec<(A, B)> {
+    rows.iter()
+        .flat_map(|a| cols.iter().map(move |b| (a.clone(), b.clone())))
         .collect()
+}
+
+/// ON-OFF alltoall over `n` workers placed every `stride` hosts.
+pub fn alltoall(
+    n: usize,
+    stride: usize,
+    message_bytes: u64,
+    off_time: u64,
+    rounds: Option<u32>,
+) -> AllToAll {
+    AllToAll::new(AllToAllConfig {
+        workers: (0..n).map(|i| i * stride).collect(),
+        message_bytes,
+        off_time,
+        rounds,
+    })
+}
+
+/// The fig5/fig6 sweep workload under a static parameter set; returns
+/// steady-state `(goodput bytes/s, RTT µs)`, skipping only the first
+/// interval. Long-running elephants periodically get hit by mice incast
+/// bursts at their destinations: each burst collapses the elephants'
+/// DCQCN rates, the recovery between bursts exercises the rate-increase
+/// machinery (fast recovery → additive → hyper), and the ECN thresholds
+/// shape the collapse depth — so every swept parameter has an
+/// observable effect, as in the paper's Figure 5.
+pub fn elephants_plus_incast(scale: Scale, params: DcqcnParams) -> (f64, f64) {
+    let cfg = SimConfig {
+        dcqcn: params,
+        ..SimConfig::default()
+    };
+    let mut cl = ClosedLoop::builder(scale.clos())
+        .scheme(SchemeKind::Static(params, "static"))
+        .sim_config(cfg)
+        .build();
+    let hosts = scale.hosts();
+    let pairs = hosts / 4;
+    let window = match scale {
+        Scale::Paper => 60 * MILLI,
+        _ => 24 * MILLI,
+    };
+    // Elephants: disjoint cross-fabric pairs spread over all racks (so
+    // no rack uplink is structurally saturated), sized to outlive the run.
+    let dst_of = |i: usize| (i * (hosts / pairs) + hosts / 2 + 1) % hosts;
+    for i in 0..pairs {
+        let src = i * (hosts / pairs);
+        cl.sim
+            .add_flow(src, dst_of(i), 2 * 12_500 * window / 1_000, 0);
+    }
+    // Mice bursts: every 3 ms, an 8-to-1 incast of 64 KB mice onto each
+    // elephant destination.
+    for t in (MILLI..window).step_by(3 * MILLI as usize) {
+        for dst in (0..pairs).map(dst_of) {
+            for k in 0..8usize {
+                let src = (dst + 1 + k * 3) % hosts;
+                if src != dst {
+                    cl.sim.add_flow(src, dst, 64 * 1024, t + k as u64 * 1000);
+                }
+            }
+        }
+    }
+    cl.run_until(window);
+    let steady = cl.cell.history.get(1..).unwrap_or_default();
+    let goodput: Vec<f64> = steady.iter().map(|r| r.goodput).collect();
+    let sampled = steady.iter().filter(|r| r.avg_rtt_ns > 0.0);
+    let rtt_us: Vec<f64> = sampled.map(|r| r.avg_rtt_ns / 1_000.0).collect();
+    (stats::mean(&goodput), stats::mean(&rtt_us))
+}
+
+/// One interval's offered load for the fault scenarios: every host sends
+/// one cross-ToR flow of `bytes` to its counterpart one ToR over (host 0
+/// receives too, so a PFC storm there has traffic aimed at it). Fresh
+/// flows every interval keep queue pressure on the fabric and mean
+/// recovery after a rollback is immediate: new QPs start clean at line
+/// rate under whatever parameters survived.
+pub fn inject_interval(cl: &mut ClosedLoop, scale: Scale, bytes: u64) {
+    let n = scale.hosts();
+    let now = cl.sim.now();
+    for src in 0..n {
+        let dst = (src + scale.hosts_per_tor()) % n;
+        cl.sim.add_flow(src, dst, bytes, now + (src as u64) * 100);
+    }
+}
+
+/// Runtime series of an influx run, rebuilt from its exported telemetry:
+/// `(t ms, goodput Gbps, RTT µs)` per monitor interval.
+pub fn influx_series(dump: &TelemetryDump) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    let goodput = dump.series_get("goodput_bytes_per_sec", 0);
+    let rtt = dump.series_get("avg_rtt_ns", 0);
+    (
+        goodput.iter().map(|&(t, _)| t as f64 / 1e6).collect(),
+        goodput.iter().map(|&(_, v)| gbps_of(v)).collect(),
+        rtt.iter().map(|&(_, v)| v / 1e3).collect(),
+    )
+}
+
+/// `(mean, p99)` FCT of `records` in units of `unit_ns` nanoseconds.
+pub fn fct_mean_p99<'a>(records: impl Iterator<Item = &'a FlowRecord>, unit_ns: f64) -> (f64, f64) {
+    let mut fcts: Vec<f64> = records.map(|r| r.fct() as f64 / unit_ns).collect();
+    (stats::mean(&fcts), stats::percentile(&mut fcts, 99.0))
+}
+
+/// Steady-state algorithm bandwidth (Gbps): mean over the last half of
+/// the finished rounds (the early rounds include PARALEON's search
+/// transient).
+pub fn steady_algbw_gbps(coll: &dyn Collective) -> f64 {
+    let done = coll.round_durations().len();
+    let take = (done / 2).max(1);
+    let vals: Vec<f64> = (done.saturating_sub(take)..done)
+        .filter_map(|i| coll.algbw_bytes_per_sec(i))
+        .map(gbps_of)
+        .collect();
+    stats::mean(&vals)
+}
+
+/// PARALEON's advantage over the better static setting, percent.
+pub fn vs_best_static(default: f64, expert: f64, paraleon: f64) -> f64 {
+    (paraleon / default.max(expert).max(1e-9) - 1.0) * 100.0
 }
 
 /// Gbps pretty-print from bytes/sec.
@@ -224,36 +306,30 @@ pub fn gbps_of(bytes_per_sec: f64) -> f64 {
     bytes_per_sec * 8.0 / 1e9
 }
 
-/// Mean of the goodput (bytes/s) over the last `n` interval records.
-pub fn tail_goodput(cl: &ClosedLoop, n: usize) -> f64 {
-    let h = &cl.cell.history;
-    if h.is_empty() {
-        return 0.0;
+/// The tracked `results/` directory: workspace root when run via cargo,
+/// else relative to the CWD.
+pub fn results_dir() -> PathBuf {
+    std::env::var("CARGO_MANIFEST_DIR")
+        .map(|m| PathBuf::from(m).join("../../results"))
+        .unwrap_or_else(|_| PathBuf::from("results"))
+}
+
+/// Serialise `value` to `path` — the only code that opens a file under
+/// `results/` for writing.
+pub fn write_json_file<T: Serialize>(path: &Path, value: &T) -> io::Result<()> {
+    let json = serde_json::to_string_pretty(value).map_err(io::Error::other)?;
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
     }
-    let take = n.min(h.len());
-    h[h.len() - take..].iter().map(|r| r.goodput).sum::<f64>() / take as f64
+    std::fs::write(path, json)?;
+    println!("[results -> {}]", path.display());
+    Ok(())
 }
 
-/// Mean of the RTT (µs) over the last `n` interval records with samples.
-pub fn tail_rtt_us(cl: &ClosedLoop, n: usize) -> f64 {
-    let h = &cl.cell.history;
-    let take = n.min(h.len());
-    let samples: Vec<f64> = h[h.len() - take..]
-        .iter()
-        .filter(|r| r.avg_rtt_ns > 0.0)
-        .map(|r| r.avg_rtt_ns / 1_000.0)
-        .collect();
-    paraleon::stats::mean(&samples)
-}
-
-/// The five tuning schemes of §IV-B1, in display order, with PARALEON's
-/// SA schedule matched to the scale.
-pub fn all_schemes(scale: Scale) -> Vec<SchemeKind> {
-    vec![
-        SchemeKind::Default,
-        SchemeKind::Expert,
-        SchemeKind::DcqcnPlus,
-        SchemeKind::Acc,
-        scale.paraleon(),
-    ]
+/// `perf_probe`'s writer: `results/<name>.json`, a failed write fails
+/// the run.
+pub fn write_json<T: Serialize>(name: &str, value: &T) {
+    let path = results_dir().join(format!("{name}.json"));
+    write_json_file(&path, value)
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
 }

@@ -8,7 +8,7 @@
 //!   ends on the highest-epoch parameters, never applies an epoch out
 //!   of order, and treats replays as no-ops. The naive fabric under the
 //!   same delivery ends wherever the channel happened to put it — the
-//!   contrast the `exp_ctrl_faults` gate measures end to end.
+//!   contrast the `exp ctrl_faults` gate measures end to end.
 //! * **Checkpoint fidelity** — `snapshot()` → `restore()` round-trips
 //!   controller state byte-identically from an arbitrary mid-run point:
 //!   the protocol state (merger, epoch counter, in-flight dispatch) via

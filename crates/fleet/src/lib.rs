@@ -19,7 +19,7 @@
 //! and evicted at runtime.
 //!
 //! Two properties anchor everything (enforced in tests and by
-//! `exp_fleet --check`):
+//! `exp fleet`):
 //!
 //! 1. **Standalone equivalence** — when queues never saturate, each
 //!    tenant's interval history, tuned parameters and flow completions

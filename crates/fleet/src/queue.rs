@@ -24,7 +24,7 @@ pub struct PendingInterval {
 
 impl PendingInterval {
     /// Estimated heap footprint of this queued interval, for the
-    /// controller-memory accounting in `exp_fleet`.
+    /// controller-memory accounting in `exp fleet`.
     pub fn memory_bytes(&self) -> usize {
         fn vec_bytes<T>(v: &[T]) -> usize {
             std::mem::size_of_val(v)

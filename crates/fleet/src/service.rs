@@ -10,8 +10,8 @@
 //!   the coordinator's telemetry registry is enabled (sampled once per
 //!   tick), every emission is captured per tenant and replayed by the
 //!   coordinator in ascending tenant id — the same order the serial
-//!   scheduler emits in, which is what makes `--threads N` byte-
-//!   identical to `--serial`.
+//!   scheduler emits in, which is what makes any thread count byte-
+//!   identical to one thread.
 //! * **Phase B (controller)** — the coordinator drains upload queues
 //!   round-robin, spending one token-bucket token per tuning turn, at
 //!   most [`FleetConfig::max_turns_per_tick`] turns per tenant per
@@ -23,7 +23,7 @@
 //! 64) the controller always keeps up with one upload per tenant per
 //! tick, so each tenant's cell observes exactly the operation sequence
 //! of its standalone [`ClosedLoop`] — bit-for-bit, which
-//! `tests/fleet_properties.rs` and `exp_fleet --check` enforce.
+//! `tests/fleet_properties.rs` and `exp fleet` enforce.
 //!
 //! [`ClosedLoop`]: paraleon::prelude::ClosedLoop
 

@@ -28,7 +28,7 @@ use serde::Serialize as _;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: hunt [--budget N] [--seed S] [--oracle k1,k2] [--threads N | --serial]\n\
+        "usage: hunt [--budget N] [--seed S] [--oracle k1,k2] [--threads N]\n\
          \x20           [--no-minimize] [--minimize-trials N] [--write] [--corpus DIR] [--expect N]\n\
          \x20      hunt --replay CASE.json...\n\
          \x20      hunt corpus replay [--corpus DIR]\n\

@@ -4,7 +4,7 @@
 //!
 //! Detectors come in two layers. The *measures* at the top
 //! ([`goodput_collapse`], [`pfc_storm`], [`jain_index`]) are pure
-//! functions over per-interval signal slices — `exp_faults` consumes
+//! functions over per-interval signal slices — `exp faults` consumes
 //! them directly on closed-loop history, the hunter on raw-simulator
 //! runs. The [`OracleReport`] below combines them (plus audit and
 //! livelock evidence) into fired/score verdicts over a faulted run and

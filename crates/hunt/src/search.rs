@@ -6,7 +6,7 @@
 //! across worker threads with [`crate::sweep::run`]. Because the batch
 //! is assembled on the coordinator thread from one seeded RNG and sweep
 //! results come back in job order, a hunt is a pure function of
-//! [`SearchConfig`]: `--threads 8` finds byte-for-byte what `--serial`
+//! [`SearchConfig`]: `--threads 8` finds byte-for-byte what `--threads 1`
 //! finds, only sooner.
 //!
 //! Selection is per-kind elitism on the oracle's smooth score, which

@@ -1,7 +1,8 @@
-//! Parallel sweep runner (re-exported by `paraleon-bench` for the
-//! experiment binaries; the hunter uses it to fan candidate evaluation).
+//! Parallel sweep runner (re-exported by `paraleon-bench`, whose `exp`
+//! harness puts every experiment grid through it; the hunter uses it to
+//! fan candidate evaluation).
 //!
-//! The experiment binaries and the hunter's evaluation batches are
+//! Experiment grids and the hunter's evaluation batches are
 //! embarrassingly parallel at the job level: every (configuration, seed)
 //! cell of a sweep runs an independent,
 //! deterministic simulation. This module fans a job list across scoped
@@ -13,34 +14,28 @@
 //! serial one — the scheduler can only change wall-clock time, never
 //! content. The perf harness relies on this to measure sweep scaling.
 //!
-//! Worker count comes from `--threads N` / `PARALEON_SWEEP_THREADS`,
-//! defaulting to the machine's available parallelism; `--serial` (or
-//! `--threads 1`) forces in-place serial execution for A/B checks.
+//! The invariant auditor's registry is thread-local like the jobs'
+//! other state, so each worker starts from the caller's audit
+//! disposition and hands its tallies back when it finishes: a gate that
+//! reads `paraleon_audit::violation_count()` after a sweep sees every
+//! job's violations, whatever the worker count.
+//!
+//! Worker count comes from `--threads N`, defaulting to the machine's
+//! available parallelism; `--threads 1` is the in-place serial run.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker-thread count for sweeps: `--threads N` beats
-/// `PARALEON_SWEEP_THREADS` beats available parallelism; `--serial`
-/// forces 1.
+/// Worker-thread count for sweeps: `--threads N`, else the machine's
+/// available parallelism.
 pub fn threads_from_args() -> usize {
     let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--serial") {
-        return 1;
-    }
     if let Some(i) = args.iter().position(|a| a == "--threads") {
         if let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
             return n.max(1);
         }
     }
-    if let Ok(v) = std::env::var("PARALEON_SWEEP_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    effective_threads(usize::MAX)
 }
 
 /// The worker count a request for `requested` threads actually gets:
@@ -64,7 +59,8 @@ pub fn effective_threads(requested: usize) -> usize {
 /// the reference execution. Otherwise that many scoped workers pull jobs
 /// off a shared atomic cursor (dynamic load balancing: simulation cells
 /// can differ in cost by an order of magnitude) and write each result
-/// into its job's slot.
+/// into its job's slot; audit violations recorded on a worker are folded
+/// into the caller's registry in worker order once it has finished.
 pub fn run<T, F>(threads: usize, jobs: Vec<F>) -> Vec<T>
 where
     F: FnOnce() -> T + Send,
@@ -78,20 +74,33 @@ where
     let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
+    let audit_on = paraleon_audit::enabled();
+    let audit_panic = paraleon_audit::panic_on_violation();
     std::thread::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let job = jobs[i]
-                    .lock()
-                    .expect("job mutex poisoned")
-                    .take()
-                    .expect("job taken twice");
-                *slots[i].lock().expect("slot mutex poisoned") = Some(job());
-            });
+        let workers: Vec<_> = (0..threads.min(n))
+            .map(|_| {
+                s.spawn(|| {
+                    paraleon_audit::set_enabled(audit_on);
+                    paraleon_audit::set_panic_on_violation(audit_panic);
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let job = jobs[i]
+                            .lock()
+                            .expect("job mutex poisoned")
+                            .take()
+                            .expect("job taken twice");
+                        *slots[i].lock().expect("slot mutex poisoned") = Some(job());
+                    }
+                    paraleon_audit::drain()
+                })
+            })
+            .collect();
+        for w in workers {
+            let (count, reports) = w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            paraleon_audit::absorb(count, reports);
         }
     });
     slots
@@ -102,23 +111,6 @@ where
                 .expect("job produced no result")
         })
         .collect()
-}
-
-/// Fan a (config × seed) grid: `f(config, seed)` for every cell, results
-/// in row-major `(config, seed)` order — the common shape of the
-/// experiment binaries' multi-seed sweeps.
-pub fn run_grid<C, T, F>(threads: usize, configs: &[C], seeds: &[u64], f: F) -> Vec<T>
-where
-    C: Sync,
-    F: Fn(&C, u64) -> T + Sync + Send,
-    T: Send,
-{
-    let f = &f;
-    let jobs: Vec<_> = configs
-        .iter()
-        .flat_map(|c| seeds.iter().map(move |&s| move || f(c, s)))
-        .collect();
-    run(threads, jobs)
 }
 
 #[cfg(test)]
@@ -152,10 +144,38 @@ mod tests {
         assert_eq!(mk(1), mk(4));
     }
 
+    /// The audit registry is thread-local: without the fold a gate that
+    /// reads `violation_count()` after the sweep is blind to its workers.
+    #[cfg(feature = "audit")]
     #[test]
-    fn grid_is_row_major() {
-        let got = run_grid(4, &[10u64, 20], &[1, 2, 3], |c, s| c + s);
-        assert_eq!(got, vec![11, 12, 13, 21, 22, 23]);
+    fn worker_violations_fold_into_the_caller() {
+        if effective_threads(2) < 2 {
+            return; // one core: the sweep runs inline on this thread
+        }
+        paraleon_audit::set_panic_on_violation(false);
+        paraleon_audit::reset();
+        let gate = std::sync::Barrier::new(2);
+        let jobs: Vec<_> = [true, false]
+            .into_iter()
+            .map(|violate| {
+                let gate = &gate;
+                move || {
+                    // Both workers hold a job before either proceeds, so
+                    // the violation is reported off the calling thread.
+                    gate.wait();
+                    if violate {
+                        paraleon_audit::report(paraleon_audit::AuditViolation::CrossShardResidue {
+                            shard: 0,
+                            pending: 1,
+                        });
+                    }
+                }
+            })
+            .collect();
+        run(2, jobs);
+        assert_eq!(paraleon_audit::violation_count(), 1);
+        assert_eq!(paraleon_audit::violations().len(), 1);
+        paraleon_audit::reset();
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The paper reports per-interval transfer sizes (switches→controller
 //! 520 B, RNICs→controller 12 B, controller→devices 76 B). We measure the
-//! same three channels from our own wire formats so `exp_table4` can
+//! same three channels from our own wire formats so `exp table4` can
 //! report the reproduction's numbers next to the paper's.
 
 use serde::{Deserialize, Serialize};
