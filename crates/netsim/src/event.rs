@@ -58,7 +58,7 @@ use crate::{FlowId, Nanos};
 /// Everything that can happen in the simulator.
 ///
 /// The enum is deliberately *slim* (16 bytes): packets travel through the
-/// scheduler as [`PacketId`] handles into the simulator's packet arena,
+/// scheduler as `PacketId` handles into the simulator's packet arena,
 /// and node/port addresses are narrowed to `u32`/`u16` (a fabric with
 /// more than 4 G nodes or 64 K ports per switch is out of scope). Before
 /// this, `Arrive` carried a ~100-byte `Packet` by value and every heap

@@ -16,9 +16,27 @@
 //! which freezes its ToR down-port and lets congestion spread upstream
 //! through the shared buffer — exactly the deployment hazard the
 //! guardrail in `paraleon-core` exists to survive.
+//!
+//! The plan half (what may be scheduled, and its JSON form) comes first;
+//! the apply half — validation against a topology, what a transition
+//! does to a link, its flight-recorder record, and the per-shard glue
+//! that runs it — follows at the end of the file.
 
-use crate::{Nanos, NodeId};
+use paraleon_telemetry as tel;
 use serde::{Serialize, Value};
+
+use crate::core::FAULT_NS;
+use crate::error::SimError;
+use crate::event::Event;
+use crate::sim::Simulator;
+use crate::topology::Topology;
+use crate::{Nanos, NodeId};
+
+/// The slowest a [`FaultKind::Degrade`] may make a link, as a fraction of
+/// nominal rate. Anything slower is a dead link — say `LinkDown` — and
+/// the floor keeps serialization times (≈ 84 ns per MTU at 100 Gbps,
+/// divided by the factor) far from the end of the `u64` clock.
+const MIN_DEGRADE_FACTOR: f64 = 1e-6;
 
 /// What a single scheduled fault does.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,7 +47,8 @@ pub enum FaultKind {
     LinkDown,
     /// Return the link to service at full rate.
     LinkUp,
-    /// Degrade the link to `factor` × its nominal rate (0 < factor ≤ 1).
+    /// Degrade the link to `factor` × its nominal rate
+    /// (10⁻⁶ ≤ factor ≤ 1).
     Degrade {
         /// Fraction of nominal bandwidth that survives.
         factor: f64,
@@ -289,15 +308,16 @@ impl FaultPlan {
 
     /// Degrade `(node, port)` to `factor` × nominal rate at `at`.
     pub fn degrade(&mut self, at: Nanos, node: NodeId, port: usize, factor: f64) -> &mut Self {
+        let kind = FaultKind::Degrade { factor };
         assert!(
-            factor > 0.0 && factor <= 1.0,
-            "degrade factor must be in (0, 1]"
+            kind.params_in_range(),
+            "degrade factor must be in [1e-6, 1]"
         );
         self.push(FaultEvent {
             at,
             node,
             port,
-            kind: FaultKind::Degrade { factor },
+            kind,
         })
     }
 
@@ -316,13 +336,14 @@ impl FaultPlan {
         port: usize,
         drop_prob: f64,
     ) -> &mut Self {
-        assert!((0.0..=1.0).contains(&drop_prob), "drop_prob out of range");
+        let kind = FaultKind::PktLoss { drop_prob };
+        assert!(kind.params_in_range(), "drop_prob out of range");
         assert!(until > at, "corruption window must be non-empty");
         self.push(FaultEvent {
             at,
             node,
             port,
-            kind: FaultKind::PktLoss { drop_prob },
+            kind,
         });
         self.push(FaultEvent {
             at: until,
@@ -437,6 +458,196 @@ impl LinkState {
     #[inline]
     pub fn is_clean(&self) -> bool {
         self.up && self.rate_factor >= 1.0 && self.drop_prob <= 0.0
+    }
+}
+
+// ----------------------------------------------------------------------
+// The apply half
+// ----------------------------------------------------------------------
+
+impl FaultKind {
+    /// Whether this is a PFC storm transition, which addresses a host
+    /// (and acts on its only link, port 0) rather than a `(node, port)`.
+    fn is_storm(&self) -> bool {
+        matches!(self, FaultKind::PfcStormStart | FaultKind::PfcStormEnd)
+    }
+
+    /// Whether a `Degrade` factor or `PktLoss` probability is one the
+    /// link model can run (NaN and infinities are not).
+    fn params_in_range(&self) -> bool {
+        match *self {
+            FaultKind::Degrade { factor } => (MIN_DEGRADE_FACTOR..=1.0).contains(&factor),
+            FaultKind::PktLoss { drop_prob } => (0.0..=1.0).contains(&drop_prob),
+            _ => true,
+        }
+    }
+
+    /// What a link transition does to one directed link's state.
+    fn apply_to(&self, link: &mut LinkState) {
+        match *self {
+            FaultKind::LinkDown => link.up = false,
+            FaultKind::LinkUp => link.up = true,
+            FaultKind::Degrade { factor } => link.rate_factor = factor,
+            FaultKind::PktLoss { drop_prob } => link.drop_prob = drop_prob,
+            _ => unreachable!("{self:?} is not a link transition"),
+        }
+    }
+}
+
+impl FaultEvent {
+    /// The flight-recorder record of a data-plane transition.
+    fn tel_event(&self) -> tel::Event {
+        let (node, port) = (self.node as u32, self.port as u32);
+        match self.kind {
+            FaultKind::LinkDown => tel::Event::FaultLinkDown { node, port },
+            FaultKind::LinkUp => tel::Event::FaultLinkUp { node, port },
+            FaultKind::Degrade { factor } => tel::Event::FaultDegrade { node, port, factor },
+            FaultKind::PktLoss { drop_prob } => tel::Event::FaultPktLoss {
+                node,
+                port,
+                drop_prob,
+            },
+            FaultKind::PfcStormStart => tel::Event::PfcStormStart { host: node },
+            FaultKind::PfcStormEnd => tel::Event::PfcStormEnd { host: node },
+            // Control-plane transitions never reach the event queue —
+            // `install_fault_plan` filters them out.
+            FaultKind::CtrlImpair { .. } | FaultKind::CtrlCrash { .. } => {
+                unreachable!("ctrl fault scheduled on the data plane")
+            }
+        }
+    }
+}
+
+impl FaultPlan {
+    /// Check every transition against the clock and every data-plane
+    /// transition against `topo` and the link model's parameter ranges.
+    /// Control-plane transitions carry no link address; they are
+    /// consumed by the closed loop, not the data plane.
+    fn validate(&self, topo: &Topology, now: Nanos) -> Result<(), SimError> {
+        let n_nodes = topo.n_nodes();
+        for (index, ev) in self.events.iter().enumerate() {
+            let FaultEvent {
+                at,
+                node,
+                port,
+                kind,
+            } = *ev;
+            if at < now {
+                return Err(SimError::TimeInPast { at, now });
+            }
+            if kind.is_ctrl() {
+                continue;
+            }
+            if node >= n_nodes {
+                return Err(SimError::NodeOutOfRange { node, n_nodes });
+            }
+            let n_ports = topo.ports(node).len();
+            if kind.is_storm() {
+                if node >= topo.n_hosts() {
+                    return Err(SimError::NotAHost { node });
+                }
+            } else if port >= n_ports {
+                return Err(SimError::PortOutOfRange {
+                    node,
+                    port,
+                    n_ports,
+                });
+            }
+            if !kind.params_in_range() {
+                return Err(SimError::FaultParamOutOfRange { index });
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Simulator {
+    /// One shard's share of `Engine::install_fault_plan`: validate and
+    /// record every transition, reseed the corruption RNGs, and schedule
+    /// one `Event::Fault` for each transition this shard must run.
+    pub(crate) fn install_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
+        plan.validate(&self.topo, self.core.now())?;
+        self.links.reseed(plan.seed);
+        for ev in plan.events().iter().filter(|ev| !ev.kind.is_ctrl()) {
+            // Every shard records every transition so `Event::Fault`
+            // indices stay globally aligned; only shards owning one of
+            // the affected link ends schedule it. The plan index is the
+            // key counter: replicas on two shards carry the same key and
+            // run at the same barrier-aligned instant.
+            let idx = self.fault_plan.len() as u32;
+            self.fault_plan.push(*ev);
+            if self.link_ends(ev).iter().any(|end| self.core.owns(end.0)) {
+                self.core
+                    .external(FAULT_NS, idx as u64, ev.at, Event::Fault(idx));
+            }
+        }
+        Ok(())
+    }
+
+    /// Both `(node, port)` ends of the cable a transition acts on, the
+    /// addressed node's first.
+    fn link_ends(&self, ev: &FaultEvent) -> [(NodeId, usize); 2] {
+        let port = if ev.kind.is_storm() { 0 } else { ev.port };
+        let far = self.topo.ports(ev.node)[port];
+        [(ev.node, port), (far.peer, far.peer_port)]
+    }
+
+    /// Run transition `idx` of the installed plan.
+    pub(crate) fn apply_fault(&mut self, idx: u32) {
+        let ev = self.fault_plan[idx as usize];
+        let now = self.core.now();
+        let ends = self.link_ends(&ev);
+        // A cross-cut fault is replicated onto both end shards; the shard
+        // owning `ev.node` is the *primary* and performs the one-time
+        // side effects (telemetry, global counters). The secondary only
+        // updates its own side's link state — and un-counts the replica
+        // so `events_processed` sums to the one-shard figure.
+        let primary = self.core.owns(ev.node);
+        if !primary {
+            self.core.events_processed -= 1;
+        }
+        if ev.kind.is_storm() {
+            // The misbehaving host asserts sustained XOFF: freeze its
+            // ToR down-port. Congestion then spreads upstream through
+            // the shared buffer exactly as a real storm would. The
+            // partitioner co-locates a host with its ToR, so the primary
+            // owner handles the whole transition.
+            let [_, (tor, down_port)] = ends;
+            debug_assert!(
+                primary == self.core.owns(tor),
+                "PFC storm across a shard cut: host and ToR must share a shard"
+            );
+            if primary {
+                let start = ev.kind == FaultKind::PfcStormStart;
+                if start {
+                    self.accum.pfc_events += 1;
+                    self.total_pfc_events += 1;
+                }
+                tel::event_at(now, ev.tel_event());
+                self.on_pfc_set(tor, down_port, start);
+            }
+            return;
+        }
+        // A lone shard owns both ends of the cable; one of several
+        // touches only its own rows (a foreign row would never be
+        // consulted here, but writing it would race under parallel
+        // execution).
+        let owned = ends.map(|end| self.core.owns(end.0).then_some(end));
+        for (node, port) in owned.into_iter().flatten() {
+            self.links.update(node, port, |l| ev.kind.apply_to(l));
+        }
+        if primary {
+            tel::event_at(now, ev.tel_event());
+        }
+        if ev.kind == FaultKind::LinkUp {
+            // Restart any idle port that queued packets while down —
+            // each side's owner restarts its own end (the restart only
+            // generates events sourced at that end, so causal keys stay
+            // consistent with a one-shard run).
+            for (node, port) in owned.into_iter().flatten() {
+                self.try_tx(node, port);
+            }
+        }
     }
 }
 

@@ -10,49 +10,62 @@
 //! shard is the serial engine, and every count gives byte-identical
 //! results ([`par`]).
 //!
-//! What is modelled, at packet granularity:
+//! What is modelled, at packet granularity, and the module that owns it:
 //!
 //! * **Topology** — two-tier CLOS (hosts / ToR / leaf), oversubscribed
 //!   three-tier, rail-optimized and mixed-rate fabrics behind one tagged
-//!   [`TopoSpec`], with per-link bandwidth and propagation delay and
-//!   deterministic per-flow ECMP (see [`topology`]).
-//! * **RNICs** — per-QP DCQCN reaction points pacing data segments, NIC
-//!   port serialization, cumulative ACKs, CNP generation at notification
-//!   points, PFC reaction, go-back-N loss recovery (the crate-private
-//!   per-shard event core, `sim`).
+//!   [`TopoSpec`], each built from its spec, with per-link bandwidth and
+//!   propagation delay and deterministic per-flow ECMP ([`topology`]).
+//! * **Event core** — the calendar queue ([`event`]) under a clock,
+//!   causal tie-break keys, the packet arena and the shard cut (`core`,
+//!   crate-private like every layer below; it knows no networking).
+//! * **Egress ports and links** — one strict-priority, PFC-pausable
+//!   serializer model for a host's NIC port and every switch port, and
+//!   the wire behind it: serialization time, fault loss (`port`).
 //! * **Switches** — output-queued shared-buffer forwarding, RED/ECN
 //!   marking between `K_min`/`K_max`, priority separation of control
 //!   traffic, 802.1Qbb PFC with dynamic-threshold XOFF/XON, and Elastic
 //!   Sketch measurement points on ToRs with TOS-bit single-insertion
-//!   (Keypoint 1).
+//!   (Keypoint 1) (`switch`).
+//! * **RNICs** — per-QP DCQCN reaction points pacing data segments,
+//!   cumulative ACKs, CNP generation at notification points, go-back-N
+//!   loss recovery (`nic`).
 //! * **Faults** — seeded link flaps, rate degradation, corruption loss
-//!   and PFC storms scheduled on the event queue ([`fault`]).
+//!   and PFC storms scheduled on the event queue, validated at install
+//!   ([`fault`]).
 //! * **Metrics** — per-monitor-interval uplink utilization, normalized
 //!   RTT, PFC pause ratios and drained sketch readings ([`metrics`]),
 //!   exactly the feed PARALEON's Runtime Metric Monitor consumes.
+//!
+//! `sim` holds one shard's state and the single dispatch from a popped
+//! event to its layer; [`par`] runs one or several shards as [`Engine`].
 //!
 //! Everything is synchronous and seeded: same inputs, same packet trace.
 
 pub(crate) mod barrier;
 pub mod config;
+pub(crate) mod core;
 pub mod ctrl;
+pub(crate) mod error;
 pub mod event;
 pub mod fasthash;
 pub mod fault;
 pub mod metrics;
-pub(crate) mod node;
-pub mod packet;
+pub(crate) mod nic;
+pub(crate) mod packet;
 pub mod par;
+pub(crate) mod port;
 pub(crate) mod sim;
+pub(crate) mod switch;
 pub mod topology;
 
 pub use config::SimConfig;
 pub use ctrl::{CtrlChannel, CtrlChannelStats, CtrlImpairment};
+pub use error::SimError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{FlowRecord, IntervalMetrics, SwitchObs};
-pub use packet::{Packet, PacketId, PacketKind, PacketPool};
+pub use packet::{Packet, PacketPool};
 pub use par::Engine;
-pub use sim::SimError;
 pub use topology::{
     gbps, ClosSpec, MixedRateSpec, NodeKind, Port, RailSpec, ShardSpec, ThreeTierSpec, TopoSpec,
     Topology,

@@ -5,10 +5,23 @@
 //! `Engine::collect_interval`, which snapshots them into an
 //! [`IntervalMetrics`] — the in-simulation equivalent of the switch/RNIC
 //! agents uploading throughput, RTT and PFC statistics to the centralized
-//! controller once per monitor interval λ_MI.
+//! controller once per monitor interval λ_MI. Each shard snapshots its
+//! own entities into an `IntervalRaw`; the snapshots are absorbed into
+//! one and folded in global node order, so the floating-point results
+//! are bit-identical at every shard count.
 
+use crate::config::SimConfig;
 use crate::fasthash::FastMap;
+use crate::topology::Topology;
 use crate::{FlowId, Nanos, NodeId};
+
+/// Element-wise `a += b` (per-entity slots: every entity's data lives on
+/// exactly one shard, so for `f64` this is selection, not reassociation).
+fn add_into<T: Copy + std::ops::AddAssign>(a: &mut [T], b: &[T]) {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x += *y;
+    }
+}
 
 /// Raw per-interval counters kept by the simulator (reset every collect).
 #[derive(Debug, Default)]
@@ -27,8 +40,9 @@ pub(crate) struct IntervalAccum {
     pub rtt_sum: Vec<f64>,
     /// Per-sender-host number of RTT samples.
     pub rtt_count: Vec<u64>,
-    /// Per-device accumulated PFC pause duration this interval, ns
-    /// (indexed by node id; for multi-port devices the worst port counts).
+    /// Per-device accumulated PFC pause duration this interval, ns,
+    /// indexed by node id and summed over the device's ports (so at most
+    /// `dt × radix`; the fold clamps each device to `dt`).
     pub pause_ns: Vec<Nanos>,
     /// CNPs delivered to senders.
     pub cnps: u64,
@@ -61,6 +75,170 @@ impl IntervalAccum {
             switch_tx_bytes: vec![0; n_nodes - n_hosts],
             ..Default::default()
         }
+    }
+
+    /// Add another shard's counters for the same interval.
+    fn absorb(&mut self, b: IntervalAccum) {
+        add_into(&mut self.host_up_bytes, &b.host_up_bytes);
+        add_into(&mut self.host_down_bytes, &b.host_down_bytes);
+        add_into(&mut self.gamma_sum, &b.gamma_sum);
+        add_into(&mut self.rtt_sum, &b.rtt_sum);
+        add_into(&mut self.rtt_count, &b.rtt_count);
+        add_into(&mut self.pause_ns, &b.pause_ns);
+        add_into(&mut self.switch_tx_bytes, &b.switch_tx_bytes);
+        self.cnps += b.cnps;
+        self.ecn_marks += b.ecn_marks;
+        self.drops += b.drops;
+        self.fault_drops += b.fault_drops;
+        self.bytes_delivered += b.bytes_delivered;
+        self.pfc_events += b.pfc_events;
+        for (flow, bytes) in b.truth_flow_bytes {
+            *self.truth_flow_bytes.entry(flow).or_insert(0) += bytes;
+        }
+    }
+}
+
+/// One shard's snapshot of an interval: its counters plus what it read
+/// off the entities it owns.
+#[derive(Debug)]
+pub(crate) struct IntervalRaw {
+    /// Interval start.
+    pub start: Nanos,
+    /// Interval end (collection instant).
+    pub end: Nanos,
+    /// The shard's accumulated counters (zero for non-owned entities).
+    pub accum: IntervalAccum,
+    /// Per-node reachability; meaningful only at owned nodes (non-owned
+    /// entries stay `true`, so an AND-merge recovers the owner's value).
+    pub reachable: Vec<bool>,
+    /// Per-switch marker `seen` delta this interval (owned, else 0).
+    pub sw_seen: Vec<u64>,
+    /// Per-switch marker `marked` delta this interval (owned, else 0).
+    pub sw_marked: Vec<u64>,
+    /// Per-switch shared-buffer occupancy at collection (owned, else 0).
+    pub sw_buffer: Vec<u64>,
+    /// Drained ToR sketches for owned, reachable ToRs.
+    pub sketches: Vec<(NodeId, Vec<(FlowId, u64)>)>,
+}
+
+impl IntervalRaw {
+    /// Merge another shard's snapshot of the same interval.
+    pub(crate) fn absorb(&mut self, r: IntervalRaw) {
+        debug_assert_eq!((self.start, self.end), (r.start, r.end));
+        self.accum.absorb(r.accum);
+        for (x, y) in self.reachable.iter_mut().zip(&r.reachable) {
+            *x &= y;
+        }
+        add_into(&mut self.sw_seen, &r.sw_seen);
+        add_into(&mut self.sw_marked, &r.sw_marked);
+        add_into(&mut self.sw_buffer, &r.sw_buffer);
+        self.sketches.extend(r.sketches);
+    }
+
+    /// Compute the uploaded metrics from the (fully absorbed) snapshot,
+    /// folding in global node order.
+    pub(crate) fn fold(mut self, topo: &Topology, cfg: &SimConfig) -> IntervalMetrics {
+        self.sketches.sort_unstable_by_key(|&(n, _)| n);
+        let dt = self.end.saturating_sub(self.start);
+        let dt_f = dt.max(1) as f64;
+        let (gamma, avg_rtt_ns) = self.rtt();
+        let mut truth: Vec<(FlowId, u64)> = self.accum.truth_flow_bytes.drain().collect();
+        truth.sort_unstable();
+        IntervalMetrics {
+            start: self.start,
+            end: self.end,
+            avg_uplink_utilization: self.uplink_utilization(topo, dt_f),
+            avg_normalized_rtt: gamma.min(1.0),
+            avg_rtt_ns,
+            pfc_pause_ratio: self.pause_ratio(dt, dt_f).min(1.0),
+            cnps: self.accum.cnps,
+            ecn_marks: self.accum.ecn_marks,
+            drops: self.accum.drops,
+            fault_drops: self.accum.fault_drops,
+            pfc_events: self.accum.pfc_events,
+            bytes_delivered: self.accum.bytes_delivered,
+            switch_obs: self.switch_obs(topo, cfg, dt_f),
+            tor_sketches: self.sketches,
+            truth_flow_bytes: truth,
+        }
+    }
+
+    /// O_TP over active host<->ToR uplinks.
+    fn uplink_utilization(&self, topo: &Topology, dt_f: f64) -> f64 {
+        let mut util_sum = 0.0;
+        let mut util_n = 0u32;
+        for h in 0..topo.n_hosts() {
+            let bw = topo.ports(h)[0].bw; // bytes/ns
+            for bytes in [self.accum.host_up_bytes[h], self.accum.host_down_bytes[h]] {
+                if bytes > 0 {
+                    util_sum += (bytes as f64 / (bw * dt_f)).min(1.0);
+                    util_n += 1;
+                }
+            }
+        }
+        if util_n == 0 {
+            0.0
+        } else {
+            util_sum / util_n as f64
+        }
+    }
+
+    /// O_RTT: per-host partial sums folded in host order — mean
+    /// normalized RTT (1 when idle) and mean raw RTT in ns.
+    fn rtt(&self) -> (f64, f64) {
+        let a = &self.accum;
+        let (mut gamma_sum, mut rtt_sum, mut rtt_count) = (0.0, 0.0, 0u64);
+        for h in 0..a.rtt_count.len() {
+            gamma_sum += a.gamma_sum[h];
+            rtt_sum += a.rtt_sum[h];
+            rtt_count += a.rtt_count[h];
+        }
+        if rtt_count == 0 {
+            (1.0, 0.0)
+        } else {
+            (gamma_sum / rtt_count as f64, rtt_sum / rtt_count as f64)
+        }
+    }
+
+    /// O_PFC over devices the controller can still hear from — a fully
+    /// cut-off node cannot upload pause statistics, and must not be
+    /// averaged in as a silent zero.
+    fn pause_ratio(&self, dt: Nanos, dt_f: f64) -> f64 {
+        let mut pause_sum = 0.0;
+        let mut present = 0u32;
+        for (node, &p) in self.accum.pause_ns.iter().enumerate() {
+            if self.reachable[node] {
+                present += 1;
+                pause_sum += (p.min(dt) as f64) / dt_f;
+            }
+        }
+        pause_sum / present.max(1) as f64
+    }
+
+    /// Per-switch local observations (the ACC agents' inputs). A switch
+    /// with every link dead stops uploading: it is simply absent from
+    /// this interval's `switch_obs`.
+    fn switch_obs(&self, topo: &Topology, cfg: &SimConfig, dt_f: f64) -> Vec<SwitchObs> {
+        let mut obs = Vec::with_capacity(self.sw_seen.len());
+        for (i, (&seen, &marked)) in self.sw_seen.iter().zip(&self.sw_marked).enumerate() {
+            let node = topo.n_hosts() + i;
+            if !self.reachable[node] {
+                continue;
+            }
+            let total_bw: f64 = topo.ports(node).iter().map(|p| p.bw).sum();
+            let tx = self.accum.switch_tx_bytes[i] as f64;
+            obs.push(SwitchObs {
+                node,
+                tx_utilization: (tx / (total_bw * dt_f)).min(1.0),
+                marking_rate: if seen == 0 {
+                    0.0
+                } else {
+                    marked as f64 / seen as f64
+                },
+                queue_frac: self.sw_buffer[i] as f64 / cfg.switch_buffer_bytes.max(1) as f64,
+            });
+        }
+        obs
     }
 }
 
@@ -99,7 +277,7 @@ pub struct IntervalMetrics {
     /// Payload bytes delivered to receivers this interval.
     pub bytes_delivered: u64,
     /// Per-switch local observations (what an ACC-style per-switch agent
-    /// can see): indexed by switch order (ToRs first, then leaves).
+    /// can see), in switch order: ToRs, then each tier above them.
     pub switch_obs: Vec<SwitchObs>,
     /// Per-ToR drained sketch readings: `(tor_node, [(flow, bytes)])`.
     /// Feed these to the control-plane classifier.

@@ -42,7 +42,7 @@ pub enum PacketKind {
 /// Kept to 72 bytes: endpoints are `u32` (fabrics beyond 4 G nodes are
 /// out of scope) and per-hop scratch lives in the egress-queue entries,
 /// not here. Packets are copied into the arena once at creation and out
-/// once at consumption; in between everything moves 4-byte [`PacketId`]
+/// once at consumption; in between everything moves 4-byte `PacketId`
 /// handles.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Packet {
@@ -64,7 +64,7 @@ pub struct Packet {
     pub wire_bytes: u32,
     /// Payload bytes (0 for control frames).
     pub payload_bytes: u32,
-    /// Traffic class ([`CLASS_DATA`] or [`CLASS_CTRL`]).
+    /// Traffic class (`CLASS_DATA` or `CLASS_CTRL`).
     pub class: u8,
     /// ECN Congestion Experienced mark (set by switches).
     pub ecn: bool,
@@ -153,11 +153,6 @@ impl Packet {
             class: CLASS_CTRL as u8,
         }
     }
-
-    /// Whether this is a data segment.
-    pub fn is_data(&self) -> bool {
-        matches!(self.kind, PacketKind::Data { .. })
-    }
 }
 
 /// Handle of a packet parked in a [`PacketPool`] while it is "on the
@@ -171,7 +166,7 @@ pub struct PacketId(u32);
 /// A packet enters the arena once, when its source NIC builds it, and
 /// leaves once, when its destination host consumes it (or a switch drops
 /// it). In between, NIC queues, switch queues and `Arrive` events all
-/// carry the 4-byte [`PacketId`] — enqueueing, dequeueing and hopping
+/// carry the 4-byte `PacketId` — enqueueing, dequeueing and hopping
 /// never copy the 72-byte [`Packet`]. Freed slots are recycled LIFO, so
 /// the pool's footprint is bounded by the peak number of simultaneously
 /// live packets (not by the run length), and slot assignment is a pure
@@ -250,11 +245,6 @@ impl PacketPool {
         &mut self.slots[id.0 as usize]
     }
 
-    /// High-water mark of simultaneously parked packets.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Cross-check the conservation tallies against the arena's live
     /// count: Σ per-flow (injected − delivered − dropped) must equal
     /// `in_flight()`. No-op unless the `audit` feature is on.
@@ -271,7 +261,7 @@ mod tests {
     #[test]
     fn data_packet_shape() {
         let p = Packet::data(7, 7, 0, 1, 4096, 1 << 20, 1000, 48, 99);
-        assert!(p.is_data());
+        assert!(matches!(p.kind, PacketKind::Data { .. }));
         assert_eq!(p.wire_bytes, 1048);
         assert_eq!(p.payload_bytes, 1000);
         assert_eq!(p.class as usize, CLASS_DATA);
@@ -285,7 +275,7 @@ mod tests {
         for p in [a, c] {
             assert_eq!(p.class as usize, CLASS_CTRL);
             assert!(p.sketched, "control frames must never enter sketches");
-            assert!(!p.is_data());
+            assert!(!matches!(p.kind, PacketKind::Data { .. }));
             assert_eq!(p.payload_bytes, 0);
         }
     }
@@ -302,7 +292,7 @@ mod tests {
         // Freed slot is reused (LIFO), keeping the arena compact.
         let c = pool.insert(Packet::cnp(3, 1, 0, None, 64, 20));
         assert_eq!(c, a);
-        assert_eq!(pool.capacity(), 2);
+        assert_eq!(pool.slots.len(), 2);
         assert_eq!(pool.take(b).flow, 2);
         assert_eq!(pool.take(c).flow, 3);
         assert_eq!(pool.in_flight(), 0);

@@ -1,7 +1,7 @@
 //! The engine: one event core per shard; one shard is the serial engine.
 //!
 //! [`Engine`] is the only way to run the fabric. It holds one crate-private
-//! event core (`crate::sim`) per shard, and the shard count after clamping
+//! simulator (`crate::sim`) per shard, and the shard count after clamping
 //! is the only thing that selects how a call executes:
 //!
 //! * **One shard** (`threads <= 1`, or nothing to cut) owns every node and
@@ -28,7 +28,7 @@
 //!   ECN RNG, per-node corruption RNG) driven only by that entity's own
 //!   event sequence;
 //! * interval metrics accumulate **per entity** and are folded in global
-//!   node order by one `finalize_interval` — f64 merging is selection,
+//!   node order by one `IntervalRaw::fold` — f64 merging is selection,
 //!   never reassociation;
 //! * telemetry is **captured** on worker threads tagged `(at, key)` and
 //!   replayed on the caller's thread in that order — the order one shard
@@ -45,9 +45,11 @@ use paraleon_telemetry as tel;
 
 use crate::barrier::{run_shards, BarrierBroken, EpochBarrier};
 use crate::config::SimConfig;
+use crate::core::RemoteMsg;
+use crate::error::SimError;
 use crate::fault::{FaultPlan, LinkState};
 use crate::metrics::{FlowRecord, IntervalMetrics};
-use crate::sim::{RemoteMsg, SimError, Simulator};
+use crate::sim::Simulator;
 use crate::topology::Topology;
 use crate::{FlowId, Nanos, NodeId};
 
@@ -162,28 +164,29 @@ impl Engine {
 
     /// The topology.
     pub fn topology(&self) -> &Topology {
-        self.shards[0].topology()
+        &self.shards[0].topo
     }
 
     /// The configuration.
     pub fn config(&self) -> &SimConfig {
-        self.shards[0].config()
+        &self.shards[0].cfg
     }
 
-    /// Number of switches (ToRs + leaves).
+    /// Number of switches: every node that is not a host (ToRs, leaves or
+    /// aggregation switches, and a three-tier fabric's spines).
     pub fn n_switches(&self) -> usize {
-        self.shards[0].n_switches()
+        self.shards[0].switches.len()
     }
 
     /// Number of admitted flows not yet completed.
     pub fn active_flows(&self) -> usize {
-        self.shards.iter().map(Simulator::active_flows).sum()
+        self.shards.iter().map(|s| s.active_flows).sum()
     }
 
     /// Total events processed (fault replicas on a second shard un-count
     /// themselves, so the figure is the same at every shard count).
     pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events_processed).sum()
+        self.shards.iter().map(|s| s.core.events_processed).sum()
     }
 
     /// Total data packets dropped over the whole run.
@@ -205,7 +208,7 @@ impl Engine {
     pub fn has_pending_events(&self) -> bool {
         self.shards
             .iter()
-            .any(|s| s.has_pending_events() || s.outboxes_pending() > 0)
+            .any(|s| s.core.has_pending_events() || s.core.outboxes_pending() > 0)
     }
 
     /// Base RTT between two hosts (cached; used for RTT normalisation).
@@ -223,13 +226,13 @@ impl Engine {
 
     /// Runtime state of the directed link at `(node, port)`.
     pub fn link_state(&self, node: NodeId, port: usize) -> LinkState {
-        self.owner(node).link_state(node, port)
+        self.owner(node).links.state(node, port)
     }
 
     /// Whether `node` still has at least one live link — a fully
     /// cut-off switch cannot upload observations or sketch readings.
     pub fn node_reachable(&self, node: NodeId) -> bool {
-        self.owner(node).node_reachable(node)
+        self.owner(node).links.any_up(node)
     }
 
     /// Admit a flow of `bytes` from host `src` to host `dst` at `start`
@@ -311,11 +314,12 @@ impl Engine {
 
     /// The active parameter setting.
     pub fn dcqcn_params(&self) -> &DcqcnParams {
-        self.shards[0].dcqcn_params()
+        &self.shards[0].cfg.dcqcn
     }
 
     /// Override one switch's ECN thresholds only (ACC-style per-switch
-    /// tuning). `switch_index` counts ToRs first, then leaves, matching
+    /// tuning). `switch_index` counts every non-host node in id order —
+    /// ToRs first, then each tier above them — matching
     /// `IntervalMetrics::switch_obs`; a stale index is an error, not a
     /// crash of the fabric model.
     pub fn set_switch_ecn(
@@ -383,7 +387,7 @@ impl Engine {
         run_shards(shards, &cut.barrier, |me, shard| {
             paraleon_audit::set_enabled(audit_on);
             paraleon_audit::set_panic_on_violation(audit_panic);
-            shard.tel_capture = tel_on;
+            shard.core.tel_capture = tel_on;
             if tel_on {
                 // Divert every telemetry emission on this thread — from
                 // any crate, not just the simulator — into the capture
@@ -391,7 +395,7 @@ impl Engine {
                 // the coordinator can replay in serial order.
                 tel::capture_begin();
             }
-            let mut cur = shard.now();
+            let mut cur = shard.core.now();
             let mut epoch = 0usize;
             while cur < t {
                 let e = t.min(cur + cut.lookahead);
@@ -441,7 +445,7 @@ impl Engine {
     /// handoff is still parked in an outbox.
     pub fn collect_interval(&mut self) -> IntervalMetrics {
         for (i, s) in self.shards.iter().enumerate() {
-            let pending = s.outboxes_pending();
+            let pending = s.core.outboxes_pending();
             paraleon_audit::check(pending == 0, || {
                 paraleon_audit::AuditViolation::CrossShardResidue {
                     shard: i as u32,
@@ -449,12 +453,14 @@ impl Engine {
                 }
             });
         }
-        let raws = self
-            .shards
-            .iter_mut()
-            .map(Simulator::interval_raw)
-            .collect();
-        Simulator::finalize_interval(self.shards[0].topology(), self.shards[0].config(), raws)
+        // Each entity's data lives in exactly one shard's snapshot.
+        let raws = self.shards.iter_mut().map(Simulator::interval_raw);
+        let raw = raws.reduce(|mut all, r| {
+            all.absorb(r);
+            all
+        });
+        let raw = raw.expect("at least one shard");
+        raw.fold(self.topology(), self.config())
     }
 }
 
@@ -477,14 +483,14 @@ fn exchange(
             // hands its capacity back to the outbox.
             let mut slot = lock_slot(slot);
             debug_assert!(slot.is_empty(), "mailbox {me}->{dst} posted before drained");
-            std::mem::swap(&mut *slot, shard.outbox_mut(dst));
+            std::mem::swap(&mut *slot, shard.core.outbox_mut(dst));
         }
     }
     barrier.wait()?;
     for (src, row) in mail.iter().enumerate() {
         if src != me {
             for msg in lock_slot(&row[me]).drain(..) {
-                shard.inject_remote(msg);
+                shard.core.inject_remote(msg);
             }
         }
     }
@@ -604,7 +610,7 @@ mod tests {
                 eng.run_for(150 * MICRO);
                 // One shard runs on this thread and never captures.
                 let capturing = on && eng.cut.is_some();
-                assert!(eng.shards.iter().all(|s| s.tel_capture == capturing));
+                assert!(eng.shards.iter().all(|s| s.core.tel_capture == capturing));
                 assert!(eng.shards.iter().all(|s| s.tel_carry.is_empty()));
             }
             tel::set_enabled(false);

@@ -1,525 +1,28 @@
-//! Network topologies: node/port graph, link capacities and static ECMP
-//! routing.
+//! Network topologies: the node/port graph, link capacities, static
+//! ECMP routing and the partition the sharded engine cuts along.
 //!
 //! The paper's simulations use a two-tier CLOS: hosts attach to ToR
 //! switches, ToRs attach to leaf (spine) switches, with configurable
 //! oversubscription (4:1 in the NS3 evaluation, 1:1 on the testbed).
-//! [`Topology::two_tier_clos`] builds exactly that; a dumbbell helper
-//! supports unit tests. Beyond the paper, [`TopoSpec`] opens the
-//! scenario space to the fabric families the Chameleon artifact sweeps:
-//! an oversubscribed three-tier Clos ([`Topology::three_tier_clos`]),
-//! a rail-optimized plane (GPU `g` of every server on rail switch `g`),
+//! Beyond the paper, the scenario space covers the fabric families the
+//! Chameleon artifact sweeps: an oversubscribed three-tier Clos, a
+//! rail-optimized plane (GPU `g` of every server on rail switch `g`),
 //! and a mixed-link-speed plane (alternating fast/slow leaf uplinks).
+//!
+//! Every family is described by a spec and built from it — the specs,
+//! their JSON form, their validation and the builders are in `spec`;
+//! this file holds what a *built* [`Topology`] answers: kinds and port
+//! tables, routing, partitioning, base RTT.
 //!
 //! Routing is deterministic ECMP: the upward choice at a switch is a
 //! hash of the flow id, so one flow always follows one path (no
 //! reordering), matching RoCEv2 deployments.
 
+mod spec;
+
+pub use spec::{ClosSpec, MixedRateSpec, RailSpec, ThreeTierSpec, TopoSpec};
+
 use crate::{Nanos, NodeId};
-use serde::{Serialize, Value};
-
-/// Serializable recipe for [`Topology::two_tier_clos`]: the topology as
-/// *configuration* rather than as a built graph, so harnesses (the
-/// anomaly hunter's genome, replayable corpus cases) can round-trip it
-/// through JSON and rebuild an identical topology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct ClosSpec {
-    /// Number of ToR switches.
-    pub n_tor: usize,
-    /// Hosts attached to each ToR.
-    pub hosts_per_tor: usize,
-    /// Number of leaf (spine) switches.
-    pub n_leaf: usize,
-    /// Host link rate in Gbps.
-    pub host_gbps: f64,
-    /// ToR↔leaf link rate in Gbps.
-    pub uplink_gbps: f64,
-    /// Per-link propagation delay in nanoseconds.
-    pub delay_ns: Nanos,
-}
-
-/// Validate the fields shared by every spec family. `delay_ns == 0` is
-/// rejected because a zero-delay link zeroes [`Topology::lookahead`],
-/// which degenerates the conservative parallel engine to lockstep —
-/// the same floor `remap_point` clamps to in the hunt minimizer.
-fn validate_common(
-    what: &str,
-    dims: &[(&str, usize)],
-    rates: &[f64],
-    delay_ns: Nanos,
-) -> Result<(), String> {
-    for &(name, v) in dims {
-        if v == 0 {
-            return Err(format!("{what}: `{name}` must be >= 1"));
-        }
-    }
-    for &rate in rates {
-        if !rate.is_finite() || rate <= 0.0 {
-            return Err(format!("{what}: link rates must be positive"));
-        }
-    }
-    if delay_ns == 0 {
-        return Err(format!(
-            "{what}: delay_ns must be >= 1 (zero delay gives the parallel engine no lookahead)"
-        ));
-    }
-    Ok(())
-}
-
-impl ClosSpec {
-    /// Total host count.
-    pub fn n_hosts(&self) -> usize {
-        self.n_tor * self.hosts_per_tor
-    }
-
-    /// Total node count (hosts + ToRs + leaves).
-    pub fn n_nodes(&self) -> usize {
-        self.n_hosts() + self.n_tor + self.n_leaf
-    }
-
-    /// Materialize the spec into a routed [`Topology`].
-    pub fn build(&self) -> Topology {
-        Topology::two_tier_clos(
-            self.n_tor,
-            self.hosts_per_tor,
-            self.n_leaf,
-            self.host_gbps,
-            self.uplink_gbps,
-            self.delay_ns,
-        )
-    }
-
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let uint = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("ClosSpec: missing `{name}`"))
-        };
-        let float = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("ClosSpec: missing `{name}`"))
-        };
-        let spec = Self {
-            n_tor: uint("n_tor")? as usize,
-            hosts_per_tor: uint("hosts_per_tor")? as usize,
-            n_leaf: uint("n_leaf")? as usize,
-            host_gbps: float("host_gbps")?,
-            uplink_gbps: float("uplink_gbps")?,
-            delay_ns: uint("delay_ns")?,
-        };
-        validate_common(
-            "ClosSpec",
-            &[
-                ("n_tor", spec.n_tor),
-                ("hosts_per_tor", spec.hosts_per_tor),
-                ("n_leaf", spec.n_leaf),
-            ],
-            &[spec.host_gbps, spec.uplink_gbps],
-            spec.delay_ns,
-        )?;
-        Ok(spec)
-    }
-}
-
-/// Recipe for [`Topology::three_tier_clos`]: pods of ToRs under
-/// aggregation switches, aggregation planes joined by spines. The
-/// canonical way to express oversubscription at two levels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct ThreeTierSpec {
-    /// Number of pods.
-    pub n_pod: usize,
-    /// ToR switches per pod.
-    pub tors_per_pod: usize,
-    /// Hosts attached to each ToR.
-    pub hosts_per_tor: usize,
-    /// Aggregation switches per pod.
-    pub aggs_per_pod: usize,
-    /// Spines attached to each aggregation plane (total spines =
-    /// `aggs_per_pod · spines_per_agg`).
-    pub spines_per_agg: usize,
-    /// Host link rate in Gbps.
-    pub host_gbps: f64,
-    /// ToR↔aggregation link rate in Gbps.
-    pub agg_gbps: f64,
-    /// Aggregation↔spine link rate in Gbps.
-    pub spine_gbps: f64,
-    /// Per-link propagation delay in nanoseconds.
-    pub delay_ns: Nanos,
-}
-
-impl ThreeTierSpec {
-    /// Total host count.
-    pub fn n_hosts(&self) -> usize {
-        self.n_pod * self.tors_per_pod * self.hosts_per_tor
-    }
-
-    /// Total node count (hosts + ToRs + aggs + spines).
-    pub fn n_nodes(&self) -> usize {
-        self.n_hosts()
-            + self.n_pod * self.tors_per_pod
-            + self.n_pod * self.aggs_per_pod
-            + self.aggs_per_pod * self.spines_per_agg
-    }
-
-    /// Materialize the spec into a routed [`Topology`].
-    pub fn build(&self) -> Topology {
-        Topology::three_tier_clos(
-            self.n_pod,
-            self.tors_per_pod,
-            self.hosts_per_tor,
-            self.aggs_per_pod,
-            self.spines_per_agg,
-            self.host_gbps,
-            self.agg_gbps,
-            self.spine_gbps,
-            self.delay_ns,
-        )
-    }
-
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let uint = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("ThreeTierSpec: missing `{name}`"))
-        };
-        let float = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("ThreeTierSpec: missing `{name}`"))
-        };
-        let spec = Self {
-            n_pod: uint("n_pod")? as usize,
-            tors_per_pod: uint("tors_per_pod")? as usize,
-            hosts_per_tor: uint("hosts_per_tor")? as usize,
-            aggs_per_pod: uint("aggs_per_pod")? as usize,
-            spines_per_agg: uint("spines_per_agg")? as usize,
-            host_gbps: float("host_gbps")?,
-            agg_gbps: float("agg_gbps")?,
-            spine_gbps: float("spine_gbps")?,
-            delay_ns: uint("delay_ns")?,
-        };
-        validate_common(
-            "ThreeTierSpec",
-            &[
-                ("n_pod", spec.n_pod),
-                ("tors_per_pod", spec.tors_per_pod),
-                ("hosts_per_tor", spec.hosts_per_tor),
-                ("aggs_per_pod", spec.aggs_per_pod),
-                ("spines_per_agg", spec.spines_per_agg),
-            ],
-            &[spec.host_gbps, spec.agg_gbps, spec.spine_gbps],
-            spec.delay_ns,
-        )?;
-        Ok(spec)
-    }
-}
-
-/// Recipe for a rail-optimized plane: GPU `g` of every server attaches
-/// to rail switch `g`, so host ids stripe across the "ToR" tier instead
-/// of blocking under it. Same two-tier graph shape as [`ClosSpec`],
-/// different host↔switch incidence — which is exactly what changes the
-/// contention pattern of collectives over consecutive ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct RailSpec {
-    /// Number of rail switches (GPUs per server).
-    pub n_rail: usize,
-    /// Servers — each contributes one host (GPU) per rail.
-    pub n_server: usize,
-    /// Spine switches joining the rails.
-    pub n_spine: usize,
-    /// Host link rate in Gbps.
-    pub host_gbps: f64,
-    /// Rail↔spine link rate in Gbps.
-    pub uplink_gbps: f64,
-    /// Per-link propagation delay in nanoseconds.
-    pub delay_ns: Nanos,
-}
-
-impl RailSpec {
-    /// Total host count (`n_server · n_rail` GPUs).
-    pub fn n_hosts(&self) -> usize {
-        self.n_rail * self.n_server
-    }
-
-    /// Total node count.
-    pub fn n_nodes(&self) -> usize {
-        self.n_hosts() + self.n_rail + self.n_spine
-    }
-
-    /// Materialize the spec into a routed [`Topology`].
-    pub fn build(&self) -> Topology {
-        Topology::rail_optimized(
-            self.n_rail,
-            self.n_server,
-            self.n_spine,
-            self.host_gbps,
-            self.uplink_gbps,
-            self.delay_ns,
-        )
-    }
-
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let uint = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("RailSpec: missing `{name}`"))
-        };
-        let float = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("RailSpec: missing `{name}`"))
-        };
-        let spec = Self {
-            n_rail: uint("n_rail")? as usize,
-            n_server: uint("n_server")? as usize,
-            n_spine: uint("n_spine")? as usize,
-            host_gbps: float("host_gbps")?,
-            uplink_gbps: float("uplink_gbps")?,
-            delay_ns: uint("delay_ns")?,
-        };
-        validate_common(
-            "RailSpec",
-            &[
-                ("n_rail", spec.n_rail),
-                ("n_server", spec.n_server),
-                ("n_spine", spec.n_spine),
-            ],
-            &[spec.host_gbps, spec.uplink_gbps],
-            spec.delay_ns,
-        )?;
-        Ok(spec)
-    }
-}
-
-/// Recipe for a mixed-link-speed two-tier Clos: even-indexed leaves get
-/// `fast_gbps` uplinks, odd-indexed leaves `slow_gbps`. ECMP still
-/// spreads flows over all leaves, so a hash-unlucky flow rides the slow
-/// plane — the heterogeneity DCQCN parameter tuning must tolerate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct MixedRateSpec {
-    /// Number of ToR switches.
-    pub n_tor: usize,
-    /// Hosts attached to each ToR.
-    pub hosts_per_tor: usize,
-    /// Number of leaf switches (fast/slow alternating).
-    pub n_leaf: usize,
-    /// Host link rate in Gbps.
-    pub host_gbps: f64,
-    /// Uplink rate of even-indexed leaves, Gbps.
-    pub fast_gbps: f64,
-    /// Uplink rate of odd-indexed leaves, Gbps.
-    pub slow_gbps: f64,
-    /// Per-link propagation delay in nanoseconds.
-    pub delay_ns: Nanos,
-}
-
-impl MixedRateSpec {
-    /// Total host count.
-    pub fn n_hosts(&self) -> usize {
-        self.n_tor * self.hosts_per_tor
-    }
-
-    /// Total node count.
-    pub fn n_nodes(&self) -> usize {
-        self.n_hosts() + self.n_tor + self.n_leaf
-    }
-
-    /// Materialize the spec into a routed [`Topology`].
-    pub fn build(&self) -> Topology {
-        let fast = self.fast_gbps;
-        let slow = self.slow_gbps;
-        Topology::build_two_tier(
-            self.n_tor,
-            self.hosts_per_tor,
-            self.n_leaf,
-            self.host_gbps,
-            &|l| if l % 2 == 0 { fast } else { slow },
-            self.delay_ns,
-            false,
-        )
-    }
-
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let uint = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("MixedRateSpec: missing `{name}`"))
-        };
-        let float = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("MixedRateSpec: missing `{name}`"))
-        };
-        let spec = Self {
-            n_tor: uint("n_tor")? as usize,
-            hosts_per_tor: uint("hosts_per_tor")? as usize,
-            n_leaf: uint("n_leaf")? as usize,
-            host_gbps: float("host_gbps")?,
-            fast_gbps: float("fast_gbps")?,
-            slow_gbps: float("slow_gbps")?,
-            delay_ns: uint("delay_ns")?,
-        };
-        validate_common(
-            "MixedRateSpec",
-            &[
-                ("n_tor", spec.n_tor),
-                ("hosts_per_tor", spec.hosts_per_tor),
-                ("n_leaf", spec.n_leaf),
-            ],
-            &[spec.host_gbps, spec.fast_gbps, spec.slow_gbps],
-            spec.delay_ns,
-        )?;
-        Ok(spec)
-    }
-}
-
-/// A topology *family* plus its dimensions: everything needed to build,
-/// route and partition a fabric, round-trippable through JSON like
-/// [`ClosSpec`] (which it embeds as its first family).
-///
-/// Serialized form is the family spec's fields plus a `"family"` tag;
-/// an object *without* a tag parses as a legacy untagged [`ClosSpec`],
-/// so corpus files written before families existed keep loading.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TopoSpec {
-    /// The paper's two-tier Clos ([`ClosSpec`]).
-    TwoTier(ClosSpec),
-    /// Oversubscribed three-tier Clos ([`ThreeTierSpec`]).
-    ThreeTier(ThreeTierSpec),
-    /// Rail-optimized GPU plane ([`RailSpec`]).
-    Rail(RailSpec),
-    /// Two-tier Clos with alternating fast/slow leaf planes
-    /// ([`MixedRateSpec`]).
-    MixedRate(MixedRateSpec),
-}
-
-impl Serialize for TopoSpec {
-    fn serialize_value(&self) -> Value {
-        let tagged = |family: &str, v: Value| {
-            let mut entries = vec![("family".to_string(), Value::String(family.to_string()))];
-            if let Value::Object(fields) = v {
-                entries.extend(fields);
-            }
-            Value::Object(entries)
-        };
-        match self {
-            Self::TwoTier(s) => tagged("two_tier", s.serialize_value()),
-            Self::ThreeTier(s) => tagged("three_tier", s.serialize_value()),
-            Self::Rail(s) => tagged("rail", s.serialize_value()),
-            Self::MixedRate(s) => tagged("mixed_rate", s.serialize_value()),
-        }
-    }
-}
-
-impl TopoSpec {
-    /// Total host count.
-    pub fn n_hosts(&self) -> usize {
-        match self {
-            Self::TwoTier(s) => s.n_hosts(),
-            Self::ThreeTier(s) => s.n_hosts(),
-            Self::Rail(s) => s.n_hosts(),
-            Self::MixedRate(s) => s.n_hosts(),
-        }
-    }
-
-    /// Total node count.
-    pub fn n_nodes(&self) -> usize {
-        match self {
-            Self::TwoTier(s) => s.n_nodes(),
-            Self::ThreeTier(s) => s.n_nodes(),
-            Self::Rail(s) => s.n_nodes(),
-            Self::MixedRate(s) => s.n_nodes(),
-        }
-    }
-
-    /// The family tag used in the serialized form.
-    pub fn family(&self) -> &'static str {
-        match self {
-            Self::TwoTier(_) => "two_tier",
-            Self::ThreeTier(_) => "three_tier",
-            Self::Rail(_) => "rail",
-            Self::MixedRate(_) => "mixed_rate",
-        }
-    }
-
-    /// Per-link propagation delay (uniform within every family).
-    pub fn delay_ns(&self) -> Nanos {
-        match self {
-            Self::TwoTier(s) => s.delay_ns,
-            Self::ThreeTier(s) => s.delay_ns,
-            Self::Rail(s) => s.delay_ns,
-            Self::MixedRate(s) => s.delay_ns,
-        }
-    }
-
-    /// The embedded [`ClosSpec`], when this is the two-tier family.
-    pub fn as_two_tier(&self) -> Option<&ClosSpec> {
-        match self {
-            Self::TwoTier(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Collapse to a host-count-preserving two-tier Clos: the
-    /// minimizer's family shrink (a counterexample that survives on
-    /// the plain family is strictly simpler to reason about).
-    pub fn to_two_tier(&self) -> ClosSpec {
-        match *self {
-            Self::TwoTier(s) => s,
-            Self::ThreeTier(s) => ClosSpec {
-                n_tor: s.n_pod * s.tors_per_pod,
-                hosts_per_tor: s.hosts_per_tor,
-                n_leaf: s.aggs_per_pod,
-                host_gbps: s.host_gbps,
-                uplink_gbps: s.agg_gbps,
-                delay_ns: s.delay_ns,
-            },
-            Self::Rail(s) => ClosSpec {
-                n_tor: s.n_rail,
-                hosts_per_tor: s.n_server,
-                n_leaf: s.n_spine,
-                host_gbps: s.host_gbps,
-                uplink_gbps: s.uplink_gbps,
-                delay_ns: s.delay_ns,
-            },
-            Self::MixedRate(s) => ClosSpec {
-                n_tor: s.n_tor,
-                hosts_per_tor: s.hosts_per_tor,
-                n_leaf: s.n_leaf,
-                host_gbps: s.host_gbps,
-                uplink_gbps: s.fast_gbps,
-                delay_ns: s.delay_ns,
-            },
-        }
-    }
-
-    /// Materialize into a routed [`Topology`].
-    pub fn build(&self) -> Topology {
-        match self {
-            Self::TwoTier(s) => s.build(),
-            Self::ThreeTier(s) => s.build(),
-            Self::Rail(s) => s.build(),
-            Self::MixedRate(s) => s.build(),
-        }
-    }
-
-    /// Reconstruct from the [`Serialize`] representation. Objects with
-    /// no `"family"` tag parse as legacy untagged [`ClosSpec`]s.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        match v.get("family").and_then(Value::as_str) {
-            None | Some("two_tier") => ClosSpec::from_value(v).map(Self::TwoTier),
-            Some("three_tier") => ThreeTierSpec::from_value(v).map(Self::ThreeTier),
-            Some("rail") => RailSpec::from_value(v).map(Self::Rail),
-            Some("mixed_rate") => MixedRateSpec::from_value(v).map(Self::MixedRate),
-            Some(other) => Err(format!("TopoSpec: unknown family `{other}`")),
-        }
-    }
-}
 
 /// One shard of a conservative-parallel partition: the node ids one
 /// event core owns. Produced by [`Topology::partition`].
@@ -596,14 +99,11 @@ pub fn gbps(v: f64) -> f64 {
 }
 
 impl Topology {
-    /// Build a two-tier CLOS.
-    ///
-    /// * `n_tor` ToR switches with `hosts_per_tor` hosts each;
-    /// * `n_leaf` leaf switches, each connected to every ToR;
-    /// * host links at `host_gbps`, ToR↔leaf links at `uplink_gbps`;
-    /// * every link has propagation `delay` (paper: 5 µs NS3 / 1 µs LAN).
-    ///
-    /// Node ids: hosts `0..H`, ToRs `H..H+n_tor`, leaves after that.
+    /// Build the two-tier CLOS of [`ClosSpec`] (whose `build` this is):
+    /// `n_tor` ToR switches with `hosts_per_tor` hosts each, `n_leaf`
+    /// leaf switches each connected to every ToR, host links at
+    /// `host_gbps`, ToR↔leaf links at `uplink_gbps`, every link with
+    /// propagation `delay` (paper: 5 µs NS3 / 1 µs LAN).
     pub fn two_tier_clos(
         n_tor: usize,
         hosts_per_tor: usize,
@@ -612,269 +112,15 @@ impl Topology {
         uplink_gbps: f64,
         delay: Nanos,
     ) -> Self {
-        Self::build_two_tier(
+        let spec = ClosSpec {
             n_tor,
             hosts_per_tor,
             n_leaf,
             host_gbps,
-            &|_| uplink_gbps,
-            delay,
-            false,
-        )
-    }
-
-    /// Build a rail-optimized plane: `n_rail` rail switches, `n_server`
-    /// servers, host `h` (GPU `h mod n_rail` of server `h / n_rail`)
-    /// attaches to rail switch `h mod n_rail`. Graph shape matches the
-    /// two-tier Clos (rails play the ToR role, `n_spine` spines the
-    /// leaf role); only the host↔switch incidence differs.
-    pub fn rail_optimized(
-        n_rail: usize,
-        n_server: usize,
-        n_spine: usize,
-        host_gbps: f64,
-        uplink_gbps: f64,
-        delay: Nanos,
-    ) -> Self {
-        Self::build_two_tier(
-            n_rail,
-            n_server,
-            n_spine,
-            host_gbps,
-            &|_| uplink_gbps,
-            delay,
-            true,
-        )
-    }
-
-    /// Shared two-tier builder: `uplink_gbps_of(l)` sets the rate of
-    /// leaf `l`'s plane (mixed-speed fabrics), `striped` switches the
-    /// host↔ToR incidence from blocked (`t·hosts_per_tor + h`) to
-    /// rail-striped (`h·n_tor + t`).
-    pub(crate) fn build_two_tier(
-        n_tor: usize,
-        hosts_per_tor: usize,
-        n_leaf: usize,
-        host_gbps: f64,
-        uplink_gbps_of: &dyn Fn(usize) -> f64,
-        delay: Nanos,
-        striped: bool,
-    ) -> Self {
-        assert!(n_tor >= 1 && hosts_per_tor >= 1 && n_leaf >= 1);
-        let n_hosts = n_tor * hosts_per_tor;
-        let n_nodes = n_hosts + n_tor + n_leaf;
-        let mut kinds = Vec::with_capacity(n_nodes);
-        kinds.extend(std::iter::repeat_n(NodeKind::Host, n_hosts));
-        kinds.extend(std::iter::repeat_n(NodeKind::Tor, n_tor));
-        kinds.extend(std::iter::repeat_n(NodeKind::Leaf, n_leaf));
-        let mut ports: Vec<Vec<Port>> = vec![Vec::new(); n_nodes];
-        let mut host_tor = vec![0usize; n_hosts];
-
-        let tor_id = |t: usize| n_hosts + t;
-        let leaf_id = |l: usize| n_hosts + n_tor + l;
-        let host_bw = gbps(host_gbps);
-
-        // Host <-> ToR links. ToR-relative index h is the down-port
-        // toward its h-th host; host port 0 is its uplink.
-        for t in 0..n_tor {
-            for h in 0..hosts_per_tor {
-                let host = if striped {
-                    h * n_tor + t
-                } else {
-                    t * hosts_per_tor + h
-                };
-                host_tor[host] = tor_id(t);
-                let tor_port = h; // down ports come first on a ToR
-                ports[host].push(Port {
-                    peer: tor_id(t),
-                    peer_port: tor_port,
-                    bw: host_bw,
-                    delay,
-                });
-                ports[tor_id(t)].push(Port {
-                    peer: host,
-                    peer_port: 0,
-                    bw: host_bw,
-                    delay,
-                });
-            }
-        }
-        // ToR <-> leaf links. ToR up-port for leaf l is hosts_per_tor + l;
-        // leaf port for ToR t is t.
-        for t in 0..n_tor {
-            for l in 0..n_leaf {
-                ports[tor_id(t)].push(Port {
-                    peer: leaf_id(l),
-                    peer_port: t,
-                    bw: gbps(uplink_gbps_of(l)),
-                    delay,
-                });
-            }
-        }
-        for l in 0..n_leaf {
-            for t in 0..n_tor {
-                ports[leaf_id(l)].push(Port {
-                    peer: tor_id(t),
-                    peer_port: hosts_per_tor + l,
-                    bw: gbps(uplink_gbps_of(l)),
-                    delay,
-                });
-            }
-        }
-
-        Self {
-            kinds,
-            ports,
-            host_tor,
-            n_hosts,
-            hosts_per_tor,
-            n_tor,
-            n_leaf,
-            n_spine: 0,
-            tiers: Tiers::Two,
-        }
-    }
-
-    /// Build a three-tier CLOS of `n_pod` pods.
-    ///
-    /// Each pod has `tors_per_pod` ToRs (with `hosts_per_tor` hosts
-    /// each) fully meshed to `aggs_per_pod` aggregation switches; each
-    /// aggregation plane `a` connects to its own `spines_per_agg`
-    /// spines, and every spine reaches one aggregation switch per pod
-    /// (fat-tree plane structure). Oversubscription falls out of the
-    /// rate ratios: `hosts_per_tor·host_gbps : aggs_per_pod·agg_gbps`
-    /// at the ToR and `tors_per_pod·agg_gbps : spines_per_agg·
-    /// spine_gbps` at the aggregation tier.
-    ///
-    /// Node ids: hosts (pod-major), ToRs (pod-major), aggregation
-    /// switches (pod-major, kind [`NodeKind::Leaf`]), spines
-    /// (plane-major, kind [`NodeKind::Spine`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn three_tier_clos(
-        n_pod: usize,
-        tors_per_pod: usize,
-        hosts_per_tor: usize,
-        aggs_per_pod: usize,
-        spines_per_agg: usize,
-        host_gbps: f64,
-        agg_gbps: f64,
-        spine_gbps: f64,
-        delay: Nanos,
-    ) -> Self {
-        assert!(
-            n_pod >= 1
-                && tors_per_pod >= 1
-                && hosts_per_tor >= 1
-                && aggs_per_pod >= 1
-                && spines_per_agg >= 1
-        );
-        let n_tor = n_pod * tors_per_pod;
-        let n_leaf = n_pod * aggs_per_pod;
-        let n_spine = aggs_per_pod * spines_per_agg;
-        let n_hosts = n_tor * hosts_per_tor;
-        let n_nodes = n_hosts + n_tor + n_leaf + n_spine;
-        let mut kinds = Vec::with_capacity(n_nodes);
-        kinds.extend(std::iter::repeat_n(NodeKind::Host, n_hosts));
-        kinds.extend(std::iter::repeat_n(NodeKind::Tor, n_tor));
-        kinds.extend(std::iter::repeat_n(NodeKind::Leaf, n_leaf));
-        kinds.extend(std::iter::repeat_n(NodeKind::Spine, n_spine));
-        let mut ports: Vec<Vec<Port>> = vec![Vec::new(); n_nodes];
-        let mut host_tor = vec![0usize; n_hosts];
-
-        let tor_id = |t: usize| n_hosts + t;
-        let agg_id = |p: usize, a: usize| n_hosts + n_tor + p * aggs_per_pod + a;
-        let spine_id = |a: usize, j: usize| n_hosts + n_tor + n_leaf + a * spines_per_agg + j;
-        let host_bw = gbps(host_gbps);
-        let agg_bw = gbps(agg_gbps);
-        let spine_bw = gbps(spine_gbps);
-
-        // Host <-> ToR: identical layout to the two-tier builder.
-        for t in 0..n_tor {
-            for h in 0..hosts_per_tor {
-                let host = t * hosts_per_tor + h;
-                host_tor[host] = tor_id(t);
-                ports[host].push(Port {
-                    peer: tor_id(t),
-                    peer_port: h,
-                    bw: host_bw,
-                    delay,
-                });
-                ports[tor_id(t)].push(Port {
-                    peer: host,
-                    peer_port: 0,
-                    bw: host_bw,
-                    delay,
-                });
-            }
-        }
-        // ToR <-> pod aggregation. ToR up-port for agg a is
-        // hosts_per_tor + a; agg down-port for its pod's ToR tt is tt.
-        for p in 0..n_pod {
-            for tt in 0..tors_per_pod {
-                let t = p * tors_per_pod + tt;
-                for a in 0..aggs_per_pod {
-                    ports[tor_id(t)].push(Port {
-                        peer: agg_id(p, a),
-                        peer_port: tt,
-                        bw: agg_bw,
-                        delay,
-                    });
-                }
-            }
-            for a in 0..aggs_per_pod {
-                for tt in 0..tors_per_pod {
-                    let t = p * tors_per_pod + tt;
-                    ports[agg_id(p, a)].push(Port {
-                        peer: tor_id(t),
-                        peer_port: hosts_per_tor + a,
-                        bw: agg_bw,
-                        delay,
-                    });
-                }
-            }
-        }
-        // Aggregation <-> spine planes. Agg (p, a) up-port for its j-th
-        // spine is tors_per_pod + j; spine (a, j)'s port for pod p is p.
-        for p in 0..n_pod {
-            for a in 0..aggs_per_pod {
-                for j in 0..spines_per_agg {
-                    ports[agg_id(p, a)].push(Port {
-                        peer: spine_id(a, j),
-                        peer_port: p,
-                        bw: spine_bw,
-                        delay,
-                    });
-                }
-            }
-        }
-        for a in 0..aggs_per_pod {
-            for j in 0..spines_per_agg {
-                for p in 0..n_pod {
-                    ports[spine_id(a, j)].push(Port {
-                        peer: agg_id(p, a),
-                        peer_port: tors_per_pod + j,
-                        bw: spine_bw,
-                        delay,
-                    });
-                }
-            }
-        }
-
-        Self {
-            kinds,
-            ports,
-            host_tor,
-            n_hosts,
-            hosts_per_tor,
-            n_tor,
-            n_leaf,
-            n_spine,
-            tiers: Tiers::Three {
-                tors_per_pod,
-                aggs_per_pod,
-                spines_per_agg,
-            },
-        }
+            uplink_gbps,
+            delay_ns: delay,
+        };
+        spec.build()
     }
 
     /// Two hosts, one switch ("ToR"), for unit tests: host0 -- sw -- host1.
@@ -892,21 +138,6 @@ impl Topology {
         self.n_hosts
     }
 
-    /// Number of ToR switches.
-    pub fn n_tor(&self) -> usize {
-        self.n_tor
-    }
-
-    /// Number of leaf (or aggregation) switches.
-    pub fn n_leaf(&self) -> usize {
-        self.n_leaf
-    }
-
-    /// Number of spine switches (three-tier fabrics only; 0 otherwise).
-    pub fn n_spine(&self) -> usize {
-        self.n_spine
-    }
-
     /// Kind of `node`.
     pub fn kind(&self, node: NodeId) -> NodeKind {
         self.kinds[node]
@@ -915,11 +146,6 @@ impl Topology {
     /// Ports of `node`.
     pub fn ports(&self, node: NodeId) -> &[Port] {
         &self.ports[node]
-    }
-
-    /// The ToR a host hangs off.
-    pub fn tor_of(&self, host: NodeId) -> NodeId {
-        self.host_tor[host]
     }
 
     /// Egress port on `node` toward destination host `dst`, using
@@ -1104,29 +330,6 @@ impl Topology {
         min
     }
 
-    /// Whether two hosts share a ToR.
-    pub fn same_tor(&self, a: NodeId, b: NodeId) -> bool {
-        self.host_tor[a] == self.host_tor[b]
-    }
-
-    /// Hop count (number of links) of the data path between two hosts,
-    /// by walking the route (2 intra-ToR, 4 across a two-tier fabric or
-    /// within a pod, 6 across pods).
-    pub fn hops(&self, src: NodeId, dst: NodeId) -> usize {
-        if src == dst {
-            return 0;
-        }
-        let mut node = src;
-        let mut hops = 0;
-        while node != dst {
-            let p = self.next_port(node, dst, 0);
-            node = self.ports[node][p].peer;
-            hops += 1;
-            assert!(hops <= 8, "routing loop {src}->{dst}");
-        }
-        hops
-    }
-
     /// Base round-trip delay between two hosts: propagation plus one MTU
     /// serialization per hop on the data path, plus propagation plus one
     /// control-frame serialization per hop for the returning ACK. This is
@@ -1157,6 +360,34 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{Serialize, Value};
+
+    /// Hop count (number of links) of the data path between two hosts,
+    /// by walking the route (2 intra-ToR, 4 across a two-tier fabric or
+    /// within a pod, 6 across pods).
+    fn hops(t: &Topology, src: NodeId, dst: NodeId) -> usize {
+        let mut node = src;
+        let mut hops = 0;
+        while node != dst {
+            let p = t.next_port(node, dst, 0);
+            node = t.ports(node)[p].peer;
+            hops += 1;
+            assert!(hops <= 8, "routing loop {src}->{dst}");
+        }
+        hops
+    }
+
+    fn rail(n_rail: usize, n_server: usize, n_spine: usize, delay_ns: Nanos) -> Topology {
+        let spec = RailSpec {
+            n_rail,
+            n_server,
+            n_spine,
+            host_gbps: 100.0,
+            uplink_gbps: 200.0,
+            delay_ns,
+        };
+        spec.build()
+    }
 
     fn clos() -> Topology {
         // 8 ToR × 16 hosts, 4 leaves: the paper's 128-server topology.
@@ -1171,7 +402,7 @@ mod tests {
         assert_eq!(t.kind(0), NodeKind::Host);
         assert_eq!(t.kind(128), NodeKind::Tor);
         assert_eq!(t.kind(136), NodeKind::Leaf);
-        assert_eq!(t.n_spine(), 0);
+        assert_eq!(t.n_spine, 0);
     }
 
     #[test]
@@ -1199,23 +430,23 @@ mod tests {
         let t = clos();
         for (src, dst) in [(0usize, 1usize), (0, 17), (5, 127), (120, 3)] {
             let mut node = src;
-            let mut hops = 0;
+            let mut walked = 0;
             while node != dst {
                 let port = t.next_port(node, dst, 0xDEAD_BEEF);
                 node = t.ports(node)[port].peer;
-                hops += 1;
-                assert!(hops <= 4, "path too long {src}->{dst}");
+                walked += 1;
+                assert!(walked <= 4, "path too long {src}->{dst}");
             }
-            assert_eq!(hops, t.hops(src, dst));
+            assert_eq!(walked, hops(&t, src, dst));
         }
     }
 
     #[test]
     fn intra_tor_is_two_hops_inter_tor_four() {
         let t = clos();
-        assert_eq!(t.hops(0, 1), 2); // same ToR
-        assert_eq!(t.hops(0, 16), 4); // different ToR
-        assert_eq!(t.hops(7, 7), 0);
+        assert_eq!(hops(&t, 0, 1), 2); // same ToR
+        assert_eq!(hops(&t, 0, 16), 4); // different ToR
+        assert_eq!(hops(&t, 7, 7), 0);
     }
 
     #[test]
@@ -1293,8 +524,8 @@ mod tests {
             Topology::two_tier_clos(8, 16, 4, 100.0, 100.0, 5_000),
             Topology::two_tier_clos(2, 2, 1, 100.0, 100.0, 1_000),
             Topology::dumbbell(100.0, 1_000),
-            Topology::three_tier_clos(2, 2, 4, 2, 2, 100.0, 100.0, 400.0, 5_000),
-            Topology::rail_optimized(4, 4, 2, 100.0, 200.0, 1_000),
+            three_tier(400.0),
+            rail(4, 4, 2, 1_000),
             MixedRateSpec {
                 n_tor: 4,
                 hosts_per_tor: 4,
@@ -1309,7 +540,7 @@ mod tests {
         for t in &topos {
             for n in 1..=6 {
                 let shards = t.partition(n);
-                assert_eq!(shards.len(), n.min(t.n_tor()));
+                assert_eq!(shards.len(), n.min(t.n_tor));
                 let map = t.shard_map(&shards); // asserts full coverage
                                                 // Host spread across shards ≤ one ToR's worth.
                 let hosts: Vec<usize> = shards.iter().map(|s| s.n_hosts).collect();
@@ -1321,7 +552,7 @@ mod tests {
                 // A host always shares its shard with its ToR: host↔ToR
                 // links (and so PFC toward hosts) are never cut.
                 for h in 0..t.n_hosts() {
-                    assert_eq!(map[h], map[t.tor_of(h)], "host {h} split from its ToR");
+                    assert_eq!(map[h], map[t.host_tor[h]], "host {h} split from its ToR");
                 }
                 // Every cut edge is switch↔switch.
                 for node in 0..t.n_nodes() {
@@ -1354,7 +585,7 @@ mod tests {
                     .filter(|&&nd| t.kind(nd) == NodeKind::Tor)
                     .count()
             };
-            let n_leaf = t.n_leaf();
+            let n_leaf = t.n_leaf;
             let mut best = usize::MAX;
             // Enumerate all n^n_leaf leaf→shard maps, keep balanced ones.
             for code in 0..n.pow(n_leaf as u32) {
@@ -1369,7 +600,7 @@ mod tests {
                 }
                 // Cut ToR↔leaf links = total − co-sharded pairs.
                 let co: usize = (0..n).map(|s| tors_of(s) * leaves[s]).sum();
-                best = best.min(t.n_tor() * n_leaf - co);
+                best = best.min(t.n_tor * n_leaf - co);
             }
             assert_eq!(ours, best, "{n} shards: cut {ours}, best balanced {best}");
         }
@@ -1392,27 +623,38 @@ mod tests {
     fn dumbbell_is_minimal() {
         let t = Topology::dumbbell(100.0, 1_000);
         assert_eq!(t.n_hosts(), 2);
-        assert!(t.same_tor(0, 1));
-        assert_eq!(t.hops(0, 1), 2);
+        assert_eq!(t.host_tor[0], t.host_tor[1]);
+        assert_eq!(hops(&t, 0, 1), 2);
     }
 
     // ------------------------------------------------------------------
     // Topology families
     // ------------------------------------------------------------------
 
-    fn three_tier() -> Topology {
-        // 2 pods × 2 ToRs × 4 hosts, 2 aggs/pod, 2 spines/agg,
-        // oversubscribed 2:1 at the aggregation tier.
-        Topology::three_tier_clos(2, 2, 4, 2, 2, 100.0, 100.0, 100.0, 5_000)
+    /// 2 pods × 2 ToRs × 4 hosts, 2 aggs/pod, 2 spines/agg; with
+    /// 100 G spines, oversubscribed 2:1 at the aggregation tier.
+    fn three_tier(spine_gbps: f64) -> Topology {
+        let spec = ThreeTierSpec {
+            n_pod: 2,
+            tors_per_pod: 2,
+            hosts_per_tor: 4,
+            aggs_per_pod: 2,
+            spines_per_agg: 2,
+            host_gbps: 100.0,
+            agg_gbps: 100.0,
+            spine_gbps,
+            delay_ns: 5_000,
+        };
+        spec.build()
     }
 
     #[test]
     fn three_tier_dimensions_and_kinds() {
-        let t = three_tier();
+        let t = three_tier(100.0);
         assert_eq!(t.n_hosts(), 16);
-        assert_eq!(t.n_tor(), 4);
-        assert_eq!(t.n_leaf(), 4); // aggregation switches
-        assert_eq!(t.n_spine(), 4);
+        assert_eq!(t.n_tor, 4);
+        assert_eq!(t.n_leaf, 4); // aggregation switches
+        assert_eq!(t.n_spine, 4);
         assert_eq!(t.n_nodes(), 16 + 4 + 4 + 4);
         assert_eq!(t.kind(15), NodeKind::Host);
         assert_eq!(t.kind(16), NodeKind::Tor);
@@ -1426,7 +668,7 @@ mod tests {
 
     #[test]
     fn three_tier_back_references_are_consistent() {
-        let t = three_tier();
+        let t = three_tier(100.0);
         for node in 0..t.n_nodes() {
             for (i, p) in t.ports(node).iter().enumerate() {
                 let back = t.ports(p.peer)[p.peer_port];
@@ -1438,7 +680,7 @@ mod tests {
 
     #[test]
     fn three_tier_routes_reach_every_pair() {
-        let t = three_tier();
+        let t = three_tier(100.0);
         for src in 0..t.n_hosts() {
             for dst in 0..t.n_hosts() {
                 if src == dst {
@@ -1457,14 +699,14 @@ mod tests {
             }
         }
         // Same ToR: 2 hops; same pod: 4; cross-pod: 6.
-        assert_eq!(t.hops(0, 1), 2);
-        assert_eq!(t.hops(0, 4), 4);
-        assert_eq!(t.hops(0, 8), 6);
+        assert_eq!(hops(&t, 0, 1), 2);
+        assert_eq!(hops(&t, 0, 4), 4);
+        assert_eq!(hops(&t, 0, 8), 6);
     }
 
     #[test]
     fn three_tier_ecmp_uses_all_planes_and_spines() {
-        let t = three_tier();
+        let t = three_tier(100.0);
         // ToR 16 (pod 0) to a cross-pod host spreads over both aggs.
         let mut agg_ports = std::collections::HashSet::new();
         for h in 0..32u64 {
@@ -1489,18 +731,16 @@ mod tests {
 
     #[test]
     fn rail_optimized_stripes_hosts_across_rails() {
-        let t = Topology::rail_optimized(4, 4, 2, 100.0, 200.0, 1_000);
+        let t = rail(4, 4, 2, 1_000);
         assert_eq!(t.n_hosts(), 16);
-        assert_eq!(t.n_tor(), 4);
+        assert_eq!(t.n_tor, 4);
         // GPU g of server s is host s·4+g and lives on rail g.
         for h in 0..16 {
-            assert_eq!(t.tor_of(h), 16 + h % 4, "host {h}");
+            assert_eq!(t.host_tor[h], 16 + h % 4, "host {h}");
         }
         // Same rail ⇔ same GPU index: 2 hops; otherwise via a spine.
-        assert!(t.same_tor(0, 4));
-        assert!(!t.same_tor(0, 1));
-        assert_eq!(t.hops(0, 4), 2);
-        assert_eq!(t.hops(0, 1), 4);
+        assert_eq!(hops(&t, 0, 4), 2);
+        assert_eq!(hops(&t, 0, 1), 4);
         // Graph is still a consistent two-tier Clos.
         for node in 0..t.n_nodes() {
             for (i, p) in t.ports(node).iter().enumerate() {
@@ -1512,7 +752,7 @@ mod tests {
         for src in 0..t.n_hosts() {
             for dst in 0..t.n_hosts() {
                 if src != dst {
-                    t.hops(src, dst); // asserts internally on loops
+                    hops(&t, src, dst); // asserts internally on loops
                 }
             }
         }
@@ -1540,13 +780,13 @@ mod tests {
 
     #[test]
     fn three_tier_partition_lookahead_and_invariants() {
-        let t = three_tier();
+        let t = three_tier(100.0);
         for n in [2usize, 3, 4] {
             let shards = t.partition(n);
             let map = t.shard_map(&shards);
             assert_eq!(t.lookahead(&map), Some(5_000));
             for h in 0..t.n_hosts() {
-                assert_eq!(map[h], map[t.tor_of(h)]);
+                assert_eq!(map[h], map[t.host_tor[h]]);
             }
         }
     }
@@ -1594,6 +834,50 @@ mod tests {
                 delay_ns: 4_000,
             }),
         ]
+    }
+
+    /// FNV-1a over every node's kind and port table, in node order.
+    fn port_table_hash(t: &Topology) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for node in 0..t.n_nodes() {
+            eat(node as u64);
+            eat(t.kind(node) as u64);
+            for p in t.ports(node) {
+                eat(p.peer as u64);
+                eat(p.peer_port as u64);
+                eat(p.bw.to_bits());
+                eat(p.delay);
+            }
+        }
+        h
+    }
+
+    /// Faults, corpus cases and PFC frames address links by
+    /// `(node, port)`, so a builder may never permute a port table. The
+    /// hashes were computed at the commit before the builders were
+    /// rewritten to take their specs.
+    #[test]
+    fn port_tables_are_pinned_for_every_family() {
+        let built: Vec<Topology> = specs().iter().map(TopoSpec::build).collect();
+        let pinned = [
+            ("two_tier", &built[0], 0xd029_a960_9826_0c2du64),
+            ("three_tier", &built[1], 0x9b23_547c_bdcb_9a50),
+            ("rail", &built[2], 0xddfc_578f_7bc1_839c),
+            ("mixed_rate", &built[3], 0x54a5_3ae0_9c37_4945),
+            (
+                "dumbbell",
+                &Topology::dumbbell(100.0, 1_000),
+                0x2fdd_28dc_7dbb_6b69,
+            ),
+        ];
+        for (name, topo, hash) in pinned {
+            assert_eq!(port_table_hash(topo), hash, "{name}");
+        }
     }
 
     #[test]
@@ -1692,6 +976,70 @@ mod tests {
             }
         }
         assert!(ClosSpec::from_value(&v).is_err());
+    }
+
+    /// Events address ports as `u16` and nodes as `u32`; a spec that
+    /// would not fit is rejected where it enters (it used to truncate
+    /// silently: `PortFree` then freed the wrong port).
+    #[test]
+    fn specs_reject_fabrics_wider_than_an_event_can_address() {
+        let [TopoSpec::TwoTier(clos), TopoSpec::ThreeTier(three), TopoSpec::Rail(rail), TopoSpec::MixedRate(mixed)] =
+            specs()
+        else {
+            unreachable!("specs() lists the four families in order")
+        };
+        let too_wide = [
+            // A leaf faces every ToR.
+            TopoSpec::TwoTier(ClosSpec {
+                n_tor: 70_000,
+                ..clos
+            }),
+            // A spine faces every pod.
+            TopoSpec::ThreeTier(ThreeTierSpec {
+                n_pod: 70_000,
+                ..three
+            }),
+            // A rail switch faces one GPU per server plus every spine.
+            TopoSpec::Rail(RailSpec {
+                n_server: 65_534,
+                ..rail
+            }),
+            // A ToR faces its hosts plus every leaf — even when the sum
+            // does not fit a `usize`.
+            TopoSpec::MixedRate(MixedRateSpec {
+                hosts_per_tor: usize::MAX,
+                ..mixed
+            }),
+        ];
+        for spec in too_wide {
+            let err = TopoSpec::from_value(&spec.serialize_value()).unwrap_err();
+            assert!(err.contains("radix"), "{}: {err}", spec.family());
+        }
+        // Only a three-tier fabric can stay within the radix bound and
+        // still outgrow a `u32` node id.
+        let too_many = ThreeTierSpec {
+            n_pod: 2_000,
+            tors_per_pod: 2_000,
+            hosts_per_tor: 2_000,
+            ..three
+        };
+        let err = ThreeTierSpec::from_value(&too_many.serialize_value()).unwrap_err();
+        assert!(err.contains("nodes"), "{err}");
+        // The widest fabric that fits still passes.
+        let widest = ClosSpec {
+            n_tor: 65_535,
+            ..clos
+        };
+        assert_eq!(ClosSpec::from_value(&widest.serialize_value()), Ok(widest));
+    }
+
+    /// Specs have public fields, so `build` is reachable without
+    /// `from_value`: it must refuse too, not build a fabric whose port
+    /// indices wrap.
+    #[test]
+    #[should_panic(expected = "switch radix 70000 exceeds 65535")]
+    fn building_an_over_wide_spec_panics() {
+        Topology::two_tier_clos(70_000, 1, 1, 100.0, 100.0, 1_000);
     }
 
     #[test]

@@ -113,6 +113,56 @@ fn run_scenario(sc: &Scenario, audited: bool) -> Vec<IntervalMetrics> {
     out
 }
 
+/// Hosts are on the same egress-port model as switches, so the sweep's
+/// queue-accounting and pause-budget checks cover NIC queues too. Three
+/// senders into one receiver under their common ToR with a starved
+/// buffer: every ingress queue that fills is host-facing, so every XOFF
+/// pauses a *host's* NIC port, with data queued behind the pause while
+/// ACKs and CNPs keep flowing through it.
+#[test]
+fn paused_host_nics_hold_every_invariant() {
+    audit::reset();
+    audit::set_panic_on_violation(false);
+    audit::set_enabled(true);
+    let topo = Topology::two_tier_clos(1, 4, 1, 100.0, 100.0, 1_000);
+    let cfg = SimConfig {
+        switch_buffer_bytes: 256 << 10,
+        ..SimConfig::default()
+    };
+    let mut sim = Engine::new(topo, cfg, 1);
+    for src in 0..3 {
+        sim.add_flow(src, 3, 2_000_000, 0);
+    }
+    let (mut pfc_events, mut paused) = (0, 0.0);
+    for _ in 0..40 {
+        // Collect mid-pause: 100 µs intervals cut through open pauses.
+        sim.run_for(100 * MICRO);
+        let m = sim.collect_interval();
+        pfc_events += m.pfc_events;
+        paused += m.pfc_pause_ratio;
+    }
+    assert!(
+        pfc_events > 0 && paused > 0.0,
+        "the incast must pause hosts"
+    );
+    assert_eq!(
+        sim.total_drops(),
+        0,
+        "PFC keeps the starved buffer lossless"
+    );
+    assert_eq!(sim.take_completions().len(), 3);
+    let violations = audit::violations();
+    assert_eq!(
+        audit::violation_count(),
+        0,
+        "invariant violations: {:?}",
+        violations
+            .iter()
+            .map(|r| r.violation.to_string())
+            .collect::<Vec<_>>()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

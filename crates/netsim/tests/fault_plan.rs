@@ -5,7 +5,9 @@
 
 use proptest::prelude::*;
 
-use paraleon_netsim::{Engine, FaultPlan, SimConfig, SimError, Topology, MICRO, MILLI, SEC};
+use paraleon_netsim::{
+    Engine, FaultEvent, FaultKind, FaultPlan, SimConfig, SimError, Topology, MICRO, MILLI, SEC,
+};
 use paraleon_telemetry as tel;
 
 fn small_clos() -> Topology {
@@ -176,6 +178,63 @@ fn install_validates_the_plan() {
         s.install_fault_plan(&storm_on_switch),
         Err(SimError::NotAHost { .. })
     ));
+}
+
+/// `FaultPlan::degrade` / `pkt_loss` assert their ranges, but a raw
+/// `push` and `FaultKind::from_value` (corpus, genome and snapshot JSON)
+/// do not — so `install_fault_plan` must. A "degraded to zero" link used
+/// to become infinitely fast: the serialization time saturated and
+/// `now + ser` wrapped, so a 1 MB flow across it *completed* within 2 ms.
+#[test]
+fn install_rejects_out_of_range_degrade_and_loss_parameters() {
+    let degrade = |factor| FaultKind::Degrade { factor };
+    let loss = |drop_prob| FaultKind::PktLoss { drop_prob };
+    let bad = [
+        degrade(0.0),
+        degrade(-1.0),
+        degrade(1e-300),
+        degrade(1.5),
+        degrade(f64::NAN),
+        degrade(f64::INFINITY),
+        loss(2.0),
+        loss(-0.5),
+        loss(f64::NAN),
+    ];
+    for kind in bad {
+        let mut s = Engine::new(small_clos(), SimConfig::default(), 1);
+        let mut plan = FaultPlan::new(0);
+        // The JSON path builds exactly this raw event.
+        let json = serde::Serialize::serialize_value(&kind);
+        let kind = FaultKind::from_value(&json).expect("a raw value parses unchecked");
+        plan.link_down(5 * MICRO, TOR0, 4).push(FaultEvent {
+            at: 10 * MICRO,
+            node: 0,
+            port: 0,
+            kind,
+        });
+        assert_eq!(
+            s.install_fault_plan(&plan),
+            Err(SimError::FaultParamOutOfRange { index: 1 }),
+            "{kind:?}"
+        );
+        // Nothing of a rejected plan is scheduled: the flow runs clean.
+        s.add_flow(0, 4, 1_000_000, 0);
+        s.run_until(2 * MILLI);
+        assert_eq!(s.total_fault_drops(), 0, "{kind:?}");
+        assert!(s.link_state(TOR0, 4).is_clean(), "{kind:?}");
+    }
+    // The edges of the ranges are in.
+    for kind in [degrade(1e-6), degrade(1.0), loss(0.0), loss(1.0)] {
+        let mut s = Engine::new(small_clos(), SimConfig::default(), 1);
+        let mut plan = FaultPlan::new(0);
+        plan.push(FaultEvent {
+            at: 10 * MICRO,
+            node: 0,
+            port: 0,
+            kind,
+        });
+        assert_eq!(s.install_fault_plan(&plan), Ok(()), "{kind:?}");
+    }
 }
 
 #[test]
