@@ -121,8 +121,6 @@ impl SchemeKind {
 pub enum MonitorKind {
     /// PARALEON: sliding-window ternary states over deduped sketches.
     Paraleon,
-    /// PARALEON with a custom window configuration (τ, δ).
-    ParaleonWith(WindowConfig),
     /// Naive Elastic Sketch: single-interval binary classification.
     NaiveSketch,
     /// NetFlow: 1:100 packet sampling, 1 s export.
@@ -135,7 +133,7 @@ impl MonitorKind {
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
-            MonitorKind::Paraleon | MonitorKind::ParaleonWith(_) => "PARALEON",
+            MonitorKind::Paraleon => "PARALEON",
             MonitorKind::NaiveSketch => "ElasticSketch",
             MonitorKind::NetFlow => "NetFlow",
             MonitorKind::NoFsd => "No FSD",
@@ -146,7 +144,6 @@ impl MonitorKind {
     pub fn build(&self) -> Box<dyn FsdMonitor> {
         match self {
             MonitorKind::Paraleon => Box::new(ParaleonMonitor::new(WindowConfig::default())),
-            MonitorKind::ParaleonWith(cfg) => Box::new(ParaleonMonitor::new(*cfg)),
             MonitorKind::NaiveSketch => Box::new(NaiveSketchMonitor::new(1 << 20)),
             MonitorKind::NetFlow => Box::new(NetFlowMonitor::new(NetFlowConfig::default())),
             MonitorKind::NoFsd => Box::new(NoFsdMonitor),

@@ -38,7 +38,7 @@ fn tenant_spec(family: u8, seed: u64, load_flows: u64) -> TenantSpec {
     };
     let mut spec = TenantSpec::new(topo);
     spec.seed = seed;
-    spec.scheme = if family % 2 == 0 {
+    spec.scheme = if family.is_multiple_of(2) {
         SchemeKind::Paraleon
     } else {
         SchemeKind::Expert

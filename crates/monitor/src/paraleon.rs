@@ -16,15 +16,24 @@ use crate::{FsdMonitor, FsdUpload, Nanos, PointId, SketchReadings};
 /// classifier state is discarded (see [`ParaleonMonitor::with_max_idle`]).
 pub const DEFAULT_MAX_IDLE_INTERVALS: u64 = 32;
 
+/// One measurement point's switch-control-plane agent.
+#[derive(Debug)]
+struct Agent {
+    classifier: SlidingWindowClassifier,
+    /// Interval index the point last uploaded at.
+    last_seen: u64,
+}
+
 /// PARALEON's layered FSD monitor (Keypoint 2 on top of Keypoint 1).
 #[derive(Debug)]
 pub struct ParaleonMonitor {
     cfg: WindowConfig,
-    /// One classifier per measurement point (lazy-created).
-    agents: HashMap<PointId, SlidingWindowClassifier>,
-    /// Interval index each point last uploaded at.
-    last_seen: HashMap<PointId, u64>,
-    /// Next upload sequence number per point (control-plane mode).
+    /// One agent per measurement point (lazy-created).
+    agents: HashMap<PointId, Agent>,
+    /// Next upload sequence number per point (control-plane mode). Not
+    /// part of `Agent` on purpose: a point that ages out and returns must
+    /// continue its sequence, or `StalenessMerger::ingest` would count a
+    /// sender restart that never happened.
     seqs: HashMap<PointId, u64>,
     /// Intervals processed so far.
     interval: u64,
@@ -42,7 +51,6 @@ impl ParaleonMonitor {
         Self {
             cfg,
             agents: HashMap::new(),
-            last_seen: HashMap::new(),
             seqs: HashMap::new(),
             interval: 0,
             max_idle_intervals: DEFAULT_MAX_IDLE_INTERVALS,
@@ -74,7 +82,10 @@ impl ParaleonMonitor {
 
     /// Total control-plane memory across switch agents (Table IV).
     pub fn control_plane_memory_bytes(&self) -> usize {
-        self.agents.values().map(|a| a.memory_bytes()).sum()
+        self.agents
+            .values()
+            .map(|a| a.classifier.memory_bytes())
+            .sum()
     }
 
     /// The fabric-side half of one interval: run every reporting point's
@@ -87,13 +98,13 @@ impl ParaleonMonitor {
         // Only points that actually uploaded contribute: a dead switch
         // is skipped entirely rather than averaged in as zeros.
         for (point, entries) in readings {
-            let agent = self
-                .agents
-                .entry(*point)
-                .or_insert_with(|| SlidingWindowClassifier::new(self.cfg));
-            self.last_seen.insert(*point, self.interval);
-            agent.end_interval(entries.iter().copied());
-            let local = agent.local_fsd();
+            let agent = self.agents.entry(*point).or_insert_with(|| Agent {
+                classifier: SlidingWindowClassifier::new(self.cfg),
+                last_seen: 0,
+            });
+            agent.last_seen = self.interval;
+            agent.classifier.end_interval(entries.iter().copied());
+            let local = agent.classifier.local_fsd();
             // Layered upload: each switch ships only its local FSD.
             self.uploaded += local.wire_size_bytes() as u64;
             locals.push((*point, local));
@@ -101,17 +112,9 @@ impl ParaleonMonitor {
         // Age out points that stopped reporting: their window history is
         // stale and must not survive a prolonged outage.
         let horizon = self.interval.saturating_sub(self.max_idle_intervals);
-        let interval = self.interval;
-        let last_seen = &mut self.last_seen;
         let before = self.agents.len();
-        self.agents.retain(|point, _| {
-            let seen = last_seen.get(point).copied().unwrap_or(interval);
-            seen > horizon
-        });
-        if self.agents.len() < before {
-            self.aged_out += (before - self.agents.len()) as u64;
-            last_seen.retain(|_, &mut seen| seen > horizon);
-        }
+        self.agents.retain(|_, agent| agent.last_seen > horizon);
+        self.aged_out += (before - self.agents.len()) as u64;
         locals
     }
 }
@@ -256,6 +259,31 @@ mod tests {
         let fsd = m.on_interval(&[(1, vec![(9, 1_000)])], 0).unwrap();
         assert_eq!(m.n_agents(), 2);
         assert!(fsd.elephant_share() < 0.01, "fresh window, mice only");
+    }
+
+    #[test]
+    fn aged_out_point_resumes_with_a_later_seq() {
+        let mut m = monitor().with_max_idle(2);
+        let mut merger = crate::StalenessMerger::default();
+        let both = [(0, vec![(1, MB)]), (1, vec![(2, MB)])];
+        let only_0 = [(0, vec![(1, MB)])];
+        // Point 1 uploads seq 0 and 1, then stays silent past the idle
+        // horizon; the merger (horizon 32) still holds its watermark.
+        for k in 0..5 {
+            let readings = if k < 2 { &both[..] } else { &only_0[..] };
+            for u in m.uploads(readings, 0, k) {
+                assert!(merger.ingest(u));
+            }
+        }
+        assert_eq!((m.n_agents(), m.aged_out()), (1, 1));
+        let ups = m.uploads(&both, 0, 5);
+        assert_eq!(m.n_agents(), 2);
+        let back = ups.iter().find(|u| u.point == 1).expect("point 1 reported");
+        assert_eq!(back.seq, 2, "the sequence continues, it does not restart");
+        for u in ups {
+            assert!(merger.ingest(u));
+        }
+        assert_eq!(merger.restarts, 0);
     }
 
     #[test]

@@ -884,7 +884,8 @@ mod tests {
     fn topo_spec_round_trips_every_family() {
         for spec in specs() {
             let v = spec.serialize_value();
-            let back = TopoSpec::from_value(&v).expect(spec.family());
+            let back =
+                TopoSpec::from_value(&v).unwrap_or_else(|e| panic!("{}: {e}", spec.family()));
             assert_eq!(back, spec);
             // Spec-level counts agree with the built topology.
             let t = spec.build();

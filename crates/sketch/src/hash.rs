@@ -20,11 +20,13 @@ pub fn hash64(key: u64, seed: u64) -> u64 {
 
 /// [`Hasher`] over [`hash64`] for the control plane's flow-keyed maps.
 ///
-/// The standard `RandomState` seeds SipHash per map instance, so two
-/// identically fed maps iterate in different orders — and a float sum
-/// taken in iteration order (`SlidingWindowClassifier::local_fsd`) then
-/// differs between runs. With a fixed function, iteration order depends
-/// on the inserts and removals alone. Not DoS-resistant: the keys are the
+/// `SlidingWindowClassifier` only *looks flows up* in its `index` (flow →
+/// record slot); no result depends on the map's iteration order — its
+/// float sums run over the dense record array. What the fixed function
+/// still buys over the standard per-instance-seeded SipHash: one SplitMix
+/// round per lookup on the per-interval hot path, and a map whose layout
+/// and probe lengths repeat in every run and every `Clone`, so timings
+/// are comparable between runs. Not DoS-resistant: the keys are the
 /// simulator's own flow ids.
 #[derive(Default)]
 pub(crate) struct FlowIdHasher(u64);
@@ -50,7 +52,7 @@ impl Hasher for FlowIdHasher {
     }
 }
 
-/// A flow-keyed `HashMap` whose iteration order is run-independent.
+/// A flow-keyed `HashMap` with the fixed, cheap [`FlowIdHasher`].
 pub(crate) type FlowMap<V> = HashMap<crate::FlowId, V, BuildHasherDefault<FlowIdHasher>>;
 
 /// Map `key` to a bucket index in `[0, n)` using hash row `seed`.

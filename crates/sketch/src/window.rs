@@ -21,6 +21,8 @@
 //! The unit tests reproduce the exact trace of Figure 4 of the paper
 //! (δ = 3, τ = 1 MB, flows f₁/f₂/f₃ over eight monitor intervals).
 
+use std::collections::hash_map::Entry;
+
 use serde::{Deserialize, Serialize};
 
 use crate::fsd::{Fsd, FsdBuilder};
@@ -62,10 +64,13 @@ impl Default for WindowConfig {
 
 #[derive(Debug, Clone)]
 struct FlowRecord {
+    flow: FlowId,
     /// Aggregated bytes Φ(f) since the flow was first seen.
     cum_bytes: u64,
-    /// Byte counts of the most recent δ intervals (ring; newest last).
-    recent: std::collections::VecDeque<u64>,
+    /// Sum of the flow's window row: bytes over the most recent δ intervals.
+    recent_sum: u64,
+    /// Bytes reported so far in the interval being closed.
+    pending: u64,
     /// Consecutive just-ended intervals with positive bytes.
     active_run: usize,
     /// Consecutive just-ended intervals with zero bytes.
@@ -73,12 +78,35 @@ struct FlowRecord {
     state: FlowState,
 }
 
+impl FlowRecord {
+    /// See [`SlidingWindowClassifier::elephant_weight`].
+    fn elephant_weight(&self, tau_bytes: u64) -> f64 {
+        match self.state {
+            FlowState::Elephant => 1.0,
+            FlowState::PotentialElephant => (self.cum_bytes as f64 / tau_bytes as f64).min(1.0),
+            FlowState::Mice => 0.0,
+        }
+    }
+}
+
 /// The switch-control-plane flow state tracker (Keypoint 2).
+///
+/// Three flat pieces: `index` maps a flow to its slot, `records[slot]` is
+/// the flow's state and `window[slot * δ..][..δ]` its per-interval byte
+/// ring. Closing an interval costs one hash lookup per *reported* flow
+/// and one sequential pass over `records`; idle flows waiting out
+/// `expiry_intervals` are never hashed.
 #[derive(Debug, Clone)]
 pub struct SlidingWindowClassifier {
     cfg: WindowConfig,
-    /// Fixed-hasher map: `local_fsd` sums floats in its iteration order.
-    flows: FlowMap<FlowRecord>,
+    /// Flow → slot in `records`; looked up, never iterated.
+    index: FlowMap<u32>,
+    /// Dense, in first-report order except where an expiry moved the last
+    /// record into the hole.
+    records: Vec<FlowRecord>,
+    /// `records.len() × δ` byte counts; the interval being closed writes
+    /// column `intervals_processed % δ` of every row.
+    window: Vec<u64>,
     /// Number of `end_interval` calls so far.
     pub intervals_processed: u64,
 }
@@ -89,7 +117,9 @@ impl SlidingWindowClassifier {
         assert!(cfg.delta >= 1 && cfg.tau_bytes > 0);
         Self {
             cfg,
-            flows: FlowMap::default(),
+            index: FlowMap::default(),
+            records: Vec::new(),
+            window: Vec::new(),
             intervals_processed: 0,
         }
     }
@@ -106,39 +136,52 @@ impl SlidingWindowClassifier {
     where
         I: IntoIterator<Item = (FlowId, u64)>,
     {
+        let delta = self.cfg.delta;
+        let column = (self.intervals_processed % delta as u64) as usize;
         self.intervals_processed += 1;
-        let mut seen: FlowMap<u64> = FlowMap::default();
-        for (f, b) in interval_bytes {
-            *seen.entry(f).or_insert(0) += b;
-        }
-        // Update existing flows (active or idle this interval).
-        for (f, rec) in self.flows.iter_mut() {
-            let bytes = seen.remove(f).unwrap_or(0);
-            Self::update_record(&self.cfg, rec, bytes);
-        }
-        // Newly observed flows.
-        for (f, bytes) in seen {
-            let mut rec = FlowRecord {
-                cum_bytes: 0,
-                recent: std::collections::VecDeque::new(),
-                active_run: 0,
-                idle_run: 0,
-                state: FlowState::Mice,
+        for (flow, bytes) in interval_bytes {
+            let slot = match self.index.entry(flow) {
+                Entry::Occupied(e) => *e.get() as usize,
+                Entry::Vacant(e) => {
+                    let slot = self.records.len();
+                    e.insert(u32::try_from(slot).expect("fewer than 2^32 tracked flows"));
+                    self.records.push(FlowRecord {
+                        flow,
+                        cum_bytes: 0,
+                        recent_sum: 0,
+                        pending: 0,
+                        active_run: 0,
+                        idle_run: 0,
+                        state: FlowState::Mice,
+                    });
+                    self.window.resize((slot + 1) * delta, 0);
+                    slot
+                }
             };
-            Self::update_record(&self.cfg, &mut rec, bytes);
-            self.flows.insert(f, rec);
+            self.records[slot].pending += bytes;
         }
-        // Expire finished flows.
+        // Every tracked flow, reported or idle: slide its window, update
+        // its state, expire it if finished. An expiry refills `slot` with
+        // the last record, which this pass has not reached yet.
         let expiry = self.cfg.expiry_intervals.max(1);
-        self.flows.retain(|_, r| r.idle_run < expiry);
+        let mut slot = 0;
+        while slot < self.records.len() {
+            let rec = &mut self.records[slot];
+            let bytes = std::mem::take(&mut rec.pending);
+            let cell = &mut self.window[slot * delta + column];
+            rec.recent_sum = rec.recent_sum - *cell + bytes;
+            *cell = bytes;
+            Self::update_record(&self.cfg, rec, bytes);
+            if rec.idle_run < expiry {
+                slot += 1;
+            } else {
+                self.expire(slot);
+            }
+        }
     }
 
     fn update_record(cfg: &WindowConfig, rec: &mut FlowRecord, bytes: u64) {
         rec.cum_bytes += bytes;
-        rec.recent.push_back(bytes);
-        while rec.recent.len() > cfg.delta {
-            rec.recent.pop_front();
-        }
         if bytes > 0 {
             rec.active_run += 1;
             rec.idle_run = 0;
@@ -158,34 +201,48 @@ impl SlidingWindowClassifier {
         };
     }
 
+    /// Drop the record in `slot`; the last record and its window row move
+    /// into the hole.
+    fn expire(&mut self, slot: usize) {
+        let delta = self.cfg.delta;
+        let last = self.records.len() - 1;
+        let gone = self.records.swap_remove(slot);
+        self.index.remove(&gone.flow);
+        if slot < last {
+            self.window
+                .copy_within(last * delta..(last + 1) * delta, slot * delta);
+            let moved = self.records[slot].flow;
+            *self.index.get_mut(&moved).expect("every record is indexed") = slot as u32;
+        }
+        self.window.truncate(last * delta);
+    }
+
+    fn record(&self, flow: FlowId) -> Option<&FlowRecord> {
+        self.index
+            .get(&flow)
+            .map(|&slot| &self.records[slot as usize])
+    }
+
     /// Current state of `flow`, if tracked.
     pub fn state(&self, flow: FlowId) -> Option<FlowState> {
-        self.flows.get(&flow).map(|r| r.state)
+        self.record(flow).map(|r| r.state)
     }
 
     /// Aggregated bytes Φ(f), if tracked.
     pub fn cumulative_bytes(&self, flow: FlowId) -> Option<u64> {
-        self.flows.get(&flow).map(|r| r.cum_bytes)
+        self.record(flow).map(|r| r.cum_bytes)
     }
 
     /// Number of flows currently tracked.
     pub fn tracked_flows(&self) -> usize {
-        self.flows.len()
+        self.records.len()
     }
 
     /// Likelihood weight with which a flow counts as elephant:
     /// E → 1, PE → min(1, Φ/τ), M → 0.
     pub fn elephant_weight(&self, flow: FlowId) -> f64 {
-        match self.flows.get(&flow) {
-            None => 0.0,
-            Some(r) => match r.state {
-                FlowState::Elephant => 1.0,
-                FlowState::PotentialElephant => {
-                    (r.cum_bytes as f64 / self.cfg.tau_bytes as f64).min(1.0)
-                }
-                FlowState::Mice => 0.0,
-            },
-        }
+        self.record(flow)
+            .map_or(0.0, |r| r.elephant_weight(self.cfg.tau_bytes))
     }
 
     /// Build this switch's local flow size distribution snapshot from the
@@ -195,26 +252,34 @@ impl SlidingWindowClassifier {
     /// δ-interval window, so the share distribution — which drives the KL
     /// trigger and the dominant-type µ — tracks *current* traffic instead
     /// of lifetime volume.
+    ///
+    /// The float sums run in record order, which an expiry permutes (the
+    /// previous layout summed in hash-bucket order). With τ = 2ᵏ — the
+    /// default 2²⁰ is the only value anything constructs — no order can
+    /// show: a weight `w` is 0, 1 or Φ/2ᵏ with Φ < 2ᵏ (a PE flow is under
+    /// τ), a PE flow's window bytes are ≤ Φ, so every term added — `w`,
+    /// `1 − w`, window bytes × either — is an exact multiple of 2⁻ᵏ, and
+    /// so is every partial sum below 2⁵³⁻ᵏ (8 GiB of window bytes per
+    /// switch at k = 20). Exact additions commute. At any other τ the
+    /// result is run-independent (the order follows from the inputs alone)
+    /// but moves in the last bits with the order.
     pub fn local_fsd(&self) -> Fsd {
         let mut b = FsdBuilder::new();
-        for (_, r) in self.flows.iter() {
-            let w = match r.state {
-                FlowState::Elephant => 1.0,
-                FlowState::PotentialElephant => {
-                    (r.cum_bytes as f64 / self.cfg.tau_bytes as f64).min(1.0)
-                }
-                FlowState::Mice => 0.0,
-            };
-            let recent: u64 = r.recent.iter().sum();
-            b.add_flow_weighted(r.cum_bytes, recent, w);
+        for r in &self.records {
+            let w = r.elephant_weight(self.cfg.tau_bytes);
+            b.add_flow_weighted(r.cum_bytes, r.recent_sum, w);
         }
         b.build()
     }
 
-    /// Approximate control-plane memory use in bytes (Table IV).
+    /// Control-plane memory use in bytes (Table IV): per tracked flow its
+    /// record, its window row and its `index` entry (key, slot, hashbrown
+    /// control byte). Length-based — spare `Vec`/map capacity is not
+    /// counted — so the figure repeats exactly.
     pub fn memory_bytes(&self) -> usize {
-        // id + record ≈ 8 + 32 bytes, plus map overhead factor.
-        self.flows.len() * 48
+        use std::mem::size_of;
+        let row = self.cfg.delta * size_of::<u64>();
+        self.records.len() * (size_of::<FlowRecord>() + row + size_of::<(FlowId, u32)>() + 1)
     }
 }
 
@@ -382,8 +447,124 @@ mod tests {
 
     #[test]
     fn memory_grows_linearly_with_flows() {
+        // Record + δ = 3 window cells + index entry (key, slot, control byte).
+        let per_flow = std::mem::size_of::<FlowRecord>() + 3 * 8 + 16 + 1;
         let mut c = classifier();
         c.end_interval((0..100u64).map(|f| (f, 1000u64)));
-        assert_eq!(c.memory_bytes(), 100 * 48);
+        assert_eq!(c.memory_bytes(), 100 * per_flow);
+        c.end_interval((100..300u64).map(|f| (f, 1000u64)));
+        assert_eq!(c.memory_bytes(), 300 * per_flow);
+    }
+
+    /// The layout invariants: every record is indexed at its own slot,
+    /// owns one window row, and that row sums to its `recent_sum`.
+    fn assert_consistent(c: &SlidingWindowClassifier) {
+        let delta = c.cfg.delta;
+        assert_eq!(c.index.len(), c.records.len());
+        assert_eq!(c.window.len(), c.records.len() * delta);
+        for (slot, r) in c.records.iter().enumerate() {
+            assert_eq!(c.index.get(&r.flow), Some(&(slot as u32)), "{r:?}");
+            let row = &c.window[slot * delta..][..delta];
+            assert_eq!(row.iter().sum::<u64>(), r.recent_sum, "{r:?}");
+            assert_eq!(r.pending, 0, "{r:?}");
+        }
+    }
+
+    /// Distinct per flow and interval, so a row that ended up under the
+    /// wrong flow cannot pass for the right one.
+    fn bytes_of(flow: FlowId, mi: u64) -> u64 {
+        flow * 1000 + mi
+    }
+
+    fn row_of(c: &SlidingWindowClassifier, flow: FlowId) -> &[u64] {
+        let slot = c.index[&flow] as usize;
+        &c.window[slot * c.cfg.delta..][..c.cfg.delta]
+    }
+
+    #[test]
+    fn first_middle_and_last_record_expiring_together_keep_survivors_intact() {
+        let mut c = SlidingWindowClassifier::new(WindowConfig {
+            expiry_intervals: 2,
+            ..WindowConfig::default()
+        });
+        let survivors = [11u64, 12, 14, 15];
+        c.end_interval((10..=16u64).map(|f| (f, bytes_of(f, 0))));
+        assert_consistent(&c);
+        // Slots 0 (flow 10), 3 (flow 13) and 6 (flow 16) fall silent and
+        // reach the expiry horizon in the same interval: the pass expires
+        // slot 0, pulls flow 16 into it and expires that too.
+        for mi in 1..=2 {
+            c.end_interval(survivors.iter().map(|&f| (f, bytes_of(f, mi))));
+            assert_consistent(&c);
+        }
+        assert_eq!(c.tracked_flows(), survivors.len());
+        for gone in [10, 13, 16] {
+            assert_eq!(c.state(gone), None);
+        }
+        for f in survivors {
+            // δ = 3 and three intervals closed: column mi holds interval mi.
+            let want: Vec<u64> = (0..3).map(|mi| bytes_of(f, mi)).collect();
+            assert_eq!(row_of(&c, f), want, "flow {f}");
+            assert_eq!(c.cumulative_bytes(f), Some(want.iter().sum()));
+        }
+        // A flow that returns after expiry starts from nothing, next to a
+        // flow never seen before.
+        c.end_interval([(10, 7), (20, 9)]);
+        assert_consistent(&c);
+        assert_eq!(c.cumulative_bytes(10), Some(7));
+        assert_eq!(row_of(&c, 10), [7, 0, 0]);
+        assert_eq!(row_of(&c, 20), [9, 0, 0]);
+        assert_eq!(row_of(&c, 14), [0, bytes_of(14, 1), bytes_of(14, 2)]);
+    }
+
+    #[test]
+    fn expiring_the_last_slot_and_the_only_record_moves_nothing() {
+        let mut c = SlidingWindowClassifier::new(WindowConfig {
+            expiry_intervals: 1,
+            ..WindowConfig::default()
+        });
+        c.end_interval([(1, 100), (2, 200), (3, 300)]);
+        c.end_interval([(1, 101), (2, 201)]); // slot 2 == last expires
+        assert_consistent(&c);
+        assert_eq!(c.tracked_flows(), 2);
+        assert_eq!(row_of(&c, 1), [100, 101, 0]);
+        assert_eq!(row_of(&c, 2), [200, 201, 0]);
+        c.end_interval(std::iter::empty()); // both go; the second is alone
+        assert_consistent(&c);
+        assert_eq!(c.tracked_flows(), 0);
+        assert!(c.local_fsd().is_empty());
+    }
+
+    /// `Clone` carries the whole layout: original and copy fed the same
+    /// tail agree on every interval.
+    #[test]
+    fn a_clone_taken_mid_trace_continues_identically() {
+        // Most flows fall silent two intervals in five, which at expiry 2
+        // drops them; the `% 7` clause keeps some alive through the gap.
+        let batch = |mi: u64| {
+            (0..40u64)
+                .filter(move |f| (f + mi) % 5 >= 2 || f % 7 == mi % 7)
+                .map(move |f| (f, 40_000 * (1 + (f + mi) % 9)))
+        };
+        let mut a = SlidingWindowClassifier::new(WindowConfig {
+            expiry_intervals: 2,
+            ..WindowConfig::default()
+        });
+        for mi in 0..11 {
+            a.end_interval(batch(mi));
+        }
+        let mut b = a.clone();
+        for mi in 11..40 {
+            a.end_interval(batch(mi));
+            b.end_interval(batch(mi));
+            assert_consistent(&b);
+            assert_eq!(a.local_fsd(), b.local_fsd(), "interval {mi}");
+            assert_eq!(a.tracked_flows(), b.tracked_flows());
+            assert!(b.tracked_flows() < 40, "the tail exercises expiry");
+            for f in 0..40 {
+                assert_eq!(a.state(f), b.state(f), "flow {f} at {mi}");
+                assert_eq!(a.cumulative_bytes(f), b.cumulative_bytes(f));
+            }
+        }
     }
 }

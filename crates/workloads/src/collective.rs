@@ -665,11 +665,12 @@ mod tests {
                 match tree.on_flow_done(t).unwrap() {
                     Progress::Pending => {}
                     Progress::NextWave(flows) => {
+                        assert_eq!(pending, 0, "a wave starts when the last one drained");
                         waves.push(flows.len());
                         pending = flows.len();
                     }
                     Progress::RoundDone { next_round } => {
-                        assert_eq!(next_round, None);
+                        assert_eq!((pending, next_round), (0, None));
                         break;
                     }
                 }
