@@ -34,7 +34,8 @@
 use std::time::Instant;
 
 use paraleon::prelude::*;
-use paraleon_bench::{sweep, write_json};
+use paraleon::sweep;
+use paraleon_bench::write_json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;

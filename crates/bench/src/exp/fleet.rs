@@ -10,20 +10,32 @@
 //! Every size is then held to the fleet's correctness gates: serial vs
 //! threaded byte-identity, per-tenant equivalence with a standalone
 //! `ClosedLoop`, and snapshot round-trip identity. Their verdicts are
-//! rows of the JSON, so they run on every invocation. `--smoke` is small
-//! sizes and short runs (CI); `--paper` the paper-scale SA schedule for
-//! the PARALEON tenants.
+//! rows of the JSON, so they run on every invocation. The threaded twin
+//! is timed too: its wall, its phase A, and how full phase A kept its
+//! workers. `--smoke` is small sizes and short runs (CI); `--paper` the
+//! paper-scale SA schedule for the PARALEON tenants.
 
 use std::time::Instant;
 
 use paraleon::prelude::*;
+use paraleon::sweep;
 use paraleon_fleet::{standalone_run, FleetConfig, FleetService, TenantSpec};
 use serde::Serialize;
 
 use crate::{poisson_flows, Ctx, Scale};
 
-/// Worker threads of the threaded twin the serial scheduler is held to.
+/// Most worker threads the threaded twin runs on.
 const THREADS_CHECKED: usize = 4;
+
+/// Worker threads of the threaded twin the serial scheduler is held to:
+/// [`THREADS_CHECKED`] capped at the machine's cores, so its timings are
+/// of workers that really ran side by side — but never under two, so the
+/// identity gate is never one thread against one thread (on a one-core
+/// box the twin's timings mean nothing; the report carries
+/// `threads_available`).
+fn twin_threads() -> usize {
+    sweep::effective_threads(THREADS_CHECKED).max(2)
+}
 
 /// The four small topology families tenants rotate over.
 fn topo_for(i: usize) -> TopoSpec {
@@ -154,6 +166,13 @@ struct FleetRow {
     max_tick_us: f64,
     mean_phase_a_us: f64,
     mean_phase_b_us: f64,
+    /// Worker threads of the threaded twin the next three are from.
+    threads: usize,
+    threaded_wall_ms: f64,
+    threaded_mean_phase_a_us: f64,
+    /// Σ busy / (workers × Σ phase A) on the twin: 1.0 is every worker
+    /// advancing a fabric for all of every phase A.
+    phase_a_efficiency: f64,
     controller_mem_bytes: usize,
     mem_per_tenant_bytes: usize,
     turns: u64,
@@ -172,7 +191,46 @@ struct FleetReport {
     checked: bool,
     scale: String,
     threads_checked: usize,
+    threads_available: usize,
     rows: Vec<FleetRow>,
+}
+
+/// Wall-clock of one fleet's run, from its `TickReport`s.
+struct Timing {
+    wall_ms: f64,
+    /// Phase A + phase B of every tick.
+    tick_us: Vec<f64>,
+    phase_a_us: f64,
+    phase_b_us: f64,
+    /// Σ `busy` / Σ (`workers` × `phase_a`).
+    phase_a_efficiency: f64,
+    turns: u64,
+}
+
+fn run_timed(fleet: &mut FleetService, ticks: u64) -> Timing {
+    let t0 = Instant::now();
+    let mut tick_us = Vec::with_capacity(ticks as usize);
+    let (mut phase_a_us, mut phase_b_us, mut busy_us, mut offered_us) = (0.0, 0.0, 0.0, 0.0);
+    let mut turns = 0u64;
+    for _ in 0..ticks {
+        let r = fleet.tick();
+        turns += r.turns as u64;
+        let a = r.phase_a.as_secs_f64() * 1e6;
+        let b = r.phase_b.as_secs_f64() * 1e6;
+        phase_a_us += a;
+        phase_b_us += b;
+        tick_us.push(a + b);
+        busy_us += r.busy.as_secs_f64() * 1e6;
+        offered_us += r.workers as f64 * a;
+    }
+    Timing {
+        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        tick_us,
+        phase_a_us,
+        phase_b_us,
+        phase_a_efficiency: busy_us / offered_us,
+        turns,
+    }
 }
 
 fn build_fleet(specs: &[TenantSpec], threads: usize) -> FleetService {
@@ -205,10 +263,12 @@ fn fleets_identical(a: &FleetService, b: &FleetService) -> bool {
 
 /// The three correctness gates against the measured serial `fleet`:
 /// `(threaded == serial, every tenant == standalone, snapshot ok)`.
-fn gates(fleet: &FleetService, specs: &[TenantSpec], ticks: u64) -> (bool, bool, bool) {
-    let mut threaded = build_fleet(specs, THREADS_CHECKED);
-    threaded.run(ticks);
-
+fn gates(
+    fleet: &FleetService,
+    threaded: &FleetService,
+    specs: &[TenantSpec],
+    ticks: u64,
+) -> (bool, bool, bool) {
     let standalone = fleet.tenants().iter().zip(specs).all(|(t, spec)| {
         let cl = standalone_run(spec, ticks);
         t.cell.history == cl.cell.history
@@ -223,7 +283,7 @@ fn gates(fleet: &FleetService, specs: &[TenantSpec], ticks: u64) -> (bool, bool,
     snapped.restore(&snap).expect("same tenant set restores");
     snapped.run(ticks - ticks / 2);
     (
-        fleets_identical(fleet, &threaded),
+        fleets_identical(fleet, threaded),
         standalone,
         fleets_identical(fleet, &snapped),
     )
@@ -236,24 +296,12 @@ fn run_size(ctx: &Ctx, n: usize, ticks: u64, dump: bool) -> FleetRow {
         ctx.telemetry_begin();
     }
     let mut fleet = build_fleet(&specs, 1);
-    let t0 = Instant::now();
-    let mut turns = 0u64;
-    let mut tick_us: Vec<f64> = Vec::with_capacity(ticks as usize);
-    let mut phase_a_us = 0.0;
-    let mut phase_b_us = 0.0;
-    for _ in 0..ticks {
-        let r = fleet.tick();
-        turns += r.turns as u64;
-        let a = r.phase_a.as_secs_f64() * 1e6;
-        let b = r.phase_b.as_secs_f64() * 1e6;
-        phase_a_us += a;
-        phase_b_us += b;
-        tick_us.push(a + b);
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let serial = run_timed(&mut fleet, ticks);
     if dump {
         ctx.telemetry_dump(&format!("n{n}"));
     }
+    let mut threaded = build_fleet(&specs, twin_threads());
+    let twin = run_timed(&mut threaded, ticks);
 
     let stats = fleet.stats();
     let mem = fleet.controller_memory_bytes();
@@ -276,18 +324,23 @@ fn run_size(ctx: &Ctx, n: usize, ticks: u64, dump: bool) -> FleetRow {
         })
         .collect();
     let (serial_threaded_identical, standalone_identical, snapshot_round_trip_ok) =
-        gates(&fleet, &specs, ticks);
+        gates(&fleet, &threaded, &specs, ticks);
+    let per_tick = ticks.max(1) as f64;
     FleetRow {
         n_tenants: n,
         ticks,
-        wall_ms,
-        mean_tick_us: tick_us.iter().sum::<f64>() / tick_us.len().max(1) as f64,
-        max_tick_us: tick_us.iter().cloned().fold(0.0, f64::max),
-        mean_phase_a_us: phase_a_us / ticks.max(1) as f64,
-        mean_phase_b_us: phase_b_us / ticks.max(1) as f64,
+        wall_ms: serial.wall_ms,
+        mean_tick_us: serial.tick_us.iter().sum::<f64>() / per_tick,
+        max_tick_us: serial.tick_us.iter().cloned().fold(0.0, f64::max),
+        mean_phase_a_us: serial.phase_a_us / per_tick,
+        mean_phase_b_us: serial.phase_b_us / per_tick,
+        threads: threaded.cfg.threads,
+        threaded_wall_ms: twin.wall_ms,
+        threaded_mean_phase_a_us: twin.phase_a_us / per_tick,
+        phase_a_efficiency: twin.phase_a_efficiency,
         controller_mem_bytes: mem,
         mem_per_tenant_bytes: mem / n.max(1),
-        turns,
+        turns: serial.turns,
         throttled: stats.throttled,
         starved_turns: stats.starved_turns,
         upload_drops: stats.upload_drops,
@@ -331,6 +384,8 @@ pub fn run(ctx: &Ctx) {
                 format!("{:.1}", r.wall_ms),
                 format!("{:.0}", r.mean_tick_us),
                 format!("{:.0}", r.max_tick_us),
+                format!("{:.1}", r.threaded_wall_ms),
+                format!("{:.2}", r.phase_a_efficiency),
                 format!("{}", r.controller_mem_bytes / 1024),
                 format!("{}", r.mem_per_tenant_bytes / 1024),
                 r.turns.to_string(),
@@ -348,6 +403,8 @@ pub fn run(ctx: &Ctx) {
             "wall ms",
             "tick µs",
             "max µs",
+            "thr ms",
+            "A eff",
             "ctrl KiB",
             "KiB/tenant",
             "turns",
@@ -362,7 +419,8 @@ pub fn run(ctx: &Ctx) {
         smoke: ctx.scale == Scale::Smoke,
         checked: true, // the gates above ran; kept for the committed file's shape
         scale: ctx.scale.label().to_string(),
-        threads_checked: THREADS_CHECKED,
+        threads_checked: twin_threads(),
+        threads_available: sweep::effective_threads(usize::MAX),
         rows,
     });
 }

@@ -15,10 +15,6 @@
 //! cross-ToR injector, series/FCT extraction) that two or more of them
 //! build on.
 
-// The parallel sweep runner lives in `paraleon-hunt` (its search loop
-// fans candidate evaluations through it); re-exported for `perf_probe`.
-pub use paraleon_hunt::sweep;
-
 mod ctx;
 pub mod exp;
 

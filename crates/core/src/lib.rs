@@ -26,6 +26,8 @@
 //!   examples, the experiment harness, the fleet and the hunt.
 //! * [`stats`] — FCT/percentile helpers used to regenerate the paper's
 //!   tables and figures.
+//! * [`sweep`] — the one job-level fan-out (work-conserving, results in
+//!   job order) behind experiment grids, the hunt and the fleet's phase A.
 //!
 //! # Quickstart
 //!
@@ -49,6 +51,7 @@ pub mod drivers;
 pub mod guardrail;
 pub mod schemes;
 pub mod stats;
+pub mod sweep;
 pub mod tuner_cell;
 
 pub use closed_loop::{ClosedLoop, ClosedLoopBuilder, IntervalRecord, LoopConfig};

@@ -6,10 +6,16 @@
 //! * **Phase A (fabric)** — every tenant admits its due flows, delivers
 //!   due control-plane dispatches, advances its fabric one λ_MI and
 //!   collects interval metrics. Tenants are mutually independent, so
-//!   phase A may run on worker threads ([`FleetConfig::threads`]); while
+//!   phase A is a job list for [`paraleon::sweep`], the runner experiment
+//!   grids and the hunt use: [`FleetConfig::threads`] workers pull one
+//!   tenant at a time off a shared cursor, longest first (by the events
+//!   each fabric processed last tick), so no worker idles while another
+//!   holds two heavy fabrics. Neither the order nor the worker a tenant
+//!   lands on can show in any output: a job touches only its own
+//!   tenant's engine, results go back into tenant-id order, and while
 //!   the coordinator's telemetry registry is enabled (sampled once per
-//!   tick), every emission is captured per tenant and replayed by the
-//!   coordinator in ascending tenant id — the same order the serial
+//!   tick) every emission is captured per tenant and replayed by the
+//!   coordinator in ascending tenant id — the order the one-thread
 //!   scheduler emits in, which is what makes any thread count byte-
 //!   identical to one thread.
 //! * **Phase B (controller)** — the coordinator drains upload queues
@@ -27,8 +33,10 @@
 //!
 //! [`ClosedLoop`]: paraleon::prelude::ClosedLoop
 
+use std::cmp::Reverse;
 use std::time::{Duration, Instant};
 
+use paraleon::sweep;
 use paraleon_telemetry as tel;
 
 use crate::queue::{DropPolicy, PendingInterval, TokenBucket};
@@ -85,6 +93,12 @@ pub struct TickReport {
     pub dropped: u64,
     /// Wall-clock spent advancing fabrics (phase A).
     pub phase_a: Duration,
+    /// Σ over tenants of the wall-clock each one's advance took: the work
+    /// in `phase_a`, so `busy / (workers × phase_a)` is how full phase A
+    /// kept its workers.
+    pub busy: Duration,
+    /// Workers phase A ran on.
+    pub workers: usize,
     /// Wall-clock spent in the controller (phase B).
     pub phase_b: Duration,
 }
@@ -241,7 +255,9 @@ impl FleetService {
         // emission order. The tenant id is stamped onto series entities
         // and flight events here (workers run untenanted).
         let mut dropped = 0u64;
-        for (t, (captured, pending)) in self.tenants.iter_mut().zip(results) {
+        let mut busy = Duration::ZERO;
+        for (t, (captured, pending, took)) in self.tenants.iter_mut().zip(results) {
+            busy += took;
             tel::set_tenant(t.id);
             tel::capture_replay(&captured);
             tel::set_tenant(0);
@@ -295,6 +311,8 @@ impl FleetService {
             starved,
             dropped,
             phase_a,
+            busy,
+            workers: self.cfg.threads.clamp(1, n.max(1)),
             phase_b: t1.elapsed(),
         }
     }
@@ -306,42 +324,46 @@ impl FleetService {
         }
     }
 
-    /// Advance every fabric one interval. The serial path captures on
-    /// the coordinator, the threaded path (`cfg.threads` scoped workers,
-    /// tenants split into contiguous chunks) on the workers' own
-    /// thread-local registries — either way nothing is recorded until
-    /// the caller's replay, so both paths emit identically. Results come
-    /// back in tenant id order.
-    fn phase_a(&mut self, capture: bool) -> Vec<(Vec<tel::Captured>, PendingInterval)> {
-        let threads = self.cfg.threads.min(self.tenants.len());
-        if threads <= 1 {
-            return self
-                .tenants
-                .iter_mut()
-                .map(|t| t.advance_captured(capture))
-                .collect();
-        }
-        let per = self.tenants.len().div_ceil(threads);
-        let mut out = Vec::with_capacity(self.tenants.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .tenants
-                .chunks_mut(per)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter_mut()
-                            .map(|t| t.advance_captured(capture))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("fleet phase-A worker panicked"));
-            }
-        });
-        out
+    /// Advance every fabric one interval, timing each: one job per
+    /// tenant. With telemetry captured on whichever thread runs the job
+    /// and nothing recorded until the caller's replay, every thread count
+    /// emits identically.
+    fn phase_a(&mut self, capture: bool) -> Vec<(Vec<tel::Captured>, PendingInterval, Duration)> {
+        self.fan_out(|t| {
+            let t0 = Instant::now();
+            let (captured, pending) = t.advance_captured(capture);
+            (captured, pending, t0.elapsed())
+        })
     }
+
+    /// Run `job` once per tenant on `cfg.threads` workers, handed out in
+    /// [`longest_first`] order; results come back in tenant id order.
+    fn fan_out<R: Send>(&mut self, job: impl Fn(&mut Tenant) -> R + Sync) -> Vec<R> {
+        let job = &job;
+        let events: Vec<u64> = self.tenants.iter().map(|t| t.last_events).collect();
+        let mut tenants: Vec<_> = self.tenants.iter_mut().map(Some).collect();
+        let jobs = longest_first(&events)
+            .into_iter()
+            .map(|i| {
+                let t = tenants[i].take().expect("the order is a permutation");
+                move || (i, job(t))
+            })
+            .collect();
+        let mut out = sweep::run_on(self.cfg.threads, jobs);
+        out.sort_unstable_by_key(|&(i, _)| i);
+        out.into_iter().map(|(_, r)| r).collect()
+    }
+}
+
+/// Phase A's job order over tenant indices: descending events processed
+/// last tick — the cheapest deterministic estimate of this tick's cost,
+/// and longest-first is what keeps a work-conserving runner's last worker
+/// from starting a heavy fabric when the others are done. Ties, and the
+/// all-zero first tick, stay in ascending index (= id) order.
+fn longest_first(events: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..events.len()).collect();
+    order.sort_by_key(|&i| Reverse(events[i]));
+    order
 }
 
 #[cfg(test)]
@@ -495,6 +517,133 @@ mod tests {
     }
 
     #[test]
+    fn phase_a_order_is_longest_first_ties_by_id() {
+        assert_eq!(longest_first(&[3, 9, 1, 9, 0]), [1, 3, 0, 2, 4]);
+        // First tick: no estimate yet, tenant id order.
+        assert_eq!(longest_first(&[0, 0, 0, 0]), [0, 1, 2, 3]);
+        assert!(longest_first(&[]).is_empty());
+    }
+
+    /// Five light tenants and, admitted last, one whose every tick is
+    /// 4 ms of elephants: the fleet the static contiguous split served
+    /// worst, and one where longest-first reorders every tick.
+    fn skewed_specs() -> Vec<TenantSpec> {
+        let mut specs: Vec<TenantSpec> = (0..5u64)
+            .map(|i| [clos_spec, rail_spec, mixed_spec][i as usize % 3](80 + i))
+            .collect();
+        let mut elephant = clos_spec(86);
+        elephant.loop_cfg.lambda_mi = 4 * MILLI;
+        elephant.schedule = (0..32u64)
+            .map(|i| FlowRequest {
+                src: (i % 2) as usize,
+                dst: 2 + (i % 2) as usize,
+                bytes: 4_000_000,
+                start: i * MILLI,
+            })
+            .collect();
+        specs.push(elephant);
+        specs
+    }
+
+    /// Which worker advanced a tenant, and when, shows nowhere: with
+    /// capture/replay live, any thread count leaves the same fleet and
+    /// the same registry as one thread.
+    #[test]
+    fn skewed_fleet_is_identical_at_any_thread_count() {
+        let run = |threads: usize| {
+            tel::reset();
+            tel::set_enabled(true);
+            let mut fleet = FleetService::new(FleetConfig {
+                threads,
+                ..FleetConfig::default()
+            });
+            for s in skewed_specs() {
+                fleet.admit(s);
+            }
+            fleet.run(8);
+            tel::set_enabled(false);
+            (fleet, telemetry_state())
+        };
+        let (serial, serial_tel) = run(1);
+        let estimates: Vec<u64> = serial.tenants().iter().map(|t| t.last_events).collect();
+        assert_eq!(
+            longest_first(&estimates)[0],
+            5,
+            "the elephant goes first: {estimates:?}"
+        );
+        assert!(!serial_tel.1.is_empty() && !serial_tel.2.is_empty());
+        for threads in [2, 3] {
+            let (threaded, threaded_tel) = run(threads);
+            for (a, b) in serial.tenants().iter().zip(threaded.tenants()) {
+                assert_eq!(a.cell.history, b.cell.history, "tenant {} diverged", a.id);
+                assert_eq!(a.cell.last_params, b.cell.last_params);
+                assert_eq!(a.completions, b.completions);
+                assert_eq!(a.last_events, b.last_events);
+            }
+            assert_eq!(serial.stats(), threaded.stats());
+            assert_eq!(serial_tel, threaded_tel, "{threads} threads");
+        }
+        tel::reset();
+    }
+
+    /// A tenant that panics in phase A fails the tick with its own
+    /// message, on the coordinator and through a worker alike.
+    #[test]
+    fn a_panicking_tenant_re_raises_its_own_payload() {
+        for threads in [1, 2] {
+            let mut fleet = FleetService::new(FleetConfig {
+                threads,
+                ..FleetConfig::default()
+            });
+            fleet.admit(clos_spec(71));
+            let mut bad = rail_spec(72);
+            bad.schedule[0].bytes = 0;
+            fleet.admit(bad);
+            let tick = std::panic::AssertUnwindSafe(|| fleet.tick());
+            let payload = std::panic::catch_unwind(tick).expect_err("admission panics");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("add_flow_on_qp: zero-byte flow"),
+                "{threads} thread(s)"
+            );
+        }
+    }
+
+    /// The audit registry is thread-local: a violation on a phase-A
+    /// worker must be counted on the coordinator (`exp fleet`'s audit
+    /// tail reads it there), and only if the coordinator audits at all.
+    #[cfg(feature = "audit")]
+    #[test]
+    fn phase_a_worker_violations_reach_the_coordinator() {
+        paraleon_audit::set_panic_on_violation(false);
+        let mut fleet = FleetService::new(FleetConfig {
+            threads: 2,
+            ..FleetConfig::default()
+        });
+        fleet.admit(clos_spec(91));
+        fleet.admit(rail_spec(92));
+        for (audited, counted) in [(true, 1), (false, 0)] {
+            paraleon_audit::reset();
+            paraleon_audit::set_enabled(audited);
+            let gate = std::sync::Barrier::new(2);
+            fleet.fan_out(|t| {
+                // Both workers hold a tenant before either proceeds, so
+                // the violation is reported off the coordinator.
+                gate.wait();
+                paraleon_audit::check(t.id != 1, || {
+                    paraleon_audit::AuditViolation::CrossShardResidue {
+                        shard: 0,
+                        pending: 1,
+                    }
+                });
+            });
+            assert_eq!(paraleon_audit::violation_count(), counted);
+        }
+        paraleon_audit::set_enabled(true);
+        paraleon_audit::reset();
+    }
+
+    #[test]
     fn starved_tenant_lags_but_neighbours_are_unaffected() {
         // Rate 0 with burst 2: the victim gets two turns ever, then
         // starves; the well-behaved neighbour must still match its
@@ -581,12 +730,12 @@ mod tests {
             }
             let off = fleet.phase_a(false);
             assert!(
-                off.iter().all(|(captured, _)| captured.is_empty()),
+                off.iter().all(|(captured, ..)| captured.is_empty()),
                 "{threads} thread(s): nothing to replay into a disabled registry"
             );
             let on = fleet.phase_a(true);
             assert!(
-                on.iter().all(|(captured, _)| !captured.is_empty()),
+                on.iter().all(|(captured, ..)| !captured.is_empty()),
                 "{threads} thread(s): an enabled registry gets every tenant's emissions"
             );
         }

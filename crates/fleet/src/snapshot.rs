@@ -204,6 +204,41 @@ mod tests {
         assert_eq!(fleet.tick_index(), control.tick_index());
     }
 
+    /// The scheduler's cost estimate is fabric-side state: a restore
+    /// leaves it alone, and the threaded continuation stays the
+    /// never-snapshotted run's.
+    #[test]
+    fn restore_at_two_threads_keeps_the_cost_estimate_and_is_identity() {
+        let two = || {
+            let mut fleet = FleetService::new(FleetConfig {
+                threads: 2,
+                ..FleetConfig::default()
+            });
+            for s in [spec(1), spec(2), spec(3)] {
+                fleet.admit(s);
+            }
+            fleet.run(6);
+            fleet
+        };
+        let (mut fleet, mut control) = (two(), two());
+        let estimates =
+            |f: &FleetService| -> Vec<u64> { f.tenants().iter().map(|t| t.last_events).collect() };
+        let before = estimates(&fleet);
+        assert!(before.iter().all(|&e| e > 0));
+        let snap = fleet.snapshot().unwrap();
+        fleet.restore(&snap).unwrap();
+        assert_eq!(estimates(&fleet), before);
+        fleet.run(6);
+        control.run(6);
+        for (a, b) in fleet.tenants().iter().zip(control.tenants()) {
+            assert_eq!(a.cell.history, b.cell.history, "tenant {}", a.id);
+            assert_eq!(a.cell.last_params, b.cell.last_params);
+            assert_eq!(a.completions, b.completions);
+        }
+        assert_eq!(estimates(&fleet), estimates(&control));
+        assert_eq!(fleet.stats(), control.stats());
+    }
+
     #[test]
     fn snapshot_is_some_for_an_empty_and_a_populated_fleet() {
         let mut fleet = FleetService::new(FleetConfig::default());

@@ -141,6 +141,10 @@ pub struct Tenant {
     pub starved: u64,
     spec: TenantSpec,
     next_flow: usize,
+    /// Events the fabric processed in its latest advance: the scheduler's
+    /// cost estimate for the next one. Fabric state, like `ticks` — no
+    /// snapshot holds it and no restore rewinds it.
+    pub(crate) last_events: u64,
 }
 
 impl Tenant {
@@ -169,6 +173,7 @@ impl Tenant {
             starved: 0,
             spec,
             next_flow: 0,
+            last_events: 0,
         }
     }
 
@@ -203,7 +208,9 @@ impl Tenant {
         );
         self.cell.deliver_due_dispatches(&mut self.sim, self.ticks);
         let target = self.sim.now() + lambda;
+        let before = self.sim.events_processed();
         self.sim.run_until(target);
+        self.last_events = self.sim.events_processed() - before;
         let metrics = self.sim.collect_interval();
         self.completions.extend(self.sim.take_completions());
         self.ticks += 1;

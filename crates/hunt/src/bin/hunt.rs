@@ -23,7 +23,6 @@ use std::process::ExitCode;
 use paraleon_hunt::corpus::{self, HuntCase};
 use paraleon_hunt::oracle::{OracleKind, ALL_ORACLES};
 use paraleon_hunt::search::{hunt, SearchConfig};
-use paraleon_hunt::sweep;
 use serde::Serialize as _;
 
 fn usage() -> ExitCode {
@@ -83,7 +82,7 @@ fn main() -> ExitCode {
 
     // Hunt mode.
     let mut cfg = SearchConfig {
-        threads: sweep::threads_from_args(),
+        threads: paraleon::sweep::effective_threads(usize::MAX),
         ..SearchConfig::default()
     };
     let mut write = false;
@@ -103,10 +102,12 @@ fn main() -> ExitCode {
             None => {}
         }
     }
-    match flag_u64(&args, "--expect") {
-        Some(Some(v)) => expect = v as usize,
-        Some(None) => return usage(),
-        None => {}
+    for (name, slot) in [("--expect", &mut expect), ("--threads", &mut cfg.threads)] {
+        match flag_u64(&args, name) {
+            Some(Some(v)) => *slot = v as usize,
+            Some(None) => return usage(),
+            None => {}
+        }
     }
     if args.iter().any(|a| a == "--no-minimize") {
         cfg.minimize = false;

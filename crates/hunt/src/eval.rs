@@ -5,7 +5,7 @@
 //! Determinism contract: `evaluate` is a pure function of
 //! `(EvalConfig, OracleConfig, HuntPoint)` — same inputs, same
 //! [`OracleReport`], byte for byte. The search fans `evaluate` calls
-//! across threads with [`crate::sweep`], which preserves job order, so
+//! across threads with [`paraleon::sweep`], which preserves job order, so
 //! parallel hunts reproduce serial ones exactly. The only global state
 //! touched is the thread-local audit registry, which is reset before and
 //! drained after each run so back-to-back evaluations never leak

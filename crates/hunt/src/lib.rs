@@ -19,8 +19,8 @@
 //!    invariant violations, and an event-budget livelock detector.
 //! 3. [`search`] runs a seeded (µ+λ)-style mutation loop, fanning
 //!    candidate evaluation across threads with the index-addressed
-//!    [`sweep`] runner (results in job order — parallel hunts reproduce
-//!    serial ones bit for bit).
+//!    [`paraleon::sweep`] runner (results in job order — parallel hunts
+//!    reproduce serial ones bit for bit).
 //! 4. [`minimize`] delta-debugs every confirmed finding — dropping
 //!    flows and fault events, shrinking counts/bytes/topology, resetting
 //!    parameters to defaults — while the oracle keeps firing.
@@ -37,7 +37,6 @@ pub mod minimize;
 pub mod mutate;
 pub mod oracle;
 pub mod search;
-pub mod sweep;
 
 pub use corpus::HuntCase;
 pub use eval::{evaluate, EvalConfig, Evaluation, RunMetrics};

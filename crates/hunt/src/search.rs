@@ -3,7 +3,7 @@
 //! Each generation builds a batch of candidates — every targeted oracle
 //! kind gets slots, each mutated from that kind's current elite (or a
 //! fresh seed point while none exists) — and fans their evaluations
-//! across worker threads with [`crate::sweep::run`]. Because the batch
+//! across worker threads with [`paraleon::sweep::run`]. Because the batch
 //! is assembled on the coordinator thread from one seeded RNG and sweep
 //! results come back in job order, a hunt is a pure function of
 //! [`SearchConfig`]: `--threads 8` finds byte-for-byte what `--threads 1`
@@ -15,6 +15,7 @@
 //! kind is kept as that kind's finding and optionally delta-debugged
 //! down to a minimal repro.
 
+use paraleon::sweep;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -24,7 +25,6 @@ use crate::genome::{GenomeCaps, HuntPoint};
 use crate::minimize::{minimize, MinimizeStats};
 use crate::mutate::{mutate, seed_point};
 use crate::oracle::{OracleConfig, OracleKind, OracleReport, ALL_ORACLES};
-use crate::sweep;
 
 /// Everything that defines one hunt. A hunt is deterministic in this
 /// struct: same config, same findings, any thread count.
