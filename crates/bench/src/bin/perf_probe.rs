@@ -20,12 +20,12 @@
 //!   baseline's `peak_rss_mb` (memory the event core touches once per
 //!   wheel rotation costs cache misses an ev/s gate on a quiet host does
 //!   not see); on a host with at least two cores it also re-measures the
-//!   1- and 2-shard `intra_run_scaling` points and exits non-zero unless
-//!   two shards beat one (ROADMAP: a mechanism that cannot show its
+//!   1- and 2-thread `intra_run_scaling` points and exits non-zero unless
+//!   two workers beat one (ROADMAP: a mechanism that cannot show its
 //!   benefit gets fixed or removed).
 //!
 //! `--par-threads N` switches the default and `--audited` modes onto the
-//! conservative parallel engine with N shard threads.
+//! conservative parallel engine with N worker threads.
 //!
 //! Min-of-N (not mean) is deliberate: throughput noise on a shared box
 //! is strictly additive (preemption, cache pollution), so the minimum
@@ -57,6 +57,9 @@ struct ProbeRun {
     wall_s: f64,
     completions: usize,
     flows: usize,
+    /// How the engine cut the fabric and how many threads ran the cut.
+    shards: usize,
+    workers: usize,
 }
 
 /// The standard probe: the paper's 128-host two-tier CLOS under a 0.3
@@ -89,6 +92,8 @@ fn standard_probe(sim_ms: u64, seed: u64, par_threads: usize) -> ProbeRun {
         wall_s: t0.elapsed().as_secs_f64(),
         completions: cl.completions.len(),
         flows: flows.len(),
+        shards: cl.sim.n_shards(),
+        workers: cl.sim.workers(),
     }
 }
 
@@ -129,13 +134,17 @@ struct SweepPoint {
 
 #[derive(Serialize)]
 struct IntraRunPoint {
-    /// Shard/worker threads asked of the parallel engine.
+    /// Worker threads asked of the parallel engine.
     threads_requested: usize,
-    /// Shards the engine actually built (clamped to the topology's ToR
-    /// count; 1 means the serial engine ran).
+    /// Shards the engine cut the fabric into (several per worker,
+    /// clamped to the topology's ToR count; 1 means the serial engine
+    /// ran).
     shards: usize,
+    /// Threads the engine ran them on (the count asked for, clamped to
+    /// the shards).
+    workers: usize,
     /// Worker threads that can truly run concurrently:
-    /// `min(shards, available_parallelism)`.
+    /// `min(workers, available_parallelism)`.
     threads_effective: usize,
     wall_seconds: f64,
     speedup: f64,
@@ -168,7 +177,7 @@ struct Report {
     /// Whether every thread count produced the identical result vector.
     sweep_deterministic: bool,
     /// Conservative parallel engine inside a *single* simulation: the
-    /// standard probe shortened to 5 ms, run at 1/2/4/8 shard threads.
+    /// standard probe shortened to 5 ms, run at 1/2/4/8 worker threads.
     intra_run_scaling: Vec<IntraRunPoint>,
     /// Whether every intra-run point processed the identical event count
     /// (the byte-identity differential test is the real gate; this is
@@ -229,8 +238,9 @@ fn threads_available() -> usize {
 }
 
 /// Scaling of the conservative parallel engine *inside* one simulation:
-/// the standard probe at 5 ms of load, sharded `widths` ways (the first
-/// width must be 1, the reference), best of [`RUNS`] each. Every point
+/// the standard probe at 5 ms of load on `widths` workers (the first
+/// width must be 1, the reference), best of [`RUNS`] each; the engine
+/// reports how it cut the fabric and what it ran the cut on. Every point
 /// must process the identical event count — the engine is byte-identical
 /// to serial by construction, and the differential tests enforce it; the
 /// fingerprint here keeps the perf report honest on its own.
@@ -240,10 +250,7 @@ fn measure_intra_run_scaling(widths: &[usize]) -> (Vec<IntraRunPoint>, bool) {
     let mut serial_wall = 0.0;
     for &threads in widths {
         let mut best: Option<ProbeRun> = None;
-        let mut shards = 1usize;
         for _ in 0..RUNS {
-            let topo = Topology::two_tier_clos(8, 16, 4, 100.0, 100.0, 5_000);
-            shards = topo.partition(threads).len();
             let r = standard_probe(5, 5, threads);
             if best.as_ref().is_none_or(|b| r.wall_s < b.wall_s) {
                 best = Some(r);
@@ -255,17 +262,19 @@ fn measure_intra_run_scaling(widths: &[usize]) -> (Vec<IntraRunPoint>, bool) {
         }
         points.push(IntraRunPoint {
             threads_requested: threads,
-            shards,
-            threads_effective: shards.min(avail),
+            shards: r.shards,
+            workers: r.workers,
+            threads_effective: r.workers.min(avail),
             wall_seconds: r.wall_s,
             speedup: serial_wall / r.wall_s,
             events: r.events,
         });
         eprintln!(
-            "intra-run {} thread(s) ({} shards, effective {}): {:.2}s (speedup {:.2}x, {} events)",
+            "intra-run {} thread(s) ({} shards on {} workers, effective {}): {:.2}s (speedup {:.2}x, {} events)",
             threads,
-            shards,
-            shards.min(avail),
+            r.shards,
+            r.workers,
+            r.workers.min(avail),
             r.wall_s,
             serial_wall / r.wall_s,
             r.events
@@ -349,7 +358,7 @@ fn check(baseline_path: &str) -> i32 {
         ),
     }
     // The sharded engine has to earn its keep wherever it can: with two
-    // cores to run on, two shards must beat one.
+    // cores to run on, two workers must beat one.
     let avail = threads_available();
     if avail < 2 {
         println!("sharding check skipped: {avail} thread available, no speed-up to show");
@@ -357,15 +366,20 @@ fn check(baseline_path: &str) -> i32 {
         let (points, deterministic) = measure_intra_run_scaling(&[1, 2]);
         let two = &points[1];
         println!(
-            "sharding check: {} shards on {} effective threads, {:.2}s vs {:.2}s serial, speedup {:.2}x",
-            two.shards, two.threads_effective, two.wall_seconds, points[0].wall_seconds, two.speedup
+            "sharding check: {} shards on {} workers ({} effective threads), {:.2}s vs {:.2}s serial, speedup {:.2}x",
+            two.shards,
+            two.workers,
+            two.threads_effective,
+            two.wall_seconds,
+            points[0].wall_seconds,
+            two.speedup
         );
         if !deterministic {
             println!("REGRESSION: the sharded run processed a different event count");
             return 1;
         }
         if two.speedup < 1.0 {
-            println!("REGRESSION: two shards on two cores are slower than the serial engine");
+            println!("REGRESSION: two workers on two cores are slower than the serial engine");
             return 1;
         }
     }
@@ -440,7 +454,7 @@ fn main() {
         let (scaling, deterministic) = measure_sweep_scaling();
         let (intra, intra_deterministic) = measure_intra_run_scaling(&[1, 2, 4, 8]);
         let report = Report {
-            schema: 3,
+            schema: 4,
             probe: "two_tier_clos(8x16, 4 leaves, 100G, 5us) + fb_hadoop poisson \
                     load 0.3 seed 5, 20ms of load run to 25ms, full PARALEON loop"
                 .to_string(),

@@ -1,16 +1,19 @@
 //! Differential gate for the conservative parallel engine: over genomes
 //! the search can actually reach — including active fault plans and
 //! mid-run control-plane crashes — a sharded run at 2 and 4 threads
-//! must be **byte-identical** to the serial reference. "Identical" is
+//! (and, with every source under one ToR so that the other workers live
+//! off stolen shards, at 2, 3 and 4) must be **byte-identical** to the
+//! serial reference. "Identical" is
 //! checked at three layers:
 //!
 //! * interval metrics and flow completions (exact, down to every f64
 //!   bit — [`IntervalMetrics`]'s `PartialEq` is bitwise);
 //! * the telemetry flight-recorder tail (the parallel engine captures
-//!   emissions on shard threads and replays them in serial order; any
+//!   emissions on worker threads and replays them in serial order; any
 //!   reordering or loss shows up here);
-//! * audit violation counts (zero or not, shard workers fold their
-//!   thread-local registries back into the coordinator's).
+//! * audit violation counts (zero or not, what a shard's run leaves in
+//!   a worker's thread-local registry is folded back into the
+//!   coordinator's).
 //!
 //! The property runs keep telemetry on throughout; one fixed-point test
 //! flips the registry between intervals (and leaves it off) to pin the
@@ -58,10 +61,11 @@ struct Fingerprint {
     audit_violations: u64,
 }
 
-/// Run `point` on the engine with `threads` shard workers and collect
-/// the comparison fingerprint. Telemetry and the audit registry are
-/// thread-local; resetting them here keeps back-to-back runs isolated.
-fn run_sim(point: &HuntPoint, threads: usize) -> Fingerprint {
+/// Run `point` on the engine with `threads` workers and collect the
+/// comparison fingerprint; `skewed` moves every flow's source under host
+/// 0's ToR. Telemetry and the audit registry are thread-local; resetting
+/// them here keeps back-to-back runs isolated.
+fn run_sim(point: &HuntPoint, threads: usize, skewed: bool) -> Fingerprint {
     tel::set_enabled(true);
     tel::reset();
     paraleon_audit::reset();
@@ -71,10 +75,18 @@ fn run_sim(point: &HuntPoint, threads: usize) -> Fingerprint {
         seed: point.seed,
         ..SimConfig::default()
     };
-    let mut sim = Engine::new(point.topo.build(), cfg, threads);
+    let topo = point.topo.build();
+    let tor_of = |h: usize| topo.ports(h)[0].peer;
+    let rack: Vec<usize> = (0..topo.n_hosts())
+        .filter(|&h| tor_of(h) == tor_of(0))
+        .collect();
+    let mut sim = Engine::new(topo, cfg, threads);
     for (src, dst, bytes, start) in point.expand_flows() {
-        sim.try_add_flow(src, dst, bytes, start)
-            .expect("reachable genomes only emit valid flows");
+        let src = if skewed { rack[src % rack.len()] } else { src };
+        if src != dst {
+            sim.try_add_flow(src, dst, bytes, start)
+                .expect("reachable genomes only emit valid flows");
+        }
     }
     sim.install_fault_plan(&point.faults)
         .expect("reachable genomes only emit valid fault plans");
@@ -179,15 +191,34 @@ proptest! {
         kind_idx in 0usize..5,
     ) {
         let p = generated_point(seed, steps, kind_idx);
-        let serial = run_sim(&p, 1);
+        let serial = run_sim(&p, 1, false);
         for threads in [2usize, 4] {
-            let par = run_sim(&p, threads);
+            let par = run_sim(&p, threads, false);
             prop_assert_eq!(
                 &par, &serial,
                 "{} threads diverged from serial on seed {} steps {} kind {}",
                 threads, seed, steps, kind_idx
             );
         }
+    }
+}
+
+/// Skewed-load differential: every flow of a reachable genome sourced
+/// under one ToR, so one shard does nearly all the sending and the
+/// workers whose home lists lack it steal every epoch — three shards (a
+/// genome has at most three ToRs) on 2 workers and on 3, which is more
+/// than a CI box has cores, so the barrier parks; fault plan firing.
+#[test]
+fn skewed_load_is_byte_identical_under_stealing() {
+    let point = generated_point(29, 4, 2);
+    assert_eq!(point.topo.build().partition(16).len(), 3);
+    assert!(!point.faults.is_empty());
+    let serial = run_sim(&point, 1, true);
+    assert!(!serial.completions.is_empty() && !serial.flight_tail.is_empty());
+    assert_ne!(serial, run_sim(&point, 1, false), "the skew must bite");
+    for threads in [2usize, 3, 4] {
+        let par = run_sim(&point, threads, true);
+        assert_eq!(par, serial, "{threads} threads diverged from serial");
     }
 }
 

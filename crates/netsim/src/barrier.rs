@@ -1,11 +1,13 @@
 //! The sharded engine's epoch barrier and worker fan-out.
 //!
-//! [`EpochBarrier`] is a central-counter, generation-stamped (sense-
-//! reversing) barrier. Compared with `std::sync::Barrier` it adds the two
-//! things the engine needs:
+//! The parties are the engine's *workers* — the threads it was asked for
+//! — not its shards, of which each worker runs several per epoch
+//! (`crate::par`). [`EpochBarrier`] is a central-counter,
+//! generation-stamped (sense-reversing) barrier. Compared with
+//! `std::sync::Barrier` it adds the two things the engine needs:
 //!
 //! * **Spin, then block.** An epoch is a few hundred microseconds of
-//!   work per shard, and a futex sleep/wake round trip costs about as
+//!   work per worker, and a futex sleep/wake round trip costs about as
 //!   much on a virtualised host, so sleeping at every barrier doubles the
 //!   run. When every party can own a core (`parties ≤
 //!   available_parallelism()`), a waiter therefore polls the generation
@@ -15,7 +17,7 @@
 //!   selects the path.
 //! * **Breakable.** A worker that unwinds (an audit violation panics at
 //!   its detection site in debug builds) marks the barrier broken through
-//!   [`run_shards`]' drop guard; every current and future waiter gets
+//!   [`run_workers`]' drop guard; every current and future waiter gets
 //!   [`BarrierBroken`] instead of parking forever, and the fan-out
 //!   re-raises the original panic.
 
@@ -24,7 +26,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long a waiter polls before parking, on the spinning path. Chosen
-/// well above the shard imbalance of a busy epoch (so a balanced run
+/// well above the worker imbalance of a busy epoch (so a balanced run
 /// never sleeps) and well below a scheduler timeslice (so a waiter that
 /// lost its core to an unrelated process gives up quickly).
 const SPIN_BUDGET: Duration = Duration::from_micros(500);
@@ -66,7 +68,7 @@ impl EpochBarrier {
         Self::with_spin(parties, parties <= cores())
     }
 
-    fn with_spin(parties: usize, spin: bool) -> Self {
+    pub(crate) fn with_spin(parties: usize, spin: bool) -> Self {
         assert!(parties > 0, "a barrier needs at least one party");
         Self {
             parties,
@@ -153,27 +155,25 @@ impl Drop for BreakOnPanic<'_> {
     }
 }
 
-/// Run `body(index, shard)` for every shard on its own scoped thread and
-/// join them all. If a body panics, the barrier is broken so its peers
-/// (which must return on [`BarrierBroken`]) cannot hang, and the first
-/// panic in shard order is re-raised on the caller with its original
-/// payload.
-pub(crate) fn run_shards<S: Send>(
-    shards: &mut [S],
+/// Run `body(w)` for every worker `w` in `0..workers`, each on its own
+/// scoped thread, and join them all. If a body panics, the barrier is
+/// broken so its peers (which must return on [`BarrierBroken`]) cannot
+/// hang, and the first panic in worker order is re-raised on the caller
+/// with its original payload.
+pub(crate) fn run_workers(
+    workers: usize,
     barrier: &EpochBarrier,
-    body: impl Fn(usize, &mut S) -> Result<(), BarrierBroken> + Sync,
+    body: impl Fn(usize) -> Result<(), BarrierBroken> + Sync,
 ) {
     let body = &body;
     let panic = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter_mut()
-            .enumerate()
-            .map(|(i, shard)| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
                 scope.spawn(move || {
                     let _guard = BreakOnPanic(barrier);
                     // `Err` only ever means a peer panicked, and that
                     // panic is what the caller gets to see.
-                    let _ = body(i, shard);
+                    let _ = body(w);
                 })
             })
             .collect();
@@ -202,8 +202,7 @@ mod tests {
     fn lockstep(parties: usize, spin: bool, generations: usize) {
         let barrier = EpochBarrier::with_spin(parties, spin);
         let slots: Vec<AtomicUsize> = (0..parties).map(|_| AtomicUsize::new(0)).collect();
-        let mut ids: Vec<usize> = (0..parties).collect();
-        run_shards(&mut ids, &barrier, |me, _| {
+        run_workers(parties, &barrier, |me| {
             for g in 0..generations {
                 slots[me].store(g + 1, Ordering::Relaxed);
                 barrier.wait()?;
@@ -246,15 +245,14 @@ mod tests {
         assert!(!EpochBarrier::new(cores() + 1).spin);
     }
 
-    /// Without the broken flag shards 0 and 2 park at the barrier
+    /// Without the broken flag workers 0 and 2 park at the barrier
     /// forever and the scope never joins.
-    fn one_shard_panics(spin: bool) {
+    fn one_worker_panics(spin: bool) {
         let barrier = EpochBarrier::with_spin(3, spin);
-        let mut ids = [0usize; 3];
-        run_shards(&mut ids, &barrier, |me, _| {
+        run_workers(3, &barrier, |me| {
             for epoch in 0..100 {
                 if me == 1 && epoch == 7 {
-                    panic!("shard 1 blew up");
+                    panic!("worker 1 blew up");
                 }
                 barrier.wait()?;
             }
@@ -263,15 +261,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shard 1 blew up")]
-    fn panicking_shard_releases_blocked_peers() {
-        one_shard_panics(false);
+    #[should_panic(expected = "worker 1 blew up")]
+    fn panicking_worker_releases_blocked_peers() {
+        one_worker_panics(false);
     }
 
     #[test]
-    #[should_panic(expected = "shard 1 blew up")]
-    fn panicking_shard_releases_spinning_peers() {
-        one_shard_panics(true);
+    #[should_panic(expected = "worker 1 blew up")]
+    fn panicking_worker_releases_spinning_peers() {
+        one_worker_panics(true);
     }
 
     #[test]

@@ -4,6 +4,10 @@
 //! shards; what a node *does* with one is the layers' business
 //! (`crate::port`, `crate::switch`, `crate::nic`, `crate::fault`).
 //!
+//! One of several shards keeps per-node state — here the key counters,
+//! in the layers everything else — only for the nodes it owns, at each
+//! node's *slot* ([`EventCore::own`]).
+//!
 //! Everything that makes every shard count bit-identical starts here:
 //! event tie-breaks are *causal keys* — `(source-node namespace <<
 //! KEY_SHIFT) | per-source counter` — which a shard can reproduce without
@@ -41,13 +45,34 @@ pub(crate) const FAULT_NS: u64 = 1;
 /// collection boundary, is legal and can follow a larger-key pop.)
 const NODE_NS_BASE: u64 = 2;
 
-/// Sharding context: which shard this core is, and who owns each node.
+/// `slot_of` entry of a node another shard owns: indexing per-node state
+/// with it is out of bounds, which is the bug it would be.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Sharding context: which shard this core is, who owns each node, and
+/// where this shard keeps the state of the nodes it owns.
 #[derive(Debug, Clone)]
 struct ShardCtx {
     /// Owner shard of every node id.
     shard_of: Arc<Vec<u16>>,
     /// This shard's index.
     me: u16,
+    /// The nodes this shard owns, ascending — so hosts come first. A
+    /// node's position here is its *slot*: a shard keeps per-node state
+    /// for these nodes only, in this order.
+    owned: Vec<NodeId>,
+    /// Node id → slot (`NO_SLOT` for a foreign node).
+    slot_of: Vec<u32>,
+}
+
+/// A node this shard owns, as a handler sees it: `node` is what the
+/// topology, packets, causal keys and telemetry call it, `slot` is where
+/// this shard keeps its state ([`EventCore::own`]). A handler resolves
+/// the node its event targets once and passes this on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Owned {
+    pub node: NodeId,
+    pub slot: usize,
 }
 
 /// A cross-shard event handoff under the `(at, key)` the *sending* shard
@@ -81,7 +106,7 @@ pub(crate) struct EventCore {
     /// events carry 4-byte handles in between.
     pub(crate) packets: PacketPool,
     now: Nanos,
-    /// Per-source-node causal-key counters (tie-break assignment).
+    /// Per-source-node causal-key counters (tie-break assignment), by slot.
     key_seq: Vec<u64>,
     /// `None` = the only shard (owns every node).
     shard: Option<ShardCtx>,
@@ -116,11 +141,19 @@ impl EventCore {
     /// Shard `me` of `n_shards`: runs events for the nodes `shard_of`
     /// maps to `me`, and routes events for foreign nodes into outboxes.
     pub(crate) fn new_shard(shard_of: &Arc<Vec<u16>>, me: usize, n_shards: usize) -> Self {
-        let mut core = Self::new(shard_of.len());
+        let me = me as u16;
+        let owned: Vec<NodeId> = (0..shard_of.len()).filter(|&n| shard_of[n] == me).collect();
+        let mut slot_of = vec![NO_SLOT; shard_of.len()];
+        for (slot, &node) in owned.iter().enumerate() {
+            slot_of[node] = slot as u32;
+        }
+        let mut core = Self::new(owned.len());
         core.outboxes = (0..n_shards).map(|_| Vec::new()).collect();
         core.shard = Some(ShardCtx {
             shard_of: Arc::clone(shard_of),
-            me: me as u16,
+            me,
+            owned,
+            slot_of,
         });
         core
     }
@@ -137,6 +170,24 @@ impl EventCore {
         self.foreign(node).is_none()
     }
 
+    /// Resolve `node`, which this shard owns, to where its state is kept
+    /// in the shard's per-node tables: at the node id itself on the only
+    /// shard, at the node's rank among the owned nodes on one of several.
+    #[inline]
+    pub(crate) fn own(&self, node: NodeId) -> Owned {
+        let slot = match &self.shard {
+            None => node,
+            Some(ctx) => ctx.slot_of[node] as usize,
+        };
+        Owned { node, slot }
+    }
+
+    /// The nodes this shard owns, in slot order.
+    pub(crate) fn owned(&self) -> impl ExactSizeIterator<Item = NodeId> + Clone + '_ {
+        let owned = self.shard.as_ref().map(|ctx| &ctx.owned);
+        (0..self.key_seq.len()).map(move |slot| owned.map_or(slot, |o| o[slot]))
+    }
+
     /// The shard `node` lives on, when that is not this one.
     #[inline]
     fn foreign(&self, node: NodeId) -> Option<usize> {
@@ -147,9 +198,10 @@ impl EventCore {
 
     /// Next causal key for an event generated by `src`'s handler.
     #[inline]
-    fn next_key(&mut self, src: NodeId) -> u64 {
-        let k = ((src as u64 + NODE_NS_BASE) << KEY_SHIFT) | self.key_seq[src];
-        self.key_seq[src] += 1;
+    fn next_key(&mut self, src: Owned) -> u64 {
+        let seq = &mut self.key_seq[src.slot];
+        let k = ((src.node as u64 + NODE_NS_BASE) << KEY_SHIFT) | *seq;
+        *seq += 1;
         k
     }
 
@@ -163,7 +215,7 @@ impl EventCore {
     /// Schedule an event whose target is the generating node itself
     /// (pacing ticks, port-free, retransmission timers): always local.
     #[inline]
-    pub(crate) fn local(&mut self, src: NodeId, at: Nanos, ev: Event) {
+    pub(crate) fn local(&mut self, src: Owned, at: Nanos, ev: Event) {
         let key = self.next_key(src);
         self.events.push(at, key, ev);
     }
@@ -171,7 +223,7 @@ impl EventCore {
     /// Schedule a packet-less event generated by `src` but targeting
     /// `dst` (PFC pause frames): runs locally when this shard owns `dst`,
     /// otherwise crosses the cut through an outbox.
-    pub(crate) fn cross(&mut self, src: NodeId, dst: NodeId, at: Nanos, ev: Event) {
+    pub(crate) fn cross(&mut self, src: Owned, dst: NodeId, at: Nanos, ev: Event) {
         let key = self.next_key(src);
         match self.foreign(dst) {
             None => self.events.push(at, key, ev),
@@ -190,7 +242,7 @@ impl EventCore {
     #[inline]
     pub(crate) fn deliver(
         &mut self,
-        src: NodeId,
+        src: Owned,
         dst: NodeId,
         in_port: usize,
         at: Nanos,

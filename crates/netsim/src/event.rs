@@ -194,7 +194,9 @@ struct Slot {
 ///   An empty slot owns no buffer: it takes one from `pool` on its first
 ///   push and hands it back when drained, so the buffers in existence
 ///   are as many as buckets ever held events at once (a few dozen near
-///   ones plus one per parked timer bucket), not all 8192;
+///   ones plus one per parked timer bucket), not all 8192. The header
+///   table itself is reserved whole but written only up to the highest
+///   slot ever pushed into; a slot beyond its end is an empty one;
 /// * `overflow` holds events with `b > active + N_BUCKETS`, and its
 ///   minimum is always beyond `active`.
 ///
@@ -203,8 +205,10 @@ struct Slot {
 /// first occupied slot's head and `behind`'s head is the global minimum
 /// under `(at, key)`.
 ///
-/// A fresh queue owns the wheel's 8192 empty slot headers and nothing
-/// else: pool, slab and heaps start empty and grow on demand.
+/// A fresh queue has written nothing on the heap: pool, slab and heaps
+/// start empty and grow on demand, and the wheel's 8192 headers (196 KB)
+/// are reserved, not initialised, so a shard that owns a sliver of the
+/// fabric does not pay for them to be built.
 #[derive(Debug)]
 pub struct EventQueue {
     /// The inner wheel: one list per nanosecond of the active bucket.
@@ -218,7 +222,9 @@ pub struct EventQueue {
     /// Events at or behind the active bucket that are not in the inner
     /// wheel, earliest-first.
     behind: BinaryHeap<Scheduled>,
-    /// The bucket wheel; a slot holds a buffer only while it holds events.
+    /// The bucket wheel, up to the highest slot pushed into so far (its
+    /// capacity is all `N_BUCKETS`, so growing never moves it); a slot
+    /// holds a buffer only while it holds events.
     wheel: Vec<Vec<Scheduled>>,
     /// Drained (empty, capacity kept) bucket buffers, last in first out.
     pool: Vec<Vec<Scheduled>>,
@@ -245,7 +251,7 @@ impl Default for EventQueue {
             nodes: Vec::new(),
             free: NIL,
             behind: BinaryHeap::new(),
-            wheel: (0..N_BUCKETS).map(|_| Vec::new()).collect(),
+            wheel: Vec::with_capacity(N_BUCKETS),
             pool: Vec::new(),
             overflow: BinaryHeap::new(),
             active: 0,
@@ -283,7 +289,11 @@ impl EventQueue {
         if bucket > self.active {
             let s = Scheduled { at, key, ev };
             if bucket - self.active <= N_BUCKETS as u64 {
-                let buf = &mut self.wheel[(bucket as usize) & (N_BUCKETS - 1)];
+                let slot = (bucket as usize) & (N_BUCKETS - 1);
+                if slot >= self.wheel.len() {
+                    self.grow_wheel(slot);
+                }
+                let buf = &mut self.wheel[slot];
                 if buf.capacity() == 0 {
                     if let Some(recycled) = self.pool.pop() {
                         *buf = recycled;
@@ -299,6 +309,15 @@ impl EventQueue {
         } else {
             self.behind.push(Scheduled { at, key, ev });
         }
+    }
+
+    /// Extend the wheel's header table to include `slot` — at most once
+    /// per slot per queue, so kept out of `push`'s inlined body (inlined,
+    /// it cost the serial engine ≈ 1.5 % of its event rate).
+    #[cold]
+    #[inline(never)]
+    fn grow_wheel(&mut self, slot: usize) {
+        self.wheel.resize_with(slot + 1, Vec::new);
     }
 
     /// Link an event of the active bucket into its nanosecond's list,
@@ -369,7 +388,7 @@ impl EventQueue {
         } else {
             self.active += 1;
             let slot = (self.active as usize) & (N_BUCKETS - 1);
-            if !self.wheel[slot].is_empty() {
+            if self.wheel.get(slot).is_some_and(|buf| !buf.is_empty()) {
                 let mut buf = std::mem::take(&mut self.wheel[slot]);
                 self.wheel_len -= buf.len();
                 for s in buf.drain(..) {
@@ -676,18 +695,29 @@ mod tests {
     }
 
     /// `Engine::new` builds one of these per simulator (and per shard):
-    /// nothing is pre-sized, everything grows with the first events.
+    /// nothing is written up front, everything grows with the first
+    /// events — the wheel's header table, reserved whole, up to the slot
+    /// pushed into and no further.
     #[test]
-    fn fresh_queue_owns_only_the_wheel_headers_and_the_inner_arrays() {
-        let q = EventQueue::new();
-        assert_eq!(q.wheel.len(), N_BUCKETS);
-        assert!(q.wheel.iter().all(|buf| buf.capacity() == 0));
+    fn fresh_queue_owns_only_the_inner_arrays() {
+        let mut q = EventQueue::new();
+        assert!(q.wheel.is_empty());
+        assert_eq!(q.wheel.capacity(), N_BUCKETS);
         assert_eq!(q.pool.capacity(), 0);
         assert_eq!(q.nodes.capacity(), 0);
         assert_eq!(q.behind.capacity(), 0);
         assert_eq!(q.overflow.capacity(), 0);
         assert!(q.slots.iter().all(|s| s.head == NIL));
         assert_eq!(q.occupied, [0; INNER_SLOTS / 64]);
+        q.push(20 << BUCKET_SHIFT, 0, Event::FlowStart(0));
+        assert_eq!(q.wheel.len(), 21);
+        assert_eq!(q.pop().map(|(t, _, _)| t), Some(20 << BUCKET_SHIFT));
+        // One rotation on, slot 5: the cursor gets there over the slots
+        // past the table's end, which are empty ones.
+        let wrapped = (N_BUCKETS as u64 + 5) << BUCKET_SHIFT;
+        q.push(wrapped, 1, Event::FlowStart(1));
+        assert_eq!(q.wheel.len(), 21);
+        assert_eq!(q.pop().map(|(t, _, _)| t), Some(wrapped));
     }
 
     /// Fifty event chains rescheduling themselves one propagation delay

@@ -567,7 +567,7 @@ impl Simulator {
     /// one `Event::Fault` for each transition this shard must run.
     pub(crate) fn install_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
         plan.validate(&self.topo, self.core.now())?;
-        self.links.reseed(plan.seed);
+        self.links.reseed(plan.seed, self.core.owned());
         for ev in plan.events().iter().filter(|ev| !ev.kind.is_ctrl()) {
             // Every shard records every transition so `Event::Fault`
             // indices stay globally aligned; only shards owning one of
@@ -629,12 +629,11 @@ impl Simulator {
             return;
         }
         // A lone shard owns both ends of the cable; one of several
-        // touches only its own rows (a foreign row would never be
-        // consulted here, but writing it would race under parallel
-        // execution).
-        let owned = ends.map(|end| self.core.owns(end.0).then_some(end));
-        for (node, port) in owned.into_iter().flatten() {
-            self.links.update(node, port, |l| ev.kind.apply_to(l));
+        // holds rows for its own end only.
+        let core = &self.core;
+        let owned = ends.map(|(node, port)| core.owns(node).then(|| (core.own(node), port)));
+        for (at, port) in owned.into_iter().flatten() {
+            self.links.update(at.slot, port, |l| ev.kind.apply_to(l));
         }
         if primary {
             tel::event_at(now, ev.tel_event());
@@ -644,8 +643,8 @@ impl Simulator {
             // each side's owner restarts its own end (the restart only
             // generates events sourced at that end, so causal keys stay
             // consistent with a one-shard run).
-            for (node, port) in owned.into_iter().flatten() {
-                self.try_tx(node, port);
+            for (at, port) in owned.into_iter().flatten() {
+                self.try_tx(at, port);
             }
         }
     }

@@ -6,9 +6,10 @@
 //! tenant, hunt evaluation, benchmark, this crate's own test suites)
 //! builds `Engine::new(topo, cfg, threads)` and drives it with
 //! `add_flow` / `run_until` / `collect_interval` / `set_dcqcn_params`.
-//! `threads` only chooses how many shard threads run the events; one
-//! shard is the serial engine, and every count gives byte-identical
-//! results ([`par`]).
+//! `threads` only chooses how many worker threads run the events (and
+//! through them how finely the fabric is cut into shards); one shard is
+//! the serial engine, and every count gives byte-identical results
+//! ([`par`]).
 //!
 //! What is modelled, at packet granularity, and the module that owns it:
 //!

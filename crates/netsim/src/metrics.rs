@@ -5,25 +5,22 @@
 //! `Engine::collect_interval`, which snapshots them into an
 //! [`IntervalMetrics`] — the in-simulation equivalent of the switch/RNIC
 //! agents uploading throughput, RTT and PFC statistics to the centralized
-//! controller once per monitor interval λ_MI. Each shard snapshots its
-//! own entities into an `IntervalRaw`; the snapshots are absorbed into
-//! one and folded in global node order, so the floating-point results
-//! are bit-identical at every shard count.
+//! controller once per monitor interval λ_MI. Each shard snapshots the
+//! entities it owns into an `IntervalRaw` of its own size; the snapshots
+//! are placed into one fabric-wide snapshot and folded in global node
+//! order, so the floating-point results are bit-identical at every shard
+//! count.
 
 use crate::config::SimConfig;
 use crate::fasthash::FastMap;
 use crate::topology::Topology;
 use crate::{FlowId, Nanos, NodeId};
 
-/// Element-wise `a += b` (per-entity slots: every entity's data lives on
-/// exactly one shard, so for `f64` this is selection, not reassociation).
-fn add_into<T: Copy + std::ops::AddAssign>(a: &mut [T], b: &[T]) {
-    for (x, y) in a.iter_mut().zip(b) {
-        *x += *y;
-    }
-}
-
-/// Raw per-interval counters kept by the simulator (reset every collect).
+/// Raw per-interval counters kept by one shard (reset every collect).
+/// Per-host tables are indexed by the host's slot, `pause_ns` by node
+/// slot, `switch_tx_bytes` by the switch's position among the shard's
+/// switches — on the only shard of an engine: host id, node id, switch
+/// index.
 #[derive(Debug, Default)]
 pub(crate) struct IntervalAccum {
     /// Bytes sent upward on each host's uplink (host → ToR).
@@ -41,8 +38,8 @@ pub(crate) struct IntervalAccum {
     /// Per-sender-host number of RTT samples.
     pub rtt_count: Vec<u64>,
     /// Per-device accumulated PFC pause duration this interval, ns,
-    /// indexed by node id and summed over the device's ports (so at most
-    /// `dt × radix`; the fold clamps each device to `dt`).
+    /// summed over the device's ports (so at most `dt × radix`; the fold
+    /// clamps each device to `dt`).
     pub pause_ns: Vec<Nanos>,
     /// CNPs delivered to senders.
     pub cnps: u64,
@@ -56,8 +53,7 @@ pub(crate) struct IntervalAccum {
     pub bytes_delivered: u64,
     /// PFC pause frames emitted.
     pub pfc_events: u64,
-    /// Data bytes transmitted by each switch this interval (indexed by
-    /// switch order).
+    /// Data bytes transmitted by each switch this interval.
     pub switch_tx_bytes: Vec<u64>,
     /// Ground-truth bytes injected per flow this interval (optional).
     pub truth_flow_bytes: FastMap<FlowId, u64>,
@@ -76,66 +72,87 @@ impl IntervalAccum {
             ..Default::default()
         }
     }
-
-    /// Add another shard's counters for the same interval.
-    fn absorb(&mut self, b: IntervalAccum) {
-        add_into(&mut self.host_up_bytes, &b.host_up_bytes);
-        add_into(&mut self.host_down_bytes, &b.host_down_bytes);
-        add_into(&mut self.gamma_sum, &b.gamma_sum);
-        add_into(&mut self.rtt_sum, &b.rtt_sum);
-        add_into(&mut self.rtt_count, &b.rtt_count);
-        add_into(&mut self.pause_ns, &b.pause_ns);
-        add_into(&mut self.switch_tx_bytes, &b.switch_tx_bytes);
-        self.cnps += b.cnps;
-        self.ecn_marks += b.ecn_marks;
-        self.drops += b.drops;
-        self.fault_drops += b.fault_drops;
-        self.bytes_delivered += b.bytes_delivered;
-        self.pfc_events += b.pfc_events;
-        for (flow, bytes) in b.truth_flow_bytes {
-            *self.truth_flow_bytes.entry(flow).or_insert(0) += bytes;
-        }
-    }
 }
 
 /// One shard's snapshot of an interval: its counters plus what it read
-/// off the entities it owns.
+/// off the entities it owns, indexed like [`IntervalAccum`]. The only
+/// shard's snapshot is the fabric's; several are put together by
+/// [`IntervalRaw::place`].
 #[derive(Debug)]
 pub(crate) struct IntervalRaw {
     /// Interval start.
     pub start: Nanos,
     /// Interval end (collection instant).
     pub end: Nanos,
-    /// The shard's accumulated counters (zero for non-owned entities).
+    /// The shard's accumulated counters.
     pub accum: IntervalAccum,
-    /// Per-node reachability; meaningful only at owned nodes (non-owned
-    /// entries stay `true`, so an AND-merge recovers the owner's value).
+    /// Per-node reachability.
     pub reachable: Vec<bool>,
-    /// Per-switch marker `seen` delta this interval (owned, else 0).
+    /// Per-switch marker `seen` delta this interval.
     pub sw_seen: Vec<u64>,
-    /// Per-switch marker `marked` delta this interval (owned, else 0).
+    /// Per-switch marker `marked` delta this interval.
     pub sw_marked: Vec<u64>,
-    /// Per-switch shared-buffer occupancy at collection (owned, else 0).
+    /// Per-switch shared-buffer occupancy at collection.
     pub sw_buffer: Vec<u64>,
-    /// Drained ToR sketches for owned, reachable ToRs.
+    /// Drained ToR sketches for reachable ToRs, by node id.
     pub sketches: Vec<(NodeId, Vec<(FlowId, u64)>)>,
 }
 
 impl IntervalRaw {
-    /// Merge another shard's snapshot of the same interval.
-    pub(crate) fn absorb(&mut self, r: IntervalRaw) {
-        debug_assert_eq!((self.start, self.end), (r.start, r.end));
-        self.accum.absorb(r.accum);
-        for (x, y) in self.reachable.iter_mut().zip(&r.reachable) {
-            *x &= y;
+    /// An all-zero snapshot of `[start, end]` over `n_nodes` nodes, the
+    /// first `n_hosts` of them hosts.
+    pub(crate) fn new(start: Nanos, end: Nanos, n_nodes: usize, n_hosts: usize) -> Self {
+        let n_sw = n_nodes - n_hosts;
+        Self {
+            start,
+            end,
+            accum: IntervalAccum::new(n_nodes, n_hosts),
+            reachable: vec![true; n_nodes],
+            sw_seen: vec![0; n_sw],
+            sw_marked: vec![0; n_sw],
+            sw_buffer: vec![0; n_sw],
+            sketches: Vec::new(),
         }
-        add_into(&mut self.sw_seen, &r.sw_seen);
-        add_into(&mut self.sw_marked, &r.sw_marked);
-        add_into(&mut self.sw_buffer, &r.sw_buffer);
+    }
+
+    /// Put shard snapshot `r` of the same interval into this fabric-wide
+    /// one: `nodes` are the node ids `r`'s slots stand for. Every
+    /// entity's data lives on exactly one shard, so each per-entity entry
+    /// is written once — for `f64` that is selection, not reassociation.
+    pub(crate) fn place(&mut self, r: IntervalRaw, nodes: impl Iterator<Item = NodeId>) {
+        debug_assert_eq!((self.start, self.end), (r.start, r.end));
+        let (n_hosts, r_hosts) = (self.accum.rtt_count.len(), r.accum.rtt_count.len());
+        let (a, b) = (&mut self.accum, r.accum);
+        for (slot, node) in nodes.enumerate() {
+            self.reachable[node] = r.reachable[slot];
+            a.pause_ns[node] = b.pause_ns[slot];
+            if node < n_hosts {
+                a.host_up_bytes[node] = b.host_up_bytes[slot];
+                a.host_down_bytes[node] = b.host_down_bytes[slot];
+                a.gamma_sum[node] = b.gamma_sum[slot];
+                a.rtt_sum[node] = b.rtt_sum[slot];
+                a.rtt_count[node] = b.rtt_count[slot];
+            } else {
+                let (sw, r_sw) = (node - n_hosts, slot - r_hosts);
+                a.switch_tx_bytes[sw] = b.switch_tx_bytes[r_sw];
+                self.sw_seen[sw] = r.sw_seen[r_sw];
+                self.sw_marked[sw] = r.sw_marked[r_sw];
+                self.sw_buffer[sw] = r.sw_buffer[r_sw];
+            }
+        }
+        a.cnps += b.cnps;
+        a.ecn_marks += b.ecn_marks;
+        a.drops += b.drops;
+        a.fault_drops += b.fault_drops;
+        a.bytes_delivered += b.bytes_delivered;
+        a.pfc_events += b.pfc_events;
+        for (flow, bytes) in b.truth_flow_bytes {
+            *a.truth_flow_bytes.entry(flow).or_insert(0) += bytes;
+        }
         self.sketches.extend(r.sketches);
     }
 
-    /// Compute the uploaded metrics from the (fully absorbed) snapshot,
+    /// Compute the uploaded metrics from the fabric-wide snapshot,
     /// folding in global node order.
     pub(crate) fn fold(mut self, topo: &Topology, cfg: &SimConfig) -> IntervalMetrics {
         self.sketches.sort_unstable_by_key(|&(n, _)| n);

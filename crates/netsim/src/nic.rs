@@ -6,7 +6,7 @@
 use paraleon_dcqcn::{DcqcnParams, IncastScaler, NpState, RpState};
 use paraleon_telemetry as tel;
 
-use crate::core::FLOW_NS;
+use crate::core::{Owned, FLOW_NS};
 use crate::error::SimError;
 use crate::event::Event;
 use crate::fasthash::FastMap;
@@ -127,10 +127,10 @@ impl Simulator {
     }
 
     /// Validate and admit a flow on QP identity `qp` (the checks behind
-    /// `Engine::try_add_flow_on_qp`). Every shard registers every flow —
-    /// flow ids are indices into `flows`, so the table must stay globally
-    /// aligned — but only the source owner schedules it and counts it as
-    /// active.
+    /// `Engine::try_add_flow_on_qp`, which also says what this costs).
+    /// Every shard registers every flow — flow ids are indices into
+    /// `flows`, so the table must stay globally aligned — but only the
+    /// source owner schedules it and counts it as active.
     pub(crate) fn try_add_flow_on_qp(
         &mut self,
         src: NodeId,
@@ -139,7 +139,7 @@ impl Simulator {
         start: Nanos,
         qp: FlowId,
     ) -> Result<FlowId, SimError> {
-        let n_hosts = self.hosts.len();
+        let n_hosts = self.topo.n_hosts();
         if src >= n_hosts || dst >= n_hosts || src == dst {
             return Err(SimError::BadEndpoints { src, dst, n_hosts });
         }
@@ -166,7 +166,7 @@ impl Simulator {
     }
 
     /// Queue `pkt` on host `h`'s NIC port.
-    fn nic_enqueue(&mut self, h: NodeId, pkt: Packet) {
+    fn nic_enqueue(&mut self, h: Owned, pkt: Packet) {
         let (class, wire) = (pkt.class as usize, pkt.wire_bytes);
         let id = self.core.packets.insert(pkt);
         let q = QueuedPkt {
@@ -174,7 +174,7 @@ impl Simulator {
             wire,
             in_port: 0,
         };
-        self.hosts[h].port.enqueue(class, q);
+        self.hosts[h.slot].port.enqueue(class, q);
     }
 
     pub(crate) fn on_flow_start(&mut self, f: FlowId) {
@@ -193,8 +193,9 @@ impl Simulator {
             last_progress: now,
             retx_armed: false,
         };
-        self.hosts[meta.src].senders.insert(f, sender);
-        self.core.local(meta.src, now, Event::QpSend(f));
+        let h = self.core.own(meta.src);
+        self.hosts[h.slot].senders.insert(f, sender);
+        self.core.local(h, now, Event::QpSend(f));
     }
 
     /// A QP pacing tick. The pacing gap after a segment is
@@ -207,9 +208,9 @@ impl Simulator {
         /// Upper bound between pacing re-evaluations for throttled QPs.
         const RECHECK: Nanos = 50 * MICRO;
         let meta = self.flows[f as usize];
-        let h = meta.src;
+        let h = self.core.own(meta.src);
         let now = self.core.now();
-        let host = &mut self.hosts[h];
+        let host = &mut self.hosts[h.slot];
         let data_depth = host.port.depth(CLASS_DATA);
         // A completed flow's sender is gone; its stale ticks end here.
         let Some(s) = host.senders.get_mut(&f) else {
@@ -254,7 +255,9 @@ impl Simulator {
         s.retx_armed |= arm_retx;
         s.send_scheduled = !all_sent;
         let header = self.cfg.header_bytes;
-        let pkt = Packet::data(f, meta.qp, h, s.dst, seq, s.bytes, payload, header, now);
+        let pkt = Packet::data(
+            f, meta.qp, h.node, s.dst, seq, s.bytes, payload, header, now,
+        );
         self.nic_enqueue(h, pkt);
         if self.cfg.track_ground_truth {
             *self.accum.truth_flow_bytes.entry(meta.qp).or_insert(0) += payload as u64;
@@ -270,8 +273,8 @@ impl Simulator {
     }
 
     /// Let QPs that blocked on host `h`'s NIC queue depth pace again.
-    pub(crate) fn unblock_host_flows(&mut self, h: NodeId) {
-        let host = &mut self.hosts[h];
+    pub(crate) fn unblock_host_flows(&mut self, h: Owned) {
+        let host = &mut self.hosts[h.slot];
         if host.blocked.is_empty() || host.port.depth(CLASS_DATA) >= self.cfg.nic_queue_pkts {
             return;
         }
@@ -290,6 +293,7 @@ impl Simulator {
     /// A packet finished arriving at host `h`: final consumption, the
     /// packet leaves the arena here.
     pub(crate) fn host_receive(&mut self, h: NodeId, id: PacketId) {
+        let h = self.core.own(h);
         let pkt = self.core.packets.take(id);
         match pkt.kind {
             PacketKind::Data { seq, flow_bytes } => self.on_data(h, &pkt, seq, flow_bytes),
@@ -303,13 +307,13 @@ impl Simulator {
     /// Receiver side: count the segment, let the notification point
     /// decide on a CNP, coalesce ACKs. At most one CNP and one ACK per
     /// arrival; stack slots keep this per-packet path allocation-free.
-    fn on_data(&mut self, h: NodeId, pkt: &Packet, seq: u64, flow_bytes: u64) {
+    fn on_data(&mut self, h: Owned, pkt: &Packet, seq: u64, flow_bytes: u64) {
         let now = self.core.now();
-        self.accum.host_down_bytes[h] += pkt.wire_bytes as u64;
+        self.accum.host_down_bytes[h.slot] += pkt.wire_bytes as u64;
         self.accum.bytes_delivered += pkt.payload_bytes as u64;
         let (params, ctrl) = (self.cfg.dcqcn, self.cfg.ctrl_bytes);
         let src = pkt.src as NodeId;
-        let host = &mut self.hosts[h];
+        let host = &mut self.hosts[h.slot];
         let iv = (pkt.ecn && self.cfg.dcqcn_plus).then(|| host.incast.on_mark(pkt.flow, now));
         let r = host.receivers.entry(pkt.flow).or_insert_with(|| RecvFlow {
             received: 0,
@@ -322,21 +326,23 @@ impl Simulator {
         if pkt.ecn {
             if let Some(sig) = r.np.on_packet(now, true, iv) {
                 let iv = sig.advertised_interval_us;
-                cnp = Some(Packet::cnp(pkt.flow, h, src, iv, ctrl, now));
+                cnp = Some(Packet::cnp(pkt.flow, h.node, src, iv, ctrl, now));
             }
         }
         r.pkts_since_ack += 1;
         let last = seq + pkt.payload_bytes as u64 >= flow_bytes;
         if last || r.pkts_since_ack >= self.cfg.ack_every {
             let echo = pkt.sent_at;
-            ack = Some(Packet::ack(pkt.flow, h, src, r.received, echo, ctrl, now));
+            ack = Some(Packet::ack(
+                pkt.flow, h.node, src, r.received, echo, ctrl, now,
+            ));
             r.pkts_since_ack = 0;
         }
         if r.received >= flow_bytes && last {
             host.receivers.remove(&pkt.flow);
         }
         if cnp.is_some() {
-            let (host, flow) = (h as u32, pkt.flow);
+            let (host, flow) = (h.node as u32, pkt.flow);
             tel::event_at(now, tel::Event::CnpSent { host, flow });
         }
         for p in [cnp, ack].into_iter().flatten() {
@@ -348,19 +354,19 @@ impl Simulator {
 
     /// Sender side: an RTT sample, cumulative progress, and — on the last
     /// byte — the flow's completion record.
-    fn on_ack(&mut self, h: NodeId, flow: FlowId, acked_bytes: u64, echo: Nanos) {
+    fn on_ack(&mut self, h: Owned, flow: FlowId, acked_bytes: u64, echo: Nanos) {
         let now = self.core.now();
         let meta = self.flows[flow as usize];
         let rtt = now.saturating_sub(echo).max(1);
         tel::observe(tel::Hist::RttNs, rtt);
         let base = self.base_rtt(meta.src, meta.dst);
-        // Per-sender-host slots: the interval fold over hosts is in fixed
+        // Per-sender-host sums: the interval fold over hosts is in fixed
         // id order, so the f64 sums are bit-identical no matter which
         // shard (or order) the ACKs landed in.
-        self.accum.gamma_sum[h] += (base as f64 / rtt as f64).min(1.0);
-        self.accum.rtt_sum[h] += rtt as f64;
-        self.accum.rtt_count[h] += 1;
-        let Some(s) = self.hosts[h].senders.get_mut(&flow) else {
+        self.accum.gamma_sum[h.slot] += (base as f64 / rtt as f64).min(1.0);
+        self.accum.rtt_sum[h.slot] += rtt as f64;
+        self.accum.rtt_count[h.slot] += 1;
+        let Some(s) = self.hosts[h.slot].senders.get_mut(&flow) else {
             return;
         };
         if acked_bytes > s.acked {
@@ -370,7 +376,7 @@ impl Simulator {
         if s.acked < s.bytes {
             return;
         }
-        self.hosts[h].senders.remove(&flow);
+        self.hosts[h.slot].senders.remove(&flow);
         self.active_flows -= 1;
         tel::observe(tel::Hist::FctNs, now.saturating_sub(meta.start).max(1));
         self.completions.push(FlowRecord {
@@ -386,11 +392,11 @@ impl Simulator {
     /// Sender side: the reaction point cuts its rate; under DCQCN+ the
     /// advertised interval scales rate-increase aggressiveness down with
     /// the incast degree.
-    fn on_cnp(&mut self, h: NodeId, flow: FlowId, advertised_interval_us: Option<f64>) {
+    fn on_cnp(&mut self, h: Owned, flow: FlowId, advertised_interval_us: Option<f64>) {
         self.accum.cnps += 1;
         tel::count(tel::Ctr::CnpReceived);
         let base_iv = self.cfg.dcqcn.min_time_between_cnps.max(1.0);
-        if let Some(s) = self.hosts[h].senders.get_mut(&flow) {
+        if let Some(s) = self.hosts[h.slot].senders.get_mut(&flow) {
             s.rp.on_cnp(self.core.now());
             if let (true, Some(iv)) = (self.cfg.dcqcn_plus, advertised_interval_us) {
                 s.rp.set_increase_scale((base_iv / iv).clamp(0.01, 1.0));
@@ -402,8 +408,8 @@ impl Simulator {
     /// ACK has not moved for one RTO rewinds to the ACK point.
     pub(crate) fn on_retx_check(&mut self, f: FlowId) {
         let (now, rto) = (self.core.now(), self.cfg.rto);
-        let src = self.flows[f as usize].src;
-        let Some(s) = self.hosts[src].senders.get_mut(&f) else {
+        let src = self.core.own(self.flows[f as usize].src);
+        let Some(s) = self.hosts[src.slot].senders.get_mut(&f) else {
             return; // completed: the timer dies with the flow
         };
         if now.saturating_sub(s.last_progress) >= rto && s.sent >= s.bytes {

@@ -17,12 +17,13 @@ use paraleon_audit as audit;
 use paraleon_telemetry as tel;
 
 use crate::config::SimConfig;
+use crate::core::Owned;
 use crate::event::Event;
 use crate::fasthash::mix64;
 use crate::fault::LinkState;
 use crate::packet::{PacketId, CLASS_CTRL, CLASS_DATA, N_CLASSES};
 use crate::sim::Simulator;
-use crate::topology::{NodeKind, Topology};
+use crate::topology::Topology;
 use crate::{Nanos, NodeId};
 
 /// An egress-queue entry: the packet's arena handle plus the two header
@@ -138,15 +139,16 @@ impl EgressPort {
     }
 }
 
-/// Runtime state of every directed link: fault state, the corruption
-/// RNGs that decide fault loss, and the serialization-time cache.
+/// Runtime state of every directed link leaving a node this shard owns:
+/// fault state, the corruption RNGs that decide fault loss, and the
+/// serialization-time cache. Rows are addressed by the node's *slot*
+/// (`EventCore::slot`), so a shard holds rows for its own nodes only.
 pub(crate) struct Links {
     /// Per-node, per-port link state (mutated by fault events; all-clean
     /// unless a fault plan is installed).
     state: Vec<Vec<LinkState>>,
-    /// Directed links currently down (a shard downs only rows it owns).
-    /// Zero in the common fault-free case, which lets routing skip the
-    /// per-port liveness mask entirely.
+    /// Directed links currently down. Zero in the common fault-free
+    /// case, which lets routing skip the per-port liveness mask entirely.
     down: u32,
     /// Dedicated per-node RNGs for corruption draws, so fault injection
     /// never perturbs the switches' own random streams (ECN coin flips)
@@ -168,8 +170,12 @@ fn fault_rng(base: u64, node: NodeId) -> StdRng {
 }
 
 impl Links {
-    pub(crate) fn new(topo: &Topology, cfg: &SimConfig) -> Self {
-        let nodes = 0..topo.n_nodes();
+    /// Rows for `nodes` of `topo`, which become slots `0..` in that order.
+    pub(crate) fn new(
+        topo: &Topology,
+        cfg: &SimConfig,
+        nodes: impl Iterator<Item = NodeId> + Clone,
+    ) -> Self {
         let (mtu_wire, ctrl_bytes) = (cfg.mtu_wire(), cfg.ctrl_bytes);
         let seed = cfg.seed ^ 0xFA11_FA11_FA11_FA11;
         let ser = |bytes: u32, bw: f64| (bytes as f64 / bw).ceil() as Nanos;
@@ -193,50 +199,49 @@ impl Links {
         }
     }
 
-    /// Restart every node's corruption stream from a fault plan's seed.
-    pub(crate) fn reseed(&mut self, base: u64) {
-        for (n, rng) in self.fault_rngs.iter_mut().enumerate() {
+    /// Restart every node's corruption stream from a fault plan's seed;
+    /// `nodes` are the ones the rows were built for.
+    pub(crate) fn reseed(&mut self, base: u64, nodes: impl Iterator<Item = NodeId>) {
+        for (rng, n) in self.fault_rngs.iter_mut().zip(nodes) {
             *rng = fault_rng(base, n);
         }
     }
 
-    /// Runtime state of the directed link at `(node, port)`.
-    pub(crate) fn state(&self, node: NodeId, port: usize) -> LinkState {
-        self.state[node][port]
+    /// Runtime state of the directed link at port `port` of slot `slot`.
+    pub(crate) fn state(&self, slot: usize, port: usize) -> LinkState {
+        self.state[slot][port]
     }
 
-    /// Whether `node` still has at least one live link.
-    pub(crate) fn any_up(&self, node: NodeId) -> bool {
-        self.state[node].iter().any(|l| l.up)
+    /// Whether the node at `slot` still has at least one live link.
+    pub(crate) fn any_up(&self, slot: usize) -> bool {
+        self.state[slot].iter().any(|l| l.up)
     }
 
-    /// Whether no owned link is down — routing then needs no liveness mask.
+    /// Whether no link is down — routing then needs no liveness mask.
     #[inline]
     pub(crate) fn all_up(&self) -> bool {
         self.down == 0
     }
 
     /// Mutate one directed link's state, keeping the down-link count.
-    /// Each shard mutates only rows it owns, and routing from owned nodes
-    /// consults owned rows only, so the fast-path predicate stays sound
-    /// per shard. Comparing the link before and after (not counting
-    /// `LinkDown`s) keeps idempotent re-application from miscounting.
-    pub(crate) fn update(&mut self, node: NodeId, port: usize, f: impl FnOnce(&mut LinkState)) {
-        let link = &mut self.state[node][port];
+    /// Comparing the link before and after (not counting `LinkDown`s)
+    /// keeps idempotent re-application from miscounting.
+    pub(crate) fn update(&mut self, slot: usize, port: usize, f: impl FnOnce(&mut LinkState)) {
+        let link = &mut self.state[slot][port];
         let was_up = link.up;
         f(link);
         self.down = self.down + was_up as u32 - link.up as u32;
     }
 
-    /// Serialization time of a `wire`-byte packet leaving `(node, port)`,
-    /// a link of nominal rate `bw` bytes/ns. Clean links hit the
-    /// precomputed MTU/control-frame entries; odd sizes (a flow's final
-    /// partial segment) and degraded links pay the ceil-division.
+    /// Serialization time of a `wire`-byte packet leaving port `port` of
+    /// slot `slot`, a link of nominal rate `bw` bytes/ns. Clean links hit
+    /// the precomputed MTU/control-frame entries; odd sizes (a flow's
+    /// final partial segment) and degraded links pay the ceil-division.
     #[inline]
-    fn ser_time(&self, node: NodeId, port: usize, wire: u32, bw: f64) -> Nanos {
-        let rf = self.state[node][port].rate_factor;
+    fn ser_time(&self, slot: usize, port: usize, wire: u32, bw: f64) -> Nanos {
+        let rf = self.state[slot][port].rate_factor;
         if rf == 1.0 {
-            let (ser_mtu, ser_ctrl) = self.ser_cache[node][port];
+            let (ser_mtu, ser_ctrl) = self.ser_cache[slot][port];
             if wire == self.mtu_wire {
                 return ser_mtu;
             }
@@ -247,37 +252,36 @@ impl Links {
         ((wire as f64) / (bw * rf)).ceil() as Nanos
     }
 
-    /// A packet leaves `(node, port)`: `false` when an injected fault
-    /// eats it on the wire (dead link, or a corruption draw from the
-    /// plan's dedicated RNG stream).
+    /// A packet leaves port `port` of slot `slot`: `false` when an
+    /// injected fault eats it on the wire (dead link, or a corruption
+    /// draw from the plan's dedicated RNG stream).
     #[inline]
-    fn delivers(&mut self, node: NodeId, port: usize) -> bool {
-        let ls = self.state[node][port];
+    fn delivers(&mut self, slot: usize, port: usize) -> bool {
+        let ls = self.state[slot][port];
         ls.is_clean()
             || (ls.up
-                && (ls.drop_prob <= 0.0 || self.fault_rngs[node].gen::<f64>() >= ls.drop_prob))
+                && (ls.drop_prob <= 0.0 || self.fault_rngs[slot].gen::<f64>() >= ls.drop_prob))
     }
 }
 
 impl Simulator {
-    /// The egress port at `(node, port)` and, for a switch's, the switch
-    /// index. Besides the `Arrive` dispatch this is the only place the
-    /// event path asks what kind of node it is standing on.
+    /// The egress port `port` of the node at `slot` and, for a switch's,
+    /// its index in `switches`. Besides the `Arrive` dispatch this is the
+    /// only place the event path asks what kind of node it is standing
+    /// on: hosts take the slots below the switches'.
     #[inline]
-    fn egress(&mut self, node: NodeId, port: usize) -> (&mut EgressPort, Option<usize>) {
-        match self.topo.kind(node) {
-            NodeKind::Host => (&mut self.hosts[node].port, None),
-            _ => {
-                let sw = node - self.hosts.len();
-                (&mut self.switches[sw].ports[port], Some(sw))
-            }
+    fn egress(&mut self, slot: usize, port: usize) -> (&mut EgressPort, Option<usize>) {
+        match slot.checked_sub(self.hosts.len()) {
+            None => (&mut self.hosts[slot].port, None),
+            Some(sw) => (&mut self.switches[sw].ports[port], Some(sw)),
         }
     }
 
-    /// Start serializing the next packet on `(node, port)` unless the
-    /// port is busy, empty, or holds only paused data.
-    pub(crate) fn try_tx(&mut self, node: NodeId, port: usize) {
-        let (p, sw) = self.egress(node, port);
+    /// Start serializing the next packet on port `port` of `at` unless
+    /// the port is busy, empty, or holds only paused data.
+    pub(crate) fn try_tx(&mut self, at: Owned, port: usize) {
+        let Owned { node, slot } = at;
+        let (p, sw) = self.egress(slot, port);
         if p.busy {
             return;
         }
@@ -293,16 +297,17 @@ impl Simulator {
         });
         if class == CLASS_DATA {
             match sw {
-                None => self.accum.host_up_bytes[node] += q.wire as u64,
-                Some(sw) => self.switch_release(node, sw, &q),
+                None => self.accum.host_up_bytes[slot] += q.wire as u64,
+                Some(sw) => self.switch_release(at, sw, &q),
             }
         }
         let link = self.topo.ports(node)[port];
         let now = self.core.now();
-        let ser = self.links.ser_time(node, port, q.wire, link.bw);
-        if self.links.delivers(node, port) {
-            let at = now + ser + link.delay;
-            self.core.deliver(node, link.peer, link.peer_port, at, q.id);
+        let ser = self.links.ser_time(slot, port, q.wire, link.bw);
+        if self.links.delivers(slot, port) {
+            let arrives = now + ser + link.delay;
+            self.core
+                .deliver(at, link.peer, link.peer_port, arrives, q.id);
         } else {
             self.fault_drop(q.id);
         }
@@ -310,27 +315,29 @@ impl Simulator {
             node: node as u32,
             port: port as u16,
         };
-        self.core.local(node, now + ser, free);
+        self.core.local(at, now + ser, free);
     }
 
     /// `(node, port)` finished serializing; it may send again. A NIC
     /// first lets QPs that were blocked on its queue depth back in.
     pub(crate) fn on_port_free(&mut self, node: NodeId, port: usize) {
-        let (p, sw) = self.egress(node, port);
+        let at = self.core.own(node);
+        let (p, sw) = self.egress(at.slot, port);
         p.busy = false;
         if sw.is_none() {
-            self.unblock_host_flows(node);
+            self.unblock_host_flows(at);
         }
-        self.try_tx(node, port);
+        self.try_tx(at, port);
     }
 
     /// A PFC pause/resume frame takes effect at `(node, port)`.
     pub(crate) fn on_pfc_set(&mut self, node: NodeId, port: usize, paused: bool) {
         let (now, start) = (self.core.now(), self.interval_start);
-        let charged = self.egress(node, port).0.set_paused(paused, now, start);
-        self.accum.pause_ns[node] += charged;
+        let at = self.core.own(node);
+        let charged = self.egress(at.slot, port).0.set_paused(paused, now, start);
+        self.accum.pause_ns[at.slot] += charged;
         if !paused {
-            self.try_tx(node, port);
+            self.try_tx(at, port);
         }
     }
 
@@ -347,10 +354,14 @@ impl Simulator {
     /// being closed.
     pub(crate) fn close_pauses(&mut self) {
         let (now, start) = (self.core.now(), self.interval_start);
-        for node in 0..self.topo.n_nodes() {
-            for port in 0..self.topo.ports(node).len() {
-                let charged = self.egress(node, port).0.close_pause(now, start);
-                self.accum.pause_ns[node] += charged;
+        let hosts = self
+            .hosts
+            .iter_mut()
+            .map(|h| std::slice::from_mut(&mut h.port));
+        let switches = self.switches.iter_mut().map(|s| &mut s.ports[..]);
+        for (ports, pause_ns) in hosts.chain(switches).zip(&mut self.accum.pause_ns) {
+            for p in ports {
+                *pause_ns += p.close_pause(now, start);
             }
         }
     }

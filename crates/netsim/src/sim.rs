@@ -37,10 +37,16 @@
 //! # Sharded execution
 //!
 //! A simulator built by [`Simulator::new`] owns every node — that is the
-//! whole engine when there is one shard. One built by `new_shard` holds
-//! the full topology but *owns* only a subset of nodes, runs only events
-//! targeting owned nodes, and routes events aimed at foreign nodes
-//! through `crate::core`'s outboxes. Every shard count is bit-identical
+//! whole engine when there is one shard. One built by `new_shard` shares
+//! the topology but *owns* only a subset of nodes: it holds per-node
+//! state (RNICs, switches and their sketches, link rows, interval
+//! counters, key counters) for those nodes alone, each at the node's
+//! *slot* (`EventCore::own`, resolved once per handler), runs only
+//! events targeting them, and routes events aimed at foreign nodes
+//! through `crate::core`'s outboxes. Only the flow table is fabric-wide
+//! on every shard: flow ids are indices into it, and keeping them so
+//! costs a `FlowMeta` push per shard per flow
+//! (`Engine::try_add_flow_on_qp`). Every shard count is bit-identical
 //! because ties break on causal keys (`crate::core`), every random draw
 //! comes from a per-entity stream (per-switch ECN RNG, per-node
 //! fault-corruption RNG) whose order depends only on that entity's own
@@ -69,16 +75,18 @@ use crate::{Nanos, NodeId};
 /// One shard of the packet-level fabric simulator.
 pub(crate) struct Simulator {
     pub(crate) cfg: SimConfig,
+    /// The fabric (its tables are shared by every shard's copy).
     pub(crate) topo: Topology,
     /// Event core: queue, clock, keys, packet arena, shard cut.
     pub(crate) core: EventCore,
     /// Link layer: per-link fault state, corruption RNGs, serialization.
     pub(crate) links: Links,
-    /// Switch layer, in node order after the hosts.
+    /// Switch layer: the owned switches, in node order.
     pub(crate) switches: Vec<SwitchState>,
     /// XOFF/XON pairing mirror (ZST unless the `audit` feature is on).
     pub(crate) pfc_audit: audit::PfcPairAudit,
-    /// NIC layer: one RNIC per host, the flow table and what completed.
+    /// NIC layer: one RNIC per owned host (in node order), the
+    /// fabric-wide flow table and what completed here.
     pub(crate) hosts: Vec<HostState>,
     pub(crate) flows: Vec<FlowMeta>,
     pub(crate) completions: Vec<FlowRecord>,
@@ -95,11 +103,12 @@ pub(crate) struct Simulator {
     pub(crate) total_fault_drops: u64,
     /// Total PFC pause frames over the whole run.
     pub(crate) total_pfc_events: u64,
-    /// Telemetry captured on this shard's worker thread during a
-    /// sharded run, parked here for the coordinator to replay.
+    /// Telemetry captured while this shard's tasks ran in a sharded run,
+    /// taken off whichever worker ran each and parked here for the
+    /// coordinator to replay.
     pub(crate) tel_carry: Vec<tel::Captured>,
-    /// Audit tallies drained on the worker thread at the end of a
-    /// sharded run, parked here for the coordinator to absorb.
+    /// Audit tallies of this shard's tasks, likewise, for the coordinator
+    /// to absorb in shard order.
     pub(crate) audit_carry: (u64, Vec<audit::AuditReport>),
 }
 
@@ -110,8 +119,8 @@ impl Simulator {
         Self::with_core(topo, cfg, core)
     }
 
-    /// Build shard `me` of `n_shards`: a full-topology simulator that
-    /// owns (runs events for) only the nodes `shard_of` maps to `me`.
+    /// Build shard `me` of `n_shards`: a simulator that owns (holds
+    /// state and runs events for) only the nodes `shard_of` maps to `me`.
     pub(crate) fn new_shard(
         topo: Topology,
         cfg: SimConfig,
@@ -124,15 +133,18 @@ impl Simulator {
     }
 
     fn with_core(topo: Topology, cfg: SimConfig, core: EventCore) -> Self {
-        let (n_hosts, n_nodes) = (topo.n_hosts(), topo.n_nodes());
         let host = || HostState::new(cfg.dcqcn.min_time_between_cnps, cfg.incast_window);
+        let is_host = |&node: &NodeId| topo.kind(node) == NodeKind::Host;
+        let hosts: Vec<HostState> = core.owned().take_while(is_host).map(|_| host()).collect();
+        let switch = |node| SwitchState::new(&topo, node, &cfg);
+        let switches: Vec<SwitchState> = core.owned().skip(hosts.len()).map(switch).collect();
+        let accum = IntervalAccum::new(hosts.len() + switches.len(), hosts.len());
+        let links = Links::new(&topo, &cfg, core.owned());
         Self {
-            hosts: (0..n_hosts).map(|_| host()).collect(),
-            switches: (n_hosts..n_nodes)
-                .map(|node| SwitchState::new(&topo, node, &cfg))
-                .collect(),
-            accum: IntervalAccum::new(n_nodes, n_hosts),
-            links: Links::new(&topo, &cfg),
+            switches,
+            accum,
+            links,
+            hosts,
             core,
             cfg,
             topo,
@@ -162,19 +174,23 @@ impl Simulator {
         }
     }
 
-    /// Override one switch's ECN thresholds (switch order: ToRs, then
-    /// each tier above them).
+    /// Override one switch's ECN thresholds (fabric-wide switch order:
+    /// ToRs, then each tier above them) — here, if this shard owns it.
     pub(crate) fn set_switch_ecn(
         &mut self,
         index: usize,
         params: &DcqcnParams,
     ) -> Result<(), SimError> {
-        let n_switches = self.switches.len();
-        let sw = self
-            .switches
-            .get_mut(index)
-            .ok_or(SimError::SwitchIndexOutOfRange { index, n_switches })?;
-        sw.set_ecn(params);
+        let (n_hosts, n_nodes) = (self.topo.n_hosts(), self.topo.n_nodes());
+        let node = n_hosts + index;
+        if node >= n_nodes {
+            let n_switches = n_nodes - n_hosts;
+            return Err(SimError::SwitchIndexOutOfRange { index, n_switches });
+        }
+        if self.core.owns(node) {
+            let sw = self.core.own(node).slot - self.hosts.len();
+            self.switches[sw].set_ecn(params);
+        }
         Ok(())
     }
 
@@ -207,33 +223,20 @@ impl Simulator {
         }
     }
 
-    /// The per-shard half of interval collection: close pause intervals,
-    /// take the accumulators, snapshot per-switch observables and drain
-    /// sketches — for *owned* entities only — and run the audit sweep.
+    /// The per-shard half of interval collection, over the entities this
+    /// shard owns: close pause intervals, take the accumulators, snapshot
+    /// per-switch observables and drain sketches, and run the audit sweep.
     pub(crate) fn interval_raw(&mut self) -> IntervalRaw {
         let (start, end) = (self.interval_start, self.core.now());
         self.close_pauses();
-        let (n_hosts, n_nodes) = (self.hosts.len(), self.topo.n_nodes());
-        let n_sw = self.switches.len();
-        let mut raw = IntervalRaw {
-            start,
-            end,
-            accum: IntervalAccum::new(n_nodes, n_hosts),
-            // Reachability is computed from this shard's link rows;
-            // foreign rows are never faulted here, so `true` placeholders
-            // AND-merge into the owner's verdict.
-            reachable: (0..n_nodes)
-                .map(|n| !self.core.owns(n) || self.links.any_up(n))
-                .collect(),
-            sw_seen: vec![0; n_sw],
-            sw_marked: vec![0; n_sw],
-            sw_buffer: vec![0; n_sw],
-            sketches: Vec::new(),
-        };
-        for (i, sw) in self.switches.iter_mut().enumerate() {
-            if self.core.owns(n_hosts + i) {
-                sw.collect(i, n_hosts + i, &mut raw);
-            }
+        let n_hosts = self.hosts.len();
+        let mut raw = IntervalRaw::new(start, end, n_hosts + self.switches.len(), n_hosts);
+        for (slot, up) in raw.reachable.iter_mut().enumerate() {
+            *up = self.links.any_up(slot);
+        }
+        let nodes = self.core.owned().skip(n_hosts);
+        for (i, (sw, node)) in self.switches.iter_mut().zip(nodes).enumerate() {
+            sw.collect(i, node, raw.reachable[n_hosts + i], &mut raw);
         }
         self.audit_sweep(end.saturating_sub(start));
         std::mem::swap(&mut raw.accum, &mut self.accum);
@@ -250,16 +253,16 @@ impl Simulator {
         }
         // Packet conservation: per-flow tallies must match the arena.
         self.core.packets.audit_check();
-        let n_hosts = self.hosts.len();
-        for (h, host) in self.hosts.iter().enumerate() {
-            host.port.audit(h as u32, 0);
+        for (host, node) in self.hosts.iter().zip(self.core.owned()) {
+            host.port.audit(node as u32, 0);
         }
-        for (i, s) in self.switches.iter().enumerate() {
-            s.audit((n_hosts + i) as u32, self.cfg.switch_buffer_bytes);
+        let switches = self.core.owned().skip(self.hosts.len());
+        for (s, node) in self.switches.iter().zip(switches) {
+            s.audit(node as u32, self.cfg.switch_buffer_bytes);
         }
         // Pause-time budgets: every port can be paused for at most the
         // whole interval, and a device's pauses are summed over its ports.
-        for (node, &pause_ns) in self.accum.pause_ns.iter().enumerate() {
+        for (&pause_ns, node) in self.accum.pause_ns.iter().zip(self.core.owned()) {
             let budget_ns = dt * self.topo.ports(node).len() as u64;
             audit::check(pause_ns <= budget_ns, || {
                 audit::AuditViolation::PfcPauseOverflow {

@@ -13,6 +13,7 @@ use paraleon_sketch::ElasticSketch;
 use paraleon_telemetry as tel;
 
 use crate::config::SimConfig;
+use crate::core::Owned;
 use crate::event::Event;
 use crate::fasthash::mix64;
 use crate::metrics::IntervalRaw;
@@ -146,20 +147,27 @@ impl SwitchState {
         (qb, self.marker.should_mark(qb as f64, u))
     }
 
-    /// This switch's share of an interval collection, into slot `i` of
-    /// `raw`: marking deltas (snapshots advance even when the switch is
-    /// unreachable — the delta is simply not uploaded, matching a dead
-    /// management channel), buffer occupancy, and the drained ToR sketch
-    /// (control-plane read-and-reset). A cut-off ToR cannot answer the
+    /// This switch's (`node`'s) share of an interval collection, into
+    /// entry `i` of `raw`'s per-switch tables: marking deltas (snapshots
+    /// advance even when the switch is unreachable — the delta is simply
+    /// not uploaded, matching a dead management channel), buffer
+    /// occupancy, and the drained ToR sketch (control-plane
+    /// read-and-reset). A ToR that is not `reachable` cannot answer the
     /// read: its sketch keeps accumulating and is delivered after
     /// connectivity returns.
-    pub(crate) fn collect(&mut self, i: usize, node: NodeId, raw: &mut IntervalRaw) {
+    pub(crate) fn collect(
+        &mut self,
+        i: usize,
+        node: NodeId,
+        reachable: bool,
+        raw: &mut IntervalRaw,
+    ) {
         raw.sw_seen[i] = self.marker.seen - self.prev_seen;
         raw.sw_marked[i] = self.marker.marked - self.prev_marked;
         self.prev_seen = self.marker.seen;
         self.prev_marked = self.marker.marked;
         raw.sw_buffer[i] = self.buffer_used;
-        if raw.reachable[node] {
+        if reachable {
             if let Some(sk) = self.sketch.as_mut() {
                 let entries: Vec<(FlowId, u64)> =
                     sk.drain().into_iter().map(|e| (e.flow, e.bytes)).collect();
@@ -197,11 +205,19 @@ impl SwitchState {
 }
 
 impl Simulator {
+    /// Switch `node`'s fabric-wide index (ToRs first, then each tier
+    /// above them) — what telemetry and audit records name it by,
+    /// whichever shard's `switches` holds it.
+    fn switch_index(&self, node: NodeId) -> u32 {
+        (node - self.topo.n_hosts()) as u32
+    }
+
     /// A packet finished arriving at switch `node` through `in_port`:
     /// admit it (data only — control rides outside the lossless pool),
     /// route it, mark it, queue it.
     pub(crate) fn switch_receive(&mut self, node: NodeId, in_port: usize, id: PacketId) {
-        let sw = node - self.hosts.len();
+        let at = self.core.own(node);
+        let sw = at.slot - self.hosts.len();
         let (wire, class, qp, dst, payload, sketched) = {
             let pkt = self.core.packets.get(id);
             (
@@ -237,13 +253,13 @@ impl Simulator {
                 }
             }
             if xoff {
-                self.pfc_audit.xoff(sw as u32, in_port as u32);
+                self.pfc_audit.xoff(self.switch_index(node), in_port as u32);
                 self.accum.pfc_events += 1;
                 self.total_pfc_events += 1;
-                self.send_pfc(node, in_port, true);
+                self.send_pfc(at, in_port, true);
             }
         }
-        let Some(out) = self.route(node, dst, qp) else {
+        let Some(out) = self.route(at, dst, qp) else {
             // No live egress toward the destination: the packet is lost
             // to the fault.
             if data {
@@ -253,7 +269,7 @@ impl Simulator {
             return;
         };
         if data {
-            self.mark_ecn(sw, out, id);
+            self.mark_ecn(node, sw, out, id);
         }
         let q = QueuedPkt {
             id,
@@ -261,31 +277,32 @@ impl Simulator {
             in_port: in_port as u16,
         };
         self.switches[sw].ports[out].enqueue(class, q);
-        self.try_tx(node, out);
+        self.try_tx(at, out);
     }
 
-    /// Egress port at `node` toward host `dst`. ECMP pins the QP, so
+    /// Egress port at switch `at` toward host `dst`. ECMP pins the QP, so
     /// round after round of a collective follows one path — unless a
     /// fault killed it, in which case the flow rehashes over the
     /// surviving uplinks.
-    fn route(&self, node: NodeId, dst: NodeId, qp: FlowId) -> Option<usize> {
+    fn route(&self, at: Owned, dst: NodeId, qp: FlowId) -> Option<usize> {
         let hash = hash64(qp, 0x5EED_0F10);
         if self.links.all_up() {
-            // With every owned link up the liveness mask is vacuous (the
+            // With every link up the liveness mask is vacuous (the
             // masked ECMP picks the k-th *live* uplink, which is exactly
             // the k-th uplink when none are down), so skip the per-port
             // link-state lookups; `next_port` still runs the same masked
             // walk with an always-true mask.
-            Some(self.topo.next_port(node, dst, hash))
+            Some(self.topo.next_port(at.node, dst, hash))
         } else {
             let links = &self.links;
             self.topo
-                .next_port_masked(node, dst, hash, |n, p| links.state(n, p).up)
+                .next_port_masked(at.node, dst, hash, |_, p| links.state(at.slot, p).up)
         }
     }
 
-    /// RED/ECN on enqueue of data packet `id` toward port `out`.
-    fn mark_ecn(&mut self, sw: usize, out: usize, id: PacketId) {
+    /// RED/ECN on enqueue of data packet `id` toward port `out` of
+    /// switch `node`, the `sw`-th of this shard's.
+    fn mark_ecn(&mut self, node: NodeId, sw: usize, out: usize, id: PacketId) {
         let (qb, mark) = self.switches[sw].ecn(out);
         tel::observe(tel::Hist::QueueBytes, qb);
         if mark {
@@ -294,30 +311,31 @@ impl Simulator {
             tel::event_at(
                 self.core.now(),
                 tel::Event::EcnMark {
-                    switch: sw as u32,
+                    switch: self.switch_index(node),
                     queue_bytes: qb,
                 },
             );
         }
     }
 
-    /// Dequeue-side accounting of data entry `q` leaving switch `node`
-    /// (index `sw`): shared-buffer release, transmit bytes, and PFC XON
+    /// Dequeue-side accounting of data entry `q` leaving switch `at`
+    /// (the `sw`-th of this shard's): shared-buffer release, transmit bytes, and PFC XON
     /// once the ingress queue it came through drains below hysteresis.
-    pub(crate) fn switch_release(&mut self, node: NodeId, sw: usize, q: &QueuedPkt) {
+    pub(crate) fn switch_release(&mut self, at: Owned, sw: usize, q: &QueuedPkt) {
         let (wire, in_port) = (q.wire as u64, q.in_port as usize);
         let xon = self.switches[sw].release(in_port, wire, &self.cfg);
         self.accum.switch_tx_bytes[sw] += wire;
         if xon {
-            self.pfc_audit.xon(sw as u32, in_port as u32);
-            self.send_pfc(node, in_port, false);
+            self.pfc_audit
+                .xon(self.switch_index(at.node), in_port as u32);
+            self.send_pfc(at, in_port, false);
         }
     }
 
-    /// Record an XOFF (`paused`) or XON on switch `node`'s ingress
+    /// Record an XOFF (`paused`) or XON on switch `at`'s ingress
     /// `in_port` and send the frame to the upstream device's egress port.
-    fn send_pfc(&mut self, node: NodeId, in_port: usize, paused: bool) {
-        let (switch, port) = ((node - self.hosts.len()) as u32, in_port as u32);
+    fn send_pfc(&mut self, at: Owned, in_port: usize, paused: bool) {
+        let (switch, port) = (self.switch_index(at.node), in_port as u32);
         let now = self.core.now();
         let frame = if paused {
             tel::Event::PfcXoff { switch, port }
@@ -325,13 +343,13 @@ impl Simulator {
             tel::Event::PfcXon { switch, port }
         };
         tel::event_at(now, frame);
-        let up = self.topo.ports(node)[in_port];
+        let up = self.topo.ports(at.node)[in_port];
         let set = Event::PfcSet {
             node: up.peer as u32,
             port: up.peer_port as u16,
             paused,
         };
-        self.core.cross(node, up.peer, now + up.delay, set);
+        self.core.cross(at, up.peer, now + up.delay, set);
     }
 }
 

@@ -22,6 +22,8 @@ mod spec;
 
 pub use spec::{ClosSpec, MixedRateSpec, RailSpec, ThreeTierSpec, TopoSpec};
 
+use std::sync::Arc;
+
 use crate::{Nanos, NodeId};
 
 /// One shard of a conservative-parallel partition: the node ids one
@@ -78,13 +80,15 @@ enum Tiers {
     },
 }
 
-/// An immutable node/port graph plus routing state.
+/// An immutable node/port graph plus routing state. The tables are
+/// shared, so a clone — the sharded engine keeps one per shard — costs
+/// three reference counts, not a copy of the fabric.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    kinds: Vec<NodeKind>,
-    ports: Vec<Vec<Port>>,
+    kinds: Arc<[NodeKind]>,
+    ports: Arc<[Vec<Port>]>,
     /// For each host, its ToR node id.
-    host_tor: Vec<NodeId>,
+    host_tor: Arc<[NodeId]>,
     n_hosts: usize,
     hosts_per_tor: usize,
     n_tor: usize,

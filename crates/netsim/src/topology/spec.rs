@@ -4,6 +4,8 @@
 //! topology. A spec is read by one field reader, checked by one
 //! validator, and is what its family's builder takes.
 
+use std::sync::Arc;
+
 use serde::{Serialize, Value};
 
 use super::{gbps, NodeKind, Port, Tiers, Topology};
@@ -438,20 +440,25 @@ impl MixedRateSpec {
     }
 }
 
+/// A [`Topology`]'s tables are shared by its clones; the builders below
+/// fill them in before the first clone can exist.
+const WIRED_BEFORE_SHARED: &str = "a topology is wired before it is cloned";
+
 impl Topology {
     /// Cable `a` to `b` at `rate_gbps`: each end's new port takes the
     /// next free index on its node, so a node's port order is the order
     /// its cables are laid in.
     fn connect(&mut self, a: NodeId, b: NodeId, rate_gbps: f64, delay: Nanos) {
-        let (bw, port_a, port_b) = (gbps(rate_gbps), self.ports[a].len(), self.ports[b].len());
+        let ports = Arc::get_mut(&mut self.ports).expect(WIRED_BEFORE_SHARED);
+        let (bw, port_a, port_b) = (gbps(rate_gbps), ports[a].len(), ports[b].len());
         let port = |peer, peer_port| Port {
             peer,
             peer_port,
             bw,
             delay,
         };
-        self.ports[a].push(port(b, port_b));
-        self.ports[b].push(port(a, port_a));
+        ports[a].push(port(b, port_b));
+        ports[b].push(port(a, port_a));
     }
 
     /// A fabric with every node's kind decided and no cable laid.
@@ -474,9 +481,9 @@ impl Topology {
             kinds.extend(std::iter::repeat_n(kind, n));
         }
         Self {
-            ports: vec![Vec::new(); kinds.len()],
-            kinds,
-            host_tor: vec![0; n_hosts],
+            ports: vec![Vec::new(); kinds.len()].into(),
+            kinds: kinds.into(),
+            host_tor: vec![0; n_hosts].into(),
             n_hosts,
             hosts_per_tor,
             n_tor,
@@ -498,7 +505,8 @@ impl Topology {
                 } else {
                     t * self.hosts_per_tor + h
                 };
-                self.host_tor[host] = self.n_hosts + t;
+                let host_tor = Arc::get_mut(&mut self.host_tor).expect(WIRED_BEFORE_SHARED);
+                host_tor[host] = self.n_hosts + t;
                 self.connect(host, self.n_hosts + t, host_gbps, delay);
             }
         }
