@@ -16,11 +16,12 @@ mod fig6;
 mod fig7;
 mod fig8_9;
 mod fleet;
+mod probe;
 mod table2;
 mod table4;
 
 /// Every experiment, in `exp list` / `exp all` order.
-pub static ALL: [Experiment; 17] = [
+pub static ALL: [Experiment; 18] = [
     Experiment::figure("table2", "Table II: default vs expert algbw", table2::run),
     Experiment::figure("fig5", "Fig 5: single-parameter impacts", fig5::run),
     Experiment::figure("fig6", "Fig 6: rpg_time_reset x K_max grid", fig6::run),
@@ -64,5 +65,14 @@ pub static ALL: [Experiment; 17] = [
         pinned: false,
         scales: &[Scale::Reduced, Scale::Paper, Scale::Smoke],
         run: fleet::run,
+    },
+    // Event and completion counts of one paper-fabric run: the pin
+    // `benchmark/` asserts from outside the workspace.
+    Experiment {
+        name: "probe",
+        about: "determinism pin: paper fabric, FB_Hadoop, full loop (2-worker twin under --check)",
+        pinned: true,
+        scales: &[Scale::Paper],
+        run: probe::run,
     },
 ];

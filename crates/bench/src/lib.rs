@@ -321,11 +321,3 @@ pub fn write_json_file<T: Serialize>(path: &Path, value: &T) -> io::Result<()> {
     println!("[results -> {}]", path.display());
     Ok(())
 }
-
-/// `perf_probe`'s writer: `results/<name>.json`, a failed write fails
-/// the run.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    write_json_file(&path, value)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-}

@@ -11,8 +11,8 @@
 //! its inputs and the output vector is index-addressed, a parallel run
 //! produces *byte identical* results (and therefore identical
 //! `results/*.json`) to a serial one — the scheduler can only change
-//! wall-clock time, never content. The perf harness relies on this to
-//! measure sweep scaling.
+//! wall-clock time, never content. `exp all --check` relies on this: it
+//! compares the committed bytes at whatever thread count the box has.
 //!
 //! The invariant auditor's registry is thread-local like the jobs'
 //! other state, so each worker starts from the caller's audit
@@ -27,10 +27,9 @@ use std::sync::Mutex;
 /// The worker count a request for `requested` threads actually gets:
 /// clamped to the machine's available parallelism. Spawning more workers
 /// than cores cannot make an embarrassingly parallel sweep faster — it
-/// only adds scheduler churn — and, worse, it used to make the perf
-/// harness report "8-thread" numbers measured on a 1-core box as if
-/// eight workers had really run. Callers that report scaling figures
-/// should surface both the requested and the effective count.
+/// only adds scheduler churn — and a caller that prints the requested
+/// count reports "8 threads" for a run two workers did. Callers that
+/// print or record a thread count should clamp through this first.
 pub fn effective_threads(requested: usize) -> usize {
     let avail = std::thread::available_parallelism()
         .map(|n| n.get())

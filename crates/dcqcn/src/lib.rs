@@ -55,33 +55,9 @@ pub fn mbps_to_bytes_per_sec(mbps: f64) -> f64 {
     mbps * 1e6 / 8.0
 }
 
-/// Convert a rate in bytes per second to megabits per second.
-#[inline]
-pub fn bytes_per_sec_to_mbps(bps: f64) -> f64 {
-    bps * 8.0 / 1e6
-}
-
-/// Convert a rate in gigabits per second to bytes per second.
-#[inline]
-pub fn gbps_to_bytes_per_sec(gbps: f64) -> f64 {
-    gbps * 1e9 / 8.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rate_conversions_round_trip() {
-        let mbps = 40_000.0;
-        let bps = mbps_to_bytes_per_sec(mbps);
-        assert!((bytes_per_sec_to_mbps(bps) - mbps).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gbps_is_1000x_mbps() {
-        assert_eq!(gbps_to_bytes_per_sec(1.0), mbps_to_bytes_per_sec(1000.0));
-    }
 
     #[test]
     fn time_unit_constants() {

@@ -51,11 +51,6 @@ impl UtilityWeights {
     pub fn throughput_sensitive() -> Self {
         Self::new(0.5, 0.2, 0.3)
     }
-
-    /// Latency-sensitive profile for RPC-heavy clusters: (0.1, 0.6, 0.3).
-    pub fn latency_sensitive() -> Self {
-        Self::new(0.1, 0.6, 0.3)
-    }
 }
 
 /// One interval's utility-function inputs, each already normalized to
@@ -131,11 +126,11 @@ mod tests {
     #[test]
     fn weights_steer_preferences() {
         // A high-throughput / bad-RTT state scores better under the
-        // throughput-sensitive profile than the latency-sensitive one.
+        // throughput-sensitive profile than the RTT-heavy paper default.
         let s = MetricSample::new(0.95, 0.3, 0.9);
         let tp = s.utility(&UtilityWeights::throughput_sensitive());
-        let lat = s.utility(&UtilityWeights::latency_sensitive());
-        assert!(tp > lat);
+        let rtt = s.utility(&UtilityWeights::paper_default());
+        assert!(tp > rtt);
     }
 
     #[test]

@@ -11,22 +11,18 @@
 //! observe global push order, but it *can* observe its own nodes'
 //! counters.
 //!
-//! Two implementations share one total order on `(time, key)`:
-//!
-//! * [`EventQueue`] — the production scheduler, a **two-level calendar
-//!   queue**. An outer wheel of 256 ns buckets holds the future as
-//!   unsorted appends; the one bucket the clock is in is spread over an
-//!   inner wheel of 256 one-nanosecond slots, each a short key-ordered
-//!   linked list, with an occupancy bitmap to find the head. A push is an
-//!   append or a list insert, a pop is `trailing_zeros` plus an unlink:
-//!   no comparison sort and no binary heap on the per-event path. Two
-//!   binary heaps remain for what is rare: events beyond the outer
-//!   wheel's horizon, and events pushed behind the cursor.
-//! * [`BinaryHeapQueue`] — the straightforward binary heap the simulator
-//!   originally shipped with. Kept as the *reference implementation*:
-//!   the differential property test replays random workloads through
-//!   both and asserts identical `(time, event)` pop sequences, and the
-//!   micro-benchmarks race them against each other.
+//! [`EventQueue`], the scheduler, is a **two-level calendar queue**. An
+//! outer wheel of 256 ns buckets holds the future as unsorted appends;
+//! the one bucket the clock is in is spread over an inner wheel of 256
+//! one-nanosecond slots, each a short key-ordered linked list, with an
+//! occupancy bitmap to find the head. A push is an append or a list
+//! insert, a pop is `trailing_zeros` plus an unlink: no comparison sort
+//! and no binary heap on the per-event path. Two binary heaps remain for
+//! what is rare: events beyond the outer wheel's horizon, and events
+//! pushed behind the cursor. The straightforward binary heap the
+//! simulator originally shipped with is the *reference implementation*
+//! in `tests/scheduler_differential.rs`, which replays random workloads
+//! through both and asserts identical `(time, event)` pop sequences.
 //!
 //! Determinism argument: the simulator guarantees every pending event
 //! carries a unique key (per-source counters never repeat), so
@@ -38,8 +34,8 @@
 //! first component), and each slot's list is ascending in the second
 //! component; whatever sits in a heap instead is compared on the full
 //! `(at, key)` pair against the inner wheel's head at every pop.
-//! Same-timestamp bursts therefore pop in key order on both
-//! implementations, bit-identically — and identically whether the events
+//! Same-timestamp bursts therefore pop in key order, exactly as the
+//! reference heap pops them — and identically whether the events
 //! were enqueued by one serial engine or routed through parallel-shard
 //! mailboxes in any interleaving.
 //!
@@ -509,61 +505,6 @@ impl EventQueue {
     }
 }
 
-/// The original binary-heap future-event list, kept as the reference
-/// implementation for differential tests and micro-benchmarks.
-#[derive(Debug, Default)]
-pub struct BinaryHeapQueue {
-    heap: BinaryHeap<Scheduled>,
-}
-
-impl BinaryHeapQueue {
-    /// Empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedule `ev` at absolute time `at` with tie-break `key`.
-    pub fn push(&mut self, at: Nanos, key: u64, ev: Event) {
-        self.heap.push(Scheduled { at, key, ev });
-    }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|s| s.at)
-    }
-
-    /// Pop the earliest event.
-    pub fn pop(&mut self) -> Option<(Nanos, u64, Event)> {
-        self.heap.pop().map(|s| (s.at, s.key, s.ev))
-    }
-
-    /// Pop the earliest event only if it is scheduled at or before `t`.
-    pub fn pop_before(&mut self, t: Nanos) -> Option<(Nanos, u64, Event)> {
-        if self.heap.peek().map(|s| s.at)? > t {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// Pop the earliest event only if it is scheduled strictly before `t`.
-    pub fn pop_strictly_before(&mut self, t: Nanos) -> Option<(Nanos, u64, Event)> {
-        if self.heap.peek().map(|s| s.at)? >= t {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -767,23 +708,5 @@ mod tests {
         assert!(!q.behind.is_empty(), "the walk is bounded");
         let keys: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, k, _)| k)).collect();
         assert_eq!(keys, (0..2 * n - 1).chain([2 * n]).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn reference_queue_agrees_on_a_smoke_workload() {
-        let mut a = EventQueue::new();
-        let mut b = BinaryHeapQueue::new();
-        let times = [5u64, 5, 9, 3, 70_000, 3, 5, 1 << 40, 12, 70_000];
-        for (i, &t) in times.iter().enumerate() {
-            a.push(t, i as u64, Event::FlowStart(i as u64));
-            b.push(t, i as u64, Event::FlowStart(i as u64));
-        }
-        loop {
-            let (x, y) = (a.pop(), b.pop());
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
-        }
     }
 }

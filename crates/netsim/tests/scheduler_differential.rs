@@ -1,14 +1,84 @@
 //! Differential property test for the event scheduler: the production
 //! calendar queue ([`EventQueue`]) and the reference binary heap
-//! ([`BinaryHeapQueue`]) must emit *identical* `(time, event)` sequences
-//! on any workload. This is the determinism contract every experiment
-//! relies on — the calendar queue is only allowed to be faster, never
-//! different.
+//! ([`BinaryHeapQueue`], below — it lives here because this test is its
+//! only user) must emit *identical* `(time, event)` sequences on any
+//! workload. This is the determinism contract every experiment relies on
+//! — the calendar queue is only allowed to be faster, never different.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
 
-use paraleon_netsim::event::{BinaryHeapQueue, Event, EventQueue};
+use paraleon_netsim::event::{Event, EventQueue};
 use paraleon_netsim::{Nanos, Packet, PacketPool};
+
+/// One pending event of the reference queue, ordered by `(at, key)` alone.
+struct Scheduled(Nanos, u64, Event);
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        (self.0, self.1) == (other.0, other.1)
+    }
+}
+impl Eq for Scheduled {}
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.0, self.1).cmp(&(other.0, other.1))
+    }
+}
+
+/// The binary-heap future-event list the simulator originally shipped
+/// with: `EventQueue`'s API over one `BinaryHeap`, earliest first.
+#[derive(Default)]
+struct BinaryHeapQueue {
+    heap: BinaryHeap<Reverse<Scheduled>>,
+}
+
+impl BinaryHeapQueue {
+    fn new() -> Self {
+        Self::default()
+    }
+
+    fn push(&mut self, at: Nanos, key: u64, ev: Event) {
+        self.heap.push(Reverse(Scheduled(at, key, ev)));
+    }
+
+    fn peek_time(&self) -> Option<Nanos> {
+        self.heap.peek().map(|s| s.0 .0)
+    }
+
+    fn pop(&mut self) -> Option<(Nanos, u64, Event)> {
+        self.heap.pop().map(|Reverse(s)| (s.0, s.1, s.2))
+    }
+
+    /// Pop the earliest event only if it is scheduled at or before `t`.
+    fn pop_before(&mut self, t: Nanos) -> Option<(Nanos, u64, Event)> {
+        self.pop_if(|at| at <= t)
+    }
+
+    /// Pop the earliest event only if it is scheduled strictly before `t`.
+    fn pop_strictly_before(&mut self, t: Nanos) -> Option<(Nanos, u64, Event)> {
+        self.pop_if(|at| at < t)
+    }
+
+    fn pop_if(&mut self, admit: impl FnOnce(Nanos) -> bool) -> Option<(Nanos, u64, Event)> {
+        admit(self.peek_time()?).then(|| self.pop()).flatten()
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+}
 
 /// Causal-key sources a script draws from. Keys are
 /// `(source << 40) | per-source counter`, the simulator's scheme: unique,
@@ -250,6 +320,26 @@ proptest! {
             prop_assert_eq!(a, Some((at, i, Event::FlowStart(i))));
         }
         prop_assert!(cal.is_empty() && heap.is_empty());
+    }
+}
+
+/// The unit-sized agreement check: ties, a wheel bucket and an overflow
+/// event in ten pushes.
+#[test]
+fn reference_queue_agrees_on_a_smoke_workload() {
+    let mut a = EventQueue::new();
+    let mut b = BinaryHeapQueue::new();
+    let times = [5u64, 5, 9, 3, 70_000, 3, 5, 1 << 40, 12, 70_000];
+    for (i, &t) in times.iter().enumerate() {
+        a.push(t, i as u64, Event::FlowStart(i as u64));
+        b.push(t, i as u64, Event::FlowStart(i as u64));
+    }
+    loop {
+        let (x, y) = (a.pop(), b.pop());
+        assert_eq!(x, y);
+        if x.is_none() {
+            break;
+        }
     }
 }
 

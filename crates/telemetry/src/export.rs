@@ -1,5 +1,4 @@
-//! Serialize the registry to JSONL/CSV under `results/` and read it
-//! back.
+//! Serialize the registry to JSONL under `results/` and read it back.
 //!
 //! One JSONL file carries the full registry state — counters, gauges,
 //! histogram summaries, every time-series point, and the flight
@@ -114,21 +113,6 @@ pub fn write_jsonl(path: impl AsRef<Path>) -> io::Result<PathBuf> {
             ("dropped", Value::UInt(flight_dropped())),
         ]),
     )?;
-    out.flush()?;
-    Ok(path.to_path_buf())
-}
-
-/// Export only the time series as CSV (`metric,entity,t_ns,value`).
-pub fn write_series_csv(path: impl AsRef<Path>) -> io::Result<PathBuf> {
-    let path = path.as_ref();
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    let mut out = io::BufWriter::new(fs::File::create(path)?);
-    writeln!(out, "metric,entity,t_ns,value")?;
-    for p in series_points() {
-        writeln!(out, "{},{},{},{}", p.metric, p.entity, p.t_ns, p.value)?;
-    }
     out.flush()?;
     Ok(path.to_path_buf())
 }
@@ -397,24 +381,6 @@ mod tests {
         assert_eq!(kl[0].t_ns, 2_000);
         assert_eq!(kl[0].field("kl"), Some(0.02));
         assert_eq!(dump.flight_dropped, 0);
-        crate::reset();
-        crate::set_enabled(false);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn csv_lists_series_points() {
-        crate::reset();
-        crate::set_enabled(true);
-        crate::set_time(5);
-        crate::series("m", 1, 0.25);
-        let dir = std::env::temp_dir().join("paraleon-telemetry-test-csv");
-        let path = dir.join("series.csv");
-        write_series_csv(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(lines.next(), Some("metric,entity,t_ns,value"));
-        assert_eq!(lines.next(), Some("m,1,5,0.25"));
         crate::reset();
         crate::set_enabled(false);
         let _ = std::fs::remove_dir_all(dir);

@@ -348,12 +348,6 @@ impl FlightRecorder {
         self.data_capacity + self.control_capacity * self.control.len().max(1)
     }
 
-    /// Control-plane lanes currently allocated (= tenants that have
-    /// recorded at least one control-plane event).
-    pub fn control_lanes(&self) -> usize {
-        self.control.len()
-    }
-
     /// Discard all retained events and the drop counter.
     pub fn clear(&mut self) {
         self.data.clear();
@@ -417,7 +411,6 @@ mod tests {
             fr.push(10 + i, 2, Event::CtrlRetry { epoch: i });
         }
         assert!(fr.dropped() > 0, "tenant 2's own lane must have evicted");
-        assert_eq!(fr.control_lanes(), 2);
         let tenant1: Vec<&TimedEvent> = fr.events().filter(|e| e.tenant == 1).collect();
         assert_eq!(tenant1.len(), 1, "tenant 1's event survives the flood");
         assert_eq!(tenant1[0].event.name(), "guardrail_rollback");
