@@ -296,8 +296,8 @@ impl std::fmt::Display for AuditViolation {
 pub struct AuditReport {
     /// The violated invariant.
     pub violation: AuditViolation,
-    /// Last [`TAIL_LEN`] telemetry flight events before detection (empty
-    /// when telemetry is compiled out or disabled).
+    /// Last `TAIL_LEN` (16) telemetry flight events before detection
+    /// (empty when telemetry is disabled).
     pub flight_tail: Vec<TimedEvent>,
 }
 

@@ -84,10 +84,7 @@ fn run_scenario(ctx: &Ctx, label: &'static str, faulted: bool, naive: bool) -> C
             force_tuning: true,
             ..LoopConfig::default()
         })
-        .ctrl_plane(CtrlPlaneConfig {
-            naive,
-            ..CtrlPlaneConfig::default()
-        })
+        .ctrl_plane(CtrlPlaneConfig { naive })
         .seed(SEED)
         .build();
     if faulted {

@@ -254,7 +254,6 @@ fn run_safe_mode(ctx: &Ctx) -> SafeModeOutcome {
         .scheme_boxed(RogueScheme::boxed(12, true, Some(8)))
         .guardrail(GuardrailConfig {
             safe_mode_backoff_intervals: 10,
-            ..GuardrailConfig::default()
         })
         .seed(12)
         .build();

@@ -90,8 +90,8 @@ fn topo_label(spec: &TopoSpec) -> String {
 }
 
 /// Build tenant `i` of an `n`-tenant fleet: heterogeneous along every
-/// axis a tenant has (topology, scheme, monitor, λ_MI, initial DCQCN
-/// parameters, engine parallelism, workload load, faults).
+/// axis a tenant has (topology, scheme, monitor, λ_MI, engine
+/// parallelism, workload load, faults).
 fn tenant_spec(i: usize, ticks: u64, scale: Scale) -> TenantSpec {
     let mut spec = TenantSpec::new(topo_for(i));
     spec.seed = 0xF1EE7 + i as u64;
@@ -107,9 +107,6 @@ fn tenant_spec(i: usize, ticks: u64, scale: Scale) -> TenantSpec {
     };
     if i % 5 == 4 {
         spec.loop_cfg.lambda_mi = 2 * MILLI;
-    }
-    if i % 2 == 1 {
-        spec.sim_cfg.dcqcn = DcqcnParams::expert();
     }
     if i % 8 == 3 {
         spec.engine_threads = 2;

@@ -38,7 +38,7 @@ pub fn run(ctx: &Ctx) {
             scheme: name,
             message_mb: msg as f64 / (1 << 20) as f64,
             algbw_gbps: gbps_of(a2a.algbw_bytes_per_sec(0).unwrap_or(0.0)),
-            round_ms: a2a.round_durations.first().copied().unwrap_or(0) as f64 / 1e6,
+            round_ms: a2a.round_durations().first().copied().unwrap_or(0) as f64 / 1e6,
         }
     });
     let rows: Vec<Vec<String>> = out

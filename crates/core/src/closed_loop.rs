@@ -11,8 +11,8 @@
 //! plane ([`crate::ctrl_plane`]). A dispatch decided while interval
 //! `k−1` is processed is delivered at the top of step `k`, before the
 //! fabric advances — on a clean channel, zero delay in send order.
-//! [`ClosedLoopBuilder::ctrl_plane`] only configures the plane's knobs;
-//! fault plans impair it.
+//! [`ClosedLoopBuilder::ctrl_plane`] only selects the `naive` strawman;
+//! fault plans impair the plane.
 //!
 //! The controller half lives in [`TunerCell`]; `ClosedLoop` is the
 //! 1-tenant special case pairing one cell with one [`Engine`]. The
@@ -206,8 +206,10 @@ impl ClosedLoopBuilder {
         self
     }
 
-    /// Override the simulator configuration (scheme/monitor adjustments
-    /// are applied on top at build time).
+    /// Override the simulator configuration. The build replaces four of
+    /// its fields: `dcqcn` and `dcqcn_plus` come from the scheme
+    /// ([`SchemeKind::apply_sim_config`]), `tos_dedup` from the monitor,
+    /// and `seed` from [`ClosedLoopBuilder::seed`].
     pub fn sim_config(mut self, cfg: SimConfig) -> Self {
         self.sim_cfg = cfg;
         self
@@ -225,8 +227,7 @@ impl ClosedLoopBuilder {
         self
     }
 
-    /// Configure the control plane (retry, checkpoint and staleness
-    /// knobs; the `naive` strawman). Defaults to
+    /// Configure the control plane (the `naive` strawman). Defaults to
     /// [`CtrlPlaneConfig::default`].
     pub fn ctrl_plane(mut self, cfg: CtrlPlaneConfig) -> Self {
         self.ctrl = cfg;
@@ -516,10 +517,7 @@ mod tests {
                     ..LoopConfig::default()
                 })
                 .seed(seed)
-                .ctrl_plane(CtrlPlaneConfig {
-                    naive: true,
-                    ..CtrlPlaneConfig::default()
-                })
+                .ctrl_plane(CtrlPlaneConfig { naive: true })
                 .build();
             cl.install_fault_plan(&plan).unwrap();
             drive(&mut cl, 48);
@@ -561,11 +559,9 @@ mod tests {
     fn cold_crash_enters_safe_mode_and_converges_on_safe_params() {
         let mut plan = FaultPlan::new(3);
         plan.ctrl_crash(20 * MILLI, false);
-        let guard_cfg = GuardrailConfig::default();
-        let safe = guard_cfg.safe_params;
         let mut cl = ClosedLoop::builder(topo())
             .scheme(SchemeKind::Paraleon)
-            .guardrail(guard_cfg)
+            .guardrail(GuardrailConfig::default())
             .loop_config(LoopConfig {
                 force_tuning: true,
                 ..LoopConfig::default()
@@ -580,8 +576,21 @@ mod tests {
             cl.guard().unwrap().in_safe_mode(),
             "a cold restart cannot vouch for the dead tuner: safe mode"
         );
-        assert_eq!(cl.cell.last_params, safe);
+        assert_eq!(cl.cell.last_params, crate::guardrail::SAFE_PARAMS);
         assert!(!cl.ctrl_diverged(), "the fabric runs the safe fallback too");
+    }
+
+    #[test]
+    fn the_scheme_owns_the_boot_parameters() {
+        let cl = ClosedLoop::builder(topo())
+            .scheme(SchemeKind::Paraleon)
+            .sim_config(SimConfig {
+                dcqcn: DcqcnParams::expert(),
+                ..SimConfig::default()
+            })
+            .build();
+        assert_eq!(*cl.sim.dcqcn_params(), DcqcnParams::nvidia_default());
+        assert_eq!(cl.cell.last_params, DcqcnParams::nvidia_default());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! controller process never dies — describes no production fabric. So
 //! the loop never assumes it: every [`crate::TunerCell`] owns a
 //! [`CtrlPlane`], both directions of the control traffic always cross
-//! its seeded, impairable channels, and [`CtrlPlaneConfig`] only tunes
-//! its knobs:
+//! its seeded, impairable channels, and [`CtrlPlaneConfig`] only
+//! selects the `naive` strawman:
 //!
 //! * **Uploads** ([`UpMsg::Fsd`]) are sequence-numbered per monitoring
 //!   point; the controller folds whatever arrives into a
@@ -30,48 +30,30 @@
 //! with zero delay in send order, the merger's age-0 merge is the plain
 //! central merge, and no retry or jitter randomness is ever drawn.
 
-use paraleon_monitor::{FsdUpload, StalenessMerger, DEFAULT_STALE_AFTER_INTERVALS};
+use paraleon_monitor::{FsdUpload, StalenessMerger};
 use paraleon_netsim::fasthash::mix64;
 use paraleon_netsim::{CtrlChannel, CtrlChannelStats};
 use paraleon_tuner::TuningAction;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Knobs for the control plane.
-#[derive(Debug, Clone)]
+/// Intervals the controller waits for an ACK before re-sending the
+/// in-flight dispatch (also the initial backoff).
+const RETRY_TIMEOUT_INTERVALS: u64 = 4;
+/// Backoff ceiling for dispatch re-sends, in intervals.
+const RETRY_BACKOFF_MAX_INTERVALS: u64 = 64;
+/// Fractional jitter on each retry backoff: up to `jitter × backoff`
+/// extra intervals, drawn from the plane's seeded stream.
+const RETRY_JITTER: f64 = 0.25;
+
+/// Control-plane configuration.
+#[derive(Debug, Clone, Default)]
 pub struct CtrlPlaneConfig {
-    /// Intervals the controller waits for an ACK before re-sending the
-    /// in-flight dispatch (also the initial backoff).
-    pub retry_timeout_intervals: u64,
-    /// Backoff ceiling for dispatch re-sends, in intervals.
-    pub retry_backoff_max_intervals: u64,
-    /// Fractional jitter on each retry backoff: up to `jitter × backoff`
-    /// extra intervals, drawn from the plane's seeded stream. `0` draws
-    /// nothing.
-    pub retry_jitter: f64,
-    /// Controller checkpoint cadence, in intervals. A warm restart
-    /// resumes from the latest checkpoint; everything since is lost.
-    pub snapshot_every_intervals: u64,
-    /// Staleness horizon handed to the upload [`StalenessMerger`].
-    pub stale_after_intervals: u64,
     /// Strawman mode: no epoch discipline at the fabric (every delivered
     /// dispatch applies, in delivery order) and no ACK/retry at the
     /// controller. Exists so experiments can show the failure the
     /// hardened protocol prevents.
     pub naive: bool,
-}
-
-impl Default for CtrlPlaneConfig {
-    fn default() -> Self {
-        Self {
-            retry_timeout_intervals: 4,
-            retry_backoff_max_intervals: 64,
-            retry_jitter: 0.25,
-            snapshot_every_intervals: 16,
-            stale_after_intervals: DEFAULT_STALE_AFTER_INTERVALS,
-            naive: false,
-        }
-    }
 }
 
 /// Controller → fabric traffic.
@@ -179,8 +161,8 @@ pub struct CtrlPlaneStats {
 /// impaired channel lanes, the fabric endpoint, the upload merger and
 /// the dispatch retry machine.
 pub struct CtrlPlane {
-    /// Configuration (public so harnesses can read the cadences back).
-    pub cfg: CtrlPlaneConfig,
+    /// [`CtrlPlaneConfig::naive`]: no ACK/retry at the controller.
+    naive: bool,
     /// Fabric → controller lane.
     pub up: CtrlChannel<UpMsg>,
     /// Controller → fabric lane.
@@ -217,12 +199,11 @@ impl CtrlPlane {
     /// Build over `seed` (the run seed; each internal RNG consumer gets
     /// its own `mix64`-derived lane so the streams are independent).
     pub fn new(cfg: CtrlPlaneConfig, seed: u64) -> Self {
-        let merger = StalenessMerger::new(cfg.stale_after_intervals);
         Self {
             up: CtrlChannel::new(mix64(seed ^ 0x5550)),
             down: CtrlChannel::new(mix64(seed ^ 0xD030)),
             fabric: FabricEnd::new(cfg.naive),
-            merger,
+            merger: StalenessMerger::default(),
             rng: StdRng::seed_from_u64(mix64(seed ^ 0x1e77)),
             next_epoch: 1,
             pending: None,
@@ -230,7 +211,7 @@ impl CtrlPlane {
             crashes: 0,
             resyncs: 0,
             extra_dispatch_bytes: 0,
-            cfg,
+            naive: cfg.naive,
         }
     }
 
@@ -269,11 +250,11 @@ impl CtrlPlane {
                 action: action.clone(),
             },
         );
-        self.pending = (!self.cfg.naive).then(|| Pending {
+        self.pending = (!self.naive).then(|| Pending {
             epoch,
             action,
-            next_retry_at: now + self.cfg.retry_timeout_intervals.max(1),
-            backoff: self.cfg.retry_timeout_intervals.max(1),
+            next_retry_at: now + RETRY_TIMEOUT_INTERVALS,
+            backoff: RETRY_TIMEOUT_INTERVALS,
             retries: 0,
         });
         epoch
@@ -290,7 +271,7 @@ impl CtrlPlane {
             // restore rewound us. Catch the counter up first.
             self.next_epoch = acked + 1;
         }
-        if self.cfg.naive {
+        if self.naive {
             return None;
         }
         let p = self.pending.as_ref()?;
@@ -332,12 +313,8 @@ impl CtrlPlane {
         p.retries += 1;
         self.retries += 1;
         self.extra_dispatch_bytes += wire_bytes(&p.action);
-        p.backoff = (p.backoff.saturating_mul(2)).min(self.cfg.retry_backoff_max_intervals.max(1));
-        let jitter = if self.cfg.retry_jitter > 0.0 {
-            (self.rng.gen::<f64>() * self.cfg.retry_jitter * p.backoff as f64) as u64
-        } else {
-            0
-        };
+        p.backoff = (p.backoff.saturating_mul(2)).min(RETRY_BACKOFF_MAX_INTERVALS);
+        let jitter = (self.rng.gen::<f64>() * RETRY_JITTER * p.backoff as f64) as u64;
         p.next_retry_at = now + p.backoff + jitter;
         Some(p.epoch)
     }
@@ -432,37 +409,43 @@ mod tests {
 
     #[test]
     fn timeout_resends_with_doubling_backoff() {
-        let cfg = CtrlPlaneConfig {
-            retry_timeout_intervals: 2,
-            retry_backoff_max_intervals: 8,
-            retry_jitter: 0.0,
-            ..CtrlPlaneConfig::default()
-        };
-        let mut cp = CtrlPlane::new(cfg, 1);
+        let mut cp = CtrlPlane::new(CtrlPlaneConfig::default(), 1);
         let e = cp.send_dispatch(0, global(1.0));
-        assert_eq!(cp.check_retry(1), None, "inside the timeout");
-        assert_eq!(cp.check_retry(2), Some(e));
-        // Backoff doubled to 4: next retry at 6.
-        assert_eq!(cp.check_retry(5), None);
-        assert_eq!(cp.check_retry(6), Some(e));
-        // Doubled again to 8 (the cap): next at 14, and it stays 8.
-        assert_eq!(cp.check_retry(14), Some(e));
-        assert_eq!(cp.retries, 3);
+        let timeout = RETRY_TIMEOUT_INTERVALS;
+        assert_eq!(cp.check_retry(timeout - 1), None, "inside the timeout");
+        assert_eq!(
+            cp.check_retry(timeout),
+            Some(e),
+            "first re-send is unjittered"
+        );
+        // Each re-send doubles the backoff up to the cap, and lands in
+        // [backoff, (1 + jitter) × backoff] after the previous one.
+        let (mut last, mut backoff) = (timeout, timeout);
+        for _ in 0..8 {
+            backoff = (2 * backoff).min(RETRY_BACKOFF_MAX_INTERVALS);
+            let mut now = last + 1;
+            while cp.check_retry(now).is_none() {
+                now += 1;
+            }
+            let gap = now - last;
+            let most = (1.0 + RETRY_JITTER) * backoff as f64;
+            assert!(
+                gap >= backoff && gap as f64 <= most,
+                "re-send {gap} intervals after the last, backoff {backoff}"
+            );
+            last = now;
+        }
+        assert_eq!(backoff, RETRY_BACKOFF_MAX_INTERVALS, "the cap was reached");
+        assert_eq!(cp.retries, 9);
         // A late ACK still completes it.
-        assert_eq!(cp.on_ack(15, e), None);
+        assert_eq!(cp.on_ack(last + 1, e), None);
         assert!(!cp.has_pending());
     }
 
     #[test]
     fn retry_jitter_is_deterministic_per_seed() {
         let fire_times = |seed: u64| {
-            let cfg = CtrlPlaneConfig {
-                retry_timeout_intervals: 2,
-                retry_backoff_max_intervals: 64,
-                retry_jitter: 0.5,
-                ..CtrlPlaneConfig::default()
-            };
-            let mut cp = CtrlPlane::new(cfg, seed);
+            let mut cp = CtrlPlane::new(CtrlPlaneConfig::default(), seed);
             cp.send_dispatch(0, global(1.0));
             let mut fired = Vec::new();
             for now in 0..200u64 {

@@ -405,7 +405,7 @@ mod tests {
         let records = run_collective(&mut cl, &mut a2a, 0, 500 * MILLI);
         assert!(a2a.finished(), "3 rounds should finish well within 500 ms");
         assert_eq!(records.len(), 3 * 4 * 3);
-        assert_eq!(a2a.round_durations.len(), 3);
+        assert_eq!(a2a.round_durations().len(), 3);
         // OFF gaps: round k+1 starts ≥ 2 ms after round k ends.
         // (Verified indirectly: total duration exceeds 2 OFF periods.)
         let last_finish = records.iter().map(|r| r.finish).max().unwrap();

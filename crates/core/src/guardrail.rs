@@ -12,10 +12,10 @@
 //!    bounds (or non-finite, or with inverted ECN thresholds) are
 //!    refused before they reach a single device.
 //! 2. **Hold-down** — after every global dispatch the fabric is watched
-//!    for `hold_down_intervals` monitor intervals; a utility collapse,
+//!    for `HOLD_DOWN_INTERVALS` (8) monitor intervals; a utility collapse,
 //!    PFC pause-ratio spike or goodput floor-break rolls the fabric
 //!    back to the last-known-good snapshot.
-//! 3. **Safe mode** — after `rollbacks_to_safe_mode` consecutive
+//! 3. **Safe mode** — after `ROLLBACKS_TO_SAFE_MODE` (3) consecutive
 //!    rollbacks the guardrail deploys the paper-default fallback and
 //!    freezes tuning, with exponential backoff on repeated entries.
 //! 4. **Staleness** — switches that stop uploading are aged out of the
@@ -27,12 +27,43 @@
 //! applies whatever comes back.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use paraleon_dcqcn::{DcqcnParams, ParamId, ParamSpace};
 use paraleon_tuner::TuningAction;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::Serialize;
+
+/// Monitor intervals a dispatched candidate is watched before being
+/// committed as the new last-known-good (the detection window: a
+/// collapse inside it triggers rollback).
+const HOLD_DOWN_INTERVALS: u32 = 8;
+/// Collapse signal: utility below this fraction of the healthy baseline.
+const UTILITY_COLLAPSE_FRAC: f64 = 0.6;
+/// Collapse signal: goodput below this fraction of the healthy baseline.
+const GOODPUT_FLOOR_FRAC: f64 = 0.5;
+/// Collapse signal: absolute PFC pause ratio above this value.
+const PFC_PAUSE_SPIKE: f64 = 0.25;
+/// Healthy intervals required before collapse detection arms (the
+/// baselines need warm-up).
+const MIN_BASELINE_INTERVALS: u32 = 4;
+/// Consecutive rollbacks that escalate to safe mode.
+const ROLLBACKS_TO_SAFE_MODE: u32 = 3;
+/// Safe-mode backoff ceiling, in monitor intervals.
+const MAX_BACKOFF_INTERVALS: u32 = 256;
+/// The fallback deployed on safe-mode entry (paper default).
+pub(crate) const SAFE_PARAMS: DcqcnParams = DcqcnParams::nvidia_default();
+/// Intervals a switch may stop uploading before it is aged out of the
+/// health picture.
+const STALE_AFTER_INTERVALS: u64 = 16;
+/// EWMA weight for the healthy-baseline trackers.
+const BASELINE_EWMA_ALPHA: f64 = 0.2;
+
+/// Sane bounds candidates are validated against: built once, since
+/// screening runs on every dispatch.
+fn sane_space() -> &'static ParamSpace {
+    static SPACE: OnceLock<ParamSpace> = OnceLock::new();
+    SPACE.get_or_init(ParamSpace::standard)
+}
 
 /// One serializable snapshot of the guardrail's event counters — what a
 /// harness (fault experiment, anomaly-hunter oracle) reads after a run.
@@ -118,64 +149,18 @@ pub fn validate(p: &DcqcnParams, space: &ParamSpace) -> Result<(), RejectReason>
     Ok(())
 }
 
-/// Guardrail tuning knobs.
+/// Guardrail configuration.
 #[derive(Debug, Clone)]
 pub struct GuardrailConfig {
-    /// Sane bounds candidates are validated against.
-    pub space: ParamSpace,
-    /// Monitor intervals a dispatched candidate is watched before being
-    /// committed as the new last-known-good (the detection window: a
-    /// collapse inside it triggers rollback).
-    pub hold_down_intervals: u32,
-    /// Collapse signal: utility below this fraction of the healthy
-    /// baseline.
-    pub utility_collapse_frac: f64,
-    /// Collapse signal: goodput below this fraction of the healthy
-    /// baseline.
-    pub goodput_floor_frac: f64,
-    /// Collapse signal: absolute PFC pause ratio above this value.
-    pub pfc_pause_spike: f64,
-    /// Healthy intervals required before collapse detection arms (the
-    /// baselines need warm-up).
-    pub min_baseline_intervals: u32,
-    /// Consecutive rollbacks that escalate to safe mode.
-    pub rollbacks_to_safe_mode: u32,
     /// Initial safe-mode freeze length, in monitor intervals. Doubles on
-    /// each re-entry (exponential backoff) up to `max_backoff_intervals`.
+    /// each re-entry (exponential backoff) up to a 256-interval ceiling.
     pub safe_mode_backoff_intervals: u32,
-    /// Backoff ceiling.
-    pub max_backoff_intervals: u32,
-    /// The fallback deployed on safe-mode entry (paper default).
-    pub safe_params: DcqcnParams,
-    /// Intervals a switch may stop uploading before it is aged out of
-    /// the health picture.
-    pub stale_after_intervals: u32,
-    /// EWMA weight for the healthy-baseline trackers.
-    pub baseline_ewma_alpha: f64,
-    /// Fractional jitter on each safe-mode freeze length: the backoff is
-    /// stretched by up to `backoff_jitter × backoff` extra intervals,
-    /// drawn from the guardrail's seeded jitter stream. Desynchronises
-    /// safe-mode exits across controllers sharing a fault. `0.0`
-    /// (default) draws nothing and keeps the freeze lengths exact.
-    pub backoff_jitter: f64,
 }
 
 impl Default for GuardrailConfig {
     fn default() -> Self {
         Self {
-            space: ParamSpace::standard(),
-            hold_down_intervals: 8,
-            utility_collapse_frac: 0.6,
-            goodput_floor_frac: 0.5,
-            pfc_pause_spike: 0.25,
-            min_baseline_intervals: 4,
-            rollbacks_to_safe_mode: 3,
             safe_mode_backoff_intervals: 16,
-            max_backoff_intervals: 256,
-            safe_params: DcqcnParams::nvidia_default(),
-            stale_after_intervals: 16,
-            baseline_ewma_alpha: 0.2,
-            backoff_jitter: 0.0,
         }
     }
 }
@@ -228,8 +213,8 @@ enum GuardState {
 /// The guardrail state machine (see the module docs).
 ///
 /// `Clone` so a controller can checkpoint the whole guardrail (state,
-/// baselines, backoff and jitter stream included) and restore it after a
-/// crash — a restored clone replays byte-identically.
+/// baselines and backoff included) and restore it after a crash — a
+/// restored clone replays byte-identically.
 #[derive(Debug, Clone)]
 pub struct Guardrail {
     cfg: GuardrailConfig,
@@ -243,10 +228,6 @@ pub struct Guardrail {
     consecutive_rollbacks: u32,
     next_backoff: u32,
     interval: u64,
-    /// Seeded stream behind `backoff_jitter` draws. Only consulted when
-    /// the jitter fraction is non-zero, so the default configuration
-    /// never advances it.
-    jitter_rng: StdRng,
     /// Interval each known switch index last uploaded at.
     last_seen: HashMap<usize, u64>,
     /// Candidates refused by validation.
@@ -275,7 +256,6 @@ impl Guardrail {
             consecutive_rollbacks: 0,
             next_backoff,
             interval: 0,
-            jitter_rng: StdRng::seed_from_u64(0),
             last_seen: HashMap::new(),
             rejects: 0,
             rollbacks: 0,
@@ -283,13 +263,6 @@ impl Guardrail {
             suppressed: 0,
             stale_aged_out: 0,
         }
-    }
-
-    /// Reseed the backoff-jitter stream. Harnesses tie it to the run's
-    /// control-plane fault seed so jittered freeze lengths replay
-    /// byte-identically.
-    pub fn seed_jitter(&mut self, seed: u64) {
-        self.jitter_rng = StdRng::seed_from_u64(seed);
     }
 
     /// Whether tuning is currently frozen.
@@ -332,10 +305,10 @@ impl Guardrail {
             return ScreenOutcome::Suppressed;
         }
         match action {
-            TuningAction::Global(p) => match validate(&p, &self.cfg.space) {
+            TuningAction::Global(p) => match validate(&p, sane_space()) {
                 Ok(()) => {
                     self.state = GuardState::HoldDown {
-                        remaining: self.cfg.hold_down_intervals.max(1),
+                        remaining: HOLD_DOWN_INTERVALS,
                         candidate: p,
                     };
                     ScreenOutcome::Dispatch(TuningAction::Global(p))
@@ -348,7 +321,7 @@ impl Guardrail {
             TuningAction::PerSwitchEcn(updates) => {
                 // A corrupt batch is untrustworthy as a whole.
                 for (_, p) in &updates {
-                    if let Err(r) = validate(p, &self.cfg.space) {
+                    if let Err(r) = validate(p, sane_space()) {
                         self.rejects += 1;
                         return ScreenOutcome::Rejected(r);
                     }
@@ -383,9 +356,7 @@ impl Guardrail {
         for &idx in reporting {
             self.last_seen.insert(idx, self.interval);
         }
-        let horizon = self
-            .interval
-            .saturating_sub(self.cfg.stale_after_intervals.max(1) as u64);
+        let horizon = self.interval.saturating_sub(STALE_AFTER_INTERVALS);
         let before = self.last_seen.len();
         self.last_seen.retain(|_, &mut seen| seen > horizon);
         self.stale_aged_out += (before - self.last_seen.len()) as u64;
@@ -421,7 +392,7 @@ impl Guardrail {
                 if collapsed {
                     self.rollbacks += 1;
                     self.consecutive_rollbacks += 1;
-                    if self.consecutive_rollbacks >= self.cfg.rollbacks_to_safe_mode.max(1) {
+                    if self.consecutive_rollbacks >= ROLLBACKS_TO_SAFE_MODE {
                         Some(self.enter_safe_mode())
                     } else {
                         Some(GuardAction::Rollback(self.last_good))
@@ -445,26 +416,17 @@ impl Guardrail {
 
     /// Deploy the fallback and freeze tuning: the common tail of the
     /// rollback-escalation path and [`Guardrail::force_safe_mode`]. The
-    /// freeze length is the current backoff plus an optional jittered
-    /// stretch of up to `backoff_jitter × backoff` intervals; the base
-    /// backoff then doubles for the next entry. With jitter at 0 the
-    /// stream is never consulted and freeze lengths are exact.
+    /// freeze lasts the current backoff, which then doubles for the next
+    /// entry.
     fn enter_safe_mode(&mut self) -> GuardAction {
-        let base = self.next_backoff;
-        let backoff = if self.cfg.backoff_jitter > 0.0 {
-            let stretch = self.cfg.backoff_jitter * base as f64;
-            base.saturating_add((self.jitter_rng.gen::<f64>() * stretch) as u32)
-        } else {
-            base
-        };
-        self.next_backoff =
-            (self.next_backoff.saturating_mul(2)).min(self.cfg.max_backoff_intervals.max(1));
+        let backoff = self.next_backoff;
+        self.next_backoff = (self.next_backoff.saturating_mul(2)).min(MAX_BACKOFF_INTERVALS);
         self.safe_mode_entries += 1;
         self.state = GuardState::SafeMode { remaining: backoff };
         // The fallback becomes the snapshot future rollbacks restore.
-        self.last_good = self.cfg.safe_params;
+        self.last_good = SAFE_PARAMS;
         GuardAction::EnterSafeMode {
-            params: self.cfg.safe_params,
+            params: SAFE_PARAMS,
             backoff_intervals: backoff,
         }
     }
@@ -483,23 +445,23 @@ impl Guardrail {
     /// Whether the signals say the fabric collapsed (only meaningful
     /// once the baselines are warm).
     fn is_collapse(&self, utility: f64, goodput: f64, pause_ratio: f64) -> bool {
-        if pause_ratio > self.cfg.pfc_pause_spike {
+        if pause_ratio > PFC_PAUSE_SPIKE {
             return true;
         }
-        if self.healthy_intervals < self.cfg.min_baseline_intervals {
+        if self.healthy_intervals < MIN_BASELINE_INTERVALS {
             return false;
         }
-        if utility < self.cfg.utility_collapse_frac * self.baseline_utility {
+        if utility < UTILITY_COLLAPSE_FRAC * self.baseline_utility {
             return true;
         }
-        self.baseline_goodput > 1.0 && goodput < self.cfg.goodput_floor_frac * self.baseline_goodput
+        self.baseline_goodput > 1.0 && goodput < GOODPUT_FLOOR_FRAC * self.baseline_goodput
     }
 
     fn update_baselines(&mut self, utility: f64, goodput: f64) {
         if !utility.is_finite() || !goodput.is_finite() {
             return;
         }
-        let a = self.cfg.baseline_ewma_alpha.clamp(0.01, 1.0);
+        let a = BASELINE_EWMA_ALPHA;
         if self.healthy_intervals == 0 {
             self.baseline_utility = utility;
             self.baseline_goodput = goodput;
@@ -612,32 +574,48 @@ mod tests {
         ));
     }
 
+    /// Collapse `n` freshly screened candidates in a row; the guard's
+    /// answer to the last one.
+    fn collapse(g: &mut Guardrail, n: u32) -> Option<GuardAction> {
+        let mut act = None;
+        for _ in 0..n {
+            g.screen(TuningAction::Global(DcqcnParams::expert()), 4);
+            act = g.observe(0.05, 1e9, 0.0, &[0]);
+        }
+        act
+    }
+
+    /// Count a freeze down through healthy intervals: `None` for all
+    /// but the last, which exits safe mode.
+    fn thaw(g: &mut Guardrail, backoff: u32) {
+        for _ in 1..backoff {
+            assert_eq!(g.observe(0.8, 1e9, 0.0, &[0]), None);
+            assert!(g.in_safe_mode());
+        }
+        assert_eq!(
+            g.observe(0.8, 1e9, 0.0, &[0]),
+            Some(GuardAction::ExitSafeMode)
+        );
+        assert!(!g.in_safe_mode());
+    }
+
     #[test]
     fn consecutive_rollbacks_escalate_to_safe_mode_with_backoff() {
         let cfg = GuardrailConfig {
-            rollbacks_to_safe_mode: 3,
             safe_mode_backoff_intervals: 4,
-            max_backoff_intervals: 8,
-            ..GuardrailConfig::default()
         };
-        let mut g = Guardrail::new(cfg.clone(), DcqcnParams::nvidia_default());
+        let mut g = Guardrail::new(cfg, DcqcnParams::nvidia_default());
         warm(&mut g, 6);
-        for i in 0..2 {
-            g.screen(TuningAction::Global(DcqcnParams::expert()), 4);
+        for i in 0..ROLLBACKS_TO_SAFE_MODE - 1 {
             assert!(
-                matches!(
-                    g.observe(0.05, 1e9, 0.0, &[0]),
-                    Some(GuardAction::Rollback(_))
-                ),
+                matches!(collapse(&mut g, 1), Some(GuardAction::Rollback(_))),
                 "rollback {i}"
             );
         }
-        g.screen(TuningAction::Global(DcqcnParams::expert()), 4);
-        let act = g.observe(0.05, 1e9, 0.0, &[0]);
         assert_eq!(
-            act,
+            collapse(&mut g, 1),
             Some(GuardAction::EnterSafeMode {
-                params: cfg.safe_params,
+                params: SAFE_PARAMS,
                 backoff_intervals: 4,
             })
         );
@@ -647,97 +625,53 @@ mod tests {
             g.screen(TuningAction::Global(DcqcnParams::expert()), 4),
             ScreenOutcome::Suppressed
         );
-        // Backoff counts down through healthy intervals, then exits.
-        for _ in 0..3 {
-            assert_eq!(g.observe(0.8, 1e9, 0.0, &[0]), None);
-            assert!(g.in_safe_mode());
+        thaw(&mut g, 4);
+        // Each re-entry doubles the freeze up to the ceiling, and each
+        // freeze lasts exactly that long.
+        for backoff in [
+            8,
+            16,
+            32,
+            64,
+            128,
+            MAX_BACKOFF_INTERVALS,
+            MAX_BACKOFF_INTERVALS,
+        ] {
+            warm(&mut g, 4);
+            assert_eq!(
+                collapse(&mut g, ROLLBACKS_TO_SAFE_MODE),
+                Some(GuardAction::EnterSafeMode {
+                    params: SAFE_PARAMS,
+                    backoff_intervals: backoff,
+                })
+            );
+            thaw(&mut g, backoff);
         }
-        assert_eq!(
-            g.observe(0.8, 1e9, 0.0, &[0]),
-            Some(GuardAction::ExitSafeMode)
-        );
-        assert!(!g.in_safe_mode());
-        // Re-entry doubles the backoff (up to the ceiling).
-        warm(&mut g, 4);
-        for _ in 0..3 {
-            g.screen(TuningAction::Global(DcqcnParams::expert()), 4);
-            g.observe(0.05, 1e9, 0.0, &[0]);
-        }
-        assert!(g.in_safe_mode());
-        assert_eq!(g.safe_mode_entries, 2);
-        let mut exits = 0;
-        for _ in 0..8 {
-            if g.observe(0.8, 1e9, 0.0, &[0]) == Some(GuardAction::ExitSafeMode) {
-                exits += 1;
-                break;
-            }
-        }
-        assert_eq!(exits, 1, "second freeze lasts 8 intervals (doubled)");
+        assert_eq!(g.safe_mode_entries, 8);
     }
 
     #[test]
     fn forced_safe_mode_deploys_fallback_and_doubles_backoff() {
         let cfg = GuardrailConfig {
             safe_mode_backoff_intervals: 4,
-            max_backoff_intervals: 8,
-            ..GuardrailConfig::default()
         };
-        let mut g = Guardrail::new(cfg.clone(), DcqcnParams::nvidia_default());
-        let act = g.force_safe_mode();
-        assert_eq!(
-            act,
-            GuardAction::EnterSafeMode {
-                params: cfg.safe_params,
-                backoff_intervals: 4,
-            }
-        );
-        assert!(g.in_safe_mode());
-        assert_eq!(g.safe_mode_entries, 1);
-        assert_eq!(g.last_known_good(), &cfg.safe_params);
-        // Backoff counts down, exits, and the next forced entry doubles.
-        for _ in 0..3 {
-            assert_eq!(g.observe(0.8, 1e9, 0.0, &[0]), None);
-        }
-        assert_eq!(
-            g.observe(0.8, 1e9, 0.0, &[0]),
-            Some(GuardAction::ExitSafeMode)
-        );
-        let act = g.force_safe_mode();
-        assert_eq!(
-            act,
-            GuardAction::EnterSafeMode {
-                params: cfg.safe_params,
-                backoff_intervals: 8,
-            }
-        );
-    }
-
-    #[test]
-    fn backoff_jitter_stretches_the_freeze_deterministically() {
-        let cfg = GuardrailConfig {
-            safe_mode_backoff_intervals: 8,
-            backoff_jitter: 0.5,
-            ..GuardrailConfig::default()
-        };
-        let freeze = |seed: u64| {
-            let mut g = Guardrail::new(cfg.clone(), DcqcnParams::nvidia_default());
-            g.seed_jitter(seed);
-            match g.force_safe_mode() {
+        let mut g = Guardrail::new(cfg, DcqcnParams::nvidia_default());
+        let cap = MAX_BACKOFF_INTERVALS;
+        for (i, backoff) in [4, 8, 16, 32, 64, 128, cap, cap].into_iter().enumerate() {
+            assert_eq!(
+                g.force_safe_mode(),
                 GuardAction::EnterSafeMode {
-                    backoff_intervals, ..
-                } => backoff_intervals,
-                other => panic!("expected safe-mode entry, got {other:?}"),
-            }
-        };
-        // Same seed → same stretch, and the stretch stays in
-        // [base, base + jitter × base].
-        assert_eq!(freeze(7), freeze(7));
-        for s in 0..16 {
-            let b = freeze(s);
-            assert!((8..=12).contains(&b), "jittered backoff {b} out of range");
+                    params: SAFE_PARAMS,
+                    backoff_intervals: backoff,
+                }
+            );
+            assert!(g.in_safe_mode());
+            assert_eq!(g.safe_mode_entries, i as u64 + 1);
+            assert_eq!(g.last_known_good(), &SAFE_PARAMS);
+            // Backoff counts down, exits, and the next forced entry
+            // doubles.
+            thaw(&mut g, backoff);
         }
-        // The stream really is consulted: some seed stretches.
-        assert!((0..16).any(|s| freeze(s) > 8));
     }
 
     #[test]
@@ -764,17 +698,17 @@ mod tests {
 
     #[test]
     fn silent_switches_age_out_of_the_health_picture() {
-        let cfg = GuardrailConfig {
-            stale_after_intervals: 3,
-            ..GuardrailConfig::default()
-        };
-        let mut g = Guardrail::new(cfg, DcqcnParams::nvidia_default());
+        let mut g = guard();
         g.observe(0.8, 1e9, 0.0, &[0, 1, 2]);
         assert_eq!(g.tracked_switches(), 3);
-        // Switch 2 stops uploading.
-        for _ in 0..3 {
+        // Switch 2 stops uploading: tracked until its silence reaches
+        // the staleness horizon, aged out on that interval.
+        for _ in 1..STALE_AFTER_INTERVALS {
             g.observe(0.8, 1e9, 0.0, &[0, 1]);
+            assert_eq!(g.tracked_switches(), 3);
+            assert_eq!(g.stale_aged_out, 0);
         }
+        g.observe(0.8, 1e9, 0.0, &[0, 1]);
         assert_eq!(g.tracked_switches(), 2);
         assert_eq!(g.stale_aged_out, 1);
         // Per-switch actions addressed at the dead switch are filtered.

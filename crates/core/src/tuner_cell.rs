@@ -31,7 +31,6 @@ use std::time::{Duration, Instant};
 
 use paraleon_dcqcn::DcqcnParams;
 use paraleon_monitor::{ChangeDetector, FsdMonitor, MetricSample, TransferLedger, UtilityWeights};
-use paraleon_netsim::fasthash::mix64;
 use paraleon_netsim::{
     CtrlImpairment, Engine, FaultEvent, FaultKind, FaultPlan, IntervalMetrics, MILLI,
 };
@@ -45,6 +44,12 @@ use crate::ctrl_plane::{CtrlPlane, CtrlPlaneConfig, CtrlSnapshot, UpMsg};
 use crate::guardrail::{GuardAction, Guardrail, ScreenOutcome};
 use crate::Nanos;
 
+/// KL trigger threshold θ (paper default: 0.01).
+const THETA: f64 = 0.01;
+/// Controller checkpoint cadence, in intervals. A warm restart resumes
+/// from the latest checkpoint; everything since is lost.
+const SNAPSHOT_EVERY_INTERVALS: u64 = 16;
+
 /// Loop-level configuration.
 #[derive(Debug, Clone)]
 pub struct LoopConfig {
@@ -52,8 +57,6 @@ pub struct LoopConfig {
     pub lambda_mi: Nanos,
     /// Utility weights (paper NS3 default: 0.2 / 0.5 / 0.3).
     pub weights: UtilityWeights,
-    /// KL trigger threshold θ (paper default: 0.01).
-    pub theta: f64,
     /// Force a tuning trigger on the first interval (used by the
     /// monitoring-comparison experiments so every variant tunes even if
     /// its FSD scheme cannot detect change).
@@ -70,7 +73,6 @@ impl Default for LoopConfig {
         Self {
             lambda_mi: MILLI,
             weights: UtilityWeights::paper_default(),
-            theta: 0.01,
             force_tuning: false,
             trigger_window: 8,
         }
@@ -231,19 +233,14 @@ impl TunerCell {
     pub fn new(
         monitor: Box<dyn FsdMonitor>,
         scheme: Box<dyn TuningScheme>,
-        mut guard: Option<Guardrail>,
+        guard: Option<Guardrail>,
         cfg: LoopConfig,
         ctrl: CtrlPlaneConfig,
         initial: DcqcnParams,
         truth: Option<SlidingWindowClassifier>,
         seed: u64,
     ) -> Self {
-        // The guardrail's backoff jitter joins the run's control-plane
-        // fault randomness: same seed, decorrelated lane.
-        if let Some(g) = guard.as_mut() {
-            g.seed_jitter(mix64(seed ^ 0x6A4D));
-        }
-        let detector = ChangeDetector::new(cfg.theta);
+        let detector = ChangeDetector::new(THETA);
         let ctrl = CtrlPlane::new(ctrl, seed);
         let boot = || CellSnapshot {
             scheme: scheme.snapshot_state(),
@@ -894,8 +891,10 @@ impl TunerCell {
             pfc_events: metrics.pfc_events,
             fsd_accuracy: seen.fsd_accuracy,
         });
-        let every = self.ctrl.cfg.snapshot_every_intervals.max(1);
-        if self.interval_index().is_multiple_of(every) {
+        if self
+            .interval_index()
+            .is_multiple_of(SNAPSHOT_EVERY_INTERVALS)
+        {
             self.snapshot = self.checkpoint();
         }
         self.history.last().expect("just pushed")

@@ -115,7 +115,7 @@ proptest! {
     /// the divergence the epoch protocol exists to rule out.
     #[test]
     fn naive_fabric_ends_wherever_delivery_put_it((_n, order) in delivery_orders()) {
-        let naive_cfg = CtrlPlaneConfig { naive: true, ..CtrlPlaneConfig::default() };
+        let naive_cfg = CtrlPlaneConfig { naive: true };
         let mut fabric = CtrlPlane::new(naive_cfg, 0).fabric;
         let mut last = None;
         for &epoch in &order {

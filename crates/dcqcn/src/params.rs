@@ -324,7 +324,7 @@ impl Default for DcqcnParams {
 impl DcqcnParams {
     /// The NVIDIA default setting the paper calls "default" (\[21\]),
     /// scaled for a 100 Gbps fabric.
-    pub fn nvidia_default() -> Self {
+    pub const fn nvidia_default() -> Self {
         Self {
             ai_rate: 5.0,
             hai_rate: 50.0,

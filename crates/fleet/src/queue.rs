@@ -46,9 +46,8 @@ impl PendingInterval {
 pub enum DropPolicy {
     /// Evict the oldest queued interval to admit the new one — the
     /// controller prefers fresh fabric state over an unbroken history
-    /// (the [`StalenessMerger`]'s weighting already favours recency).
-    ///
-    /// [`StalenessMerger`]: paraleon_monitor doc — see crates/monitor.
+    /// (the monitor's `StalenessMerger` weighting already favours
+    /// recency).
     DropOldest,
     /// Refuse the incoming interval — the controller prefers an
     /// unbroken prefix of history over recency.

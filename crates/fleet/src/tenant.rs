@@ -1,20 +1,21 @@
 //! One fleet tenant: a simulated fabric plus the controller-side
 //! [`TunerCell`] the service schedules on its behalf.
 //!
-//! A tenant is exactly the state of one standalone [`ClosedLoop`] —
-//! [`Tenant::build`] constructs a `ClosedLoop` through the ordinary
-//! builder and destructures it, so a fleet tenant and a standalone loop
-//! start from bit-identical state. The difference is *when* the
-//! controller half runs: a standalone loop tunes synchronously at every
-//! interval boundary, while a fleet tenant's fabric advances in phase A
-//! of the service tick and parks its interval metrics on an upload
-//! queue for the shared scheduler to process in phase B. When the
-//! scheduler keeps up (the default config guarantees one turn per
-//! interval), the operation sequence the cell observes is identical to
-//! [`ClosedLoop::step`]'s — which is the fleet's headline byte-identity
-//! property, checked against [`standalone_run`]. Flow admission is not
-//! re-implemented here: the tenant and the standalone comparator both
-//! call [`drivers::admit_due`], the rule every workload driver uses.
+//! A tenant is exactly the state of one standalone [`ClosedLoop`] — the
+//! service builds it through [`TenantSpec::closed_loop`], the ordinary
+//! builder, and destructures the loop, so a fleet tenant and a
+//! standalone loop start from bit-identical state. The difference is
+//! *when* the controller half runs: a standalone loop tunes
+//! synchronously at every interval boundary, while a fleet tenant's
+//! fabric advances in phase A of the service tick and parks its
+//! interval metrics on an upload queue for the shared scheduler to
+//! process in phase B. When the scheduler keeps up (the default config
+//! guarantees one turn per interval), the operation sequence the cell
+//! observes is identical to [`ClosedLoop::step`]'s — which is the
+//! fleet's headline byte-identity property, checked against
+//! [`standalone_run`]. Flow admission is not re-implemented here: the
+//! tenant and the standalone comparator both call
+//! [`drivers::admit_due`], the rule every workload driver uses.
 
 use paraleon::prelude::*;
 use paraleon::Nanos;
@@ -46,7 +47,8 @@ pub struct TenantSpec {
     pub ctrl: CtrlPlaneConfig,
     /// Closed-loop knobs (λ_MI, utility weights, trigger).
     pub loop_cfg: LoopConfig,
-    /// Simulator configuration (DCQCN initial parameters, etc.).
+    /// Simulator configuration. The scheme, monitor and seed replace its
+    /// `dcqcn`, `dcqcn_plus`, `tos_dedup` and `seed` at build time.
     pub sim_cfg: SimConfig,
     /// Optional fault plan (data-plane and control-plane events).
     pub fault_plan: Option<FaultPlan>,

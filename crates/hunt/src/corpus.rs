@@ -4,9 +4,10 @@
 //! demands two things:
 //!
 //! 1. the recorded oracle still *fires* — the pathology reproduces;
-//! 2. the fresh [`OracleReport`] re-serializes **byte-identically** to
-//!    the committed one — the simulator's behavior on this scenario has
-//!    not drifted at all, down to every goodput digit.
+//! 2. the fresh [`OracleReport`](crate::oracle::OracleReport)
+//!    re-serializes **byte-identically** to the committed one — the
+//!    simulator's behavior on this scenario has not drifted at all, down
+//!    to every goodput digit.
 //!
 //! The second check is deliberately brutal: it turns each found anomaly
 //! into a change-detector for the whole stack (simulator, DCQCN state

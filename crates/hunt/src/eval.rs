@@ -236,11 +236,6 @@ fn ctrl_probe(cfg: &EvalConfig, point: &HuntPoint) -> Result<Option<CtrlMeasure>
         let mut cl = ClosedLoop::builder(point.topo.build())
             .scheme(SchemeKind::Paraleon)
             .monitor(MonitorKind::Paraleon)
-            .sim_config(SimConfig {
-                dcqcn: point.params,
-                seed: point.seed,
-                ..SimConfig::default()
-            })
             .loop_config(LoopConfig {
                 lambda_mi: cfg.lambda_mi,
                 // Tuning every interval keeps dispatches flowing, so the
@@ -248,10 +243,7 @@ fn ctrl_probe(cfg: &EvalConfig, point: &HuntPoint) -> Result<Option<CtrlMeasure>
                 force_tuning: true,
                 ..LoopConfig::default()
             })
-            .ctrl_plane(CtrlPlaneConfig {
-                naive,
-                ..CtrlPlaneConfig::default()
-            })
+            .ctrl_plane(CtrlPlaneConfig { naive })
             .seed(point.seed)
             .build();
         for (src, dst, bytes, start) in point.expand_flows() {

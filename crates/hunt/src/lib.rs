@@ -21,7 +21,7 @@
 //!    candidate evaluation across threads with the index-addressed
 //!    [`paraleon::sweep`] runner (results in job order — parallel hunts
 //!    reproduce serial ones bit for bit).
-//! 4. [`minimize`] delta-debugs every confirmed finding — dropping
+//! 4. [`mod@minimize`] delta-debugs every confirmed finding — dropping
 //!    flows and fault events, shrinking counts/bytes/topology, resetting
 //!    parameters to defaults — while the oracle keeps firing.
 //! 5. [`corpus`] serializes minimized repros as JSON; `corpus replay`

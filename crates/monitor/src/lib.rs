@@ -8,7 +8,7 @@
 //!   Elastic Sketch, updates ternary flow states through the sliding
 //!   window, and uploads a local FSD; the centralized controller merges
 //!   the local FSDs into the network-wide distribution
-//!   ([`paraleon::ParaleonMonitor`], [`aggregate::NetworkAggregator`]).
+//!   ([`paraleon::ParaleonMonitor`], [`resilient::StalenessMerger`]).
 //! * **Runtime metric collection** (event-driven): when tuning is active,
 //!   devices upload throughput / RTT / PFC once per interval and the
 //!   controller evaluates the utility function
@@ -23,7 +23,6 @@
 //! without history). All monitors implement [`FsdMonitor`] so the
 //! harness can swap them.
 
-pub mod aggregate;
 pub mod naive;
 pub mod netflow;
 pub mod overhead;
@@ -32,7 +31,6 @@ pub mod resilient;
 pub mod trigger;
 pub mod utility;
 
-pub use aggregate::NetworkAggregator;
 pub use naive::NaiveSketchMonitor;
 pub use netflow::{NetFlowConfig, NetFlowMonitor};
 pub use overhead::TransferLedger;

@@ -1,44 +1,27 @@
 //! Simulator configuration.
 
+use crate::packet::HEADER_BYTES;
 use crate::Nanos;
 use paraleon_dcqcn::DcqcnParams;
-use paraleon_sketch::SketchConfig;
 
 /// All knobs of a simulation run that are not topology or workload.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Data packet payload bytes (ns-3 RDMA sims use 1000).
     pub mtu_payload: u32,
-    /// Per-packet header overhead on the wire (Eth+IP+UDP+BTH ≈ 48 B).
-    pub header_bytes: u32,
-    /// Control frame wire size (ACK/CNP).
-    pub ctrl_bytes: u32,
-    /// Generate one cumulative ACK per this many data packets (the final
-    /// segment is always acknowledged immediately).
-    pub ack_every: u32,
     /// Shared packet buffer per switch (paper: 12 MB).
     pub switch_buffer_bytes: u64,
     /// Dynamic-threshold PFC α: a queue may hold up to α × (free buffer)
     /// before pausing its upstream (paper §V: α = 1/8 is standard).
     pub pfc_alpha: f64,
-    /// Resume (XON) once ingress occupancy falls below this fraction of
-    /// the pause threshold.
-    pub pfc_xon_frac: f64,
     /// Retransmission timeout for loss recovery (losses only occur if PFC
     /// headroom is ever exceeded; this keeps flows live regardless).
     pub rto: Nanos,
-    /// Host NIC egress queue cap in packets: QP pacing blocks when the
-    /// data queue is this deep (models the RNIC's internal scheduler).
-    pub nic_queue_pkts: usize,
     /// Initial DCQCN parameter setting for RNICs and switches.
     pub dcqcn: DcqcnParams,
     /// Enable the DCQCN+ baseline: NP-side incast-scaled CNP intervals and
     /// RP-side increase scaling.
     pub dcqcn_plus: bool,
-    /// DCQCN+ window during which a flow counts as congested.
-    pub incast_window: Nanos,
-    /// Elastic Sketch sizing for ToR data planes.
-    pub sketch: SketchConfig,
     /// Keypoint 1: TOS-bit dedup so each packet enters exactly one sketch.
     /// Disable to reproduce the naive-Elastic-Sketch baseline's overlap.
     pub tos_dedup: bool,
@@ -53,18 +36,11 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             mtu_payload: 1000,
-            header_bytes: 48,
-            ctrl_bytes: 64,
-            ack_every: 4,
             switch_buffer_bytes: 12 << 20,
             pfc_alpha: 1.0 / 8.0,
-            pfc_xon_frac: 0.8,
             rto: 1_000_000, // 1 ms
-            nic_queue_pkts: 8,
             dcqcn: DcqcnParams::nvidia_default(),
             dcqcn_plus: false,
-            incast_window: 100_000, // 100 µs
-            sketch: SketchConfig::default(),
             tos_dedup: true,
             track_ground_truth: false,
             seed: 1,
@@ -75,7 +51,7 @@ impl Default for SimConfig {
 impl SimConfig {
     /// Wire size of a full data packet.
     pub fn mtu_wire(&self) -> u32 {
-        self.mtu_payload + self.header_bytes
+        self.mtu_payload + HEADER_BYTES
     }
 }
 

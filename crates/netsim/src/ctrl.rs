@@ -9,10 +9,10 @@
 //! can be **lost** (per-message probability), **delayed** by up to a
 //! bounded number of monitor intervals (drawn uniformly per message —
 //! which is what reorders an otherwise in-order stream), or
-//! **duplicated**. Impairment is driven by [`FaultKind::CtrlImpair`]
-//! events from the run's [`FaultPlan`](crate::fault::FaultPlan), so a
-//! control-plane fault scenario replays byte-identically under a fixed
-//! seed.
+//! **duplicated**. Impairment is driven by
+//! [`FaultKind::CtrlImpair`](crate::FaultKind::CtrlImpair) events from
+//! the run's [`FaultPlan`](crate::fault::FaultPlan), so a control-plane
+//! fault scenario replays byte-identically under a fixed seed.
 //!
 //! Time is measured in monitor intervals (λ_MI ticks), not nanoseconds:
 //! the channel sits between two components that only interact at

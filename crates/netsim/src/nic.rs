@@ -11,10 +11,21 @@ use crate::error::SimError;
 use crate::event::Event;
 use crate::fasthash::FastMap;
 use crate::metrics::FlowRecord;
-use crate::packet::{Packet, PacketId, PacketKind, CLASS_CTRL, CLASS_DATA};
+use crate::packet::{
+    Packet, PacketId, PacketKind, CLASS_CTRL, CLASS_DATA, CTRL_BYTES, HEADER_BYTES,
+};
 use crate::port::{EgressPort, QueuedPkt};
 use crate::sim::Simulator;
 use crate::{FlowId, Nanos, NodeId, MICRO};
+
+/// Generate one cumulative ACK per this many data packets (the final
+/// segment is always acknowledged immediately).
+const ACK_EVERY: u32 = 4;
+/// Host NIC egress queue cap in packets: QP pacing blocks when the
+/// data queue is this deep (models the RNIC's internal scheduler).
+const NIC_QUEUE_PKTS: usize = 8;
+/// DCQCN+ window during which a flow counts as congested.
+const INCAST_WINDOW: Nanos = 100 * MICRO;
 
 /// Static description of one admitted flow.
 #[derive(Debug, Clone, Copy)]
@@ -79,12 +90,12 @@ pub(crate) struct HostState {
 }
 
 impl HostState {
-    pub(crate) fn new(base_cnp_interval_us: f64, incast_window: Nanos) -> Self {
+    pub(crate) fn new(base_cnp_interval_us: f64) -> Self {
         Self {
             port: EgressPort::default(),
             senders: FastMap::default(),
             receivers: FastMap::default(),
-            incast: IncastScaler::new(base_cnp_interval_us, incast_window),
+            incast: IncastScaler::new(base_cnp_interval_us, INCAST_WINDOW),
             blocked: Vec::new(),
         }
     }
@@ -121,7 +132,7 @@ impl Simulator {
         }
         let v = self
             .topo
-            .base_rtt(key.0, key.1, self.cfg.mtu_wire(), self.cfg.ctrl_bytes);
+            .base_rtt(key.0, key.1, self.cfg.mtu_wire(), CTRL_BYTES);
         self.base_rtt_cache.insert(key, v);
         v
     }
@@ -220,7 +231,7 @@ impl Simulator {
         if s.sent >= s.bytes {
             return;
         }
-        if data_depth >= self.cfg.nic_queue_pkts {
+        if data_depth >= NIC_QUEUE_PKTS {
             if !s.blocked {
                 s.blocked = true;
                 host.blocked.push(f);
@@ -229,7 +240,7 @@ impl Simulator {
         }
         s.rp.advance(now);
         let payload = (self.cfg.mtu_payload as u64).min(s.bytes - s.sent) as u32;
-        let wire = payload + self.cfg.header_bytes;
+        let wire = payload + HEADER_BYTES;
         // Pacing: may we transmit yet at the *current* rate?
         let rate = s.rp.rate().max(1.0); // bytes/sec
         if let Some(last) = s.last_send {
@@ -254,10 +265,7 @@ impl Simulator {
         let arm_retx = all_sent && !s.retx_armed;
         s.retx_armed |= arm_retx;
         s.send_scheduled = !all_sent;
-        let header = self.cfg.header_bytes;
-        let pkt = Packet::data(
-            f, meta.qp, h.node, s.dst, seq, s.bytes, payload, header, now,
-        );
+        let pkt = Packet::data(f, meta.qp, h.node, s.dst, seq, s.bytes, payload, now);
         self.nic_enqueue(h, pkt);
         if self.cfg.track_ground_truth {
             *self.accum.truth_flow_bytes.entry(meta.qp).or_insert(0) += payload as u64;
@@ -275,7 +283,7 @@ impl Simulator {
     /// Let QPs that blocked on host `h`'s NIC queue depth pace again.
     pub(crate) fn unblock_host_flows(&mut self, h: Owned) {
         let host = &mut self.hosts[h.slot];
-        if host.blocked.is_empty() || host.port.depth(CLASS_DATA) >= self.cfg.nic_queue_pkts {
+        if host.blocked.is_empty() || host.port.depth(CLASS_DATA) >= NIC_QUEUE_PKTS {
             return;
         }
         let now = self.core.now();
@@ -311,7 +319,7 @@ impl Simulator {
         let now = self.core.now();
         self.accum.host_down_bytes[h.slot] += pkt.wire_bytes as u64;
         self.accum.bytes_delivered += pkt.payload_bytes as u64;
-        let (params, ctrl) = (self.cfg.dcqcn, self.cfg.ctrl_bytes);
+        let params = self.cfg.dcqcn;
         let src = pkt.src as NodeId;
         let host = &mut self.hosts[h.slot];
         let iv = (pkt.ecn && self.cfg.dcqcn_plus).then(|| host.incast.on_mark(pkt.flow, now));
@@ -326,16 +334,14 @@ impl Simulator {
         if pkt.ecn {
             if let Some(sig) = r.np.on_packet(now, true, iv) {
                 let iv = sig.advertised_interval_us;
-                cnp = Some(Packet::cnp(pkt.flow, h.node, src, iv, ctrl, now));
+                cnp = Some(Packet::cnp(pkt.flow, h.node, src, iv, now));
             }
         }
         r.pkts_since_ack += 1;
         let last = seq + pkt.payload_bytes as u64 >= flow_bytes;
-        if last || r.pkts_since_ack >= self.cfg.ack_every {
+        if last || r.pkts_since_ack >= ACK_EVERY {
             let echo = pkt.sent_at;
-            ack = Some(Packet::ack(
-                pkt.flow, h.node, src, r.received, echo, ctrl, now,
-            ));
+            ack = Some(Packet::ack(pkt.flow, h.node, src, r.received, echo, now));
             r.pkts_since_ack = 0;
         }
         if r.received >= flow_bytes && last {

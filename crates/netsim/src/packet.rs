@@ -11,6 +11,11 @@ pub const CLASS_CTRL: usize = 1;
 /// Number of traffic classes per port.
 pub const N_CLASSES: usize = 2;
 
+/// Per-packet header overhead on the wire (Eth+IP+UDP+BTH ≈ 48 B).
+pub(crate) const HEADER_BYTES: u32 = 48;
+/// Control frame wire size (ACK/CNP).
+pub(crate) const CTRL_BYTES: u32 = 64;
+
 /// Discriminates the payload of a [`Packet`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PacketKind {
@@ -84,7 +89,6 @@ impl Packet {
         seq: u64,
         flow_bytes: u64,
         payload: u32,
-        header: u32,
         now: Nanos,
     ) -> Self {
         Self {
@@ -93,7 +97,7 @@ impl Packet {
             qp,
             src: src as u32,
             dst: dst as u32,
-            wire_bytes: payload + header,
+            wire_bytes: payload + HEADER_BYTES,
             payload_bytes: payload,
             sent_at: now,
             ecn: false,
@@ -110,7 +114,6 @@ impl Packet {
         to: NodeId,
         acked_bytes: u64,
         echo: Nanos,
-        ctrl_bytes: u32,
         now: Nanos,
     ) -> Self {
         Self {
@@ -119,7 +122,7 @@ impl Packet {
             qp: flow,
             src: from as u32,
             dst: to as u32,
-            wire_bytes: ctrl_bytes,
+            wire_bytes: CTRL_BYTES,
             payload_bytes: 0,
             sent_at: now,
             ecn: false,
@@ -134,7 +137,6 @@ impl Packet {
         from: NodeId,
         to: NodeId,
         advertised_interval_us: Option<f64>,
-        ctrl_bytes: u32,
         now: Nanos,
     ) -> Self {
         Self {
@@ -145,7 +147,7 @@ impl Packet {
             qp: flow,
             src: from as u32,
             dst: to as u32,
-            wire_bytes: ctrl_bytes,
+            wire_bytes: CTRL_BYTES,
             payload_bytes: 0,
             sent_at: now,
             ecn: false,
@@ -260,7 +262,7 @@ mod tests {
 
     #[test]
     fn data_packet_shape() {
-        let p = Packet::data(7, 7, 0, 1, 4096, 1 << 20, 1000, 48, 99);
+        let p = Packet::data(7, 7, 0, 1, 4096, 1 << 20, 1000, 99);
         assert!(matches!(p.kind, PacketKind::Data { .. }));
         assert_eq!(p.wire_bytes, 1048);
         assert_eq!(p.payload_bytes, 1000);
@@ -270,8 +272,8 @@ mod tests {
 
     #[test]
     fn control_frames_ride_the_control_class_pre_sketched() {
-        let a = Packet::ack(7, 1, 0, 123, 5, 64, 10);
-        let c = Packet::cnp(7, 1, 0, Some(16.0), 64, 10);
+        let a = Packet::ack(7, 1, 0, 123, 5, 10);
+        let c = Packet::cnp(7, 1, 0, Some(16.0), 10);
         for p in [a, c] {
             assert_eq!(p.class as usize, CLASS_CTRL);
             assert!(p.sketched, "control frames must never enter sketches");
@@ -283,14 +285,14 @@ mod tests {
     #[test]
     fn pool_recycles_slots_and_tracks_in_flight() {
         let mut pool = PacketPool::new();
-        let a = pool.insert(Packet::data(1, 1, 0, 1, 0, 1 << 20, 1000, 48, 0));
-        let b = pool.insert(Packet::ack(2, 1, 0, 99, 5, 64, 10));
+        let a = pool.insert(Packet::data(1, 1, 0, 1, 0, 1 << 20, 1000, 0));
+        let b = pool.insert(Packet::ack(2, 1, 0, 99, 5, 10));
         assert_eq!(pool.in_flight(), 2);
         let pa = pool.take(a);
         assert_eq!(pa.flow, 1);
         assert_eq!(pool.in_flight(), 1);
         // Freed slot is reused (LIFO), keeping the arena compact.
-        let c = pool.insert(Packet::cnp(3, 1, 0, None, 64, 20));
+        let c = pool.insert(Packet::cnp(3, 1, 0, None, 20));
         assert_eq!(c, a);
         assert_eq!(pool.slots.len(), 2);
         assert_eq!(pool.take(b).flow, 2);
@@ -300,7 +302,7 @@ mod tests {
 
     #[test]
     fn ack_carries_cumulative_bytes_and_echo() {
-        let a = Packet::ack(7, 1, 0, 4096, 77, 64, 100);
+        let a = Packet::ack(7, 1, 0, 4096, 77, 100);
         match a.kind {
             PacketKind::Ack { acked_bytes, echo } => {
                 assert_eq!(acked_bytes, 4096);

@@ -21,7 +21,7 @@ use crate::core::Owned;
 use crate::event::Event;
 use crate::fasthash::mix64;
 use crate::fault::LinkState;
-use crate::packet::{PacketId, CLASS_CTRL, CLASS_DATA, N_CLASSES};
+use crate::packet::{PacketId, CLASS_CTRL, CLASS_DATA, CTRL_BYTES, N_CLASSES};
 use crate::sim::Simulator;
 use crate::topology::Topology;
 use crate::{Nanos, NodeId};
@@ -161,7 +161,6 @@ pub(crate) struct Links {
     /// per-hop path.
     ser_cache: Vec<Vec<(Nanos, Nanos)>>,
     mtu_wire: u32,
-    ctrl_bytes: u32,
 }
 
 /// Node `node`'s corruption stream under seed `base`.
@@ -176,7 +175,7 @@ impl Links {
         cfg: &SimConfig,
         nodes: impl Iterator<Item = NodeId> + Clone,
     ) -> Self {
-        let (mtu_wire, ctrl_bytes) = (cfg.mtu_wire(), cfg.ctrl_bytes);
+        let mtu_wire = cfg.mtu_wire();
         let seed = cfg.seed ^ 0xFA11_FA11_FA11_FA11;
         let ser = |bytes: u32, bw: f64| (bytes as f64 / bw).ceil() as Nanos;
         Self {
@@ -190,12 +189,11 @@ impl Links {
                 .map(|n| {
                     let ports = topo.ports(n).iter();
                     ports
-                        .map(|p| (ser(mtu_wire, p.bw), ser(ctrl_bytes, p.bw)))
+                        .map(|p| (ser(mtu_wire, p.bw), ser(CTRL_BYTES, p.bw)))
                         .collect()
                 })
                 .collect(),
             mtu_wire,
-            ctrl_bytes,
         }
     }
 
@@ -245,7 +243,7 @@ impl Links {
             if wire == self.mtu_wire {
                 return ser_mtu;
             }
-            if wire == self.ctrl_bytes {
+            if wire == CTRL_BYTES {
                 return ser_ctrl;
             }
         }
@@ -370,7 +368,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Packet, PacketPool};
+    use crate::packet::{Packet, PacketPool, HEADER_BYTES};
 
     /// A port plus the arena its entries point into.
     struct Rig {
@@ -387,7 +385,7 @@ mod tests {
         }
 
         fn push(&mut self, class: usize, wire: u32) {
-            let pkt = Packet::data(1, 1, 0, 1, 0, 1 << 20, wire - 48, 48, 0);
+            let pkt = Packet::data(1, 1, 0, 1, 0, 1 << 20, wire - HEADER_BYTES, 0);
             let id = self.pool.insert(pkt);
             let q = QueuedPkt {
                 id,

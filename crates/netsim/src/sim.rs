@@ -133,7 +133,7 @@ impl Simulator {
     }
 
     fn with_core(topo: Topology, cfg: SimConfig, core: EventCore) -> Self {
-        let host = || HostState::new(cfg.dcqcn.min_time_between_cnps, cfg.incast_window);
+        let host = || HostState::new(cfg.dcqcn.min_time_between_cnps);
         let is_host = |&node: &NodeId| topo.kind(node) == NodeKind::Host;
         let hosts: Vec<HostState> = core.owned().take_while(is_host).map(|_| host()).collect();
         let switch = |node| SwitchState::new(&topo, node, &cfg);

@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use paraleon_audit as audit;
 use paraleon_dcqcn::{DcqcnParams, EcnMarker};
 use paraleon_sketch::hash::hash64;
-use paraleon_sketch::ElasticSketch;
+use paraleon_sketch::{ElasticSketch, SketchConfig};
 use paraleon_telemetry as tel;
 
 use crate::config::SimConfig;
@@ -22,6 +22,10 @@ use crate::port::{EgressPort, QueuedPkt};
 use crate::sim::Simulator;
 use crate::topology::{NodeKind, Topology};
 use crate::{FlowId, NodeId};
+
+/// Resume (XON) once ingress occupancy falls below this fraction of
+/// the pause threshold.
+const PFC_XON_FRAC: f64 = 0.8;
 
 /// A switch: shared-buffer output-queued, with PFC and ECN, and (on ToRs)
 /// an Elastic Sketch measurement point.
@@ -53,7 +57,7 @@ pub(crate) struct SwitchState {
     prev_marked: u64,
 }
 
-/// Per-ToR sketch seed: the configured base seed decorrelated by switch
+/// Per-ToR sketch seed: the default base seed decorrelated by switch
 /// id through a full-avalanche mix. The derivation must not leave
 /// related switches' seeds a small XOR apart: the sketch keys its
 /// count-min rows as `seed ^ (row constant)`, so a low-weight difference
@@ -71,9 +75,11 @@ impl SwitchState {
     pub(crate) fn new(topo: &Topology, node: NodeId, cfg: &SimConfig) -> Self {
         let n_ports = topo.ports(node).len();
         let sketch = (topo.kind(node) == NodeKind::Tor).then(|| {
-            let mut sk_cfg = cfg.sketch.clone();
-            sk_cfg.seed = tor_sketch_seed(sk_cfg.seed, node);
-            ElasticSketch::new(sk_cfg)
+            let base = SketchConfig::default();
+            ElasticSketch::new(SketchConfig {
+                seed: tor_sketch_seed(base.seed, node),
+                ..base
+            })
         });
         Self {
             ports: (0..n_ports).map(|_| EgressPort::default()).collect(),
@@ -129,7 +135,7 @@ impl SwitchState {
     fn release(&mut self, in_port: usize, wire: u64, cfg: &SimConfig) -> bool {
         self.unadmit(in_port, wire);
         let xon = self.sent_xoff[in_port]
-            && self.ingress_bytes[in_port] as f64 <= self.pause_threshold(cfg) * cfg.pfc_xon_frac;
+            && self.ingress_bytes[in_port] as f64 <= self.pause_threshold(cfg) * PFC_XON_FRAC;
         if xon {
             self.sent_xoff[in_port] = false;
         }

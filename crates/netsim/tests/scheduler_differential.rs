@@ -247,7 +247,7 @@ fn make_event(kind: u8, n: u64, pool: &mut PacketPool) -> Event {
         2 => Event::Arrive {
             node: (n % 128) as u32,
             in_port: (n % 16) as u16,
-            pkt: pool.insert(Packet::data(n, n, 0, 1, 0, 1 << 20, 1000, 48, n)),
+            pkt: pool.insert(Packet::data(n, n, 0, 1, 0, 1 << 20, 1000, n)),
         },
         3 => Event::PortFree {
             node: (n % 128) as u32,

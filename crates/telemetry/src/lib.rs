@@ -14,9 +14,7 @@
 //!   demand; see [`flight::FlightRecorder`].
 //!
 //! The registry starts **disabled**: every instrumentation call is then
-//! a thread-local load and a branch. Building with the `noop` feature
-//! removes even that — all entry points become empty inline functions
-//! the optimizer deletes. Experiments opt in with
+//! a thread-local load and a branch. Experiments opt in with
 //! [`set_enabled`]`(true)` and stamp simulation time via [`set_time`]
 //! so recorded data carries sim clocks, not wall clocks.
 //!
@@ -233,7 +231,7 @@ pub enum CapturedOp {
     Observe(Hist, u64),
     /// [`series_at`] (explicit timestamp).
     SeriesAt(&'static str, u32, u64, f64),
-    /// [`series`] (registry clock).
+    /// [`series()`] (registry clock).
     SeriesClock(&'static str, u32, f64),
     /// [`event_at`] (explicit timestamp).
     EventAt(u64, Event),
@@ -254,9 +252,6 @@ pub enum CapturedOp {
 /// worker's emissions fall into its own disabled registry exactly as
 /// they would on the coordinator.
 pub fn capture_begin() {
-    if compiled_out() {
-        return;
-    }
     REGISTRY.with(|r| {
         r.capture.borrow_mut().clear();
         r.capture_at.set(0);
@@ -270,9 +265,6 @@ pub fn capture_begin() {
 /// event it dispatches.
 #[inline]
 pub fn capture_stamp(at: u64, key: u64) {
-    if compiled_out() {
-        return;
-    }
     REGISTRY.with(|r| {
         r.capture_at.set(at);
         r.capture_key.set(key);
@@ -281,17 +273,11 @@ pub fn capture_stamp(at: u64, key: u64) {
 
 /// Whether this thread is currently capturing.
 pub fn capture_active() -> bool {
-    if compiled_out() {
-        return false;
-    }
     REGISTRY.with(|r| r.capturing.get())
 }
 
 /// Stop capturing and return the buffer (in emission order).
 pub fn capture_take() -> Vec<Captured> {
-    if compiled_out() {
-        return Vec::new();
-    }
     REGISTRY.with(|r| {
         r.capturing.set(false);
         std::mem::take(&mut *r.capture.borrow_mut())
@@ -328,26 +314,14 @@ thread_local! {
     static REGISTRY: Registry = Registry::new();
 }
 
-/// True when the `noop` feature compiled instrumentation out.
-#[inline(always)]
-pub const fn compiled_out() -> bool {
-    cfg!(feature = "noop")
-}
-
 /// Whether recording is active on this thread.
 #[inline]
 pub fn enabled() -> bool {
-    if compiled_out() {
-        return false;
-    }
     REGISTRY.with(|r| r.enabled.get())
 }
 
-/// Turn recording on/off for this thread. No-op under `noop`.
+/// Turn recording on/off for this thread.
 pub fn set_enabled(on: bool) {
-    if compiled_out() {
-        return;
-    }
     REGISTRY.with(|r| r.enabled.set(on));
 }
 
@@ -355,17 +329,11 @@ pub fn set_enabled(on: bool) {
 /// series points and flight events carry this clock.
 #[inline]
 pub fn set_time(t_ns: u64) {
-    if compiled_out() {
-        return;
-    }
     REGISTRY.with(|r| r.now_ns.set(t_ns));
 }
 
 /// The registry's current simulation time.
 pub fn now() -> u64 {
-    if compiled_out() {
-        return 0;
-    }
     REGISTRY.with(|r| r.now_ns.get())
 }
 
@@ -377,17 +345,11 @@ pub fn now() -> u64 {
 /// standalone/default tenant: everything behaves exactly as before.
 #[inline]
 pub fn set_tenant(t: u32) {
-    if compiled_out() {
-        return;
-    }
     REGISTRY.with(|r| r.tenant.set(t));
 }
 
 /// The active tenant on this thread (0 = standalone/default).
 pub fn tenant() -> u32 {
-    if compiled_out() {
-        return 0;
-    }
     REGISTRY.with(|r| r.tenant.get())
 }
 
@@ -415,9 +377,6 @@ pub fn count(c: Ctr) {
 /// Add `n` to a counter.
 #[inline]
 pub fn count_n(c: Ctr, n: u64) {
-    if compiled_out() {
-        return;
-    }
     REGISTRY.with(|r| {
         if r.capturing.get() {
             capture_push(r, CapturedOp::Count(c, n));
@@ -430,18 +389,12 @@ pub fn count_n(c: Ctr, n: u64) {
 
 /// Current value of a counter.
 pub fn counter(c: Ctr) -> u64 {
-    if compiled_out() {
-        return 0;
-    }
     REGISTRY.with(|r| r.counters[c as usize].get())
 }
 
 /// Set a gauge to `v`.
 #[inline]
 pub fn gauge_set(g: Gauge, v: f64) {
-    if compiled_out() {
-        return;
-    }
     REGISTRY.with(|r| {
         if r.capturing.get() {
             capture_push(r, CapturedOp::GaugeSet(g, v));
@@ -453,18 +406,12 @@ pub fn gauge_set(g: Gauge, v: f64) {
 
 /// Current value of a gauge.
 pub fn gauge(g: Gauge) -> f64 {
-    if compiled_out() {
-        return 0.0;
-    }
     REGISTRY.with(|r| r.gauges[g as usize].get())
 }
 
 /// Record one value into a histogram.
 #[inline]
 pub fn observe(h: Hist, v: u64) {
-    if compiled_out() {
-        return;
-    }
     REGISTRY.with(|r| {
         if r.capturing.get() {
             capture_push(r, CapturedOp::Observe(h, v));
@@ -476,18 +423,12 @@ pub fn observe(h: Hist, v: u64) {
 
 /// Snapshot (clone) of a histogram.
 pub fn histogram(h: Hist) -> LogHistogram {
-    if compiled_out() {
-        return LogHistogram::new();
-    }
     REGISTRY.with(|r| r.hists.borrow()[h as usize].clone())
 }
 
 /// Append a time-series point at the registry's current sim time.
 #[inline]
 pub fn series(metric: &'static str, entity: u32, value: f64) {
-    if compiled_out() {
-        return;
-    }
     REGISTRY.with(|r| {
         let entity = tenant_entity(r.tenant.get(), entity);
         if r.capturing.get() {
@@ -503,9 +444,6 @@ pub fn series(metric: &'static str, entity: u32, value: f64) {
 /// Append a time-series point at an explicit simulation time.
 #[inline]
 pub fn series_at(metric: &'static str, entity: u32, t_ns: u64, value: f64) {
-    if compiled_out() {
-        return;
-    }
     REGISTRY.with(|r| {
         let entity = tenant_entity(r.tenant.get(), entity);
         if r.capturing.get() {
@@ -550,9 +488,6 @@ fn companion_counter(e: &Event) -> Ctr {
 /// registry clock) and bump its companion counter.
 #[inline]
 pub fn event(e: Event) {
-    if compiled_out() {
-        return;
-    }
     REGISTRY.with(|r| {
         if r.capturing.get() {
             capture_push(r, CapturedOp::EventClock(e));
@@ -570,9 +505,6 @@ pub fn event(e: Event) {
 /// instead of maintaining the registry clock per event.
 #[inline]
 pub fn event_at(t_ns: u64, e: Event) {
-    if compiled_out() {
-        return;
-    }
     REGISTRY.with(|r| {
         if r.capturing.get() {
             capture_push(r, CapturedOp::EventAt(t_ns, e));
@@ -593,41 +525,26 @@ fn record_event(r: &Registry, t_ns: u64, e: Event) {
 
 /// Dump the flight recorder (oldest first).
 pub fn flight_events() -> Vec<TimedEvent> {
-    if compiled_out() {
-        return Vec::new();
-    }
     REGISTRY.with(|r| r.flight.borrow().events().copied().collect())
 }
 
 /// Events the flight recorder evicted because its ring was full.
 pub fn flight_dropped() -> u64 {
-    if compiled_out() {
-        return 0;
-    }
     REGISTRY.with(|r| r.flight.borrow().dropped())
 }
 
 /// All time-series points in append order.
 pub fn series_points() -> Vec<SeriesPoint> {
-    if compiled_out() {
-        return Vec::new();
-    }
     REGISTRY.with(|r| r.series.borrow().points().to_vec())
 }
 
 /// Points for one `(metric, entity)` series, in time order.
 pub fn series_get(metric: &str, entity: u32) -> Vec<SeriesPoint> {
-    if compiled_out() {
-        return Vec::new();
-    }
     REGISTRY.with(|r| r.series.borrow().get(metric, entity))
 }
 
 /// All counters as `(name, value)` pairs, including zeros.
 pub fn counters_snapshot() -> Vec<(&'static str, u64)> {
-    if compiled_out() {
-        return Vec::new();
-    }
     REGISTRY.with(|r| {
         Ctr::ALL
             .iter()
@@ -638,9 +555,6 @@ pub fn counters_snapshot() -> Vec<(&'static str, u64)> {
 
 /// All gauges as `(name, value)` pairs.
 pub fn gauges_snapshot() -> Vec<(&'static str, f64)> {
-    if compiled_out() {
-        return Vec::new();
-    }
     REGISTRY.with(|r| {
         Gauge::ALL
             .iter()
@@ -652,9 +566,6 @@ pub fn gauges_snapshot() -> Vec<(&'static str, f64)> {
 /// Clear all recorded data (counters, gauges, histograms, series,
 /// flight recorder). Leaves the enabled flag and clock untouched.
 pub fn reset() {
-    if compiled_out() {
-        return;
-    }
     REGISTRY.with(|r| {
         for c in &r.counters {
             c.set(0);
@@ -718,15 +629,6 @@ impl MemoryFootprint {
 
 /// Measure the registry's current memory footprint.
 pub fn memory_footprint() -> MemoryFootprint {
-    if compiled_out() {
-        return MemoryFootprint {
-            counters_bytes: 0,
-            gauges_bytes: 0,
-            histograms_bytes: 0,
-            series_bytes: 0,
-            flight_bytes: 0,
-        };
-    }
     REGISTRY.with(|r| MemoryFootprint {
         counters_bytes: std::mem::size_of_val(&r.counters),
         gauges_bytes: std::mem::size_of_val(&r.gauges),
@@ -734,34 +636,6 @@ pub fn memory_footprint() -> MemoryFootprint {
         series_bytes: r.series.borrow().memory_bytes(),
         flight_bytes: r.flight.borrow().memory_bytes(),
     })
-}
-
-/// Bump a counter: `tel_count!(Ctr::EcnMarks)` or
-/// `tel_count!(Ctr::Drops, n)`.
-#[macro_export]
-macro_rules! tel_count {
-    ($c:expr) => {
-        $crate::count($c)
-    };
-    ($c:expr, $n:expr) => {
-        $crate::count_n($c, $n)
-    };
-}
-
-/// Record a histogram sample: `tel_observe!(Hist::RttNs, rtt)`.
-#[macro_export]
-macro_rules! tel_observe {
-    ($h:expr, $v:expr) => {
-        $crate::observe($h, $v)
-    };
-}
-
-/// Record a flight-recorder event: `tel_event!(Event::KlTrigger { .. })`.
-#[macro_export]
-macro_rules! tel_event {
-    ($e:expr) => {
-        $crate::event($e)
-    };
 }
 
 #[cfg(test)]

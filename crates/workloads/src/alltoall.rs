@@ -9,16 +9,18 @@
 //! the next round.
 //!
 //! [`AllToAll`] is a round state machine implementing
-//! [`crate::Collective`]: the embedding simulator calls
-//! [`AllToAll::start_round`] to obtain the round's flows and
-//! [`AllToAll::on_flow_done`] at each completion; the latter returns the
-//! start time of the next round once the round drains. Misuse (driving a
-//! finished machine, completions with no round in flight — states hunt
-//! mutations can reach) reports a typed [`CollectiveError`] instead of
-//! panicking, and the final round's duration is recorded *before* the
-//! finished check so bounded runs never lose their last data point.
+//! [`crate::Collective`] over the round bookkeeping the other
+//! collectives share: the embedding simulator calls
+//! [`Collective::start_round`] to obtain the round's flows and
+//! [`Collective::on_flow_done`] at each completion; the latter returns
+//! the start time of the next round once the round drains. Misuse
+//! (driving a finished machine, completions with no round in flight —
+//! states hunt mutations can reach) reports a typed [`CollectiveError`]
+//! instead of panicking, and the final round's duration is recorded
+//! *before* the finished check so bounded runs never lose their last
+//! data point.
 
-use crate::collective::{Collective, CollectiveError, Progress};
+use crate::collective::{Collective, CollectiveError, Progress, RoundCore};
 use crate::{FlowRequest, HostId, Nanos};
 
 /// Configuration of an ON-OFF alltoall workload.
@@ -38,16 +40,7 @@ pub struct AllToAllConfig {
 #[derive(Debug, Clone)]
 pub struct AllToAll {
     cfg: AllToAllConfig,
-    /// Flows still pending in the current round.
-    outstanding: usize,
-    /// Rounds fully completed.
-    pub rounds_done: u32,
-    /// Completion time of the last finished round.
-    pub last_round_end: Option<Nanos>,
-    /// Start time of the current round (if one is running).
-    round_start: Option<Nanos>,
-    /// Per-round durations (FCT of the collective), for the harness.
-    pub round_durations: Vec<Nanos>,
+    core: RoundCore,
 }
 
 impl AllToAll {
@@ -55,14 +48,8 @@ impl AllToAll {
     pub fn new(cfg: AllToAllConfig) -> Self {
         assert!(cfg.workers.len() >= 2, "alltoall needs >= 2 workers");
         assert!(cfg.message_bytes > 0);
-        Self {
-            cfg,
-            outstanding: 0,
-            rounds_done: 0,
-            last_round_end: None,
-            round_start: None,
-            round_durations: Vec::new(),
-        }
+        let core = RoundCore::new(cfg.rounds, cfg.off_time);
+        Self { cfg, core }
     }
 
     /// The configuration.
@@ -70,29 +57,8 @@ impl AllToAll {
         &self.cfg
     }
 
-    /// Whether a round is currently in flight.
-    pub fn round_active(&self) -> bool {
-        self.outstanding > 0
-    }
-
-    /// Whether all configured rounds have completed.
-    pub fn finished(&self) -> bool {
-        match self.cfg.rounds {
-            Some(r) => self.rounds_done >= r && !self.round_active(),
-            None => false,
-        }
-    }
-
-    /// Begin a round at `now`: returns the full-mesh flow set, or a
-    /// typed error if a round is already active or the workload is
-    /// finished.
-    pub fn start_round(&mut self, now: Nanos) -> Result<Vec<FlowRequest>, CollectiveError> {
-        if self.round_active() {
-            return Err(CollectiveError::RoundInFlight);
-        }
-        if self.finished() {
-            return Err(CollectiveError::Finished);
-        }
+    /// The full-mesh flow set of one round starting at `now`.
+    fn mesh(&self, now: Nanos) -> Vec<FlowRequest> {
         let n = self.cfg.workers.len();
         let mut flows = Vec::with_capacity(n * (n - 1));
         for (i, &src) in self.cfg.workers.iter().enumerate() {
@@ -107,56 +73,7 @@ impl AllToAll {
                 }
             }
         }
-        self.outstanding = flows.len();
-        self.round_start = Some(now);
-        Ok(flows)
-    }
-
-    /// Record one flow completion at `now`. When the round drains, the
-    /// round's duration is accounted first, then `Ok(Some(next_round_
-    /// start))` (i.e. `now + off_time`) is returned unless all rounds
-    /// are done (`Ok(None)`). `Err(NoRoundInFlight)` if no round is in
-    /// flight.
-    pub fn on_flow_done(&mut self, now: Nanos) -> Result<Option<Nanos>, CollectiveError> {
-        if self.outstanding == 0 {
-            return Err(CollectiveError::NoRoundInFlight);
-        }
-        self.outstanding -= 1;
-        if self.outstanding > 0 {
-            return Ok(None);
-        }
-        // Account the round *before* the finished check: the final
-        // round of a bounded run must land in `round_durations` too.
-        self.rounds_done += 1;
-        self.last_round_end = Some(now);
-        if let Some(start) = self.round_start.take() {
-            self.round_durations.push(now.saturating_sub(start));
-        }
-        if self.finished() {
-            Ok(None)
-        } else {
-            Ok(Some(now + self.cfg.off_time))
-        }
-    }
-
-    /// Bytes moved per round (diagnostics / bandwidth computation):
-    /// `n·(n−1)·message_bytes`.
-    pub fn bytes_per_round(&self) -> u64 {
-        let n = self.cfg.workers.len() as u64;
-        n * (n - 1) * self.cfg.message_bytes
-    }
-
-    /// NCCL-style alltoall "algorithm bandwidth" for a finished round
-    /// `idx`: per-rank payload divided by round duration, in bytes/sec.
-    /// NCCL defines algbw = total message size per rank / time.
-    pub fn algbw_bytes_per_sec(&self, idx: usize) -> Option<f64> {
-        let d = *self.round_durations.get(idx)?;
-        if d == 0 {
-            return None;
-        }
-        let n = self.cfg.workers.len() as f64;
-        let per_rank = (n - 1.0) * self.cfg.message_bytes as f64;
-        Some(per_rank / (d as f64 / 1e9))
+        flows
     }
 }
 
@@ -170,41 +87,47 @@ impl Collective for AllToAll {
     }
 
     fn round_active(&self) -> bool {
-        AllToAll::round_active(self)
+        self.core.round_active()
     }
 
     fn finished(&self) -> bool {
-        AllToAll::finished(self)
+        self.core.finished()
     }
 
     fn rounds_done(&self) -> u32 {
-        self.rounds_done
+        self.core.rounds_done
     }
 
     fn round_durations(&self) -> &[Nanos] {
-        &self.round_durations
+        &self.core.round_durations
     }
 
+    /// `n·(n−1)·message_bytes`.
     fn bytes_per_round(&self) -> u64 {
-        AllToAll::bytes_per_round(self)
+        let n = self.cfg.workers.len() as u64;
+        n * (n - 1) * self.cfg.message_bytes
     }
 
     fn per_rank_bytes(&self) -> u64 {
         (self.cfg.workers.len() as u64 - 1) * self.cfg.message_bytes
     }
 
+    /// The full-mesh flow set, or a typed error if a round is already
+    /// active or the workload is finished.
     fn start_round(&mut self, now: Nanos) -> Result<Vec<FlowRequest>, CollectiveError> {
-        AllToAll::start_round(self, now)
+        let flows = self.mesh(now);
+        self.core.begin(now, flows.len())?;
+        Ok(flows)
     }
 
+    /// Alltoall is a single wave, so a drained wave is a drained round:
+    /// its duration is accounted, then the next round is due at
+    /// `now + off_time` unless all rounds are done.
     fn on_flow_done(&mut self, now: Nanos) -> Result<Progress, CollectiveError> {
-        let next = AllToAll::on_flow_done(self, now)?;
-        if AllToAll::round_active(self) {
-            Ok(Progress::Pending)
+        if self.core.flow_done()? {
+            Ok(self.core.finish_round(now))
         } else {
-            // Alltoall is a single wave, so a drained wave is a
-            // drained round.
-            Ok(Progress::RoundDone { next_round: next })
+            Ok(Progress::Pending)
         }
     }
 }
@@ -243,13 +166,18 @@ mod tests {
     fn next_round_starts_after_off_time() {
         let mut w = a2a(3, None);
         let flows = w.start_round(100).unwrap();
-        let mut next = None;
+        let mut next = Progress::Pending;
         for k in 0..flows.len() {
             next = w.on_flow_done(1000 + k as Nanos).unwrap();
         }
-        assert_eq!(next, Some(1005 + 20_000_000));
-        assert_eq!(w.rounds_done, 1);
-        assert_eq!(w.round_durations, vec![905]);
+        assert_eq!(
+            next,
+            Progress::RoundDone {
+                next_round: Some(1005 + 20_000_000)
+            }
+        );
+        assert_eq!(w.rounds_done(), 1);
+        assert_eq!(w.round_durations(), [905]);
     }
 
     #[test]
@@ -271,16 +199,18 @@ mod tests {
     #[test]
     fn final_round_duration_is_recorded_when_bounded() {
         let mut w = a2a(2, Some(2));
+        let mut last = Progress::Pending;
         for round in 0u64..2 {
             let start = round * 1_000_000;
             let flows = w.start_round(start).unwrap();
             for k in 0..flows.len() {
-                w.on_flow_done(start + 500 + k as Nanos).unwrap();
+                last = w.on_flow_done(start + 500 + k as Nanos).unwrap();
             }
         }
         assert!(w.finished());
-        assert_eq!(w.round_durations, vec![501, 501]);
-        assert_eq!(w.last_round_end, Some(1_000_501));
+        assert_eq!(w.round_durations(), [501, 501]);
+        // The last round ended at its final completion, 1_000_501.
+        assert_eq!(last, Progress::RoundDone { next_round: None });
     }
 
     #[test]

@@ -116,17 +116,17 @@ pub trait Collective {
 /// duration happens *before* the finished check, so the final round of
 /// a bounded run is always accounted.
 #[derive(Debug, Clone)]
-struct RoundCore {
+pub(crate) struct RoundCore {
     rounds: Option<u32>,
     off_time: Nanos,
     outstanding: usize,
-    rounds_done: u32,
+    pub(crate) rounds_done: u32,
     round_start: Option<Nanos>,
-    round_durations: Vec<Nanos>,
+    pub(crate) round_durations: Vec<Nanos>,
 }
 
 impl RoundCore {
-    fn new(rounds: Option<u32>, off_time: Nanos) -> Self {
+    pub(crate) fn new(rounds: Option<u32>, off_time: Nanos) -> Self {
         Self {
             rounds,
             off_time,
@@ -137,18 +137,18 @@ impl RoundCore {
         }
     }
 
-    fn round_active(&self) -> bool {
+    pub(crate) fn round_active(&self) -> bool {
         self.outstanding > 0
     }
 
-    fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         match self.rounds {
             Some(r) => self.rounds_done >= r && !self.round_active(),
             None => false,
         }
     }
 
-    fn begin(&mut self, now: Nanos, wave_len: usize) -> Result<(), CollectiveError> {
+    pub(crate) fn begin(&mut self, now: Nanos, wave_len: usize) -> Result<(), CollectiveError> {
         if self.round_active() {
             return Err(CollectiveError::RoundInFlight);
         }
@@ -161,7 +161,7 @@ impl RoundCore {
     }
 
     /// One completion; `Ok(true)` when the current wave just drained.
-    fn flow_done(&mut self) -> Result<bool, CollectiveError> {
+    pub(crate) fn flow_done(&mut self) -> Result<bool, CollectiveError> {
         if self.outstanding == 0 {
             return Err(CollectiveError::NoRoundInFlight);
         }
@@ -176,7 +176,7 @@ impl RoundCore {
 
     /// Close the round at `now`: account its duration, then decide
     /// whether another round follows.
-    fn finish_round(&mut self, now: Nanos) -> Progress {
+    pub(crate) fn finish_round(&mut self, now: Nanos) -> Progress {
         self.rounds_done += 1;
         if let Some(start) = self.round_start.take() {
             self.round_durations.push(now.saturating_sub(start));

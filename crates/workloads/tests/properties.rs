@@ -150,21 +150,24 @@ proptest! {
         for _ in 0..rounds {
             let flows = a2a.start_round(t).unwrap();
             prop_assert_eq!(flows.len(), n * (n - 1));
-            let mut next = None;
+            let mut last = Progress::Pending;
             for _ in 0..flows.len() {
                 t += 1;
-                next = a2a.on_flow_done(t).unwrap();
+                last = a2a.on_flow_done(t).unwrap();
             }
+            let Progress::RoundDone { next_round } = last else {
+                panic!("the round's last completion must end it: {last:?}");
+            };
             if a2a.finished() {
-                prop_assert!(next.is_none());
+                prop_assert!(next_round.is_none());
             } else {
-                let nr = next.expect("next round scheduled");
+                let nr = next_round.expect("next round scheduled");
                 prop_assert!(nr >= t + 10);
                 t = nr;
             }
         }
         prop_assert!(a2a.finished());
-        prop_assert_eq!(a2a.round_durations.len(), rounds as usize);
+        prop_assert_eq!(a2a.round_durations().len(), rounds as usize);
     }
 
     /// `fixed(b)` samples exactly `b` for any `b` — the regression the

@@ -34,7 +34,7 @@ fn run(scheme: SchemeKind) -> (String, Vec<f64>) {
         rounds: Some(6),
     });
     drivers::run_collective(&mut cl, &mut a2a, 0, 10 * SEC);
-    let algbw: Vec<f64> = (0..a2a.round_durations.len())
+    let algbw: Vec<f64> = (0..a2a.round_durations().len())
         .filter_map(|i| a2a.algbw_bytes_per_sec(i))
         .map(|b| b * 8.0 / 1e9)
         .collect();

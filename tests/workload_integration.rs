@@ -54,7 +54,7 @@ fn alltoall_rounds_are_synchronized_and_gapped() {
     let records = drivers::run_collective(&mut cl, &mut a2a, 0, 10 * SEC);
     assert!(a2a.finished());
     assert_eq!(records.len(), 3 * 8 * 7);
-    assert_eq!(a2a.round_durations.len(), 3);
+    assert_eq!(a2a.round_durations().len(), 3);
     // Verify the OFF gap: the earliest start of round k+1 is at least
     // off_time after the last finish of round k.
     let mut finishes: Vec<u64> = records.iter().map(|r| r.finish).collect();
