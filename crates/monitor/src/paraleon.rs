@@ -42,7 +42,6 @@ pub struct ParaleonMonitor {
     /// Measurement points aged out so far (statistics).
     aged_out: u64,
     uploaded: u64,
-    last_fsd: Fsd,
 }
 
 impl ParaleonMonitor {
@@ -56,7 +55,6 @@ impl ParaleonMonitor {
             max_idle_intervals: DEFAULT_MAX_IDLE_INTERVALS,
             aged_out: 0,
             uploaded: 0,
-            last_fsd: Fsd::empty(),
         }
     }
 
@@ -125,7 +123,6 @@ impl FsdMonitor for ParaleonMonitor {
         for (_, local) in self.ingest_points(readings) {
             network.merge(&local);
         }
-        self.last_fsd = network.clone();
         Some(network)
     }
 

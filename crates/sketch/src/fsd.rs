@@ -228,6 +228,15 @@ impl Fsd {
     }
 }
 
+/// Histogram bin of a flow of `size_bytes`: ⌊log₂ size⌋, clamped.
+pub(crate) fn size_bin(size_bytes: u64) -> usize {
+    if size_bytes <= 1 {
+        0
+    } else {
+        (63 - size_bytes.leading_zeros() as usize).min(FSD_BINS - 1)
+    }
+}
+
 /// Accumulates per-flow observations into an [`Fsd`].
 #[derive(Debug, Clone, Default)]
 pub struct FsdBuilder {
@@ -253,16 +262,31 @@ impl FsdBuilder {
     /// distribution reflects current traffic rather than lifetime volume.
     pub fn add_flow_weighted(&mut self, size_bytes: u64, share_bytes: u64, elephant_weight: f64) {
         let w = elephant_weight.clamp(0.0, 1.0);
-        let bin = if size_bytes <= 1 {
-            0
-        } else {
-            (63 - size_bytes.leading_zeros() as usize).min(FSD_BINS - 1)
-        };
-        self.fsd.hist[bin] += 1.0;
+        self.fsd.hist[size_bin(size_bytes)] += 1.0;
         self.fsd.elephant_bytes += share_bytes as f64 * w;
         self.fsd.mice_bytes += share_bytes as f64 * (1.0 - w);
         self.fsd.elephant_mass += w;
         self.fsd.mice_mass += 1.0 - w;
+    }
+
+    /// Add flows of weight 0 or 1 in bulk: `bins[i]` flows in size bin
+    /// `i`, `flows = [mice, elephants]` of them per class, carrying
+    /// `share_bytes = [mice, elephants]`. The same as one
+    /// [`add_flow_weighted`](Self::add_flow_weighted) per flow, since
+    /// every term is an integer and integer sums below 2⁵³ are exact.
+    pub(crate) fn add_whole_flows(
+        &mut self,
+        bins: &[u64; FSD_BINS],
+        flows: [u64; 2],
+        share_bytes: [u64; 2],
+    ) {
+        for (h, &n) in self.fsd.hist.iter_mut().zip(bins) {
+            *h += n as f64;
+        }
+        self.fsd.mice_bytes += share_bytes[0] as f64;
+        self.fsd.elephant_bytes += share_bytes[1] as f64;
+        self.fsd.mice_mass += flows[0] as f64;
+        self.fsd.elephant_mass += flows[1] as f64;
     }
 
     /// Finish and return the snapshot.

@@ -22,7 +22,7 @@ pub fn hash64(key: u64, seed: u64) -> u64 {
 ///
 /// `SlidingWindowClassifier` only *looks flows up* in its `index` (flow →
 /// record slot); no result depends on the map's iteration order — its
-/// float sums run over the dense record array. What the fixed function
+/// float sums run over its active list. What the fixed function
 /// still buys over the standard per-instance-seeded SipHash: one SplitMix
 /// round per lookup on the per-interval hot path, and a map whose layout
 /// and probe lengths repeat in every run and every `Clone`, so timings

@@ -25,7 +25,7 @@ use std::collections::hash_map::Entry;
 
 use serde::{Deserialize, Serialize};
 
-use crate::fsd::{Fsd, FsdBuilder};
+use crate::fsd::{size_bin, Fsd, FsdBuilder, FSD_BINS};
 use crate::hash::FlowMap;
 use crate::FlowId;
 
@@ -67,15 +67,18 @@ struct FlowRecord {
     flow: FlowId,
     /// Aggregated bytes Φ(f) since the flow was first seen.
     cum_bytes: u64,
-    /// Sum of the flow's window row: bytes over the most recent δ intervals.
+    /// Sum of the flow's window row while it is active (stale while idle).
     recent_sum: u64,
     /// Bytes reported so far in the interval being closed.
     pending: u64,
+    /// The `end_interval` call (0-based) that closed the first zero-byte
+    /// interval of the current idle run; meaningless while active.
+    idle_since: u64,
     /// Consecutive just-ended intervals with positive bytes.
-    active_run: usize,
-    /// Consecutive just-ended intervals with zero bytes.
-    idle_run: usize,
+    active_run: u32,
     state: FlowState,
+    /// On the active list (else idle and counted in the tallies).
+    active: bool,
 }
 
 impl FlowRecord {
@@ -87,28 +90,68 @@ impl FlowRecord {
             FlowState::Mice => 0.0,
         }
     }
+
+    /// Tally class of an idle flow: 1 for E, 0 for M (never PE).
+    fn class(&self) -> usize {
+        usize::from(self.state == FlowState::Elephant)
+    }
+}
+
+/// What the idle flows add to the local FSD, as integers per class
+/// (`[mice, elephants]`).
+#[derive(Debug, Clone)]
+struct IdleTally {
+    /// Idle flows per size bin of Φ.
+    bins: [u64; FSD_BINS],
+    /// Idle flows per class.
+    flows: [u64; 2],
+    /// Per window column, the idle flows' bytes still inside the window.
+    columns: Vec<[u64; 2]>,
+}
+
+impl IdleTally {
+    fn add_to(&self, b: &mut FsdBuilder) {
+        let bytes = self
+            .columns
+            .iter()
+            .fold([0; 2], |[m, e], c| [m + c[0], e + c[1]]);
+        b.add_whole_flows(&self.bins, self.flows, bytes);
+    }
 }
 
 /// The switch-control-plane flow state tracker (Keypoint 2).
 ///
-/// Three flat pieces: `index` maps a flow to its slot, `records[slot]` is
-/// the flow's state and `window[slot * δ..][..δ]` its per-interval byte
-/// ring. Closing an interval costs one hash lookup per *reported* flow
-/// and one sequential pass over `records`; idle flows waiting out
-/// `expiry_intervals` are never hashed.
+/// Closing an interval touches only the flows that moved: those
+/// reported with bytes now or in the last interval (the `active` list),
+/// and those whose expiry falls due. A flow that reports nothing is E or
+/// M and, until it moves or expires, contributes a fixed set of integers
+/// to the local FSD — one flow in its size bin and class, plus the bytes
+/// still inside its window — which `idle` keeps as tallies instead of
+/// visiting the flow. Records live in a slab (`records[slot]`, window
+/// row `window[slot * δ..][..δ]`); expired slots go on a free list.
 #[derive(Debug, Clone)]
 pub struct SlidingWindowClassifier {
     cfg: WindowConfig,
     /// Flow → slot in `records`; looked up, never iterated.
     index: FlowMap<u32>,
-    /// Dense, in first-report order except where an expiry moved the last
-    /// record into the hole.
+    /// Slab of records; the slots on `free` hold no flow.
     records: Vec<FlowRecord>,
-    /// `records.len() × δ` byte counts; the interval being closed writes
-    /// column `intervals_processed % δ` of every row.
+    /// `records.len() × δ` byte counts; call `n` writes column `n % δ`
+    /// of every active row. An idle row is not rewritten: its cells are
+    /// live until their column comes round again.
     window: Vec<u64>,
+    free: Vec<u32>,
+    /// Slots of the flows the next close sweeps.
+    active: Vec<u32>,
+    idle: IdleTally,
+    /// Idle slots by the call at which they expire, modulo the number of
+    /// buckets (`expiry_intervals`); an entry whose flow woke since is
+    /// stale and skipped.
+    wheel: Vec<Vec<u32>>,
+    /// The local FSD as of the last close.
+    fsd: Fsd,
     /// Number of `end_interval` calls so far.
-    pub intervals_processed: u64,
+    intervals_processed: u64,
 }
 
 impl SlidingWindowClassifier {
@@ -120,6 +163,15 @@ impl SlidingWindowClassifier {
             index: FlowMap::default(),
             records: Vec::new(),
             window: Vec::new(),
+            free: Vec::new(),
+            active: Vec::new(),
+            idle: IdleTally {
+                bins: [0; FSD_BINS],
+                flows: [0; 2],
+                columns: vec![[0; 2]; cfg.delta],
+            },
+            wheel: vec![Vec::new(); cfg.expiry_intervals.max(1)],
+            fsd: Fsd::empty(),
             intervals_processed: 0,
         }
     }
@@ -131,67 +183,94 @@ impl SlidingWindowClassifier {
 
     /// Close a monitor interval: feed the per-flow byte counts drained
     /// from the data-plane sketch, update every tracked flow's ternary
-    /// state, and expire finished flows.
+    /// state, expire finished flows and build the local FSD.
     pub fn end_interval<I>(&mut self, interval_bytes: I)
     where
         I: IntoIterator<Item = (FlowId, u64)>,
     {
         let delta = self.cfg.delta;
-        let column = (self.intervals_processed % delta as u64) as usize;
+        let now = self.intervals_processed;
+        let column = (now % delta as u64) as usize;
         self.intervals_processed += 1;
+        // Every idle flow's oldest cell rolls out of the window.
+        self.idle.columns[column] = [0; 2];
         for (flow, bytes) in interval_bytes {
             let slot = match self.index.entry(flow) {
                 Entry::Occupied(e) => *e.get() as usize,
                 Entry::Vacant(e) => {
-                    let slot = self.records.len();
-                    e.insert(u32::try_from(slot).expect("fewer than 2^32 tracked flows"));
-                    self.records.push(FlowRecord {
+                    let record = FlowRecord {
                         flow,
                         cum_bytes: 0,
                         recent_sum: 0,
                         pending: 0,
+                        idle_since: 0,
                         active_run: 0,
-                        idle_run: 0,
                         state: FlowState::Mice,
-                    });
-                    self.window.resize((slot + 1) * delta, 0);
+                        active: true,
+                    };
+                    let slot = match self.free.pop() {
+                        Some(slot) => {
+                            let slot = slot as usize;
+                            self.records[slot] = record;
+                            self.window[slot * delta..][..delta].fill(0);
+                            slot
+                        }
+                        None => {
+                            self.records.push(record);
+                            self.window.resize(self.records.len() * delta, 0);
+                            self.records.len() - 1
+                        }
+                    };
+                    let slot32 = u32::try_from(slot).expect("fewer than 2^32 tracked flows");
+                    e.insert(slot32);
+                    self.active.push(slot32);
                     slot
                 }
             };
+            if bytes > 0 && !self.records[slot].active {
+                self.leave_idle(slot, now);
+                self.records[slot].active = true;
+                self.active.push(slot as u32);
+            }
             self.records[slot].pending += bytes;
         }
-        // Every tracked flow, reported or idle: slide its window, update
-        // its state, expire it if finished. An expiry refills `slot` with
-        // the last record, which this pass has not reached yet.
-        let expiry = self.cfg.expiry_intervals.max(1);
-        let mut slot = 0;
-        while slot < self.records.len() {
+        // The active list: slide each window, update the state, and
+        // either keep the flow (positive bytes) or let it go idle.
+        let mut b = FsdBuilder::new();
+        let mut kept = 0;
+        for i in 0..self.active.len() {
+            let slot = self.active[i] as usize;
             let rec = &mut self.records[slot];
             let bytes = std::mem::take(&mut rec.pending);
             let cell = &mut self.window[slot * delta + column];
             rec.recent_sum = rec.recent_sum - *cell + bytes;
             *cell = bytes;
             Self::update_record(&self.cfg, rec, bytes);
-            if rec.idle_run < expiry {
-                slot += 1;
+            if bytes > 0 {
+                let w = rec.elephant_weight(self.cfg.tau_bytes);
+                b.add_flow_weighted(rec.cum_bytes, rec.recent_sum, w);
+                self.active[kept] = slot as u32;
+                kept += 1;
             } else {
-                self.expire(slot);
+                self.go_idle(slot, now);
             }
         }
+        self.active.truncate(kept);
+        self.expire_due(now);
+        self.idle.add_to(&mut b);
+        self.fsd = b.build();
+    }
+
+    fn expiry(&self) -> u64 {
+        self.cfg.expiry_intervals.max(1) as u64
     }
 
     fn update_record(cfg: &WindowConfig, rec: &mut FlowRecord, bytes: u64) {
         rec.cum_bytes += bytes;
-        if bytes > 0 {
-            rec.active_run += 1;
-            rec.idle_run = 0;
-        } else {
-            rec.active_run = 0;
-            rec.idle_run += 1;
-        }
+        rec.active_run = if bytes > 0 { rec.active_run + 1 } else { 0 };
         rec.state = if rec.cum_bytes >= cfg.tau_bytes {
             FlowState::Elephant
-        } else if bytes > 0 && rec.active_run >= cfg.delta {
+        } else if bytes > 0 && rec.active_run as usize >= cfg.delta {
             FlowState::PotentialElephant
         } else if rec.state == FlowState::PotentialElephant && bytes > 0 {
             // Rule (2): a PE flow stays PE while it remains active.
@@ -201,20 +280,68 @@ impl SlidingWindowClassifier {
         };
     }
 
-    /// Drop the record in `slot`; the last record and its window row move
-    /// into the hole.
-    fn expire(&mut self, slot: usize) {
-        let delta = self.cfg.delta;
-        let last = self.records.len() - 1;
-        let gone = self.records.swap_remove(slot);
-        self.index.remove(&gone.flow);
-        if slot < last {
-            self.window
-                .copy_within(last * delta..(last + 1) * delta, slot * delta);
-            let moved = self.records[slot].flow;
-            *self.index.get_mut(&moved).expect("every record is indexed") = slot as u32;
+    /// The flow in `slot` went idle in call `now`: count it in the
+    /// tallies, its whole row included (every cell is live), and put it
+    /// on the wheel.
+    fn go_idle(&mut self, slot: usize, now: u64) {
+        let (delta, expiry) = (self.cfg.delta, self.expiry());
+        self.wheel[((now + expiry - 1) % expiry) as usize].push(slot as u32);
+        let rec = &mut self.records[slot];
+        rec.active = false;
+        rec.idle_since = now;
+        let class = rec.class();
+        self.idle.bins[size_bin(rec.cum_bytes)] += 1;
+        self.idle.flows[class] += 1;
+        let row = &self.window[slot * delta..][..delta];
+        for (column, &bytes) in self.idle.columns.iter_mut().zip(row) {
+            column[class] += bytes;
         }
-        self.window.truncate(last * delta);
+    }
+
+    /// Take the idle flow in `slot` out of the tallies in call `now`
+    /// (its column already cleared): the cells of calls after `now − δ`
+    /// are still live and leave the tallies, the others rolled out and
+    /// are zeroed, and `recent_sum` is the row's sum again.
+    fn leave_idle(&mut self, slot: usize, now: u64) {
+        let delta = self.cfg.delta;
+        let rec = &mut self.records[slot];
+        let class = rec.class();
+        self.idle.bins[size_bin(rec.cum_bytes)] -= 1;
+        self.idle.flows[class] -= 1;
+        let live = (rec.idle_since + delta as u64).saturating_sub(now) as usize;
+        let row = &mut self.window[slot * delta..][..delta];
+        rec.recent_sum = 0;
+        // Walk back from the newest cell, the one of call `idle_since`.
+        let mut column = (rec.idle_since % delta as u64) as usize;
+        for age in 0..delta {
+            if age < live {
+                self.idle.columns[column][class] -= row[column];
+                rec.recent_sum += row[column];
+            } else {
+                row[column] = 0;
+            }
+            column = column.checked_sub(1).unwrap_or(delta - 1);
+        }
+    }
+
+    /// Expire the idle flows whose idle run reaches `expiry_intervals`
+    /// in call `now`. Runs after the sweep, so that at an expiry of 1 a
+    /// flow goes in the call it falls idle.
+    fn expire_due(&mut self, now: u64) {
+        let expiry = self.expiry();
+        let bucket = (now % expiry) as usize;
+        let mut due = std::mem::take(&mut self.wheel[bucket]);
+        for &slot in &due {
+            let slot = slot as usize;
+            let rec = &self.records[slot];
+            if !rec.active && rec.idle_since + expiry - 1 == now {
+                self.leave_idle(slot, now);
+                self.index.remove(&self.records[slot].flow);
+                self.free.push(slot as u32);
+            }
+        }
+        due.clear();
+        self.wheel[bucket] = due;
     }
 
     fn record(&self, flow: FlowId) -> Option<&FlowRecord> {
@@ -235,7 +362,7 @@ impl SlidingWindowClassifier {
 
     /// Number of flows currently tracked.
     pub fn tracked_flows(&self) -> usize {
-        self.records.len()
+        self.index.len()
     }
 
     /// Likelihood weight with which a flow counts as elephant:
@@ -245,41 +372,40 @@ impl SlidingWindowClassifier {
             .map_or(0.0, |r| r.elephant_weight(self.cfg.tau_bytes))
     }
 
-    /// Build this switch's local flow size distribution snapshot from the
-    /// tracked flow states (the per-interval upload to the controller).
+    /// This switch's local flow size distribution snapshot from the
+    /// tracked flow states (the per-interval upload to the controller),
+    /// as the last [`end_interval`](Self::end_interval) built it.
     ///
     /// Size bins use the aggregated bytes Φ; byte shares use the recent
     /// δ-interval window, so the share distribution — which drives the KL
     /// trigger and the dominant-type µ — tracks *current* traffic instead
     /// of lifetime volume.
     ///
-    /// The float sums run in record order, which an expiry permutes (the
-    /// previous layout summed in hash-bucket order). With τ = 2ᵏ — the
-    /// default 2²⁰ is the only value anything constructs — no order can
-    /// show: a weight `w` is 0, 1 or Φ/2ᵏ with Φ < 2ᵏ (a PE flow is under
-    /// τ), a PE flow's window bytes are ≤ Φ, so every term added — `w`,
-    /// `1 − w`, window bytes × either — is an exact multiple of 2⁻ᵏ, and
-    /// so is every partial sum below 2⁵³⁻ᵏ (8 GiB of window bytes per
-    /// switch at k = 20). Exact additions commute. At any other τ the
-    /// result is run-independent (the order follows from the inputs alone)
-    /// but moves in the last bits with the order.
+    /// The active flows are summed in active-list order, then the idle
+    /// tallies are added as whole numbers. With τ = 2ᵏ — the default 2²⁰
+    /// is the only value anything constructs — neither the order nor the
+    /// tallies can show: a weight `w` is 0, 1 or Φ/2ᵏ with Φ < 2ᵏ (a PE
+    /// flow is under τ), a PE flow's window bytes are ≤ Φ, so every term
+    /// — `w`, `1 − w`, window bytes × either — is an exact multiple of
+    /// 2⁻ᵏ, and so is every partial sum below 2⁵³⁻ᵏ (8 GiB of window bytes
+    /// per switch at k = 20). Exact additions commute. At any other τ the
+    /// result is run-independent (the order follows from the inputs
+    /// alone) but the PE terms move in the last bits with the order.
     pub fn local_fsd(&self) -> Fsd {
-        let mut b = FsdBuilder::new();
-        for r in &self.records {
-            let w = r.elephant_weight(self.cfg.tau_bytes);
-            b.add_flow_weighted(r.cum_bytes, r.recent_sum, w);
-        }
-        b.build()
+        self.fsd.clone()
     }
 
     /// Control-plane memory use in bytes (Table IV): per tracked flow its
-    /// record, its window row and its `index` entry (key, slot, hashbrown
-    /// control byte). Length-based — spare `Vec`/map capacity is not
-    /// counted — so the figure repeats exactly.
+    /// record, its window row, its `index` entry (key, slot, hashbrown
+    /// control byte) and the slot that lists it on the active list or
+    /// the expiry wheel. Length-based — spare capacity, free slots and
+    /// the fixed-size tallies are not counted — so the figure repeats
+    /// exactly.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let row = self.cfg.delta * size_of::<u64>();
-        self.records.len() * (size_of::<FlowRecord>() + row + size_of::<(FlowId, u32)>() + 1)
+        self.tracked_flows()
+            * (size_of::<FlowRecord>() + row + size_of::<(FlowId, u32)>() + 1 + size_of::<u32>())
     }
 }
 
@@ -447,8 +573,9 @@ mod tests {
 
     #[test]
     fn memory_grows_linearly_with_flows() {
-        // Record + δ = 3 window cells + index entry (key, slot, control byte).
-        let per_flow = std::mem::size_of::<FlowRecord>() + 3 * 8 + 16 + 1;
+        // Record + δ = 3 window cells + index entry (key, slot, control
+        // byte) + active-list/wheel slot.
+        let per_flow = std::mem::size_of::<FlowRecord>() + 3 * 8 + 16 + 1 + 4;
         let mut c = classifier();
         c.end_interval((0..100u64).map(|f| (f, 1000u64)));
         assert_eq!(c.memory_bytes(), 100 * per_flow);
@@ -456,29 +583,75 @@ mod tests {
         assert_eq!(c.memory_bytes(), 300 * per_flow);
     }
 
-    /// The layout invariants: every record is indexed at its own slot,
-    /// owns one window row, and that row sums to its `recent_sum`.
+    /// The flow's window as of the last close: its row, with the cells an
+    /// idle flow has let roll out read as zero.
+    fn row_of(c: &SlidingWindowClassifier, flow: FlowId) -> Vec<u64> {
+        let delta = c.cfg.delta;
+        let slot = c.index[&flow] as usize;
+        let rec = &c.records[slot];
+        let mut row = c.window[slot * delta..][..delta].to_vec();
+        if !rec.active {
+            // After call n = intervals_processed − 1 the window holds
+            // calls n − δ + 1 ..= n; the idle row's newest is idle_since.
+            let live = (rec.idle_since + delta as u64).saturating_sub(c.intervals_processed - 1);
+            for age in live..delta as u64 {
+                let call = rec.idle_since.wrapping_sub(age);
+                row[(call % delta as u64) as usize] = 0;
+            }
+        }
+        row
+    }
+
+    /// The layout invariants: every tracked flow is indexed at a live
+    /// slot; the active list holds exactly the active flows, each row
+    /// summing to its `recent_sum`; every idle flow is E or M and due on
+    /// the wheel; and the idle tallies equal a recount over the idle
+    /// flows.
     fn assert_consistent(c: &SlidingWindowClassifier) {
         let delta = c.cfg.delta;
-        assert_eq!(c.index.len(), c.records.len());
+        let expiry = c.expiry();
         assert_eq!(c.window.len(), c.records.len() * delta);
-        for (slot, r) in c.records.iter().enumerate() {
-            assert_eq!(c.index.get(&r.flow), Some(&(slot as u32)), "{r:?}");
-            let row = &c.window[slot * delta..][..delta];
-            assert_eq!(row.iter().sum::<u64>(), r.recent_sum, "{r:?}");
+        assert_eq!(c.index.len() + c.free.len(), c.records.len());
+        let mut active = c.active.clone();
+        active.sort_unstable();
+        active.dedup();
+        assert_eq!(active.len(), c.active.len(), "active list repeats a slot");
+        let (mut bins, mut flows, mut columns) =
+            ([0u64; FSD_BINS], [0u64; 2], vec![[0u64; 2]; delta]);
+        for (&flow, &slot) in &c.index {
+            assert!(!c.free.contains(&slot), "flow {flow} on a free slot");
+            let r = &c.records[slot as usize];
+            assert_eq!(r.flow, flow, "{r:?}");
             assert_eq!(r.pending, 0, "{r:?}");
+            assert_eq!(r.active, active.binary_search(&slot).is_ok(), "{r:?}");
+            let row = row_of(c, flow);
+            if r.active {
+                assert_eq!(row.iter().sum::<u64>(), r.recent_sum, "{r:?}");
+                continue;
+            }
+            assert_ne!(r.state, FlowState::PotentialElephant, "{r:?}");
+            let due = r.idle_since + expiry - 1;
+            assert!(due >= c.intervals_processed, "{r:?} overdue");
+            assert!(c.wheel[(due % expiry) as usize].contains(&slot), "{r:?}");
+            bins[size_bin(r.cum_bytes)] += 1;
+            flows[r.class()] += 1;
+            for (column, bytes) in columns.iter_mut().zip(row) {
+                column[r.class()] += bytes;
+            }
         }
+        assert_eq!(
+            active.len() + flows.iter().sum::<u64>() as usize,
+            c.index.len()
+        );
+        assert_eq!(c.idle.bins, bins);
+        assert_eq!(c.idle.flows, flows);
+        assert_eq!(c.idle.columns, columns);
     }
 
     /// Distinct per flow and interval, so a row that ended up under the
     /// wrong flow cannot pass for the right one.
     fn bytes_of(flow: FlowId, mi: u64) -> u64 {
         flow * 1000 + mi
-    }
-
-    fn row_of(c: &SlidingWindowClassifier, flow: FlowId) -> &[u64] {
-        let slot = c.index[&flow] as usize;
-        &c.window[slot * c.cfg.delta..][..c.cfg.delta]
     }
 
     #[test]
@@ -491,8 +664,8 @@ mod tests {
         c.end_interval((10..=16u64).map(|f| (f, bytes_of(f, 0))));
         assert_consistent(&c);
         // Slots 0 (flow 10), 3 (flow 13) and 6 (flow 16) fall silent and
-        // reach the expiry horizon in the same interval: the pass expires
-        // slot 0, pulls flow 16 into it and expires that too.
+        // reach the expiry horizon in the same interval: one wheel bucket
+        // frees all three, and no survivor moves.
         for mi in 1..=2 {
             c.end_interval(survivors.iter().map(|&f| (f, bytes_of(f, mi))));
             assert_consistent(&c);
@@ -508,9 +681,10 @@ mod tests {
             assert_eq!(c.cumulative_bytes(f), Some(want.iter().sum()));
         }
         // A flow that returns after expiry starts from nothing, next to a
-        // flow never seen before.
+        // flow never seen before; both take freed slots.
         c.end_interval([(10, 7), (20, 9)]);
         assert_consistent(&c);
+        assert_eq!((c.records.len(), c.free.len()), (7, 1));
         assert_eq!(c.cumulative_bytes(10), Some(7));
         assert_eq!(row_of(&c, 10), [7, 0, 0]);
         assert_eq!(row_of(&c, 20), [9, 0, 0]);
@@ -524,7 +698,7 @@ mod tests {
             ..WindowConfig::default()
         });
         c.end_interval([(1, 100), (2, 200), (3, 300)]);
-        c.end_interval([(1, 101), (2, 201)]); // slot 2 == last expires
+        c.end_interval([(1, 101), (2, 201)]); // the last slot expires
         assert_consistent(&c);
         assert_eq!(c.tracked_flows(), 2);
         assert_eq!(row_of(&c, 1), [100, 101, 0]);

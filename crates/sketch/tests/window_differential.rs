@@ -1,7 +1,8 @@
-//! Differential test of `SlidingWindowClassifier` (dense records + one
-//! window slab) against the implementation it replaced: a map of per-flow
-//! records, each holding its own `VecDeque` ring, rebuilt around a fresh
-//! `seen` map every interval.
+//! Differential test of `SlidingWindowClassifier` (a slab swept only over
+//! the flows that moved, with idle flows kept as integer tallies and an
+//! expiry wheel) against the straightforward implementation: a map of
+//! per-flow records, each holding its own `VecDeque` ring, every one
+//! visited every interval around a fresh `seen` map.
 //!
 //! `reference` is that implementation as it stood, minus what no test
 //! drives (`config`, `memory_bytes`, the interval counter) and with the
@@ -189,7 +190,7 @@ fn trace() -> impl Strategy<Value = Vec<Vec<(FlowId, u64)>>> {
 }
 
 fn config(tau_bytes: u64) -> impl Strategy<Value = WindowConfig> {
-    (1usize..=5, 1usize..=4).prop_map(move |(delta, expiry_intervals)| WindowConfig {
+    (1usize..=5, 1usize..=10).prop_map(move |(delta, expiry_intervals)| WindowConfig {
         tau_bytes,
         delta,
         expiry_intervals,
@@ -227,6 +228,8 @@ fn drive(cfg: WindowConfig, trace: &[Vec<(FlowId, u64)>], fsd_agrees: impl Fn(&F
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
     /// τ = 2²⁰, the production value: every float term is dyadic, so the
     /// two summation orders give the same bits. (`Fsd: PartialEq`
     /// compares every field; for finite non-negative floats `==` is bit
@@ -257,19 +260,37 @@ proptest! {
 }
 
 /// The generators above are only worth something if they reach the
-/// states the layout change could break: PE flows, expiries, and flows
-/// that return after expiring.
+/// states the layout could break: PE flows, expiries, flows that return
+/// after expiring, and idle flows re-reported before they expire — with
+/// window bytes still live, or after the window drained.
 #[test]
 fn traces_reach_pe_expiry_and_reappearance() {
     use rand::{rngs::StdRng, SeedableRng};
     let (mut pe, mut expired, mut returned) = (0, 0, 0);
+    let (mut woke_live, mut woke_drained) = (0, 0);
     for case in 0..64 {
         let mut rng = StdRng::seed_from_u64(case);
         let cfg = config(1 << 20).sample(&mut rng);
         let mut c = SlidingWindowClassifier::new(cfg);
         let mut was_tracked = [false; FLOWS as usize];
         let mut has_expired = [false; FLOWS as usize];
-        for batch in trace().sample(&mut rng) {
+        // The last interval each tracked flow reported positive bytes.
+        let mut last_bytes: [Option<usize>; FLOWS as usize] = [None; FLOWS as usize];
+        for (mi, batch) in trace().sample(&mut rng).into_iter().enumerate() {
+            let mut moved = [false; FLOWS as usize];
+            for &(f, b) in &batch {
+                moved[f as usize] |= b > 0;
+            }
+            for i in (0..FLOWS as usize).filter(|&i| moved[i]) {
+                // Idle since interval `p + 1`: the bytes of `p` are live
+                // through interval `p + δ − 1`.
+                match last_bytes[i] {
+                    Some(p) if p + 1 < mi && p + cfg.delta > mi => woke_live += 1,
+                    Some(p) if p + 1 < mi => woke_drained += 1,
+                    _ => {}
+                }
+                last_bytes[i] = Some(mi);
+            }
             c.end_interval(batch);
             for f in 0..FLOWS {
                 let (i, state) = (f as usize, c.state(f));
@@ -277,6 +298,7 @@ fn traces_reach_pe_expiry_and_reappearance() {
                 if was_tracked[i] && state.is_none() {
                     expired += 1;
                     has_expired[i] = true;
+                    last_bytes[i] = None;
                 }
                 returned += usize::from(has_expired[i] && !was_tracked[i] && state.is_some());
                 was_tracked[i] = state.is_some();
@@ -284,7 +306,7 @@ fn traces_reach_pe_expiry_and_reappearance() {
         }
     }
     assert!(
-        pe > 100 && expired > 100 && returned > 100,
-        "{pe} {expired} {returned}"
+        pe > 100 && expired > 100 && returned > 100 && woke_live > 100 && woke_drained > 100,
+        "{pe} {expired} {returned} {woke_live} {woke_drained}"
     );
 }
