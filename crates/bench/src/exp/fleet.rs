@@ -148,9 +148,6 @@ struct TenantSummary {
     lambda_us: u64,
     intervals: usize,
     completions: usize,
-    backlog: usize,
-    upload_drops: u64,
-    starved: u64,
     faulted: bool,
 }
 
@@ -172,10 +169,6 @@ struct FleetRow {
     phase_a_efficiency: f64,
     controller_mem_bytes: usize,
     mem_per_tenant_bytes: usize,
-    turns: u64,
-    throttled: u64,
-    starved_turns: u64,
-    upload_drops: u64,
     serial_threaded_identical: bool,
     standalone_identical: bool,
     snapshot_round_trip_ok: bool,
@@ -201,17 +194,14 @@ struct Timing {
     phase_b_us: f64,
     /// Σ `busy` / Σ (`workers` × `phase_a`).
     phase_a_efficiency: f64,
-    turns: u64,
 }
 
 fn run_timed(fleet: &mut FleetService, ticks: u64) -> Timing {
     let t0 = Instant::now();
     let mut tick_us = Vec::with_capacity(ticks as usize);
     let (mut phase_a_us, mut phase_b_us, mut busy_us, mut offered_us) = (0.0, 0.0, 0.0, 0.0);
-    let mut turns = 0u64;
     for _ in 0..ticks {
         let r = fleet.tick();
-        turns += r.turns as u64;
         let a = r.phase_a.as_secs_f64() * 1e6;
         let b = r.phase_b.as_secs_f64() * 1e6;
         phase_a_us += a;
@@ -226,15 +216,11 @@ fn run_timed(fleet: &mut FleetService, ticks: u64) -> Timing {
         phase_a_us,
         phase_b_us,
         phase_a_efficiency: busy_us / offered_us,
-        turns,
     }
 }
 
 fn build_fleet(specs: &[TenantSpec], threads: usize) -> FleetService {
-    let mut fleet = FleetService::new(FleetConfig {
-        threads,
-        ..FleetConfig::default()
-    });
+    let mut fleet = FleetService::new(FleetConfig { threads });
     for s in specs {
         fleet.admit(s.clone());
     }
@@ -242,8 +228,7 @@ fn build_fleet(specs: &[TenantSpec], threads: usize) -> FleetService {
 }
 
 /// Byte-identity between two fleets over everything the controller
-/// owns: interval histories, tuned parameters, completions, queues and
-/// buckets.
+/// owns: interval histories, tuned parameters and completions.
 fn fleets_identical(a: &FleetService, b: &FleetService) -> bool {
     a.n_tenants() == b.n_tenants()
         && a.stats() == b.stats()
@@ -252,9 +237,6 @@ fn fleets_identical(a: &FleetService, b: &FleetService) -> bool {
                 && x.cell.history == y.cell.history
                 && x.cell.last_params == y.cell.last_params
                 && x.completions == y.completions
-                && x.ticks == y.ticks
-                && x.queue.len() == y.queue.len()
-                && x.bucket == y.bucket
         })
 }
 
@@ -300,7 +282,6 @@ fn run_size(ctx: &Ctx, n: usize, ticks: u64, dump: bool) -> FleetRow {
     let mut threaded = build_fleet(&specs, twin_threads());
     let twin = run_timed(&mut threaded, ticks);
 
-    let stats = fleet.stats();
     let mem = fleet.controller_memory_bytes();
     let tenants = fleet
         .tenants()
@@ -314,9 +295,6 @@ fn run_size(ctx: &Ctx, n: usize, ticks: u64, dump: bool) -> FleetRow {
             lambda_us: t.lambda() / 1_000,
             intervals: t.cell.history.len(),
             completions: t.completions.len(),
-            backlog: t.backlog(),
-            upload_drops: t.queue.dropped,
-            starved: t.starved,
             faulted: spec.fault_plan.is_some(),
         })
         .collect();
@@ -337,10 +315,6 @@ fn run_size(ctx: &Ctx, n: usize, ticks: u64, dump: bool) -> FleetRow {
         phase_a_efficiency: twin.phase_a_efficiency,
         controller_mem_bytes: mem,
         mem_per_tenant_bytes: mem / n.max(1),
-        turns: serial.turns,
-        throttled: stats.throttled,
-        starved_turns: stats.starved_turns,
-        upload_drops: stats.upload_drops,
         serial_threaded_identical,
         standalone_identical,
         snapshot_round_trip_ok,
@@ -385,8 +359,6 @@ pub fn run(ctx: &Ctx) {
                 format!("{:.2}", r.phase_a_efficiency),
                 format!("{}", r.controller_mem_bytes / 1024),
                 format!("{}", r.mem_per_tenant_bytes / 1024),
-                r.turns.to_string(),
-                r.upload_drops.to_string(),
                 yes_no(r.serial_threaded_identical),
                 yes_no(r.standalone_identical),
                 yes_no(r.snapshot_round_trip_ok),
@@ -404,8 +376,6 @@ pub fn run(ctx: &Ctx) {
             "A eff",
             "ctrl KiB",
             "KiB/tenant",
-            "turns",
-            "drops",
             "thr==ser",
             "==standalone",
             "snap ok",

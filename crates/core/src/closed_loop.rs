@@ -86,17 +86,9 @@ impl ClosedLoop {
     /// Run the fabric for one monitor interval and execute one
     /// monitor-tune-dispatch round. Returns the interval's record.
     pub fn step(&mut self) -> &IntervalRecord {
-        // Control-channel time is the interval index: coarse enough for
-        // the protocol, exact enough for determinism.
-        let interval_idx = self.cell.interval_index();
-        // Dispatches due now apply before the fabric advances: on a
-        // clean channel, what the previous interval decided.
-        self.cell
-            .deliver_due_dispatches(&mut self.sim, interval_idx);
-        let target = self.sim.now() + self.cell.cfg.lambda_mi;
-        self.sim.run_until(target);
-        let metrics = self.sim.collect_interval();
-        self.completions.extend(self.sim.take_completions());
+        let metrics = self
+            .cell
+            .advance_fabric(&mut self.sim, &mut self.completions);
         self.cell.process_interval(&self.sim, &metrics)
     }
 

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use paraleon_dcqcn::DcqcnParams;
 use paraleon_monitor::{ChangeDetector, FsdMonitor, MetricSample, TransferLedger, UtilityWeights};
 use paraleon_netsim::{
-    CtrlImpairment, Engine, FaultEvent, FaultKind, FaultPlan, IntervalMetrics, MILLI,
+    CtrlImpairment, Engine, FaultEvent, FaultKind, FaultPlan, FlowRecord, IntervalMetrics, MILLI,
 };
 use paraleon_sketch::{FlowType, Fsd, SlidingWindowClassifier};
 use paraleon_telemetry as tel;
@@ -427,6 +427,27 @@ impl TunerCell {
                 None => {}
             }
         }
+    }
+
+    /// The fabric half of one interval, shared by
+    /// [`crate::ClosedLoop::step`] and the fleet's tenants: deliver the
+    /// dispatches due now (control-channel time is
+    /// [`TunerCell::interval_index`]), advance the fabric one λ_MI, collect
+    /// the interval's metrics and move its completions into
+    /// `completions`. On a clean channel the dispatches delivered are
+    /// what the previous interval decided.
+    pub fn advance_fabric(
+        &mut self,
+        sim: &mut Engine,
+        completions: &mut Vec<FlowRecord>,
+    ) -> IntervalMetrics {
+        let k = self.interval_index();
+        self.deliver_due_dispatches(sim, k);
+        let target = sim.now() + self.cfg.lambda_mi;
+        sim.run_until(target);
+        let metrics = sim.collect_interval();
+        completions.extend(sim.take_completions());
+        metrics
     }
 
     /// Controller half of the monitoring lane: fold delivered uploads

@@ -10,21 +10,19 @@
 //! [`TunerCell`] — under one deterministic cooperative scheduler.
 //!
 //! The service tick is two-phase (see [`service`]): fabrics advance one
-//! λ_MI each (optionally on worker threads), then the coordinator
-//! drains per-tenant upload queues round-robin under token-bucket rate
-//! limits. Backpressure is typed and observable — bounded queues with
-//! an explicit [`DropPolicy`], throttle/starvation counters — and the
-//! whole service checkpoints into a [`FleetSnapshot`] that restores
-//! mid-run, with or without crash semantics. Tenants can be admitted
-//! and evicted at runtime.
+//! λ_MI each (optionally on worker threads), then the coordinator gives
+//! every tenant, in id order, its one controller turn over the interval
+//! its fabric just produced — the paper's one monitor → tune → dispatch
+//! round per λ_MI. The whole service checkpoints into a
+//! [`FleetSnapshot`] that restores mid-run, with or without crash
+//! semantics. Tenants can be admitted and evicted at runtime.
 //!
 //! Two properties anchor everything (enforced in tests and by
 //! `exp fleet`):
 //!
-//! 1. **Standalone equivalence** — when queues never saturate, each
-//!    tenant's interval history, tuned parameters and flow completions
-//!    are bit-identical to the same spec run as a standalone
-//!    [`ClosedLoop`].
+//! 1. **Standalone equivalence** — each tenant's interval history,
+//!    tuned parameters and flow completions are bit-identical to the
+//!    same spec run as a standalone [`ClosedLoop`].
 //! 2. **Thread-count invariance** — the fleet's results (including
 //!    telemetry emission order) are byte-identical between `threads: 1`
 //!    and any `threads: N`.
@@ -33,12 +31,10 @@
 //! [`TunerCell`]: paraleon::prelude::TunerCell
 //! [`ClosedLoop`]: paraleon::prelude::ClosedLoop
 
-pub mod queue;
 pub mod service;
 pub mod snapshot;
 pub mod tenant;
 
-pub use queue::{DropPolicy, PendingInterval, TokenBucket, UploadQueue};
 pub use service::{FleetConfig, FleetService, FleetStats, TickReport};
 pub use snapshot::{FleetSnapshot, RestoreError, TenantSnapshot};
 pub use tenant::{standalone_run, Tenant, TenantId, TenantSpec};

@@ -18,47 +18,31 @@
 //!   coordinator in ascending tenant id — the order the one-thread
 //!   scheduler emits in, which is what makes any thread count byte-
 //!   identical to one thread.
-//! * **Phase B (controller)** — the coordinator drains upload queues
-//!   round-robin, spending one token-bucket token per tuning turn, at
-//!   most [`FleetConfig::max_turns_per_tick`] turns per tenant per
-//!   tick. A tenant whose bucket is empty is throttled (its backlog
-//!   waits); a tenant with backlog that got no turn is starved. Both
-//!   are counted — fairness is observable, not assumed.
+//! * **Phase B (controller)** — on the coordinator, one loop over the
+//!   tenants in ascending id: replay the tenant's captured telemetry,
+//!   then give its cell one turn ([`TunerCell::process_interval`]) over
+//!   the interval phase A just produced.
 //!
-//! With the default config (2 tokens/tick, 2 turns/tick, queue depth
-//! 64) the controller always keeps up with one upload per tenant per
-//! tick, so each tenant's cell observes exactly the operation sequence
-//! of its standalone [`ClosedLoop`] — bit-for-bit, which
-//! `tests/fleet_properties.rs` and `exp fleet` enforce.
+//! Every tenant gets exactly one controller turn per tick, right after
+//! its fabric's interval, so each cell observes the operation sequence
+//! of its standalone [`ClosedLoop`] by construction — bit-for-bit,
+//! which `tests/fleet_properties.rs` and `exp fleet` enforce.
 //!
+//! [`TunerCell::process_interval`]: paraleon::prelude::TunerCell::process_interval
 //! [`ClosedLoop`]: paraleon::prelude::ClosedLoop
 
 use std::cmp::Reverse;
 use std::time::{Duration, Instant};
 
 use paraleon::sweep;
+use paraleon_netsim::IntervalMetrics;
 use paraleon_telemetry as tel;
 
-use crate::queue::{DropPolicy, PendingInterval, TokenBucket};
 use crate::tenant::{Tenant, TenantId, TenantSpec};
 
-/// Scheduler knobs. The defaults guarantee the controller keeps up
-/// with one upload per tenant per tick (rate 2 > 1 consumed), which is
-/// the regime where fleet tenants match their standalone loops
-/// byte-for-byte.
+/// Scheduler knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
-    /// Per-tenant upload queue depth.
-    pub queue_capacity: usize,
-    /// What to shed when a tenant's queue overflows.
-    pub drop_policy: DropPolicy,
-    /// Controller-turn tokens granted to each tenant per service tick.
-    pub tokens_per_tick: f64,
-    /// Token-bucket burst (idle tenants accumulate up to this).
-    pub burst: f64,
-    /// Hard cap on tuning turns one tenant may take in one tick, even
-    /// with tokens to spend — bounds per-tick scheduling latency.
-    pub max_turns_per_tick: u32,
     /// Phase-A worker threads (1 = serial). Results are byte-identical
     /// across any thread count.
     pub threads: usize,
@@ -66,31 +50,16 @@ pub struct FleetConfig {
 
 impl Default for FleetConfig {
     fn default() -> Self {
-        Self {
-            queue_capacity: 64,
-            drop_policy: DropPolicy::DropOldest,
-            tokens_per_tick: 2.0,
-            burst: 16.0,
-            max_turns_per_tick: 2,
-            threads: 1,
-        }
+        Self { threads: 1 }
     }
 }
 
 /// What one service tick did — returned by [`FleetService::tick`] so
-/// harnesses can track scheduling latency and fairness live.
+/// harnesses can track scheduling latency live.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickReport {
     /// Tick index just completed (1-based after the first tick).
     pub tick: u64,
-    /// Tuning turns granted across all tenants.
-    pub turns: u32,
-    /// Tenants whose turn was deferred by an empty token bucket.
-    pub throttled: u32,
-    /// Tenants that had backlog but received no turn at all.
-    pub starved: u32,
-    /// Interval uploads shed by full queues during enqueue.
-    pub dropped: u64,
     /// Wall-clock spent advancing fabrics (phase A).
     pub phase_a: Duration,
     /// Σ over tenants of the wall-clock each one's advance took: the work
@@ -99,7 +68,8 @@ pub struct TickReport {
     pub busy: Duration,
     /// Workers phase A ran on.
     pub workers: usize,
-    /// Wall-clock spent in the controller (phase B).
+    /// Wall-clock spent replaying telemetry and in the controller
+    /// (phase B).
     pub phase_b: Duration,
 }
 
@@ -113,13 +83,14 @@ pub struct FleetStats {
     pub admits: u64,
     /// Tenants evicted over the service lifetime.
     pub evicts: u64,
-    /// Turn deferrals due to empty token buckets.
-    pub throttled: u64,
-    /// Interval uploads shed by full queues (sum over live tenants).
+    /// Always 0: no upload is ever shed. Kept because `benchmark/`
+    /// reads it.
     pub upload_drops: u64,
-    /// Backlogged-but-unserved tenant-ticks (sum over live tenants).
+    /// Always 0: every tenant gets its turn every tick. Kept because
+    /// `benchmark/` reads it.
     pub starved_turns: u64,
-    /// Current total backlog, in intervals.
+    /// Always 0: no interval waits for a later tick. Kept because
+    /// `benchmark/` reads it.
     pub backlog: usize,
 }
 
@@ -131,15 +102,9 @@ pub struct FleetService {
     pub cfg: FleetConfig,
     pub(crate) tenants: Vec<Tenant>,
     pub(crate) tick: u64,
-    pub(crate) rr_cursor: usize,
     pub(crate) next_id: TenantId,
     pub(crate) admits: u64,
     pub(crate) evicts: u64,
-    pub(crate) throttled: u64,
-    /// Starved-turn total carried for tenants that were since evicted.
-    pub(crate) starved_evicted: u64,
-    /// Upload-drop total carried for tenants that were since evicted.
-    pub(crate) drops_evicted: u64,
 }
 
 impl FleetService {
@@ -149,13 +114,9 @@ impl FleetService {
             cfg,
             tenants: Vec::new(),
             tick: 0,
-            rr_cursor: 0,
             next_id: 1,
             admits: 0,
             evicts: 0,
-            throttled: 0,
-            starved_evicted: 0,
-            drops_evicted: 0,
         }
     }
 
@@ -166,14 +127,7 @@ impl FleetService {
     pub fn admit(&mut self, spec: TenantSpec) -> TenantId {
         let id = self.next_id;
         self.next_id += 1;
-        let bucket = TokenBucket::new(self.cfg.tokens_per_tick, self.cfg.burst);
-        self.tenants.push(Tenant::build(
-            spec,
-            id,
-            self.cfg.queue_capacity,
-            self.cfg.drop_policy,
-            bucket,
-        ));
+        self.tenants.push(Tenant::build(spec, id));
         self.admits += 1;
         tel::count(tel::Ctr::FleetAdmits);
         id
@@ -185,8 +139,6 @@ impl FleetService {
         let pos = self.tenants.iter().position(|t| t.id == id)?;
         let tenant = self.tenants.remove(pos);
         self.evicts += 1;
-        self.starved_evicted += tenant.starved;
-        self.drops_evicted += tenant.queue.dropped;
         tel::count(tel::Ctr::FleetEvicts);
         Some(tenant)
     }
@@ -222,18 +174,15 @@ impl FleetService {
             ticks: self.tick,
             admits: self.admits,
             evicts: self.evicts,
-            throttled: self.throttled,
-            upload_drops: self.drops_evicted
-                + self.tenants.iter().map(|t| t.queue.dropped).sum::<u64>(),
-            starved_turns: self.starved_evicted
-                + self.tenants.iter().map(|t| t.starved).sum::<u64>(),
-            backlog: self.tenants.iter().map(|t| t.queue.len()).sum(),
+            upload_drops: 0,
+            starved_turns: 0,
+            backlog: 0,
         }
     }
 
-    /// Controller-process memory footprint: every tenant's cell state
-    /// plus queued backlog. Excludes the fabrics — this is what the
-    /// shared tuner holds, the fleet's headline scaling metric.
+    /// Controller-process memory footprint: every tenant's cell state.
+    /// Excludes the fabrics — this is what the shared tuner holds, the
+    /// fleet's headline scaling metric.
     pub fn controller_memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self
@@ -251,68 +200,28 @@ impl FleetService {
         // Phase A: advance every fabric, capturing telemetry per tenant
         // iff the replay below would record it.
         let results = self.phase_a(tel::enabled());
-        // Replay and enqueue in ascending tenant id — the one canonical
-        // emission order. The tenant id is stamped onto series entities
+        let phase_a = t0.elapsed();
+
+        // Phase B, in ascending tenant id — the one canonical emission
+        // order: replay the tenant's fabric telemetry, then its one
+        // controller turn. The tenant id is stamped onto series entities
         // and flight events here (workers run untenanted).
-        let mut dropped = 0u64;
+        let t1 = Instant::now();
         let mut busy = Duration::ZERO;
-        for (t, (captured, pending, took)) in self.tenants.iter_mut().zip(results) {
+        for (t, (captured, metrics, took)) in self.tenants.iter_mut().zip(results) {
             busy += took;
             tel::set_tenant(t.id);
             tel::capture_replay(&captured);
+            t.cell.process_interval(&t.sim, &metrics);
             tel::set_tenant(0);
-            if !t.queue.push(pending) {
-                dropped += 1;
-                tel::count(tel::Ctr::FleetUploadDrops);
-            }
-        }
-        let phase_a = t0.elapsed();
-
-        // Phase B: round-robin controller turns, one token each.
-        let t1 = Instant::now();
-        let mut turns_total = 0u32;
-        let mut throttled = 0u32;
-        let mut starved = 0u32;
-        let n = self.tenants.len();
-        if n > 0 {
-            let first = self.rr_cursor % n;
-            for off in 0..n {
-                let t = &mut self.tenants[(first + off) % n];
-                t.bucket.refill();
-                let mut turns = 0u32;
-                while !t.queue.is_empty() && turns < self.cfg.max_turns_per_tick {
-                    if !t.bucket.try_take(1.0) {
-                        throttled += 1;
-                        self.throttled += 1;
-                        tel::count(tel::Ctr::FleetThrottled);
-                        break;
-                    }
-                    let pending = t.queue.pop().expect("queue checked non-empty");
-                    tel::set_tenant(t.id);
-                    t.cell.process_interval(&t.sim, &pending.metrics);
-                    tel::set_tenant(0);
-                    turns += 1;
-                }
-                turns_total += turns;
-                if turns == 0 && !t.queue.is_empty() {
-                    t.starved += 1;
-                    starved += 1;
-                    tel::count(tel::Ctr::FleetStarvedTurns);
-                }
-            }
-            self.rr_cursor = (self.rr_cursor + 1) % n;
         }
         self.tick += 1;
         tel::count(tel::Ctr::FleetTicks);
         TickReport {
             tick: self.tick,
-            turns: turns_total,
-            throttled,
-            starved,
-            dropped,
             phase_a,
             busy,
-            workers: self.cfg.threads.clamp(1, n.max(1)),
+            workers: self.cfg.threads.clamp(1, self.tenants.len().max(1)),
             phase_b: t1.elapsed(),
         }
     }
@@ -328,11 +237,11 @@ impl FleetService {
     /// tenant. With telemetry captured on whichever thread runs the job
     /// and nothing recorded until the caller's replay, every thread count
     /// emits identically.
-    fn phase_a(&mut self, capture: bool) -> Vec<(Vec<tel::Captured>, PendingInterval, Duration)> {
+    fn phase_a(&mut self, capture: bool) -> Vec<(Vec<tel::Captured>, IntervalMetrics, Duration)> {
         self.fan_out(|t| {
             let t0 = Instant::now();
-            let (captured, pending) = t.advance_captured(capture);
-            (captured, pending, t0.elapsed())
+            let (captured, metrics) = t.advance_captured(capture);
+            (captured, metrics, t0.elapsed())
         })
     }
 
@@ -473,11 +382,6 @@ mod tests {
         let id = fleet.admit(spec.clone());
         fleet.run(16);
         let t = fleet.tenant(id).unwrap();
-        assert_eq!(t.ticks, 16);
-        assert!(
-            t.queue.is_empty(),
-            "default config keeps the controller caught up"
-        );
         assert_tenant_matches_standalone(t, &spec, 16);
     }
 
@@ -496,10 +400,7 @@ mod tests {
     fn serial_and_threaded_fleets_are_byte_identical() {
         let specs = [clos_spec(11), rail_spec(12), mixed_spec(13)];
         let mut serial = FleetService::new(FleetConfig::default());
-        let mut threaded = FleetService::new(FleetConfig {
-            threads: 3,
-            ..FleetConfig::default()
-        });
+        let mut threaded = FleetService::new(FleetConfig { threads: 3 });
         for s in &specs {
             serial.admit(s.clone());
             threaded.admit(s.clone());
@@ -510,8 +411,6 @@ mod tests {
             assert_eq!(a.cell.history, b.cell.history, "tenant {} diverged", a.id);
             assert_eq!(a.cell.last_params, b.cell.last_params);
             assert_eq!(a.completions, b.completions);
-            assert_eq!(a.queue.len(), b.queue.len());
-            assert_eq!(a.bucket, b.bucket);
         }
         assert_eq!(serial.stats(), threaded.stats());
     }
@@ -553,10 +452,7 @@ mod tests {
         let run = |threads: usize| {
             tel::reset();
             tel::set_enabled(true);
-            let mut fleet = FleetService::new(FleetConfig {
-                threads,
-                ..FleetConfig::default()
-            });
+            let mut fleet = FleetService::new(FleetConfig { threads });
             for s in skewed_specs() {
                 fleet.admit(s);
             }
@@ -591,10 +487,7 @@ mod tests {
     #[test]
     fn a_panicking_tenant_re_raises_its_own_payload() {
         for threads in [1, 2] {
-            let mut fleet = FleetService::new(FleetConfig {
-                threads,
-                ..FleetConfig::default()
-            });
+            let mut fleet = FleetService::new(FleetConfig { threads });
             fleet.admit(clos_spec(71));
             let mut bad = rail_spec(72);
             bad.schedule[0].bytes = 0;
@@ -616,10 +509,7 @@ mod tests {
     #[test]
     fn phase_a_worker_violations_reach_the_coordinator() {
         paraleon_audit::set_panic_on_violation(false);
-        let mut fleet = FleetService::new(FleetConfig {
-            threads: 2,
-            ..FleetConfig::default()
-        });
+        let mut fleet = FleetService::new(FleetConfig { threads: 2 });
         fleet.admit(clos_spec(91));
         fleet.admit(rail_spec(92));
         for (audited, counted) in [(true, 1), (false, 0)] {
@@ -641,36 +531,6 @@ mod tests {
         }
         paraleon_audit::set_enabled(true);
         paraleon_audit::reset();
-    }
-
-    #[test]
-    fn starved_tenant_lags_but_neighbours_are_unaffected() {
-        // Rate 0 with burst 2: the victim gets two turns ever, then
-        // starves; the well-behaved neighbour must still match its
-        // standalone loop exactly.
-        let victim = clos_spec(21);
-        let neighbour = rail_spec(22);
-        let mut fleet = FleetService::new(FleetConfig {
-            queue_capacity: 4,
-            ..FleetConfig::default()
-        });
-        let vid = fleet.admit(victim);
-        // Drain the victim's bucket to zero and stop refills.
-        fleet.tenant_mut(vid).unwrap().bucket = TokenBucket::new(0.0, 0.0);
-        let nid = fleet.admit(neighbour.clone());
-        fleet.run(16);
-        let v = fleet.tenant(vid).unwrap();
-        assert_eq!(v.cell.history.len(), 0, "no tokens, no turns");
-        assert!(v.starved > 0, "backlogged victim must be counted starved");
-        assert!(
-            v.queue.dropped > 0,
-            "16 intervals into a 4-deep queue must shed"
-        );
-        assert_eq!(v.queue.len(), 4, "backlog capped at queue depth");
-        let s = fleet.stats();
-        assert!(s.throttled > 0);
-        assert_eq!(s.upload_drops, v.queue.dropped);
-        assert_tenant_matches_standalone(fleet.tenant(nid).unwrap(), &neighbour, 16);
     }
 
     #[test]
@@ -721,10 +581,7 @@ mod tests {
     #[test]
     fn phase_a_captures_only_for_a_recording_coordinator() {
         for threads in [1, 3] {
-            let mut fleet = FleetService::new(FleetConfig {
-                threads,
-                ..FleetConfig::default()
-            });
+            let mut fleet = FleetService::new(FleetConfig { threads });
             for s in [clos_spec(51), rail_spec(52), mixed_spec(53)] {
                 fleet.admit(s);
             }
@@ -781,10 +638,7 @@ mod tests {
             .collect();
         let fleet_run = |threads: usize, specs: &[TenantSpec]| {
             tel::reset();
-            let mut fleet = FleetService::new(FleetConfig {
-                threads,
-                ..FleetConfig::default()
-            });
+            let mut fleet = FleetService::new(FleetConfig { threads });
             for s in specs {
                 fleet.admit(s.clone());
             }

@@ -1,10 +1,10 @@
-//! Whole-service checkpoints: freeze every tenant's controller state,
-//! queued backlog and rate-limiter in one [`FleetSnapshot`], and bring
-//! a live fleet back to it — either as a pure state restore
-//! ([`FleetService::restore`], identity when applied at the snapshot
-//! instant) or with crash semantics ([`FleetService::crash_restore`]:
-//! in-flight control messages die and every tenant's believed
-//! parameters are re-asserted at a fresh epoch).
+//! Whole-service checkpoints: freeze every tenant's controller state in
+//! one [`FleetSnapshot`], and bring a live fleet back to it — either as
+//! a pure state restore ([`FleetService::restore`], identity when
+//! applied at the snapshot instant) or with crash semantics
+//! ([`FleetService::crash_restore`]: in-flight control messages die and
+//! every tenant's believed parameters are re-asserted at a fresh
+//! epoch).
 //!
 //! The fabric side is deliberately *not* part of the snapshot: the
 //! controller process is what crashes and restores; the fabrics keep
@@ -15,7 +15,6 @@
 
 use paraleon::prelude::CellSnapshot;
 
-use crate::queue::{PendingInterval, TokenBucket};
 use crate::service::FleetService;
 use crate::tenant::TenantId;
 
@@ -24,15 +23,12 @@ pub struct TenantSnapshot {
     /// Which tenant this freezes.
     pub id: TenantId,
     pub(crate) cell: CellSnapshot,
-    pub(crate) queue: Vec<PendingInterval>,
-    pub(crate) bucket: TokenBucket,
 }
 
-/// A whole-service checkpoint: scheduler clocks plus every live
-/// tenant's [`TenantSnapshot`], in ascending id order.
+/// A whole-service checkpoint: the service clock and id counter plus
+/// every live tenant's [`TenantSnapshot`], in ascending id order.
 pub struct FleetSnapshot {
     pub(crate) tick: u64,
-    pub(crate) rr_cursor: usize,
     pub(crate) next_id: TenantId,
     pub(crate) tenants: Vec<TenantSnapshot>,
 }
@@ -88,13 +84,10 @@ impl FleetService {
             .map(|t| TenantSnapshot {
                 id: t.id,
                 cell: t.cell.checkpoint(),
-                queue: t.queue.items(),
-                bucket: t.bucket.clone(),
             })
             .collect();
         Some(FleetSnapshot {
             tick: self.tick,
-            rr_cursor: self.rr_cursor,
             next_id: self.next_id,
             tenants,
         })
@@ -113,20 +106,17 @@ impl FleetService {
         Ok(())
     }
 
-    /// Pure state restore, no crash side effects: every tenant's cell,
-    /// queued backlog and bucket rewind to the snapshot, along with the
-    /// scheduler clocks. Only identity-preserving when applied at the
+    /// Pure state restore, no crash side effects: every tenant's cell
+    /// rewinds to the snapshot, along with the service clock and id
+    /// counter. Only identity-preserving when applied at the
     /// instant the snapshot was taken (the fabrics never rewind); for
     /// restoration at a later time use [`FleetService::crash_restore`].
     pub fn restore(&mut self, snap: &FleetSnapshot) -> Result<(), RestoreError> {
         self.check_tenant_set(snap)?;
         for (t, ts) in self.tenants.iter_mut().zip(&snap.tenants) {
             t.cell.restore(&ts.cell);
-            t.queue.restore_items(ts.queue.clone());
-            t.bucket = ts.bucket.clone();
         }
         self.tick = snap.tick;
-        self.rr_cursor = snap.rr_cursor;
         self.next_id = snap.next_id;
         Ok(())
     }
@@ -135,19 +125,18 @@ impl FleetService {
     /// process died and came back from this checkpoint while every
     /// fabric kept running. Per tenant: in-flight messages addressed to
     /// the controller die, the cell rewinds to the snapshot, and the
-    /// believed parameters are re-asserted at a fresh epoch against the
-    /// tenant's *current* fabric clock — so each conversation
+    /// believed parameters are re-asserted at a fresh epoch at the
+    /// current interval — so each conversation
     /// re-converges (`ctrl_diverged` returns to `false` once quiet).
-    /// Scheduler clocks are not rewound: the service keeps ticking
+    /// The service clock is not rewound: the service keeps ticking
     /// forward from now.
     pub fn crash_restore(&mut self, snap: &FleetSnapshot) -> Result<(), RestoreError> {
         self.check_tenant_set(snap)?;
         for (t, ts) in self.tenants.iter_mut().zip(&snap.tenants) {
             paraleon_telemetry::set_tenant(t.id);
-            t.cell.crash_restore(&ts.cell, t.ticks);
+            let k = t.cell.interval_index();
+            t.cell.crash_restore(&ts.cell, k);
             paraleon_telemetry::set_tenant(0);
-            t.queue.restore_items(ts.queue.clone());
-            t.bucket = ts.bucket.clone();
         }
         Ok(())
     }
@@ -210,10 +199,7 @@ mod tests {
     #[test]
     fn restore_at_two_threads_keeps_the_cost_estimate_and_is_identity() {
         let two = || {
-            let mut fleet = FleetService::new(FleetConfig {
-                threads: 2,
-                ..FleetConfig::default()
-            });
+            let mut fleet = FleetService::new(FleetConfig { threads: 2 });
             for s in [spec(1), spec(2), spec(3)] {
                 fleet.admit(s);
             }

@@ -5,13 +5,12 @@
 //! service builds it through [`TenantSpec::closed_loop`], the ordinary
 //! builder, and destructures the loop, so a fleet tenant and a
 //! standalone loop start from bit-identical state. The difference is
-//! *when* the controller half runs: a standalone loop tunes
-//! synchronously at every interval boundary, while a fleet tenant's
-//! fabric advances in phase A of the service tick and parks its
-//! interval metrics on an upload queue for the shared scheduler to
-//! process in phase B. When the scheduler keeps up (the default config
-//! guarantees one turn per interval), the operation sequence the cell
-//! observes is identical to [`ClosedLoop::step`]'s — which is the
+//! *where* the two halves run: a fleet tenant's fabric advances in
+//! phase A of the service tick (possibly on a worker thread), and the
+//! coordinator hands the interval's metrics to its cell in phase B of
+//! the same tick. Both halves are the ones [`ClosedLoop::step`] calls —
+//! [`TunerCell::advance_fabric`] and [`TunerCell::process_interval`] —
+//! so the cell observes the standalone loop's operation sequence, the
 //! fleet's headline byte-identity property, checked against
 //! [`standalone_run`]. Flow admission is not re-implemented here: the
 //! tenant and the standalone comparator both call
@@ -19,10 +18,8 @@
 
 use paraleon::prelude::*;
 use paraleon::Nanos;
-use paraleon_netsim::Engine;
+use paraleon_netsim::{Engine, IntervalMetrics};
 use paraleon_telemetry as tel;
-
-use crate::queue::{DropPolicy, PendingInterval, TokenBucket, UploadQueue};
 
 /// Fleet-assigned tenant identity. Nonzero — telemetry entity id 0 is
 /// reserved for untenanted (standalone) emission, and the tenant id is
@@ -118,8 +115,7 @@ pub fn standalone_run(spec: &TenantSpec, ticks: u64) -> ClosedLoop {
     cl
 }
 
-/// One admitted tenant: fabric, controller cell, upload queue and rate
-/// limiter, plus the fabric-side interval clock.
+/// One admitted tenant: fabric, controller cell and flow completions.
 pub struct Tenant {
     /// Fleet-assigned identity (nonzero).
     pub id: TenantId,
@@ -130,35 +126,18 @@ pub struct Tenant {
     pub cell: TunerCell,
     /// All flow completions observed so far.
     pub completions: Vec<FlowRecord>,
-    /// Interval uploads awaiting their controller turn.
-    pub queue: UploadQueue,
-    /// Controller-turn rate limiter.
-    pub bucket: TokenBucket,
-    /// Monitor intervals the *fabric* has advanced — the tenant's
-    /// control-channel clock. Equals `cell.interval_index()` exactly
-    /// when the controller has no backlog.
-    pub ticks: u64,
-    /// Service ticks in which this tenant had backlog but received no
-    /// controller turn.
-    pub starved: u64,
     spec: TenantSpec,
     next_flow: usize,
     /// Events the fabric processed in its latest advance: the scheduler's
-    /// cost estimate for the next one. Fabric state, like `ticks` — no
-    /// snapshot holds it and no restore rewinds it.
+    /// cost estimate for the next one. Fabric state — no snapshot holds
+    /// it and no restore rewinds it.
     pub(crate) last_events: u64,
 }
 
 impl Tenant {
     /// Build a tenant from its spec via the ordinary [`ClosedLoop`]
     /// builder (bit-identical initial state to a standalone loop).
-    pub(crate) fn build(
-        spec: TenantSpec,
-        id: TenantId,
-        queue_capacity: usize,
-        policy: DropPolicy,
-        bucket: TokenBucket,
-    ) -> Self {
+    pub(crate) fn build(spec: TenantSpec, id: TenantId) -> Self {
         let ClosedLoop {
             sim,
             cell,
@@ -169,10 +148,6 @@ impl Tenant {
             sim,
             cell,
             completions,
-            queue: UploadQueue::new(queue_capacity, policy),
-            bucket,
-            ticks: 0,
-            starved: 0,
             spec,
             next_flow: 0,
             last_events: 0,
@@ -189,34 +164,21 @@ impl Tenant {
         &self.spec
     }
 
-    /// Pending controller backlog, in intervals.
-    pub fn backlog(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Phase-A work: admit due flows, deliver due control-plane
-    /// dispatches, advance the fabric one λ_MI, and collect the
-    /// interval's metrics. Mirrors the fabric half of
-    /// [`ClosedLoop::step`] exactly, with the tenant's fabric tick
-    /// standing in for the cell's interval index as control-channel
-    /// time (they agree whenever the controller has no backlog).
-    pub(crate) fn advance(&mut self) -> PendingInterval {
-        let lambda = self.cell.cfg.lambda_mi;
+    /// Phase-A work: admit due flows, then the cell's fabric half
+    /// ([`TunerCell::advance_fabric`]).
+    pub(crate) fn advance(&mut self) -> IntervalMetrics {
         drivers::admit_due(
             &mut self.sim,
             &self.spec.schedule,
             &mut self.next_flow,
-            lambda,
+            self.cell.cfg.lambda_mi,
         );
-        self.cell.deliver_due_dispatches(&mut self.sim, self.ticks);
-        let target = self.sim.now() + lambda;
         let before = self.sim.events_processed();
-        self.sim.run_until(target);
+        let metrics = self
+            .cell
+            .advance_fabric(&mut self.sim, &mut self.completions);
         self.last_events = self.sim.events_processed() - before;
-        let metrics = self.sim.collect_interval();
-        self.completions.extend(self.sim.take_completions());
-        self.ticks += 1;
-        PendingInterval { metrics }
+        metrics
     }
 
     /// [`Tenant::advance`] as phase A runs it. `capture` is the
@@ -230,20 +192,20 @@ impl Tenant {
     pub(crate) fn advance_captured(
         &mut self,
         capture: bool,
-    ) -> (Vec<tel::Captured>, PendingInterval) {
+    ) -> (Vec<tel::Captured>, IntervalMetrics) {
         if !capture {
             return (Vec::new(), self.advance());
         }
         tel::capture_begin();
-        let pending = self.advance();
-        (tel::capture_take(), pending)
+        let metrics = self.advance();
+        (tel::capture_take(), metrics)
     }
 
-    /// Controller-side memory footprint: cell state plus queued
-    /// backlog. Excludes the fabric — the service's headline metric is
-    /// what one tuner *process* holds for N tenants.
+    /// Controller-side memory footprint: the cell's state. Excludes the
+    /// fabric — the service's headline metric is what one tuner
+    /// *process* holds for N tenants.
     pub fn controller_memory_bytes(&self) -> usize {
-        self.cell.memory_bytes() + self.queue.memory_bytes() + std::mem::size_of::<TokenBucket>()
+        self.cell.memory_bytes()
     }
 }
 
@@ -286,17 +248,11 @@ mod tests {
 
     #[test]
     fn tenant_fabric_clock_tracks_advances() {
-        let mut t = Tenant::build(
-            tiny_spec(),
-            1,
-            8,
-            DropPolicy::DropOldest,
-            TokenBucket::new(2.0, 4.0),
-        );
+        let mut t = Tenant::build(tiny_spec(), 1);
         for k in 0..5u64 {
-            assert_eq!(t.ticks, k);
-            let pending = t.advance();
-            assert_eq!(pending.metrics.end, (k + 1) * MILLI);
+            assert_eq!(t.sim.now(), k * MILLI);
+            let metrics = t.advance();
+            assert_eq!(metrics.end, (k + 1) * MILLI);
         }
         assert_eq!(t.cell.history.len(), 0, "phase A never runs the cell");
     }

@@ -176,15 +176,6 @@ fn palette(kind: OracleKind) -> &'static [Op] {
             Op::AddIncast,
             Op::BoostCount,
         ],
-        // Stub palette for the not-yet-judged fleet-isolation oracle:
-        // pressure one tenant's upload lane and traffic volume (the
-        // ingredients of queue saturation) until a fleet probe exists.
-        OracleKind::TenantInterference => &[
-            Op::AddCtrlImpair,
-            Op::AddIncast,
-            Op::BoostCount,
-            Op::BoostBytes,
-        ],
     }
 }
 

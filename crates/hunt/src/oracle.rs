@@ -148,13 +148,6 @@ pub enum OracleKind {
     /// and pre-existing corpus cases never judge it — target it with
     /// `--oracle ctrl_divergence`.
     CtrlDivergence,
-    /// One fleet tenant's backpressure (saturated upload queue,
-    /// exhausted token bucket) degraded a *neighbour* tenant's tuning —
-    /// a violation of the fleet scheduler's isolation contract.
-    /// Opt-in stub: not part of [`ALL_ORACLES`] and not yet judged by
-    /// any probe — reserved so corpus cases and `--oracle
-    /// tenant_interference` parse before the fleet probe lands.
-    TenantInterference,
 }
 
 /// The always-judged oracle kinds, in report order. The opt-in
@@ -179,7 +172,6 @@ impl OracleKind {
             OracleKind::AuditViolation => "audit_violation",
             OracleKind::Livelock => "livelock",
             OracleKind::CtrlDivergence => "ctrl_divergence",
-            OracleKind::TenantInterference => "tenant_interference",
         }
     }
 
@@ -189,7 +181,7 @@ impl OracleKind {
     pub fn from_name(s: &str) -> Option<Self> {
         ALL_ORACLES
             .into_iter()
-            .chain([OracleKind::CtrlDivergence, OracleKind::TenantInterference])
+            .chain([OracleKind::CtrlDivergence])
             .find(|k| k.name() == s || format!("{k:?}") == s)
     }
 }
@@ -573,11 +565,6 @@ mod tests {
             Some(OracleKind::CtrlDivergence)
         );
         assert!(!ALL_ORACLES.contains(&OracleKind::CtrlDivergence));
-        assert_eq!(
-            OracleKind::from_name("tenant_interference"),
-            Some(OracleKind::TenantInterference)
-        );
-        assert!(!ALL_ORACLES.contains(&OracleKind::TenantInterference));
         assert_eq!(OracleKind::from_name("nope"), None);
     }
 

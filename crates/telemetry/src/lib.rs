@@ -121,14 +121,6 @@ metric_enum! {
         /// Post-restore re-assertions of the controller's believed
         /// parameters toward the fabric.
         CtrlResyncs => "ctrl_resyncs",
-        /// Fleet: tenant uploads dropped by a saturated ingest queue.
-        FleetUploadDrops => "fleet_upload_drops",
-        /// Fleet: controller turns deferred by the per-tenant rate
-        /// limiter (token bucket empty).
-        FleetThrottled => "fleet_throttled",
-        /// Fleet: scheduler turns in which a runnable tenant got no
-        /// service (starvation accounting).
-        FleetStarvedTurns => "fleet_starved_turns",
         /// Fleet: tenants admitted into the service.
         FleetAdmits => "fleet_admits",
         /// Fleet: tenants evicted from the service.
