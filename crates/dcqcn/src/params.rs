@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The order of variants defines the canonical layout of the parameter
 /// vector used by tuners ([`DcqcnParams::to_vector`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum ParamId {
     // --- RP: Rate Increase ---
     /// Additive-increase step (Mbps) applied to the target rate in the
@@ -108,22 +108,10 @@ impl ParamId {
     pub fn is_switch_side(self) -> bool {
         matches!(self, ParamId::KMin | ParamId::KMax | ParamId::PMax)
     }
-
-    /// The [`DcqcnParams`] struct field holding this parameter — the key
-    /// the derived `Serialize` emits (differs from [`ParamId::name`] for
-    /// the parameters whose NVIDIA doc name is not the field name).
-    pub fn json_field(self) -> &'static str {
-        match self {
-            ParamId::MinRate => "min_rate",
-            ParamId::AlphaGExp => "alpha_g_exp",
-            ParamId::AlphaTimer => "alpha_timer",
-            other => other.name(),
-        }
-    }
 }
 
 /// Direction in which moving a parameter favours throughput over delay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Direction {
     /// Increasing the value is throughput-friendly (decreasing is
     /// delay-friendly).
@@ -145,7 +133,7 @@ impl Direction {
 /// Static description of one tunable parameter: bounds, empirical step and
 /// throughput-friendly direction (paper §III-C, "Observations on parameter
 /// impacts").
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct ParamSpec {
     /// Which parameter this describes.
     pub id: ParamId,
@@ -174,7 +162,7 @@ impl ParamSpec {
 }
 
 /// The complete tunable parameter space: one [`ParamSpec`] per parameter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ParamSpace {
     specs: Vec<ParamSpec>,
 }
@@ -421,25 +409,6 @@ impl DcqcnParams {
         }
     }
 
-    /// Reconstruct from the [`Serialize`] representation (the vendored
-    /// serde has no derived deserialization, so readers are hand-rolled).
-    pub fn from_value(v: &serde::Value) -> Result<Self, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .and_then(serde::Value::as_f64)
-                .ok_or_else(|| format!("DcqcnParams: missing `{name}`"))
-        };
-        let mut p = Self::nvidia_default();
-        for id in ALL_PARAMS {
-            p.set(id, field(id.json_field())?);
-        }
-        p.clamp_tgt_rate = v
-            .get("clamp_tgt_rate")
-            .and_then(serde::Value::as_bool)
-            .ok_or("DcqcnParams: missing `clamp_tgt_rate`")?;
-        Ok(p)
-    }
-
     /// Alpha EWMA gain `g` as a fraction.
     pub fn alpha_g(&self) -> f64 {
         1.0 / 2f64.powf(self.alpha_g_exp)
@@ -535,7 +504,6 @@ mod tests {
 
     #[test]
     fn params_round_trip_through_value() {
-        use serde::Serialize;
         let mut p = DcqcnParams::expert();
         p.clamp_tgt_rate = true;
         let back = DcqcnParams::from_value(&p.serialize_value()).unwrap();

@@ -18,7 +18,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::eval::{evaluate, EvalConfig};
 use crate::genome::HuntPoint;
@@ -28,7 +28,7 @@ use crate::search::Finding;
 
 /// One committed repro: the genome, the configs it was judged under,
 /// and the expected oracle report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HuntCase {
     /// File stem / display name, e.g. `pfc_storm_seed42`.
     pub name: String,
@@ -66,39 +66,15 @@ impl HuntCase {
         }
     }
 
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| format!("HuntCase: missing `{name}`"))
-        };
-        let kind_name = field("kind")?
-            .as_str()
-            .ok_or("HuntCase: `kind` is not a string")?;
-        Ok(Self {
-            name: field("name")?
-                .as_str()
-                .ok_or("HuntCase: `name` is not a string")?
-                .to_string(),
-            kind: OracleKind::from_name(kind_name)
-                .ok_or_else(|| format!("HuntCase: unknown oracle `{kind_name}`"))?,
-            eval: EvalConfig::from_value(field("eval")?)?,
-            oracles: OracleConfig::from_value(field("oracles")?)?,
-            minimize: match v.get("minimize") {
-                None | Some(Value::Null) => None,
-                Some(m) => Some(MinimizeStats::from_value(m)?),
-            },
-            point: HuntPoint::from_value(field("point")?)?,
-            report: field("report")?.clone(),
-        })
-    }
-
-    /// Parse a case file.
+    /// Parse a case file and check its run lengths and genome.
     pub fn load(path: &Path) -> Result<Self, String> {
-        let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let v =
-            serde_json::from_str_value(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        Self::from_value(&v)
+        let err = |e: String| format!("{}: {e}", path.display());
+        let text = fs::read_to_string(path).map_err(|e| err(e.to_string()))?;
+        let v = serde_json::from_str_value(&text).map_err(|e| err(e.to_string()))?;
+        let case = Self::from_value(&v).map_err(err)?;
+        case.eval.validate().map_err(err)?;
+        case.point.validate().map_err(err)?;
+        Ok(case)
     }
 
     /// Write the case as pretty JSON (plus trailing newline, so the

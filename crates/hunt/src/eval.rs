@@ -11,7 +11,7 @@
 //! drained after each run so back-to-back evaluations never leak
 //! violations into each other.
 
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use paraleon::drivers::Barrier;
 use paraleon::{ClosedLoop, CtrlPlaneConfig, LoopConfig, MonitorKind, SchemeKind};
@@ -22,7 +22,7 @@ use crate::genome::HuntPoint;
 use crate::oracle::{judge, CtrlMeasure, OracleConfig, OracleReport};
 
 /// How long and how hard to run each candidate.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct EvalConfig {
     /// Measurement intervals to run.
     pub intervals: u64,
@@ -50,23 +50,13 @@ impl Default for EvalConfig {
 }
 
 impl EvalConfig {
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let uint = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("EvalConfig: missing `{name}`"))
-        };
-        let cfg = Self {
-            intervals: uint("intervals")?,
-            lambda_mi: uint("lambda_mi")?,
-            event_budget: uint("event_budget")?,
-            tail: uint("tail")? as usize,
-        };
-        if cfg.intervals == 0 || cfg.lambda_mi == 0 || cfg.tail == 0 {
+    /// Check that every run length is positive (a case file may say
+    /// otherwise).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.intervals == 0 || self.lambda_mi == 0 || self.tail == 0 {
             return Err("EvalConfig: intervals, lambda_mi and tail must be positive".into());
         }
-        Ok(cfg)
+        Ok(())
     }
 }
 

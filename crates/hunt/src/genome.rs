@@ -3,7 +3,7 @@
 //! A [`HuntPoint`] is a *complete, self-contained recipe* for a
 //! simulation run — topology spec, workload, fault plan, DCQCN
 //! parameters and RNG seed. It round-trips through JSON byte-identically
-//! (hand-rolled readers over the vendored serde's `Value` tree), which
+//! (the vendored serde's derived readers over its `Value` tree), which
 //! is what makes corpus cases replayable: the repro *is* the genome.
 
 use paraleon_dcqcn::DcqcnParams;
@@ -12,13 +12,13 @@ use paraleon_workloads::{
     AllToAll, AllToAllConfig, Collective, PipelineBurst, PipelineConfig, RingAllreduce, RingConfig,
     TreeAllreduce, TreeConfig,
 };
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// A burst of identical flows: `count` flows of `bytes` from `src` to
 /// `dst`, the i-th starting at `start + i·gap`. Repetition is explicit
 /// (rather than listing each flow) so the minimizer can shrink sustained
 /// load by halving `count` instead of deleting flows one by one.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FlowSpec {
     /// Source host.
     pub src: NodeId,
@@ -34,34 +34,8 @@ pub struct FlowSpec {
     pub gap: Nanos,
 }
 
-impl FlowSpec {
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let num = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("FlowSpec: missing `{name}`"))
-        };
-        let spec = Self {
-            src: num("src")? as NodeId,
-            dst: num("dst")? as NodeId,
-            bytes: num("bytes")?,
-            start: num("start")?,
-            count: num("count")? as u32,
-            gap: num("gap")?,
-        };
-        if spec.src == spec.dst {
-            return Err("FlowSpec: src == dst".into());
-        }
-        if spec.bytes == 0 || spec.count == 0 {
-            return Err("FlowSpec: empty flow".into());
-        }
-        Ok(spec)
-    }
-}
-
 /// Which collective round machine a [`CollectiveSpec`] builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CollectiveKind {
     /// Full-mesh alltoall (the paper's LLM workload).
     Alltoall,
@@ -81,30 +55,13 @@ pub const ALL_COLLECTIVES: [CollectiveKind; 4] = [
     CollectiveKind::PipelineBurst,
 ];
 
-impl CollectiveKind {
-    /// The serialized name (matches the derive's unit-variant encoding).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Alltoall => "Alltoall",
-            Self::RingAllreduce => "RingAllreduce",
-            Self::TreeAllreduce => "TreeAllreduce",
-            Self::PipelineBurst => "PipelineBurst",
-        }
-    }
-
-    /// Inverse of [`CollectiveKind::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        ALL_COLLECTIVES.into_iter().find(|k| k.name() == name)
-    }
-}
-
 /// A barrier-synchronized collective riding on top of the flow-spec
 /// workload: which round machine, which ranks, how much payload. The
 /// evaluation drives it through the simulator with completion feedback
 /// (waves release only when the previous wave drains), so genomes can
 /// express the self-clocked traffic that open-loop [`FlowSpec`] bursts
 /// cannot.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CollectiveSpec {
     /// Round-machine family.
     pub kind: CollectiveKind,
@@ -120,37 +77,6 @@ pub struct CollectiveSpec {
 }
 
 impl CollectiveSpec {
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let uint = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("CollectiveSpec: missing `{name}`"))
-        };
-        let kind_name = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or("CollectiveSpec: missing `kind`")?;
-        Ok(Self {
-            kind: CollectiveKind::from_name(kind_name)
-                .ok_or_else(|| format!("CollectiveSpec: unknown kind `{kind_name}`"))?,
-            workers: v
-                .get("workers")
-                .and_then(Value::as_array)
-                .ok_or("CollectiveSpec: missing `workers`")?
-                .iter()
-                .map(|w| {
-                    w.as_u64()
-                        .map(|w| w as NodeId)
-                        .ok_or("CollectiveSpec: worker is not an integer".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            message_bytes: uint("message_bytes")?,
-            rounds: uint("rounds")? as u32,
-            off_time: uint("off_time")?,
-        })
-    }
-
     /// Check internal consistency against a fabric of `n_hosts` hosts.
     pub fn validate(&self, n_hosts: usize) -> Result<(), String> {
         if self.workers.len() < 2 {
@@ -205,14 +131,17 @@ impl CollectiveSpec {
     }
 }
 
-/// One point in the hunt search space.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// One point in the hunt search space. Its reader checks each field
+/// (and runs the topology validator); [`HuntPoint::validate`] checks
+/// the fields against each other.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HuntPoint {
     /// Topology recipe (any [`TopoSpec`] family).
     pub topo: TopoSpec,
     /// Offered load.
     pub workload: Vec<FlowSpec>,
-    /// Optional barrier-synchronized collective on top of the workload.
+    /// Optional barrier-synchronized collective on top of the workload
+    /// (absent in genomes written before collectives existed).
     pub collective: Option<CollectiveSpec>,
     /// Scheduled fabric faults.
     pub faults: FaultPlan,
@@ -223,37 +152,6 @@ pub struct HuntPoint {
 }
 
 impl HuntPoint {
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| format!("HuntPoint: missing `{name}`"))
-        };
-        let point = Self {
-            // Untagged objects parse as legacy two-tier specs, so corpus
-            // files committed before topology families keep loading.
-            topo: TopoSpec::from_value(field("topo")?)?,
-            workload: field("workload")?
-                .as_array()
-                .ok_or("HuntPoint: `workload` is not an array")?
-                .iter()
-                .map(FlowSpec::from_value)
-                .collect::<Result<Vec<_>, _>>()?,
-            // Pre-collective genomes simply lack the field.
-            collective: match v.get("collective") {
-                None | Some(Value::Null) => None,
-                Some(c) => Some(CollectiveSpec::from_value(c)?),
-            },
-            faults: FaultPlan::from_value(field("faults")?)?,
-            params: DcqcnParams::from_value(field("params")?)?,
-            seed: field("seed")?
-                .as_u64()
-                .ok_or("HuntPoint: `seed` is not an integer")?,
-        };
-        point.validate()?;
-        Ok(point)
-    }
-
     /// Check internal consistency: every flow endpoint, collective rank
     /// and fault target must exist in the topology the spec builds.
     pub fn validate(&self) -> Result<(), String> {
@@ -264,6 +162,9 @@ impl HuntPoint {
             }
             if f.src == f.dst {
                 return Err(format!("workload[{i}]: src == dst"));
+            }
+            if f.bytes == 0 || f.count == 0 {
+                return Err(format!("workload[{i}]: empty flow"));
             }
         }
         if let Some(c) = &self.collective {
@@ -494,7 +395,21 @@ impl Default for GenomeCaps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Serialize;
+    use serde::Value;
+
+    /// Overwrite the value at `path` (object keys, array indices).
+    fn set(v: &mut Value, path: &[&str], to: Value) {
+        let Some((head, rest)) = path.split_first() else {
+            *v = to;
+            return;
+        };
+        let child = match v {
+            Value::Object(fields) => fields.iter_mut().find(|(k, _)| k == head).map(|(_, c)| c),
+            Value::Array(items) => items.get_mut(head.parse::<usize>().expect("index")),
+            _ => None,
+        };
+        set(child.expect("path exists"), rest, to);
+    }
 
     fn spec() -> ClosSpec {
         ClosSpec {
@@ -543,6 +458,18 @@ mod tests {
         let p = point();
         let back = HuntPoint::from_value(&p.serialize_value()).unwrap();
         assert_eq!(back, p);
+        // A count that does not fit its `u32` is refused, not wrapped to 1.
+        let mut v = p.serialize_value();
+        set(
+            &mut v,
+            &["workload", "1", "count"],
+            Value::UInt(4_294_967_297),
+        );
+        let err = HuntPoint::from_value(&v).unwrap_err();
+        assert_eq!(
+            err,
+            "HuntPoint.workload: [1]: FlowSpec.count: expected a u32"
+        );
     }
 
     #[test]
@@ -562,6 +489,9 @@ mod tests {
         let mut p = point();
         p.faults.link_down(0, 50, 0);
         assert!(p.validate().is_err());
+        let mut p = point();
+        p.workload[1].count = 0;
+        assert!(p.validate().is_err(), "empty flow");
     }
 
     #[test]
@@ -618,6 +548,14 @@ mod tests {
         p.collective = Some(collective());
         let back = HuntPoint::from_value(&p.serialize_value()).unwrap();
         assert_eq!(back, p);
+        let mut v = p.serialize_value();
+        set(
+            &mut v,
+            &["collective", "rounds"],
+            Value::UInt(4_294_967_297),
+        );
+        let err = HuntPoint::from_value(&v).unwrap_err();
+        assert!(err.contains("CollectiveSpec.rounds"), "{err}");
         // A non-two-tier family round-trips too (faults dropped: the
         // rail fabric has a different port layout).
         let mut p = point();
@@ -685,7 +623,10 @@ mod tests {
             let machine = c.build();
             assert!(!machine.finished());
             assert_eq!(machine.workers(), &[0, 1, 4, 5]);
-            assert_eq!(CollectiveKind::from_name(kind.name()), Some(kind));
+            assert_eq!(
+                CollectiveKind::from_value(&kind.serialize_value()),
+                Ok(kind)
+            );
         }
     }
 

@@ -17,14 +17,14 @@
 
 use paraleon_dcqcn::DcqcnParams;
 use paraleon_netsim::{ClosSpec, FaultPlan, TopoSpec};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::eval::{evaluate, EvalConfig};
 use crate::genome::{remap_point, HuntPoint};
 use crate::oracle::{OracleConfig, OracleKind};
 
 /// What the minimizer did, recorded into the corpus case.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct MinimizeStats {
     /// Shrink candidates tried (predicate evaluations).
     pub trials: u64,
@@ -33,25 +33,6 @@ pub struct MinimizeStats {
     /// Whether the pass loop reached its fixpoint within the trial
     /// budget (false means the point may shrink further).
     pub converged: bool,
-}
-
-impl MinimizeStats {
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &serde::Value) -> Result<Self, String> {
-        let uint = |name: &str| {
-            v.get(name)
-                .and_then(serde::Value::as_u64)
-                .ok_or_else(|| format!("MinimizeStats: missing `{name}`"))
-        };
-        Ok(Self {
-            trials: uint("trials")?,
-            accepted: uint("accepted")?,
-            converged: v
-                .get("converged")
-                .and_then(serde::Value::as_bool)
-                .ok_or("MinimizeStats: missing `converged`")?,
-        })
-    }
 }
 
 /// Shrink `point` while `fires` stays true.

@@ -16,7 +16,7 @@
 
 use std::ops::Range;
 
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::eval::RunMetrics;
 
@@ -128,7 +128,7 @@ fn mean(xs: &[f64]) -> f64 {
 }
 
 /// The pathology classes the hunter can confirm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum OracleKind {
     /// Tail goodput collapsed relative to the fault-free twin run.
     GoodputCollapse,
@@ -189,7 +189,7 @@ impl OracleKind {
 /// Thresholds the verdicts are judged against. Committed with each
 /// corpus case so replays judge by the thresholds the case was found
 /// under, even if the defaults later move.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct OracleConfig {
     /// Collapse fires when `tail / twin_tail` drops below this.
     pub collapse_ratio: f64,
@@ -216,30 +216,6 @@ impl Default for OracleConfig {
             jain_threshold: 0.5,
             min_fairness_flows: 2,
         }
-    }
-}
-
-impl OracleConfig {
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let float = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("OracleConfig: missing `{name}`"))
-        };
-        let uint = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("OracleConfig: missing `{name}`"))
-        };
-        Ok(Self {
-            collapse_ratio: float("collapse_ratio")?,
-            collapse_floor_gbps: float("collapse_floor_gbps")?,
-            storm_window: uint("storm_window")? as usize,
-            storm_threshold: float("storm_threshold")?,
-            jain_threshold: float("jain_threshold")?,
-            min_fairness_flows: uint("min_fairness_flows")? as usize,
-        })
     }
 }
 

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use paraleon_hunt::genome::{GenomeCaps, HuntPoint};
 use paraleon_hunt::minimize::minimize_with;

@@ -6,10 +6,10 @@
 //! same three channels from our own wire formats so `exp table4` can
 //! report the reproduction's numbers next to the paper's.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Byte counters for the three controller channels.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct TransferLedger {
     /// Switch agents → controller (local FSDs + switch metrics).
     pub switch_to_controller: u64,

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use paraleon_sketch::Fsd;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::PointId;
 
@@ -31,7 +31,7 @@ use crate::PointId;
 /// with the λ_MI index it was measured in and a per-point sequence
 /// number (monotone at the sender, so the receiver can discard
 /// duplicates and stale reorderings).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FsdUpload {
     /// The uploading measurement point (ToR switch).
     pub point: PointId,
@@ -50,7 +50,7 @@ pub struct FsdUpload {
 pub const DEFAULT_STALE_AFTER_INTERVALS: u64 = 32;
 
 /// Staleness-weighted partial aggregator of per-point FSD uploads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StalenessMerger {
     stale_after: u64,
     /// Newest accepted upload per point, keyed for deterministic

@@ -16,10 +16,10 @@
 //! is `(0.2, 0.5, 0.3)` and a throughput-sensitive (LLM) profile is
 //! `(0.5, 0.2, 0.3)`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Performance weights `(ω_TP, ω_RTT, ω_PFC)`; must sum to 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct UtilityWeights {
     /// Throughput weight ω_TP.
     pub tp: f64,
@@ -55,7 +55,7 @@ impl UtilityWeights {
 
 /// One interval's utility-function inputs, each already normalized to
 /// `[0, 1]` by the metric collection layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MetricSample {
     /// O_TP: mean active-uplink utilization.
     pub o_tp: f64,

@@ -23,7 +23,7 @@
 //! that runs it — follows at the end of the file.
 
 use paraleon_telemetry as tel;
-use serde::{Serialize, Value};
+use serde::{field, Deserialize, Serialize, Value};
 
 use crate::core::FAULT_NS;
 use crate::error::SimError;
@@ -136,56 +136,40 @@ impl Serialize for FaultKind {
     }
 }
 
-impl FaultKind {
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let tag = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or("FaultKind: missing `kind` tag")?;
-        let field = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("FaultKind::{tag}: missing `{name}`"))
-        };
-        match tag {
+// Read back from the same tagged object.
+impl Deserialize for FaultKind {
+    fn from_value(v: &Value) -> Result<Self, String> {
+        let tag: String = field(v, "FaultKind", "kind")?;
+        let ty = format!("FaultKind::{tag}");
+        let get = |name: &str| field::<f64>(v, &ty, name);
+        let flag = |name: &str| field::<bool>(v, &ty, name);
+        match tag.as_str() {
             "LinkDown" => Ok(FaultKind::LinkDown),
             "LinkUp" => Ok(FaultKind::LinkUp),
             "Degrade" => Ok(FaultKind::Degrade {
-                factor: field("factor")?,
+                factor: get("factor")?,
             }),
             "PktLoss" => Ok(FaultKind::PktLoss {
-                drop_prob: field("drop_prob")?,
+                drop_prob: get("drop_prob")?,
             }),
             "PfcStormStart" => Ok(FaultKind::PfcStormStart),
             "PfcStormEnd" => Ok(FaultKind::PfcStormEnd),
-            "CtrlImpair" => {
-                let flag = |name: &str| {
-                    v.get(name)
-                        .and_then(Value::as_bool)
-                        .ok_or_else(|| format!("FaultKind::CtrlImpair: missing `{name}`"))
-                };
-                Ok(FaultKind::CtrlImpair {
-                    up: flag("up")?,
-                    down: flag("down")?,
-                    loss: field("loss")?,
-                    delay_max: v
-                        .get("delay_max")
-                        .and_then(Value::as_u64)
-                        .ok_or("FaultKind::CtrlImpair: missing `delay_max`")?,
-                    dup: field("dup")?,
-                })
-            }
+            "CtrlImpair" => Ok(FaultKind::CtrlImpair {
+                up: flag("up")?,
+                down: flag("down")?,
+                loss: get("loss")?,
+                delay_max: field(v, &ty, "delay_max")?,
+                dup: get("dup")?,
+            }),
             "CtrlCrash" => Ok(FaultKind::CtrlCrash {
-                warm: v
-                    .get("warm")
-                    .and_then(Value::as_bool)
-                    .ok_or("FaultKind::CtrlCrash: missing `warm`")?,
+                warm: flag("warm")?,
             }),
             other => Err(format!("FaultKind: unknown tag `{other}`")),
         }
     }
+}
 
+impl FaultKind {
     /// Whether this transition targets the control plane rather than a
     /// data-plane link or host. Control-plane events are ignored by the
     /// simulator proper and consumed by the closed loop.
@@ -198,7 +182,7 @@ impl FaultKind {
 }
 
 /// One scheduled fault transition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultEvent {
     /// Absolute simulation time at which the transition applies.
     pub at: Nanos,
@@ -210,25 +194,8 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-impl FaultEvent {
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let num = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("FaultEvent: missing `{name}`"))
-        };
-        Ok(FaultEvent {
-            at: num("at")?,
-            node: num("node")? as NodeId,
-            port: num("port")? as usize,
-            kind: FaultKind::from_value(v.get("kind").ok_or("FaultEvent: missing `kind`")?)?,
-        })
-    }
-}
-
 /// A seeded, ordered schedule of fault transitions.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Seed for the plan's dedicated RNG (corruption draws).
     pub seed: u64,
@@ -413,22 +380,6 @@ impl FaultPlan {
             port: 0,
             kind: FaultKind::CtrlCrash { warm },
         })
-    }
-
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let seed = v
-            .get("seed")
-            .and_then(Value::as_u64)
-            .ok_or("FaultPlan: missing `seed`")?;
-        let events = v
-            .get("events")
-            .and_then(Value::as_array)
-            .ok_or("FaultPlan: missing `events`")?
-            .iter()
-            .map(FaultEvent::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { seed, events })
     }
 }
 

@@ -364,7 +364,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{Serialize, Value};
+    use serde::{Deserialize, Serialize, Value};
 
     /// Hop count (number of links) of the data path between two hosts,
     /// by walking the route (2 intra-ToR, 4 across a two-tier fabric or
@@ -940,7 +940,7 @@ mod tests {
             let err = TopoSpec::from_value(&v).unwrap_err();
             assert!(err.contains("delay_ns"), "{}: {err}", spec.family());
         }
-        // Directly through the legacy entry point too.
+        // Untagged (the legacy two-tier form) too.
         let mut v = specs()[0].serialize_value();
         if let Value::Object(entries) = &mut v {
             entries.retain(|(k, _)| k != "family");
@@ -950,7 +950,7 @@ mod tests {
                 }
             }
         }
-        assert!(ClosSpec::from_value(&v).is_err());
+        assert!(TopoSpec::from_value(&v).is_err());
     }
 
     #[test]
@@ -971,7 +971,7 @@ mod tests {
                 }
             }
         }
-        assert!(ClosSpec::from_value(&v).is_err());
+        assert!(TopoSpec::from_value(&v).is_err());
         let mut v = base.serialize_value();
         if let Value::Object(entries) = &mut v {
             for (k, val) in entries.iter_mut() {
@@ -980,7 +980,7 @@ mod tests {
                 }
             }
         }
-        assert!(ClosSpec::from_value(&v).is_err());
+        assert!(TopoSpec::from_value(&v).is_err());
     }
 
     /// Events address ports as `u16` and nodes as `u32`; a spec that
@@ -1028,18 +1028,22 @@ mod tests {
             hosts_per_tor: 2_000,
             ..three
         };
-        let err = ThreeTierSpec::from_value(&too_many.serialize_value()).unwrap_err();
+        let err =
+            TopoSpec::from_value(&TopoSpec::ThreeTier(too_many).serialize_value()).unwrap_err();
         assert!(err.contains("nodes"), "{err}");
         // The widest fabric that fits still passes.
         let widest = ClosSpec {
             n_tor: 65_535,
             ..clos
         };
-        assert_eq!(ClosSpec::from_value(&widest.serialize_value()), Ok(widest));
+        assert_eq!(
+            TopoSpec::from_value(&widest.serialize_value()),
+            Ok(TopoSpec::TwoTier(widest))
+        );
     }
 
     /// Specs have public fields, so `build` is reachable without
-    /// `from_value`: it must refuse too, not build a fabric whose port
+    /// the reader: it must refuse too, not build a fabric whose port
     /// indices wrap.
     #[test]
     #[should_panic(expected = "switch radix 70000 exceeds 65535")]

@@ -1,12 +1,13 @@
 //! Topology specs: each fabric family as *configuration* rather than as
 //! a built graph, so harnesses (the anomaly hunter's genome, replayable
 //! corpus cases) can round-trip it through JSON and rebuild an identical
-//! topology. A spec is read by one field reader, checked by one
-//! validator, and is what its family's builder takes.
+//! topology. A spec is read by the derived `Deserialize`, checked by one
+//! validator where it enters ([`TopoSpec`]'s reader), and is what its
+//! family's builder takes.
 
 use std::sync::Arc;
 
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use super::{gbps, NodeKind, Port, Tiers, Topology};
 use crate::{Nanos, NodeId};
@@ -14,7 +15,7 @@ use crate::{Nanos, NodeId};
 /// Recipe for the paper's two-tier Clos: `n_tor` ToR switches with
 /// `hosts_per_tor` hosts each, `n_leaf` leaf switches each connected to
 /// every ToR (paper: 4:1 oversubscribed in NS3, 1:1 on the testbed).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClosSpec {
     /// Number of ToR switches.
     pub n_tor: usize,
@@ -38,7 +39,7 @@ pub struct ClosSpec {
 /// `hosts_per_tor·host_gbps : aggs_per_pod·agg_gbps` at the ToR and
 /// `tors_per_pod·agg_gbps : spines_per_agg·spine_gbps` at the
 /// aggregation tier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ThreeTierSpec {
     /// Number of pods.
     pub n_pod: usize,
@@ -66,7 +67,7 @@ pub struct ThreeTierSpec {
 /// of blocking under it. Same two-tier graph shape as [`ClosSpec`],
 /// different host↔switch incidence — which is exactly what changes the
 /// contention pattern of collectives over consecutive ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RailSpec {
     /// Number of rail switches (GPUs per server).
     pub n_rail: usize,
@@ -86,7 +87,7 @@ pub struct RailSpec {
 /// `fast_gbps` uplinks, odd-indexed leaves `slow_gbps`. ECMP still
 /// spreads flows over all leaves, so a hash-unlucky flow rides the slow
 /// plane — the heterogeneity DCQCN parameter tuning must tolerate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MixedRateSpec {
     /// Number of ToR switches.
     pub n_tor: usize,
@@ -102,29 +103,6 @@ pub struct MixedRateSpec {
     pub slow_gbps: f64,
     /// Per-link propagation delay in nanoseconds.
     pub delay_ns: Nanos,
-}
-
-/// Reads one family's fields out of its serialized object, naming the
-/// family in every error.
-struct Fields<'a>(&'static str, &'a Value);
-
-impl Fields<'_> {
-    fn get<T>(&self, name: &str, read: fn(&Value) -> Option<T>) -> Result<T, String> {
-        let field = self.1.get(name).and_then(read);
-        field.ok_or_else(|| format!("{}: missing `{name}`", self.0))
-    }
-
-    fn uint(&self, name: &str) -> Result<u64, String> {
-        self.get(name, Value::as_u64)
-    }
-
-    fn dim(&self, name: &str) -> Result<usize, String> {
-        Ok(self.uint(name)? as usize)
-    }
-
-    fn float(&self, name: &str) -> Result<f64, String> {
-        self.get(name, Value::as_f64)
-    }
 }
 
 /// The one spec validator. `dims` must all be at least 1 and `rates`
@@ -192,20 +170,6 @@ impl ClosSpec {
     /// `build`, panics on a spec the validator rejects.
     pub fn build(&self) -> Topology {
         self.as_mixed().checked("ClosSpec").wire(false)
-    }
-
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let f = Fields("ClosSpec", v);
-        let spec = Self {
-            n_tor: f.dim("n_tor")?,
-            hosts_per_tor: f.dim("hosts_per_tor")?,
-            n_leaf: f.dim("n_leaf")?,
-            host_gbps: f.float("host_gbps")?,
-            uplink_gbps: f.float("uplink_gbps")?,
-            delay_ns: f.uint("delay_ns")?,
-        };
-        spec.as_mixed().validate("ClosSpec").map(|()| spec)
     }
 }
 
@@ -292,23 +256,6 @@ impl ThreeTierSpec {
         }
         t
     }
-
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let f = Fields("ThreeTierSpec", v);
-        let spec = Self {
-            n_pod: f.dim("n_pod")?,
-            tors_per_pod: f.dim("tors_per_pod")?,
-            hosts_per_tor: f.dim("hosts_per_tor")?,
-            aggs_per_pod: f.dim("aggs_per_pod")?,
-            spines_per_agg: f.dim("spines_per_agg")?,
-            host_gbps: f.float("host_gbps")?,
-            agg_gbps: f.float("agg_gbps")?,
-            spine_gbps: f.float("spine_gbps")?,
-            delay_ns: f.uint("delay_ns")?,
-        };
-        spec.validate().map(|()| spec)
-    }
 }
 
 impl RailSpec {
@@ -347,20 +294,6 @@ impl RailSpec {
         let clos = TopoSpec::Rail(*self).to_two_tier();
         clos.as_mixed().wire(true)
     }
-
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let f = Fields("RailSpec", v);
-        let spec = Self {
-            n_rail: f.dim("n_rail")?,
-            n_server: f.dim("n_server")?,
-            n_spine: f.dim("n_spine")?,
-            host_gbps: f.float("host_gbps")?,
-            uplink_gbps: f.float("uplink_gbps")?,
-            delay_ns: f.uint("delay_ns")?,
-        };
-        spec.validate().map(|()| spec)
-    }
 }
 
 impl MixedRateSpec {
@@ -391,7 +324,7 @@ impl MixedRateSpec {
     }
 
     /// `self`, or a panic with the validator's message: building an
-    /// invalid spec is a caller bug ([`TopoSpec::from_value`] is the
+    /// invalid spec is a caller bug ([`TopoSpec`]'s `Deserialize` is the
     /// checked way in).
     fn checked(self, what: &str) -> Self {
         self.validate(what).unwrap_or_else(|e| panic!("{e}"));
@@ -422,21 +355,6 @@ impl MixedRateSpec {
             }
         }
         t
-    }
-
-    /// Reconstruct from the [`Serialize`] representation.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let f = Fields("MixedRateSpec", v);
-        let spec = Self {
-            n_tor: f.dim("n_tor")?,
-            hosts_per_tor: f.dim("hosts_per_tor")?,
-            n_leaf: f.dim("n_leaf")?,
-            host_gbps: f.float("host_gbps")?,
-            fast_gbps: f.float("fast_gbps")?,
-            slow_gbps: f.float("slow_gbps")?,
-            delay_ns: f.uint("delay_ns")?,
-        };
-        spec.validate("MixedRateSpec").map(|()| spec)
     }
 }
 
@@ -640,16 +558,25 @@ impl TopoSpec {
             Self::MixedRate(s) => s.build(),
         }
     }
+}
 
-    /// Reconstruct from the [`Serialize`] representation. Objects with
-    /// no `"family"` tag parse as legacy untagged [`ClosSpec`]s.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        match v.get("family").and_then(Value::as_str) {
-            None | Some("two_tier") => ClosSpec::from_value(v).map(Self::TwoTier),
-            Some("three_tier") => ThreeTierSpec::from_value(v).map(Self::ThreeTier),
-            Some("rail") => RailSpec::from_value(v).map(Self::Rail),
-            Some("mixed_rate") => MixedRateSpec::from_value(v).map(Self::MixedRate),
-            Some(other) => Err(format!("TopoSpec: unknown family `{other}`")),
-        }
+/// Objects with no `"family"` tag parse as legacy untagged
+/// [`ClosSpec`]s. Every family is validated here, where a spec enters.
+impl Deserialize for TopoSpec {
+    fn from_value(v: &Value) -> Result<Self, String> {
+        let spec = match v.get("family").and_then(Value::as_str) {
+            None | Some("two_tier") => Self::TwoTier(ClosSpec::from_value(v)?),
+            Some("three_tier") => Self::ThreeTier(ThreeTierSpec::from_value(v)?),
+            Some("rail") => Self::Rail(RailSpec::from_value(v)?),
+            Some("mixed_rate") => Self::MixedRate(MixedRateSpec::from_value(v)?),
+            Some(other) => return Err(format!("TopoSpec: unknown family `{other}`")),
+        };
+        let checked = match &spec {
+            Self::TwoTier(s) => s.as_mixed().validate("ClosSpec"),
+            Self::ThreeTier(s) => s.validate(),
+            Self::Rail(s) => s.validate(),
+            Self::MixedRate(s) => s.validate("MixedRateSpec"),
+        };
+        checked.map(|()| spec)
     }
 }

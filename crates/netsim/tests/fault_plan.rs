@@ -181,7 +181,7 @@ fn install_validates_the_plan() {
 }
 
 /// `FaultPlan::degrade` / `pkt_loss` assert their ranges, but a raw
-/// `push` and `FaultKind::from_value` (corpus, genome and snapshot JSON)
+/// `push` and `FaultKind`'s reader (corpus, genome and snapshot JSON)
 /// do not — so `install_fault_plan` must. A "degraded to zero" link used
 /// to become infinitely fast: the serialization time saturated and
 /// `now + ser` wrapped, so a 1 MB flow across it *completed* within 2 ms.
@@ -205,7 +205,8 @@ fn install_rejects_out_of_range_degrade_and_loss_parameters() {
         let mut plan = FaultPlan::new(0);
         // The JSON path builds exactly this raw event.
         let json = serde::Serialize::serialize_value(&kind);
-        let kind = FaultKind::from_value(&json).expect("a raw value parses unchecked");
+        let kind: FaultKind =
+            serde::Deserialize::from_value(&json).expect("a raw value parses unchecked");
         plan.link_down(5 * MICRO, TOR0, 4).push(FaultEvent {
             at: 10 * MICRO,
             node: 0,

@@ -15,14 +15,14 @@
 //! interval to read and reset the Heavy Part, exactly as the paper's
 //! Tofino agent reads and resets the data-plane registers.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::hash::bucket;
 use crate::FlowId;
 
 /// Sizing and behaviour knobs, mirroring the SRAM budget of a Tofino
 /// deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SketchConfig {
     /// Number of Heavy Part buckets.
     pub heavy_buckets: usize,

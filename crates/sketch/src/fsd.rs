@@ -15,14 +15,14 @@
 //! plain addition ([`Fsd::merge`]), which is exact because Keypoint 1
 //! (single-sketch insertion) guarantees no flow is double-counted.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of logarithmic size bins (2^0 .. 2^39 bytes; everything larger
 /// lands in the last bin).
 pub const FSD_BINS: usize = 40;
 
 /// Which flow class dominates a distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FlowType {
     /// Long/large flows wanting throughput.
     Elephant,
@@ -31,7 +31,7 @@ pub enum FlowType {
 }
 
 /// One interval's flow size distribution snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fsd {
     /// Per-bin flow mass (bin = ⌊log₂ size⌋, clamped).
     hist: Vec<f64>,

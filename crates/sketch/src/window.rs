@@ -23,14 +23,14 @@
 
 use std::collections::hash_map::Entry;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::fsd::{size_bin, Fsd, FsdBuilder, FSD_BINS};
 use crate::hash::FlowMap;
 use crate::FlowId;
 
 /// Ternary classification of one flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FlowState {
     /// Aggregated bytes reached τ.
     Elephant,
@@ -41,7 +41,7 @@ pub enum FlowState {
 }
 
 /// Classifier configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct WindowConfig {
     /// Elephant byte threshold τ (paper default 1 MB, after DCTCP).
     pub tau_bytes: u64,

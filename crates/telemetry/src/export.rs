@@ -11,7 +11,7 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use serde_json::Value;
+use serde::{field, Deserialize, Value};
 
 use crate::{
     counters_snapshot, flight_dropped, flight_events, gauges_snapshot, histogram, series_points,
@@ -118,7 +118,7 @@ pub fn write_jsonl(path: impl AsRef<Path>) -> io::Result<PathBuf> {
 }
 
 /// A histogram's exported summary.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct HistSummary {
     /// Histogram name.
     pub name: String,
@@ -141,7 +141,7 @@ pub struct HistSummary {
 }
 
 /// A time-series point read back from disk.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct OwnedSeriesPoint {
     /// Metric name.
     pub metric: String,
@@ -164,13 +164,6 @@ pub struct OwnedEvent {
     pub name: String,
     /// Event payload fields.
     pub fields: Vec<(String, f64)>,
-}
-
-impl OwnedEvent {
-    /// Look up one payload field.
-    pub fn field(&self, name: &str) -> Option<f64> {
-        self.fields.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
-    }
 }
 
 /// Everything one exported JSONL file contained.
@@ -199,14 +192,6 @@ impl TelemetryDump {
             .map_or(0, |&(_, v)| v)
     }
 
-    /// A gauge's value (0.0 when absent).
-    pub fn gauge(&self, name: &str) -> f64 {
-        self.gauges
-            .iter()
-            .find(|(k, _)| k == name)
-            .map_or(0.0, |&(_, v)| v)
-    }
-
     /// A histogram summary by name.
     pub fn hist(&self, name: &str) -> Option<&HistSummary> {
         self.histograms.iter().find(|h| h.name == name)
@@ -227,110 +212,54 @@ impl TelemetryDump {
     }
 }
 
-fn field<'v>(entries: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::UInt(u) => Some(*u),
-        Value::Int(i) if *i >= 0 => Some(*i as u64),
-        Value::Float(f) if *f >= 0.0 => Some(*f as u64),
-        _ => None,
-    }
-}
-
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(f) => Some(*f),
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        _ => None,
-    }
-}
-
-fn as_str(v: &Value) -> Option<&str> {
-    match v {
-        Value::String(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn bad(line_no: usize, what: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("telemetry jsonl line {line_no}: {what}"),
-    )
-}
-
 /// Read a file written by [`write_jsonl`].
 pub fn read_jsonl(path: impl AsRef<Path>) -> io::Result<TelemetryDump> {
     let text = fs::read_to_string(path.as_ref())?;
     let mut dump = TelemetryDump::default();
     for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
         if raw.trim().is_empty() {
             continue;
         }
-        let value = serde_json::from_str_value(raw)
-            .map_err(|e| bad(line_no, &format!("parse error: {e}")))?;
-        let Value::Object(entries) = value else {
-            return Err(bad(line_no, "not an object"));
-        };
-        let kind = field(&entries, "kind")
-            .and_then(as_str)
-            .ok_or_else(|| bad(line_no, "missing kind"))?;
-        let req_u64 = |key: &str| -> io::Result<u64> {
-            field(&entries, key)
-                .and_then(as_u64)
-                .ok_or_else(|| bad(line_no, &format!("missing {key}")))
-        };
-        let req_f64 = |key: &str| -> io::Result<f64> {
-            field(&entries, key)
-                .and_then(as_f64)
-                .ok_or_else(|| bad(line_no, &format!("missing {key}")))
-        };
-        let req_str = |key: &str| -> io::Result<String> {
-            field(&entries, key)
-                .and_then(as_str)
-                .map(String::from)
-                .ok_or_else(|| bad(line_no, &format!("missing {key}")))
-        };
-        match kind {
-            "counter" => dump.counters.push((req_str("name")?, req_u64("value")?)),
-            "gauge" => dump.gauges.push((req_str("name")?, req_f64("value")?)),
-            "hist" => dump.histograms.push(HistSummary {
-                name: req_str("name")?,
-                count: req_u64("count")?,
-                min: req_u64("min")?,
-                max: req_u64("max")?,
-                mean: req_f64("mean")?,
-                p50: req_u64("p50")?,
-                p90: req_u64("p90")?,
-                p99: req_u64("p99")?,
-                p999: req_u64("p999")?,
-            }),
-            "series" => dump.series.push(OwnedSeriesPoint {
-                metric: req_str("metric")?,
-                entity: req_u64("entity")? as u32,
-                t_ns: req_u64("t_ns")?,
-                value: req_f64("value")?,
-            }),
-            "event" => dump.events.push(OwnedEvent {
-                t_ns: req_u64("t_ns")?,
-                tenant: field(&entries, "tenant").and_then(as_u64).unwrap_or(0) as u32,
-                name: req_str("event")?,
-                fields: entries
-                    .iter()
-                    .filter(|(k, _)| !matches!(k.as_str(), "kind" | "t_ns" | "event" | "tenant"))
-                    .filter_map(|(k, v)| as_f64(v).map(|f| (k.clone(), f)))
-                    .collect(),
-            }),
-            "flight_meta" => dump.flight_dropped = req_u64("dropped")?,
-            other => return Err(bad(line_no, &format!("unknown kind `{other}`"))),
-        }
+        read_line(raw, &mut dump).map_err(|e| {
+            let what = format!("telemetry jsonl line {}: {e}", i + 1);
+            io::Error::new(io::ErrorKind::InvalidData, what)
+        })?;
     }
     Ok(dump)
+}
+
+/// Add one exported line to `dump`.
+fn read_line(raw: &str, dump: &mut TelemetryDump) -> Result<(), String> {
+    let v = serde_json::from_str_value(raw).map_err(|e| format!("parse error: {e}"))?;
+    let Value::Object(entries) = &v else {
+        return Err("not an object".into());
+    };
+    let kind: String = field(&v, "telemetry", "kind")?;
+    let kind = kind.as_str();
+    match kind {
+        "counter" => dump
+            .counters
+            .push((field(&v, kind, "name")?, field(&v, kind, "value")?)),
+        "gauge" => dump
+            .gauges
+            .push((field(&v, kind, "name")?, field(&v, kind, "value")?)),
+        "hist" => dump.histograms.push(HistSummary::from_value(&v)?),
+        "series" => dump.series.push(OwnedSeriesPoint::from_value(&v)?),
+        // The payload is flattened into the line, so events are read by hand.
+        "event" => dump.events.push(OwnedEvent {
+            t_ns: field(&v, kind, "t_ns")?,
+            tenant: field::<Option<u32>>(&v, kind, "tenant")?.unwrap_or(0),
+            name: field(&v, kind, "event")?,
+            fields: entries
+                .iter()
+                .filter(|(k, _)| !matches!(k.as_str(), "kind" | "t_ns" | "event" | "tenant"))
+                .filter_map(|(k, x)| x.as_f64().map(|f| (k.clone(), f)))
+                .collect(),
+        }),
+        "flight_meta" => dump.flight_dropped = field(&v, kind, "dropped")?,
+        other => return Err(format!("unknown kind `{other}`")),
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -367,7 +296,7 @@ mod tests {
         assert_eq!(dump.counter("ecn_marks"), 7);
         assert_eq!(dump.counter("kl_triggers"), 1);
         assert_eq!(dump.counter("dispatches"), 1);
-        assert_eq!(dump.gauge("sa_temp"), 12.5);
+        assert!(dump.gauges.contains(&("sa_temp".into(), 12.5)));
         let h = dump.hist("rtt_ns").unwrap();
         assert_eq!(h.count, 3);
         assert_eq!(h.min, 100);
@@ -379,8 +308,13 @@ mod tests {
         let kl = dump.events_named("kl_trigger");
         assert_eq!(kl.len(), 1);
         assert_eq!(kl[0].t_ns, 2_000);
-        assert_eq!(kl[0].field("kl"), Some(0.02));
+        assert!(kl[0].fields.contains(&("kl".into(), 0.02)));
         assert_eq!(dump.flight_dropped, 0);
+        // An entity that does not fit its `u32` is refused, not read as 0.
+        let line = r#"{"kind":"series","metric":"m","entity":4294967296,"t_ns":0,"value":1.0}"#;
+        fs::write(&path, line).unwrap();
+        let err = read_jsonl(&path).unwrap_err().to_string();
+        assert!(err.contains("line 1: OwnedSeriesPoint.entity"), "{err}");
         crate::reset();
         crate::set_enabled(false);
         let _ = std::fs::remove_dir_all(dir);

@@ -27,14 +27,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use paraleon_dcqcn::{DcqcnParams, Direction, ParamSpace};
 use paraleon_sketch::FlowType;
 use paraleon_telemetry as tel;
 
 /// SA schedule and mutation configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SaConfig {
     /// Iterations (monitor intervals) per temperature level.
     pub total_iter_num: u32,
@@ -107,38 +107,6 @@ pub struct SaTuner {
     pub steps: u64,
     /// Accepted moves (statistics).
     pub accepts: u64,
-}
-
-// `StdRng` has no `Serialize`; the tuner serializes by hand so SA state
-// (including the exact RNG stream position) is inspectable in snapshot
-// dumps and byte-stable across a crash/restore round trip.
-impl Serialize for SaTuner {
-    fn serialize_value(&self) -> serde::Value {
-        use serde::Value;
-        let rng = self
-            .rng
-            .state()
-            .iter()
-            .map(|w| Value::UInt(*w))
-            .collect::<Vec<_>>();
-        Value::Object(vec![
-            (String::from("cfg"), self.cfg.serialize_value()),
-            (String::from("rng_state"), Value::Array(rng)),
-            (String::from("current"), self.current.serialize_value()),
-            (
-                String::from("current_util"),
-                Value::Float(self.current_util),
-            ),
-            (String::from("best"), self.best.serialize_value()),
-            (String::from("best_util"), Value::Float(self.best_util)),
-            (String::from("candidate"), self.candidate.serialize_value()),
-            (String::from("temp"), Value::Float(self.temp)),
-            (String::from("iter"), Value::UInt(self.iter as u64)),
-            (String::from("finished"), Value::Bool(self.finished)),
-            (String::from("steps"), Value::UInt(self.steps)),
-            (String::from("accepts"), Value::UInt(self.accepts)),
-        ])
-    }
 }
 
 impl SaTuner {

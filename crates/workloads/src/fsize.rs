@@ -7,10 +7,10 @@
 //! mice-count vs. elephant-bytes split).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A flow-size distribution: control points of `(size_bytes, cdf)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FlowSizeDist {
     name: String,
     /// Monotonic `(size, cdf)` points, first cdf 0.0, last cdf 1.0.

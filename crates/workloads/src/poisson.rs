@@ -54,11 +54,6 @@ impl PoissonWorkload {
         }
     }
 
-    /// Mean inter-arrival gap in nanoseconds (diagnostics).
-    pub fn mean_gap_ns(&self) -> f64 {
-        self.mean_gap_ns
-    }
-
     /// The flow-size distribution in use.
     pub fn dist(&self) -> &FlowSizeDist {
         &self.dist
