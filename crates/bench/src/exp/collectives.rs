@@ -17,7 +17,7 @@
 use paraleon::prelude::*;
 use serde::Serialize;
 
-use crate::{alltoall, grid, steady_algbw_gbps, vs_best_static, Ctx, Scale};
+use crate::{alltoall, grid, steady_algbw_gbps, Ctx, Scale};
 
 #[derive(Serialize)]
 struct Row {
@@ -163,28 +163,5 @@ pub fn run(ctx: &Ctx) {
             rounds_done: coll.rounds_done(),
         }
     });
-    let rows: Vec<Vec<String>> = out
-        .chunks(schemes.len())
-        .map(|c| {
-            [c[0].collective.clone(), c[0].topology.clone()]
-                .into_iter()
-                .chain(c.iter().map(|r| format!("{:.1}", r.algbw_gbps)))
-                .collect()
-        })
-        .collect();
-    ctx.table(
-        "Collective algbw (Gbps) by topology family and scheme",
-        &["collective", "topology", "Default", "Expert", "PARALEON"],
-        &rows,
-    );
-    // PARALEON's adaptivity claim, cell by cell.
-    for c in out.chunks(schemes.len()) {
-        println!(
-            "{} on {}: PARALEON vs best static = {:+.1}%",
-            c[0].collective,
-            c[0].topology,
-            vs_best_static(c[0].algbw_gbps, c[1].algbw_gbps, c[2].algbw_gbps)
-        );
-    }
     ctx.write(&out);
 }

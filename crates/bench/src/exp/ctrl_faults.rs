@@ -25,7 +25,7 @@
 use paraleon::prelude::*;
 use serde::Serialize;
 
-use crate::{gbps_of, inject_interval, Ctx, Scale};
+use crate::{inject_interval, Ctx, Scale};
 
 /// The fabric: 2 ToRs × 4 hosts whatever the scale asked for — the gate
 /// pins one seed, so the scripted scenario must not change shape.
@@ -162,40 +162,6 @@ pub fn run(ctx: &Ctx) {
     let [faultfree, hardened, naive] = &outcomes[..] else {
         unreachable!("three scenarios");
     };
-    let rows: Vec<Vec<String>> = outcomes
-        .iter()
-        .map(|o| {
-            vec![
-                o.label.to_string(),
-                format!("{:.1}", gbps_of(o.recovery_goodput)),
-                format!("{}", o.settled),
-                format!("{}", o.diverged),
-                format!("{}", o.msgs_lost),
-                format!("{}", o.retries),
-                format!("{}", o.crashes),
-                if passes_gate(o, faultfree) {
-                    "pass"
-                } else {
-                    "FAIL"
-                }
-                .to_string(),
-            ]
-        })
-        .collect();
-    ctx.table(
-        "Lossy channel + warm crash: recovery and end-state agreement",
-        &[
-            "loop",
-            "recovery Gbps",
-            "settled",
-            "diverged",
-            "msgs lost",
-            "retries",
-            "crashes",
-            "gate",
-        ],
-        &rows,
-    );
     ctx.write(&outcomes);
 
     // --- Acceptance checks (CI smoke gate). ---

@@ -27,7 +27,7 @@ use paraleon_hunt::oracle::{goodput_collapse, pfc_storm};
 use paraleon_tuner::{Observation, TuningAction, TuningFeedback, TuningScheme};
 use serde::Serialize;
 
-use crate::{gbps_of, inject_interval, Ctx, Scale};
+use crate::{inject_interval, Ctx, Scale};
 
 /// Interval the rogue tuner first dispatches the collapsing setting.
 const BAD_DISPATCH_AT: u64 = 24;
@@ -294,52 +294,6 @@ pub fn run(ctx: &Ctx) {
         unreachable!("three scenarios, in cell order");
     };
 
-    let row = |o: &LoopOutcome| {
-        vec![
-            if o.guarded {
-                "guardrailed"
-            } else {
-                "unguarded"
-            }
-            .to_string(),
-            format!("{:.1}", gbps_of(o.pre_fault_goodput)),
-            format!("{:.1}", gbps_of(o.tail_goodput)),
-            format!("{:.2}", o.recovery_ratio),
-            o.detect_latency
-                .map(|d| format!("{d}"))
-                .unwrap_or_else(|| "-".into()),
-            format!("{}", o.rollbacks),
-        ]
-    };
-    ctx.table(
-        "Flap + PFC storm + rogue dispatch: recovery",
-        &[
-            "loop",
-            "pre-fault Gbps",
-            "tail Gbps",
-            "recovery",
-            "detect (MIs)",
-            "rollbacks",
-        ],
-        &[row(unguarded), row(guarded)],
-    );
-    ctx.table(
-        "Repeated bad dispatches: guardrail escalation",
-        &[
-            "rejects",
-            "rollbacks",
-            "safe-mode entries",
-            "frozen MIs",
-            "exited",
-        ],
-        &[vec![
-            format!("{}", safe.rejects),
-            format!("{}", safe.rollbacks),
-            format!("{}", safe.safe_mode_entries),
-            format!("{}", safe.safe_mode_intervals),
-            format!("{}", safe.exited_safe_mode),
-        ]],
-    );
     ctx.write(&(unguarded, guarded, safe));
     accept(ctx, unguarded, guarded, safe);
 }

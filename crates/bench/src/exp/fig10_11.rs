@@ -94,31 +94,6 @@ pub fn fig10(ctx: &Ctx) {
             flows: r.flows,
         }
     });
-    for at_load in out.chunks(monitors.len()) {
-        let rows: Vec<Vec<String>> = at_load
-            .iter()
-            .map(|r| {
-                vec![
-                    r.monitor.clone(),
-                    format!("{:.3}", r.fsd_accuracy),
-                    format!("{:.2}", r.avg_fct_ms),
-                    format!("{:.2}", r.p99_fct_ms),
-                    format!("{}", r.flows),
-                ]
-            })
-            .collect();
-        ctx.table(
-            &format!("Fig 10 @ load {}", at_load[0].load),
-            &[
-                "monitor",
-                "FSD accuracy",
-                "avg FCT (ms)",
-                "p99 FCT (ms)",
-                "flows",
-            ],
-            &rows,
-        );
-    }
     ctx.write(&out);
 }
 
@@ -146,26 +121,5 @@ pub fn fig11(ctx: &Ctx) {
             flows: r.flows,
         }
     });
-    for per_monitor in out.chunks(intervals.len()) {
-        let rows: Vec<Vec<String>> = per_monitor
-            .iter()
-            .map(|r| {
-                vec![
-                    format!("{:.0}", r.lambda_mi_ms),
-                    format!("{:.3}", r.fsd_accuracy),
-                    format!("{:.2}", r.avg_fct_ms),
-                    format!("{}", r.flows),
-                ]
-            })
-            .collect();
-        ctx.table(
-            &format!(
-                "Fig 11: {} across monitor intervals",
-                per_monitor[0].monitor
-            ),
-            &["λ_MI (ms)", "FSD accuracy", "avg FCT (ms)", "flows"],
-            &rows,
-        );
-    }
     ctx.write(&out);
 }

@@ -17,6 +17,12 @@ struct Series {
     workload: String,
     utility: Vec<f64>,
     best_so_far: Vec<f64>,
+    mean_utility: f64,
+    /// Mean over the last third of the intervals.
+    final_utility: f64,
+    /// [`convergence_round`] with a 10-interval window and 0.08
+    /// tolerance.
+    converged_at: usize,
 }
 
 /// Run one (workload, tuner) cell; the convergence series is rebuilt
@@ -59,9 +65,13 @@ fn run_one(ctx: &Ctx, llm: bool, scheme: SchemeKind) -> Series {
             best
         })
         .collect();
+    let n = utility.len();
     Series {
         scheme: scheme.name().to_string(),
         workload: workload.to_string(),
+        mean_utility: stats::mean(&utility),
+        final_utility: stats::mean(&utility[n - n / 3..]),
+        converged_at: convergence_round(&utility, 10, 0.08),
         utility,
         best_so_far,
     }
@@ -86,24 +96,5 @@ pub fn run(ctx: &Ctx) {
     let tuners = [ctx.scale.paraleon(), SchemeKind::ParaleonNaiveSa];
     let cells = grid(&[false, true], &tuners);
     let all = ctx.sweep(cells, |(llm, scheme)| run_one(ctx, llm, scheme));
-    let rows: Vec<Vec<String>> = all
-        .iter()
-        .map(|s| {
-            let n = s.utility.len();
-            vec![
-                s.workload.clone(),
-                s.scheme.clone(),
-                format!("{:.3}", stats::mean(&s.utility)),
-                format!("{:.3}", stats::mean(&s.utility[n - n / 3..])),
-                format!("{}", convergence_round(&s.utility, 10, 0.08)),
-            ]
-        })
-        .collect();
-    ctx.table(
-        "Fig 12: SA ablation (converged @ = first interval after which the 10-interval \
-         moving average of U stays within 0.08 of the final-third mean)",
-        &["workload", "scheme", "mean U", "final U", "converged @"],
-        &rows,
-    );
     ctx.write(&all);
 }

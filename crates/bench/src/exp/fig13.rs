@@ -11,7 +11,7 @@
 use paraleon::prelude::*;
 use serde::Serialize;
 
-use crate::{alltoall, grid, steady_algbw_gbps, vs_best_static, Ctx, Scale};
+use crate::{alltoall, grid, steady_algbw_gbps, Ctx, Scale};
 
 #[derive(Serialize)]
 struct Row {
@@ -46,26 +46,5 @@ pub fn run(ctx: &Ctx) {
             algbw_gbps: steady_algbw_gbps(&a2a),
         }
     });
-    let rows: Vec<Vec<String>> = out
-        .chunks(schemes.len())
-        .map(|per_w| {
-            std::iter::once(format!("{}", per_w[0].workers))
-                .chain(per_w.iter().map(|r| format!("{:.1}", r.algbw_gbps)))
-                .collect()
-        })
-        .collect();
-    ctx.table(
-        "Fig 13: alltoall algbw (Gbps) vs collective scale",
-        &["workers", "Default", "Expert", "PARALEON"],
-        &rows,
-    );
-    // PARALEON's headline advantage.
-    for w in out.chunks(schemes.len()) {
-        println!(
-            "workers={}: PARALEON vs best static = {:+.1}% (paper: up to +19.5%)",
-            w[0].workers,
-            vs_best_static(w[0].algbw_gbps, w[1].algbw_gbps, w[2].algbw_gbps)
-        );
-    }
     ctx.write(&out);
 }

@@ -96,28 +96,5 @@ pub fn run(ctx: &Ctx) {
         ctx.scale.paraleon(),
     ];
     let out = ctx.sweep(schemes, |s| run_one(ctx, s));
-    let rows: Vec<Vec<String>> = out
-        .iter()
-        .map(|s| {
-            vec![
-                s.scheme.clone(),
-                format!("{:.0}", s.rpc_avg_fct_us),
-                format!("{:.0}", s.rpc_p99_fct_us),
-                format!("{:.0}", s.fabric_p99_fct_us),
-                format!("{:.1}", s.post_tp_gbps),
-            ]
-        })
-        .collect();
-    ctx.table(
-        "Fig 14: SolarRPC burst into alltoall background",
-        &[
-            "scheme",
-            "RPC avg FCT (us)",
-            "RPC p99 FCT (us)",
-            "all-flow p99 FCT (us)",
-            "post-burst TP (Gbps)",
-        ],
-        &rows,
-    );
     ctx.write(&out);
 }

@@ -51,22 +51,5 @@ pub fn run(ctx: &Ctx) {
             rtt_us: rtt,
         }
     });
-    for (points, (param, _)) in out.chunks(5).zip(&SWEEPS) {
-        let rows: Vec<Vec<String>> = points
-            .iter()
-            .map(|p| {
-                vec![
-                    format!("{}", p.value),
-                    format!("{:.1}", p.goodput_gbps),
-                    format!("{:.1}", p.rtt_us),
-                ]
-            })
-            .collect();
-        ctx.table(
-            &format!("Fig 5: sweep of {}", param.name()),
-            &["value", "throughput (Gbps)", "RTT (us)"],
-            &rows,
-        );
-    }
     ctx.write(&out);
 }

@@ -6,8 +6,7 @@
 //! direction simultaneously (small `rpg_time_reset`, large `K_max`) does
 //! **not** produce monotonically better throughput — over-aggressive
 //! injection overshoots the equilibrium, triggers extra CNPs/PFCs and
-//! hurts. The harness prints both metric grids and flags the
-//! non-monotonicity.
+//! hurts. Each cell's throughput and RTT is one row of the results.
 
 use paraleon::prelude::*;
 use serde::Serialize;
@@ -40,39 +39,5 @@ pub fn run(ctx: &Ctx) {
             rtt_us: rtt,
         }
     });
-    let header: Vec<String> = std::iter::once("timer\\Kmax".to_string())
-        .chain(KMAXES.iter().map(|k| format!("{k}KB")))
-        .collect();
-    let header: Vec<&str> = header.iter().map(String::as_str).collect();
-    let grid_of = |metric: fn(&Cell) -> f64| -> Vec<Vec<String>> {
-        cells
-            .chunks(KMAXES.len())
-            .map(|row| {
-                std::iter::once(format!("{}", row[0].rpg_time_reset))
-                    .chain(row.iter().map(|c| format!("{:.1}", metric(c))))
-                    .collect()
-            })
-            .collect()
-    };
-    ctx.table(
-        "Fig 6(a): throughput (Gbps)",
-        &header,
-        &grid_of(|c| c.goodput_gbps),
-    );
-    ctx.table("Fig 6(b): RTT (us)", &header, &grid_of(|c| c.rtt_us));
-
-    // Non-monotonicity check along the "both throughput-friendly"
-    // diagonal: smaller timer + larger Kmax should NOT be uniformly
-    // better.
-    let n = KMAXES.len();
-    let diag: Vec<f64> = (0..n)
-        .map(|i| cells[(n - 1 - i) * n + i].goodput_gbps)
-        .collect();
-    let monotonic = diag.windows(2).all(|w| w[1] >= w[0] - 1e-9);
-    println!(
-        "\nthroughput along the aggressive diagonal: {:?}\nmonotonic: {} (paper observes convex/concave points, i.e. NOT monotonic)",
-        diag.iter().map(|v| format!("{v:.1}")).collect::<Vec<_>>(),
-        monotonic
-    );
     ctx.write(&cells);
 }

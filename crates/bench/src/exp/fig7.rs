@@ -49,35 +49,17 @@ pub fn fb(ctx: &Ctx) {
         cl.run_to_completion(window + 300 * MILLI);
         let base_rtt = cl.sim.base_rtt(0, scale.hosts() - 1);
         let bins = stats::slowdown_bins(&cl.completions, 12.5e9, base_rtt, &FIG7_BINS);
-        (scheme.name(), cl.completions.len(), bins)
-    });
-    let mut out = Vec::new();
-    for (scheme, done, bins) in runs {
-        let rows: Vec<Vec<String>> = bins
-            .iter()
-            .map(|b| {
-                vec![
-                    format!("{}-{}", stats::fmt_size(b.lo), stats::fmt_size(b.hi)),
-                    format!("{}", b.count),
-                    format!("{:.2}", b.avg),
-                    format!("{:.2}", b.p999),
-                ]
-            })
-            .collect();
-        ctx.table(
-            &format!("{scheme}: FCT slowdown by flow size ({done} flows done)"),
-            &["size bin", "flows", "avg", "p99.9"],
-            &rows,
-        );
-        out.extend(bins.iter().map(|b| FbRow {
-            scheme: scheme.to_string(),
+        let name = scheme.name();
+        bins.into_iter().map(move |b| FbRow {
+            scheme: name.to_string(),
             bin_lo: b.lo,
             bin_hi: b.hi,
             count: b.count,
             avg_slowdown: b.avg,
             p999_slowdown: b.p999,
-        }));
-    }
+        })
+    });
+    let out: Vec<FbRow> = runs.into_iter().flatten().collect();
     ctx.write(&out);
 }
 
@@ -88,7 +70,7 @@ pub fn llm(ctx: &Ctx) {
         _ => [8, 16],
     };
     let cells = grid(&worker_counts, &scale.all_schemes());
-    let runs = ctx.sweep(cells, |(n, scheme)| {
+    let out = ctx.sweep(cells, |(n, scheme)| {
         let mut cl = ClosedLoop::builder(scale.clos())
             .scheme(scheme.clone())
             .loop_config(LoopConfig {
@@ -117,35 +99,14 @@ pub fn llm(ctx: &Ctx) {
             .map(|r| r.fct() as f64 / 1e6)
             .collect();
         let mut sorted = fcts_ms.clone();
-        let row = LlmRow {
+        LlmRow {
             scheme: scheme.name().to_string(),
             workers: n,
             fct_cdf_ms: stats::cdf(&fcts_ms, 20),
             p50_ms: stats::percentile(&mut sorted, 50.0),
             p99_ms: stats::percentile(&mut sorted, 99.0),
             max_ms: sorted.last().copied().unwrap_or(0.0),
-        };
-        (records.len(), row)
+        }
     });
-    for (per_n, &n) in runs.chunks(runs.len() / 2).zip(&worker_counts) {
-        let rows: Vec<Vec<String>> = per_n
-            .iter()
-            .map(|(flows, r)| {
-                vec![
-                    r.scheme.clone(),
-                    format!("{flows}"),
-                    format!("{:.2}", r.p50_ms),
-                    format!("{:.2}", r.p99_ms),
-                    format!("{:.2}", r.max_ms),
-                ]
-            })
-            .collect();
-        ctx.table(
-            &format!("{n}x{n} alltoall flow FCTs (ms)"),
-            &["scheme", "flows", "p50", "p99", "max"],
-            &rows,
-        );
-    }
-    let out: Vec<&LlmRow> = runs.iter().map(|(_, r)| r).collect();
     ctx.write(&out);
 }

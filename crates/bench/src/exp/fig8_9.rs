@@ -21,6 +21,10 @@ struct Series {
     trigger_times_ms: Vec<f64>,
     influx_start_ms: f64,
     influx_end_ms: f64,
+    /// Means of the positive samples during the influx and after it.
+    influx_rtt_us: f64,
+    influx_goodput_gbps: f64,
+    post_goodput_gbps: f64,
 }
 
 /// The background collective: ON-OFF alltoall across half the hosts.
@@ -60,8 +64,19 @@ fn run_one(ctx: &Ctx, scheme: SchemeKind) -> Series {
     }
     let dump = ctx.telemetry_dump(scheme.name());
     let (t_ms, goodput_gbps, rtt_us) = influx_series(&dump);
+    let (start_ms, end_ms) = (influx.start as f64 / 1e6, influx.end as f64 / 1e6);
+    // Mean of the positive samples of `v` whose time is in `when`.
+    let mean_of = |v: &[f64], when: &dyn Fn(f64) -> bool| {
+        let samples = t_ms.iter().zip(v).filter(|&(&t, &x)| when(t) && x > 0.0);
+        stats::mean(&samples.map(|(_, &x)| x).collect::<Vec<f64>>())
+    };
+    let during = |t: f64| t > start_ms && t <= end_ms;
+    let after = |t: f64| t > end_ms;
     Series {
         scheme: scheme.name().to_string(),
+        influx_rtt_us: mean_of(&rtt_us, &during),
+        influx_goodput_gbps: mean_of(&goodput_gbps, &during),
+        post_goodput_gbps: mean_of(&goodput_gbps, &after),
         t_ms,
         goodput_gbps,
         rtt_us,
@@ -76,8 +91,8 @@ fn run_one(ctx: &Ctx, scheme: SchemeKind) -> Series {
             .filter(|&&(_, v)| v > 0.5)
             .map(|&(t, _)| t as f64 / 1e6)
             .collect(),
-        influx_start_ms: influx.start as f64 / 1e6,
-        influx_end_ms: influx.end as f64 / 1e6,
+        influx_start_ms: start_ms,
+        influx_end_ms: end_ms,
     }
 }
 
@@ -122,40 +137,5 @@ pub fn fig9(ctx: &Ctx) {
 }
 
 fn influx(ctx: &Ctx, schemes: Vec<SchemeKind>) {
-    let series = ctx.sweep(schemes, |s| run_one(ctx, s));
-    let rows: Vec<Vec<String>> = series
-        .iter()
-        .map(|s| {
-            // Mean of the positive samples of `v` whose time is in `when`.
-            let mean_of = |v: &[f64], when: &dyn Fn(f64) -> bool| {
-                let vals: Vec<f64> = s
-                    .t_ms
-                    .iter()
-                    .zip(v)
-                    .filter(|&(&t, &x)| when(t) && x > 0.0)
-                    .map(|(_, &x)| x)
-                    .collect();
-                stats::mean(&vals)
-            };
-            let during = |t: f64| t > s.influx_start_ms && t <= s.influx_end_ms;
-            let after = |t: f64| t > s.influx_end_ms;
-            vec![
-                s.scheme.clone(),
-                format!("{:.1}", mean_of(&s.rtt_us, &during)),
-                format!("{:.1}", mean_of(&s.goodput_gbps, &during)),
-                format!("{:.1}", mean_of(&s.goodput_gbps, &after)),
-            ]
-        })
-        .collect();
-    ctx.table(
-        "influx summary (lower influx-RTT and higher post-influx throughput are better)",
-        &[
-            "scheme",
-            "influx RTT (us)",
-            "influx TP (Gbps)",
-            "post TP (Gbps)",
-        ],
-        &rows,
-    );
-    ctx.write(&series);
+    ctx.write(&ctx.sweep(schemes, |s| run_one(ctx, s)));
 }

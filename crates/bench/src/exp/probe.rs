@@ -34,7 +34,6 @@ fn probe(load_ms: u64, until_ms: u64, threads: usize) -> (u64, usize, usize) {
 pub fn run(ctx: &Ctx) {
     let serial = probe(20, 25, 1);
     let (events, flows, completions) = serial;
-    println!("events {events}  completions {completions}/{flows}");
     if ctx.check {
         let sharded = probe(20, 25, 2);
         ctx.gate(sharded == serial, format!("2 workers count {sharded:?}"));

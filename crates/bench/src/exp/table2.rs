@@ -41,34 +41,5 @@ pub fn run(ctx: &Ctx) {
             round_ms: a2a.round_durations().first().copied().unwrap_or(0) as f64 / 1e6,
         }
     });
-    let rows: Vec<Vec<String>> = out
-        .iter()
-        .map(|r| {
-            vec![
-                r.scheme.clone(),
-                format!("{:.2}", r.message_mb),
-                format!("{:.2}", r.algbw_gbps / 8.0), // GB/s like the paper
-                format!("{:.2}", r.round_ms),
-            ]
-        })
-        .collect();
-    ctx.table(
-        &format!("Table II: {ranks}x{ranks} alltoall out-of-place algbw (GB/s) vs per-pair message size (MB)"),
-        &["setting", "msg (MB)", "algbw (GB/s)", "round (ms)"],
-        &rows,
-    );
-    // Headline check mirroring the paper's conclusion.
-    let avg = |name: &str| {
-        let v: Vec<f64> = out
-            .iter()
-            .filter(|r| r.scheme == name)
-            .map(|r| r.algbw_gbps)
-            .collect();
-        stats::mean(&v)
-    };
-    println!(
-        "\nexpert/default mean algbw ratio: {:.2}x (paper: 2.0-5.7x)",
-        avg("Expert") / avg("Default").max(1e-9)
-    );
     ctx.write(&out);
 }

@@ -126,92 +126,5 @@ fn measure(ctx: &Ctx) -> Overheads {
 
 pub fn run(ctx: &Ctx) {
     let o = measure(ctx);
-    let row = |a: &str, b: String, c: &str| vec![a.to_string(), b, c.to_string()];
-    ctx.table(
-        "Table IV: system overheads (measured vs paper)",
-        &["category", "measured", "paper"],
-        &[
-            row(
-                "CPU: monitoring (switch CP analogue)",
-                format!("{:.2}% of harness wall", o.monitor_cpu_pct_of_interval),
-                "20.3% (switch CP)",
-            ),
-            row(
-                "CPU: tuning (controller analogue)",
-                format!("{:.2}% of harness wall", o.tuner_cpu_pct_of_interval),
-                "3.2% (controller)",
-            ),
-            row(
-                "Memory: control-plane flow states",
-                format!("{} KB", o.control_plane_memory_bytes / 1024),
-                "9.5 MB (switch CP)",
-            ),
-            row(
-                "Memory: data-plane sketch",
-                format!("{} KB", o.sketch_memory_bytes / 1024),
-                "(per Elastic Sketch [29])",
-            ),
-            row(
-                "Transfer: switches -> controller",
-                format!(
-                    "{:.0} B/interval",
-                    o.switch_to_controller_bytes_per_interval
-                ),
-                "520 B",
-            ),
-            row(
-                "Transfer: RNICs -> controller",
-                format!("{:.0} B/interval", o.rnic_to_controller_bytes_per_interval),
-                "12 B",
-            ),
-            row(
-                "Transfer: controller -> devices",
-                format!(
-                    "{:.0} B/interval",
-                    o.controller_to_devices_bytes_per_interval
-                ),
-                "76 B",
-            ),
-        ],
-    );
-    let t = &o.telemetry;
-    let kb = |bytes: usize| format!("{:.1} KB", bytes as f64 / 1024.0);
-    ctx.table(
-        "Telemetry subsystem footprint (fully instrumented run)",
-        &["component", "bytes", "unit cost"],
-        &[
-            row(
-                "total registry",
-                kb(t.total_bytes),
-                &format!(
-                    "{} series pts + {} ring events",
-                    t.series_points_recorded, t.flight_events_retained
-                ),
-            ),
-            row(
-                "counters + gauges",
-                format!("{} B", t.counters_bytes),
-                &format!("{} B per metric", t.bytes_per_counter),
-            ),
-            row(
-                "histograms",
-                kb(t.histograms_bytes),
-                &format!("{} per histogram", kb(t.bytes_per_histogram)),
-            ),
-            row(
-                "time series",
-                kb(t.series_bytes),
-                &format!("{} B per point", t.bytes_per_series_point),
-            ),
-            row(
-                "flight recorder",
-                kb(t.flight_bytes),
-                &format!(
-                    "{} B per slot, {} evicted",
-                    t.bytes_per_event_slot, t.flight_events_evicted
-                ),
-            ),
-        ],
-    );
     ctx.write(&o);
 }

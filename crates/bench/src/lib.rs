@@ -2,6 +2,10 @@
 //! table/figure (and the fault/fleet acceptance scenarios) is a module
 //! under [`exp`] registered in the static table [`exp::ALL`], run through
 //! one [`Ctx`] that owns argv, threads, `results/` and the exit status.
+//! An experiment's only output is the rows it hands [`Ctx::write`]: its
+//! `results/<name>.json`, and one rendering of that JSON as a Markdown
+//! table — printed on stdout and kept in the row's section of
+//! `EXPERIMENTS.md`. `--check` gates both against what is committed.
 //!
 //! Because the substrate is a packet-level simulator on one machine (not
 //! the authors' 128-server ns-3 runs or the 32×H100 testbed), experiments
@@ -290,11 +294,6 @@ pub fn steady_algbw_gbps(coll: &dyn Collective) -> f64 {
         .map(gbps_of)
         .collect();
     stats::mean(&vals)
-}
-
-/// PARALEON's advantage over the better static setting, percent.
-pub fn vs_best_static(default: f64, expert: f64, paraleon: f64) -> f64 {
-    (paraleon / default.max(expert).max(1e-9) - 1.0) * 100.0
 }
 
 /// Gbps pretty-print from bytes/sec.
