@@ -1,5 +1,5 @@
-//! Collective/topology scenario sweep: every collective shape the
-//! workloads crate generates (alltoall, ring allreduce, pipeline bursts)
+//! Collective/topology scenario sweep: three collective kinds the
+//! workloads crate generates (ring allreduce, alltoall, pipeline bursts)
 //! crossed with every topology family the netsim crate builds (two-tier
 //! Clos, oversubscribed three-tier Clos, rail-optimized) under Default,
 //! Expert and PARALEON tuning.
@@ -17,7 +17,7 @@
 use paraleon::prelude::*;
 use serde::Serialize;
 
-use crate::{alltoall, grid, steady_algbw_gbps, Ctx, Scale};
+use crate::{grid, steady_algbw_gbps, Ctx, Scale};
 
 #[derive(Serialize)]
 struct Row {
@@ -79,41 +79,22 @@ fn topologies(scale: Scale) -> [(&'static str, TopoSpec); 3] {
     ]
 }
 
-const COLLECTIVES: [&str; 3] = ["ring_allreduce", "alltoall", "pipeline_burst"];
-
-/// Build one collective over all hosts of the fabric.
-fn collective(kind: &str, n_hosts: usize, scale: Scale, rounds: u32) -> Box<dyn Collective> {
-    let workers: Vec<usize> = (0..n_hosts).collect();
-    let message_bytes = scale.llm_message();
-    match kind {
-        "ring_allreduce" => Box::new(RingAllreduce::new(RingConfig {
-            workers,
-            message_bytes,
-            off_time: MILLI,
-            rounds: Some(rounds),
-        })),
-        "alltoall" => Box::new(alltoall(n_hosts, 1, message_bytes, MILLI, Some(rounds))),
-        "pipeline_burst" => Box::new(PipelineBurst::new(PipelineConfig {
-            workers,
-            microbatch_bytes: message_bytes,
-            microbatches: 4,
-            off_time: MILLI,
-            rounds: Some(rounds),
-        })),
-        other => panic!("unknown collective {other}"),
-    }
-}
+const COLLECTIVES: [CollectiveKind; 3] = [
+    CollectiveKind::RingAllreduce,
+    CollectiveKind::Alltoall,
+    CollectiveKind::PipelineBurst,
+];
 
 /// Run one (collective, topology, scheme) cell on `threads` engine
 /// shards; returns the finished collective and everything a differential
 /// check compares.
 fn run_cell(
-    kind: &str,
+    kind: CollectiveKind,
     spec: &TopoSpec,
     scheme: &SchemeKind,
     scale: Scale,
     threads: usize,
-) -> (Box<dyn Collective>, Vec<FlowRecord>, Vec<IntervalRecord>) {
+) -> (Collective, Vec<FlowRecord>, Vec<IntervalRecord>) {
     let mut cl = ClosedLoop::builder(spec.build())
         .scheme(scheme.clone())
         .parallel(threads)
@@ -127,8 +108,15 @@ fn run_cell(
         Scale::Paper => 6,
         _ => 4,
     };
-    let mut coll = collective(kind, spec.n_hosts(), scale, rounds);
-    let records = drivers::run_collective(&mut cl, coll.as_mut(), 0, 30 * SEC);
+    let mut coll = Collective::new(CollectiveSpec {
+        kind,
+        workers: (0..spec.n_hosts()).collect(),
+        message_bytes: scale.llm_message(),
+        microbatches: 4,
+        rounds: Some(rounds),
+        off_time: MILLI,
+    });
+    let records = drivers::run_collective(&mut cl, &mut coll, 0, 30 * SEC);
     (coll, records, cl.cell.history)
 }
 
@@ -144,7 +132,8 @@ pub fn run(ctx: &Ctx) {
             ctx.gate(
                 par_records == records && par_history == history,
                 format!(
-                    "{kind} on {topo} under {}: 2-way sharded run is not byte-identical to serial",
+                    "{} on {topo} under {}: 2-way sharded run is not byte-identical to serial",
+                    kind.name(),
                     scheme.name()
                 ),
             );
@@ -155,10 +144,10 @@ pub fn run(ctx: &Ctx) {
             .map(|&d| d as f64 / 1e6)
             .collect();
         Row {
-            collective: kind.to_string(),
+            collective: kind.name().to_string(),
             topology: topo.to_string(),
             scheme: scheme.name().to_string(),
-            algbw_gbps: steady_algbw_gbps(coll.as_ref()),
+            algbw_gbps: steady_algbw_gbps(&coll),
             mean_round_ms: stats::mean(&round_ms),
             rounds_done: coll.rounds_done(),
         }

@@ -28,7 +28,7 @@ struct Series {
 }
 
 /// The background collective: ON-OFF alltoall across half the hosts.
-fn background(scale: Scale, rounds: Option<u32>) -> AllToAll {
+fn background(scale: Scale, rounds: Option<u32>) -> Collective {
     alltoall(scale.hosts() / 4, 2, scale.llm_message(), 3 * MILLI, rounds)
 }
 

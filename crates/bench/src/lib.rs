@@ -190,12 +190,14 @@ pub fn alltoall(
     message_bytes: u64,
     off_time: u64,
     rounds: Option<u32>,
-) -> AllToAll {
-    AllToAll::new(AllToAllConfig {
+) -> Collective {
+    Collective::new(CollectiveSpec {
+        kind: CollectiveKind::Alltoall,
         workers: (0..n).map(|i| i * stride).collect(),
         message_bytes,
-        off_time,
+        microbatches: 1,
         rounds,
+        off_time,
     })
 }
 
@@ -286,7 +288,7 @@ pub fn fct_mean_p99<'a>(records: impl Iterator<Item = &'a FlowRecord>, unit_ns: 
 /// Steady-state algorithm bandwidth (Gbps): mean over the last half of
 /// the finished rounds (the early rounds include PARALEON's search
 /// transient).
-pub fn steady_algbw_gbps(coll: &dyn Collective) -> f64 {
+pub fn steady_algbw_gbps(coll: &Collective) -> f64 {
     let done = coll.round_durations().len();
     let take = (done / 2).max(1);
     let vals: Vec<f64> = (done.saturating_sub(take)..done)

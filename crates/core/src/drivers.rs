@@ -6,8 +6,9 @@
 //!
 //! * [`admit_due`] — the admission rule for a pre-generated schedule
 //!   (lazy, inside a horizon of two of the loop's own λ_MI);
-//! * [`Barrier`] — a synchronized [`Collective`] driven at interval
-//!   granularity against a bare [`Engine`];
+//! * [`Barrier`] — one [`Collective`] round machine (any
+//!   [`CollectiveKind`](paraleon_workloads::CollectiveKind)) driven at
+//!   interval granularity against a bare [`Engine`];
 //! * [`Stepper`] — one loop step with both attached:
 //!   `[start round if due] → [admit schedule flows] → cl.step() →
 //!   [feed completions to the collective]`.
@@ -86,7 +87,7 @@ impl Barrier {
 
     /// Start the next round if its time has come. Errors only on a
     /// collective whose flows the fabric refuses.
-    pub fn start_due(&mut self, sim: &mut Engine, coll: &mut dyn Collective) -> Result<(), String> {
+    pub fn start_due(&mut self, sim: &mut Engine, coll: &mut Collective) -> Result<(), String> {
         if self.next_round.is_some_and(|t| sim.now() >= t) && !coll.finished() {
             let wave = coll
                 .start_round(sim.now())
@@ -103,7 +104,7 @@ impl Barrier {
     pub fn on_done(
         &mut self,
         sim: &mut Engine,
-        coll: &mut dyn Collective,
+        coll: &mut Collective,
         done: &FlowRecord,
     ) -> Result<bool, String> {
         if !self.in_flight.remove(&done.flow) {
@@ -131,7 +132,7 @@ pub struct Stepper<'a> {
     schedule: &'a [FlowRequest],
     /// Schedule flows admitted so far (the schedule cursor).
     pub admitted: usize,
-    collective: Option<(&'a mut dyn Collective, Barrier)>,
+    collective: Option<(&'a mut Collective, Barrier)>,
     /// `cl.completions` already fed to the collective.
     seen: usize,
     /// Completed flows that belonged to the collective.
@@ -151,7 +152,7 @@ impl<'a> Stepper<'a> {
     }
 
     /// Also drive `coll`, its first round starting at `start`.
-    pub fn collective(mut self, coll: &'a mut dyn Collective, start: Nanos) -> Self {
+    pub fn collective(mut self, coll: &'a mut Collective, start: Nanos) -> Self {
         self.collective = Some((coll, Barrier::new(start)));
         self
     }
@@ -167,7 +168,7 @@ impl<'a> Stepper<'a> {
     pub fn step<'c>(&mut self, cl: &'c mut ClosedLoop) -> &'c IntervalRecord {
         if let Some((coll, barrier)) = self.collective.as_mut() {
             barrier
-                .start_due(&mut cl.sim, &mut **coll)
+                .start_due(&mut cl.sim, coll)
                 .expect("driver starts rounds only when the collective is idle");
         }
         let lambda = cl.cell.cfg.lambda_mi;
@@ -177,7 +178,7 @@ impl<'a> Stepper<'a> {
             for i in self.seen..cl.completions.len() {
                 let done = cl.completions[i];
                 let ours = barrier
-                    .on_done(&mut cl.sim, &mut **coll, &done)
+                    .on_done(&mut cl.sim, coll, &done)
                     .expect("driver only feeds completions it admitted");
                 if ours {
                     self.records.push(done);
@@ -199,13 +200,12 @@ pub fn run_schedule(cl: &mut ClosedLoop, flows: &[FlowRequest], until: Nanos) ->
     stepper.admitted
 }
 
-/// Run any synchronized [`Collective`] (alltoall, ring/tree allreduce,
-/// pipeline bursts) inside the loop until `until` or until the
+/// Run a synchronized [`Collective`] of any kind inside the loop until `until` or until the
 /// configured number of rounds completes. Returns the flow records of
 /// all completed flows belonging to the collective.
 pub fn run_collective(
     cl: &mut ClosedLoop,
-    coll: &mut dyn Collective,
+    coll: &mut Collective,
     start: Nanos,
     until: Nanos,
 ) -> Vec<FlowRecord> {
@@ -221,7 +221,7 @@ mod tests {
     use super::*;
     use crate::schemes::SchemeKind;
     use paraleon_netsim::{Topology, MILLI};
-    use paraleon_workloads::{AllToAll, AllToAllConfig};
+    use paraleon_workloads::{CollectiveKind, CollectiveSpec};
 
     fn topo() -> Topology {
         Topology::two_tier_clos(2, 4, 2, 100.0, 100.0, 1_000)
@@ -291,11 +291,13 @@ mod tests {
                     ..Default::default()
                 })
                 .build();
-            let mut a2a = AllToAll::new(AllToAllConfig {
+            let mut a2a = Collective::new(CollectiveSpec {
+                kind: CollectiveKind::Alltoall,
                 workers: (0..4).collect(),
                 message_bytes: 100_000,
-                off_time: MILLI,
+                microbatches: 1,
                 rounds: Some(2),
+                off_time: MILLI,
             });
             let mut stepper = Stepper::new(&flows).collective(&mut a2a, 0);
             while cl.sim.now() < 64 * MILLI {
@@ -336,15 +338,16 @@ mod tests {
 
     #[test]
     fn collective_driver_runs_ring_allreduce_end_to_end() {
-        use paraleon_workloads::{Collective, RingAllreduce, RingConfig};
         let mut cl = ClosedLoop::builder(topo())
             .scheme(SchemeKind::Expert)
             .build();
-        let mut ring = RingAllreduce::new(RingConfig {
+        let mut ring = Collective::new(CollectiveSpec {
+            kind: CollectiveKind::RingAllreduce,
             workers: (0..4).collect(),
             message_bytes: 400_000,
-            off_time: MILLI,
+            microbatches: 1,
             rounds: Some(2),
+            off_time: MILLI,
         });
         let records = run_collective(&mut cl, &mut ring, 0, 500 * MILLI);
         assert!(ring.finished(), "2 rounds should finish well within 500 ms");
@@ -357,7 +360,6 @@ mod tests {
     #[test]
     fn collective_driver_is_byte_identical_serial_vs_parallel() {
         use paraleon_netsim::ThreeTierSpec;
-        use paraleon_workloads::{TreeAllreduce, TreeConfig};
         // A three-tier fabric exercises the Spine tier in both engines.
         let spec = ThreeTierSpec {
             n_pod: 2,
@@ -375,11 +377,13 @@ mod tests {
                 .scheme(SchemeKind::Paraleon)
                 .parallel(threads)
                 .build();
-            let mut tree = TreeAllreduce::new(TreeConfig {
+            let mut tree = Collective::new(CollectiveSpec {
+                kind: CollectiveKind::TreeAllreduce,
                 workers: (0..8).collect(),
                 message_bytes: 300_000,
-                off_time: MILLI,
+                microbatches: 1,
                 rounds: Some(2),
+                off_time: MILLI,
             });
             let recs = run_collective(&mut cl, &mut tree, 0, 500 * MILLI);
             assert!(tree.finished());
@@ -396,11 +400,13 @@ mod tests {
         let mut cl = ClosedLoop::builder(topo())
             .scheme(SchemeKind::Expert)
             .build();
-        let mut a2a = AllToAll::new(AllToAllConfig {
+        let mut a2a = Collective::new(CollectiveSpec {
+            kind: CollectiveKind::Alltoall,
             workers: (0..4).collect(),
             message_bytes: 200_000,
-            off_time: 2 * MILLI,
+            microbatches: 1,
             rounds: Some(3),
+            off_time: 2 * MILLI,
         });
         let records = run_collective(&mut cl, &mut a2a, 0, 500 * MILLI);
         assert!(a2a.finished(), "3 rounds should finish well within 500 ms");

@@ -82,9 +82,8 @@ pub mod prelude {
     pub use paraleon_sketch::{FlowType, Fsd, WindowConfig};
     pub use paraleon_tuner::SaConfig;
     pub use paraleon_workloads::{
-        AllToAll, AllToAllConfig, Collective, CollectiveError, FlowRequest, FlowSizeDist,
-        PipelineBurst, PipelineConfig, PoissonConfig, PoissonWorkload, Progress, RingAllreduce,
-        RingConfig, TreeAllreduce, TreeConfig,
+        AllToAll, AllToAllConfig, Collective, CollectiveError, CollectiveKind, CollectiveSpec,
+        FlowRequest, FlowSizeDist, PoissonConfig, PoissonWorkload, Progress,
     };
 }
 

@@ -17,6 +17,7 @@ use paraleon::drivers::Barrier;
 use paraleon::{ClosedLoop, CtrlPlaneConfig, LoopConfig, MonitorKind, SchemeKind};
 use paraleon_dcqcn::DcqcnParams;
 use paraleon_netsim::{Engine, FaultPlan, FlowId, FlowRecord, SimConfig, MILLI};
+use paraleon_workloads::Collective;
 
 use crate::genome::HuntPoint;
 use crate::oracle::{judge, CtrlMeasure, OracleConfig, OracleReport};
@@ -134,23 +135,26 @@ fn run_one(
     // executes. The mid-run completion drains only happen on this path —
     // fault-only genomes keep the byte-identical single-drain execution
     // the corpus was recorded under.
-    let mut collective = point
-        .collective
-        .as_ref()
-        .map(|c| (c.build(), Barrier::new(0)));
+    let mut collective = match &point.collective {
+        Some(c) => {
+            c.validate()?;
+            Some((Collective::new(c.clone()), Barrier::new(0)))
+        }
+        None => None,
+    };
     let mut drained: Vec<FlowRecord> = Vec::new();
     // Exact per-flow bytes for every interval; the tail slice feeds the
     // fairness oracle after we know where the run actually ended.
     let mut truth: Vec<Vec<(FlowId, u64)>> = Vec::new();
     for i in 0..cfg.intervals {
         if let Some((coll, barrier)) = collective.as_mut() {
-            barrier.start_due(&mut sim, coll.as_mut())?;
+            barrier.start_due(&mut sim, coll)?;
         }
         sim.run_until((i + 1) * cfg.lambda_mi);
         if let Some((coll, barrier)) = collective.as_mut() {
             let recs = sim.take_completions();
             for r in &recs {
-                barrier.on_done(&mut sim, coll.as_mut(), r)?;
+                barrier.on_done(&mut sim, coll, r)?;
             }
             drained.extend(recs);
         }
@@ -325,8 +329,9 @@ pub fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::genome::{CollectiveKind, CollectiveSpec, FlowSpec, HuntPoint};
+    use crate::genome::{FlowSpec, HuntPoint};
     use paraleon_netsim::{ClosSpec, TopoSpec};
+    use paraleon_workloads::{CollectiveKind, CollectiveSpec};
 
     fn tiny_point() -> HuntPoint {
         HuntPoint {
@@ -364,11 +369,8 @@ mod tests {
         let ev = evaluate(&cfg, &OracleConfig::default(), &tiny_point()).expect("evaluates");
         assert_eq!(ev.run.intervals_run, 6);
         assert!(!ev.run.aborted_early);
-        assert!(
-            ev.report.fired_kinds().is_empty(),
-            "healthy run fired {:?}",
-            ev.report.fired_kinds()
-        );
+        let fired: Vec<_> = ev.report.outcomes.iter().filter(|o| o.fired).collect();
+        assert!(fired.is_empty(), "healthy run fired {fired:?}");
     }
 
     #[test]
@@ -394,7 +396,8 @@ mod tests {
             kind: CollectiveKind::RingAllreduce,
             workers: vec![0, 1, 2, 3],
             message_bytes: 200_000,
-            rounds: 2,
+            microbatches: 2,
+            rounds: Some(2),
             off_time: MILLI,
         });
         p.validate().expect("fixture valid");

@@ -8,10 +8,7 @@
 
 use paraleon_dcqcn::DcqcnParams;
 use paraleon_netsim::{ClosSpec, FaultKind, FaultPlan, Nanos, NodeId, TopoSpec};
-use paraleon_workloads::{
-    AllToAll, AllToAllConfig, Collective, PipelineBurst, PipelineConfig, RingAllreduce, RingConfig,
-    TreeAllreduce, TreeConfig,
-};
+use paraleon_workloads::CollectiveSpec;
 use serde::{Deserialize, Serialize};
 
 /// A burst of identical flows: `count` flows of `bytes` from `src` to
@@ -34,103 +31,6 @@ pub struct FlowSpec {
     pub gap: Nanos,
 }
 
-/// Which collective round machine a [`CollectiveSpec`] builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CollectiveKind {
-    /// Full-mesh alltoall (the paper's LLM workload).
-    Alltoall,
-    /// Ring allreduce: 2(n−1) barrier waves of n chunk flows.
-    RingAllreduce,
-    /// Binomial-tree allreduce: reduce up, broadcast down.
-    TreeAllreduce,
-    /// Pipeline-parallel activation bursts between neighbor ranks.
-    PipelineBurst,
-}
-
-/// Every collective kind, in serialization-name order.
-pub const ALL_COLLECTIVES: [CollectiveKind; 4] = [
-    CollectiveKind::Alltoall,
-    CollectiveKind::RingAllreduce,
-    CollectiveKind::TreeAllreduce,
-    CollectiveKind::PipelineBurst,
-];
-
-/// A barrier-synchronized collective riding on top of the flow-spec
-/// workload: which round machine, which ranks, how much payload. The
-/// evaluation drives it through the simulator with completion feedback
-/// (waves release only when the previous wave drains), so genomes can
-/// express the self-clocked traffic that open-loop [`FlowSpec`] bursts
-/// cannot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CollectiveSpec {
-    /// Round-machine family.
-    pub kind: CollectiveKind,
-    /// Participating ranks (host ids), in rank order.
-    pub workers: Vec<NodeId>,
-    /// Per-message payload (alltoall/allreduce message, pipeline
-    /// microbatch), bytes.
-    pub message_bytes: u64,
-    /// Rounds to run (bounded so evaluations terminate).
-    pub rounds: u32,
-    /// OFF (compute) gap between rounds, ns.
-    pub off_time: Nanos,
-}
-
-impl CollectiveSpec {
-    /// Check internal consistency against a fabric of `n_hosts` hosts.
-    pub fn validate(&self, n_hosts: usize) -> Result<(), String> {
-        if self.workers.len() < 2 {
-            return Err("collective: needs >= 2 workers".into());
-        }
-        let mut seen = std::collections::HashSet::new();
-        for &w in &self.workers {
-            if w >= n_hosts {
-                return Err(format!("collective: worker {w} out of range"));
-            }
-            if !seen.insert(w) {
-                return Err(format!("collective: duplicate worker {w}"));
-            }
-        }
-        if self.message_bytes == 0 || self.rounds == 0 {
-            return Err("collective: empty payload or zero rounds".into());
-        }
-        Ok(())
-    }
-
-    /// Build the round machine this spec describes.
-    pub fn build(&self) -> Box<dyn Collective> {
-        let workers = self.workers.clone();
-        let rounds = Some(self.rounds);
-        match self.kind {
-            CollectiveKind::Alltoall => Box::new(AllToAll::new(AllToAllConfig {
-                workers,
-                message_bytes: self.message_bytes,
-                off_time: self.off_time,
-                rounds,
-            })),
-            CollectiveKind::RingAllreduce => Box::new(RingAllreduce::new(RingConfig {
-                workers,
-                message_bytes: self.message_bytes,
-                off_time: self.off_time,
-                rounds,
-            })),
-            CollectiveKind::TreeAllreduce => Box::new(TreeAllreduce::new(TreeConfig {
-                workers,
-                message_bytes: self.message_bytes,
-                off_time: self.off_time,
-                rounds,
-            })),
-            CollectiveKind::PipelineBurst => Box::new(PipelineBurst::new(PipelineConfig {
-                workers,
-                microbatch_bytes: self.message_bytes,
-                microbatches: 2,
-                off_time: self.off_time,
-                rounds,
-            })),
-        }
-    }
-}
-
 /// One point in the hunt search space. Its reader checks each field
 /// (and runs the topology validator); [`HuntPoint::validate`] checks
 /// the fields against each other.
@@ -141,7 +41,10 @@ pub struct HuntPoint {
     /// Offered load.
     pub workload: Vec<FlowSpec>,
     /// Optional barrier-synchronized collective on top of the workload
-    /// (absent in genomes written before collectives existed).
+    /// (absent in genomes written before collectives existed). The
+    /// evaluation drives it with completion feedback (waves release only
+    /// when the previous wave drains), so genomes can express the
+    /// self-clocked traffic that open-loop [`FlowSpec`] bursts cannot.
     pub collective: Option<CollectiveSpec>,
     /// Scheduled fabric faults.
     pub faults: FaultPlan,
@@ -153,7 +56,8 @@ pub struct HuntPoint {
 
 impl HuntPoint {
     /// Check internal consistency: every flow endpoint, collective rank
-    /// and fault target must exist in the topology the spec builds.
+    /// and fault target must exist in the topology the spec builds, and
+    /// a collective must be valid and bounded (evaluations terminate).
     pub fn validate(&self) -> Result<(), String> {
         let n_hosts = self.topo.n_hosts();
         for (i, f) in self.workload.iter().enumerate() {
@@ -168,7 +72,13 @@ impl HuntPoint {
             }
         }
         if let Some(c) = &self.collective {
-            c.validate(n_hosts)?;
+            if let Some(w) = c.workers.iter().find(|&&w| w >= n_hosts) {
+                return Err(format!("collective: worker {w} out of range"));
+            }
+            if c.rounds.is_none() {
+                return Err("collective: unbounded rounds".into());
+            }
+            c.validate()?;
         }
         // Cross-parameter constraint the simulator asserts at admission
         // (`EcnMarker::new`): per-param clamping cannot catch it.
@@ -222,7 +132,7 @@ impl HuntPoint {
 /// Which tier a node id belongs to under `spec`'s id layout (hosts
 /// `0..H`, ToRs `H..H+n_tor`, leaves after).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeClass {
+pub(crate) enum NodeClass {
     /// Host `(tor_index, local_index)`.
     Host(usize, usize),
     /// ToR `tor_index`.
@@ -232,7 +142,7 @@ pub enum NodeClass {
 }
 
 /// Classify `node` under `spec`'s id layout, if it exists.
-pub fn node_class(spec: &ClosSpec, node: NodeId) -> Option<NodeClass> {
+pub(crate) fn node_class(spec: &ClosSpec, node: NodeId) -> Option<NodeClass> {
     let h = spec.n_hosts();
     if node < h {
         Some(NodeClass::Host(
@@ -252,7 +162,7 @@ pub fn node_class(spec: &ClosSpec, node: NodeId) -> Option<NodeClass> {
 /// have port 0; ToR ports are down `0..hosts_per_tor` then uplinks
 /// `hosts_per_tor..hosts_per_tor+n_leaf`; leaf port `t` faces ToR `t`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PortClass {
+pub(crate) enum PortClass {
     /// A host's single uplink.
     HostUplink,
     /// ToR down-port toward local host `local_index`.
@@ -264,7 +174,7 @@ pub enum PortClass {
 }
 
 /// Classify `(node, port)` under `spec`, if the port exists.
-pub fn port_valid(spec: &ClosSpec, node: NodeId, port: usize) -> Option<PortClass> {
+pub(crate) fn port_valid(spec: &ClosSpec, node: NodeId, port: usize) -> Option<PortClass> {
     match node_class(spec, node)? {
         NodeClass::Host(..) => (port == 0).then_some(PortClass::HostUplink),
         NodeClass::Tor(_) => {
@@ -395,6 +305,7 @@ impl Default for GenomeCaps {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paraleon_workloads::CollectiveKind;
     use serde::Value;
 
     /// Overwrite the value at `path` (object keys, array indices).
@@ -537,7 +448,8 @@ mod tests {
             kind: CollectiveKind::RingAllreduce,
             workers: vec![0, 1, 4, 5],
             message_bytes: 500_000,
-            rounds: 2,
+            microbatches: 2,
+            rounds: Some(2),
             off_time: 1_000_000,
         }
     }
@@ -548,6 +460,19 @@ mod tests {
         p.collective = Some(collective());
         let back = HuntPoint::from_value(&p.serialize_value()).unwrap();
         assert_eq!(back, p);
+        // Every kind survives the JSON text itself, and a bounded round
+        // count is written as a bare number.
+        for kind in CollectiveKind::ALL {
+            p.collective = Some(CollectiveSpec {
+                kind,
+                ..collective()
+            });
+            let json = p.key();
+            assert!(json.contains(&format!(r#""kind":"{kind:?}""#)), "{json}");
+            assert!(json.contains(r#""rounds":2,"#), "{json}");
+            let back = HuntPoint::from_value(&serde_json::from_str_value(&json).unwrap());
+            assert_eq!(back, Ok(p.clone()));
+        }
         let mut v = p.serialize_value();
         set(
             &mut v,
@@ -607,27 +532,22 @@ mod tests {
         });
         assert!(p.validate().is_err(), "duplicate worker");
         p.collective = Some(CollectiveSpec {
-            rounds: 0,
+            rounds: Some(0),
             ..collective()
         });
         assert!(p.validate().is_err(), "zero rounds");
-    }
-
-    #[test]
-    fn collective_spec_builds_every_kind() {
-        for kind in ALL_COLLECTIVES {
-            let c = CollectiveSpec {
-                kind,
-                ..collective()
-            };
-            let machine = c.build();
-            assert!(!machine.finished());
-            assert_eq!(machine.workers(), &[0, 1, 4, 5]);
-            assert_eq!(
-                CollectiveKind::from_value(&kind.serialize_value()),
-                Ok(kind)
-            );
-        }
+        // Hunt evaluations must terminate: an unbounded collective is
+        // refused, though the spec itself is valid.
+        let unbounded = CollectiveSpec {
+            rounds: None,
+            ..collective()
+        };
+        assert_eq!(unbounded.validate(), Ok(()));
+        p.collective = Some(unbounded);
+        assert_eq!(
+            p.validate(),
+            Err("collective: unbounded rounds".to_string())
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use paraleon_dcqcn::DcqcnParams;
 use paraleon_netsim::{ClosSpec, FaultPlan, TopoSpec};
+use paraleon_workloads::CollectiveSpec;
 use serde::{Deserialize, Serialize};
 
 use crate::eval::{evaluate, EvalConfig};
@@ -120,21 +121,20 @@ where
             cand.collective = None;
             improved |= try_candidate(cand, &mut best, &mut stats);
         }
-        if let Some(c) = &best.collective {
-            if c.rounds > 1 {
-                let mut cand = best.clone();
-                cand.collective.as_mut().unwrap().rounds = 1;
-                improved |= try_candidate(cand, &mut best, &mut stats);
-            }
-        }
-        while best
-            .collective
-            .as_ref()
-            .is_some_and(|c| c.message_bytes > 1024)
-        {
+        if let Some(c) = best.collective.as_ref().filter(|c| c.rounds > Some(1)) {
             let mut cand = best.clone();
-            let c = cand.collective.as_mut().unwrap();
-            c.message_bytes = (c.message_bytes / 2).max(1024);
+            cand.collective = Some(CollectiveSpec {
+                rounds: Some(1),
+                ..c.clone()
+            });
+            improved |= try_candidate(cand, &mut best, &mut stats);
+        }
+        while let Some(c) = best.collective.as_ref().filter(|c| c.message_bytes > 1024) {
+            let mut cand = best.clone();
+            cand.collective = Some(CollectiveSpec {
+                message_bytes: (c.message_bytes / 2).max(1024),
+                ..c.clone()
+            });
             if !try_candidate(cand, &mut best, &mut stats) {
                 break;
             }
@@ -320,7 +320,7 @@ mod tests {
 
     #[test]
     fn shrinks_collective_and_collapses_family() {
-        use crate::genome::{CollectiveKind, CollectiveSpec};
+        use paraleon_workloads::CollectiveKind;
         // Start on a rail fabric with a fat allreduce; the synthetic
         // oracle only needs *a* collective with ≥ 4 KiB messages, so the
         // minimizer must collapse the family, drop the extra round and
@@ -338,7 +338,8 @@ mod tests {
             kind: CollectiveKind::RingAllreduce,
             workers: vec![0, 1, 2, 3],
             message_bytes: 1 << 20,
-            rounds: 4,
+            microbatches: 2,
+            rounds: Some(4),
             off_time: MILLI,
         });
         p.validate().expect("fixture valid");
@@ -350,7 +351,7 @@ mod tests {
         let (min, stats) = minimize_with(&p, 10_000, fires);
         assert!(stats.converged);
         let c = min.collective.expect("collective is load-bearing");
-        assert_eq!(c.rounds, 1);
+        assert_eq!(c.rounds, Some(1));
         assert_eq!(c.message_bytes, 4096);
         assert!(
             min.topo.as_two_tier().is_some(),

@@ -14,6 +14,7 @@ use rand::Rng;
 
 use paraleon_dcqcn::{ParamSpace, ALL_PARAMS};
 use paraleon_netsim::{FaultPlan, Nanos, NodeId, TopoSpec};
+use paraleon_workloads::{CollectiveKind, CollectiveSpec};
 
 use crate::genome::{GenomeCaps, HuntPoint};
 use crate::oracle::OracleKind;
@@ -445,12 +446,15 @@ fn apply(op: Op, p: &mut HuntPoint, caps: &GenomeCaps, rng: &mut StdRng) -> bool
                 hosts.swap(i, j);
             }
             hosts.truncate(k);
-            let kinds = crate::genome::ALL_COLLECTIVES;
-            p.collective = Some(crate::genome::CollectiveSpec {
+            // Draw order is the field order written here; it is part of
+            // the seeded search's reproducibility.
+            let kinds = CollectiveKind::ALL;
+            p.collective = Some(CollectiveSpec {
                 kind: kinds[rng.gen_range(0..kinds.len())],
                 workers: hosts,
                 message_bytes: rng.gen_range(64u64..=caps.max_flow_bytes / 1024) * 1024,
-                rounds: rng.gen_range(1..=3),
+                microbatches: 2,
+                rounds: Some(rng.gen_range(1..=3)),
                 off_time: quantized(rng, QUANTUM, caps.horizon / 8),
             });
             true

@@ -3,7 +3,7 @@
 //! harness.
 //!
 //! Detectors come in two layers. The *measures* at the top
-//! ([`goodput_collapse`], [`pfc_storm`], [`jain_index`]) are pure
+//! ([`goodput_collapse`], [`pfc_storm`], `jain_index`) are pure
 //! functions over per-interval signal slices — `exp faults` consumes
 //! them directly on closed-loop history, the hunter on raw-simulator
 //! runs. The [`OracleReport`] below combines them (plus audit and
@@ -84,7 +84,7 @@ pub fn pfc_storm(pause_ratios: &[f64], window: usize, threshold: f64) -> StormMe
 /// Jain's fairness index over per-flow allocations: 1 is perfectly fair,
 /// `1/n` is one flow taking everything. Empty or all-zero input is
 /// vacuously fair (1.0).
-pub fn jain_index(xs: &[f64]) -> f64 {
+pub(crate) fn jain_index(xs: &[f64]) -> f64 {
     let n = xs.len() as f64;
     let sum: f64 = xs.iter().sum();
     let sumsq: f64 = xs.iter().map(|x| x * x).sum();
@@ -329,15 +329,6 @@ impl OracleReport {
         self.outcome(kind).is_some_and(|o| o.fired)
     }
 
-    /// Kinds that fired.
-    pub fn fired_kinds(&self) -> Vec<OracleKind> {
-        self.outcomes
-            .iter()
-            .filter(|o| o.fired)
-            .map(|o| o.kind)
-            .collect()
-    }
-
     /// The score the search climbs for `kind` (0 when unjudged, so a
     /// ctrl-divergence lane breeds toward candidates that at least carry
     /// control-plane faults).
@@ -356,7 +347,7 @@ fn to_gbps(bytes_per_sec: f64) -> f64 {
 /// `audit_violations` is whatever the evaluator drained from the audit
 /// registry after the faulted run (always 0 when the `audit` feature is
 /// compiled out — the oracle is then inert, never falsely negative).
-pub fn judge(
+pub(crate) fn judge(
     cfg: &OracleConfig,
     run: &RunMetrics,
     twin: &RunMetrics,

@@ -233,7 +233,7 @@ fn skewed_load_is_byte_identical_under_stealing() {
 fn collective_over_rail_topology_is_byte_identical() {
     use paraleon::drivers::run_collective;
     use paraleon_netsim::RailSpec;
-    use paraleon_workloads::{Collective, RingAllreduce, RingConfig};
+    use paraleon_workloads::{Collective, CollectiveKind, CollectiveSpec};
     let spec = RailSpec {
         n_rail: 4,
         n_server: 2,
@@ -257,11 +257,13 @@ fn collective_over_rail_topology_is_byte_identical() {
             })
             .seed(7)
             .build();
-        let mut ring = RingAllreduce::new(RingConfig {
+        let mut ring = Collective::new(CollectiveSpec {
+            kind: CollectiveKind::RingAllreduce,
             workers: (0..8).collect(),
             message_bytes: 250_000,
-            off_time: MILLI,
+            microbatches: 1,
             rounds: Some(2),
+            off_time: MILLI,
         });
         let recs = run_collective(&mut cl, &mut ring, 0, 100 * MILLI);
         assert!(ring.finished(), "2 rounds must finish within 100 ms");

@@ -1,11 +1,12 @@
-//! Collective round machines behind a common [`Collective`] trait.
+//! Synchronized collectives: one round machine over [`CollectiveKind`].
 //!
-//! The paper's LLM workload is a synchronized alltoall, but ROADMAP
-//! item 2 asks whether PARALEON's dominant-flow-type guidance survives
-//! *other* collectives — the ones NCCL actually schedules. This module
-//! adds ring allreduce, tree (binomial) allreduce and pipeline-parallel
-//! activation bursts alongside [`crate::AllToAll`], all driven through
-//! one trait so the simulator embedding is written once.
+//! The paper's LLM workload is a synchronized alltoall (every worker
+//! sends one message to every other worker — the most incast-prone
+//! collective, which is why the paper picks it). ROADMAP item 2 asks
+//! whether PARALEON's dominant-flow-type guidance survives the *other*
+//! collectives NCCL schedules, so the same machine also runs ring
+//! allreduce, binomial-tree allreduce and pipeline-parallel activation
+//! bursts.
 //!
 //! A collective is a sequence of **rounds** separated by an OFF
 //! (compute) period. A round is one or more **waves**: a set of flows
@@ -13,16 +14,23 @@
 //! every flow of the current wave has completed. Alltoall is a single
 //! wave of `n·(n−1)` flows; ring allreduce is `2(n−1)` waves of `n`
 //! chunk flows; tree allreduce is `2·⌈log₂n⌉` waves tracing the
-//! binomial tree up then down; a pipeline burst is one wave of
+//! binomial tree up then down; a pipeline burst is one wave of `n−1`
 //! neighbor flows per microbatch.
 //!
-//! The embedding contract mirrors [`crate::AllToAll`]: call
-//! [`Collective::start_round`] to get the first wave, feed every
-//! completion to [`Collective::on_flow_done`], and act on the returned
-//! [`Progress`] (admit the next wave, or schedule the next round).
-//! All methods return typed [`CollectiveError`]s instead of panicking —
-//! hunt-generated genomes can drive these machines into states a
-//! hand-written harness never would.
+//! [`Collective`] writes the round sequencing once; the kinds differ
+//! only in their wave generator, wave count and two byte formulas. The
+//! embedding simulator calls [`Collective::start_round`] to get the
+//! first wave, feeds every completion to [`Collective::on_flow_done`],
+//! and acts on the returned [`Progress`] (admit the next wave, or
+//! schedule the next round). Misuse (driving a finished machine,
+//! completions with no round in flight — states hunt mutations can
+//! reach) reports a typed [`CollectiveError`] instead of panicking, and
+//! the final round's duration is recorded *before* the finished check
+//! so bounded runs never lose their last data point.
+
+use std::collections::HashSet;
+
+use serde::{Deserialize, Serialize};
 
 use crate::{FlowRequest, HostId, Nanos};
 
@@ -66,44 +74,321 @@ pub enum Progress {
     },
 }
 
+/// Which collective a [`CollectiveSpec`] describes. The variant names
+/// are the genome JSON spelling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CollectiveKind {
+    /// Full-mesh alltoall (the paper's LLM workload).
+    Alltoall,
+    /// Ring allreduce: `2(n−1)` barrier-separated steps, each a wave of
+    /// `n` simultaneous neighbor transfers of one `message/n` chunk —
+    /// `n−1` reduce-scatter steps then `n−1` allgather steps, whose
+    /// traffic (who talks to whom, how much, when) is identical.
+    RingAllreduce,
+    /// Binomial-tree allreduce: `⌈log₂n⌉` reduce waves toward rank 0
+    /// (level `k` pairs rank `i` with `i − 2ᵏ` for every `i ≡ 2ᵏ mod
+    /// 2ᵏ⁺¹`), then the mirror-image broadcast waves back down. Each
+    /// edge carries the full message, so the wire traffic concentrates
+    /// toward the root.
+    TreeAllreduce,
+    /// Pipeline-parallel bursts: each microbatch releases a wave of
+    /// `n−1` neighbor flows (stage `i` → `i+1`, all boundaries at once),
+    /// with a barrier between microbatches. Nothing crosses the chain.
+    PipelineBurst,
+}
+
+impl CollectiveKind {
+    /// Every kind. The order is fixed: the hunt's mutator draws a kind
+    /// by index into it.
+    pub const ALL: [Self; 4] = [
+        Self::Alltoall,
+        Self::RingAllreduce,
+        Self::TreeAllreduce,
+        Self::PipelineBurst,
+    ];
+
+    /// Short name for tables and JSON rows (e.g. `"ring_allreduce"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Alltoall => "alltoall",
+            Self::RingAllreduce => "ring_allreduce",
+            Self::TreeAllreduce => "tree_allreduce",
+            Self::PipelineBurst => "pipeline_burst",
+        }
+    }
+}
+
+/// The one description of a collective: which kind, which ranks, how
+/// much payload, how many rounds. Experiments build it directly; hunt
+/// genomes carry it as JSON.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CollectiveSpec {
+    /// Round-machine family.
+    pub kind: CollectiveKind,
+    /// Participating ranks (host ids), in rank order: ring order, tree
+    /// rank 0 first, pipeline stage order.
+    pub workers: Vec<HostId>,
+    /// Per-message payload, bytes: the alltoall message to each peer,
+    /// the allreduced tensor, or one pipeline microbatch.
+    pub message_bytes: u64,
+    /// Microbatches per round; read only by
+    /// [`CollectiveKind::PipelineBurst`].
+    pub microbatches: u32,
+    /// Rounds to run; `None` = unbounded.
+    pub rounds: Option<u32>,
+    /// OFF (compute) gap between rounds, ns.
+    pub off_time: Nanos,
+}
+
+impl CollectiveSpec {
+    /// Check the spec describes a runnable collective: at least two
+    /// distinct workers, a non-empty payload, a non-zero round bound and,
+    /// for a pipeline, at least one microbatch.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.workers.len() < 2 {
+            return Err("collective: needs >= 2 workers".into());
+        }
+        let mut seen = HashSet::with_capacity(self.workers.len());
+        if let Some(w) = self.workers.iter().find(|&&w| !seen.insert(w)) {
+            return Err(format!("collective: duplicate worker {w}"));
+        }
+        if self.message_bytes == 0 {
+            return Err("collective: empty payload".into());
+        }
+        if self.rounds == Some(0) {
+            return Err("collective: zero rounds".into());
+        }
+        if self.kind == CollectiveKind::PipelineBurst && self.microbatches == 0 {
+            return Err("collective: pipeline needs >= 1 microbatch".into());
+        }
+        Ok(())
+    }
+}
+
+/// The four-field form of an alltoall spec, as the benchmark harness
+/// writes it.
+#[derive(Debug, Clone)]
+pub struct AllToAllConfig {
+    /// Participating workers (simulator host ids).
+    pub workers: Vec<HostId>,
+    /// Message size each worker sends to each peer, bytes (paper: 12 MB).
+    pub message_bytes: u64,
+    /// OFF (compute) period between rounds, ns (paper: 20 ms).
+    pub off_time: Nanos,
+    /// Number of rounds to run; `None` = unbounded.
+    pub rounds: Option<u32>,
+}
+
+impl From<AllToAllConfig> for CollectiveSpec {
+    fn from(c: AllToAllConfig) -> Self {
+        Self {
+            kind: CollectiveKind::Alltoall,
+            workers: c.workers,
+            message_bytes: c.message_bytes,
+            microbatches: 1,
+            rounds: c.rounds,
+            off_time: c.off_time,
+        }
+    }
+}
+
+/// The alltoall round machine under the name the benchmark harness uses.
+pub type AllToAll = Collective;
+
 /// A synchronized collective as a round state machine. The driver owns
 /// the clock and the network; the machine owns membership, wave
 /// sequencing and per-round accounting.
-pub trait Collective {
-    /// Short name for tables and JSON rows (e.g. `"ring_allreduce"`).
-    fn name(&self) -> &'static str;
+#[derive(Debug, Clone)]
+pub struct Collective {
+    spec: CollectiveSpec,
+    /// Wave index within the current round.
+    wave: usize,
+    /// Flows of the current wave still in flight.
+    outstanding: usize,
+    rounds_done: u32,
+    round_start: Nanos,
+    round_durations: Vec<Nanos>,
+}
 
-    /// Participating workers (simulator host ids).
-    fn workers(&self) -> &[HostId];
+impl Collective {
+    /// Create the machine. Panics on a spec [`CollectiveSpec::validate`]
+    /// refuses (a static configuration error, not a runtime state).
+    pub fn new(spec: impl Into<CollectiveSpec>) -> Self {
+        let spec = spec.into();
+        spec.validate().unwrap_or_else(|e| panic!("{e}"));
+        Self {
+            spec,
+            wave: 0,
+            outstanding: 0,
+            rounds_done: 0,
+            round_start: 0,
+            round_durations: Vec::new(),
+        }
+    }
 
-    /// Whether a round is currently in flight.
-    fn round_active(&self) -> bool;
+    /// The spec this machine runs.
+    pub fn config(&self) -> &CollectiveSpec {
+        &self.spec
+    }
+
+    fn round_active(&self) -> bool {
+        self.outstanding > 0
+    }
 
     /// Whether all configured rounds have completed.
-    fn finished(&self) -> bool;
+    pub fn finished(&self) -> bool {
+        self.spec
+            .rounds
+            .is_some_and(|r| self.rounds_done >= r && !self.round_active())
+    }
 
     /// Rounds fully completed so far.
-    fn rounds_done(&self) -> u32;
+    pub fn rounds_done(&self) -> u32 {
+        self.rounds_done
+    }
 
     /// Wall-clock duration of each completed round (the collective FCT).
-    fn round_durations(&self) -> &[Nanos];
+    pub fn round_durations(&self) -> &[Nanos] {
+        &self.round_durations
+    }
+
+    fn n(&self) -> u64 {
+        self.spec.workers.len() as u64
+    }
+
+    /// Ring chunk size per step: the message split `n` ways, rounded up.
+    fn chunk_bytes(&self) -> u64 {
+        self.spec.message_bytes.div_ceil(self.n()).max(1)
+    }
+
+    /// Levels of the binomial tree over `n` ranks, `⌈log₂n⌉`.
+    fn tree_levels(&self) -> usize {
+        (u64::BITS - (self.n() - 1).leading_zeros()) as usize
+    }
+
+    fn waves_per_round(&self) -> usize {
+        match self.spec.kind {
+            CollectiveKind::Alltoall => 1,
+            CollectiveKind::RingAllreduce => 2 * (self.spec.workers.len() - 1),
+            CollectiveKind::TreeAllreduce => 2 * self.tree_levels(),
+            CollectiveKind::PipelineBurst => self.spec.microbatches as usize,
+        }
+    }
 
     /// Total bytes the network carries per round (all waves).
-    fn bytes_per_round(&self) -> u64;
+    pub fn bytes_per_round(&self) -> u64 {
+        let (n, m) = (self.n(), self.spec.message_bytes);
+        match self.spec.kind {
+            CollectiveKind::Alltoall => n * (n - 1) * m,
+            CollectiveKind::RingAllreduce => 2 * (n - 1) * n * self.chunk_bytes(),
+            // n−1 tree edges, traversed once up and once down.
+            CollectiveKind::TreeAllreduce => 2 * (n - 1) * m,
+            CollectiveKind::PipelineBurst => (n - 1) * m * u64::from(self.spec.microbatches),
+        }
+    }
 
     /// Per-rank payload bytes per round — the numerator of NCCL-style
     /// algorithm bandwidth (`algbw = payload / round time`).
-    fn per_rank_bytes(&self) -> u64;
+    fn per_rank_bytes(&self) -> u64 {
+        let m = self.spec.message_bytes;
+        match self.spec.kind {
+            CollectiveKind::Alltoall => (self.n() - 1) * m,
+            CollectiveKind::RingAllreduce | CollectiveKind::TreeAllreduce => m,
+            // Bytes one stage boundary carries per round.
+            CollectiveKind::PipelineBurst => m * u64::from(self.spec.microbatches),
+        }
+    }
 
-    /// Begin a round at `now`; returns the first wave's flows.
-    fn start_round(&mut self, now: Nanos) -> Result<Vec<FlowRequest>, CollectiveError>;
+    /// The flows of wave `self.wave`, all starting at `now`.
+    fn wave_flows(&self, now: Nanos) -> Vec<FlowRequest> {
+        let w = &self.spec.workers;
+        let n = w.len();
+        let m = self.spec.message_bytes;
+        let flow = |src: usize, dst: usize, bytes: u64| FlowRequest {
+            src: w[src],
+            dst: w[dst],
+            bytes,
+            start: now,
+        };
+        match self.spec.kind {
+            CollectiveKind::Alltoall => (0..n)
+                .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+                .map(|(i, j)| flow(i, j, m))
+                .collect(),
+            // Every worker sends its current chunk to its ring successor.
+            CollectiveKind::RingAllreduce => {
+                let chunk = self.chunk_bytes();
+                (0..n).map(|i| flow(i, (i + 1) % n, chunk)).collect()
+            }
+            // Reduce level `wave` going up, then the levels mirrored
+            // going down as broadcasts.
+            CollectiveKind::TreeAllreduce => {
+                let levels = self.tree_levels();
+                let (k, reduce) = if self.wave < levels {
+                    (self.wave, true)
+                } else {
+                    (2 * levels - 1 - self.wave, false)
+                };
+                (1 << k..n)
+                    .step_by(1 << (k + 1))
+                    .map(|child| {
+                        let parent = child - (1 << k);
+                        if reduce {
+                            flow(child, parent, m)
+                        } else {
+                            flow(parent, child, m)
+                        }
+                    })
+                    .collect()
+            }
+            CollectiveKind::PipelineBurst => (1..n).map(|i| flow(i - 1, i, m)).collect(),
+        }
+    }
 
-    /// Record one flow completion at `now`.
-    fn on_flow_done(&mut self, now: Nanos) -> Result<Progress, CollectiveError>;
+    /// Begin a round at `now`; returns the first wave's flows, or a typed
+    /// error if a round is already active or the workload is finished.
+    pub fn start_round(&mut self, now: Nanos) -> Result<Vec<FlowRequest>, CollectiveError> {
+        if self.round_active() {
+            return Err(CollectiveError::RoundInFlight);
+        }
+        if self.finished() {
+            return Err(CollectiveError::Finished);
+        }
+        self.wave = 0;
+        self.round_start = now;
+        let flows = self.wave_flows(now);
+        self.outstanding = flows.len();
+        Ok(flows)
+    }
+
+    /// Record one flow completion at `now`. A drained wave releases the
+    /// next one; a drained last wave closes the round — its duration is
+    /// accounted, then the next round is due at `now + off_time` unless
+    /// all rounds are done.
+    pub fn on_flow_done(&mut self, now: Nanos) -> Result<Progress, CollectiveError> {
+        if !self.round_active() {
+            return Err(CollectiveError::NoRoundInFlight);
+        }
+        self.outstanding -= 1;
+        if self.round_active() {
+            return Ok(Progress::Pending);
+        }
+        self.wave += 1;
+        if self.wave < self.waves_per_round() {
+            let flows = self.wave_flows(now);
+            self.outstanding = flows.len();
+            return Ok(Progress::NextWave(flows));
+        }
+        self.rounds_done += 1;
+        self.round_durations
+            .push(now.saturating_sub(self.round_start));
+        let next_round = (!self.finished()).then(|| now + self.spec.off_time);
+        Ok(Progress::RoundDone { next_round })
+    }
 
     /// NCCL-style algorithm bandwidth of finished round `idx`, bytes/sec.
-    fn algbw_bytes_per_sec(&self, idx: usize) -> Option<f64> {
-        let d = *self.round_durations().get(idx)?;
+    pub fn algbw_bytes_per_sec(&self, idx: usize) -> Option<f64> {
+        let d = *self.round_durations.get(idx)?;
         if d == 0 {
             return None;
         }
@@ -111,485 +396,39 @@ pub trait Collective {
     }
 }
 
-/// Shared round bookkeeping: outstanding-wave counting, round
-/// durations, bounded-round termination and the OFF gap. Recording the
-/// duration happens *before* the finished check, so the final round of
-/// a bounded run is always accounted.
-#[derive(Debug, Clone)]
-pub(crate) struct RoundCore {
-    rounds: Option<u32>,
-    off_time: Nanos,
-    outstanding: usize,
-    pub(crate) rounds_done: u32,
-    round_start: Option<Nanos>,
-    pub(crate) round_durations: Vec<Nanos>,
-}
-
-impl RoundCore {
-    pub(crate) fn new(rounds: Option<u32>, off_time: Nanos) -> Self {
-        Self {
-            rounds,
-            off_time,
-            outstanding: 0,
-            rounds_done: 0,
-            round_start: None,
-            round_durations: Vec::new(),
-        }
-    }
-
-    pub(crate) fn round_active(&self) -> bool {
-        self.outstanding > 0
-    }
-
-    pub(crate) fn finished(&self) -> bool {
-        match self.rounds {
-            Some(r) => self.rounds_done >= r && !self.round_active(),
-            None => false,
-        }
-    }
-
-    pub(crate) fn begin(&mut self, now: Nanos, wave_len: usize) -> Result<(), CollectiveError> {
-        if self.round_active() {
-            return Err(CollectiveError::RoundInFlight);
-        }
-        if self.finished() {
-            return Err(CollectiveError::Finished);
-        }
-        self.outstanding = wave_len;
-        self.round_start = Some(now);
-        Ok(())
-    }
-
-    /// One completion; `Ok(true)` when the current wave just drained.
-    pub(crate) fn flow_done(&mut self) -> Result<bool, CollectiveError> {
-        if self.outstanding == 0 {
-            return Err(CollectiveError::NoRoundInFlight);
-        }
-        self.outstanding -= 1;
-        Ok(self.outstanding == 0)
-    }
-
-    fn next_wave(&mut self, wave_len: usize) {
-        debug_assert_eq!(self.outstanding, 0);
-        self.outstanding = wave_len;
-    }
-
-    /// Close the round at `now`: account its duration, then decide
-    /// whether another round follows.
-    pub(crate) fn finish_round(&mut self, now: Nanos) -> Progress {
-        self.rounds_done += 1;
-        if let Some(start) = self.round_start.take() {
-            self.round_durations.push(now.saturating_sub(start));
-        }
-        let next_round = if self.finished() {
-            None
-        } else {
-            Some(now + self.off_time)
-        };
-        Progress::RoundDone { next_round }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Ring allreduce
-// ---------------------------------------------------------------------------
-
-/// Configuration of a ring-allreduce collective.
-#[derive(Debug, Clone)]
-pub struct RingConfig {
-    /// Participating workers in ring order.
-    pub workers: Vec<HostId>,
-    /// Per-rank payload bytes (the tensor being reduced).
-    pub message_bytes: u64,
-    /// OFF (compute) period between rounds, ns.
-    pub off_time: Nanos,
-    /// Number of rounds; `None` = unbounded.
-    pub rounds: Option<u32>,
-}
-
-/// Ring allreduce: `2(n−1)` barrier-separated steps, each a wave of
-/// `n` simultaneous neighbor transfers of one `message/n` chunk —
-/// `n−1` reduce-scatter steps followed by `n−1` allgather steps. The
-/// traffic pattern (who talks to whom, how much, when) is identical in
-/// both phases, so the machine models them as `2(n−1)` equal waves.
-#[derive(Debug, Clone)]
-pub struct RingAllreduce {
-    cfg: RingConfig,
-    core: RoundCore,
-    /// Wave index within the current round, `0..2(n−1)`.
-    step: usize,
-}
-
-impl RingAllreduce {
-    /// Create the machine. Panics on fewer than two workers or an empty
-    /// message (static configuration errors, not runtime states).
-    pub fn new(cfg: RingConfig) -> Self {
-        assert!(cfg.workers.len() >= 2, "ring allreduce needs >= 2 workers");
-        assert!(cfg.message_bytes > 0);
-        let core = RoundCore::new(cfg.rounds, cfg.off_time);
-        Self { cfg, core, step: 0 }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &RingConfig {
-        &self.cfg
-    }
-
-    fn steps_per_round(&self) -> usize {
-        2 * (self.cfg.workers.len() - 1)
-    }
-
-    /// Chunk size per step: the message split `n` ways, rounded up.
-    pub fn chunk_bytes(&self) -> u64 {
-        let n = self.cfg.workers.len() as u64;
-        self.cfg.message_bytes.div_ceil(n).max(1)
-    }
-
-    /// One wave: every worker sends its current chunk to its ring
-    /// successor.
-    fn wave(&self, now: Nanos) -> Vec<FlowRequest> {
-        let n = self.cfg.workers.len();
-        let chunk = self.chunk_bytes();
-        (0..n)
-            .map(|i| FlowRequest {
-                src: self.cfg.workers[i],
-                dst: self.cfg.workers[(i + 1) % n],
-                bytes: chunk,
-                start: now,
-            })
-            .collect()
-    }
-}
-
-impl Collective for RingAllreduce {
-    fn name(&self) -> &'static str {
-        "ring_allreduce"
-    }
-
-    fn workers(&self) -> &[HostId] {
-        &self.cfg.workers
-    }
-
-    fn round_active(&self) -> bool {
-        self.core.round_active()
-    }
-
-    fn finished(&self) -> bool {
-        self.core.finished()
-    }
-
-    fn rounds_done(&self) -> u32 {
-        self.core.rounds_done
-    }
-
-    fn round_durations(&self) -> &[Nanos] {
-        &self.core.round_durations
-    }
-
-    fn bytes_per_round(&self) -> u64 {
-        let n = self.cfg.workers.len() as u64;
-        self.steps_per_round() as u64 * n * self.chunk_bytes()
-    }
-
-    fn per_rank_bytes(&self) -> u64 {
-        self.cfg.message_bytes
-    }
-
-    fn start_round(&mut self, now: Nanos) -> Result<Vec<FlowRequest>, CollectiveError> {
-        let flows = self.wave(now);
-        self.core.begin(now, flows.len())?;
-        self.step = 0;
-        Ok(flows)
-    }
-
-    fn on_flow_done(&mut self, now: Nanos) -> Result<Progress, CollectiveError> {
-        if !self.core.flow_done()? {
-            return Ok(Progress::Pending);
-        }
-        self.step += 1;
-        if self.step < self.steps_per_round() {
-            let flows = self.wave(now);
-            self.core.next_wave(flows.len());
-            Ok(Progress::NextWave(flows))
-        } else {
-            Ok(self.core.finish_round(now))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Tree (binomial) allreduce
-// ---------------------------------------------------------------------------
-
-/// Configuration of a tree-allreduce collective.
-#[derive(Debug, Clone)]
-pub struct TreeConfig {
-    /// Participating workers; index 0 is the tree root.
-    pub workers: Vec<HostId>,
-    /// Per-rank payload bytes.
-    pub message_bytes: u64,
-    /// OFF (compute) period between rounds, ns.
-    pub off_time: Nanos,
-    /// Number of rounds; `None` = unbounded.
-    pub rounds: Option<u32>,
-}
-
-/// Binomial-tree allreduce: `⌈log₂n⌉` reduce waves toward rank 0
-/// (level `k` pairs rank `i` with `i − 2ᵏ` for every `i ≡ 2ᵏ mod
-/// 2ᵏ⁺¹`), then the mirror-image broadcast waves back down. Each edge
-/// carries the full message, so the wire traffic concentrates toward
-/// the root — the opposite stress pattern from the ring's uniform
-/// neighbor load.
-#[derive(Debug, Clone)]
-pub struct TreeAllreduce {
-    cfg: TreeConfig,
-    core: RoundCore,
-    levels: usize,
-    /// Wave index within the current round, `0..2·levels`.
-    step: usize,
-}
-
-impl TreeAllreduce {
-    /// Create the machine. Panics on fewer than two workers or an empty
-    /// message.
-    pub fn new(cfg: TreeConfig) -> Self {
-        assert!(cfg.workers.len() >= 2, "tree allreduce needs >= 2 workers");
-        assert!(cfg.message_bytes > 0);
-        let levels = usize::BITS as usize - (cfg.workers.len() - 1).leading_zeros() as usize;
-        let core = RoundCore::new(cfg.rounds, cfg.off_time);
-        Self {
-            cfg,
-            core,
-            levels,
-            step: 0,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &TreeConfig {
-        &self.cfg
-    }
-
-    fn steps_per_round(&self) -> usize {
-        2 * self.levels
-    }
-
-    /// Wave `idx`: reduce level `idx` going up, then broadcast levels
-    /// mirrored going down.
-    fn wave(&self, idx: usize, now: Nanos) -> Vec<FlowRequest> {
-        let n = self.cfg.workers.len();
-        let (k, reduce) = if idx < self.levels {
-            (idx, true)
-        } else {
-            (2 * self.levels - 1 - idx, false)
-        };
-        let stride = 1usize << (k + 1);
-        let mut flows = Vec::new();
-        let mut i = 1usize << k;
-        while i < n {
-            let (child, parent) = (i, i - (1 << k));
-            let (src, dst) = if reduce {
-                (child, parent)
-            } else {
-                (parent, child)
-            };
-            flows.push(FlowRequest {
-                src: self.cfg.workers[src],
-                dst: self.cfg.workers[dst],
-                bytes: self.cfg.message_bytes,
-                start: now,
-            });
-            i += stride;
-        }
-        flows
-    }
-}
-
-impl Collective for TreeAllreduce {
-    fn name(&self) -> &'static str {
-        "tree_allreduce"
-    }
-
-    fn workers(&self) -> &[HostId] {
-        &self.cfg.workers
-    }
-
-    fn round_active(&self) -> bool {
-        self.core.round_active()
-    }
-
-    fn finished(&self) -> bool {
-        self.core.finished()
-    }
-
-    fn rounds_done(&self) -> u32 {
-        self.core.rounds_done
-    }
-
-    fn round_durations(&self) -> &[Nanos] {
-        &self.core.round_durations
-    }
-
-    fn bytes_per_round(&self) -> u64 {
-        // A binomial tree over n ranks has n−1 edges, traversed once up
-        // and once down, each carrying the full message.
-        2 * (self.cfg.workers.len() as u64 - 1) * self.cfg.message_bytes
-    }
-
-    fn per_rank_bytes(&self) -> u64 {
-        self.cfg.message_bytes
-    }
-
-    fn start_round(&mut self, now: Nanos) -> Result<Vec<FlowRequest>, CollectiveError> {
-        let flows = self.wave(0, now);
-        self.core.begin(now, flows.len())?;
-        self.step = 0;
-        Ok(flows)
-    }
-
-    fn on_flow_done(&mut self, now: Nanos) -> Result<Progress, CollectiveError> {
-        if !self.core.flow_done()? {
-            return Ok(Progress::Pending);
-        }
-        self.step += 1;
-        if self.step < self.steps_per_round() {
-            let flows = self.wave(self.step, now);
-            self.core.next_wave(flows.len());
-            Ok(Progress::NextWave(flows))
-        } else {
-            Ok(self.core.finish_round(now))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pipeline-parallel activation bursts
-// ---------------------------------------------------------------------------
-
-/// Configuration of a pipeline-parallel burst collective.
-#[derive(Debug, Clone)]
-pub struct PipelineConfig {
-    /// Pipeline stages in order; stage `i` feeds stage `i+1`.
-    pub workers: Vec<HostId>,
-    /// Activation bytes per microbatch per stage boundary.
-    pub microbatch_bytes: u64,
-    /// Microbatches per round (one wave each).
-    pub microbatches: u32,
-    /// OFF (compute) period between rounds, ns.
-    pub off_time: Nanos,
-    /// Number of rounds; `None` = unbounded.
-    pub rounds: Option<u32>,
-}
-
-/// Pipeline-parallel bursts: each microbatch releases a wave of `n−1`
-/// neighbor flows (stage `i` → `i+1`, all boundaries at once — the
-/// steady-state pipeline where every stage forwards simultaneously),
-/// with a barrier between microbatches. Unlike the allreduces, traffic
-/// is strictly chain-shaped: each link between adjacent stages carries
-/// the whole activation, nothing crosses the chain.
-#[derive(Debug, Clone)]
-pub struct PipelineBurst {
-    cfg: PipelineConfig,
-    core: RoundCore,
-    /// Microbatch index within the current round.
-    step: u32,
-}
-
-impl PipelineBurst {
-    /// Create the machine. Panics on fewer than two stages, an empty
-    /// microbatch, or zero microbatches.
-    pub fn new(cfg: PipelineConfig) -> Self {
-        assert!(cfg.workers.len() >= 2, "pipeline needs >= 2 stages");
-        assert!(cfg.microbatch_bytes > 0);
-        assert!(cfg.microbatches >= 1);
-        let core = RoundCore::new(cfg.rounds, cfg.off_time);
-        Self { cfg, core, step: 0 }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.cfg
-    }
-
-    fn wave(&self, now: Nanos) -> Vec<FlowRequest> {
-        self.cfg
-            .workers
-            .windows(2)
-            .map(|w| FlowRequest {
-                src: w[0],
-                dst: w[1],
-                bytes: self.cfg.microbatch_bytes,
-                start: now,
-            })
-            .collect()
-    }
-}
-
-impl Collective for PipelineBurst {
-    fn name(&self) -> &'static str {
-        "pipeline_burst"
-    }
-
-    fn workers(&self) -> &[HostId] {
-        &self.cfg.workers
-    }
-
-    fn round_active(&self) -> bool {
-        self.core.round_active()
-    }
-
-    fn finished(&self) -> bool {
-        self.core.finished()
-    }
-
-    fn rounds_done(&self) -> u32 {
-        self.core.rounds_done
-    }
-
-    fn round_durations(&self) -> &[Nanos] {
-        &self.core.round_durations
-    }
-
-    fn bytes_per_round(&self) -> u64 {
-        (self.cfg.workers.len() as u64 - 1)
-            * self.cfg.microbatch_bytes
-            * u64::from(self.cfg.microbatches)
-    }
-
-    fn per_rank_bytes(&self) -> u64 {
-        // Bytes one stage boundary carries per round.
-        self.cfg.microbatch_bytes * u64::from(self.cfg.microbatches)
-    }
-
-    fn start_round(&mut self, now: Nanos) -> Result<Vec<FlowRequest>, CollectiveError> {
-        let flows = self.wave(now);
-        self.core.begin(now, flows.len())?;
-        self.step = 0;
-        Ok(flows)
-    }
-
-    fn on_flow_done(&mut self, now: Nanos) -> Result<Progress, CollectiveError> {
-        if !self.core.flow_done()? {
-            return Ok(Progress::Pending);
-        }
-        self.step += 1;
-        if self.step < self.cfg.microbatches {
-            let flows = self.wave(now);
-            self.core.next_wave(flows.len());
-            Ok(Progress::NextWave(flows))
-        } else {
-            Ok(self.core.finish_round(now))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `n` workers `0..n`, 3 microbatches, a 1 µs OFF gap.
+    fn spec(
+        kind: CollectiveKind,
+        n: usize,
+        message_bytes: u64,
+        rounds: Option<u32>,
+    ) -> CollectiveSpec {
+        CollectiveSpec {
+            kind,
+            workers: (0..n).collect(),
+            message_bytes,
+            microbatches: 3,
+            rounds,
+            off_time: 1000,
+        }
+    }
+
+    fn machine(
+        kind: CollectiveKind,
+        n: usize,
+        message_bytes: u64,
+        rounds: Option<u32>,
+    ) -> Collective {
+        Collective::new(spec(kind, n, message_bytes, rounds))
+    }
+
     /// Drive a whole round synchronously: start it, complete every
     /// flow of every wave at `t += 10`, return the wave sizes.
-    fn drive_round(c: &mut dyn Collective, start: Nanos) -> Vec<usize> {
+    fn drive_round(c: &mut Collective, start: Nanos) -> Vec<usize> {
         let mut waves = vec![c.start_round(start).unwrap().len()];
         let mut t = start;
         let mut pending = *waves.last().unwrap();
@@ -611,14 +450,83 @@ mod tests {
         }
     }
 
+    fn pairs(flows: &[FlowRequest]) -> Vec<(HostId, HostId)> {
+        flows.iter().map(|f| (f.src, f.dst)).collect()
+    }
+
+    #[test]
+    fn alltoall_round_is_a_full_mesh() {
+        let mut w = machine(CollectiveKind::Alltoall, 4, 1 << 20, None);
+        let flows = w.start_round(0).unwrap();
+        assert_eq!(flows.len(), 12);
+        for f in &flows {
+            assert_ne!(f.src, f.dst);
+            assert_eq!(f.bytes, 1 << 20);
+            assert_eq!(f.start, 0);
+        }
+        // Every ordered pair exactly once, source-major.
+        let mut sorted = pairs(&flows);
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted, pairs(&flows));
+        assert_eq!(w.bytes_per_round(), 12 * (1 << 20));
+    }
+
+    #[test]
+    fn alltoall_next_round_starts_after_off_time() {
+        let mut w = machine(CollectiveKind::Alltoall, 3, 1 << 20, None);
+        let flows = w.start_round(100).unwrap();
+        let mut next = Progress::Pending;
+        for k in 0..flows.len() {
+            next = w.on_flow_done(1000 + k as Nanos).unwrap();
+        }
+        assert_eq!(
+            next,
+            Progress::RoundDone {
+                next_round: Some(1005 + 1000)
+            }
+        );
+        assert_eq!(w.rounds_done(), 1);
+        assert_eq!(w.round_durations(), [905]);
+    }
+
+    /// The final round of a bounded run is fully accounted: its
+    /// duration is recorded before the finished check, so a 2-round run
+    /// reports 2 durations.
+    #[test]
+    fn final_round_duration_is_recorded_when_bounded() {
+        let mut w = machine(CollectiveKind::Alltoall, 2, 1 << 20, Some(2));
+        let mut last = Progress::Pending;
+        for round in 0u64..2 {
+            let start = round * 1_000_000;
+            let flows = w.start_round(start).unwrap();
+            assert!(!w.finished());
+            for k in 0..flows.len() {
+                last = w.on_flow_done(start + 500 + k as Nanos).unwrap();
+            }
+        }
+        assert!(w.finished());
+        assert_eq!(w.round_durations(), [501, 501]);
+        // The last round ended at its final completion, 1_000_501.
+        assert_eq!(last, Progress::RoundDone { next_round: None });
+    }
+
+    #[test]
+    fn alltoall_algbw_counts_every_peer() {
+        let mut w = machine(CollectiveKind::Alltoall, 4, 1 << 20, Some(1));
+        let flows = w.start_round(0).unwrap();
+        let end = 1_000_000; // 1 ms round
+        for _ in 0..flows.len() {
+            w.on_flow_done(end).unwrap();
+        }
+        let algbw = w.algbw_bytes_per_sec(0).unwrap();
+        let expect = 3.0 * (1 << 20) as f64 / 1e-3;
+        assert!((algbw - expect).abs() / expect < 1e-9);
+    }
+
     #[test]
     fn ring_runs_2n_minus_2_uniform_waves() {
-        let mut ring = RingAllreduce::new(RingConfig {
-            workers: (0..4).collect(),
-            message_bytes: 4 << 20,
-            off_time: 1000,
-            rounds: Some(1),
-        });
+        let mut ring = machine(CollectiveKind::RingAllreduce, 4, 4 << 20, Some(1));
         let waves = drive_round(&mut ring, 0);
         assert_eq!(waves, vec![4; 6]); // 2(n−1) = 6 waves of n = 4 flows
         assert!(ring.finished());
@@ -629,98 +537,83 @@ mod tests {
 
     #[test]
     fn ring_wave_is_successor_ring() {
-        let mut ring = RingAllreduce::new(RingConfig {
+        let mut ring = Collective::new(CollectiveSpec {
+            kind: CollectiveKind::RingAllreduce,
             workers: vec![3, 5, 7],
             message_bytes: 3000,
-            off_time: 0,
+            microbatches: 1,
             rounds: None,
+            off_time: 0,
         });
         let flows = ring.start_round(0).unwrap();
-        let pairs: Vec<_> = flows.iter().map(|f| (f.src, f.dst)).collect();
-        assert_eq!(pairs, vec![(3, 5), (5, 7), (7, 3)]);
+        assert_eq!(pairs(&flows), vec![(3, 5), (5, 7), (7, 3)]);
         assert!(flows.iter().all(|f| f.bytes == 1000));
     }
 
     #[test]
     fn tree_waves_trace_binomial_up_then_down() {
-        let mut tree = TreeAllreduce::new(TreeConfig {
-            workers: (0..5).collect(),
-            message_bytes: 1 << 20,
-            off_time: 1000,
-            rounds: Some(1),
-        });
+        let mut tree = machine(CollectiveKind::TreeAllreduce, 5, 1 << 20, Some(1));
         // n = 5 → 3 levels. Reduce: {1→0, 3→2}, {2→0}, {4→0};
         // broadcast mirrors in reverse.
         let first = tree.start_round(0).unwrap();
-        let pairs: Vec<_> = first.iter().map(|f| (f.src, f.dst)).collect();
-        assert_eq!(pairs, vec![(1, 0), (3, 2)]);
-        let waves = {
-            // Finish the round from here on.
-            let mut waves = vec![first.len()];
-            let mut pending = first.len();
-            let mut t = 0;
-            loop {
-                t += 10;
-                pending -= 1;
-                match tree.on_flow_done(t).unwrap() {
-                    Progress::Pending => {}
-                    Progress::NextWave(flows) => {
-                        assert_eq!(pending, 0, "a wave starts when the last one drained");
-                        waves.push(flows.len());
-                        pending = flows.len();
-                    }
-                    Progress::RoundDone { next_round } => {
-                        assert_eq!((pending, next_round), (0, None));
-                        break;
-                    }
+        assert_eq!(pairs(&first), vec![(1, 0), (3, 2)]);
+        let mut waves = vec![pairs(&first)];
+        let mut pending = first.len();
+        let mut t = 0;
+        loop {
+            t += 10;
+            pending -= 1;
+            match tree.on_flow_done(t).unwrap() {
+                Progress::Pending => {}
+                Progress::NextWave(flows) => {
+                    assert_eq!(pending, 0, "a wave starts when the last one drained");
+                    pending = flows.len();
+                    waves.push(pairs(&flows));
+                }
+                Progress::RoundDone { next_round } => {
+                    assert_eq!((pending, next_round), (0, None));
+                    break;
                 }
             }
-            waves
-        };
-        assert_eq!(waves, vec![2, 1, 1, 1, 1, 2]);
-        // Total edges each direction: n−1 = 4.
-        assert_eq!(waves.iter().sum::<usize>(), 8);
+        }
+        assert_eq!(
+            waves,
+            vec![
+                vec![(1, 0), (3, 2)],
+                vec![(2, 0)],
+                vec![(4, 0)],
+                vec![(0, 4)],
+                vec![(0, 2)],
+                vec![(0, 1), (2, 3)],
+            ]
+        );
         assert_eq!(tree.bytes_per_round(), 8 * (1 << 20));
         assert!(tree.finished());
     }
 
     #[test]
     fn tree_power_of_two_is_log_deep() {
-        let mut tree = TreeAllreduce::new(TreeConfig {
-            workers: (0..8).collect(),
-            message_bytes: 1000,
-            off_time: 0,
-            rounds: Some(1),
-        });
+        let mut tree = machine(CollectiveKind::TreeAllreduce, 8, 1000, Some(1));
         let waves = drive_round(&mut tree, 0);
         assert_eq!(waves, vec![4, 2, 1, 1, 2, 4]);
     }
 
     #[test]
     fn pipeline_runs_one_wave_per_microbatch() {
-        let mut pipe = PipelineBurst::new(PipelineConfig {
-            workers: (0..4).collect(),
-            microbatch_bytes: 1 << 20,
-            microbatches: 3,
-            off_time: 1000,
-            rounds: Some(2),
-        });
+        let mut pipe = machine(CollectiveKind::PipelineBurst, 4, 1 << 20, Some(2));
         let waves = drive_round(&mut pipe, 0);
         assert_eq!(waves, vec![3; 3]); // 3 microbatches × (n−1) flows
         assert!(!pipe.finished());
         assert_eq!(pipe.rounds_done(), 1);
         let flows = pipe.start_round(10_000).unwrap();
-        let pairs: Vec<_> = flows.iter().map(|f| (f.src, f.dst)).collect();
-        assert_eq!(pairs, vec![(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(pairs(&flows), vec![(0, 1), (1, 2), (2, 3)]);
     }
 
     #[test]
     fn off_gap_and_bounded_rounds() {
-        let mut ring = RingAllreduce::new(RingConfig {
-            workers: (0..2).collect(),
-            message_bytes: 100,
+        let mut ring = Collective::new(CollectiveSpec {
             off_time: 5_000,
-            rounds: Some(2),
+            ..spec(CollectiveKind::RingAllreduce, 2, 100, Some(2))
         });
         // Round 1: 2 waves of 2 flows.
         ring.start_round(0).unwrap();
@@ -745,41 +638,79 @@ mod tests {
     }
 
     #[test]
-    fn typed_errors_instead_of_panics() {
-        let mut ring = RingAllreduce::new(RingConfig {
-            workers: (0..2).collect(),
-            message_bytes: 100,
-            off_time: 0,
-            rounds: Some(1),
-        });
-        assert_eq!(ring.on_flow_done(0), Err(CollectiveError::NoRoundInFlight));
-        ring.start_round(0).unwrap();
-        assert_eq!(ring.start_round(1), Err(CollectiveError::RoundInFlight));
-        for t in [10, 20, 30, 40] {
-            ring.on_flow_done(t).unwrap();
+    fn misuse_reports_typed_errors() {
+        for kind in CollectiveKind::ALL {
+            let mut c = machine(kind, 3, 300, Some(1));
+            // Completion with no round in flight.
+            assert_eq!(c.on_flow_done(0), Err(CollectiveError::NoRoundInFlight));
+            // Overlapping rounds.
+            c.start_round(0).unwrap();
+            assert_eq!(c.start_round(1), Err(CollectiveError::RoundInFlight));
+            let mut t = 10;
+            while !matches!(c.on_flow_done(t), Ok(Progress::RoundDone { .. })) {
+                t += 10;
+            }
+            // Starting past the configured round budget.
+            assert_eq!(c.start_round(t), Err(CollectiveError::Finished));
+            // And the stray completion after the last round.
+            assert_eq!(c.on_flow_done(t), Err(CollectiveError::NoRoundInFlight));
         }
-        assert_eq!(ring.start_round(50), Err(CollectiveError::Finished));
-        assert_eq!(ring.on_flow_done(50), Err(CollectiveError::NoRoundInFlight));
     }
 
     #[test]
     fn algbw_uses_per_rank_payload() {
-        let mut ring = RingAllreduce::new(RingConfig {
-            workers: (0..4).collect(),
-            message_bytes: 4 << 20,
-            off_time: 0,
-            rounds: Some(1),
-        });
-        ring.start_round(0).unwrap();
-        let mut done = false;
-        let mut t = 0;
-        while !done {
-            t += 10;
-            done = matches!(ring.on_flow_done(t).unwrap(), Progress::RoundDone { .. });
-        }
+        let mut ring = machine(CollectiveKind::RingAllreduce, 4, 4 << 20, Some(1));
+        drive_round(&mut ring, 0);
         let d = ring.round_durations()[0];
         let algbw = ring.algbw_bytes_per_sec(0).unwrap();
         let expect = (4 << 20) as f64 / (d as f64 / 1e9);
         assert!((algbw - expect).abs() / expect < 1e-12);
+    }
+
+    /// A spec that repeats a worker would make alltoall emit a
+    /// `src == dst` flow the fabric refuses mid-run; it is refused at
+    /// construction instead.
+    #[test]
+    fn invalid_specs_are_refused_at_construction() {
+        let ok = spec(CollectiveKind::PipelineBurst, 3, 100, Some(1));
+        assert_eq!(ok.validate(), Ok(()));
+        let repeated = CollectiveSpec {
+            kind: CollectiveKind::Alltoall,
+            workers: vec![0, 1, 0],
+            ..ok.clone()
+        };
+        assert_eq!(
+            repeated.validate(),
+            Err("collective: duplicate worker 0".into())
+        );
+        let refused = std::panic::catch_unwind(|| Collective::new(repeated));
+        assert!(refused.is_err(), "a repeated worker must not build");
+        for bad in [
+            CollectiveSpec {
+                workers: vec![0],
+                ..ok.clone()
+            },
+            CollectiveSpec {
+                message_bytes: 0,
+                ..ok.clone()
+            },
+            CollectiveSpec {
+                rounds: Some(0),
+                ..ok.clone()
+            },
+            CollectiveSpec {
+                microbatches: 0,
+                ..ok.clone()
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
+        // Microbatches are read only by the pipeline kind.
+        let a2a = CollectiveSpec {
+            kind: CollectiveKind::Alltoall,
+            microbatches: 0,
+            ..ok
+        };
+        assert_eq!(a2a.validate(), Ok(()));
     }
 }

@@ -119,7 +119,7 @@ impl FlowSizeDist {
 
     /// Mean flow size in bytes (numerical integral of the quantile
     /// function; used to convert target load to Poisson arrival rate).
-    pub fn mean_bytes(&self) -> f64 {
+    pub(crate) fn mean_bytes(&self) -> f64 {
         const STEPS: usize = 10_000;
         let mut acc = 0.0;
         for k in 0..STEPS {

@@ -5,21 +5,23 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use paraleon_workloads::{
-    AllToAll, AllToAllConfig, Collective, FlowSizeDist, PipelineBurst, PipelineConfig,
-    PoissonConfig, PoissonWorkload, Progress, RingAllreduce, RingConfig, TreeAllreduce, TreeConfig,
+    Collective, CollectiveKind, CollectiveSpec, FlowRequest, FlowSizeDist, PoissonConfig,
+    PoissonWorkload, Progress,
 };
 
 /// Drive `rounds` rounds of any collective to completion, checking the
-/// barrier invariant (waves only advance when fully drained) and
-/// returning the total number of flows seen.
-fn drive_collective(c: &mut dyn Collective, rounds: u32) -> usize {
+/// barrier invariant (waves only advance when fully drained), the OFF
+/// gap, and that each round's flows carry exactly `bytes_per_round()`.
+/// Returns every flow seen.
+fn drive_collective(c: &mut Collective, rounds: u32) -> Vec<FlowRequest> {
+    let off_time = c.config().off_time;
     let mut t = 0u64;
-    let mut total = 0usize;
+    let mut all = Vec::new();
     for _ in 0..rounds {
         let first = c.start_round(t).expect("round start while idle");
         assert!(!first.is_empty());
         let mut pending = first.len();
-        total += pending;
+        let mut round = first;
         loop {
             t += 1;
             pending -= 1;
@@ -29,14 +31,14 @@ fn drive_collective(c: &mut dyn Collective, rounds: u32) -> usize {
                     assert_eq!(pending, 0, "barrier released early");
                     assert!(!flows.is_empty());
                     pending = flows.len();
-                    total += flows.len();
+                    round.extend(flows);
                 }
                 Progress::RoundDone { next_round } => {
                     assert_eq!(pending, 0, "round ended with flows in flight");
                     match next_round {
                         Some(nr) => {
                             assert!(!c.finished());
-                            assert!(nr >= t);
+                            assert_eq!(nr, t + off_time);
                             t = nr;
                         }
                         None => assert!(c.finished()),
@@ -45,8 +47,11 @@ fn drive_collective(c: &mut dyn Collective, rounds: u32) -> usize {
                 }
             }
         }
+        let bytes: u64 = round.iter().map(|f| f.bytes).sum();
+        assert_eq!(bytes, c.bytes_per_round(), "{:?}", c.config().kind);
+        all.extend(round);
     }
-    total
+    all
 }
 
 /// Strategy for valid CDF control points: strictly increasing sizes and
@@ -136,40 +141,6 @@ proptest! {
         }
     }
 
-    /// Alltoall rounds always contain exactly n·(n−1) distinct pairs and
-    /// the state machine's accounting never goes negative.
-    #[test]
-    fn alltoall_round_accounting(n in 2usize..12, rounds in 1u32..4) {
-        let mut a2a = AllToAll::new(AllToAllConfig {
-            workers: (0..n).collect(),
-            message_bytes: 1000,
-            off_time: 10,
-            rounds: Some(rounds),
-        });
-        let mut t = 0u64;
-        for _ in 0..rounds {
-            let flows = a2a.start_round(t).unwrap();
-            prop_assert_eq!(flows.len(), n * (n - 1));
-            let mut last = Progress::Pending;
-            for _ in 0..flows.len() {
-                t += 1;
-                last = a2a.on_flow_done(t).unwrap();
-            }
-            let Progress::RoundDone { next_round } = last else {
-                panic!("the round's last completion must end it: {last:?}");
-            };
-            if a2a.finished() {
-                prop_assert!(next_round.is_none());
-            } else {
-                let nr = next_round.expect("next round scheduled");
-                prop_assert!(nr >= t + 10);
-                t = nr;
-            }
-        }
-        prop_assert!(a2a.finished());
-        prop_assert_eq!(a2a.round_durations().len(), rounds as usize);
-    }
-
     /// `fixed(b)` samples exactly `b` for any `b` — the regression the
     /// ramp-CDF encoding failed (it could emit `b−1`, and bumped
     /// `fixed(1)` to 2).
@@ -182,51 +153,45 @@ proptest! {
         }
     }
 
-    /// Ring allreduce: every round is 2(n−1) waves of n chunk flows,
-    /// barrier-separated, and all configured rounds account a duration.
+    /// Any collective kind: every round is barrier-separated waves of the
+    /// kind's flow count, carries exactly `bytes_per_round()`, and every
+    /// configured round accounts a duration. Alltoall: n·(n−1) distinct
+    /// pairs; ring allreduce: 2(n−1) waves of n chunk flows; tree
+    /// allreduce: each of the n−1 tree edges once up and once down;
+    /// pipeline: one wave of n−1 neighbor flows per microbatch.
     #[test]
-    fn ring_allreduce_accounting(n in 2usize..10, rounds in 1u32..4) {
-        let mut ring = RingAllreduce::new(RingConfig {
+    fn collective_round_accounting(
+        kind in 0usize..CollectiveKind::ALL.len(),
+        n in 2usize..17,
+        message_bytes in 1u64..100_000,
+        microbatches in 1u32..5,
+        rounds in 1u32..4,
+    ) {
+        let kind = CollectiveKind::ALL[kind];
+        let mut c = Collective::new(CollectiveSpec {
+            kind,
             workers: (0..n).collect(),
-            message_bytes: 10_000,
-            off_time: 10,
+            message_bytes,
+            microbatches,
             rounds: Some(rounds),
-        });
-        let total = drive_collective(&mut ring, rounds);
-        prop_assert_eq!(total, rounds as usize * 2 * (n - 1) * n);
-        prop_assert!(ring.finished());
-        prop_assert_eq!(ring.round_durations().len(), rounds as usize);
-    }
-
-    /// Tree allreduce: a round carries each of the n−1 tree edges once
-    /// up and once down.
-    #[test]
-    fn tree_allreduce_accounting(n in 2usize..17, rounds in 1u32..3) {
-        let mut tree = TreeAllreduce::new(TreeConfig {
-            workers: (0..n).collect(),
-            message_bytes: 10_000,
             off_time: 10,
-            rounds: Some(rounds),
         });
-        let total = drive_collective(&mut tree, rounds);
-        prop_assert_eq!(total, rounds as usize * 2 * (n - 1));
-        prop_assert!(tree.finished());
-        prop_assert_eq!(tree.round_durations().len(), rounds as usize);
-    }
-
-    /// Pipeline bursts: one wave of n−1 neighbor flows per microbatch.
-    #[test]
-    fn pipeline_burst_accounting(n in 2usize..10, mb in 1u32..5, rounds in 1u32..3) {
-        let mut pipe = PipelineBurst::new(PipelineConfig {
-            workers: (0..n).collect(),
-            microbatch_bytes: 10_000,
-            microbatches: mb,
-            off_time: 10,
-            rounds: Some(rounds),
-        });
-        let total = drive_collective(&mut pipe, rounds);
-        prop_assert_eq!(total, rounds as usize * mb as usize * (n - 1));
-        prop_assert!(pipe.finished());
-        prop_assert_eq!(pipe.round_durations().len(), rounds as usize);
+        let flows = drive_collective(&mut c, rounds);
+        let per_round = match kind {
+            CollectiveKind::Alltoall => n * (n - 1),
+            CollectiveKind::RingAllreduce => 2 * (n - 1) * n,
+            CollectiveKind::TreeAllreduce => 2 * (n - 1),
+            CollectiveKind::PipelineBurst => microbatches as usize * (n - 1),
+        };
+        prop_assert_eq!(flows.len(), rounds as usize * per_round);
+        prop_assert!(flows.iter().all(|f| f.src != f.dst && f.src < n && f.dst < n));
+        if kind == CollectiveKind::Alltoall {
+            let mut pairs: Vec<_> = flows[..per_round].iter().map(|f| (f.src, f.dst)).collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            prop_assert_eq!(pairs.len(), per_round);
+        }
+        prop_assert!(c.finished());
+        prop_assert_eq!(c.round_durations().len(), rounds as usize);
     }
 }

@@ -27,11 +27,13 @@ fn run(scheme: SchemeKind) -> (String, Vec<f64>) {
         })
         .build();
     // 16 workers spread across all four racks.
-    let mut a2a = AllToAll::new(AllToAllConfig {
+    let mut a2a = Collective::new(CollectiveSpec {
+        kind: CollectiveKind::Alltoall,
         workers: (0..16).map(|i| i * 2).collect(),
         message_bytes: 1 << 20, // 1 MB per peer per round
-        off_time: 2 * MILLI,    // "compute" phase
+        microbatches: 1,
         rounds: Some(6),
+        off_time: 2 * MILLI, // "compute" phase
     });
     drivers::run_collective(&mut cl, &mut a2a, 0, 10 * SEC);
     let algbw: Vec<f64> = (0..a2a.round_durations().len())

@@ -22,11 +22,13 @@ fn main() {
         .build();
 
     // Background collective: 8 workers, continuous rounds.
-    let mut a2a = AllToAll::new(AllToAllConfig {
+    let mut a2a = Collective::new(CollectiveSpec {
+        kind: CollectiveKind::Alltoall,
         workers: (0..8).map(|i| i * 4).collect(),
         message_bytes: 1 << 20,
-        off_time: MILLI,
+        microbatches: 1,
         rounds: None,
+        off_time: MILLI,
     });
 
     // Influx: 15 ms of FB_Hadoop at 50% load, arriving at t = 20 ms.

@@ -45,11 +45,13 @@ fn alltoall_rounds_are_synchronized_and_gapped() {
         .scheme(SchemeKind::Expert)
         .build();
     let off = 4 * MILLI;
-    let mut a2a = AllToAll::new(AllToAllConfig {
+    let mut a2a = Collective::new(CollectiveSpec {
+        kind: CollectiveKind::Alltoall,
         workers: (0..8).map(|i| i * 4).collect(),
         message_bytes: 256 * 1024,
-        off_time: off,
+        microbatches: 1,
         rounds: Some(3),
+        off_time: off,
     });
     let records = drivers::run_collective(&mut cl, &mut a2a, 0, 10 * SEC);
     assert!(a2a.finished());
