@@ -78,6 +78,7 @@ fn out_of_bounds_params() -> DcqcnParams {
 /// intervals after every rollback it is told about (the repeated-offender
 /// pattern that drives the guardrail into safe mode). Optionally emits
 /// one out-of-bounds candidate first to exercise validation.
+#[derive(Clone)]
 struct RogueScheme {
     interval: u64,
     bad_at: u64,

@@ -210,13 +210,8 @@ pub fn alltoall(
 /// shape the collapse depth — so every swept parameter has an
 /// observable effect, as in the paper's Figure 5.
 pub fn elephants_plus_incast(scale: Scale, params: DcqcnParams) -> (f64, f64) {
-    let cfg = SimConfig {
-        dcqcn: params,
-        ..SimConfig::default()
-    };
     let mut cl = ClosedLoop::builder(scale.clos())
         .scheme(SchemeKind::Static(params, "static"))
-        .sim_config(cfg)
         .build();
     let hosts = scale.hosts();
     let pairs = hosts / 4;

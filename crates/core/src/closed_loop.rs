@@ -573,6 +573,28 @@ mod tests {
     }
 
     #[test]
+    fn cold_crash_rewinds_a_static_scheme_which_redispatches() {
+        // A restore rewinds every scheme: the build-time checkpoint of a
+        // static scheme has not dispatched yet, so it sends its setting
+        // once more in the crash interval.
+        let mut plan = FaultPlan::new(3);
+        plan.ctrl_crash(4 * MILLI, false);
+        let mut cl = ClosedLoop::builder(topo())
+            .scheme(SchemeKind::Default)
+            .seed(5)
+            .build();
+        cl.install_fault_plan(&plan).unwrap();
+        drive(&mut cl, 24);
+        assert_eq!(cl.ctrl().stats().crashes, 1);
+        assert!(
+            cl.cell.history[3].dispatched,
+            "the rewound static scheme re-dispatches in the crash interval"
+        );
+        assert!(cl.ctrl_settle(300), "loop failed to quiesce");
+        assert!(!cl.ctrl_diverged());
+    }
+
+    #[test]
     fn the_scheme_owns_the_boot_parameters() {
         let cl = ClosedLoop::builder(topo())
             .scheme(SchemeKind::Paraleon)
@@ -603,10 +625,27 @@ mod tests {
     fn cell_checkpoint_restore_is_identity() {
         // Snapshot at a tick boundary, keep stepping, restore, re-step:
         // the trajectory after restore must equal the original — the
-        // fleet snapshot round-trip property builds on this.
+        // fleet snapshot round-trip property builds on this. Every
+        // scheme checkpoints the same way, by clone.
+        let schemes = [
+            SchemeKind::Default,
+            SchemeKind::Expert,
+            SchemeKind::Static(DcqcnParams::expert(), "Pretrained"),
+            SchemeKind::DcqcnPlus,
+            SchemeKind::Acc,
+            SchemeKind::Paraleon,
+            SchemeKind::ParaleonSa(paraleon_tuner::SaConfig::paper_default(), 2),
+            SchemeKind::ParaleonNaiveSa,
+        ];
+        for scheme in schemes {
+            assert_restore_is_identity(scheme);
+        }
+    }
+
+    fn assert_restore_is_identity(scheme: SchemeKind) {
         let build = || {
             ClosedLoop::builder(topo())
-                .scheme(SchemeKind::Paraleon)
+                .scheme(scheme.clone())
                 .guardrail(GuardrailConfig::default())
                 .seed(7)
                 .build()
@@ -638,8 +677,9 @@ mod tests {
         for i in 12..24 {
             drive_one(&mut b, i);
         }
-        assert_eq!(a.cell.history.len(), b.cell.history.len());
-        assert_eq!(a.cell.history, b.cell.history);
-        assert_eq!(a.cell.last_params, b.cell.last_params);
+        let name = scheme.name();
+        assert_eq!(a.cell.history.len(), b.cell.history.len(), "{name}");
+        assert_eq!(a.cell.history, b.cell.history, "{name}");
+        assert_eq!(a.cell.last_params, b.cell.last_params, "{name}");
     }
 }

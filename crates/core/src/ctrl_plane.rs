@@ -22,9 +22,9 @@
 //!   one in-flight dispatch and re-sends it on ACK timeout with
 //!   exponential backoff and seeded jitter.
 //! * **Crashes** are handled by [`crate::TunerCell`] itself (it owns
-//!   the tuner and guardrail state being checkpointed); the
-//!   [`CtrlSnapshot`] here covers the controller half of the protocol
-//!   state so a restore resumes mid-conversation.
+//!   the tuner and guardrail state being checkpointed); it checkpoints
+//!   the plane's [`CtrlState`] by clone, so a restore resumes
+//!   mid-conversation.
 //!
 //! With a clean channel (no impairments scheduled) messages deliver
 //! with zero delay in send order, the merger's age-0 merge is the plain
@@ -129,13 +129,15 @@ struct Pending {
     retries: u32,
 }
 
-/// Controller-half protocol state captured in a checkpoint: the upload
-/// merger, the epoch counter and the in-flight dispatch. Channels, the
-/// fabric end and the jitter stream are *not* part of it — they model
-/// the network and the devices, which do not die with the controller.
+/// The controller half of the protocol — what a controller crash
+/// rewinds, checkpointed by clone: the upload merger, the epoch counter
+/// and the in-flight dispatch. Channels, the fabric end and the jitter
+/// stream are *not* part of it — they model the network and the
+/// devices, which do not die with the controller.
 #[derive(Debug, Clone)]
-pub struct CtrlSnapshot {
-    merger: StalenessMerger,
+pub struct CtrlState {
+    /// Staleness-weighted upload aggregation.
+    pub merger: StalenessMerger,
     next_epoch: u64,
     pending: Option<Pending>,
 }
@@ -169,12 +171,11 @@ pub struct CtrlPlane {
     pub down: CtrlChannel<DownMsg>,
     /// Fabric-side epoch bookkeeping.
     pub fabric: FabricEnd,
-    /// Staleness-weighted upload aggregation (controller side).
-    pub merger: StalenessMerger,
+    /// Controller-side protocol state (merger, epochs, in-flight
+    /// dispatch).
+    pub state: CtrlState,
     /// Retry-jitter stream (distinct lane of the run seed).
     rng: StdRng,
-    next_epoch: u64,
-    pending: Option<Pending>,
     /// Dispatch re-sends performed.
     pub retries: u64,
     /// Controller crashes survived.
@@ -203,10 +204,12 @@ impl CtrlPlane {
             up: CtrlChannel::new(mix64(seed ^ 0x5550)),
             down: CtrlChannel::new(mix64(seed ^ 0xD030)),
             fabric: FabricEnd::new(cfg.naive),
-            merger: StalenessMerger::default(),
+            state: CtrlState {
+                merger: StalenessMerger::default(),
+                next_epoch: 1,
+                pending: None,
+            },
             rng: StdRng::seed_from_u64(mix64(seed ^ 0x1e77)),
-            next_epoch: 1,
-            pending: None,
             retries: 0,
             crashes: 0,
             resyncs: 0,
@@ -217,12 +220,12 @@ impl CtrlPlane {
 
     /// The epoch the next dispatch will carry.
     pub fn next_epoch(&self) -> u64 {
-        self.next_epoch
+        self.state.next_epoch
     }
 
     /// Whether a dispatch is awaiting its ACK.
     pub fn has_pending(&self) -> bool {
-        self.pending.is_some()
+        self.state.pending.is_some()
     }
 
     /// One combined counter snapshot.
@@ -230,7 +233,7 @@ impl CtrlPlane {
         CtrlPlaneStats {
             up: self.up.stats,
             down: self.down.stats,
-            stale_rejected: self.merger.rejected,
+            stale_rejected: self.state.merger.rejected,
             retries: self.retries,
             crashes: self.crashes,
             resyncs: self.resyncs,
@@ -241,8 +244,8 @@ impl CtrlPlane {
     /// dispatch: the fabric's monotonicity makes the older one
     /// harmless). Returns the epoch used.
     pub fn send_dispatch(&mut self, now: u64, action: TuningAction) -> u64 {
-        let epoch = self.next_epoch;
-        self.next_epoch += 1;
+        let epoch = self.state.next_epoch;
+        self.state.next_epoch += 1;
         self.down.send(
             now,
             DownMsg::Dispatch {
@@ -250,7 +253,7 @@ impl CtrlPlane {
                 action: action.clone(),
             },
         );
-        self.pending = (!self.naive).then(|| Pending {
+        self.state.pending = (!self.naive).then(|| Pending {
             epoch,
             action,
             next_retry_at: now + RETRY_TIMEOUT_INTERVALS,
@@ -266,17 +269,17 @@ impl CtrlPlane {
     /// rewound the epoch counter), the believed action is re-sent above
     /// the fabric's epoch. Returns the re-send epoch when that happens.
     pub fn on_ack(&mut self, now: u64, acked: u64) -> Option<u64> {
-        if acked >= self.next_epoch {
+        if acked >= self.state.next_epoch {
             // The fabric is ahead of everything we think we sent: a
             // restore rewound us. Catch the counter up first.
-            self.next_epoch = acked + 1;
+            self.state.next_epoch = acked + 1;
         }
         if self.naive {
             return None;
         }
-        let p = self.pending.as_ref()?;
+        let p = self.state.pending.as_ref()?;
         if acked == p.epoch {
-            self.pending = None;
+            self.state.pending = None;
             None
         } else if acked > p.epoch {
             // Our in-flight epoch lost the race against a pre-crash
@@ -299,7 +302,7 @@ impl CtrlPlane {
     /// seeded jitter draw — the draw only happens on an actual re-send,
     /// so a healthy channel never consumes the stream.
     pub fn check_retry(&mut self, now: u64) -> Option<u64> {
-        let p = self.pending.as_mut()?;
+        let p = self.state.pending.as_mut()?;
         if now < p.next_retry_at {
             return None;
         }
@@ -317,25 +320,6 @@ impl CtrlPlane {
         let jitter = (self.rng.gen::<f64>() * RETRY_JITTER * p.backoff as f64) as u64;
         p.next_retry_at = now + p.backoff + jitter;
         Some(p.epoch)
-    }
-
-    /// Checkpoint the controller half of the protocol state.
-    pub fn snapshot(&self) -> CtrlSnapshot {
-        CtrlSnapshot {
-            merger: self.merger.clone(),
-            next_epoch: self.next_epoch,
-            pending: self.pending.clone(),
-        }
-    }
-
-    /// Restore the controller half from a checkpoint. Crash semantics
-    /// live in the caller ([`crate::ClosedLoop`] clears the up lane —
-    /// messages addressed to a dead process are gone — and re-asserts
-    /// the believed parameters).
-    pub fn restore(&mut self, snap: &CtrlSnapshot) {
-        self.merger = snap.merger.clone();
-        self.next_epoch = snap.next_epoch;
-        self.pending = snap.pending.clone();
     }
 }
 
@@ -475,11 +459,11 @@ mod tests {
     fn snapshot_restore_round_trips_the_controller_half() {
         let mut cp = CtrlPlane::new(CtrlPlaneConfig::default(), 1);
         cp.send_dispatch(0, global(1.0));
-        let snap = cp.snapshot();
+        let snap = cp.state.clone();
         // Drift past the checkpoint, then restore.
         cp.on_ack(1, 1);
         cp.send_dispatch(2, global(2.0));
-        cp.restore(&snap);
+        cp.state = snap;
         assert_eq!(cp.next_epoch(), 2);
         assert!(cp.has_pending());
     }

@@ -393,7 +393,10 @@ impl Guardrail {
                     self.rollbacks += 1;
                     self.consecutive_rollbacks += 1;
                     if self.consecutive_rollbacks >= ROLLBACKS_TO_SAFE_MODE {
-                        Some(self.enter_safe_mode())
+                        Some(GuardAction::EnterSafeMode {
+                            params: SAFE_PARAMS,
+                            backoff_intervals: self.enter_safe_mode(),
+                        })
                     } else {
                         Some(GuardAction::Rollback(self.last_good))
                     }
@@ -416,19 +419,16 @@ impl Guardrail {
 
     /// Deploy the fallback and freeze tuning: the common tail of the
     /// rollback-escalation path and [`Guardrail::force_safe_mode`]. The
-    /// freeze lasts the current backoff, which then doubles for the next
-    /// entry.
-    fn enter_safe_mode(&mut self) -> GuardAction {
+    /// freeze lasts the current backoff, returned, which then doubles
+    /// for the next entry.
+    fn enter_safe_mode(&mut self) -> u32 {
         let backoff = self.next_backoff;
         self.next_backoff = (self.next_backoff.saturating_mul(2)).min(MAX_BACKOFF_INTERVALS);
         self.safe_mode_entries += 1;
         self.state = GuardState::SafeMode { remaining: backoff };
         // The fallback becomes the snapshot future rollbacks restore.
         self.last_good = SAFE_PARAMS;
-        GuardAction::EnterSafeMode {
-            params: SAFE_PARAMS,
-            backoff_intervals: backoff,
-        }
+        backoff
     }
 
     /// Unconditionally enter safe mode, outside the rollback-escalation
@@ -436,8 +436,9 @@ impl Guardrail {
     /// calls this: it cannot vouch for whatever the tuner was doing
     /// before it died, so it deploys the fallback and freezes tuning for
     /// the current backoff (which doubles for the next entry, exactly
-    /// like an escalation entry).
-    pub fn force_safe_mode(&mut self) -> GuardAction {
+    /// like an escalation entry). Returns the freeze length, in monitor
+    /// intervals; the fallback is always the paper default.
+    pub fn force_safe_mode(&mut self) -> u32 {
         self.consecutive_rollbacks = 0;
         self.enter_safe_mode()
     }
@@ -658,13 +659,7 @@ mod tests {
         let mut g = Guardrail::new(cfg, DcqcnParams::nvidia_default());
         let cap = MAX_BACKOFF_INTERVALS;
         for (i, backoff) in [4, 8, 16, 32, 64, 128, cap, cap].into_iter().enumerate() {
-            assert_eq!(
-                g.force_safe_mode(),
-                GuardAction::EnterSafeMode {
-                    params: SAFE_PARAMS,
-                    backoff_intervals: backoff,
-                }
-            );
+            assert_eq!(g.force_safe_mode(), backoff);
             assert!(g.in_safe_mode());
             assert_eq!(g.safe_mode_entries, i as u64 + 1);
             assert_eq!(g.last_known_good(), &SAFE_PARAMS);

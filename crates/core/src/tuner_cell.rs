@@ -36,12 +36,10 @@ use paraleon_netsim::{
 };
 use paraleon_sketch::{FlowType, Fsd, SlidingWindowClassifier};
 use paraleon_telemetry as tel;
-use paraleon_tuner::{
-    Observation, SchemeState, SwitchLocalObs, TuningAction, TuningFeedback, TuningScheme,
-};
+use paraleon_tuner::{Observation, SwitchLocalObs, TuningAction, TuningFeedback, TuningScheme};
 
-use crate::ctrl_plane::{CtrlPlane, CtrlPlaneConfig, CtrlSnapshot, UpMsg};
-use crate::guardrail::{GuardAction, Guardrail, ScreenOutcome};
+use crate::ctrl_plane::{CtrlPlane, CtrlPlaneConfig, CtrlState, UpMsg};
+use crate::guardrail::{GuardAction, Guardrail, ScreenOutcome, SAFE_PARAMS};
 use crate::Nanos;
 
 /// KL trigger threshold θ (paper default: 0.01).
@@ -131,28 +129,37 @@ impl IntervalRecord {
     }
 }
 
-/// One controller checkpoint: everything the controller process owns.
-/// The simulator, the monitor's device-side classifiers and the channel
-/// lanes live outside the controller and deliberately do not rewind.
-pub struct CellSnapshot {
-    scheme: Option<SchemeState>,
+/// The decision state a controller crash rewinds, checkpointed by
+/// clone: tuning scheme, guardrail, KL detector and trigger window.
+#[derive(Clone)]
+struct Controller {
+    scheme: Box<dyn TuningScheme>,
+    /// Deployment guardrail, when armed (see [`crate::guardrail`]).
     guard: Option<Guardrail>,
     detector: ChangeDetector,
-    ctrl: CtrlSnapshot,
-    believed: DcqcnParams,
-    window_fsd: Fsd,
-    window_count: u32,
     first_interval: bool,
+    /// FSD aggregated over the current trigger window.
+    window_fsd: Fsd,
+    /// Intervals accumulated into `window_fsd`.
+    window_count: u32,
+}
+
+/// One controller checkpoint: everything the controller process owns,
+/// for every scheme. The simulator, the monitor's device-side
+/// classifiers and the channel lanes live outside the controller and
+/// deliberately do not rewind.
+#[derive(Clone)]
+pub struct CellSnapshot {
+    controller: Controller,
+    ctrl: CtrlState,
+    last_params: DcqcnParams,
 }
 
 /// The controller half of one tuned fabric: monitor merge, trigger,
 /// tuning scheme, guardrail, dispatch protocol, history and ledger.
 pub struct TunerCell {
     monitor: Box<dyn FsdMonitor>,
-    detector: ChangeDetector,
-    scheme: Box<dyn TuningScheme>,
-    /// Deployment guardrail, when armed (see [`crate::guardrail`]).
-    guard: Option<Guardrail>,
+    controller: Controller,
     /// Loop-level configuration (public so harnesses can toggle
     /// `force_tuning` while settling).
     pub cfg: LoopConfig,
@@ -168,12 +175,7 @@ pub struct TunerCell {
     pub monitor_cpu: Duration,
     /// Wall-clock spent in tuning code.
     pub tuner_cpu: Duration,
-    first_interval: bool,
     prev_uploaded: u64,
-    /// FSD aggregated over the current trigger window.
-    window_fsd: Fsd,
-    /// Intervals accumulated into `window_fsd`.
-    window_count: u32,
     /// Ground-truth classifier (same ternary semantics, exact inputs);
     /// present when `SimConfig::track_ground_truth` is set.
     truth: Option<SlidingWindowClassifier>,
@@ -240,24 +242,23 @@ impl TunerCell {
         truth: Option<SlidingWindowClassifier>,
         seed: u64,
     ) -> Self {
-        let detector = ChangeDetector::new(THETA);
-        let ctrl = CtrlPlane::new(ctrl, seed);
-        let boot = || CellSnapshot {
-            scheme: scheme.snapshot_state(),
-            guard: guard.clone(),
-            detector: detector.clone(),
-            ctrl: ctrl.snapshot(),
-            believed: initial,
-            window_fsd: Fsd::empty(),
-            window_count: 0,
-            first_interval: true,
-        };
-        let (snapshot, initial_snapshot) = (boot(), boot());
-        TunerCell {
-            monitor,
-            detector,
+        let controller = Controller {
             scheme,
             guard,
+            detector: ChangeDetector::new(THETA),
+            first_interval: true,
+            window_fsd: Fsd::empty(),
+            window_count: 0,
+        };
+        let ctrl = CtrlPlane::new(ctrl, seed);
+        let boot = CellSnapshot {
+            controller: controller.clone(),
+            ctrl: ctrl.state.clone(),
+            last_params: initial,
+        };
+        TunerCell {
+            monitor,
+            controller,
             cfg,
             ledger: TransferLedger::new(),
             history: Vec::new(),
@@ -265,16 +266,13 @@ impl TunerCell {
             last_fsd: Fsd::empty(),
             monitor_cpu: Duration::ZERO,
             tuner_cpu: Duration::ZERO,
-            first_interval: true,
             prev_uploaded: 0,
-            window_fsd: Fsd::empty(),
-            window_count: 0,
             truth,
             ctrl,
             ctrl_events: Vec::new(),
             ctrl_event_idx: 0,
-            snapshot,
-            initial_snapshot,
+            snapshot: boot.clone(),
+            initial_snapshot: boot,
             prev_lost: 0,
             prev_duplicated: 0,
             prev_stale_rejected: 0,
@@ -290,7 +288,7 @@ impl TunerCell {
 
     /// The scheme's display name.
     pub fn scheme_name(&self) -> &'static str {
-        self.scheme.name()
+        self.controller.scheme.name()
     }
 
     /// The monitor's display name.
@@ -300,7 +298,7 @@ impl TunerCell {
 
     /// The guardrail, when armed.
     pub fn guard(&self) -> Option<&Guardrail> {
-        self.guard.as_ref()
+        self.controller.guard.as_ref()
     }
 
     /// The control plane (channel lanes, protocol state, counters).
@@ -331,17 +329,12 @@ impl TunerCell {
     }
 
     /// Checkpoint the controller process (tuner, guardrail, detector,
-    /// protocol state, believed parameters).
+    /// protocol state, believed parameters) by clone.
     pub fn checkpoint(&self) -> CellSnapshot {
         CellSnapshot {
-            scheme: self.scheme.snapshot_state(),
-            guard: self.guard.clone(),
-            detector: self.detector.clone(),
-            ctrl: self.ctrl.snapshot(),
-            believed: self.last_params,
-            window_fsd: self.window_fsd.clone(),
-            window_count: self.window_count,
-            first_interval: self.first_interval,
+            controller: self.controller.clone(),
+            ctrl: self.ctrl.state.clone(),
+            last_params: self.last_params,
         }
     }
 
@@ -350,18 +343,9 @@ impl TunerCell {
     /// Restoring a checkpoint taken at the same instant is a no-op —
     /// the fleet snapshot round-trip property builds on this.
     pub fn restore(&mut self, snap: &CellSnapshot) {
-        if let Some(state) = snap.scheme.as_ref() {
-            // Downcast-clone restore. A scheme that cannot restore
-            // (no snapshot support) keeps its live state.
-            let _ = self.scheme.restore_state(state);
-        }
-        self.guard = snap.guard.clone();
-        self.detector = snap.detector.clone();
-        self.ctrl.restore(&snap.ctrl);
-        self.last_params = snap.believed;
-        self.window_fsd = snap.window_fsd.clone();
-        self.window_count = snap.window_count;
-        self.first_interval = snap.first_interval;
+        self.controller = snap.controller.clone();
+        self.ctrl.state = snap.ctrl.clone();
+        self.last_params = snap.last_params;
         // The monitor lives on the devices, not in the controller: its
         // upload accounting never rewinds. Re-anchor the per-interval
         // delta so the next ledger record starts from the live counter.
@@ -461,7 +445,7 @@ impl TunerCell {
         for msg in ctrl.up.deliver(k) {
             match msg {
                 UpMsg::Fsd(u) => {
-                    ctrl.merger.ingest(u);
+                    ctrl.state.merger.ingest(u);
                 }
                 UpMsg::Ack { epoch } => {
                     if let Some(e) = ctrl.on_ack(k, epoch) {
@@ -470,7 +454,7 @@ impl TunerCell {
                 }
             }
         }
-        let fsd = ctrl.merger.network_fsd(k);
+        let fsd = ctrl.state.merger.network_fsd(k);
         for epoch in resent {
             tel::event(tel::Event::CtrlRetry { epoch });
         }
@@ -515,16 +499,6 @@ impl TunerCell {
         }
     }
 
-    /// The cell's own restart target: the latest periodic checkpoint
-    /// (warm) or the build-time one (cold).
-    fn own_checkpoint(&mut self, warm: bool) -> &mut CellSnapshot {
-        if warm {
-            &mut self.snapshot
-        } else {
-            &mut self.initial_snapshot
-        }
-    }
-
     /// Controller crash + restart. Warm restores the latest periodic
     /// checkpoint; cold restores the build-time checkpoint and (when a
     /// guardrail is armed) enters safe mode, since a from-scratch
@@ -533,25 +507,21 @@ impl TunerCell {
     /// fabric and controller re-converge.
     fn handle_crash(&mut self, warm: bool, k: u64) {
         self.die(warm);
-        // `restore` borrows the whole cell, so the checkpoint it reads
-        // is lent out of its slot against a throwaway one for the call.
-        let placeholder = self.checkpoint();
-        let snap = std::mem::replace(self.own_checkpoint(warm), placeholder);
+        let snap = if warm {
+            self.snapshot.clone()
+        } else {
+            self.initial_snapshot.clone()
+        };
         self.restore(&snap);
-        *self.own_checkpoint(warm) = snap;
         if !warm {
-            if let Some(g) = self.guard.as_mut() {
-                let GuardAction::EnterSafeMode {
-                    params,
-                    backoff_intervals,
-                } = g.force_safe_mode()
-                else {
-                    unreachable!("force_safe_mode always enters safe mode");
-                };
+            let c = &mut self.controller;
+            if let Some(g) = c.guard.as_mut() {
+                let backoff_intervals = g.force_safe_mode();
                 tel::event(tel::Event::SafeModeEnter { backoff_intervals });
-                self.scheme
-                    .on_feedback(&TuningFeedback::Frozen { fallback: params });
-                self.last_params = params;
+                c.scheme.on_feedback(&TuningFeedback::Frozen {
+                    fallback: SAFE_PARAMS,
+                });
+                self.last_params = SAFE_PARAMS;
             }
         }
         self.resync(k);
@@ -616,20 +586,21 @@ impl TunerCell {
         }
         let fsd = self.ctrl_receive(k);
         // Trigger check at window granularity over the aggregated FSD.
-        self.window_fsd.merge(&fsd);
-        self.window_count += 1;
+        let c = &mut self.controller;
+        c.window_fsd.merge(&fsd);
+        c.window_count += 1;
         let mut triggered = false;
-        if self.window_count >= self.cfg.trigger_window.max(1) {
-            let window = std::mem::take(&mut self.window_fsd);
-            self.window_count = 0;
+        if c.window_count >= self.cfg.trigger_window.max(1) {
+            let window = std::mem::take(&mut c.window_fsd);
+            c.window_count = 0;
             if !window.is_empty() {
-                triggered = self.detector.observe(&window);
+                triggered = c.detector.observe(&window);
             }
         }
-        if self.first_interval && self.cfg.force_tuning {
+        if c.first_interval && self.cfg.force_tuning {
             triggered = true;
         }
-        self.first_interval = false;
+        c.first_interval = false;
         let (dominant, mu) = fsd.dominant();
         // FSD accuracy vs. the exact ground truth (Figures 10-11).
         let fsd_accuracy = self.truth.as_mut().map(|t| {
@@ -723,7 +694,7 @@ impl TunerCell {
             .iter()
             .map(|s| s.node - n_hosts)
             .collect();
-        let guard_action = self.guard.as_mut().and_then(|guard| {
+        let guard_action = self.controller.guard.as_mut().and_then(|guard| {
             guard.observe(
                 utility,
                 metrics.goodput_bytes_per_sec(),
@@ -747,18 +718,20 @@ impl TunerCell {
             }
             Some(GuardAction::ExitSafeMode) => {
                 tel::event(tel::Event::SafeModeExit);
-                self.scheme.on_feedback(&TuningFeedback::Unfrozen);
+                self.controller
+                    .scheme
+                    .on_feedback(&TuningFeedback::Unfrozen);
                 None
             }
             None => None,
         };
         if let Some((p, feedback)) = correction {
             self.send_dispatch(k, TuningAction::Global(p));
-            self.scheme.on_feedback(&feedback);
+            self.controller.scheme.on_feedback(&feedback);
             verdict.dispatch_bytes = p.wire_size_bytes() as u64;
             verdict.acted = true;
         }
-        verdict.safe_mode = self.guard.as_ref().is_some_and(Guardrail::in_safe_mode);
+        verdict.safe_mode = self.guard().is_some_and(Guardrail::in_safe_mode);
         tel::series("safe_mode", 0, if verdict.safe_mode { 1.0 } else { 0.0 });
         verdict
     }
@@ -796,7 +769,7 @@ impl TunerCell {
                 .collect(),
         };
         let t1 = Instant::now();
-        let action = self.scheme.on_interval(&obs);
+        let action = self.controller.scheme.on_interval(&obs);
         self.tuner_cpu += t1.elapsed();
         action
     }
@@ -808,7 +781,8 @@ impl TunerCell {
         sim: &Engine,
         candidate: Option<TuningAction>,
     ) -> (Option<TuningAction>, bool) {
-        let Some(guard) = self.guard.as_mut() else {
+        let c = &mut self.controller;
+        let Some(guard) = c.guard.as_mut() else {
             return (candidate, false);
         };
         let Some(candidate) = candidate else {
@@ -820,7 +794,7 @@ impl TunerCell {
                 // The reason is carried in the guard's own counters.
                 tel::event(tel::Event::GuardrailReject);
                 tel::series("guardrail_reject", 0, 1.0);
-                self.scheme.on_feedback(&TuningFeedback::Rejected {
+                c.scheme.on_feedback(&TuningFeedback::Rejected {
                     deployed: self.last_params,
                 });
                 (None, true)
@@ -842,7 +816,7 @@ impl TunerCell {
     ) {
         let mut dispatch_bytes = guard_dispatch_bytes;
         if let Some(action) = action {
-            dispatch_bytes += self.scheme.dispatch_bytes(&action);
+            dispatch_bytes += self.controller.scheme.dispatch_bytes(&action);
             self.send_dispatch(k, action);
         }
         let ctrl = &mut self.ctrl;
@@ -851,7 +825,7 @@ impl TunerCell {
         }
         let lost = ctrl.up.stats.lost + ctrl.down.stats.lost;
         let duplicated = ctrl.up.stats.duplicated + ctrl.down.stats.duplicated;
-        let stale = ctrl.merger.rejected;
+        let stale = ctrl.state.merger.rejected;
         tel::count_n(tel::Ctr::CtrlMsgsLost, lost - self.prev_lost);
         tel::count_n(
             tel::Ctr::CtrlMsgsDuplicated,
@@ -941,7 +915,7 @@ impl TunerCell {
         total += self.ctrl_events.capacity() * std::mem::size_of::<FaultEvent>();
         // Each retained merger point holds one FSD (3 f64 bins +
         // bookkeeping) plus the BTreeMap node.
-        total += self.ctrl.merger.n_points() * (std::mem::size_of::<Fsd>() + 64);
+        total += self.ctrl.state.merger.n_points() * (std::mem::size_of::<Fsd>() + 64);
         total
     }
 }

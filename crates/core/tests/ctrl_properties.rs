@@ -9,11 +9,12 @@
 //!   of order, and treats replays as no-ops. The naive fabric under the
 //!   same delivery ends wherever the channel happened to put it — the
 //!   contrast the `exp ctrl_faults` gate measures end to end.
-//! * **Checkpoint fidelity** — `snapshot()` → `restore()` round-trips
-//!   controller state byte-identically from an arbitrary mid-run point:
-//!   the protocol state (merger, epoch counter, in-flight dispatch) via
-//!   `CtrlPlane`, and the tuner/guardrail halves behaviorally (a
-//!   restored replica emits exactly the actions the original would).
+//! * **Checkpoint fidelity** — a checkpoint is a clone, and assigning
+//!   it back round-trips controller state byte-identically from an
+//!   arbitrary mid-run point: the protocol state (merger, epoch counter,
+//!   in-flight dispatch) in `CtrlPlane::state`, and the tuner/guardrail
+//!   halves behaviorally (a restored replica emits exactly the actions
+//!   the original would).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -190,11 +191,12 @@ fn drive_ctrl(plane: &mut CtrlPlane, ops: &[CtrlOp], mut now: u64) -> u64 {
             }
             CtrlOp::Ingest { point, seq, age } => {
                 plane
+                    .state
                     .merger
                     .ingest(upload(*point, *seq, now.saturating_sub(*age)));
             }
             CtrlOp::Merge => {
-                plane.merger.network_fsd(now);
+                plane.state.merger.network_fsd(now);
             }
         }
     }
@@ -204,11 +206,12 @@ fn drive_ctrl(plane: &mut CtrlPlane, ops: &[CtrlOp], mut now: u64) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `snapshot()` at an arbitrary mid-run point, then `restore()` —
-    /// into the same plane after further divergence, and into a fresh
-    /// plane built from a different seed — reproduces the checkpoint
-    /// byte-identically (the snapshot fully determines the restored
-    /// controller state; nothing leaks in from the live plane).
+    /// Clone `CtrlPlane::state` at an arbitrary mid-run point, then
+    /// assign it back — into the same plane after further divergence,
+    /// and into a fresh plane built from a different seed — and the
+    /// checkpoint is reproduced byte-identically (the clone fully
+    /// determines the restored controller state; nothing leaks in from
+    /// the live plane).
     #[test]
     fn ctrl_snapshot_restore_round_trips_mid_run(
         prefix in ctrl_ops(),
@@ -218,20 +221,20 @@ proptest! {
         let cfg = CtrlPlaneConfig::default();
         let mut plane = CtrlPlane::new(cfg.clone(), seed);
         let now = drive_ctrl(&mut plane, &prefix, 0);
-        let snap = plane.snapshot();
+        let snap = plane.state.clone();
         let want = format!("{snap:?}");
 
         // Diverge, then restore: the checkpoint must win completely.
         drive_ctrl(&mut plane, &suffix, now);
-        plane.restore(&snap);
-        prop_assert_eq!(&format!("{:?}", plane.snapshot()), &want);
+        plane.state = snap.clone();
+        prop_assert_eq!(&format!("{:?}", plane.state), &want);
 
         // A cold replica with a different RNG lane restores to the same
         // bytes: the snapshot is self-contained.
         let mut replica = CtrlPlane::new(cfg, seed ^ 0xDEAD_BEEF);
         drive_ctrl(&mut replica, &suffix, 0);
-        replica.restore(&snap);
-        prop_assert_eq!(&format!("{:?}", replica.snapshot()), &want);
+        replica.state = snap;
+        prop_assert_eq!(&format!("{:?}", replica.state), &want);
     }
 
     /// The merger half on its own: its serialized form survives a JSON
@@ -276,8 +279,8 @@ fn obs(now: u64, utility: f64, triggered: bool) -> Observation {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Tuner checkpoint fidelity: restore a *fresh* scheme (different
-    /// seed, different live state) from a mid-episode snapshot, then
+    /// Tuner checkpoint fidelity: overwrite a *fresh* scheme (different
+    /// seed, different live state) with a mid-episode clone, then
     /// feed both the same observation stream — every subsequent action
     /// must be identical. This is the warm-restart guarantee: a crashed
     /// controller resumes its SA episode exactly where the checkpoint
@@ -297,7 +300,7 @@ proptest! {
         for (i, &u) in warmup.iter().enumerate() {
             original.on_interval(&obs(1 + i as u64, u, false));
         }
-        let snap = original.snapshot_state().expect("scheme snapshots");
+        let snap = original.clone();
 
         let mut restored = ParaleonScheme::new(ParaleonSchemeConfig {
             seed: seed ^ 0x5EED,
@@ -305,7 +308,7 @@ proptest! {
         });
         // Pollute the replica's live state before restoring over it.
         restored.on_interval(&obs(0, 0.9, true));
-        prop_assert!(restored.restore_state(&snap), "restore must accept the snapshot");
+        restored = snap;
 
         let t0 = 1 + warmup.len() as u64;
         for (i, &u) in replay.iter().enumerate() {

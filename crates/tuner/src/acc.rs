@@ -206,20 +206,6 @@ impl TuningScheme for AccScheme {
     fn name(&self) -> &'static str {
         "ACC"
     }
-
-    fn snapshot_state(&self) -> Option<crate::SchemeState> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn restore_state(&mut self, snap: &crate::SchemeState) -> bool {
-        match snap.downcast_ref::<AccScheme>() {
-            Some(s) => {
-                *self = s.clone();
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]

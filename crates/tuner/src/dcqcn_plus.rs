@@ -17,23 +17,19 @@
 use crate::{Observation, TuningAction, TuningScheme};
 
 /// Marker scheme for DCQCN+ runs (adaptation happens in-network).
-#[derive(Debug, Default)]
-pub struct DcqcnPlusScheme {
-    /// Intervals observed (statistics only).
-    pub intervals: u64,
-}
+#[derive(Debug, Default, Clone)]
+pub struct DcqcnPlusScheme;
 
 impl DcqcnPlusScheme {
     /// Create the marker scheme. Remember to enable
     /// `SimConfig::dcqcn_plus` on the simulator side.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
 impl TuningScheme for DcqcnPlusScheme {
     fn on_interval(&mut self, _obs: &Observation) -> Option<TuningAction> {
-        self.intervals += 1;
         None
     }
 
@@ -63,6 +59,5 @@ mod tests {
         for _ in 0..5 {
             assert!(s.on_interval(&obs).is_none());
         }
-        assert_eq!(s.intervals, 5);
     }
 }

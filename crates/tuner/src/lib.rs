@@ -5,7 +5,10 @@
 //! All tuners implement [`TuningScheme`]: once per monitor interval the
 //! closed loop hands them an [`Observation`] (utility value, metric
 //! sample, dominant flow type, per-switch local state, trigger flag) and
-//! they may answer with a [`TuningAction`] to dispatch.
+//! they may answer with a [`TuningAction`] to dispatch. Every scheme is
+//! `Clone` (the [`CloneScheme`] supertrait makes a boxed one cloneable
+//! too): a controller checkpoint is a clone of its scheme, whatever the
+//! scheme keeps.
 //!
 //! * [`sa::SaTuner`] / [`paraleon_scheme::ParaleonScheme`] — PARALEON's
 //!   own tuner: event-driven SA episodes with *guided randomness*
@@ -35,8 +38,6 @@ pub use dcqcn_plus::DcqcnPlusScheme;
 pub use paraleon_scheme::{ParaleonScheme, ParaleonSchemeConfig};
 pub use sa::{SaConfig, SaTuner};
 pub use static_scheme::StaticScheme;
-
-use std::any::Any;
 
 use paraleon_dcqcn::DcqcnParams;
 use paraleon_monitor::MetricSample;
@@ -119,35 +120,33 @@ pub enum TuningFeedback {
     Unfrozen,
 }
 
-/// Opaque snapshot of a scheme's internal state, produced by
-/// [`TuningScheme::snapshot_state`] and consumed by
-/// [`TuningScheme::restore_state`] on the *same scheme type*. Stored
-/// type-erased so the closed loop's controller snapshot can hold any
-/// scheme's state without knowing its concrete type.
-pub type SchemeState = Box<dyn Any + Send>;
+/// Object-safe cloning for boxed schemes, implemented for every
+/// `Clone` scheme: a controller checkpoint clones its
+/// `Box<dyn TuningScheme>` like any other field.
+pub trait CloneScheme {
+    /// A boxed deep copy (episode state, RNG stream position, tables).
+    fn clone_box(&self) -> Box<dyn TuningScheme>;
+}
+
+impl<T: TuningScheme + Clone + 'static> CloneScheme for T {
+    fn clone_box(&self) -> Box<dyn TuningScheme> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn TuningScheme> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
 
 /// A pluggable DCQCN tuning scheme driven once per monitor interval.
-pub trait TuningScheme: Send {
+pub trait TuningScheme: CloneScheme + Send {
     /// Consume one interval's observation; optionally emit an action.
     fn on_interval(&mut self, obs: &Observation) -> Option<TuningAction>;
 
     /// Scheme name for experiment tables.
     fn name(&self) -> &'static str;
-
-    /// Snapshot the scheme's internal state (SA episode, RNG stream,
-    /// learned tables) for controller crash/restore. Default: `None` —
-    /// stateless schemes have nothing to save, and a warm restart of
-    /// one simply rebuilds it.
-    fn snapshot_state(&self) -> Option<SchemeState> {
-        None
-    }
-
-    /// Restore state captured by [`TuningScheme::snapshot_state`] on the
-    /// same scheme type. Returns `false` (state untouched) when the
-    /// snapshot is of a different type or the scheme keeps no state.
-    fn restore_state(&mut self, _snap: &SchemeState) -> bool {
-        false
-    }
 
     /// Dispatch-path feedback (rejection, rollback, freeze). Default:
     /// ignored — schemes without episode state need nothing here.
@@ -169,6 +168,7 @@ mod tests {
 
     #[test]
     fn dispatch_bytes_accounting() {
+        #[derive(Clone)]
         struct Dummy;
         impl TuningScheme for Dummy {
             fn on_interval(&mut self, _o: &Observation) -> Option<TuningAction> {

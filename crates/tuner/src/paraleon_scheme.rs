@@ -9,7 +9,7 @@
 use paraleon_dcqcn::{DcqcnParams, ParamSpace};
 
 use crate::sa::{SaConfig, SaTuner};
-use crate::{Observation, SchemeState, TuningAction, TuningFeedback, TuningScheme};
+use crate::{Observation, TuningAction, TuningFeedback, TuningScheme};
 
 /// Configuration of the full scheme.
 #[derive(Debug, Clone)]
@@ -185,23 +185,6 @@ impl TuningScheme for ParaleonScheme {
         "PARALEON"
     }
 
-    fn snapshot_state(&self) -> Option<SchemeState> {
-        // The whole scheme is cloneable — SA episode, RNG stream
-        // position, evaluation window — so a snapshot is a deep copy and
-        // a warm restore resumes the episode mid-candidate.
-        Some(Box::new(self.clone()))
-    }
-
-    fn restore_state(&mut self, snap: &SchemeState) -> bool {
-        match snap.downcast_ref::<ParaleonScheme>() {
-            Some(s) => {
-                *self = s.clone();
-                true
-            }
-            None => false,
-        }
-    }
-
     fn on_feedback(&mut self, feedback: &TuningFeedback) {
         match feedback {
             TuningFeedback::Rejected { deployed } => {
@@ -367,12 +350,13 @@ mod tests {
         for i in 0..4 {
             a.on_interval(&obs(0.3 + 0.1 * i as f64, false));
         }
-        let snap = a.snapshot_state().expect("paraleon snapshots");
+        let snap = a.clone();
         let mut b = ParaleonScheme::new(ParaleonSchemeConfig {
             seed: 999, // divergent until restored
             ..Default::default()
         });
-        assert!(b.restore_state(&snap));
+        b.on_interval(&obs(0.9, true));
+        b = snap;
         assert_eq!(a.deployed(), b.deployed());
         for i in 0..20 {
             let o = obs((i as f64 * 0.37) % 1.0, i == 10);

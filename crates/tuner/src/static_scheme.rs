@@ -7,6 +7,7 @@ use crate::{Observation, TuningAction, TuningScheme};
 
 /// A scheme that dispatches one fixed setting at startup and never
 /// adapts.
+#[derive(Clone)]
 pub struct StaticScheme {
     params: DcqcnParams,
     label: &'static str,
