@@ -16,12 +16,13 @@ mod fig6;
 mod fig7;
 mod fig8_9;
 mod fleet;
+mod hunt;
 mod probe;
 mod table2;
 mod table4;
 
 /// Every experiment, in `exp list` / `exp all` order.
-pub static ALL: [Experiment; 18] = [
+pub static ALL: [Experiment; 20] = [
     Experiment::figure("table2", "Table II: default vs expert algbw", table2::run),
     Experiment::figure("fig5", "Fig 5: single-parameter impacts", fig5::run),
     Experiment::figure("fig6", "Fig 6: rpg_time_reset x K_max grid", fig6::run),
@@ -74,5 +75,21 @@ pub static ALL: [Experiment; 18] = [
         pinned: true,
         scales: &[Scale::Paper],
         run: probe::run,
+    },
+    // The search's findings and the corpus replay are pure functions of
+    // the code at any thread count.
+    Experiment {
+        name: "hunt",
+        about: "anomaly hunt: seed 42, budget 64, every default oracle plus a ctrl_divergence lane",
+        pinned: true,
+        scales: &[Scale::Reduced],
+        run: hunt::hunt,
+    },
+    Experiment {
+        name: "corpus",
+        about: "regression corpus: every corpus/*.json case fires again (repinned without --check)",
+        pinned: true,
+        scales: &[Scale::Reduced],
+        run: hunt::corpus,
     },
 ];

@@ -307,7 +307,7 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Serialise `value` to `path` — the only code that opens a file under
-/// `results/` for writing.
+/// `results/` or `corpus/` for writing.
 pub fn write_json_file<T: Serialize>(path: &Path, value: &T) -> io::Result<()> {
     let json = serde_json::to_string_pretty(value).map_err(io::Error::other)?;
     if let Some(dir) = path.parent() {

@@ -1,13 +1,15 @@
 //! The regression corpus: every confirmed, minimized pathology is
-//! serialized as one JSON file and committed. `hunt corpus replay`
-//! (and the `corpus_replays` integration test) re-runs each case and
-//! demands two things:
+//! serialized as one JSON file and committed under `corpus/`. The
+//! `exp corpus` row of `paraleon-bench` (and the `corpus_replay`
+//! integration test) re-runs each case and demands two things:
 //!
 //! 1. the recorded oracle still *fires* — the pathology reproduces;
 //! 2. the fresh [`OracleReport`](crate::oracle::OracleReport)
 //!    re-serializes **byte-identically** to the committed one — the
 //!    simulator's behavior on this scenario has not drifted at all, down
-//!    to every goodput digit.
+//!    to every goodput digit. `exp corpus --check` holds the whole case
+//!    file to its committed bytes; without `--check` it repins every
+//!    case that still fires, and `exp hunt` writes new cases to promote.
 //!
 //! The second check is deliberately brutal: it turns each found anomaly
 //! into a change-detector for the whole stack (simulator, DCQCN state
@@ -15,7 +17,6 @@
 //! `results/*.json` gate the paper experiments.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize, Value};
@@ -76,17 +77,6 @@ impl HuntCase {
         case.point.validate().map_err(err)?;
         Ok(case)
     }
-
-    /// Write the case as pretty JSON (plus trailing newline, so the
-    /// files are diff-friendly) into `dir`, named `<name>.json`.
-    pub fn write(&self, dir: &Path) -> Result<PathBuf, String> {
-        fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        let path = dir.join(format!("{}.json", self.name));
-        let json = serde_json::to_string_pretty(self).map_err(|e| e.to_string())?;
-        let mut f = fs::File::create(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        writeln!(f, "{json}").map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok(path)
-    }
 }
 
 /// The verdict of replaying one case.
@@ -124,13 +114,8 @@ pub fn replay(case: &HuntCase) -> Result<Replay, String> {
     })
 }
 
-/// The committed corpus directory: `$HUNT_CORPUS_DIR` when set (the CI
-/// smoke job points scratch hunts elsewhere), otherwise `corpus/` at the
-/// repository root.
+/// The committed corpus directory: `corpus/` at the repository root.
 pub fn corpus_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("HUNT_CORPUS_DIR") {
-        return PathBuf::from(dir);
-    }
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus")
 }
 
@@ -205,7 +190,9 @@ mod tests {
             .expect("case evaluates")
             .report
             .serialize_value();
-        let path = c.write(&dir).expect("writes");
+        fs::create_dir_all(&dir).expect("dir");
+        let path = dir.join("unit_case.json");
+        fs::write(&path, serde_json::to_string_pretty(&c).unwrap()).expect("writes");
         let back = HuntCase::load(&path).expect("loads");
         assert_eq!(
             serde_json::to_string(&back).unwrap(),

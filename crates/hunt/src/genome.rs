@@ -499,26 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_untagged_genome_parses_as_two_tier() {
-        // Corpus files committed before topology families carry a bare
-        // ClosSpec object and no `collective` field.
-        let p = point();
-        let mut v = p.serialize_value();
-        if let Value::Object(fields) = &mut v {
-            fields.retain(|(k, _)| k != "collective");
-            for (k, val) in fields.iter_mut() {
-                if k == "topo" {
-                    if let Value::Object(topo_fields) = val {
-                        topo_fields.retain(|(k, _)| k != "family");
-                    }
-                }
-            }
-        }
-        let back = HuntPoint::from_value(&v).unwrap();
-        assert_eq!(back, p);
-    }
-
-    #[test]
     fn validate_rejects_bad_collectives() {
         let mut p = point();
         p.collective = Some(CollectiveSpec {

@@ -24,9 +24,10 @@
 //! 4. [`mod@minimize`] delta-debugs every confirmed finding — dropping
 //!    flows and fault events, shrinking counts/bytes/topology, resetting
 //!    parameters to defaults — while the oracle keeps firing.
-//! 5. [`corpus`] serializes minimized repros as JSON; `corpus replay`
-//!    re-runs every committed case and demands *byte-identical* oracle
-//!    reports, turning each found pathology into a regression gate.
+//! 5. [`corpus`] reads minimized repros back from JSON; the `exp corpus`
+//!    row of `paraleon-bench` re-runs every committed case and demands
+//!    *byte-identical* case files, turning each found pathology into a
+//!    regression gate (the `exp hunt` row runs the committed search).
 //!
 //! Everything is deterministic: same binary, same seed, same findings.
 

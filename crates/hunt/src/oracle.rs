@@ -145,8 +145,8 @@ pub enum OracleKind {
     /// dispatch protocol left the fabric on stale parameters at
     /// quiescence while the hardened epoch/retry/snapshot protocol
     /// converged. Opt-in: not part of [`ALL_ORACLES`] — default hunts
-    /// and pre-existing corpus cases never judge it — target it with
-    /// `--oracle ctrl_divergence`.
+    /// and pre-existing corpus cases never judge it — target it through
+    /// [`SearchConfig::targets`](crate::search::SearchConfig::targets).
     CtrlDivergence,
 }
 
@@ -173,16 +173,6 @@ impl OracleKind {
             OracleKind::Livelock => "livelock",
             OracleKind::CtrlDivergence => "ctrl_divergence",
         }
-    }
-
-    /// Inverse of [`OracleKind::name`] (also accepts the enum spelling).
-    /// Resolves the opt-in kinds too, so `--oracle ctrl_divergence` and
-    /// committed ctrl cases parse even though default hunts skip them.
-    pub fn from_name(s: &str) -> Option<Self> {
-        ALL_ORACLES
-            .into_iter()
-            .chain([OracleKind::CtrlDivergence])
-            .find(|k| k.name() == s || format!("{k:?}") == s)
     }
 }
 
@@ -515,24 +505,6 @@ mod tests {
         assert_eq!(jain_index(&[5.0, 5.0, 5.0]), 1.0);
         let skew = jain_index(&[10.0, 0.0, 0.0, 0.0]);
         assert!((skew - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn oracle_names_round_trip() {
-        for k in ALL_ORACLES {
-            assert_eq!(OracleKind::from_name(k.name()), Some(k));
-        }
-        assert_eq!(
-            OracleKind::from_name("PfcStorm"),
-            Some(OracleKind::PfcStorm)
-        );
-        // Opt-in kinds resolve even though default hunts skip them.
-        assert_eq!(
-            OracleKind::from_name("ctrl_divergence"),
-            Some(OracleKind::CtrlDivergence)
-        );
-        assert!(!ALL_ORACLES.contains(&OracleKind::CtrlDivergence));
-        assert_eq!(OracleKind::from_name("nope"), None);
     }
 
     fn flat_metrics() -> crate::eval::RunMetrics {

@@ -18,7 +18,6 @@
 use paraleon::sweep;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 use crate::eval::{evaluate, EvalConfig, Evaluation};
 use crate::genome::{GenomeCaps, HuntPoint};
@@ -222,32 +221,6 @@ pub fn hunt(cfg: &SearchConfig) -> HuntResult {
         findings,
         evals,
         generations,
-    }
-}
-
-/// Compact JSON summary of a hunt, for the CLI and logs.
-#[derive(Debug, Clone, Serialize)]
-pub struct HuntSummary {
-    /// Evaluations spent.
-    pub evals: u64,
-    /// Generations run.
-    pub generations: u64,
-    /// Fired oracle names.
-    pub fired: Vec<String>,
-}
-
-impl HuntResult {
-    /// Summarize for printing.
-    pub fn summary(&self) -> HuntSummary {
-        HuntSummary {
-            evals: self.evals,
-            generations: self.generations,
-            fired: self
-                .findings
-                .iter()
-                .map(|f| f.kind.name().to_string())
-                .collect(),
-        }
     }
 }
 

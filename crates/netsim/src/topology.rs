@@ -899,19 +899,16 @@ mod tests {
     }
 
     #[test]
-    fn untagged_value_parses_as_legacy_clos_spec() {
-        let spec = ClosSpec {
-            n_tor: 3,
-            hosts_per_tor: 2,
-            n_leaf: 2,
-            host_gbps: 100.0,
-            uplink_gbps: 100.0,
-            delay_ns: 4_000,
-        };
-        // Pre-family corpus files serialized the bare ClosSpec.
-        let v = spec.serialize_value();
+    fn untagged_spec_is_refused_naming_family() {
+        // A bare ClosSpec object, the form corpus files had before
+        // topology families existed.
+        let v = specs()[0]
+            .as_two_tier()
+            .expect("two-tier")
+            .serialize_value();
         assert!(v.get("family").is_none());
-        assert_eq!(TopoSpec::from_value(&v), Ok(TopoSpec::TwoTier(spec)));
+        let err = TopoSpec::from_value(&v).unwrap_err();
+        assert!(err.contains("`family`"), "{err}");
     }
 
     #[test]
@@ -940,29 +937,18 @@ mod tests {
             let err = TopoSpec::from_value(&v).unwrap_err();
             assert!(err.contains("delay_ns"), "{}: {err}", spec.family());
         }
-        // Untagged (the legacy two-tier form) too.
-        let mut v = specs()[0].serialize_value();
-        if let Value::Object(entries) = &mut v {
-            entries.retain(|(k, _)| k != "family");
-            for (k, val) in entries.iter_mut() {
-                if k == "delay_ns" {
-                    *val = Value::UInt(0);
-                }
-            }
-        }
-        assert!(TopoSpec::from_value(&v).is_err());
     }
 
     #[test]
     fn specs_reject_zero_dimensions_and_bad_rates() {
-        let base = ClosSpec {
+        let base = TopoSpec::TwoTier(ClosSpec {
             n_tor: 2,
             hosts_per_tor: 2,
             n_leaf: 1,
             host_gbps: 100.0,
             uplink_gbps: 100.0,
             delay_ns: 1_000,
-        };
+        });
         let mut v = base.serialize_value();
         if let Value::Object(entries) = &mut v {
             for (k, val) in entries.iter_mut() {
@@ -971,7 +957,8 @@ mod tests {
                 }
             }
         }
-        assert!(TopoSpec::from_value(&v).is_err());
+        let err = TopoSpec::from_value(&v).unwrap_err();
+        assert!(err.contains("`n_leaf` must be >= 1"), "{err}");
         let mut v = base.serialize_value();
         if let Value::Object(entries) = &mut v {
             for (k, val) in entries.iter_mut() {
@@ -980,7 +967,8 @@ mod tests {
                 }
             }
         }
-        assert!(TopoSpec::from_value(&v).is_err());
+        let err = TopoSpec::from_value(&v).unwrap_err();
+        assert!(err.contains("link rates must be positive"), "{err}");
     }
 
     /// Events address ports as `u16` and nodes as `u32`; a spec that
@@ -1032,14 +1020,11 @@ mod tests {
             TopoSpec::from_value(&TopoSpec::ThreeTier(too_many).serialize_value()).unwrap_err();
         assert!(err.contains("nodes"), "{err}");
         // The widest fabric that fits still passes.
-        let widest = ClosSpec {
+        let widest = TopoSpec::TwoTier(ClosSpec {
             n_tor: 65_535,
             ..clos
-        };
-        assert_eq!(
-            TopoSpec::from_value(&widest.serialize_value()),
-            Ok(TopoSpec::TwoTier(widest))
-        );
+        });
+        assert_eq!(TopoSpec::from_value(&widest.serialize_value()), Ok(widest));
     }
 
     /// Specs have public fields, so `build` is reachable without

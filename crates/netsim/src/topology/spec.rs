@@ -436,8 +436,7 @@ impl Topology {
 /// [`ClosSpec`] (which it embeds as its first family).
 ///
 /// Serialized form is the family spec's fields plus a `"family"` tag;
-/// an object *without* a tag parses as a legacy untagged [`ClosSpec`],
-/// so corpus files written before families existed keep loading.
+/// an object without one is refused.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TopoSpec {
     /// The paper's two-tier Clos ([`ClosSpec`]).
@@ -560,12 +559,12 @@ impl TopoSpec {
     }
 }
 
-/// Objects with no `"family"` tag parse as legacy untagged
-/// [`ClosSpec`]s. Every family is validated here, where a spec enters.
+/// Every family is validated here, where a spec enters.
 impl Deserialize for TopoSpec {
     fn from_value(v: &Value) -> Result<Self, String> {
         let spec = match v.get("family").and_then(Value::as_str) {
-            None | Some("two_tier") => Self::TwoTier(ClosSpec::from_value(v)?),
+            None => return Err("TopoSpec: missing `family` tag".into()),
+            Some("two_tier") => Self::TwoTier(ClosSpec::from_value(v)?),
             Some("three_tier") => Self::ThreeTier(ThreeTierSpec::from_value(v)?),
             Some("rail") => Self::Rail(RailSpec::from_value(v)?),
             Some("mixed_rate") => Self::MixedRate(MixedRateSpec::from_value(v)?),
