@@ -9,9 +9,10 @@
 //!
 //! The crate follows the same fold-away discipline as `paraleon-telemetry`,
 //! with the inverse polarity: auditing is **opt-in** via the `enabled`
-//! cargo feature. With the feature off (the default), every entry point is
-//! an empty `#[inline(always)]` function and every audit-state type is a
-//! zero-sized struct — the hot path pays nothing, not even a branch. With
+//! cargo feature. With the feature off (the default), every entry point
+//! returns at a `const` check before touching the registry and every
+//! audit-state type is a zero-sized struct — the hot path pays nothing,
+//! not even a branch. With
 //! the feature on, a thread-local registry collects typed
 //! [`AuditViolation`]s, each with the telemetry flight-recorder tail
 //! attached for post-mortem context.
@@ -22,18 +23,15 @@
 //! the end of a run. Both behaviors can be overridden per-thread with
 //! [`set_panic_on_violation`].
 
-#[cfg(feature = "enabled")]
 use std::cell::{Cell, RefCell};
 
 use paraleon_telemetry::TimedEvent;
 
 /// How many violations the registry keeps with full context. Counting
 /// continues past this; only the stored reports are bounded.
-#[cfg(feature = "enabled")]
 const MAX_KEPT: usize = 64;
 
 /// How many flight-recorder events are attached to each violation.
-#[cfg(feature = "enabled")]
 const TAIL_LEN: usize = 16;
 
 /// `true` when the crate was built with the `enabled` feature. `const`,
@@ -301,7 +299,6 @@ pub struct AuditReport {
     pub flight_tail: Vec<TimedEvent>,
 }
 
-#[cfg(feature = "enabled")]
 struct Registry {
     active: Cell<bool>,
     panic_on_violation: Cell<bool>,
@@ -309,7 +306,6 @@ struct Registry {
     reports: RefCell<Vec<AuditReport>>,
 }
 
-#[cfg(feature = "enabled")]
 thread_local! {
     static REGISTRY: Registry = const {
         Registry {
@@ -323,39 +319,39 @@ thread_local! {
     };
 }
 
+// Every registry function below starts with `if !compiled_in()`: a
+// `const` condition, so without the feature each body folds to its
+// early return and the thread-local is never touched.
+
 /// Whether auditing is live on this thread (compiled in AND not
 /// runtime-disabled). Callers with non-trivial check bodies should gate
 /// on this; with the feature off it is `const false` and the guarded
 /// code folds away.
 #[inline(always)]
 pub fn enabled() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        REGISTRY.with(|r| r.active.get())
+    if !compiled_in() {
+        return false;
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
+    REGISTRY.with(|r| r.active.get())
 }
 
 /// Runtime kill-switch for this thread's auditing (reporting side only:
 /// state hooks keep tallying so re-enabling never sees torn state).
 pub fn set_enabled(on: bool) {
-    #[cfg(feature = "enabled")]
+    if !compiled_in() {
+        return;
+    }
     REGISTRY.with(|r| r.active.set(on));
-    #[cfg(not(feature = "enabled"))]
-    let _ = on;
 }
 
 /// Override the violation disposition for this thread: `true` panics at
 /// the detection site (debug default), `false` counts and continues
 /// (release default). Unit tests that *expect* violations use this.
 pub fn set_panic_on_violation(on: bool) {
-    #[cfg(feature = "enabled")]
+    if !compiled_in() {
+        return;
+    }
     REGISTRY.with(|r| r.panic_on_violation.set(on));
-    #[cfg(not(feature = "enabled"))]
-    let _ = on;
 }
 
 /// Current violation disposition for this thread (`true` = panic at the
@@ -363,44 +359,34 @@ pub fn set_panic_on_violation(on: bool) {
 /// propagate its own disposition onto worker threads, whose thread-local
 /// registries otherwise start from the build-profile default.
 pub fn panic_on_violation() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        REGISTRY.with(|r| r.panic_on_violation.get())
+    if !compiled_in() {
+        return cfg!(debug_assertions);
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        cfg!(debug_assertions)
-    }
+    REGISTRY.with(|r| r.panic_on_violation.get())
 }
 
 /// Total violations reported on this thread since the last [`reset`].
 pub fn violation_count() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        REGISTRY.with(|r| r.count.get())
+    if !compiled_in() {
+        return 0;
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        0
-    }
+    REGISTRY.with(|r| r.count.get())
 }
 
 /// The recorded violations (bounded; the count keeps going past the
 /// storage cap).
 pub fn violations() -> Vec<AuditReport> {
-    #[cfg(feature = "enabled")]
-    {
-        REGISTRY.with(|r| r.reports.borrow().clone())
+    if !compiled_in() {
+        return Vec::new();
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
-    }
+    REGISTRY.with(|r| r.reports.borrow().clone())
 }
 
 /// Clear this thread's violation count and stored reports.
 pub fn reset() {
-    #[cfg(feature = "enabled")]
+    if !compiled_in() {
+        return;
+    }
     REGISTRY.with(|r| {
         r.count.set(0);
         r.reports.borrow_mut().clear();
@@ -412,18 +398,14 @@ pub fn reset() {
 /// one process (e.g. the anomaly hunter) drain per run so violations
 /// never leak across run boundaries.
 pub fn drain() -> (u64, Vec<AuditReport>) {
-    #[cfg(feature = "enabled")]
-    {
-        REGISTRY.with(|r| {
-            let n = r.count.replace(0);
-            let reports = std::mem::take(&mut *r.reports.borrow_mut());
-            (n, reports)
-        })
+    if !compiled_in() {
+        return (0, Vec::new());
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        (0, Vec::new())
-    }
+    REGISTRY.with(|r| {
+        let n = r.count.replace(0);
+        let reports = std::mem::take(&mut *r.reports.borrow_mut());
+        (n, reports)
+    })
 }
 
 /// Merge violations drained on another thread into this thread's
@@ -432,7 +414,9 @@ pub fn drain() -> (u64, Vec<AuditReport>) {
 /// `violations()` observed by the harness match a serial run. Respects
 /// the storage cap; the count is always added in full.
 pub fn absorb(count: u64, reports: Vec<AuditReport>) {
-    #[cfg(feature = "enabled")]
+    if !compiled_in() {
+        return;
+    }
     REGISTRY.with(|r| {
         r.count.set(r.count.get() + count);
         let mut kept = r.reports.borrow_mut();
@@ -443,46 +427,42 @@ pub fn absorb(count: u64, reports: Vec<AuditReport>) {
             kept.push(rep);
         }
     });
-    #[cfg(not(feature = "enabled"))]
-    let _ = (count, reports);
 }
 
 /// Record a violation: count it, attach the flight tail, and either
 /// panic (debug/CI) or continue (release).
 pub fn report(violation: AuditViolation) {
-    #[cfg(feature = "enabled")]
-    {
-        let tail = {
-            let mut ev = paraleon_telemetry::flight_events();
-            if ev.len() > TAIL_LEN {
-                ev.drain(..ev.len() - TAIL_LEN);
-            }
-            ev
-        };
-        let panic_now = REGISTRY.with(|r| {
-            r.count.set(r.count.get() + 1);
-            let mut reports = r.reports.borrow_mut();
-            if reports.len() < MAX_KEPT {
-                reports.push(AuditReport {
-                    violation: violation.clone(),
-                    flight_tail: tail.clone(),
-                });
-            }
-            r.panic_on_violation.get()
-        });
-        if panic_now {
-            let mut msg = format!(
-                "audit violation: {violation}\nflight tail ({} events):",
-                tail.len()
-            );
-            for te in &tail {
-                msg.push_str(&format!("\n  {te:?}"));
-            }
-            panic!("{msg}");
-        }
+    if !compiled_in() {
+        return;
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = violation;
+    let tail = {
+        let mut ev = paraleon_telemetry::flight_events();
+        if ev.len() > TAIL_LEN {
+            ev.drain(..ev.len() - TAIL_LEN);
+        }
+        ev
+    };
+    let panic_now = REGISTRY.with(|r| {
+        r.count.set(r.count.get() + 1);
+        let mut reports = r.reports.borrow_mut();
+        if reports.len() < MAX_KEPT {
+            reports.push(AuditReport {
+                violation: violation.clone(),
+                flight_tail: tail.clone(),
+            });
+        }
+        r.panic_on_violation.get()
+    });
+    if panic_now {
+        let mut msg = format!(
+            "audit violation: {violation}\nflight tail ({} events):",
+            tail.len()
+        );
+        for te in &tail {
+            msg.push_str(&format!("\n  {te:?}"));
+        }
+        panic!("{msg}");
+    }
 }
 
 /// Assert `ok`, lazily building the violation on failure. The closure is
@@ -490,13 +470,11 @@ pub fn report(violation: AuditViolation) {
 /// sites can capture context for free.
 #[inline(always)]
 pub fn check(ok: bool, make: impl FnOnce() -> AuditViolation) {
-    #[cfg(feature = "enabled")]
+    if !compiled_in() {
+        return;
+    }
     if !ok && enabled() {
         report(make());
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (ok, &make);
     }
 }
 
@@ -634,20 +612,6 @@ impl PfcPairAudit {
         #[cfg(not(feature = "enabled"))]
         let _ = (switch, port);
     }
-
-    /// Number of currently open pause intervals (XOFF without XON yet —
-    /// legal mid-run, every one must eventually close or persist to the
-    /// end of the run as an open interval).
-    pub fn open_pauses(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        {
-            self.open.len()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
-    }
 }
 
 /// Pop-order monitor for the event scheduler: popped timestamps must
@@ -707,9 +671,28 @@ mod tests {
             return; // covered by the enabled-feature tests below
         }
         assert!(!enabled());
+        set_enabled(false);
+        set_panic_on_violation(!cfg!(debug_assertions));
+        assert_eq!(panic_on_violation(), cfg!(debug_assertions));
         report(AuditViolation::AlphaBounds { alpha: 2.0 });
+        check(false, || AuditViolation::AlphaBounds { alpha: 3.0 });
+        let folded = AuditReport {
+            violation: AuditViolation::AlphaBounds { alpha: 4.0 },
+            flight_tail: Vec::new(),
+        };
+        absorb(3, vec![folded]);
         assert_eq!(violation_count(), 0);
         assert!(violations().is_empty());
+        let (n, reports) = drain();
+        assert_eq!((n, reports.len()), (0, 0));
+        reset();
+        // No stub touched the thread-local: it still holds its initial
+        // state.
+        REGISTRY.with(|r| {
+            assert!(r.active.get());
+            assert_eq!(r.panic_on_violation.get(), cfg!(debug_assertions));
+            assert_eq!((r.count.get(), r.reports.borrow().len()), (0, 0));
+        });
         assert_eq!(std::mem::size_of::<ConservationAudit>(), 0);
         assert_eq!(std::mem::size_of::<PfcPairAudit>(), 0);
         assert_eq!(std::mem::size_of::<OrderAudit>(), 0);
@@ -787,11 +770,11 @@ mod tests {
             fresh();
             let mut p = PfcPairAudit::default();
             p.xoff(3, 1);
-            assert_eq!(p.open_pauses(), 1);
+            assert_eq!(p.open.len(), 1);
             p.xoff(3, 1);
             assert_eq!(violation_count(), 1);
             p.xon(3, 1);
-            assert_eq!(p.open_pauses(), 0);
+            assert_eq!(p.open.len(), 0);
             p.xon(3, 1);
             assert_eq!(violation_count(), 2);
         }

@@ -120,7 +120,7 @@ fn run_cell(
     (coll, records, cl.cell.history)
 }
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let scale = ctx.scale;
     let schemes = [SchemeKind::Default, SchemeKind::Expert, scale.paraleon()];
     let topologies = topologies(scale);

@@ -150,7 +150,7 @@ fn passes_gate(o: &CtrlOutcome, faultfree: &CtrlOutcome) -> bool {
     o.settled && !o.diverged && o.recovery_goodput >= RECOVERY_FLOOR * faultfree.recovery_goodput
 }
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let scenarios = vec![
         ("faultfree", false, false),
         ("hardened", true, false),

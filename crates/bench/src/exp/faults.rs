@@ -282,7 +282,7 @@ enum Outcome {
     SafeMode(SafeModeOutcome),
 }
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let outcomes = ctx.sweep(
         vec![Some(false), Some(true), None],
         |guarded| match guarded {

@@ -74,7 +74,7 @@ struct LoadRow {
     flows: usize,
 }
 
-pub fn fig10(ctx: &Ctx) {
+pub(crate) fn fig10(ctx: &Ctx) {
     let scale = ctx.scale;
     let monitors = [
         MonitorKind::NoFsd,
@@ -106,7 +106,7 @@ struct IntervalRow {
     flows: usize,
 }
 
-pub fn fig11(ctx: &Ctx) {
+pub(crate) fn fig11(ctx: &Ctx) {
     let scale = ctx.scale;
     let intervals = [MILLI, 2 * MILLI, 4 * MILLI, 8 * MILLI];
     let monitors = [MonitorKind::NaiveSketch, MonitorKind::Paraleon];

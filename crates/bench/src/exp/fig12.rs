@@ -92,7 +92,7 @@ fn convergence_round(u: &[f64], w: usize, tol: f64) -> usize {
         .map_or(0, |i| (i + w).min(u.len()))
 }
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let tuners = [ctx.scale.paraleon(), SchemeKind::ParaleonNaiveSa];
     let cells = grid(&[false, true], &tuners);
     let all = ctx.sweep(cells, |(llm, scheme)| run_one(ctx, llm, scheme));

@@ -20,7 +20,7 @@ struct Row {
     algbw_gbps: f64,
 }
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let scale = ctx.scale;
     let (worker_counts, rounds): (&[usize], u32) = match scale {
         Scale::Paper => (&[8, 16, 32, 64], 6),

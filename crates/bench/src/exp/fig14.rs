@@ -89,7 +89,7 @@ fn run_one(ctx: &Ctx, scheme: SchemeKind) -> Series {
     }
 }
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let schemes = vec![
         SchemeKind::Default,
         SchemeKind::Expert,

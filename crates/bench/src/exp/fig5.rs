@@ -30,7 +30,7 @@ const SWEEPS: [(ParamId, [f64; 5]); 4] = [
     (ParamId::KMax, [100.0, 400.0, 1600.0, 6400.0, 12800.0]),
 ];
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let scale = ctx.scale;
     let cells: Vec<(ParamId, f64)> = SWEEPS
         .iter()

@@ -24,7 +24,7 @@ struct Cell {
 const TIMERS: [f64; 4] = [20.0, 80.0, 300.0, 900.0];
 const KMAXES: [f64; 4] = [200.0, 800.0, 3200.0, 12800.0];
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let scale = ctx.scale;
     let cells = ctx.sweep(grid(&TIMERS, &KMAXES), |(rpg_time_reset, k_max)| {
         let mut p = DcqcnParams::nvidia_default();

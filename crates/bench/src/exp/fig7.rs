@@ -32,7 +32,7 @@ struct LlmRow {
     max_ms: f64,
 }
 
-pub fn fb(ctx: &Ctx) {
+pub(crate) fn fb(ctx: &Ctx) {
     let scale = ctx.scale;
     let window = scale.fb_window();
     let flows = scale.poisson(FlowSizeDist::fb_hadoop(), 0.3, 0..window, 13);
@@ -63,7 +63,7 @@ pub fn fb(ctx: &Ctx) {
     ctx.write(&out);
 }
 
-pub fn llm(ctx: &Ctx) {
+pub(crate) fn llm(ctx: &Ctx) {
     let scale = ctx.scale;
     let worker_counts = match scale {
         Scale::Paper => [10, 20],

@@ -118,11 +118,11 @@ fn pretrain(scale: Scale, on_alltoall: bool) -> DcqcnParams {
     cl.cell.last_params
 }
 
-pub fn fig8(ctx: &Ctx) {
+pub(crate) fn fig8(ctx: &Ctx) {
     influx(ctx, ctx.scale.all_schemes());
 }
 
-pub fn fig9(ctx: &Ctx) {
+pub(crate) fn fig9(ctx: &Ctx) {
     let scale = ctx.scale;
     println!("pretraining PARALEON offline on each pure workload...");
     let p = ctx.sweep(vec![true, false], |on_alltoall| {

@@ -322,7 +322,7 @@ fn run_size(ctx: &Ctx, n: usize, ticks: u64, dump: bool) -> FleetRow {
     }
 }
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let (sizes, ticks): (&[usize], u64) = match ctx.scale {
         Scale::Smoke => (&[2, 8], 12),
         _ => (&[2, 4, 8, 16], 40),

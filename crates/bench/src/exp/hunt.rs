@@ -48,7 +48,7 @@ impl From<&Finding> for Found {
     }
 }
 
-pub fn hunt(ctx: &Ctx) {
+pub(crate) fn hunt(ctx: &Ctx) {
     let cfg = SearchConfig {
         threads: ctx.threads(),
         ..SearchConfig::default()
@@ -84,7 +84,7 @@ struct Replayed {
     score: f64,
 }
 
-pub fn corpus(ctx: &Ctx) {
+pub(crate) fn corpus(ctx: &Ctx) {
     let dir = ctx.results_dir().with_file_name("corpus");
     let cases = match corpus::load_dir(&dir) {
         Ok(cases) if !cases.is_empty() => cases,

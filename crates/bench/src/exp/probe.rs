@@ -31,7 +31,7 @@ fn probe(load_ms: u64, until_ms: u64, threads: usize) -> (u64, usize, usize) {
     (cl.sim.events_processed(), flows.len(), cl.completions.len())
 }
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let serial = probe(20, 25, 1);
     let (events, flows, completions) = serial;
     if ctx.check {

@@ -21,7 +21,7 @@ struct Row {
     round_ms: f64,
 }
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let scale = ctx.scale;
     // Ranks spread evenly over the fabric.
     let (ranks, messages): (usize, &[u64]) = match scale {

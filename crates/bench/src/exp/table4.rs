@@ -124,7 +124,7 @@ fn measure(ctx: &Ctx) -> Overheads {
     }
 }
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let o = measure(ctx);
     ctx.write(&o);
 }

@@ -26,7 +26,7 @@ use paraleon_tuner::TuningScheme;
 use crate::ctrl_plane::{CtrlPlane, CtrlPlaneConfig};
 use crate::guardrail::{Guardrail, GuardrailConfig};
 use crate::schemes::{MonitorKind, SchemeKind};
-pub use crate::tuner_cell::{CellSnapshot, IntervalRecord, LoopConfig, TunerCell};
+use crate::tuner_cell::{IntervalRecord, LoopConfig, TunerCell};
 use crate::Nanos;
 
 /// The full PARALEON closed loop over one simulated fabric.
@@ -200,7 +200,7 @@ impl ClosedLoopBuilder {
 
     /// Override the simulator configuration. The build replaces four of
     /// its fields: `dcqcn` and `dcqcn_plus` come from the scheme
-    /// ([`SchemeKind::apply_sim_config`]), `tos_dedup` from the monitor,
+    /// ([`ClosedLoopBuilder::scheme`]), `tos_dedup` from the monitor,
     /// and `seed` from [`ClosedLoopBuilder::seed`].
     pub fn sim_config(mut self, cfg: SimConfig) -> Self {
         self.sim_cfg = cfg;
@@ -469,9 +469,10 @@ mod tests {
     #[test]
     fn lossy_dispatch_recovers_through_retry_and_converges() {
         let mut plan = FaultPlan::new(3);
-        // Heavy loss + delay + duplication on both lanes, then restore.
+        // Heavy loss + delay + duplication on both lanes, then a clean
+        // channel again.
         plan.ctrl_impair(2 * MILLI, true, true, 0.5, 3, 0.3);
-        plan.ctrl_restore(30 * MILLI);
+        plan.ctrl_impair(30 * MILLI, true, true, 0.0, 0, 0.0);
         let mut cl = ClosedLoop::builder(topo())
             .scheme(SchemeKind::Paraleon)
             .loop_config(LoopConfig {

@@ -224,7 +224,7 @@ impl CtrlPlane {
     }
 
     /// Whether a dispatch is awaiting its ACK.
-    pub fn has_pending(&self) -> bool {
+    pub(crate) fn has_pending(&self) -> bool {
         self.state.pending.is_some()
     }
 

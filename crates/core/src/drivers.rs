@@ -21,8 +21,8 @@ use std::collections::HashSet;
 use paraleon_netsim::{Engine, FlowId, FlowRecord};
 use paraleon_workloads::{Collective, FlowRequest, Progress};
 
-use crate::closed_loop::{ClosedLoop, IntervalRecord};
 use crate::Nanos;
+use crate::{ClosedLoop, IntervalRecord};
 
 /// Admit every flow of a sorted-by-start `schedule` whose start falls
 /// inside `now + 2·lambda`, advancing the cursor `next` past them.
@@ -219,7 +219,7 @@ pub fn run_collective(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schemes::SchemeKind;
+    use crate::SchemeKind;
     use paraleon_netsim::{Topology, MILLI};
     use paraleon_workloads::{CollectiveKind, CollectiveSpec};
 
@@ -261,7 +261,7 @@ mod tests {
         for lambda_ms in [1, 2, 4, 8] {
             let mut cl = ClosedLoop::builder(topo())
                 .scheme(SchemeKind::Expert)
-                .loop_config(crate::closed_loop::LoopConfig {
+                .loop_config(crate::LoopConfig {
                     lambda_mi: lambda_ms * MILLI,
                     ..Default::default()
                 })
@@ -286,7 +286,7 @@ mod tests {
         for lambda_ms in [1, 2, 4, 8] {
             let mut cl = ClosedLoop::builder(topo())
                 .scheme(SchemeKind::Expert)
-                .loop_config(crate::closed_loop::LoopConfig {
+                .loop_config(crate::LoopConfig {
                     lambda_mi: lambda_ms * MILLI,
                     ..Default::default()
                 })

@@ -125,7 +125,7 @@ impl std::fmt::Display for RejectReason {
 
 /// Validate a candidate against the sane bounds: every parameter finite
 /// and inside its [`ParamSpace`] interval, ECN ramp not inverted.
-pub fn validate(p: &DcqcnParams, space: &ParamSpace) -> Result<(), RejectReason> {
+fn validate(p: &DcqcnParams, space: &ParamSpace) -> Result<(), RejectReason> {
     for s in space.iter() {
         let v = p.get(s.id);
         if !v.is_finite() {
@@ -283,21 +283,6 @@ impl Guardrail {
         }
     }
 
-    /// Whether a dispatched candidate is still under watch.
-    pub fn in_hold_down(&self) -> bool {
-        matches!(self.state, GuardState::HoldDown { .. })
-    }
-
-    /// The snapshot a rollback would restore.
-    pub fn last_known_good(&self) -> &DcqcnParams {
-        &self.last_good
-    }
-
-    /// Switch indexes currently considered reporting (not aged out).
-    pub fn tracked_switches(&self) -> usize {
-        self.last_seen.len()
-    }
-
     /// Screen one tuner action before it reaches the fabric.
     pub fn screen(&mut self, action: TuningAction, n_switches: usize) -> ScreenOutcome {
         if self.in_safe_mode() {
@@ -438,7 +423,7 @@ impl Guardrail {
     /// the current backoff (which doubles for the next entry, exactly
     /// like an escalation entry). Returns the freeze length, in monitor
     /// intervals; the fallback is always the paper default.
-    pub fn force_safe_mode(&mut self) -> u32 {
+    pub(crate) fn force_safe_mode(&mut self) -> u32 {
         self.consecutive_rollbacks = 0;
         self.enter_safe_mode()
     }
@@ -482,6 +467,11 @@ mod tests {
         Guardrail::new(GuardrailConfig::default(), DcqcnParams::nvidia_default())
     }
 
+    /// Whether a dispatched candidate is still under watch.
+    fn in_hold_down(g: &Guardrail) -> bool {
+        matches!(g.state, GuardState::HoldDown { .. })
+    }
+
     /// Feed `n` healthy intervals (warm baselines).
     fn warm(g: &mut Guardrail, n: u32) {
         for _ in 0..n {
@@ -504,7 +494,7 @@ mod tests {
             ScreenOutcome::Rejected(RejectReason::OutOfBounds { .. })
         ));
         assert_eq!(g.rejects, 1);
-        assert!(!g.in_hold_down(), "a rejected candidate is never watched");
+        assert!(!in_hold_down(&g), "a rejected candidate is never watched");
     }
 
     #[test]
@@ -532,29 +522,28 @@ mod tests {
         let cand = DcqcnParams::expert();
         let out = g.screen(TuningAction::Global(cand), 4);
         assert!(matches!(out, ScreenOutcome::Dispatch(_)));
-        assert!(g.in_hold_down());
+        assert!(in_hold_down(&g));
         // Quiet hold-down: after the window the candidate is the new
         // last-known-good.
         for _ in 0..8 {
             assert_eq!(g.observe(0.8, 1e9, 0.0, &[0]), None);
         }
-        assert!(!g.in_hold_down());
-        assert_eq!(g.last_known_good(), &cand);
+        assert!(!in_hold_down(&g));
+        assert_eq!(g.last_good, cand);
     }
 
     #[test]
     fn utility_collapse_rolls_back_to_last_known_good() {
         let mut g = guard();
         warm(&mut g, 6);
-        let good = *g.last_known_good();
+        let good = g.last_good;
         g.screen(TuningAction::Global(DcqcnParams::expert()), 4);
         // Utility collapses to far below 0.6 × baseline.
         let act = g.observe(0.1, 1e9, 0.0, &[0]);
         assert_eq!(act, Some(GuardAction::Rollback(good)));
         assert_eq!(g.rollbacks, 1);
         assert_eq!(
-            g.last_known_good(),
-            &good,
+            g.last_good, good,
             "a collapsed candidate is never committed"
         );
     }
@@ -662,7 +651,7 @@ mod tests {
             assert_eq!(g.force_safe_mode(), backoff);
             assert!(g.in_safe_mode());
             assert_eq!(g.safe_mode_entries, i as u64 + 1);
-            assert_eq!(g.last_known_good(), &SAFE_PARAMS);
+            assert_eq!(g.last_good, SAFE_PARAMS);
             // Backoff counts down, exits, and the next forced entry
             // doubles.
             thaw(&mut g, backoff);
@@ -695,16 +684,16 @@ mod tests {
     fn silent_switches_age_out_of_the_health_picture() {
         let mut g = guard();
         g.observe(0.8, 1e9, 0.0, &[0, 1, 2]);
-        assert_eq!(g.tracked_switches(), 3);
+        assert_eq!(g.last_seen.len(), 3);
         // Switch 2 stops uploading: tracked until its silence reaches
         // the staleness horizon, aged out on that interval.
         for _ in 1..STALE_AFTER_INTERVALS {
             g.observe(0.8, 1e9, 0.0, &[0, 1]);
-            assert_eq!(g.tracked_switches(), 3);
+            assert_eq!(g.last_seen.len(), 3);
             assert_eq!(g.stale_aged_out, 0);
         }
         g.observe(0.8, 1e9, 0.0, &[0, 1]);
-        assert_eq!(g.tracked_switches(), 2);
+        assert_eq!(g.last_seen.len(), 2);
         assert_eq!(g.stale_aged_out, 1);
         // Per-switch actions addressed at the dead switch are filtered.
         let out = g.screen(

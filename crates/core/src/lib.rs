@@ -45,34 +45,30 @@
 //! assert_eq!(cl.completions.len(), 1);
 //! ```
 
-pub mod closed_loop;
-pub mod ctrl_plane;
+mod closed_loop;
+mod ctrl_plane;
 pub mod drivers;
-pub mod guardrail;
-pub mod schemes;
+mod guardrail;
+mod schemes;
 pub mod stats;
 pub mod sweep;
-pub mod tuner_cell;
+mod tuner_cell;
 
-pub use closed_loop::{ClosedLoop, ClosedLoopBuilder, IntervalRecord, LoopConfig};
+pub use closed_loop::{ClosedLoop, ClosedLoopBuilder};
 pub use ctrl_plane::{CtrlPlane, CtrlPlaneConfig, CtrlPlaneStats, DownMsg, UpMsg};
 pub use guardrail::{
     GuardAction, Guardrail, GuardrailConfig, GuardrailStats, RejectReason, ScreenOutcome,
 };
 pub use schemes::{MonitorKind, SchemeKind};
-pub use tuner_cell::{CellSnapshot, TunerCell};
+pub use tuner_cell::{CellSnapshot, IntervalRecord, LoopConfig, TunerCell};
 
 /// Re-exports for harness and example code.
 pub mod prelude {
-    pub use crate::closed_loop::{ClosedLoop, IntervalRecord, LoopConfig};
-    pub use crate::ctrl_plane::{CtrlPlaneConfig, CtrlPlaneStats};
-    pub use crate::drivers;
-    pub use crate::guardrail::{
-        GuardAction, Guardrail, GuardrailConfig, GuardrailStats, ScreenOutcome,
+    pub use crate::{
+        drivers, stats, CellSnapshot, ClosedLoop, CtrlPlaneConfig, CtrlPlaneStats, GuardAction,
+        Guardrail, GuardrailConfig, GuardrailStats, IntervalRecord, LoopConfig, MonitorKind,
+        SchemeKind, ScreenOutcome, TunerCell,
     };
-    pub use crate::schemes::{MonitorKind, SchemeKind};
-    pub use crate::stats;
-    pub use crate::tuner_cell::{CellSnapshot, TunerCell};
     pub use paraleon_dcqcn::{DcqcnParams, ParamId, ParamSpace};
     pub use paraleon_monitor::UtilityWeights;
     pub use paraleon_netsim::{

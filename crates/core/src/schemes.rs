@@ -52,7 +52,7 @@ impl SchemeKind {
     }
 
     /// The initial parameter setting the fabric boots with.
-    pub fn initial_params(&self) -> DcqcnParams {
+    pub(crate) fn initial_params(&self) -> DcqcnParams {
         match self {
             SchemeKind::Expert => DcqcnParams::expert(),
             SchemeKind::Static(p, _) => *p,
@@ -62,13 +62,13 @@ impl SchemeKind {
 
     /// Adjust the simulator configuration (DCQCN+ flips its protocol
     /// flag; everyone gets their initial parameters installed).
-    pub fn apply_sim_config(&self, cfg: &mut SimConfig) {
+    pub(crate) fn apply_sim_config(&self, cfg: &mut SimConfig) {
         cfg.dcqcn = self.initial_params();
         cfg.dcqcn_plus = matches!(self, SchemeKind::DcqcnPlus);
     }
 
     /// Build the controller-side tuner.
-    pub fn build_tuner(&self, seed: u64) -> Box<dyn TuningScheme> {
+    pub(crate) fn build_tuner(&self, seed: u64) -> Box<dyn TuningScheme> {
         match self {
             SchemeKind::Default => Box::new(StaticScheme::nvidia_default()),
             SchemeKind::Expert => Box::new(StaticScheme::expert()),
@@ -152,14 +152,14 @@ impl MonitorKind {
 
     /// Whether the sim should disable TOS dedup (the naive Elastic Sketch
     /// baseline measures with overlapping sketches, Keypoint 1 off).
-    pub fn wants_tos_dedup(&self) -> bool {
+    pub(crate) fn wants_tos_dedup(&self) -> bool {
         !matches!(self, MonitorKind::NaiveSketch)
     }
 }
 
 /// The "No FSD" monitoring baseline: reports nothing, uploads nothing.
 #[derive(Debug, Default)]
-pub struct NoFsdMonitor;
+pub(crate) struct NoFsdMonitor;
 
 impl FsdMonitor for NoFsdMonitor {
     fn on_interval(&mut self, _readings: &SketchReadings, _now: MonNanos) -> Option<Fsd> {

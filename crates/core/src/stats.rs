@@ -107,19 +107,6 @@ pub fn cdf(values: &[f64], points: usize) -> Vec<(f64, f64)> {
     out
 }
 
-/// Format a byte-size bin edge for human-readable tables.
-pub fn fmt_size(b: u64) -> String {
-    if b == u64::MAX {
-        "inf".into()
-    } else if b >= 1 << 20 {
-        format!("{}MB", b >> 20)
-    } else if b >= 1 << 10 {
-        format!("{}KB", b >> 10)
-    } else {
-        format!("{b}B")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,13 +169,5 @@ mod tests {
             assert!(w[0].1 <= w[1].1);
         }
         assert_eq!(c.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn size_formatting() {
-        assert_eq!(fmt_size(500), "500B");
-        assert_eq!(fmt_size(120_000), "117KB");
-        assert_eq!(fmt_size(12 << 20), "12MB");
-        assert_eq!(fmt_size(u64::MAX), "inf");
     }
 }

@@ -308,7 +308,7 @@ impl TunerCell {
 
     /// Queue the control-plane half of a fault plan (impairments and
     /// crashes). Data-plane events go to the simulator separately.
-    pub fn install_ctrl_events(&mut self, plan: &FaultPlan) {
+    pub(crate) fn install_ctrl_events(&mut self, plan: &FaultPlan) {
         self.ctrl_events
             .extend(plan.events().iter().filter(|e| e.kind.is_ctrl()));
         self.ctrl_events.sort_by_key(|e| e.at);

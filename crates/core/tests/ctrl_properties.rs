@@ -20,8 +20,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use paraleon::guardrail::{Guardrail, GuardrailConfig};
-use paraleon::{CtrlPlane, CtrlPlaneConfig, DownMsg};
+use paraleon::{CtrlPlane, CtrlPlaneConfig, DownMsg, Guardrail, GuardrailConfig};
 use paraleon_dcqcn::DcqcnParams;
 use paraleon_monitor::{FsdUpload, MetricSample, StalenessMerger};
 use paraleon_sketch::{FlowType, FsdBuilder};

@@ -29,10 +29,10 @@
 //! explicit timestamps (`u64` nanoseconds) and carry no global state, so
 //! the simulator can drive thousands of independent QP instances.
 
-pub mod cp;
-pub mod np;
-pub mod params;
-pub mod rp;
+mod cp;
+mod np;
+mod params;
+mod rp;
 
 pub use cp::EcnMarker;
 pub use np::{CnpSignal, IncastScaler, NpState};

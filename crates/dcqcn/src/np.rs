@@ -130,15 +130,10 @@ impl IncastScaler {
     }
 
     /// Current advertised interval (µs) without recording a new mark.
-    pub fn interval_us(&mut self, now: Nanos) -> f64 {
+    pub(crate) fn interval_us(&mut self, now: Nanos) -> f64 {
         let horizon = now.saturating_sub(self.window);
         self.congested.retain(|_, &mut t| t >= horizon);
         self.base_interval_us * self.congested.len().max(1) as f64
-    }
-
-    /// Number of currently congested flows (diagnostics).
-    pub fn congested_flows(&self) -> usize {
-        self.congested.len()
     }
 }
 
@@ -207,7 +202,7 @@ mod tests {
         assert_eq!(s.on_mark(1, 0), 4.0);
         assert_eq!(s.on_mark(2, 10), 8.0);
         assert_eq!(s.on_mark(3, 20), 12.0);
-        assert_eq!(s.congested_flows(), 3);
+        assert_eq!(s.congested.len(), 3);
     }
 
     #[test]
@@ -217,7 +212,7 @@ mod tests {
         s.on_mark(2, 0);
         // After the window passes, both flows expire; floor is 1x base.
         assert_eq!(s.interval_us(200 * MICRO), 4.0);
-        assert_eq!(s.congested_flows(), 0);
+        assert_eq!(s.congested.len(), 0);
     }
 
     #[test]

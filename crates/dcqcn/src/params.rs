@@ -16,8 +16,8 @@ use serde::{Deserialize, Serialize};
 
 /// Identifier for one tunable DCQCN parameter.
 ///
-/// The order of variants defines the canonical layout of the parameter
-/// vector used by tuners ([`DcqcnParams::to_vector`]).
+/// The order of variants is the canonical parameter order
+/// ([`ALL_PARAMS`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum ParamId {
     // --- RP: Rate Increase ---
@@ -102,11 +102,6 @@ impl ParamId {
             ParamId::KMax => "k_max",
             ParamId::PMax => "p_max",
         }
-    }
-
-    /// True for switch-side (CP) parameters, false for RNIC-side ones.
-    pub fn is_switch_side(self) -> bool {
-        matches!(self, ParamId::KMin | ParamId::KMax | ParamId::PMax)
     }
 }
 
@@ -384,21 +379,6 @@ impl DcqcnParams {
         }
     }
 
-    /// Serialize to the canonical vector layout (for tuners).
-    pub fn to_vector(&self) -> Vec<f64> {
-        ALL_PARAMS.iter().map(|&p| self.get(p)).collect()
-    }
-
-    /// Deserialize from the canonical vector layout.
-    pub fn from_vector(v: &[f64]) -> Self {
-        assert_eq!(v.len(), ALL_PARAMS.len(), "parameter vector length");
-        let mut p = Self::nvidia_default();
-        for (i, &id) in ALL_PARAMS.iter().enumerate() {
-            p.set(id, v[i]);
-        }
-        p
-    }
-
     /// Ensure internal consistency constraints that the raw bounds cannot
     /// express: `k_min <= k_max`, `rpg_min_rate <= line rates`, etc.
     /// Call after any mutation.
@@ -410,7 +390,7 @@ impl DcqcnParams {
     }
 
     /// Alpha EWMA gain `g` as a fraction.
-    pub fn alpha_g(&self) -> f64 {
+    pub(crate) fn alpha_g(&self) -> f64 {
         1.0 / 2f64.powf(self.alpha_g_exp)
     }
 
@@ -426,10 +406,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn canonical_vector_round_trips() {
+    fn get_set_round_trip_every_field() {
         let p = DcqcnParams::expert();
-        let v = p.to_vector();
-        assert_eq!(DcqcnParams::from_vector(&v), p);
+        let mut q = DcqcnParams::nvidia_default();
+        for &id in &ALL_PARAMS {
+            q.set(id, p.get(id));
+        }
+        assert_eq!(q, p);
     }
 
     #[test]
@@ -491,15 +474,6 @@ mod tests {
     fn alpha_gain_matches_exponent() {
         let p = DcqcnParams::nvidia_default();
         assert!((p.alpha_g() - 1.0 / 256.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn switch_side_classification() {
-        assert!(ParamId::KMin.is_switch_side());
-        assert!(ParamId::PMax.is_switch_side());
-        assert!(!ParamId::AiRate.is_switch_side());
-        let n_switch = ALL_PARAMS.iter().filter(|p| p.is_switch_side()).count();
-        assert_eq!(n_switch, 3);
     }
 
     #[test]

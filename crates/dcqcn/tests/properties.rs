@@ -126,10 +126,10 @@ proptest! {
         prop_assert!(p_lo <= p_hi + 1e-12);
     }
 
-    /// Parameter vectors round-trip for any in-bounds values, and
-    /// normalize() is idempotent.
+    /// Every parameter round-trips through `get`/`set` for any in-bounds
+    /// values, and normalize() is idempotent.
     #[test]
-    fn param_vector_round_trip(seed_vals in prop::collection::vec(0.0f64..1.0, 13)) {
+    fn params_round_trip_through_get_set(seed_vals in prop::collection::vec(0.0f64..1.0, 13)) {
         let space = ParamSpace::standard();
         let mut p = DcqcnParams::nvidia_default();
         for (i, &id) in ALL_PARAMS.iter().enumerate() {
@@ -137,8 +137,11 @@ proptest! {
             p.set(id, spec.min + seed_vals[i] * (spec.max - spec.min));
         }
         p.normalize(&space);
-        let q = DcqcnParams::from_vector(&p.to_vector());
-        prop_assert_eq!(p.clone(), q);
+        let mut q = DcqcnParams::nvidia_default();
+        for &id in &ALL_PARAMS {
+            q.set(id, p.get(id));
+        }
+        prop_assert_eq!(p, q);
         let mut r = p;
         r.normalize(&space);
         prop_assert_eq!(p, r);

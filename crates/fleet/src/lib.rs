@@ -9,13 +9,13 @@
 //! ordinary [`Engine`], paired with the controller state extracted into
 //! [`TunerCell`] — under one deterministic cooperative scheduler.
 //!
-//! The service tick is two-phase (see [`service`]): fabrics advance one
-//! λ_MI each (optionally on worker threads), then the coordinator gives
-//! every tenant, in id order, its one controller turn over the interval
-//! its fabric just produced — the paper's one monitor → tune → dispatch
-//! round per λ_MI. The whole service checkpoints into a
-//! [`FleetSnapshot`] that restores mid-run, with or without crash
-//! semantics. Tenants can be admitted and evicted at runtime.
+//! The service tick is two-phase (see [`FleetService::tick`]): fabrics
+//! advance one λ_MI each (optionally on worker threads), then the
+//! coordinator gives every tenant, in id order, its one controller turn
+//! over the interval its fabric just produced — the paper's one monitor
+//! → tune → dispatch round per λ_MI. The whole service checkpoints into
+//! a [`FleetSnapshot`] that restores mid-run, with or without crash
+//! semantics. Tenants can be admitted at runtime.
 //!
 //! Two properties anchor everything (enforced in tests and by
 //! `exp fleet`):
@@ -31,9 +31,9 @@
 //! [`TunerCell`]: paraleon::prelude::TunerCell
 //! [`ClosedLoop`]: paraleon::prelude::ClosedLoop
 
-pub mod service;
-pub mod snapshot;
-pub mod tenant;
+mod service;
+mod snapshot;
+mod tenant;
 
 pub use service::{FleetConfig, FleetService, FleetStats, TickReport};
 pub use snapshot::{FleetSnapshot, RestoreError, TenantSnapshot};

@@ -81,8 +81,6 @@ pub struct FleetStats {
     pub ticks: u64,
     /// Tenants admitted over the service lifetime.
     pub admits: u64,
-    /// Tenants evicted over the service lifetime.
-    pub evicts: u64,
     /// Always 0: no upload is ever shed. Kept because `benchmark/`
     /// reads it.
     pub upload_drops: u64,
@@ -104,7 +102,6 @@ pub struct FleetService {
     pub(crate) tick: u64,
     pub(crate) next_id: TenantId,
     pub(crate) admits: u64,
-    pub(crate) evicts: u64,
 }
 
 impl FleetService {
@@ -116,7 +113,6 @@ impl FleetService {
             tick: 0,
             next_id: 1,
             admits: 0,
-            evicts: 0,
         }
     }
 
@@ -131,16 +127,6 @@ impl FleetService {
         self.admits += 1;
         tel::count(tel::Ctr::FleetAdmits);
         id
-    }
-
-    /// Evict a tenant, returning it (fabric, cell, history and all) for
-    /// inspection. `None` if no such tenant.
-    pub fn evict(&mut self, id: TenantId) -> Option<Tenant> {
-        let pos = self.tenants.iter().position(|t| t.id == id)?;
-        let tenant = self.tenants.remove(pos);
-        self.evicts += 1;
-        tel::count(tel::Ctr::FleetEvicts);
-        Some(tenant)
     }
 
     /// The tenant with id `id`.
@@ -163,17 +149,11 @@ impl FleetService {
         self.tenants.len()
     }
 
-    /// Service ticks completed.
-    pub fn tick_index(&self) -> u64 {
-        self.tick
-    }
-
     /// Cumulative service counters.
     pub fn stats(&self) -> FleetStats {
         FleetStats {
             ticks: self.tick,
             admits: self.admits,
-            evicts: self.evicts,
             upload_drops: 0,
             starved_turns: 0,
             backlog: 0,
@@ -534,22 +514,19 @@ mod tests {
     }
 
     #[test]
-    fn admit_and_evict_mid_run() {
+    fn admit_mid_run() {
         let mut fleet = FleetService::new(FleetConfig::default());
         let a = fleet.admit(clos_spec(31));
         let b = fleet.admit(rail_spec(32));
         fleet.run(5);
         let c = fleet.admit(mixed_spec(33));
         fleet.run(5);
-        let evicted = fleet.evict(a).expect("tenant a is live");
-        assert_eq!(evicted.cell.history.len(), 10);
-        assert!(fleet.evict(a).is_none(), "double-evict is None");
-        fleet.run(5);
-        assert_eq!(fleet.n_tenants(), 2);
-        assert_eq!(fleet.tenant(b).unwrap().cell.history.len(), 15);
-        assert_eq!(fleet.tenant(c).unwrap().cell.history.len(), 10);
+        assert_eq!(fleet.n_tenants(), 3);
+        assert_eq!(fleet.tenant(a).unwrap().cell.history.len(), 10);
+        assert_eq!(fleet.tenant(b).unwrap().cell.history.len(), 10);
+        assert_eq!(fleet.tenant(c).unwrap().cell.history.len(), 5);
         let s = fleet.stats();
-        assert_eq!((s.admits, s.evicts, s.ticks), (3, 1, 15));
+        assert_eq!((s.admits, s.ticks), (3, 10));
         // Ids are never reused.
         let d = fleet.admit(clos_spec(34));
         assert!(d > c);

@@ -40,7 +40,7 @@ impl FleetSnapshot {
     }
 
     /// Ids of the tenants frozen in this snapshot.
-    pub fn tenant_ids(&self) -> Vec<TenantId> {
+    pub(crate) fn tenant_ids(&self) -> Vec<TenantId> {
         self.tenants.iter().map(|t| t.id).collect()
     }
 }
@@ -190,7 +190,7 @@ mod tests {
             assert_eq!(a.cell.last_params, b.cell.last_params);
             assert_eq!(a.completions, b.completions);
         }
-        assert_eq!(fleet.tick_index(), control.tick_index());
+        assert_eq!(fleet.tick, control.tick);
     }
 
     /// The scheduler's cost estimate is fabric-side state: a restore
@@ -241,15 +241,15 @@ mod tests {
     #[test]
     fn restore_refuses_a_mismatched_tenant_set() {
         let mut fleet = FleetService::new(FleetConfig::default());
-        let a = fleet.admit(spec(1));
+        fleet.admit(spec(1));
         fleet.admit(spec(2));
         fleet.run(2);
         let snap = fleet.snapshot().unwrap();
-        fleet.evict(a).unwrap();
+        fleet.admit(spec(3));
         let err = fleet.restore(&snap).unwrap_err();
         let RestoreError::TenantSetMismatch { snapshot, live } = err;
         assert_eq!(snapshot.len(), 2);
-        assert_eq!(live.len(), 1);
+        assert_eq!(live.len(), 3);
     }
 
     #[test]
@@ -281,9 +281,6 @@ mod tests {
                 t.id
             );
         }
-        assert!(
-            fleet.tick_index() >= 15,
-            "crash restore never rewinds ticks"
-        );
+        assert!(fleet.tick >= 15, "crash restore never rewinds ticks");
     }
 }

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize, Value};
 
-use crate::eval::{evaluate, EvalConfig};
+use crate::eval::EvalConfig;
 use crate::genome::HuntPoint;
 use crate::minimize::MinimizeStats;
 use crate::oracle::{OracleConfig, OracleKind};
@@ -79,46 +79,6 @@ impl HuntCase {
     }
 }
 
-/// The verdict of replaying one case.
-#[derive(Debug, Clone)]
-pub struct Replay {
-    /// The case's oracle fired again.
-    pub fired: bool,
-    /// The fresh report re-serialized byte-identically to the committed
-    /// one.
-    pub identical: bool,
-    /// Fresh report, compact JSON.
-    pub got: String,
-    /// Committed report, compact JSON.
-    pub want: String,
-}
-
-impl Replay {
-    /// A replay passes when the pathology reproduces *and* nothing about
-    /// its measured signature moved.
-    pub fn passed(&self) -> bool {
-        self.fired && self.identical
-    }
-}
-
-/// Re-run a case and compare against its committed report.
-pub fn replay(case: &HuntCase) -> Result<Replay, String> {
-    let ev = evaluate(&case.eval, &case.oracles, &case.point)?;
-    let got = serde_json::to_string(&ev.report).map_err(|e| e.to_string())?;
-    let want = serde_json::to_string(&case.report).map_err(|e| e.to_string())?;
-    Ok(Replay {
-        fired: ev.report.fired(case.kind),
-        identical: got == want,
-        got,
-        want,
-    })
-}
-
-/// The committed corpus directory: `corpus/` at the repository root.
-pub fn corpus_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus")
-}
-
 /// Load every `*.json` case in `dir`, sorted by file name for
 /// deterministic iteration. A missing directory is an empty corpus.
 pub fn load_dir(dir: &Path) -> Result<Vec<HuntCase>, String> {
@@ -137,6 +97,7 @@ pub fn load_dir(dir: &Path) -> Result<Vec<HuntCase>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate;
     use paraleon_dcqcn::DcqcnParams;
     use paraleon_netsim::{ClosSpec, FaultPlan, TopoSpec, MILLI};
 
@@ -202,21 +163,6 @@ mod tests {
         let loaded = load_dir(&dir).expect("dir loads");
         assert_eq!(loaded.len(), 1);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn replay_detects_both_failure_modes() {
-        let mut c = case();
-        let ev = evaluate(&c.eval, &c.oracles, &c.point).expect("evaluates");
-        c.report = ev.report.serialize_value();
-        let ok = replay(&c).expect("replays");
-        assert!(ok.identical, "self-replay must be byte-identical");
-
-        // Tamper with the committed report: replay must flag the drift.
-        c.report = Value::Object(vec![("outcomes".into(), Value::Array(vec![]))]);
-        let bad = replay(&c).expect("replays");
-        assert!(!bad.identical);
-        assert!(!bad.passed());
     }
 
     #[test]

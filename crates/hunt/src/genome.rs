@@ -265,43 +265,6 @@ pub fn remap_point(point: &HuntPoint, new: ClosSpec) -> Option<HuntPoint> {
     Some(out)
 }
 
-/// Bounds the mutation operators respect, keeping every candidate small
-/// enough for a CI-budget evaluation.
-#[derive(Debug, Clone, Copy)]
-pub struct GenomeCaps {
-    /// Max ToR switches.
-    pub max_tor: usize,
-    /// Max hosts per ToR.
-    pub max_hosts_per_tor: usize,
-    /// Max leaf switches.
-    pub max_leaf: usize,
-    /// Max workload specs.
-    pub max_flow_specs: usize,
-    /// Max fault events.
-    pub max_fault_events: usize,
-    /// Max bytes per individual flow.
-    pub max_flow_bytes: u64,
-    /// Max repetitions per spec.
-    pub max_count: u32,
-    /// Scenario horizon: starts/fault times stay below this (ns).
-    pub horizon: Nanos,
-}
-
-impl Default for GenomeCaps {
-    fn default() -> Self {
-        Self {
-            max_tor: 3,
-            max_hosts_per_tor: 6,
-            max_leaf: 2,
-            max_flow_specs: 12,
-            max_fault_events: 12,
-            max_flow_bytes: 8_000_000,
-            max_count: 40,
-            horizon: 30 * paraleon_netsim::MILLI,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -41,7 +41,7 @@ pub mod search;
 
 pub use corpus::HuntCase;
 pub use eval::{evaluate, EvalConfig, Evaluation, RunMetrics};
-pub use genome::{FlowSpec, GenomeCaps, HuntPoint};
+pub use genome::{FlowSpec, HuntPoint};
 pub use minimize::{minimize, MinimizeStats};
 pub use oracle::{OracleConfig, OracleKind, OracleOutcome, OracleReport};
 pub use search::{Finding, HuntResult, SearchConfig};

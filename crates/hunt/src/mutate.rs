@@ -16,13 +16,31 @@ use paraleon_dcqcn::{ParamSpace, ALL_PARAMS};
 use paraleon_netsim::{FaultPlan, Nanos, NodeId, TopoSpec};
 use paraleon_workloads::{CollectiveKind, CollectiveSpec};
 
-use crate::genome::{GenomeCaps, HuntPoint};
+use crate::genome::HuntPoint;
 use crate::oracle::OracleKind;
 
 /// Time quantum for generated starts/durations (ns). Coarse times keep
 /// genomes readable and give the minimizer fewer distinct values to
 /// preserve.
 const QUANTUM: Nanos = 100_000;
+
+// Genome bounds every operator respects, keeping each candidate small
+// enough for a CI-budget evaluation. Times are bounded by the caller's
+// `horizon` instead.
+/// Max ToR switches.
+const MAX_TOR: usize = 3;
+/// Max hosts per ToR.
+const MAX_HOSTS_PER_TOR: usize = 6;
+/// Max leaf switches.
+const MAX_LEAF: usize = 2;
+/// Max workload specs.
+const MAX_FLOW_SPECS: usize = 12;
+/// Max fault events.
+const MAX_FAULT_EVENTS: usize = 12;
+/// Max bytes per individual flow.
+const MAX_FLOW_BYTES: u64 = 8_000_000;
+/// Max repetitions per spec.
+const MAX_COUNT: u32 = 40;
 
 fn quantized(rng: &mut StdRng, lo: Nanos, hi: Nanos) -> Nanos {
     let lo_steps = lo / QUANTUM;
@@ -190,7 +208,7 @@ fn repair_marking_thresholds(p: &mut HuntPoint) {
     }
 }
 
-fn apply(op: Op, p: &mut HuntPoint, caps: &GenomeCaps, rng: &mut StdRng) -> bool {
+fn apply(op: Op, p: &mut HuntPoint, horizon: Nanos, rng: &mut StdRng) -> bool {
     let space = ParamSpace::standard();
     match op {
         Op::TweakParam => {
@@ -218,17 +236,17 @@ fn apply(op: Op, p: &mut HuntPoint, caps: &GenomeCaps, rng: &mut StdRng) -> bool
             true
         }
         Op::AddFlow => {
-            if p.workload.len() >= caps.max_flow_specs {
+            if p.workload.len() >= MAX_FLOW_SPECS {
                 return false;
             }
             let (src, dst) = random_host_pair(p, rng);
             p.workload.push(crate::genome::FlowSpec {
                 src,
                 dst,
-                bytes: rng.gen_range(8u64..=caps.max_flow_bytes / 1024) * 1024,
-                start: quantized(rng, 0, caps.horizon / 2),
-                count: rng.gen_range(1..=caps.max_count / 4),
-                gap: quantized(rng, QUANTUM, caps.horizon / 8),
+                bytes: rng.gen_range(8u64..=MAX_FLOW_BYTES / 1024) * 1024,
+                start: quantized(rng, 0, horizon / 2),
+                count: rng.gen_range(1..=MAX_COUNT / 4),
+                gap: quantized(rng, QUANTUM, horizon / 8),
             });
             true
         }
@@ -243,10 +261,10 @@ fn apply(op: Op, p: &mut HuntPoint, caps: &GenomeCaps, rng: &mut StdRng) -> bool
         Op::AddIncast => {
             let dst = random_host(p, rng);
             let fanin = rng.gen_range(2usize..=4);
-            let start = quantized(rng, 0, caps.horizon / 2);
+            let start = quantized(rng, 0, horizon / 2);
             let mut added = false;
             for _ in 0..fanin {
-                if p.workload.len() >= caps.max_flow_specs {
+                if p.workload.len() >= MAX_FLOW_SPECS {
                     break;
                 }
                 let n = p.topo.n_hosts();
@@ -257,10 +275,10 @@ fn apply(op: Op, p: &mut HuntPoint, caps: &GenomeCaps, rng: &mut StdRng) -> bool
                 p.workload.push(crate::genome::FlowSpec {
                     src,
                     dst,
-                    bytes: rng.gen_range(64u64..=caps.max_flow_bytes / 1024) * 1024,
+                    bytes: rng.gen_range(64u64..=MAX_FLOW_BYTES / 1024) * 1024,
                     start,
-                    count: rng.gen_range(2..=caps.max_count / 2),
-                    gap: quantized(rng, QUANTUM, caps.horizon / 16),
+                    count: rng.gen_range(2..=MAX_COUNT / 2),
+                    gap: quantized(rng, QUANTUM, horizon / 16),
                 });
                 added = true;
             }
@@ -272,7 +290,7 @@ fn apply(op: Op, p: &mut HuntPoint, caps: &GenomeCaps, rng: &mut StdRng) -> bool
             }
             let i = rng.gen_range(0..p.workload.len());
             let f = &mut p.workload[i];
-            let new = (f.count * 2).min(caps.max_count);
+            let new = (f.count * 2).min(MAX_COUNT);
             let changed = new != f.count;
             f.count = new;
             changed
@@ -283,58 +301,58 @@ fn apply(op: Op, p: &mut HuntPoint, caps: &GenomeCaps, rng: &mut StdRng) -> bool
             }
             let i = rng.gen_range(0..p.workload.len());
             let f = &mut p.workload[i];
-            let new = (f.bytes * 2).min(caps.max_flow_bytes);
+            let new = (f.bytes * 2).min(MAX_FLOW_BYTES);
             let changed = new != f.bytes;
             f.bytes = new;
             changed
         }
         Op::AddFlap => {
-            if p.faults.len() + 4 > caps.max_fault_events {
+            if p.faults.len() + 4 > MAX_FAULT_EVENTS {
                 return false;
             }
             let (node, port) = random_edge(p, rng);
-            let first = quantized(rng, 0, caps.horizon / 2);
-            let period = quantized(rng, 2 * QUANTUM, caps.horizon / 8).max(2 * QUANTUM);
+            let first = quantized(rng, 0, horizon / 2);
+            let period = quantized(rng, 2 * QUANTUM, horizon / 8).max(2 * QUANTUM);
             let down_for = (period / 2).max(QUANTUM).min(period - QUANTUM);
             p.faults.link_flap(node, port, first, down_for, period, 2);
             true
         }
         Op::AddDegrade => {
-            if p.faults.len() >= caps.max_fault_events {
+            if p.faults.len() >= MAX_FAULT_EVENTS {
                 return false;
             }
             let (node, port) = random_edge(p, rng);
-            let at = quantized(rng, 0, caps.horizon / 2);
+            let at = quantized(rng, 0, horizon / 2);
             let factor = rng.gen_range(0.02f64..0.3);
             p.faults.degrade(at, node, port, factor);
             true
         }
         Op::AddLoss => {
-            if p.faults.len() + 2 > caps.max_fault_events {
+            if p.faults.len() + 2 > MAX_FAULT_EVENTS {
                 return false;
             }
             let (node, port) = random_edge(p, rng);
-            let at = quantized(rng, 0, caps.horizon / 2);
-            let until = at + quantized(rng, QUANTUM, caps.horizon / 4).max(QUANTUM);
+            let at = quantized(rng, 0, horizon / 2);
+            let until = at + quantized(rng, QUANTUM, horizon / 4).max(QUANTUM);
             let prob = rng.gen_range(0.02f64..0.4);
             p.faults.pkt_loss(at, until, node, port, prob);
             true
         }
         Op::AddStorm => {
-            if p.faults.len() + 2 > caps.max_fault_events {
+            if p.faults.len() + 2 > MAX_FAULT_EVENTS {
                 return false;
             }
             let host = random_host(p, rng);
-            let start = quantized(rng, 0, caps.horizon / 2);
-            let end = start + quantized(rng, QUANTUM, caps.horizon / 3).max(QUANTUM);
+            let start = quantized(rng, 0, horizon / 2);
+            let end = start + quantized(rng, QUANTUM, horizon / 3).max(QUANTUM);
             p.faults.pfc_storm(host, start, end);
             true
         }
         Op::AddCtrlImpair => {
-            if p.faults.len() >= caps.max_fault_events {
+            if p.faults.len() >= MAX_FAULT_EVENTS {
                 return false;
             }
-            let at = quantized(rng, 0, caps.horizon / 2);
+            let at = quantized(rng, 0, horizon / 2);
             // At least one lane is always selected; the down (dispatch)
             // lane is the one the epoch protocol defends, so bias there.
             let up = rng.gen_bool(0.5);
@@ -346,10 +364,10 @@ fn apply(op: Op, p: &mut HuntPoint, caps: &GenomeCaps, rng: &mut StdRng) -> bool
             true
         }
         Op::AddCtrlCrash => {
-            if p.faults.len() >= caps.max_fault_events {
+            if p.faults.len() >= MAX_FAULT_EVENTS {
                 return false;
             }
-            let at = quantized(rng, QUANTUM, caps.horizon / 2);
+            let at = quantized(rng, QUANTUM, horizon / 2);
             p.faults.ctrl_crash(at, rng.gen_bool(0.5));
             true
         }
@@ -452,10 +470,10 @@ fn apply(op: Op, p: &mut HuntPoint, caps: &GenomeCaps, rng: &mut StdRng) -> bool
             p.collective = Some(CollectiveSpec {
                 kind: kinds[rng.gen_range(0..kinds.len())],
                 workers: hosts,
-                message_bytes: rng.gen_range(64u64..=caps.max_flow_bytes / 1024) * 1024,
+                message_bytes: rng.gen_range(64u64..=MAX_FLOW_BYTES / 1024) * 1024,
                 microbatches: 2,
                 rounds: Some(rng.gen_range(1..=3)),
-                off_time: quantized(rng, QUANTUM, caps.horizon / 8),
+                off_time: quantized(rng, QUANTUM, horizon / 8),
             });
             true
         }
@@ -466,11 +484,11 @@ fn apply(op: Op, p: &mut HuntPoint, caps: &GenomeCaps, rng: &mut StdRng) -> bool
 /// A fresh random starting point: a small fabric with a couple of flow
 /// specs and no faults — deliberately bland, so whatever the search
 /// finds is attributable to mutation pressure, not a loaded seed.
-pub fn seed_point(caps: &GenomeCaps, rng: &mut StdRng) -> HuntPoint {
+pub fn seed_point(horizon: Nanos, rng: &mut StdRng) -> HuntPoint {
     let topo = TopoSpec::TwoTier(paraleon_netsim::ClosSpec {
-        n_tor: rng.gen_range(2..=caps.max_tor),
-        hosts_per_tor: rng.gen_range(2..=caps.max_hosts_per_tor),
-        n_leaf: rng.gen_range(1..=caps.max_leaf),
+        n_tor: rng.gen_range(2..=MAX_TOR),
+        hosts_per_tor: rng.gen_range(2..=MAX_HOSTS_PER_TOR),
+        n_leaf: rng.gen_range(1..=MAX_LEAF),
         host_gbps: 100.0,
         uplink_gbps: if rng.gen_bool(0.5) { 100.0 } else { 200.0 },
         delay_ns: 4_000,
@@ -484,7 +502,7 @@ pub fn seed_point(caps: &GenomeCaps, rng: &mut StdRng) -> HuntPoint {
         seed: rng.gen_range(0u64..1 << 32),
     };
     for _ in 0..2 {
-        apply(Op::AddFlow, &mut point, caps, rng);
+        apply(Op::AddFlow, &mut point, horizon, rng);
     }
     point
 }
@@ -494,12 +512,7 @@ pub fn seed_point(caps: &GenomeCaps, rng: &mut StdRng) -> HuntPoint {
 /// [`HuntPoint::validate`]; ops that cannot apply (saturated caps) are
 /// skipped, and if nothing applied the point is re-seeded instead of
 /// returned unchanged (a duplicate would waste an evaluation).
-pub fn mutate(
-    base: &HuntPoint,
-    target: OracleKind,
-    caps: &GenomeCaps,
-    rng: &mut StdRng,
-) -> HuntPoint {
+pub fn mutate(base: &HuntPoint, target: OracleKind, horizon: Nanos, rng: &mut StdRng) -> HuntPoint {
     let targeted = palette(target);
     let mut point = base.clone();
     let n_ops = rng.gen_range(1usize..=3);
@@ -510,11 +523,11 @@ pub fn mutate(
         } else {
             GENERIC[rng.gen_range(0..GENERIC.len())]
         };
-        changed |= apply(op, &mut point, caps, rng);
+        changed |= apply(op, &mut point, horizon, rng);
     }
     debug_assert!(point.validate().is_ok(), "mutation broke the genome");
     if !changed || point.validate().is_err() {
-        return seed_point(caps, rng);
+        return seed_point(horizon, rng);
     }
     point
 }
@@ -525,34 +538,36 @@ mod tests {
     use crate::oracle::ALL_ORACLES;
     use rand::SeedableRng;
 
+    use paraleon_netsim::MILLI;
+
+    const HORIZON: Nanos = 30 * MILLI;
+
     #[test]
     fn mutants_stay_valid_and_capped() {
-        let caps = GenomeCaps::default();
         let mut rng = StdRng::seed_from_u64(11);
-        let mut p = seed_point(&caps, &mut rng);
+        let mut p = seed_point(HORIZON, &mut rng);
         for i in 0..300 {
             let kind = ALL_ORACLES[i % ALL_ORACLES.len()];
-            p = mutate(&p, kind, &caps, &mut rng);
+            p = mutate(&p, kind, HORIZON, &mut rng);
             p.validate().expect("mutant valid");
-            assert!(p.workload.len() <= caps.max_flow_specs);
-            assert!(p.faults.len() <= caps.max_fault_events);
+            assert!(p.workload.len() <= MAX_FLOW_SPECS);
+            assert!(p.faults.len() <= MAX_FAULT_EVENTS);
             for f in &p.workload {
-                assert!(f.bytes <= caps.max_flow_bytes && f.count <= caps.max_count);
+                assert!(f.bytes <= MAX_FLOW_BYTES && f.count <= MAX_COUNT);
             }
         }
     }
 
     #[test]
     fn ctrl_palette_injects_valid_control_plane_faults() {
-        let caps = GenomeCaps::default();
         let mut rng = StdRng::seed_from_u64(3);
-        let mut p = seed_point(&caps, &mut rng);
+        let mut p = seed_point(HORIZON, &mut rng);
         let mut saw_impair = false;
         let mut saw_crash = false;
         for _ in 0..200 {
-            p = mutate(&p, OracleKind::CtrlDivergence, &caps, &mut rng);
+            p = mutate(&p, OracleKind::CtrlDivergence, HORIZON, &mut rng);
             p.validate().expect("ctrl mutant valid");
-            assert!(p.faults.len() <= caps.max_fault_events);
+            assert!(p.faults.len() <= MAX_FAULT_EVENTS);
             for ev in p.faults.events() {
                 match ev.kind {
                     paraleon_netsim::FaultKind::CtrlImpair {
@@ -578,12 +593,11 @@ mod tests {
 
     #[test]
     fn mutation_is_deterministic_in_the_seed() {
-        let caps = GenomeCaps::default();
         let mk = || {
             let mut rng = StdRng::seed_from_u64(99);
-            let mut p = seed_point(&caps, &mut rng);
+            let mut p = seed_point(HORIZON, &mut rng);
             for _ in 0..50 {
-                p = mutate(&p, OracleKind::PfcStorm, &caps, &mut rng);
+                p = mutate(&p, OracleKind::PfcStorm, HORIZON, &mut rng);
             }
             p.key()
         };

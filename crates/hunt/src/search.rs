@@ -16,14 +16,21 @@
 //! down to a minimal repro.
 
 use paraleon::sweep;
+use paraleon_netsim::Nanos;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::eval::{evaluate, EvalConfig, Evaluation};
-use crate::genome::{GenomeCaps, HuntPoint};
+use crate::genome::HuntPoint;
 use crate::minimize::{minimize, MinimizeStats};
 use crate::mutate::{mutate, seed_point};
 use crate::oracle::{OracleConfig, OracleKind, OracleReport, ALL_ORACLES};
+
+/// Candidates per generation.
+const BATCH: usize = 16;
+
+/// Trial budget per minimization.
+const MINIMIZE_TRIALS: u64 = 400;
 
 /// Everything that defines one hunt. A hunt is deterministic in this
 /// struct: same config, same findings, any thread count.
@@ -35,42 +42,26 @@ pub struct SearchConfig {
     pub seed: u64,
     /// Worker threads for fanning evaluations.
     pub threads: usize,
-    /// Candidates per generation.
-    pub batch: usize,
     /// Per-candidate run length and budgets.
     pub eval: EvalConfig,
     /// Oracle thresholds.
     pub oracles: OracleConfig,
-    /// Genome bounds for mutation.
-    pub caps: GenomeCaps,
     /// Which pathology classes to hunt (empty means all).
     pub targets: Vec<OracleKind>,
     /// Delta-debug each finding down to a minimal repro.
     pub minimize: bool,
-    /// Trial budget per minimization.
-    pub minimize_trials: u64,
 }
 
 impl Default for SearchConfig {
     fn default() -> Self {
-        let eval = EvalConfig::default();
-        let caps = GenomeCaps {
-            // Faults scheduled beyond the run's end would be dead genes;
-            // keep mutation inside the observed horizon.
-            horizon: eval.intervals * eval.lambda_mi,
-            ..GenomeCaps::default()
-        };
         Self {
             budget: 64,
             seed: 42,
             threads: 1,
-            batch: 16,
-            eval,
+            eval: EvalConfig::default(),
             oracles: OracleConfig::default(),
-            caps,
             targets: ALL_ORACLES.to_vec(),
             minimize: true,
-            minimize_trials: 400,
         }
     }
 }
@@ -114,9 +105,16 @@ struct Lane {
     fired: Option<(HuntPoint, OracleReport, f64, u64)>,
 }
 
+/// Mutation horizon for candidates run under `eval`: the run length, so
+/// no start or fault time lands past the run's end as a dead gene.
+fn horizon(eval: &EvalConfig) -> Nanos {
+    eval.intervals * eval.lambda_mi
+}
+
 /// Run the hunt.
 pub fn hunt(cfg: &SearchConfig) -> HuntResult {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let horizon = horizon(&cfg.eval);
     let targets = if cfg.targets.is_empty() {
         ALL_ORACLES.to_vec()
     } else {
@@ -136,7 +134,7 @@ pub fn hunt(cfg: &SearchConfig) -> HuntResult {
     let mut seen = std::collections::HashSet::new();
 
     while evals < cfg.budget {
-        let want = (cfg.budget - evals).min(cfg.batch.max(1) as u64) as usize;
+        let want = (cfg.budget - evals).min(BATCH as u64) as usize;
         // Assemble the generation on the coordinator thread: lane
         // round-robin, mutate from the lane elite once one exists.
         let mut batch: Vec<(usize, HuntPoint)> = Vec::with_capacity(want);
@@ -146,10 +144,10 @@ pub fn hunt(cfg: &SearchConfig) -> HuntResult {
             let li = (batch.len() + attempts) % lanes.len();
             let lane = &lanes[li];
             let cand = match &lane.elite {
-                Some((elite, _)) => mutate(elite, lane.kind, &cfg.caps, &mut rng),
+                Some((elite, _)) => mutate(elite, lane.kind, horizon, &mut rng),
                 None => {
-                    let p = seed_point(&cfg.caps, &mut rng);
-                    mutate(&p, lane.kind, &cfg.caps, &mut rng)
+                    let p = seed_point(horizon, &mut rng);
+                    mutate(&p, lane.kind, horizon, &mut rng)
                 }
             };
             if seen.insert(cand.key()) {
@@ -194,13 +192,8 @@ pub fn hunt(cfg: &SearchConfig) -> HuntResult {
             continue;
         };
         let (point, report, stats) = if cfg.minimize {
-            let (small, stats) = minimize(
-                &point,
-                lane.kind,
-                &cfg.eval,
-                &cfg.oracles,
-                cfg.minimize_trials,
-            );
+            let (small, stats) =
+                minimize(&point, lane.kind, &cfg.eval, &cfg.oracles, MINIMIZE_TRIALS);
             let rejudged = evaluate(&cfg.eval, &cfg.oracles, &small)
                 .expect("minimized point evaluates")
                 .report;
@@ -233,7 +226,6 @@ mod tests {
             budget: 6,
             seed: 1,
             threads: 2,
-            batch: 3,
             eval: EvalConfig {
                 intervals: 4,
                 lambda_mi: paraleon_netsim::MILLI,
@@ -264,6 +256,23 @@ mod tests {
                 serde_json::to_string(&a.report).unwrap(),
                 serde_json::to_string(&b.report).unwrap()
             );
+        }
+    }
+
+    #[test]
+    fn mutation_stays_inside_a_short_run() {
+        let horizon = horizon(&tiny_cfg().eval);
+        assert_eq!(horizon, 4 * paraleon_netsim::MILLI);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut p = seed_point(horizon, &mut rng);
+        for i in 0..300 {
+            p = mutate(&p, ALL_ORACLES[i % ALL_ORACLES.len()], horizon, &mut rng);
+            for f in &p.workload {
+                assert!(f.start < horizon, "flow start {} past the run", f.start);
+            }
+            for ev in p.faults.events() {
+                assert!(ev.at < horizon, "fault at {} past the run", ev.at);
+            }
         }
     }
 

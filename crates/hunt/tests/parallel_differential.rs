@@ -24,10 +24,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use paraleon::{ClosedLoop, IntervalRecord, LoopConfig, MonitorKind, SchemeKind};
-use paraleon_hunt::genome::{GenomeCaps, HuntPoint};
+use paraleon_hunt::genome::HuntPoint;
 use paraleon_hunt::mutate::{mutate, seed_point};
 use paraleon_hunt::oracle::ALL_ORACLES;
-use paraleon_netsim::{Engine, FlowRecord, IntervalMetrics, SimConfig, MILLI};
+use paraleon_netsim::{Engine, FlowRecord, IntervalMetrics, Nanos, SimConfig, MILLI};
 use paraleon_telemetry as tel;
 
 /// Intervals per differential run — enough for fault plans and SA
@@ -37,15 +37,17 @@ const INTERVALS: u64 = 5;
 /// bounded, so the tail is the part both runs are guaranteed to retain).
 const FLIGHT_TAIL: usize = 256;
 
+/// Mutation horizon of the generated points (ns).
+const HORIZON: Nanos = 30 * MILLI;
+
 /// Deterministically generate a point the way the search would: seed it,
 /// then walk `steps` mutations cycling through the oracle palettes.
 fn generated_point(seed: u64, steps: usize, kind_idx: usize) -> HuntPoint {
-    let caps = GenomeCaps::default();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut p = seed_point(&caps, &mut rng);
+    let mut p = seed_point(HORIZON, &mut rng);
     for i in 0..steps {
         let kind = ALL_ORACLES[(kind_idx + i) % ALL_ORACLES.len()];
-        p = mutate(&p, kind, &caps, &mut rng);
+        p = mutate(&p, kind, HORIZON, &mut rng);
     }
     p
 }

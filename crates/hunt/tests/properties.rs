@@ -7,20 +7,23 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use paraleon_hunt::genome::{GenomeCaps, HuntPoint};
+use paraleon_hunt::genome::HuntPoint;
 use paraleon_hunt::minimize::minimize_with;
 use paraleon_hunt::mutate::{mutate, seed_point};
 use paraleon_hunt::oracle::ALL_ORACLES;
+use paraleon_netsim::{Nanos, MILLI};
+
+/// Mutation horizon of the generated points (ns).
+const HORIZON: Nanos = 30 * MILLI;
 
 /// Deterministically generate a point the way the search would: seed it,
 /// then walk `steps` mutations cycling through the oracle palettes.
 fn generated_point(seed: u64, steps: usize, kind_idx: usize) -> HuntPoint {
-    let caps = GenomeCaps::default();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut p = seed_point(&caps, &mut rng);
+    let mut p = seed_point(HORIZON, &mut rng);
     for i in 0..steps {
         let kind = ALL_ORACLES[(kind_idx + i) % ALL_ORACLES.len()];
-        p = mutate(&p, kind, &caps, &mut rng);
+        p = mutate(&p, kind, HORIZON, &mut rng);
     }
     p
 }

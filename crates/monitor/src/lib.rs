@@ -23,19 +23,19 @@
 //! without history). All monitors implement [`FsdMonitor`] so the
 //! harness can swap them.
 
-pub mod naive;
-pub mod netflow;
-pub mod overhead;
-pub mod paraleon;
-pub mod resilient;
-pub mod trigger;
-pub mod utility;
+mod naive;
+mod netflow;
+mod overhead;
+mod paraleon;
+mod resilient;
+mod trigger;
+mod utility;
 
 pub use naive::NaiveSketchMonitor;
 pub use netflow::{NetFlowConfig, NetFlowMonitor};
 pub use overhead::TransferLedger;
 pub use paraleon::ParaleonMonitor;
-pub use resilient::{FsdUpload, StalenessMerger, DEFAULT_STALE_AFTER_INTERVALS};
+pub use resilient::{FsdUpload, StalenessMerger};
 pub use trigger::ChangeDetector;
 pub use utility::{MetricSample, UtilityWeights};
 
@@ -45,7 +45,7 @@ use paraleon_sketch::{FlowId, Fsd};
 pub type Nanos = u64;
 
 /// Identifier of a measurement point (a ToR switch).
-pub type PointId = usize;
+pub(crate) type PointId = usize;
 
 /// One monitor interval's sketch readings: per measurement point, the
 /// drained `(flow, bytes)` entries.

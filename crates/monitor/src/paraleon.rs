@@ -13,8 +13,10 @@ use paraleon_sketch::{Fsd, SlidingWindowClassifier, WindowConfig};
 use crate::{FsdMonitor, FsdUpload, Nanos, PointId, SketchReadings};
 
 /// Monitor intervals a measurement point may stay silent before its
-/// classifier state is discarded (see [`ParaleonMonitor::with_max_idle`]).
-pub const DEFAULT_MAX_IDLE_INTERVALS: u64 = 32;
+/// classifier state is discarded. A dead switch's stale window must not
+/// linger: it holds control-plane memory and would resume with
+/// out-of-date flow history after a long outage.
+const MAX_IDLE_INTERVALS: u64 = 32;
 
 /// One measurement point's switch-control-plane agent.
 #[derive(Debug)]
@@ -37,10 +39,6 @@ pub struct ParaleonMonitor {
     seqs: HashMap<PointId, u64>,
     /// Intervals processed so far.
     interval: u64,
-    /// Silence tolerance before a point's state is aged out.
-    max_idle_intervals: u64,
-    /// Measurement points aged out so far (statistics).
-    aged_out: u64,
     uploaded: u64,
 }
 
@@ -52,30 +50,8 @@ impl ParaleonMonitor {
             agents: HashMap::new(),
             seqs: HashMap::new(),
             interval: 0,
-            max_idle_intervals: DEFAULT_MAX_IDLE_INTERVALS,
-            aged_out: 0,
             uploaded: 0,
         }
-    }
-
-    /// Override how many intervals a switch may stop uploading before
-    /// its classifier state is discarded. A dead switch's stale window
-    /// must not linger: it holds control-plane memory and would resume
-    /// with out-of-date flow history after a long outage.
-    pub fn with_max_idle(mut self, intervals: u64) -> Self {
-        self.max_idle_intervals = intervals.max(1);
-        self
-    }
-
-    /// Number of live per-point classifiers.
-    pub fn n_agents(&self) -> usize {
-        self.agents.len()
-    }
-
-    /// Measurement points whose state was aged out after prolonged
-    /// silence.
-    pub fn aged_out(&self) -> u64 {
-        self.aged_out
     }
 
     /// Total control-plane memory across switch agents (Table IV).
@@ -109,10 +85,8 @@ impl ParaleonMonitor {
         }
         // Age out points that stopped reporting: their window history is
         // stale and must not survive a prolonged outage.
-        let horizon = self.interval.saturating_sub(self.max_idle_intervals);
-        let before = self.agents.len();
+        let horizon = self.interval.saturating_sub(MAX_IDLE_INTERVALS);
         self.agents.retain(|_, agent| agent.last_seen > horizon);
-        self.aged_out += (before - self.agents.len()) as u64;
         locals
     }
 }
@@ -239,42 +213,45 @@ mod tests {
 
     #[test]
     fn silent_points_age_out_after_the_idle_horizon() {
-        let mut m = monitor().with_max_idle(3);
+        let mut m = monitor();
         m.on_interval(&[(0, vec![(1, MB)]), (1, vec![(2, MB)])], 0);
-        assert_eq!(m.n_agents(), 2);
-        // Switch 1 goes silent; its classifier survives the tolerance
-        // window, then is discarded on the third silent interval.
-        for _ in 0..2 {
+        assert_eq!(m.agents.len(), 2);
+        // Switch 1 goes silent; its classifier survives
+        // MAX_IDLE_INTERVALS - 1 silent intervals and is discarded on the
+        // next one.
+        for _ in 1..MAX_IDLE_INTERVALS {
             m.on_interval(&[(0, vec![(1, MB)])], 0);
-            assert_eq!(m.n_agents(), 2, "within tolerance: state retained");
+            assert_eq!(m.agents.len(), 2, "within tolerance: state retained");
         }
         m.on_interval(&[(0, vec![(1, MB)])], 0);
-        assert_eq!(m.n_agents(), 1, "past tolerance: state aged out");
-        assert_eq!(m.aged_out(), 1);
+        assert_eq!(m.agents.len(), 1, "past tolerance: state aged out");
+        assert!(!m.agents.contains_key(&1));
         // If it comes back, it restarts with a fresh window (no stale
         // elephant history).
         let fsd = m.on_interval(&[(1, vec![(9, 1_000)])], 0).unwrap();
-        assert_eq!(m.n_agents(), 2);
+        assert_eq!(m.agents.len(), 2);
         assert!(fsd.elephant_share() < 0.01, "fresh window, mice only");
     }
 
     #[test]
     fn aged_out_point_resumes_with_a_later_seq() {
-        let mut m = monitor().with_max_idle(2);
+        let mut m = monitor();
         let mut merger = crate::StalenessMerger::default();
         let both = [(0, vec![(1, MB)]), (1, vec![(2, MB)])];
         let only_0 = [(0, vec![(1, MB)])];
         // Point 1 uploads seq 0 and 1, then stays silent past the idle
-        // horizon; the merger (horizon 32) still holds its watermark.
-        for k in 0..5 {
+        // horizon; the merger, never asked to merge, still holds its
+        // watermark.
+        let back_at = 2 + MAX_IDLE_INTERVALS;
+        for k in 0..back_at {
             let readings = if k < 2 { &both[..] } else { &only_0[..] };
             for u in m.uploads(readings, 0, k) {
                 assert!(merger.ingest(u));
             }
         }
-        assert_eq!((m.n_agents(), m.aged_out()), (1, 1));
-        let ups = m.uploads(&both, 0, 5);
-        assert_eq!(m.n_agents(), 2);
+        assert_eq!(m.agents.keys().collect::<Vec<_>>(), [&0]);
+        let ups = m.uploads(&both, 0, back_at);
+        assert_eq!(m.agents.len(), 2);
         let back = ups.iter().find(|u| u.point == 1).expect("point 1 reported");
         assert_eq!(back.seq, 2, "the sequence continues, it does not restart");
         for u in ups {

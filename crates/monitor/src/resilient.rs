@@ -44,10 +44,10 @@ pub struct FsdUpload {
 }
 
 /// Default staleness horizon, in monitor intervals: matches
-/// [`crate::paraleon::DEFAULT_MAX_IDLE_INTERVALS`] so a point survives
+/// `ParaleonMonitor`'s idle horizon so a point survives
 /// channel impairment exactly as long as its fabric-side classifier
 /// state does.
-pub const DEFAULT_STALE_AFTER_INTERVALS: u64 = 32;
+const DEFAULT_STALE_AFTER_INTERVALS: u64 = 32;
 
 /// Staleness-weighted partial aggregator of per-point FSD uploads.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -88,11 +88,6 @@ impl StalenessMerger {
             aged_out: 0,
             restarts: 0,
         }
-    }
-
-    /// The staleness horizon, in intervals.
-    pub fn stale_after(&self) -> u64 {
-        self.stale_after
     }
 
     /// Points currently contributing to the merge.
@@ -169,13 +164,6 @@ impl StalenessMerger {
             }
         }
         network
-    }
-
-    /// How many contributing points are fresh (age 0) at interval `now`
-    /// versus total — a coverage signal for telemetry.
-    pub fn coverage(&self, now: u64) -> (usize, usize) {
-        let fresh = self.latest.values().filter(|up| up.interval == now).count();
-        (fresh, self.latest.len())
     }
 }
 
@@ -288,10 +276,11 @@ mod tests {
     }
 
     #[test]
-    fn coverage_distinguishes_fresh_from_lagging() {
+    fn latest_keeps_fresh_and_lagging_points_apart() {
         let mut m = StalenessMerger::new(8);
         m.ingest(upload(0, 5, 5, 1_000));
         m.ingest(upload(1, 3, 3, 1_000));
-        assert_eq!(m.coverage(5), (1, 2));
+        let intervals: Vec<u64> = m.latest.values().map(|up| up.interval).collect();
+        assert_eq!(intervals, [5, 3], "one fresh at interval 5, one lagging");
     }
 }

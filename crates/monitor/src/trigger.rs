@@ -70,12 +70,6 @@ impl ChangeDetector {
         }
         fired
     }
-
-    /// Most recent KL divergence against the stored distribution without
-    /// updating state (diagnostics).
-    pub fn peek_kl(&self, fsd: &Fsd) -> Option<f64> {
-        self.prev.as_ref().map(|p| fsd.kl_shares(p))
-    }
 }
 
 #[cfg(test)]
@@ -148,16 +142,5 @@ mod tests {
         let mut strict = ChangeDetector::new(0.0);
         strict.observe(&base);
         assert!(strict.observe(&slightly_different));
-    }
-
-    #[test]
-    fn peek_does_not_mutate() {
-        let mut d = ChangeDetector::paper_default();
-        d.observe(&elephants());
-        let k1 = d.peek_kl(&mice()).unwrap();
-        let k2 = d.peek_kl(&mice()).unwrap();
-        assert_eq!(k1, k2);
-        assert!(k1 > 0.01);
-        assert_eq!(d.observations, 1);
     }
 }

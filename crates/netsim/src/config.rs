@@ -50,7 +50,7 @@ impl Default for SimConfig {
 
 impl SimConfig {
     /// Wire size of a full data packet.
-    pub fn mtu_wire(&self) -> u32 {
+    pub(crate) fn mtu_wire(&self) -> u32 {
         self.mtu_payload + HEADER_BYTES
     }
 }

@@ -19,7 +19,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// finalizer per written word. Not DoS-resistant — simulator internals
 /// only hash their own trusted keys.
 #[derive(Default)]
-pub struct IntHasher(u64);
+pub(crate) struct IntHasher(u64);
 
 impl IntHasher {
     #[inline]
@@ -79,7 +79,7 @@ pub fn mix64(n: u64) -> u64 {
 }
 
 /// A `HashMap` with the deterministic integer hasher.
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -72,7 +72,7 @@ pub enum FaultKind {
     /// duplication probability. `up`/`down` select the telemetry-upload
     /// and parameter-dispatch directions; all-zero rates restore a clean
     /// channel. The simulator's data plane ignores this event — it is
-    /// consumed by the closed loop's [`CtrlChannel`](crate::ctrl).
+    /// consumed by the closed loop's [`CtrlChannel`](crate::CtrlChannel).
     CtrlImpair {
         /// Apply to the fabric → controller (upload) direction.
         up: bool,
@@ -288,11 +288,6 @@ impl FaultPlan {
         })
     }
 
-    /// Restore `(node, port)` to nominal rate at `at`.
-    pub fn restore_rate(&mut self, at: Nanos, node: NodeId, port: usize) -> &mut Self {
-        self.degrade(at, node, port, 1.0)
-    }
-
     /// Inject per-packet corruption with probability `drop_prob` on
     /// `(node, port)` from `at` until `until` (when it is cleared).
     pub fn pkt_loss(
@@ -365,11 +360,6 @@ impl FaultPlan {
                 dup,
             },
         })
-    }
-
-    /// Restore a clean control-plane channel in both directions at `at`.
-    pub fn ctrl_restore(&mut self, at: Nanos) -> &mut Self {
-        self.ctrl_impair(at, true, true, 0.0, 0, 0.0)
     }
 
     /// Kill the controller at `at` (`warm`: a snapshot survives).
@@ -648,7 +638,7 @@ mod tests {
         plan.pfc_storm(2, 50, 150);
         plan.ctrl_impair(1_000, true, false, 0.25, 3, 0.125);
         plan.ctrl_crash(2_000, true);
-        plan.ctrl_restore(3_000);
+        plan.ctrl_impair(3_000, true, true, 0.0, 0, 0.0);
         let back = FaultPlan::from_value(&plan.serialize_value()).unwrap();
         assert_eq!(back, plan);
     }

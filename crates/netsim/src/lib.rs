@@ -9,14 +9,14 @@
 //! `threads` only chooses how many worker threads run the events (and
 //! through them how finely the fabric is cut into shards); one shard is
 //! the serial engine, and every count gives byte-identical results
-//! ([`par`]).
+//! (`par`).
 //!
 //! What is modelled, at packet granularity, and the module that owns it:
 //!
 //! * **Topology** — two-tier CLOS (hosts / ToR / leaf), oversubscribed
 //!   three-tier, rail-optimized and mixed-rate fabrics behind one tagged
 //!   [`TopoSpec`], each built from its spec, with per-link bandwidth and
-//!   propagation delay and deterministic per-flow ECMP ([`topology`]).
+//!   propagation delay and deterministic per-flow ECMP ([`Topology`]).
 //! * **Event core** — the calendar queue ([`event`]) under a clock,
 //!   causal tie-break keys, the packet arena and the shard cut (`core`,
 //!   crate-private like every layer below; it knows no networking).
@@ -33,32 +33,32 @@
 //!   loss recovery (`nic`).
 //! * **Faults** — seeded link flaps, rate degradation, corruption loss
 //!   and PFC storms scheduled on the event queue, validated at install
-//!   ([`fault`]).
+//!   ([`FaultPlan`]).
 //! * **Metrics** — per-monitor-interval uplink utilization, normalized
-//!   RTT, PFC pause ratios and drained sketch readings ([`metrics`]),
+//!   RTT, PFC pause ratios and drained sketch readings ([`IntervalMetrics`]),
 //!   exactly the feed PARALEON's Runtime Metric Monitor consumes.
 //!
 //! `sim` holds one shard's state and the single dispatch from a popped
-//! event to its layer; [`par`] runs one or several shards as [`Engine`].
+//! event to its layer; `par` runs one or several shards as [`Engine`].
 //!
 //! Everything is synchronous and seeded: same inputs, same packet trace.
 
 pub(crate) mod barrier;
-pub mod config;
+mod config;
 pub(crate) mod core;
-pub mod ctrl;
+mod ctrl;
 pub(crate) mod error;
 pub mod event;
 pub mod fasthash;
-pub mod fault;
-pub mod metrics;
+mod fault;
+mod metrics;
 pub(crate) mod nic;
 pub(crate) mod packet;
-pub mod par;
+mod par;
 pub(crate) mod port;
 pub(crate) mod sim;
 pub(crate) mod switch;
-pub mod topology;
+mod topology;
 
 pub use config::SimConfig;
 pub use ctrl::{CtrlChannel, CtrlChannelStats, CtrlImpairment};

@@ -5,11 +5,11 @@ use crate::{FlowId, Nanos, NodeId};
 /// Traffic class indices: RoCEv2 data rides the lossless (PFC-protected)
 /// class; ACKs and CNPs ride a strict-priority control class, mirroring
 /// real deployments where CNPs must not be blocked by data congestion.
-pub const CLASS_DATA: usize = 0;
+pub(crate) const CLASS_DATA: usize = 0;
 /// Control traffic class (ACK/CNP).
-pub const CLASS_CTRL: usize = 1;
+pub(crate) const CLASS_CTRL: usize = 1;
 /// Number of traffic classes per port.
-pub const N_CLASSES: usize = 2;
+pub(crate) const N_CLASSES: usize = 2;
 
 /// Per-packet header overhead on the wire (Eth+IP+UDP+BTH ≈ 48 B).
 pub(crate) const HEADER_BYTES: u32 = 48;
@@ -251,7 +251,7 @@ impl PacketPool {
     /// count: Σ per-flow (injected − delivered − dropped) must equal
     /// `in_flight()`. No-op unless the `audit` feature is on.
     #[inline]
-    pub fn audit_check(&self) {
+    pub(crate) fn audit_check(&self) {
         self.audit.check_pool(self.in_flight() as u64);
     }
 }

@@ -211,11 +211,6 @@ impl Engine {
         }
     }
 
-    /// Number of event cores the fabric is cut into (after clamping).
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of threads a `run_until` runs the shards on: 1 for the
     /// serial engine, else the count asked for, clamped to the shards.
     pub fn workers(&self) -> usize {
@@ -587,11 +582,6 @@ impl Engine {
         }
     }
 
-    /// Convenience: run for `dt` more nanoseconds.
-    pub fn run_for(&mut self, dt: Nanos) {
-        self.run_until(self.now + dt);
-    }
-
     /// Snapshot and reset the per-interval metrics and drain the ToR
     /// sketches (the once-per-λ_MI control-plane read-and-reset). Runs
     /// the shards' audit sweeps on the caller's thread and checks that no
@@ -662,13 +652,13 @@ mod tests {
         // call finds the mailbox matrices and the barrier as the previous
         // one left them, on either parity.
         for dt in [200_000, 7_000, 193_500, 198_500, 200_000] {
-            eng.run_for(dt);
+            eng.run_until(eng.now() + dt);
             metrics.push(eng.collect_interval());
             completions.extend(eng.take_completions());
         }
         // Late flows after a collection boundary.
         eng.add_flow(3, 8, 200_000, eng.now() + MICRO);
-        eng.run_for(MILLI);
+        eng.run_until(eng.now() + MILLI);
         metrics.push(eng.collect_interval());
         completions.extend(eng.take_completions());
         (metrics, completions, eng.events_processed())
@@ -703,7 +693,7 @@ mod tests {
         let serial = run(Engine::new(clos(), cfg(), 1));
         for threads in [2, 3, 4] {
             let eng = Engine::new(clos(), cfg(), threads);
-            assert_eq!((eng.n_shards(), eng.workers()), (4, threads));
+            assert_eq!((eng.shards.len(), eng.workers()), (4, threads));
             let par = run(eng);
             assert_eq!(serial.0, par.0, "{threads} threads: interval metrics");
             assert_eq!(serial.1, par.1, "{threads} threads: completions");
@@ -776,14 +766,14 @@ mod tests {
             let mut metrics = Vec::new();
             for on in [true, false, true, true, false, true] {
                 tel::set_enabled(on);
-                eng.run_for(170 * MICRO);
+                eng.run_until(eng.now() + 170 * MICRO);
                 metrics.push(eng.collect_interval());
             }
             tel::set_enabled(false);
             (
                 (metrics, eng.take_completions(), eng.events_processed()),
                 tel::counters_snapshot(),
-                tel::histogram(tel::Hist::QueueBytes).nonzero_buckets(),
+                tel::histogram(tel::Hist::QueueBytes),
                 tel::flight_events(),
                 paraleon_audit::violation_count(),
             )
@@ -811,7 +801,7 @@ mod tests {
             }
             for on in [false, true, false, true] {
                 tel::set_enabled(on);
-                eng.run_for(150 * MICRO);
+                eng.run_until(eng.now() + 150 * MICRO);
                 // One shard runs on this thread and never captures.
                 let capturing = on && eng.cut.is_some();
                 assert!(eng.shards.iter().all(|s| s.core.tel_capture == capturing));
@@ -820,7 +810,7 @@ mod tests {
             tel::set_enabled(false);
             (
                 tel::counters_snapshot(),
-                tel::histogram(tel::Hist::QueueBytes).nonzero_buckets(),
+                tel::histogram(tel::Hist::QueueBytes),
                 tel::flight_events(),
             )
         };
@@ -843,20 +833,24 @@ mod tests {
         for eng in [
             Engine::new(clos(), cfg(), 0),
             Engine::new(clos(), cfg(), 1),
-            Engine::new(Topology::dumbbell(100.0, 1_000), cfg(), 8),
+            Engine::new(
+                Topology::two_tier_clos(1, 2, 1, 100.0, 100.0, 1_000),
+                cfg(),
+                8,
+            ),
         ] {
-            assert_eq!((eng.n_shards(), eng.workers()), (1, 1));
+            assert_eq!((eng.shards.len(), eng.workers()), (1, 1));
             assert_eq!(eng.lookahead(), 0);
             assert!(eng.cut.is_none());
         }
         for (threads, workers) in [(8, 4), (2, 2)] {
             let eng = Engine::new(clos(), cfg(), threads);
-            assert_eq!((eng.n_shards(), eng.workers()), (4, workers), "{threads}");
+            assert_eq!((eng.shards.len(), eng.workers()), (4, workers), "{threads}");
             assert!(eng.lookahead() > 0);
         }
         let paper = Topology::two_tier_clos(8, 16, 4, 100.0, 100.0, 5_000);
         let eng = Engine::new(paper, cfg(), 2);
-        assert_eq!((eng.n_shards(), eng.workers()), (8, 2));
+        assert_eq!((eng.shards.len(), eng.workers()), (8, 2));
     }
 
     /// A shard holds state for the nodes it owns and no others.
@@ -907,7 +901,7 @@ mod tests {
                 })
             });
             assert_eq!(msg, "shard 2 blew up", "spin {spin}");
-            let again = panic_message(|| eng.run_for(MICRO));
+            let again = panic_message(|| eng.run_until(eng.now() + MICRO));
             assert!(again.contains("panicked in an earlier run"), "{again}");
         }
     }
@@ -996,7 +990,7 @@ mod tests {
         let probe = |threads: usize| {
             let mut eng = Engine::new(clos(), cfg(), threads);
             eng.install_fault_plan(&plan).expect("plan");
-            eng.run_for(20 * MICRO);
+            eng.run_until(eng.now() + 20 * MICRO);
             if let Some(cut) = &eng.cut {
                 assert_ne!(cut.shard_of[tor0], cut.shard_of[leaf.peer], "a cut link");
                 assert_ne!(cut.shard_of[last_host], 0);

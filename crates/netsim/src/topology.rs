@@ -127,11 +127,6 @@ impl Topology {
         spec.build()
     }
 
-    /// Two hosts, one switch ("ToR"), for unit tests: host0 -- sw -- host1.
-    pub fn dumbbell(host_gbps: f64, delay: Nanos) -> Self {
-        Self::two_tier_clos(1, 2, 1, host_gbps, host_gbps, delay)
-    }
-
     /// Number of nodes of all kinds.
     pub fn n_nodes(&self) -> usize {
         self.kinds.len()
@@ -154,7 +149,7 @@ impl Topology {
 
     /// Egress port on `node` toward destination host `dst`, using
     /// `flow_hash` to pick among ECMP uplinks. Panics if `node` is `dst`.
-    pub fn next_port(&self, node: NodeId, dst: NodeId, flow_hash: u64) -> usize {
+    pub(crate) fn next_port(&self, node: NodeId, dst: NodeId, flow_hash: u64) -> usize {
         self.next_port_masked(node, dst, flow_hash, |_, _| true)
             .expect("all links up")
     }
@@ -186,7 +181,7 @@ impl Topology {
     /// uplinks, steering flows around the failure; returns `None` when
     /// no live port reaches `dst` (single-path segments — host uplinks,
     /// down-ports on any tier — cannot be routed around).
-    pub fn next_port_masked(
+    pub(crate) fn next_port_masked(
         &self,
         node: NodeId,
         dst: NodeId,
@@ -366,6 +361,11 @@ mod tests {
     use super::*;
     use serde::{Deserialize, Serialize, Value};
 
+    /// Two hosts, one switch ("ToR"): host0 -- sw -- host1.
+    fn dumbbell() -> Topology {
+        Topology::two_tier_clos(1, 2, 1, 100.0, 100.0, 1_000)
+    }
+
     /// Hop count (number of links) of the data path between two hosts,
     /// by walking the route (2 intra-ToR, 4 across a two-tier fabric or
     /// within a pod, 6 across pods).
@@ -527,7 +527,7 @@ mod tests {
         let topos = [
             Topology::two_tier_clos(8, 16, 4, 100.0, 100.0, 5_000),
             Topology::two_tier_clos(2, 2, 1, 100.0, 100.0, 1_000),
-            Topology::dumbbell(100.0, 1_000),
+            dumbbell(),
             three_tier(400.0),
             rail(4, 4, 2, 1_000),
             MixedRateSpec {
@@ -625,7 +625,7 @@ mod tests {
 
     #[test]
     fn dumbbell_is_minimal() {
-        let t = Topology::dumbbell(100.0, 1_000);
+        let t = dumbbell();
         assert_eq!(t.n_hosts(), 2);
         assert_eq!(t.host_tor[0], t.host_tor[1]);
         assert_eq!(hops(&t, 0, 1), 2);
@@ -873,11 +873,7 @@ mod tests {
             ("three_tier", &built[1], 0x9b23_547c_bdcb_9a50),
             ("rail", &built[2], 0xddfc_578f_7bc1_839c),
             ("mixed_rate", &built[3], 0x54a5_3ae0_9c37_4945),
-            (
-                "dumbbell",
-                &Topology::dumbbell(100.0, 1_000),
-                0x2fdd_28dc_7dbb_6b69,
-            ),
+            ("dumbbell", &dumbbell(), 0x2fdd_28dc_7dbb_6b69),
         ];
         for (name, topo, hash) in pinned {
             assert_eq!(port_table_hash(topo), hash, "{name}");

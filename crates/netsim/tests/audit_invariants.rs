@@ -103,7 +103,7 @@ fn run_scenario(sc: &Scenario, audited: bool) -> Vec<IntervalMetrics> {
     // λ_MI-style cadence with a bounded horizon (stalled flows under a
     // permanent fault must not hang the test).
     for _ in 0..40 {
-        sim.run_for(MILLI);
+        sim.run_until(sim.now() + MILLI);
         out.push(sim.collect_interval());
         if sim.active_flows() == 0 && !sim.has_pending_events() {
             break;
@@ -136,7 +136,7 @@ fn paused_host_nics_hold_every_invariant() {
     let (mut pfc_events, mut paused) = (0, 0.0);
     for _ in 0..40 {
         // Collect mid-pause: 100 µs intervals cut through open pauses.
-        sim.run_for(100 * MICRO);
+        sim.run_until(sim.now() + 100 * MICRO);
         let m = sim.collect_interval();
         pfc_events += m.pfc_events;
         paused += m.pfc_pause_ratio;

@@ -121,7 +121,7 @@ fn pause_accounting_is_bounded_by_interval() {
         s.add_flow(src, 0, 8_000_000, 0);
     }
     for _ in 0..20 {
-        s.run_for(500 * MICRO);
+        s.run_until(s.now() + 500 * MICRO);
         let m = s.collect_interval();
         assert!(
             (0.0..=1.0).contains(&m.pfc_pause_ratio),

@@ -289,7 +289,7 @@ fn run_once(
         s.add_flow(src, dst, bytes, start);
     }
     for _ in 0..8 {
-        s.run_for(500 * MICRO);
+        s.run_until(s.now() + 500 * MICRO);
         s.collect_interval();
     }
     s.run_until(5 * SEC);
@@ -317,7 +317,7 @@ fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
     let degrade = (8usize..10, 0usize..4, 1u64..9).prop_map(|(node, port, tenths)| {
         let mut p = FaultPlan::new(0);
         p.degrade(150 * MICRO, node, port, tenths as f64 / 10.0);
-        p.restore_rate(2 * MILLI, node, port);
+        p.degrade(2 * MILLI, node, port, 1.0);
         p
     });
     (

@@ -61,7 +61,7 @@ proptest! {
         }
         let mut delivered = 0u64;
         while sim.active_flows() > 0 && sim.now() < 5 * SEC {
-            sim.run_for(10 * MILLI);
+            sim.run_until(sim.now() + 10 * MILLI);
             delivered += sim.collect_interval().bytes_delivered;
         }
         delivered += sim.collect_interval().bytes_delivered;
@@ -79,7 +79,7 @@ proptest! {
             }
         }
         for _ in 0..10 {
-            sim.run_for(MILLI);
+            sim.run_until(sim.now() + MILLI);
             let m = sim.collect_interval();
             prop_assert!((0.0..=1.0).contains(&m.avg_uplink_utilization));
             prop_assert!((0.0..=1.0).contains(&m.avg_normalized_rtt));

@@ -19,7 +19,7 @@ use serde::Serialize;
 
 /// Number of logarithmic size bins (2^0 .. 2^39 bytes; everything larger
 /// lands in the last bin).
-pub const FSD_BINS: usize = 40;
+pub(crate) const FSD_BINS: usize = 40;
 
 /// Which flow class dominates a distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -182,7 +182,7 @@ impl Fsd {
     /// controller's change detector compares across intervals: it is the
     /// tuner's actual decision variable (dominant flow type and µ) and,
     /// unlike the size histogram, it is stationary for a stable workload.
-    pub fn share_distribution(&self) -> [f64; 2] {
+    pub(crate) fn share_distribution(&self) -> [f64; 2] {
         let m = self.flow_mass();
         if m <= 0.0 {
             [0.5, 0.5]

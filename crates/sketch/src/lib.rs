@@ -25,10 +25,10 @@
 //! The resulting per-switch [FSD](fsd::Fsd) snapshots are aggregated
 //! network-wide by `paraleon-monitor`.
 
-pub mod elastic;
-pub mod fsd;
+mod elastic;
+mod fsd;
 pub mod hash;
-pub mod window;
+mod window;
 
 pub use elastic::{ElasticSketch, SketchConfig};
 pub use fsd::{FlowType, Fsd, FsdBuilder};

@@ -36,7 +36,7 @@ mod reference {
 
     /// The switch-control-plane flow state tracker (Keypoint 2).
     #[derive(Debug, Clone)]
-    pub struct ReferenceClassifier {
+    pub(crate) struct ReferenceClassifier {
         cfg: WindowConfig,
         /// `local_fsd` sums floats in this map's iteration order.
         flows: FlowMap<FlowRecord>,
@@ -44,7 +44,7 @@ mod reference {
 
     impl ReferenceClassifier {
         /// Create a classifier with the given configuration.
-        pub fn new(cfg: WindowConfig) -> Self {
+        pub(crate) fn new(cfg: WindowConfig) -> Self {
             assert!(cfg.delta >= 1 && cfg.tau_bytes > 0);
             Self {
                 cfg,
@@ -55,7 +55,7 @@ mod reference {
         /// Close a monitor interval: feed the per-flow byte counts drained
         /// from the data-plane sketch, update every tracked flow's ternary
         /// state, and expire finished flows.
-        pub fn end_interval<I>(&mut self, interval_bytes: I)
+        pub(crate) fn end_interval<I>(&mut self, interval_bytes: I)
         where
             I: IntoIterator<Item = (FlowId, u64)>,
         {
@@ -111,23 +111,23 @@ mod reference {
         }
 
         /// Current state of `flow`, if tracked.
-        pub fn state(&self, flow: FlowId) -> Option<FlowState> {
+        pub(crate) fn state(&self, flow: FlowId) -> Option<FlowState> {
             self.flows.get(&flow).map(|r| r.state)
         }
 
         /// Aggregated bytes Φ(f), if tracked.
-        pub fn cumulative_bytes(&self, flow: FlowId) -> Option<u64> {
+        pub(crate) fn cumulative_bytes(&self, flow: FlowId) -> Option<u64> {
             self.flows.get(&flow).map(|r| r.cum_bytes)
         }
 
         /// Number of flows currently tracked.
-        pub fn tracked_flows(&self) -> usize {
+        pub(crate) fn tracked_flows(&self) -> usize {
             self.flows.len()
         }
 
         /// Likelihood weight with which a flow counts as elephant:
         /// E → 1, PE → min(1, Φ/τ), M → 0.
-        pub fn elephant_weight(&self, flow: FlowId) -> f64 {
+        pub(crate) fn elephant_weight(&self, flow: FlowId) -> f64 {
             match self.flows.get(&flow) {
                 None => 0.0,
                 Some(r) => match r.state {
@@ -147,7 +147,7 @@ mod reference {
         /// δ-interval window, so the share distribution — which drives the KL
         /// trigger and the dominant-type µ — tracks *current* traffic instead
         /// of lifetime volume.
-        pub fn local_fsd(&self) -> Fsd {
+        pub(crate) fn local_fsd(&self) -> Fsd {
             let mut b = FsdBuilder::new();
             for (_, r) in self.flows.iter() {
                 let w = match r.state {

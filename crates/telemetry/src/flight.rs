@@ -94,7 +94,7 @@ impl Event {
     /// safe-mode, trigger, dispatch) as opposed to a per-packet
     /// data-plane event. Control-plane events live in their own
     /// flight-recorder lane so a data-plane flood cannot evict them.
-    pub fn is_control_plane(&self) -> bool {
+    pub(crate) fn is_control_plane(&self) -> bool {
         matches!(
             self,
             Event::KlTrigger { .. }
@@ -243,7 +243,7 @@ pub struct TimedEvent {
 /// window — and in a multi-tenant fleet, one noisy tenant's control
 /// churn can never evict another tenant's control-plane events.
 #[derive(Debug)]
-pub struct FlightRecorder {
+pub(crate) struct FlightRecorder {
     data: VecDeque<TimedEvent>,
     control: BTreeMap<u32, VecDeque<TimedEvent>>,
     data_capacity: usize,
@@ -255,7 +255,7 @@ impl FlightRecorder {
     /// Ring holding at most `capacity` data-plane events plus, per
     /// tenant, a quarter of that (at least 64) control-plane
     /// transitions.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         FlightRecorder {
             data: VecDeque::with_capacity(capacity),
@@ -268,7 +268,7 @@ impl FlightRecorder {
 
     /// Append an event, evicting the oldest of its lane when full.
     #[inline]
-    pub fn push(&mut self, t_ns: u64, tenant: u32, event: Event) {
+    pub(crate) fn push(&mut self, t_ns: u64, tenant: u32, event: Event) {
         let (lane, cap) = if event.is_control_plane() {
             (
                 self.control.entry(tenant).or_default(),
@@ -294,7 +294,7 @@ impl FlightRecorder {
     /// Within a lane, insertion order is preserved — a backdated
     /// `event_at` stays where it was pushed, exactly as in the
     /// single-tenant two-lane merge.
-    pub fn events(&self) -> impl Iterator<Item = &TimedEvent> {
+    pub(crate) fn events(&self) -> impl Iterator<Item = &TimedEvent> {
         let mut merged: Vec<&TimedEvent> = Vec::with_capacity(self.len());
         // One cursor per lane (control lanes in ascending tenant order,
         // then the data lane); repeatedly emit the head with the
@@ -328,28 +328,17 @@ impl FlightRecorder {
     }
 
     /// Number of retained events across all lanes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len() + self.control.values().map(VecDeque::len).sum::<usize>()
     }
 
-    /// Whether all lanes are empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty() && self.control.values().all(VecDeque::is_empty)
-    }
-
     /// Events evicted so far because a lane was full.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Maximum retained events: the data lane plus one control lane per
-    /// tenant seen so far (at least one).
-    pub fn capacity(&self) -> usize {
-        self.data_capacity + self.control_capacity * self.control.len().max(1)
-    }
-
     /// Discard all retained events and the drop counter.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.data.clear();
         self.control.clear();
         self.dropped = 0;
@@ -357,7 +346,7 @@ impl FlightRecorder {
 
     /// Heap + inline bytes held by this recorder (capacity-based: the
     /// data lane pre-allocates).
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         let control: usize = self.control.values().map(VecDeque::capacity).sum();
         std::mem::size_of::<Self>()
             + (self.data.capacity() + control) * std::mem::size_of::<TimedEvent>()

@@ -11,10 +11,10 @@
 pub const SUB_BUCKETS: usize = 32;
 const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
 /// Total bucket count: exact region + one row per remaining octave.
-pub const NUM_BUCKETS: usize = SUB_BUCKETS + (64 - SUB_BITS as usize) * SUB_BUCKETS;
+pub(crate) const NUM_BUCKETS: usize = SUB_BUCKETS + (64 - SUB_BITS as usize) * SUB_BUCKETS;
 
 /// Fixed-size log-bucketed histogram.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct LogHistogram {
     counts: Box<[u64; NUM_BUCKETS]>,
     count: u64,
@@ -147,16 +147,6 @@ impl LogHistogram {
     /// Heap + inline bytes held by this histogram.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + std::mem::size_of::<[u64; NUM_BUCKETS]>()
-    }
-
-    /// Non-empty buckets as `(floor_value, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_floor(i), c))
-            .collect()
     }
 }
 

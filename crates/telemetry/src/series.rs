@@ -21,19 +21,19 @@ pub struct SeriesPoint {
 
 /// Append-only log of [`SeriesPoint`]s.
 #[derive(Debug, Default)]
-pub struct SeriesStore {
+pub(crate) struct SeriesStore {
     points: Vec<SeriesPoint>,
 }
 
 impl SeriesStore {
     /// Empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SeriesStore::default()
     }
 
     /// Append one sample.
     #[inline]
-    pub fn push(&mut self, metric: &'static str, entity: u32, t_ns: u64, value: f64) {
+    pub(crate) fn push(&mut self, metric: &'static str, entity: u32, t_ns: u64, value: f64) {
         self.points.push(SeriesPoint {
             metric,
             entity,
@@ -43,13 +43,13 @@ impl SeriesStore {
     }
 
     /// All points in append order.
-    pub fn points(&self) -> &[SeriesPoint] {
+    pub(crate) fn points(&self) -> &[SeriesPoint] {
         &self.points
     }
 
     /// Points for one `(metric, entity)` key, in time order (append
     /// order is time order for a monotone clock).
-    pub fn get(&self, metric: &str, entity: u32) -> Vec<SeriesPoint> {
+    pub(crate) fn get(&self, metric: &str, entity: u32) -> Vec<SeriesPoint> {
         self.points
             .iter()
             .filter(|p| p.metric == metric && p.entity == entity)
@@ -57,34 +57,13 @@ impl SeriesStore {
             .collect()
     }
 
-    /// Distinct `(metric, entity)` keys present, in first-seen order.
-    pub fn keys(&self) -> Vec<(&'static str, u32)> {
-        let mut keys: Vec<(&'static str, u32)> = Vec::new();
-        for p in &self.points {
-            if !keys.contains(&(p.metric, p.entity)) {
-                keys.push((p.metric, p.entity));
-            }
-        }
-        keys
-    }
-
-    /// Number of stored points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether no points are stored.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Discard all points.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.points.clear();
     }
 
     /// Heap + inline bytes held by the log.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.points.capacity() * std::mem::size_of::<SeriesPoint>()
     }
 }
@@ -100,14 +79,10 @@ mod tests {
         s.push("rtt_us", 0, 100, 12.0);
         s.push("goodput_gbps", 0, 200, 45.0);
         s.push("queue_frac", 2, 200, 0.3);
-        assert_eq!(s.len(), 4);
+        assert_eq!(s.points().len(), 4);
         let g = s.get("goodput_gbps", 0);
         assert_eq!(g.len(), 2);
         assert_eq!((g[0].t_ns, g[0].value), (100, 40.0));
         assert_eq!((g[1].t_ns, g[1].value), (200, 45.0));
-        assert_eq!(
-            s.keys(),
-            vec![("goodput_gbps", 0), ("rtt_us", 0), ("queue_frac", 2)]
-        );
     }
 }

@@ -27,11 +27,11 @@
 //! * [`static_scheme::StaticScheme`] — fixed settings (NVIDIA default,
 //!   expert Table I, or PARALEON-pretrained snapshots).
 
-pub mod acc;
-pub mod dcqcn_plus;
-pub mod paraleon_scheme;
-pub mod sa;
-pub mod static_scheme;
+mod acc;
+mod dcqcn_plus;
+mod paraleon_scheme;
+mod sa;
+mod static_scheme;
 
 pub use acc::{AccConfig, AccScheme};
 pub use dcqcn_plus::DcqcnPlusScheme;

@@ -76,14 +76,6 @@ impl SaConfig {
             ..Self::paper_default()
         }
     }
-
-    /// Approximate episode length in monitor intervals.
-    pub fn episode_len(&self) -> u32 {
-        let levels = ((self.final_temp / self.initial_temp).ln() / self.cooling_rate.ln())
-            .ceil()
-            .max(1.0) as u32;
-        levels * self.total_iter_num
-    }
 }
 
 /// The interactive SA state machine.
@@ -144,11 +136,6 @@ impl SaTuner {
     /// Best utility observed this episode.
     pub fn best_util(&self) -> f64 {
         self.best_util
-    }
-
-    /// Current temperature (diagnostics).
-    pub fn temperature(&self) -> f64 {
-        self.temp
     }
 
     /// Restart the episode from `from` (a new tuning trigger): resets the
@@ -247,6 +234,18 @@ impl SaTuner {
         }
         p.normalize(&self.space);
         p
+    }
+}
+
+#[cfg(test)]
+impl SaConfig {
+    /// Approximate episode length in monitor intervals: temperature
+    /// levels times iterations per level.
+    pub(crate) fn episode_len(&self) -> u32 {
+        let levels = ((self.final_temp / self.initial_temp).ln() / self.cooling_rate.ln())
+            .ceil()
+            .max(1.0) as u32;
+        levels * self.total_iter_num
     }
 }
 
@@ -406,7 +405,7 @@ mod tests {
         assert!(t.finished());
         t.restart(cand);
         assert!(!t.finished());
-        assert_eq!(t.temperature(), SaConfig::paper_default().initial_temp);
+        assert_eq!(t.temp, SaConfig::paper_default().initial_temp);
         assert!(t.step(0.4, FlowType::Elephant, 0.8).is_some());
     }
 

@@ -10,6 +10,15 @@ use paraleon_tuner::{
     SwitchLocalObs, TuningAction, TuningScheme,
 };
 
+/// Approximate SA episode length in monitor intervals: temperature
+/// levels times iterations per level.
+fn episode_len(sa: &SaConfig) -> u32 {
+    let levels = ((sa.final_temp / sa.initial_temp).ln() / sa.cooling_rate.ln())
+        .ceil()
+        .max(1.0) as u32;
+    levels * sa.total_iter_num
+}
+
 fn obs(utility: f64, mu: f64, elephant: bool, triggered: bool) -> Observation {
     Observation {
         now: 0,
@@ -109,7 +118,7 @@ proptest! {
             seed,
             eval_intervals: 2,
         };
-        let budget = 2 * (cfg.sa.episode_len() + 4) * cfg.eval_intervals;
+        let budget = 2 * (episode_len(&cfg.sa) + 4) * cfg.eval_intervals;
         let mut s = ParaleonScheme::new(cfg);
         // Idle phase: no dispatches without a trigger.
         for u in &utilities {

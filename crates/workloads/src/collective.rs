@@ -275,18 +275,6 @@ impl Collective {
         }
     }
 
-    /// Total bytes the network carries per round (all waves).
-    pub fn bytes_per_round(&self) -> u64 {
-        let (n, m) = (self.n(), self.spec.message_bytes);
-        match self.spec.kind {
-            CollectiveKind::Alltoall => n * (n - 1) * m,
-            CollectiveKind::RingAllreduce => 2 * (n - 1) * n * self.chunk_bytes(),
-            // n−1 tree edges, traversed once up and once down.
-            CollectiveKind::TreeAllreduce => 2 * (n - 1) * m,
-            CollectiveKind::PipelineBurst => (n - 1) * m * u64::from(self.spec.microbatches),
-        }
-    }
-
     /// Per-rank payload bytes per round — the numerator of NCCL-style
     /// algorithm bandwidth (`algbw = payload / round time`).
     fn per_rank_bytes(&self) -> u64 {
@@ -450,6 +438,19 @@ mod tests {
         }
     }
 
+    /// Drive one round to its end, returning the bytes its flows carry.
+    fn round_bytes(c: &mut Collective) -> u64 {
+        let wave_bytes = |flows: &[FlowRequest]| flows.iter().map(|f| f.bytes).sum::<u64>();
+        let mut bytes = wave_bytes(&c.start_round(0).unwrap());
+        loop {
+            match c.on_flow_done(0).unwrap() {
+                Progress::Pending => {}
+                Progress::NextWave(flows) => bytes += wave_bytes(&flows),
+                Progress::RoundDone { .. } => return bytes,
+            }
+        }
+    }
+
     fn pairs(flows: &[FlowRequest]) -> Vec<(HostId, HostId)> {
         flows.iter().map(|f| (f.src, f.dst)).collect()
     }
@@ -469,7 +470,8 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted, pairs(&flows));
-        assert_eq!(w.bytes_per_round(), 12 * (1 << 20));
+        let bytes: u64 = flows.iter().map(|f| f.bytes).sum();
+        assert_eq!(bytes, 12 * (1 << 20));
     }
 
     #[test]
@@ -532,7 +534,8 @@ mod tests {
         assert!(ring.finished());
         assert_eq!(ring.round_durations().len(), 1);
         assert_eq!(ring.chunk_bytes(), 1 << 20);
-        assert_eq!(ring.bytes_per_round(), 6 * 4 * (1 << 20));
+        let mut fresh = machine(CollectiveKind::RingAllreduce, 4, 4 << 20, Some(1));
+        assert_eq!(round_bytes(&mut fresh), 6 * 4 * (1 << 20));
     }
 
     #[test]
@@ -587,8 +590,9 @@ mod tests {
                 vec![(0, 1), (2, 3)],
             ]
         );
-        assert_eq!(tree.bytes_per_round(), 8 * (1 << 20));
         assert!(tree.finished());
+        let mut fresh = machine(CollectiveKind::TreeAllreduce, 5, 1 << 20, Some(1));
+        assert_eq!(round_bytes(&mut fresh), 8 * (1 << 20));
     }
 
     #[test]

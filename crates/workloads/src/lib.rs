@@ -41,7 +41,7 @@ pub use fsize::FlowSizeDist;
 pub use poisson::{PoissonConfig, PoissonWorkload};
 
 /// Host identifier within a workload (maps to a simulator node).
-pub type HostId = usize;
+pub(crate) type HostId = usize;
 
 /// Nanoseconds since simulation start (matches the simulator clock).
 pub type Nanos = u64;

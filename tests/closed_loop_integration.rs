@@ -185,7 +185,7 @@ fn deterministic_end_to_end_replay() {
             cl.step();
         }
         (
-            cl.cell.last_params.to_vector(),
+            cl.cell.last_params,
             cl.completions.len(),
             cl.cell.history.iter().map(|r| r.cnps).sum::<u64>(),
         )
