@@ -37,8 +37,10 @@ const INTERVALS: u64 = 5;
 /// bounded, so the tail is the part both runs are guaranteed to retain).
 const FLIGHT_TAIL: usize = 256;
 
-/// Mutation horizon of the generated points (ns).
-const HORIZON: Nanos = 30 * MILLI;
+/// Mutation horizon of the generated points (ns): the run's own length,
+/// as the search passes it, so flow starts and fault times land inside
+/// the intervals the differential compares.
+const HORIZON: Nanos = INTERVALS * MILLI;
 
 /// Deterministically generate a point the way the search would: seed it,
 /// then walk `steps` mutations cycling through the oracle palettes.
@@ -50,6 +52,27 @@ fn generated_point(seed: u64, steps: usize, kind_idx: usize) -> HuntPoint {
         p = mutate(&p, kind, HORIZON, &mut rng);
     }
     p
+}
+
+/// The generated points act inside the compared intervals: every fault
+/// and most flow starts land before the run ends.
+#[test]
+fn generated_points_act_inside_the_run() {
+    let end = INTERVALS * MILLI;
+    let (mut inside, mut flows) = (0usize, 0usize);
+    for seed in 0..64u64 {
+        let p = generated_point(seed, (seed % 8) as usize, (seed % 5) as usize);
+        assert!(p.faults.events().iter().all(|e| e.at < end), "seed {seed}");
+        let starts = p.expand_flows().into_iter().map(|f| f.3);
+        for start in starts {
+            flows += 1;
+            inside += usize::from(start < end);
+        }
+    }
+    assert!(
+        4 * inside >= 3 * flows,
+        "{inside} of {flows} flows start in the run"
+    );
 }
 
 /// Everything one engine run leaves behind that the parallel engine

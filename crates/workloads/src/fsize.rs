@@ -6,15 +6,52 @@
 //! preserves the heavy-tail structure that matters for DCQCN tuning (the
 //! mice-count vs. elephant-bytes split).
 
-use rand::Rng;
-use serde::Serialize;
+use std::sync::OnceLock;
 
-/// A flow-size distribution: control points of `(size_bytes, cdf)`.
-#[derive(Debug, Clone, Serialize)]
+use rand::Rng;
+
+/// Midpoints of the sum that [`FlowSizeDist::mean_bytes`] stores.
+const MEAN_STEPS: usize = 10_000;
+
+/// FB_Hadoop's control points (see [`FlowSizeDist::fb_hadoop`]).
+const FB_HADOOP: [(f64, f64); 7] = [
+    (100.0, 0.0),
+    (1_000.0, 0.30),
+    (10_000.0, 0.50),
+    (100_000.0, 0.70),
+    (1_000_000.0, 0.90),
+    (10_000_000.0, 0.97),
+    (100_000_000.0, 1.0),
+];
+
+/// SolarRPC's control points (see [`FlowSizeDist::solar_rpc`]).
+const SOLAR_RPC: [(f64, f64); 5] = [
+    (512.0, 0.0),
+    (4_096.0, 0.35),
+    (16_384.0, 0.70),
+    (65_536.0, 0.95),
+    (131_072.0, 1.0),
+];
+
+/// One control point of the CDF, with its size's logarithm stored so
+/// that neither [`FlowSizeDist::quantile`] nor [`FlowSizeDist::cdf`]
+/// takes the logarithm of a control point per call.
+#[derive(Debug, Clone, Copy)]
+struct CdfPoint {
+    size: f64,
+    ln_size: f64,
+    cdf: f64,
+}
+
+/// A flow-size distribution: control points of `(size_bytes, cdf)` and
+/// the mean they imply, both fixed at construction.
+#[derive(Debug, Clone)]
 pub struct FlowSizeDist {
     name: String,
-    /// Monotonic `(size, cdf)` points, first cdf 0.0, last cdf 1.0.
-    points: Vec<(f64, f64)>,
+    /// Monotonic points, first cdf 0.0, last cdf 1.0.
+    points: Vec<CdfPoint>,
+    /// Mean flow size in bytes (see [`FlowSizeDist::mean_bytes`]).
+    mean_bytes: f64,
 }
 
 impl FlowSizeDist {
@@ -30,43 +67,50 @@ impl FlowSizeDist {
             assert!(w[0].1 <= w[1].1, "CDF must be non-decreasing");
         }
         assert!(points[0].0 > 0.0, "sizes must be positive for log interp");
-        Self {
+        Self::build(name, points)
+    }
+
+    /// Store the points with their logarithms, then the mean, which reads
+    /// them.
+    fn build(name: &str, points: &[(f64, f64)]) -> Self {
+        let mut dist = Self {
             name: name.to_string(),
-            points: points.to_vec(),
-        }
+            points: points
+                .iter()
+                .map(|&(size, cdf)| CdfPoint {
+                    size,
+                    ln_size: size.ln(),
+                    cdf,
+                })
+                .collect(),
+            mean_bytes: 0.0,
+        };
+        // The midpoint rule over the quantile function. Every term is an
+        // integer, so for any curve whose sum stays below 2^53 (the named
+        // ones stay below 10^12) each partial sum is exact.
+        let sum: f64 = (0..MEAN_STEPS)
+            .map(|k| dist.quantile((k as f64 + 0.5) / MEAN_STEPS as f64) as f64)
+            .sum();
+        dist.mean_bytes = sum / MEAN_STEPS as f64;
+        dist
     }
 
     /// The FB_Hadoop distribution (Roy et al., SIGCOMM 2015, Hadoop
     /// cluster): ~70% of flows under 100 KB, but flows ≥ 1 MB carry the
-    /// bulk of the bytes. Approximates the published CDF plot.
+    /// bulk of the bytes. Approximates the published CDF plot. Built once
+    /// per process; each call clones it.
     pub fn fb_hadoop() -> Self {
-        Self::from_points(
-            "FB_Hadoop",
-            &[
-                (100.0, 0.0),
-                (1_000.0, 0.30),
-                (10_000.0, 0.50),
-                (100_000.0, 0.70),
-                (1_000_000.0, 0.90),
-                (10_000_000.0, 0.97),
-                (100_000_000.0, 1.0),
-            ],
-        )
+        static DIST: OnceLock<FlowSizeDist> = OnceLock::new();
+        DIST.get_or_init(|| Self::from_points("FB_Hadoop", &FB_HADOOP))
+            .clone()
     }
 
     /// The SolarRPC distribution (Miao et al., SIGCOMM 2022): storage RPCs,
-    /// all mice below 128 KB.
+    /// all mice below 128 KB. Built once per process; each call clones it.
     pub fn solar_rpc() -> Self {
-        Self::from_points(
-            "SolarRPC",
-            &[
-                (512.0, 0.0),
-                (4_096.0, 0.35),
-                (16_384.0, 0.70),
-                (65_536.0, 0.95),
-                (131_072.0, 1.0),
-            ],
-        )
+        static DIST: OnceLock<FlowSizeDist> = OnceLock::new();
+        DIST.get_or_init(|| Self::from_points("SolarRPC", &SOLAR_RPC))
+            .clone()
     }
 
     /// A degenerate single-size distribution (useful in tests and for
@@ -78,10 +122,7 @@ impl FlowSizeDist {
         let b = bytes.max(1) as f64;
         // Built directly: `from_points` (rightly) rejects non-increasing
         // sizes, but a zero-width step is exactly what "fixed" means.
-        Self {
-            name: "fixed".to_string(),
-            points: vec![(b, 0.0), (b, 1.0)],
-        }
+        Self::build("fixed", &[(b, 0.0), (b, 1.0)])
     }
 
     /// Distribution name.
@@ -100,33 +141,31 @@ impl FlowSizeDist {
         let u = u.clamp(0.0, 1.0);
         let pts = &self.points;
         let mut i = 1;
-        while i < pts.len() - 1 && pts[i].1 < u {
+        while i < pts.len() - 1 && pts[i].cdf < u {
             i += 1;
         }
-        let (s0, c0) = pts[i - 1];
-        let (s1, c1) = pts[i];
-        if s0 == s1 {
+        let (p0, p1) = (pts[i - 1], pts[i]);
+        if p0.size == p1.size {
             // Degenerate (vertical) segment, e.g. `fixed`: the size is
             // exact by construction; skip the ln/exp round trip, which
             // can be off by one ULP and round to the wrong integer.
-            return (s0 as u64).max(1);
+            return (p0.size as u64).max(1);
         }
-        let frac = if c1 > c0 { (u - c0) / (c1 - c0) } else { 1.0 };
+        let frac = if p1.cdf > p0.cdf {
+            (u - p0.cdf) / (p1.cdf - p0.cdf)
+        } else {
+            1.0
+        };
         let frac = frac.clamp(0.0, 1.0);
-        let ls = s0.ln() + frac * (s1.ln() - s0.ln());
+        let ls = p0.ln_size + frac * (p1.ln_size - p0.ln_size);
         ls.exp().round().max(1.0) as u64
     }
 
-    /// Mean flow size in bytes (numerical integral of the quantile
-    /// function; used to convert target load to Poisson arrival rate).
-    pub(crate) fn mean_bytes(&self) -> f64 {
-        const STEPS: usize = 10_000;
-        let mut acc = 0.0;
-        for k in 0..STEPS {
-            let u = (k as f64 + 0.5) / STEPS as f64;
-            acc += self.quantile(u) as f64;
-        }
-        acc / STEPS as f64
+    /// Mean flow size in bytes: the 10 000-midpoint integral of the
+    /// quantile function, taken once at construction (it converts a
+    /// target load to a Poisson arrival rate).
+    pub fn mean_bytes(&self) -> f64 {
+        self.mean_bytes
     }
 
     /// Fraction of *flows* at or below `bytes` (the CDF itself).
@@ -134,20 +173,19 @@ impl FlowSizeDist {
         let pts = &self.points;
         // Upper bound first so a vertical step (`fixed`) reports
         // `P(X <= bytes) = 1` at the step itself.
-        if bytes >= pts[pts.len() - 1].0 {
+        if bytes >= pts[pts.len() - 1].size {
             return 1.0;
         }
-        if bytes <= pts[0].0 {
+        if bytes <= pts[0].size {
             return 0.0;
         }
         let mut i = 1;
-        while pts[i].0 < bytes {
+        while pts[i].size < bytes {
             i += 1;
         }
-        let (s0, c0) = pts[i - 1];
-        let (s1, c1) = pts[i];
-        let frac = (bytes.ln() - s0.ln()) / (s1.ln() - s0.ln());
-        c0 + frac * (c1 - c0)
+        let (p0, p1) = (pts[i - 1], pts[i]);
+        let frac = (bytes.ln() - p0.ln_size) / (p1.ln_size - p0.ln_size);
+        p0.cdf + frac * (p1.cdf - p0.cdf)
     }
 }
 
@@ -231,6 +269,37 @@ mod tests {
     fn fixed_mean_is_exact() {
         let d = FlowSizeDist::fixed(12 << 20);
         assert!((d.mean_bytes() - (12u64 << 20) as f64).abs() < 1e-6);
+    }
+
+    /// The stored means, bit for bit, as the 10 000-midpoint integral
+    /// gave them when every call recomputed it.
+    #[test]
+    fn mean_bytes_is_pinned() {
+        for (d, bits) in [
+            (FlowSizeDist::fb_hadoop(), 0x4137_649e_ea92_a305_u64),
+            (FlowSizeDist::solar_rpc(), 0x40d0_e43d_4e3b_cd36),
+            (FlowSizeDist::fixed(4096), 0x40b0_0000_0000_0000),
+        ] {
+            assert_eq!(d.mean_bytes().to_bits(), bits, "{}", d.name());
+        }
+    }
+
+    /// The process-wide constants are exactly what `from_points` builds
+    /// from the same points: no drift between a curve and its constant.
+    #[test]
+    fn named_curves_equal_their_points() {
+        for (d, name, points) in [
+            (FlowSizeDist::fb_hadoop(), "FB_Hadoop", &FB_HADOOP[..]),
+            (FlowSizeDist::solar_rpc(), "SolarRPC", &SOLAR_RPC[..]),
+        ] {
+            let built = FlowSizeDist::from_points(name, points);
+            assert_eq!(d.name(), built.name());
+            assert_eq!(d.mean_bytes().to_bits(), built.mean_bytes().to_bits());
+            let (mut r1, mut r2) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+            for _ in 0..1_000 {
+                assert_eq!(d.sample(&mut r1), built.sample(&mut r2), "{name}");
+            }
+        }
     }
 
     #[test]

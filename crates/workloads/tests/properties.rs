@@ -76,7 +76,94 @@ fn cdf_points() -> impl Strategy<Value = Vec<(f64, f64)>> {
     })
 }
 
+/// The per-call formulas `FlowSizeDist` used before it stored its
+/// control points' logarithms and its mean at construction: the
+/// reference the stored tables must reproduce bit for bit.
+mod reference {
+    /// The size at CDF value `u`, taking the logarithms on every call.
+    pub(crate) fn quantile(pts: &[(f64, f64)], u: f64) -> u64 {
+        let u = u.clamp(0.0, 1.0);
+        let mut i = 1;
+        while i < pts.len() - 1 && pts[i].1 < u {
+            i += 1;
+        }
+        let (s0, c0) = pts[i - 1];
+        let (s1, c1) = pts[i];
+        if s0 == s1 {
+            return (s0 as u64).max(1);
+        }
+        let frac = if c1 > c0 { (u - c0) / (c1 - c0) } else { 1.0 };
+        let frac = frac.clamp(0.0, 1.0);
+        let ls = s0.ln() + frac * (s1.ln() - s0.ln());
+        ls.exp().round().max(1.0) as u64
+    }
+
+    /// The 10 000-midpoint integral of [`quantile`], recomputed per call.
+    pub(crate) fn mean_bytes(pts: &[(f64, f64)]) -> f64 {
+        const STEPS: usize = 10_000;
+        let mut acc = 0.0;
+        for k in 0..STEPS {
+            let u = (k as f64 + 0.5) / STEPS as f64;
+            acc += quantile(pts, u) as f64;
+        }
+        acc / STEPS as f64
+    }
+
+    /// The CDF at `bytes`, taking the logarithms on every call.
+    pub(crate) fn cdf(pts: &[(f64, f64)], bytes: f64) -> f64 {
+        if bytes >= pts[pts.len() - 1].0 {
+            return 1.0;
+        }
+        if bytes <= pts[0].0 {
+            return 0.0;
+        }
+        let mut i = 1;
+        while pts[i].0 < bytes {
+            i += 1;
+        }
+        let (s0, c0) = pts[i - 1];
+        let (s1, c1) = pts[i];
+        let frac = (bytes.ln() - s0.ln()) / (s1.ln() - s0.ln());
+        c0 + frac * (c1 - c0)
+    }
+}
+
 proptest! {
+    /// The stored tables reproduce the per-call reference bit for bit,
+    /// for any valid CDF and for `fixed`: quantiles at both ends, on a
+    /// grid and at random points; the CDF at, between and off the
+    /// control points; and the mean.
+    #[test]
+    fn stored_tables_match_the_per_call_reference(
+        points in cdf_points(),
+        us in prop::collection::vec(0.0f64..=1.0, 64),
+        fixed in 1u64..1 << 40,
+    ) {
+        let step = [(fixed as f64, 0.0), (fixed as f64, 1.0)];
+        let dists = [
+            (FlowSizeDist::from_points("prop", &points), &points[..]),
+            (FlowSizeDist::fixed(fixed), &step[..]),
+        ];
+        for (d, pts) in dists {
+            let grid = (0..=1_000).map(|k| k as f64 / 1_000.0);
+            for u in [0.0, 1.0].into_iter().chain(grid).chain(us.iter().copied()) {
+                prop_assert_eq!(d.quantile(u), reference::quantile(pts, u), "u = {}", u);
+            }
+            let between = pts.windows(2).map(|w| (w[0].0 * w[1].0).sqrt());
+            let drawn = us.iter().map(|&u| reference::quantile(pts, u) as f64);
+            let off = [0.5 * pts[0].0, 2.0 * pts[pts.len() - 1].0];
+            let sizes = pts.iter().map(|p| p.0).chain(between).chain(drawn).chain(off);
+            for bytes in sizes {
+                prop_assert_eq!(
+                    d.cdf(bytes).to_bits(),
+                    reference::cdf(pts, bytes).to_bits(),
+                    "bytes = {}", bytes
+                );
+            }
+            prop_assert_eq!(d.mean_bytes().to_bits(), reference::mean_bytes(pts).to_bits());
+        }
+    }
+
     /// For any valid CDF, the quantile function is monotone and lands
     /// inside the support.
     #[test]
