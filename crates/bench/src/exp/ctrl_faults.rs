@@ -110,12 +110,12 @@ fn run_scenario(ctx: &Ctx, label: &'static str, faulted: bool, naive: bool) -> C
     let settled = cl.ctrl_settle(SETTLE_INTERVALS);
     // The divergence verdict is taken at quiescence, before fresh load
     // can trigger new tuning episodes: this is the protocol's end state.
-    let diverged = cl.ctrl_diverged();
+    let diverged = cl.cell.ctrl_diverged(&cl.sim);
     let measure_from = cl.cell.history.len();
     offer(&mut cl, MEASURE_INTERVALS);
     let phase = &cl.cell.history[measure_from..];
     let recovery_goodput = phase.iter().map(|r| r.goodput).sum::<f64>() / phase.len().max(1) as f64;
-    let stats = cl.ctrl().stats();
+    let stats = cl.cell.ctrl().stats();
     let dump = ctx.telemetry_dump(label);
     // The naive loop crashes too but has no resync to log.
     let expected: &[&str] = match (faulted, naive) {

@@ -23,7 +23,7 @@
 //! as a smoke job.
 
 use paraleon::prelude::*;
-use paraleon_hunt::oracle::{goodput_collapse, pfc_storm};
+use paraleon_hunt::{goodput_collapse, pfc_storm};
 use paraleon_tuner::{Observation, TuningAction, TuningFeedback, TuningScheme};
 use serde::Serialize;
 
@@ -167,7 +167,7 @@ struct LoopOutcome {
     tail_goodput: f64,
     recovery_ratio: f64,
     /// Peak sliding-window mean PFC pause ratio (the shared
-    /// `hunt::oracle::pfc_storm` measure over the loop's history).
+    /// `paraleon_hunt::pfc_storm` measure over the loop's history).
     peak_pause_window: f64,
     bad_dispatch_interval: Option<u64>,
     first_rollback_interval: Option<u64>,
@@ -219,7 +219,7 @@ fn run_scenario(ctx: &Ctx, guarded: bool) -> LoopOutcome {
         .iter()
         .position(|r| r.rolled_back)
         .map(|i| i as u64 + 1);
-    let guard_stats = cl.guard().map(|g| g.stats()).unwrap_or_default();
+    let guard_stats = cl.cell.guard().map(|g| g.stats()).unwrap_or_default();
     LoopOutcome {
         guarded,
         pre_fault_goodput: collapse.baseline,
@@ -265,7 +265,7 @@ fn run_safe_mode(ctx: &Ctx) -> SafeModeOutcome {
         "safe_mode_exit",
     ];
     drive(ctx, &mut cl, load(ctx.scale).1 + 20, "safemode", &events);
-    let guard = cl.guard().expect("guarded").stats();
+    let guard = cl.cell.guard().expect("guarded").stats();
     SafeModeOutcome {
         rejects: guard.rejects,
         rollbacks: guard.rollbacks,

@@ -17,8 +17,7 @@
 //! left as it is.
 
 use paraleon_hunt::corpus::{self, HuntCase};
-use paraleon_hunt::search::{self, Finding, SearchConfig};
-use paraleon_hunt::{evaluate, MinimizeStats, OracleKind};
+use paraleon_hunt::{evaluate, Finding, MinimizeStats, OracleKind, SearchConfig};
 use serde::Serialize;
 
 use crate::Ctx;
@@ -57,7 +56,7 @@ pub(crate) fn hunt(ctx: &Ctx) {
         targets: vec![OracleKind::CtrlDivergence],
         ..cfg.clone()
     };
-    let [fabric, ctrl] = [&cfg, &ctrl_lane].map(|lane| search::hunt(lane).findings);
+    let [fabric, ctrl] = [&cfg, &ctrl_lane].map(|lane| paraleon_hunt::hunt(lane).findings);
     let classes = fabric.len();
     ctx.gate(
         classes >= 2,

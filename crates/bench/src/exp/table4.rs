@@ -79,7 +79,7 @@ fn control_plane_memory(flows: &[FlowRequest]) -> usize {
         .collect();
     let mut classifier = SlidingWindowClassifier::new(WindowConfig::default());
     classifier.end_interval(batch.iter().copied());
-    let mut monitor = ParaleonMonitor::new(WindowConfig::default());
+    let mut monitor = ParaleonMonitor::default();
     monitor.on_interval(&[(0, batch)], 0);
     monitor.control_plane_memory_bytes() + classifier.memory_bytes()
 }

@@ -23,7 +23,7 @@ use paraleon_netsim::{Engine, FaultPlan, FlowRecord, SimConfig, SimError, Topolo
 use paraleon_sketch::{SlidingWindowClassifier, WindowConfig};
 use paraleon_tuner::TuningScheme;
 
-use crate::ctrl_plane::{CtrlPlane, CtrlPlaneConfig};
+use crate::ctrl_plane::CtrlPlaneConfig;
 use crate::guardrail::{Guardrail, GuardrailConfig};
 use crate::schemes::{MonitorKind, SchemeKind};
 use crate::tuner_cell::{IntervalRecord, LoopConfig, TunerCell};
@@ -48,39 +48,12 @@ impl ClosedLoop {
         ClosedLoopBuilder::new(topo)
     }
 
-    /// The scheme's display name.
-    pub fn scheme_name(&self) -> &'static str {
-        self.cell.scheme_name()
-    }
-
-    /// The monitor's display name.
-    pub fn monitor_name(&self) -> &'static str {
-        self.cell.monitor_name()
-    }
-
-    /// The guardrail, when armed.
-    pub fn guard(&self) -> Option<&Guardrail> {
-        self.cell.guard()
-    }
-
-    /// The control plane (channel lanes, protocol state, counters).
-    pub fn ctrl(&self) -> &CtrlPlane {
-        self.cell.ctrl()
-    }
-
     /// Install a fault plan: data-plane events go to the simulator,
     /// control-plane events are consumed by the controller cell at their
     /// scheduled times (the simulator ignores them).
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
         self.cell.install_ctrl_events(plan);
         self.sim.install_fault_plan(plan)
-    }
-
-    /// Whether the fabric's applied global parameters differ from what
-    /// the controller believes it deployed — the end-state the control
-    /// plane must drive back to `false` after any fault.
-    pub fn ctrl_diverged(&self) -> bool {
-        self.cell.ctrl_diverged(&self.sim)
     }
 
     /// Run the fabric for one monitor interval and execute one
@@ -455,7 +428,7 @@ mod tests {
             .seed(5)
             .build();
         drive(&mut cl, 24);
-        let stats = cl.ctrl().stats();
+        let stats = cl.cell.ctrl().stats();
         assert_eq!(stats.up.lost + stats.down.lost, 0);
         assert_eq!(stats.retries, 0);
         assert!(
@@ -463,7 +436,7 @@ mod tests {
             "the check is vacuous unless something was dispatched"
         );
         assert!(cl.ctrl_settle(300), "loop failed to quiesce");
-        assert!(!cl.ctrl_diverged());
+        assert!(!cl.cell.ctrl_diverged(&cl.sim));
     }
 
     #[test]
@@ -483,13 +456,16 @@ mod tests {
             .build();
         cl.install_fault_plan(&plan).unwrap();
         drive(&mut cl, 48);
-        let stats = cl.ctrl().stats();
+        let stats = cl.cell.ctrl().stats();
         assert!(
             stats.up.lost + stats.down.lost > 0,
             "the impairment must actually bite"
         );
         assert!(cl.ctrl_settle(300), "loop failed to quiesce");
-        assert!(!cl.ctrl_diverged(), "retries must re-converge the fabric");
+        assert!(
+            !cl.cell.ctrl_diverged(&cl.sim),
+            "retries must re-converge the fabric"
+        );
     }
 
     #[test]
@@ -514,7 +490,7 @@ mod tests {
                 .build();
             cl.install_fault_plan(&plan).unwrap();
             drive(&mut cl, 48);
-            cl.ctrl_settle(300) && cl.ctrl_diverged()
+            cl.ctrl_settle(300) && cl.cell.ctrl_diverged(&cl.sim)
         });
         assert!(
             diverged,
@@ -537,13 +513,16 @@ mod tests {
             .build();
         cl.install_fault_plan(&plan).unwrap();
         drive(&mut cl, 40);
-        let stats = cl.ctrl().stats();
+        let stats = cl.cell.ctrl().stats();
         assert_eq!(stats.crashes, 1);
         assert_eq!(stats.resyncs, 1);
         assert!(cl.ctrl_settle(300), "loop failed to quiesce");
-        assert!(!cl.ctrl_diverged(), "resync must re-converge the fabric");
         assert!(
-            !cl.guard().unwrap().in_safe_mode(),
+            !cl.cell.ctrl_diverged(&cl.sim),
+            "resync must re-converge the fabric"
+        );
+        assert!(
+            !cl.cell.guard().unwrap().in_safe_mode(),
             "a warm restart resumes; it does not fall back to safe mode"
         );
     }
@@ -563,14 +542,17 @@ mod tests {
             .build();
         cl.install_fault_plan(&plan).unwrap();
         drive(&mut cl, 24);
-        let stats = cl.ctrl().stats();
+        let stats = cl.cell.ctrl().stats();
         assert_eq!(stats.crashes, 1);
         assert!(
-            cl.guard().unwrap().in_safe_mode(),
+            cl.cell.guard().unwrap().in_safe_mode(),
             "a cold restart cannot vouch for the dead tuner: safe mode"
         );
         assert_eq!(cl.cell.last_params, crate::guardrail::SAFE_PARAMS);
-        assert!(!cl.ctrl_diverged(), "the fabric runs the safe fallback too");
+        assert!(
+            !cl.cell.ctrl_diverged(&cl.sim),
+            "the fabric runs the safe fallback too"
+        );
     }
 
     #[test]
@@ -586,13 +568,13 @@ mod tests {
             .build();
         cl.install_fault_plan(&plan).unwrap();
         drive(&mut cl, 24);
-        assert_eq!(cl.ctrl().stats().crashes, 1);
+        assert_eq!(cl.cell.ctrl().stats().crashes, 1);
         assert!(
             cl.cell.history[3].dispatched,
             "the rewound static scheme re-dispatches in the crash interval"
         );
         assert!(cl.ctrl_settle(300), "loop failed to quiesce");
-        assert!(!cl.ctrl_diverged());
+        assert!(!cl.cell.ctrl_diverged(&cl.sim));
     }
 
     #[test]

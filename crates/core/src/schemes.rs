@@ -3,11 +3,11 @@
 
 use paraleon_dcqcn::DcqcnParams;
 use paraleon_monitor::{
-    FsdMonitor, NaiveSketchMonitor, Nanos as MonNanos, NetFlowConfig, NetFlowMonitor,
-    ParaleonMonitor, SketchReadings,
+    FsdMonitor, NaiveSketchMonitor, Nanos as MonNanos, NetFlowMonitor, ParaleonMonitor,
+    SketchReadings,
 };
 use paraleon_netsim::SimConfig;
-use paraleon_sketch::{Fsd, WindowConfig};
+use paraleon_sketch::Fsd;
 use paraleon_tuner::{
     AccConfig, AccScheme, DcqcnPlusScheme, ParaleonScheme, ParaleonSchemeConfig, SaConfig,
     StaticScheme, TuningScheme,
@@ -75,29 +75,23 @@ impl SchemeKind {
             SchemeKind::Static(p, label) => Box::new(StaticScheme::new(*p, label)),
             SchemeKind::DcqcnPlus => Box::new(DcqcnPlusScheme::new()),
             SchemeKind::Acc => Box::new(AccScheme::new(
-                AccConfig {
-                    seed,
-                    ..AccConfig::default()
-                },
+                AccConfig { seed },
                 DcqcnParams::nvidia_default(),
             )),
             SchemeKind::Paraleon => Box::new(ParaleonScheme::new(ParaleonSchemeConfig {
                 sa: SaConfig::paper_default(),
-                initial: DcqcnParams::nvidia_default(),
                 seed,
                 eval_intervals: 1,
             })),
             SchemeKind::ParaleonSa(sa, eval_intervals) => {
                 Box::new(ParaleonScheme::new(ParaleonSchemeConfig {
                     sa: sa.clone(),
-                    initial: DcqcnParams::nvidia_default(),
                     seed,
                     eval_intervals: *eval_intervals,
                 }))
             }
             SchemeKind::ParaleonNaiveSa => Box::new(ParaleonScheme::new(ParaleonSchemeConfig {
                 sa: SaConfig::naive(),
-                initial: DcqcnParams::nvidia_default(),
                 seed,
                 eval_intervals: 1,
             })),
@@ -143,9 +137,9 @@ impl MonitorKind {
     /// Build the controller-side FSD monitor.
     pub fn build(&self) -> Box<dyn FsdMonitor> {
         match self {
-            MonitorKind::Paraleon => Box::new(ParaleonMonitor::new(WindowConfig::default())),
-            MonitorKind::NaiveSketch => Box::new(NaiveSketchMonitor::new(1 << 20)),
-            MonitorKind::NetFlow => Box::new(NetFlowMonitor::new(NetFlowConfig::default())),
+            MonitorKind::Paraleon => Box::new(ParaleonMonitor::default()),
+            MonitorKind::NaiveSketch => Box::new(NaiveSketchMonitor::default()),
+            MonitorKind::NetFlow => Box::new(NetFlowMonitor::default()),
             MonitorKind::NoFsd => Box::new(NoFsdMonitor),
         }
     }

@@ -241,10 +241,12 @@ proptest! {
     /// checkpoint written through it can be read back without drift.
     #[test]
     fn merger_state_survives_serialization(ops in ctrl_ops()) {
-        let mut m = StalenessMerger::new(8);
+        let mut m = StalenessMerger::default();
         let mut now = 0u64;
         for op in &ops {
-            now += 1;
+            // Two intervals per op: 24 ops span past the merger's
+            // 32-interval staleness horizon, so points can age out.
+            now += 2;
             match op {
                 CtrlOp::Ingest { point, seq, age } => {
                     m.ingest(upload(*point, *seq, now.saturating_sub(*age)));

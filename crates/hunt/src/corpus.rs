@@ -4,7 +4,7 @@
 //! integration test) re-runs each case and demands two things:
 //!
 //! 1. the recorded oracle still *fires* — the pathology reproduces;
-//! 2. the fresh [`OracleReport`](crate::oracle::OracleReport)
+//! 2. the fresh [`OracleReport`](crate::OracleReport)
 //!    re-serializes **byte-identically** to the committed one — the
 //!    simulator's behavior on this scenario has not drifted at all, down
 //!    to every goodput digit. `exp corpus --check` holds the whole case

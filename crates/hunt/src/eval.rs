@@ -1,6 +1,6 @@
 //! Candidate evaluation: run a [`HuntPoint`] and its fault-free twin
 //! through the packet simulator and distill the per-interval signals the
-//! [`crate::oracle`] suite judges.
+//! oracle suite ([`crate::OracleKind`]) judges.
 //!
 //! Determinism contract: `evaluate` is a pure function of
 //! `(EvalConfig, OracleConfig, HuntPoint)` — same inputs, same
@@ -253,9 +253,8 @@ fn ctrl_probe(cfg: &EvalConfig, point: &HuntPoint) -> Result<Option<CtrlMeasure>
                 break;
             }
         }
-        let settled = cl.ctrl_settle(PROBE_SETTLE);
-        let converged = settled && !cl.ctrl_diverged();
-        let stats = cl.ctrl().stats();
+        let converged = cl.ctrl_settle(PROBE_SETTLE) && !cl.cell.ctrl_diverged(&cl.sim);
+        let stats = cl.cell.ctrl().stats();
         let sent = stats.up.sent + stats.down.sent;
         let lost = stats.up.lost + stats.down.lost;
         Ok((

@@ -198,7 +198,7 @@ pub(crate) fn port_valid(spec: &ClosSpec, node: NodeId, port: usize) -> Option<P
 /// count) — the minimizer simply treats that shrink as a failed trial.
 /// Only two-tier points remap: the minimizer's family pass collapses
 /// other families to [`TopoSpec::TwoTier`] first.
-pub fn remap_point(point: &HuntPoint, new: ClosSpec) -> Option<HuntPoint> {
+pub(crate) fn remap_point(point: &HuntPoint, new: ClosSpec) -> Option<HuntPoint> {
     let mut new = new;
     // A zero-delay fabric has no propagation lookahead, which would force
     // the sharded parallel engine to degenerate to lockstep; clamping to

@@ -5,7 +5,7 @@
 //! fault events (rightmost-first, so later passes see stable indices),
 //! halve repetition counts and flow sizes, reset each DCQCN parameter to
 //! its NVIDIA default, shrink the fabric itself (re-addressing every
-//! endpoint through [`crate::genome::remap_point`]) — repeated until a
+//! endpoint through `remap_point`) — repeated until a
 //! full sweep accepts nothing. Running to fixpoint makes the minimizer
 //! *idempotent*: minimizing an already-minimal point performs one sweep
 //! of rejected trials and returns it unchanged, a property the test

@@ -146,7 +146,7 @@ pub enum OracleKind {
     /// quiescence while the hardened epoch/retry/snapshot protocol
     /// converged. Opt-in: not part of [`ALL_ORACLES`] — default hunts
     /// and pre-existing corpus cases never judge it — target it through
-    /// [`SearchConfig::targets`](crate::search::SearchConfig::targets).
+    /// [`SearchConfig::targets`](crate::SearchConfig::targets).
     CtrlDivergence,
 }
 

@@ -4,9 +4,7 @@
 //! byte-identical even when something polluted the registry in between.
 
 use paraleon_dcqcn::DcqcnParams;
-use paraleon_hunt::eval::{evaluate, EvalConfig};
-use paraleon_hunt::genome::{FlowSpec, HuntPoint};
-use paraleon_hunt::oracle::OracleConfig;
+use paraleon_hunt::{evaluate, EvalConfig, FlowSpec, HuntPoint, OracleConfig};
 use paraleon_netsim::{ClosSpec, FaultPlan, TopoSpec, MILLI};
 
 fn stormy_point() -> HuntPoint {

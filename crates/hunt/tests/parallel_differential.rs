@@ -24,9 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use paraleon::{ClosedLoop, IntervalRecord, LoopConfig, MonitorKind, SchemeKind};
-use paraleon_hunt::genome::HuntPoint;
-use paraleon_hunt::mutate::{mutate, seed_point};
-use paraleon_hunt::oracle::ALL_ORACLES;
+use paraleon_hunt::{mutate, seed_point, HuntPoint, ALL_ORACLES};
 use paraleon_netsim::{Engine, FlowRecord, IntervalMetrics, Nanos, SimConfig, MILLI};
 use paraleon_telemetry as tel;
 
@@ -187,7 +185,7 @@ fn run_loop(point: &HuntPoint, threads: usize) -> LoopFingerprint {
     }
     let flight = tel::flight_events();
     let tail_start = flight.len().saturating_sub(FLIGHT_TAIL);
-    let stats = cl.ctrl().stats();
+    let stats = cl.cell.ctrl().stats();
     LoopFingerprint {
         history: cl.cell.history.clone(),
         completions: cl.completions.clone(),

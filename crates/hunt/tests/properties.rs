@@ -7,10 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use paraleon_hunt::genome::HuntPoint;
-use paraleon_hunt::minimize::minimize_with;
-use paraleon_hunt::mutate::{mutate, seed_point};
-use paraleon_hunt::oracle::ALL_ORACLES;
+use paraleon_hunt::{minimize_with, mutate, seed_point, HuntPoint, ALL_ORACLES};
 use paraleon_netsim::{Nanos, MILLI};
 
 /// Mutation horizon of the generated points (ns).

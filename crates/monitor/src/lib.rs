@@ -32,7 +32,7 @@ mod trigger;
 mod utility;
 
 pub use naive::NaiveSketchMonitor;
-pub use netflow::{NetFlowConfig, NetFlowMonitor};
+pub use netflow::NetFlowMonitor;
 pub use overhead::TransferLedger;
 pub use paraleon::ParaleonMonitor;
 pub use resilient::{FsdUpload, StalenessMerger};
@@ -40,6 +40,13 @@ pub use trigger::ChangeDetector;
 pub use utility::{MetricSample, UtilityWeights};
 
 use paraleon_sketch::{FlowId, Fsd};
+
+/// Monitor intervals a measurement point may stay silent before
+/// [`ParaleonMonitor`] discards its classifier state and
+/// [`StalenessMerger`] drops its last upload from the merge: one horizon,
+/// so a point survives channel impairment exactly as long as its
+/// fabric-side state does.
+const STALE_AFTER_INTERVALS: u64 = 32;
 
 /// Nanoseconds (matches the simulator clock).
 pub type Nanos = u64;

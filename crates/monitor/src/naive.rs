@@ -1,30 +1,19 @@
 //! Baseline: naive Elastic Sketch monitoring.
 //!
 //! Classifies each flow from a *single* monitor interval: elephant iff it
-//! moved ≥ τ bytes within that interval, mice otherwise — no history, no
-//! potential-elephant state. At millisecond intervals this misidentifies
-//! congested or late-arriving elephants (the failure mode Figures 10–11
-//! quantify).
+//! moved ≥ τ ([`TAU_BYTES`]) bytes within that interval, mice otherwise —
+//! no history, no potential-elephant state. At millisecond intervals this
+//! misidentifies congested or late-arriving elephants (the failure mode
+//! Figures 10–11 quantify).
 
-use paraleon_sketch::{Fsd, FsdBuilder};
+use paraleon_sketch::{Fsd, FsdBuilder, TAU_BYTES};
 
 use crate::{FsdMonitor, Nanos, SketchReadings};
 
 /// Per-interval binary elephant/mice classification.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct NaiveSketchMonitor {
-    tau_bytes: u64,
     uploaded: u64,
-}
-
-impl NaiveSketchMonitor {
-    /// Create with elephant threshold τ (bytes per interval).
-    pub fn new(tau_bytes: u64) -> Self {
-        Self {
-            tau_bytes: tau_bytes.max(1),
-            uploaded: 0,
-        }
-    }
 }
 
 impl FsdMonitor for NaiveSketchMonitor {
@@ -33,7 +22,7 @@ impl FsdMonitor for NaiveSketchMonitor {
         for (_, entries) in readings {
             let mut b = FsdBuilder::new();
             for &(_, bytes) in entries {
-                let w = if bytes >= self.tau_bytes { 1.0 } else { 0.0 };
+                let w = if bytes >= TAU_BYTES { 1.0 } else { 0.0 };
                 b.add_flow(bytes, w);
             }
             let local = b.build();
@@ -60,7 +49,7 @@ mod tests {
 
     #[test]
     fn per_interval_threshold_only() {
-        let mut m = NaiveSketchMonitor::new(MB);
+        let mut m = NaiveSketchMonitor::default();
         let fsd = m
             .on_interval(&[(0, vec![(1, 2 * MB), (2, 100_000)])], 0)
             .unwrap();
@@ -72,7 +61,7 @@ mod tests {
     fn misidentifies_throttled_elephant() {
         // The exact failure the paper motivates: an elephant moving less
         // than τ per interval is classified as mice — every interval.
-        let mut m = NaiveSketchMonitor::new(MB);
+        let mut m = NaiveSketchMonitor::default();
         for _ in 0..10 {
             let fsd = m.on_interval(&[(0, vec![(9, 300_000)])], 0).unwrap();
             assert_eq!(
@@ -85,7 +74,7 @@ mod tests {
 
     #[test]
     fn no_state_across_intervals() {
-        let mut m = NaiveSketchMonitor::new(MB);
+        let mut m = NaiveSketchMonitor::default();
         m.on_interval(&[(0, vec![(9, 2 * MB)])], 0);
         // Next interval the same flow trickles: immediately mice again.
         let fsd = m.on_interval(&[(0, vec![(9, 1_000)])], 1).unwrap();

@@ -13,41 +13,22 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
-use paraleon_sketch::{FlowId, Fsd, FsdBuilder};
+use paraleon_sketch::{FlowId, Fsd, FsdBuilder, TAU_BYTES};
 
 use crate::{FsdMonitor, Nanos, SketchReadings};
 
-/// NetFlow configuration.
-#[derive(Debug, Clone)]
-pub struct NetFlowConfig {
-    /// Sample one packet in `sampling_rate` (paper: 100).
-    pub sampling_rate: u32,
-    /// Export period in nanoseconds (paper: 1 s).
-    pub export_period: Nanos,
-    /// Assumed packet size for converting bytes to packets.
-    pub pkt_bytes: u32,
-    /// Elephant threshold τ applied to scaled per-export byte counts.
-    pub tau_bytes: u64,
-    /// Sampling RNG seed.
-    pub seed: u64,
-}
-
-impl Default for NetFlowConfig {
-    fn default() -> Self {
-        Self {
-            sampling_rate: 100,
-            export_period: 1_000_000_000,
-            pkt_bytes: 1000,
-            tau_bytes: 1 << 20,
-            seed: 77,
-        }
-    }
-}
+/// Sample one packet in `SAMPLING_RATE` (paper: 1:100).
+const SAMPLING_RATE: u64 = 100;
+/// Export period (paper: 1 s).
+const EXPORT_PERIOD: Nanos = 1_000_000_000;
+/// Assumed packet size for converting bytes to packets.
+const PKT_BYTES: u64 = 1000;
+/// Sampling RNG seed.
+const SEED: u64 = 77;
 
 /// The NetFlow baseline monitor.
 #[derive(Debug)]
 pub struct NetFlowMonitor {
-    cfg: NetFlowConfig,
     rng: StdRng,
     /// Sampled (already scaled-up) byte counts accumulating toward the
     /// next export.
@@ -57,20 +38,19 @@ pub struct NetFlowMonitor {
     uploaded: u64,
 }
 
-impl NetFlowMonitor {
-    /// Create a monitor with the given configuration.
-    pub fn new(cfg: NetFlowConfig) -> Self {
-        let rng = StdRng::seed_from_u64(cfg.seed);
+impl Default for NetFlowMonitor {
+    fn default() -> Self {
         Self {
-            cfg,
-            rng,
+            rng: StdRng::seed_from_u64(SEED),
             pending: HashMap::new(),
             window_start: None,
             last_export: None,
             uploaded: 0,
         }
     }
+}
 
+impl NetFlowMonitor {
     /// Sample `n` Bernoulli(p) trials. Exact for small `n`, normal
     /// approximation for large `n` (keeps per-interval cost bounded).
     fn sample_binomial(rng: &mut StdRng, n: u64, p: f64) -> u64 {
@@ -97,26 +77,21 @@ impl NetFlowMonitor {
 impl FsdMonitor for NetFlowMonitor {
     fn on_interval(&mut self, readings: &SketchReadings, now: Nanos) -> Option<Fsd> {
         let start = *self.window_start.get_or_insert(now);
-        let p = 1.0 / self.cfg.sampling_rate as f64;
+        let p = 1.0 / SAMPLING_RATE as f64;
         for (_, entries) in readings {
             for &(flow, bytes) in entries {
-                let pkts = bytes.div_ceil(self.cfg.pkt_bytes as u64);
+                let pkts = bytes.div_ceil(PKT_BYTES);
                 let sampled = Self::sample_binomial(&mut self.rng, pkts, p);
                 if sampled > 0 {
                     // Scale the sampled packets back up.
-                    let est = sampled * self.cfg.sampling_rate as u64 * self.cfg.pkt_bytes as u64;
-                    *self.pending.entry(flow).or_insert(0) += est;
+                    *self.pending.entry(flow).or_insert(0) += sampled * SAMPLING_RATE * PKT_BYTES;
                 }
             }
         }
-        if now.saturating_sub(start) >= self.cfg.export_period {
+        if now.saturating_sub(start) >= EXPORT_PERIOD {
             let mut b = FsdBuilder::new();
             for (_, &bytes) in self.pending.iter() {
-                let w = if bytes >= self.cfg.tau_bytes {
-                    1.0
-                } else {
-                    0.0
-                };
+                let w = if bytes >= TAU_BYTES { 1.0 } else { 0.0 };
                 b.add_flow(bytes, w);
             }
             let fsd = b.build();
@@ -143,18 +118,13 @@ mod tests {
 
     const MB: u64 = 1 << 20;
     const MS: Nanos = 1_000_000;
-
-    fn monitor(period_ms: u64) -> NetFlowMonitor {
-        NetFlowMonitor::new(NetFlowConfig {
-            export_period: period_ms * MS,
-            ..NetFlowConfig::default()
-        })
-    }
+    /// Monitor intervals in one export period.
+    const PERIOD_MS: u64 = EXPORT_PERIOD / MS;
 
     #[test]
     fn nothing_exported_before_period_elapses() {
-        let mut m = monitor(1000);
-        for i in 0..100u64 {
+        let mut m = NetFlowMonitor::default();
+        for i in 0..PERIOD_MS {
             let out = m.on_interval(&[(0, vec![(1, 10 * MB)])], i * MS);
             assert!(out.is_none(), "no export before 1 s");
         }
@@ -162,35 +132,41 @@ mod tests {
 
     #[test]
     fn exports_after_period_and_reuses_until_next() {
-        let mut m = monitor(10);
-        for i in 0..=10u64 {
+        let mut m = NetFlowMonitor::default();
+        for i in 0..=PERIOD_MS {
             m.on_interval(&[(0, vec![(1, 10 * MB)])], i * MS);
         }
-        let first = m.on_interval(&[(0, vec![(1, 10 * MB)])], 11 * MS);
+        let first = m.on_interval(&[(0, vec![(1, 10 * MB)])], (PERIOD_MS + 1) * MS);
         assert!(first.is_some() || m.last_export.is_some());
         // Subsequent intervals return the stale export (staleness is the
         // point of this baseline).
-        let stale = m.on_interval(&[(0, vec![])], 12 * MS).unwrap();
+        let stale = m.on_interval(&[(0, vec![])], (PERIOD_MS + 2) * MS).unwrap();
         assert!(!stale.is_empty());
     }
 
     #[test]
     fn big_elephants_survive_sampling_mice_mostly_vanish() {
-        let mut m = monitor(10);
-        // One 50 MB elephant and 200 single-packet mice per interval.
-        for i in 0..=11u64 {
+        let mut m = NetFlowMonitor::default();
+        // One 5 MB-per-interval elephant and 200 fresh single-packet mice
+        // per interval, over one export period and a bit.
+        for i in 0..=PERIOD_MS + 1 {
             let mut entries = vec![(1u64, 5 * MB)];
             for k in 0..200u64 {
-                entries.push((1000 + k, 1000));
+                entries.push((1000 + 200 * i + k, 1000));
             }
             m.on_interval(&[(0, entries)], i * MS);
         }
         let fsd = m.last_export.clone().expect("exported");
-        // The elephant (50 MB total ≈ 52k packets, ~520 samples) is
-        // detected; 1:100 sampling misses most one-packet mice, so flow
-        // mass is far below the ~2400 true flows.
+        // The elephant is detected; 1:100 sampling misses ~99% of the
+        // one-packet mice, so flow mass is far below the ~200 000 true
+        // flows of the export.
+        let true_flows = 200.0 * (PERIOD_MS + 1) as f64;
         assert!(fsd.elephant_share() > 0.5);
-        assert!(fsd.flow_mass() < 500.0, "mass {}", fsd.flow_mass());
+        assert!(
+            fsd.flow_mass() < 0.02 * true_flows,
+            "mass {}",
+            fsd.flow_mass()
+        );
     }
 
     #[test]

@@ -10,13 +10,7 @@ use std::collections::HashMap;
 
 use paraleon_sketch::{Fsd, SlidingWindowClassifier, WindowConfig};
 
-use crate::{FsdMonitor, FsdUpload, Nanos, PointId, SketchReadings};
-
-/// Monitor intervals a measurement point may stay silent before its
-/// classifier state is discarded. A dead switch's stale window must not
-/// linger: it holds control-plane memory and would resume with
-/// out-of-date flow history after a long outage.
-const MAX_IDLE_INTERVALS: u64 = 32;
+use crate::{FsdMonitor, FsdUpload, Nanos, PointId, SketchReadings, STALE_AFTER_INTERVALS};
 
 /// One measurement point's switch-control-plane agent.
 #[derive(Debug)]
@@ -26,10 +20,10 @@ struct Agent {
     last_seen: u64,
 }
 
-/// PARALEON's layered FSD monitor (Keypoint 2 on top of Keypoint 1).
-#[derive(Debug)]
+/// PARALEON's layered FSD monitor (Keypoint 2 on top of Keypoint 1),
+/// classifying with `WindowConfig::default()` (τ = 1 MB, δ = 3).
+#[derive(Debug, Default)]
 pub struct ParaleonMonitor {
-    cfg: WindowConfig,
     /// One agent per measurement point (lazy-created).
     agents: HashMap<PointId, Agent>,
     /// Next upload sequence number per point (control-plane mode). Not
@@ -43,17 +37,6 @@ pub struct ParaleonMonitor {
 }
 
 impl ParaleonMonitor {
-    /// Create with the given ternary-state configuration (τ, δ).
-    pub fn new(cfg: WindowConfig) -> Self {
-        Self {
-            cfg,
-            agents: HashMap::new(),
-            seqs: HashMap::new(),
-            interval: 0,
-            uploaded: 0,
-        }
-    }
-
     /// Total control-plane memory across switch agents (Table IV).
     pub fn control_plane_memory_bytes(&self) -> usize {
         self.agents
@@ -73,7 +56,7 @@ impl ParaleonMonitor {
         // is skipped entirely rather than averaged in as zeros.
         for (point, entries) in readings {
             let agent = self.agents.entry(*point).or_insert_with(|| Agent {
-                classifier: SlidingWindowClassifier::new(self.cfg),
+                classifier: SlidingWindowClassifier::new(WindowConfig::default()),
                 last_seen: 0,
             });
             agent.last_seen = self.interval;
@@ -83,9 +66,10 @@ impl ParaleonMonitor {
             self.uploaded += local.wire_size_bytes() as u64;
             locals.push((*point, local));
         }
-        // Age out points that stopped reporting: their window history is
-        // stale and must not survive a prolonged outage.
-        let horizon = self.interval.saturating_sub(MAX_IDLE_INTERVALS);
+        // Age out points that stopped reporting: a dead switch's stale
+        // window holds control-plane memory and would resume with
+        // out-of-date flow history after a long outage.
+        let horizon = self.interval.saturating_sub(STALE_AFTER_INTERVALS);
         self.agents.retain(|_, agent| agent.last_seen > horizon);
         locals
     }
@@ -136,13 +120,9 @@ mod tests {
 
     const MB: u64 = 1 << 20;
 
-    fn monitor() -> ParaleonMonitor {
-        ParaleonMonitor::new(WindowConfig::default())
-    }
-
     #[test]
     fn classifies_across_intervals_like_the_window() {
-        let mut m = monitor();
+        let mut m = ParaleonMonitor::default();
         // A flow trickling 0.2 MB per interval through switch 0: mice for
         // two intervals, PE from the third, elephant once Φ ≥ 1 MB.
         let step = 200 * 1024;
@@ -162,7 +142,7 @@ mod tests {
 
     #[test]
     fn merges_multiple_switches() {
-        let mut m = monitor();
+        let mut m = ParaleonMonitor::default();
         let fsd = m
             .on_interval(
                 &[(0, vec![(1, 5 * MB)]), (1, vec![(2, 2_000), (3, 3_000)])],
@@ -175,7 +155,7 @@ mod tests {
 
     #[test]
     fn upload_accounting_grows_per_switch_per_interval() {
-        let mut m = monitor();
+        let mut m = ParaleonMonitor::default();
         m.on_interval(&[(0, vec![(1, 100)]), (1, vec![(2, 100)])], 0);
         let per_switch = Fsd::empty().wire_size_bytes() as u64;
         assert_eq!(m.uploaded_bytes(), 2 * per_switch);
@@ -187,7 +167,7 @@ mod tests {
     fn congested_elephant_stays_elephant() {
         // The headline fix over naive ES: an elephant throttled below τ
         // per interval keeps its state thanks to history.
-        let mut m = monitor();
+        let mut m = ParaleonMonitor::default();
         m.on_interval(&[(0, vec![(9, 2 * MB)])], 0);
         for _ in 0..4 {
             let fsd = m.on_interval(&[(0, vec![(9, 10_000)])], 0).unwrap();
@@ -200,7 +180,7 @@ mod tests {
 
     #[test]
     fn missing_upload_does_not_poison_the_merge() {
-        let mut m = monitor();
+        let mut m = ParaleonMonitor::default();
         // Two switches each see an elephant.
         m.on_interval(&[(0, vec![(1, 5 * MB)]), (1, vec![(2, 5 * MB)])], 0);
         // Switch 1 dies: only switch 0 uploads. The network FSD must be
@@ -213,13 +193,13 @@ mod tests {
 
     #[test]
     fn silent_points_age_out_after_the_idle_horizon() {
-        let mut m = monitor();
+        let mut m = ParaleonMonitor::default();
         m.on_interval(&[(0, vec![(1, MB)]), (1, vec![(2, MB)])], 0);
         assert_eq!(m.agents.len(), 2);
         // Switch 1 goes silent; its classifier survives
-        // MAX_IDLE_INTERVALS - 1 silent intervals and is discarded on the
+        // STALE_AFTER_INTERVALS - 1 silent intervals and is discarded on the
         // next one.
-        for _ in 1..MAX_IDLE_INTERVALS {
+        for _ in 1..STALE_AFTER_INTERVALS {
             m.on_interval(&[(0, vec![(1, MB)])], 0);
             assert_eq!(m.agents.len(), 2, "within tolerance: state retained");
         }
@@ -235,14 +215,14 @@ mod tests {
 
     #[test]
     fn aged_out_point_resumes_with_a_later_seq() {
-        let mut m = monitor();
+        let mut m = ParaleonMonitor::default();
         let mut merger = crate::StalenessMerger::default();
         let both = [(0, vec![(1, MB)]), (1, vec![(2, MB)])];
         let only_0 = [(0, vec![(1, MB)])];
         // Point 1 uploads seq 0 and 1, then stays silent past the idle
         // horizon; the merger, never asked to merge, still holds its
         // watermark.
-        let back_at = 2 + MAX_IDLE_INTERVALS;
+        let back_at = 2 + STALE_AFTER_INTERVALS;
         for k in 0..back_at {
             let readings = if k < 2 { &both[..] } else { &only_0[..] };
             for u in m.uploads(readings, 0, k) {
@@ -266,8 +246,8 @@ mod tests {
         // (central merge), one through `uploads` + a StalenessMerger
         // (control-plane path, clean channel): the network FSDs must be
         // byte-identical every interval.
-        let mut central = monitor();
-        let mut layered = monitor();
+        let mut central = ParaleonMonitor::default();
+        let mut layered = ParaleonMonitor::default();
         let mut merger = crate::StalenessMerger::default();
         for k in 0..6u64 {
             let readings = [(0, vec![(7, 300 * 1024)]), (1, vec![(8, 2 * MB)])];
@@ -286,7 +266,7 @@ mod tests {
 
     #[test]
     fn control_plane_memory_tracks_flows() {
-        let mut m = monitor();
+        let mut m = ParaleonMonitor::default();
         m.on_interval(&[(0, (0..10u64).map(|f| (f, 1000u64)).collect())], 0);
         assert!(m.control_plane_memory_bytes() > 0);
     }

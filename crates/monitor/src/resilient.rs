@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use paraleon_sketch::Fsd;
 use serde::Serialize;
 
-use crate::PointId;
+use crate::{PointId, STALE_AFTER_INTERVALS};
 
 /// One measurement point's per-interval upload: its local FSD, stamped
 /// with the λ_MI index it was measured in and a per-point sequence
@@ -43,16 +43,11 @@ pub struct FsdUpload {
     pub fsd: Fsd,
 }
 
-/// Default staleness horizon, in monitor intervals: matches
-/// `ParaleonMonitor`'s idle horizon so a point survives
-/// channel impairment exactly as long as its fabric-side classifier
-/// state does.
-const DEFAULT_STALE_AFTER_INTERVALS: u64 = 32;
-
-/// Staleness-weighted partial aggregator of per-point FSD uploads.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Staleness-weighted partial aggregator of per-point FSD uploads. A
+/// point drops out once its newest upload is as old as the horizon
+/// `ParaleonMonitor` ages its silent points out by.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct StalenessMerger {
-    stale_after: u64,
     /// Newest accepted upload per point, keyed for deterministic
     /// ascending-point merge order.
     latest: BTreeMap<PointId, FsdUpload>,
@@ -70,26 +65,7 @@ pub struct StalenessMerger {
     pub restarts: u64,
 }
 
-impl Default for StalenessMerger {
-    fn default() -> Self {
-        Self::new(DEFAULT_STALE_AFTER_INTERVALS)
-    }
-}
-
 impl StalenessMerger {
-    /// Merger dropping points whose newest upload is `stale_after` or
-    /// more intervals old.
-    pub fn new(stale_after: u64) -> Self {
-        Self {
-            stale_after: stale_after.max(1),
-            latest: BTreeMap::new(),
-            accepted: 0,
-            rejected: 0,
-            aged_out: 0,
-            restarts: 0,
-        }
-    }
-
     /// Points currently contributing to the merge.
     pub fn n_points(&self) -> usize {
         self.latest.len()
@@ -134,11 +110,11 @@ impl StalenessMerger {
 
     /// Staleness weight for a reading `age` intervals old: 1 when
     /// fresh, linearly decaying to 0 at the horizon.
-    fn weight(&self, age: u64) -> f64 {
-        if age >= self.stale_after {
+    fn weight(age: u64) -> f64 {
+        if age >= STALE_AFTER_INTERVALS {
             return 0.0;
         }
-        (self.stale_after - age) as f64 / self.stale_after as f64
+        (STALE_AFTER_INTERVALS - age) as f64 / STALE_AFTER_INTERVALS as f64
     }
 
     /// The network-wide FSD as of interval `now`: prune points past the
@@ -146,15 +122,14 @@ impl StalenessMerger {
     /// order, each scaled by its staleness weight. Fresh uploads (age 0)
     /// contribute bit-identically to an unweighted merge.
     pub fn network_fsd(&mut self, now: u64) -> Fsd {
-        let horizon = self.stale_after;
         let before = self.latest.len();
         self.latest
-            .retain(|_, up| now.saturating_sub(up.interval) < horizon);
+            .retain(|_, up| now.saturating_sub(up.interval) < STALE_AFTER_INTERVALS);
         self.aged_out += (before - self.latest.len()) as u64;
         let mut network = Fsd::empty();
         for up in self.latest.values() {
             let age = now.saturating_sub(up.interval);
-            let w = self.weight(age);
+            let w = Self::weight(age);
             if age == 0 {
                 // `scaled(1.0)` clones, but merging the original keeps
                 // the clean-channel fast path allocation-free.
@@ -190,7 +165,7 @@ mod tests {
 
     #[test]
     fn fresh_merge_matches_unweighted_merge() {
-        let mut m = StalenessMerger::new(8);
+        let mut m = StalenessMerger::default();
         m.ingest(upload(0, 0, 5, 10_000));
         m.ingest(upload(1, 0, 5, 5_000_000));
         let got = m.network_fsd(5);
@@ -202,7 +177,7 @@ mod tests {
 
     #[test]
     fn duplicates_and_reorders_are_idempotent() {
-        let mut m = StalenessMerger::new(8);
+        let mut m = StalenessMerger::default();
         assert!(m.ingest(upload(0, 3, 3, 1_000)));
         assert!(!m.ingest(upload(0, 3, 3, 1_000)), "duplicate rejected");
         assert!(!m.ingest(upload(0, 1, 1, 9_999)), "stale reorder rejected");
@@ -217,17 +192,22 @@ mod tests {
 
     #[test]
     fn stale_points_decay_then_age_out() {
-        let mut m = StalenessMerger::new(4);
+        let mut m = StalenessMerger::default();
         m.ingest(upload(0, 0, 0, 1_000));
         let fresh_mass = m.network_fsd(0).flow_mass();
         assert!((fresh_mass - 1.0).abs() < 1e-12);
-        let aged_mass = m.network_fsd(2).flow_mass();
+        let aged_mass = m.network_fsd(16).flow_mass();
         assert!(
             (aged_mass - 0.5).abs() < 1e-12,
-            "age 2 of 4 → weight 0.5, got {aged_mass}"
+            "age 16 of 32 → weight 0.5, got {aged_mass}"
+        );
+        let last_mass = m.network_fsd(31).flow_mass();
+        assert!(
+            (last_mass - 1.0 / 32.0).abs() < 1e-12,
+            "age 31 of 32 → weight 1/32, got {last_mass}"
         );
         assert_eq!(m.n_points(), 1);
-        let gone = m.network_fsd(4);
+        let gone = m.network_fsd(32);
         assert_eq!(gone.flow_mass(), 0.0);
         assert_eq!(m.n_points(), 0, "past horizon: point dropped");
         assert_eq!(m.aged_out, 1);
@@ -238,7 +218,7 @@ mod tests {
         // Regression: a tenant crash + cold restore renumbers the
         // sender's upload seq from 0. The pre-crash monotone watermark
         // (seq 100) must not permanently reject the fresh stream.
-        let mut m = StalenessMerger::new(8);
+        let mut m = StalenessMerger::default();
         assert!(m.ingest(upload(0, 100, 40, 1_000)));
         // Crash at interval 40; the restored sender resumes at interval
         // 41 with seq 0, 1, 2, ...
@@ -265,7 +245,7 @@ mod tests {
 
     #[test]
     fn same_interval_duplicates_still_rejected_across_restart() {
-        let mut m = StalenessMerger::new(8);
+        let mut m = StalenessMerger::default();
         assert!(m.ingest(upload(0, 0, 10, 1_000)));
         assert!(
             !m.ingest(upload(0, 0, 10, 1_000)),
@@ -277,7 +257,7 @@ mod tests {
 
     #[test]
     fn latest_keeps_fresh_and_lagging_points_apart() {
-        let mut m = StalenessMerger::new(8);
+        let mut m = StalenessMerger::default();
         m.ingest(upload(0, 5, 5, 1_000));
         m.ingest(upload(1, 3, 3, 1_000));
         let intervals: Vec<u64> = m.latest.values().map(|up| up.interval).collect();

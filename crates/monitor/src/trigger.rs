@@ -4,7 +4,8 @@
 //! PARALEON computes `KL(R_t ‖ R_{t−1})` at sub-second cadence; when it
 //! exceeds the operator threshold θ (paper default 0.01), the network-
 //! wide traffic pattern has changed significantly and a tuning episode
-//! starts (§III-A).
+//! starts (§III-A). Here `R` is the `[mice, elephant]` flow-mass share
+//! of the FSD, not its byte shares or size histogram.
 
 use paraleon_sketch::Fsd;
 
@@ -34,20 +35,16 @@ impl ChangeDetector {
         }
     }
 
-    /// The paper's default θ = 0.01.
-    pub fn paper_default() -> Self {
-        Self::new(0.01)
-    }
-
     /// Observe the latest network-wide FSD; returns `true` when tuning
     /// should be (re)triggered. The first observation never triggers
     /// (there is no previous distribution to compare against).
     ///
-    /// The divergence is computed over the elephant/mice byte-share
-    /// distribution (`Fsd::kl_shares`): that is the tuner's decision
-    /// variable, and unlike the raw size histogram it is stationary for a
-    /// stable workload (long-lived flows crossing log-size bins would
-    /// otherwise read as spurious change).
+    /// The divergence is computed over the `[mice, elephant]` flow-mass
+    /// share distribution (`Fsd::kl_shares`): flow composition is the
+    /// tuner's decision variable (`Fsd::dominant` counts flows), and
+    /// unlike the raw size histogram it is stationary for a stable
+    /// workload (long-lived flows crossing log-size bins would otherwise
+    /// read as spurious change). Byte shares alone never fire it.
     pub fn observe(&mut self, fsd: &Fsd) -> bool {
         self.observations += 1;
         let fired = match &self.prev {
@@ -97,14 +94,14 @@ mod tests {
 
     #[test]
     fn first_observation_never_triggers() {
-        let mut d = ChangeDetector::paper_default();
+        let mut d = ChangeDetector::new(0.01);
         assert!(!d.observe(&elephants()));
         assert_eq!(d.triggers, 0);
     }
 
     #[test]
     fn stable_traffic_does_not_trigger() {
-        let mut d = ChangeDetector::paper_default();
+        let mut d = ChangeDetector::new(0.01);
         d.observe(&elephants());
         for _ in 0..10 {
             assert!(!d.observe(&elephants()));
@@ -113,12 +110,31 @@ mod tests {
 
     #[test]
     fn workload_shift_triggers() {
-        let mut d = ChangeDetector::paper_default();
+        let mut d = ChangeDetector::new(0.01);
         d.observe(&elephants());
         assert!(d.observe(&mice()), "elephant→mice shift must trigger");
         assert_eq!(d.triggers, 1);
         // And shifting back triggers again.
         assert!(d.observe(&elephants()));
+    }
+
+    #[test]
+    fn byte_shift_without_composition_change_does_not_trigger() {
+        // 10 elephants and 90 mice in both intervals, but the bytes move
+        // from the elephants to the mice.
+        let fsd = |elephant_bytes: u64, mouse_bytes: u64| {
+            let mut b = FsdBuilder::new();
+            (0..10).for_each(|_| b.add_flow(elephant_bytes, 1.0));
+            (0..90).for_each(|_| b.add_flow(mouse_bytes, 0.0));
+            b.build()
+        };
+        let (before, after) = (fsd(20 * MB, 4_000), fsd(2 * MB, 40_000));
+        assert!(before.elephant_share() - after.elephant_share() > 0.1);
+        assert_eq!(before.elephant_flow_share(), after.elephant_flow_share());
+        let mut d = ChangeDetector::new(0.01);
+        d.observe(&before);
+        assert!(!d.observe(&after), "byte shares alone must not trigger");
+        assert_eq!(d.triggers, 0);
     }
 
     #[test]

@@ -20,18 +20,20 @@ use serde::Serialize;
 use crate::hash::bucket;
 use crate::FlowId;
 
-/// Sizing and behaviour knobs, mirroring the SRAM budget of a Tofino
+/// Light Part rows (count-min depth).
+const LIGHT_ROWS: usize = 2;
+/// Light Part counters per row (count-min width).
+const LIGHT_COLS: usize = 4096;
+/// Ostracism ratio λ: evict when `vote⁻ ≥ λ · vote⁺`.
+const LAMBDA: u64 = 8;
+
+/// Sizing and seeding, mirroring the SRAM budget of a Tofino
 /// deployment.
 #[derive(Debug, Clone, Serialize)]
 pub struct SketchConfig {
-    /// Number of Heavy Part buckets.
+    /// Number of Heavy Part buckets (1024 by default). Settable because
+    /// tests shrink it to force bucket collisions and evictions.
     pub heavy_buckets: usize,
-    /// Light Part rows (count-min depth).
-    pub light_rows: usize,
-    /// Light Part counters per row (count-min width).
-    pub light_cols: usize,
-    /// Ostracism ratio λ: evict when `vote⁻ ≥ λ · vote⁺`.
-    pub lambda: u64,
     /// Base hash seed; distinct measurement points should use distinct
     /// seeds, as hardware hash units differ per switch.
     pub seed: u64,
@@ -41,9 +43,6 @@ impl Default for SketchConfig {
     fn default() -> Self {
         Self {
             heavy_buckets: 1024,
-            light_rows: 2,
-            light_cols: 4096,
-            lambda: 8,
             seed: 0xE1A5_71C5,
         }
     }
@@ -87,9 +86,9 @@ pub struct ElasticSketch {
 impl ElasticSketch {
     /// Allocate a sketch with the given configuration.
     pub fn new(cfg: SketchConfig) -> Self {
-        assert!(cfg.heavy_buckets > 0 && cfg.light_rows > 0 && cfg.light_cols > 0);
+        assert!(cfg.heavy_buckets > 0);
         let heavy = vec![Bucket::default(); cfg.heavy_buckets];
-        let light = vec![0u64; cfg.light_rows * cfg.light_cols];
+        let light = vec![0u64; LIGHT_ROWS * LIGHT_COLS];
         Self {
             cfg,
             heavy,
@@ -97,11 +96,6 @@ impl ElasticSketch {
             bytes_inserted: 0,
             packets_inserted: 0,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SketchConfig {
-        &self.cfg
     }
 
     /// Record one packet of `bytes` for `flow`.
@@ -125,7 +119,7 @@ impl ElasticSketch {
             return;
         }
         b.vote_neg += bytes;
-        if b.vote_neg >= self.cfg.lambda.max(1) * b.vote_pos.max(1) {
+        if b.vote_neg >= LAMBDA * b.vote_pos.max(1) {
             // Ostracism: flush the incumbent to the Light Part, seat the
             // challenger. The challenger's earlier bytes (its own vote⁻
             // contributions) stay in the Light Part, hence the flag.
@@ -144,19 +138,18 @@ impl ElasticSketch {
     }
 
     fn light_insert(&mut self, flow: FlowId, bytes: u64) {
-        let cols = self.cfg.light_cols;
-        for row in 0..self.cfg.light_rows {
-            let c = bucket(flow, self.cfg.seed ^ (0xA5A5 + row as u64), cols);
-            self.light[row * cols + c] = self.light[row * cols + c].saturating_add(bytes);
+        for row in 0..LIGHT_ROWS {
+            let c = bucket(flow, self.cfg.seed ^ (0xA5A5 + row as u64), LIGHT_COLS);
+            self.light[row * LIGHT_COLS + c] =
+                self.light[row * LIGHT_COLS + c].saturating_add(bytes);
         }
     }
 
     fn light_query(&self, flow: FlowId) -> u64 {
-        let cols = self.cfg.light_cols;
-        (0..self.cfg.light_rows)
+        (0..LIGHT_ROWS)
             .map(|row| {
-                let c = bucket(flow, self.cfg.seed ^ (0xA5A5 + row as u64), cols);
-                self.light[row * cols + c]
+                let c = bucket(flow, self.cfg.seed ^ (0xA5A5 + row as u64), LIGHT_COLS);
+                self.light[row * LIGHT_COLS + c]
             })
             .min()
             .unwrap_or(0)
@@ -214,7 +207,7 @@ impl ElasticSketch {
     /// heavy buckets are 2×32-bit counters + 32-bit key + flags ≈ 16 B,
     /// light counters 4 B.
     pub fn memory_bytes(&self) -> usize {
-        self.cfg.heavy_buckets * 16 + self.cfg.light_rows * self.cfg.light_cols * 4
+        self.cfg.heavy_buckets * 16 + LIGHT_ROWS * LIGHT_COLS * 4
     }
 }
 
@@ -336,12 +329,7 @@ mod tests {
 
     #[test]
     fn memory_accounting_matches_config() {
-        let s = sketch();
-        let cfg = s.config();
-        assert_eq!(
-            s.memory_bytes(),
-            cfg.heavy_buckets * 16 + cfg.light_rows * cfg.light_cols * 4
-        );
+        assert_eq!(sketch().memory_bytes(), 1024 * 16 + 2 * 4096 * 4);
     }
 
     #[test]
@@ -349,12 +337,10 @@ mod tests {
         let a = ElasticSketch::new(SketchConfig {
             seed: 1,
             heavy_buckets: 64,
-            ..SketchConfig::default()
         });
         let b = ElasticSketch::new(SketchConfig {
             seed: 2,
             heavy_buckets: 64,
-            ..SketchConfig::default()
         });
         let same = (0..64u64)
             .filter(|&f| bucket(f, a.cfg.seed, 64) == bucket(f, b.cfg.seed, 64))

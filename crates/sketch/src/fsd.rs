@@ -1,15 +1,18 @@
 //! Flow size distribution (FSD) snapshots, their network-wide merge, and
 //! the KL-divergence change detector that triggers tuning.
 //!
-//! An [`Fsd`] carries two views of one monitor interval:
+//! An [`Fsd`] carries three views of one monitor interval:
 //!
 //! * a **flow-size histogram** over logarithmic size bins (one unit of mass
-//!   per flow, PE flows split between the elephant and mice sides by their
-//!   likelihood weight) — this is the distribution whose successive KL
-//!   divergence `KL(R_t ‖ R_{t−1})` the controller thresholds against θ to
-//!   decide whether network-wide traffic changed significantly;
-//! * **byte shares** of elephants vs. mice — the "dominant flow type and
-//!   its proportion µ" that steers the guided SA mutation.
+//!   per flow), which the FSD-accuracy metric of Figures 10–11 scores;
+//! * **flow-mass shares** of elephants vs. mice (PE flows split between
+//!   the two by their likelihood weight) — the "dominant flow type and its
+//!   proportion µ" that steers the guided SA mutation ([`Fsd::dominant`]),
+//!   and the `[mice, elephant]` distribution whose successive KL divergence
+//!   `KL(R_t ‖ R_{t−1})` the controller thresholds against θ to decide
+//!   whether network-wide traffic changed significantly ([`Fsd::kl_shares`]);
+//! * **byte shares** of elephants vs. mice ([`Fsd::elephant_share`]),
+//!   which the accuracy metric also scores but no controller decision reads.
 //!
 //! Local per-switch snapshots are merged into the network-wide FSD by
 //! plain addition ([`Fsd::merge`]), which is exact because Keypoint 1
@@ -191,8 +194,9 @@ impl Fsd {
         }
     }
 
-    /// Smoothed KL divergence between the byte-share distributions of two
-    /// snapshots (the quantity thresholded against θ).
+    /// Smoothed KL divergence between the `[mice, elephant]` flow-mass
+    /// share distributions of two snapshots (the quantity thresholded
+    /// against θ).
     pub fn kl_shares(&self, prev: &Fsd) -> f64 {
         const EPS: f64 = 1e-4;
         let p = self.share_distribution();

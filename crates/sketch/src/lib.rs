@@ -32,7 +32,7 @@ mod window;
 
 pub use elastic::{ElasticSketch, SketchConfig};
 pub use fsd::{FlowType, Fsd, FsdBuilder};
-pub use window::{FlowState, SlidingWindowClassifier, WindowConfig};
+pub use window::{FlowState, SlidingWindowClassifier, WindowConfig, TAU_BYTES};
 
 /// Flow identifier (the simulator uses a QP-pair id).
 pub type FlowId = u64;

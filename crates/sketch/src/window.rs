@@ -40,10 +40,17 @@ pub enum FlowState {
     Mice,
 }
 
-/// Classifier configuration.
+/// Elephant byte threshold τ (paper default 1 MB, after DCTCP): the
+/// classifier's default and the threshold of both monitoring baselines.
+pub const TAU_BYTES: u64 = 1 << 20;
+
+/// Classifier configuration. Settable because the window differential
+/// (`tests/window_differential.rs`) sweeps δ and expiry against its
+/// reference classifier, and the tests need τ = 10⁶ to reach the
+/// non-dyadic PE weights that τ = 2²⁰ never produces.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct WindowConfig {
-    /// Elephant byte threshold τ (paper default 1 MB, after DCTCP).
+    /// Elephant byte threshold τ ([`TAU_BYTES`] by default).
     pub tau_bytes: u64,
     /// Window size δ: consecutive active intervals required for PE.
     pub delta: usize,
@@ -55,7 +62,7 @@ pub struct WindowConfig {
 impl Default for WindowConfig {
     fn default() -> Self {
         Self {
-            tau_bytes: 1 << 20,
+            tau_bytes: TAU_BYTES,
             delta: 3,
             expiry_intervals: 8,
         }
@@ -174,11 +181,6 @@ impl SlidingWindowClassifier {
             fsd: Fsd::empty(),
             intervals_processed: 0,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &WindowConfig {
-        &self.cfg
     }
 
     /// Close a monitor interval: feed the per-flow byte counts drained

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use paraleon_telemetry::hist::{LogHistogram, SUB_BUCKETS};
+use paraleon_telemetry::{LogHistogram, SUB_BUCKETS};
 
 /// Exact quantile: the rank-`ceil(q·n)` element of the sorted samples
 /// (matching the histogram's rank definition).

@@ -23,36 +23,29 @@ const BUCKETS: usize = 4;
 /// K_max alone, adjust P_max, or hold.
 const ACTIONS: usize = 7;
 
+/// Learning rate α.
+const ALPHA: f64 = 0.3;
+/// Discount factor γ.
+const GAMMA: f64 = 0.6;
+/// ε-greedy exploration rate.
+const EPSILON: f64 = 0.1;
+/// Reward weight of the throughput bonus.
+const W_TX: f64 = 1.0;
+/// Reward weight of the queue-occupancy penalty.
+const W_QUEUE: f64 = 0.6;
+/// Reward weight of the marking-rate penalty.
+const W_MARK: f64 = 0.2;
+
 /// ACC agent configuration.
 #[derive(Debug, Clone)]
 pub struct AccConfig {
-    /// Learning rate.
-    pub alpha: f64,
-    /// Discount factor.
-    pub gamma: f64,
-    /// ε-greedy exploration rate.
-    pub epsilon: f64,
-    /// Reward weights: throughput bonus, queue penalty, marking penalty.
-    pub w_tx: f64,
-    /// Queue-occupancy penalty weight.
-    pub w_queue: f64,
-    /// Marking-rate penalty weight.
-    pub w_mark: f64,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl Default for AccConfig {
     fn default() -> Self {
-        Self {
-            alpha: 0.3,
-            gamma: 0.6,
-            epsilon: 0.1,
-            w_tx: 1.0,
-            w_queue: 0.6,
-            w_mark: 0.2,
-            seed: 99,
-        }
+        Self { seed: 99 }
     }
 }
 
@@ -81,8 +74,8 @@ impl Agent {
         (b(obs.tx_utilization) * BUCKETS + b(obs.queue_frac)) * BUCKETS + b(obs.marking_rate)
     }
 
-    fn reward(cfg: &AccConfig, obs: &crate::SwitchLocalObs) -> f64 {
-        cfg.w_tx * obs.tx_utilization - cfg.w_queue * obs.queue_frac - cfg.w_mark * obs.marking_rate
+    fn reward(obs: &crate::SwitchLocalObs) -> f64 {
+        W_TX * obs.tx_utilization - W_QUEUE * obs.queue_frac - W_MARK * obs.marking_rate
     }
 
     fn apply_action(&mut self, action: usize, space: &ParamSpace) {
@@ -108,27 +101,26 @@ impl Agent {
     /// One double-Q update + ε-greedy action selection.
     fn step(
         &mut self,
-        cfg: &AccConfig,
         obs: &crate::SwitchLocalObs,
         space: &ParamSpace,
         rng: &mut StdRng,
     ) -> DcqcnParams {
         let s = Self::state_index(obs);
-        let r = Self::reward(cfg, obs);
+        let r = Self::reward(obs);
         if let Some((ps, pa)) = self.last {
             // Double Q-learning: flip a coin over which table to update,
             // using the other for the bootstrap value.
             if rng.gen::<bool>() {
                 let a_star = argmax(&self.q1[s]);
-                let target = r + cfg.gamma * self.q2[s][a_star];
-                self.q1[ps][pa] += cfg.alpha * (target - self.q1[ps][pa]);
+                let target = r + GAMMA * self.q2[s][a_star];
+                self.q1[ps][pa] += ALPHA * (target - self.q1[ps][pa]);
             } else {
                 let a_star = argmax(&self.q2[s]);
-                let target = r + cfg.gamma * self.q1[s][a_star];
-                self.q2[ps][pa] += cfg.alpha * (target - self.q2[ps][pa]);
+                let target = r + GAMMA * self.q1[s][a_star];
+                self.q2[ps][pa] += ALPHA * (target - self.q2[ps][pa]);
             }
         }
-        let action = if rng.gen::<f64>() < cfg.epsilon {
+        let action = if rng.gen::<f64>() < EPSILON {
             rng.gen_range(0..ACTIONS)
         } else {
             let combined: Vec<f64> = (0..ACTIONS)
@@ -155,7 +147,6 @@ fn argmax(v: &[f64]) -> usize {
 /// The ACC tuning scheme: one agent per switch.
 #[derive(Clone)]
 pub struct AccScheme {
-    cfg: AccConfig,
     space: ParamSpace,
     agents: Vec<Agent>,
     rng: StdRng,
@@ -166,12 +157,10 @@ impl AccScheme {
     /// Create with `initial` ECN settings (RNIC fields are carried along
     /// but never modified).
     pub fn new(cfg: AccConfig, initial: DcqcnParams) -> Self {
-        let rng = StdRng::seed_from_u64(cfg.seed);
         Self {
-            cfg,
             space: ParamSpace::standard(),
             agents: Vec::new(),
-            rng,
+            rng: StdRng::seed_from_u64(cfg.seed),
             initial,
         }
     }
@@ -196,8 +185,7 @@ impl TuningScheme for AccScheme {
         }
         let mut updates = Vec::with_capacity(obs.switch_obs.len());
         for local in &obs.switch_obs {
-            let ecn =
-                self.agents[local.switch_index].step(&self.cfg, local, &self.space, &mut self.rng);
+            let ecn = self.agents[local.switch_index].step(local, &self.space, &mut self.rng);
             updates.push((local.switch_index, ecn));
         }
         Some(TuningAction::PerSwitchEcn(updates))
@@ -291,11 +279,7 @@ mod tests {
         // Construct a loop where any deviation from "hold" yields a bad
         // next observation: the agent should increasingly pick hold-ish
         // behaviour, i.e. its ECN settings stop moving.
-        let cfg = AccConfig {
-            epsilon: 0.05,
-            ..AccConfig::default()
-        };
-        let mut acc = AccScheme::new(cfg, DcqcnParams::nvidia_default());
+        let mut acc = AccScheme::new(AccConfig::default(), DcqcnParams::nvidia_default());
         let mut last_kmax = DcqcnParams::nvidia_default().k_max;
         let mut changes_late = 0;
         for i in 0..400 {
@@ -312,7 +296,7 @@ mod tests {
                 last_kmax = kmax;
             }
         }
-        // With ε = 0.05 and converged tables, late-phase movement should
+        // With ε = 0.1 and converged tables, late-phase movement should
         // be rare (exploration plus occasional ties).
         assert!(changes_late < 60, "agent kept thrashing: {changes_late}");
     }

@@ -16,8 +16,6 @@ use crate::{Observation, TuningAction, TuningFeedback, TuningScheme};
 pub struct ParaleonSchemeConfig {
     /// SA schedule/mutation settings.
     pub sa: SaConfig,
-    /// Initial (deployed) parameter setting.
-    pub initial: DcqcnParams,
     /// RNG seed for the SA mutation stream.
     pub seed: u64,
     /// Monitor intervals each candidate is evaluated over before the SA
@@ -32,7 +30,6 @@ impl Default for ParaleonSchemeConfig {
     fn default() -> Self {
         Self {
             sa: SaConfig::paper_default(),
-            initial: DcqcnParams::nvidia_default(),
             seed: 42,
             eval_intervals: 1,
         }
@@ -68,13 +65,15 @@ pub struct ParaleonScheme {
 }
 
 impl ParaleonScheme {
-    /// Build the scheme.
+    /// Build the scheme, starting from the NVIDIA default setting (what
+    /// every fabric deploys before the first dispatch).
     pub fn new(cfg: ParaleonSchemeConfig) -> Self {
-        let tuner = SaTuner::new(ParamSpace::standard(), cfg.sa, cfg.initial, cfg.seed);
+        let initial = DcqcnParams::nvidia_default();
+        let tuner = SaTuner::new(ParamSpace::standard(), cfg.sa, initial, cfg.seed);
         Self {
             tuner,
             phase: Phase::Idle,
-            deployed: cfg.initial,
+            deployed: initial,
             episode_dominant: None,
             episodes: 0,
             eval_intervals: cfg.eval_intervals.max(1),

@@ -12,7 +12,7 @@
 //!
 //! 1. **Guided randomness** (`guided = true`): each parameter moves in
 //!    the dominant flow type's friendly direction with probability
-//!    `min(µ, η)` (η caps exploitation) and in the anti-dominant
+//!    `min(µ, η)` (η = 0.8 caps exploitation) and in the anti-dominant
 //!    direction otherwise, with a bounded random step
 //!    `s'_p = s_p × rand(0.5, 1)`. Naive SA moves each parameter in a
 //!    uniformly random direction.
@@ -33,6 +33,9 @@ use paraleon_dcqcn::{DcqcnParams, Direction, ParamSpace};
 use paraleon_sketch::FlowType;
 use paraleon_telemetry as tel;
 
+/// Maximum exploitation rate η of the guided step (Table III: 0.8).
+const ETA: f64 = 0.8;
+
 /// SA schedule and mutation configuration.
 #[derive(Debug, Clone, Serialize)]
 pub struct SaConfig {
@@ -40,16 +43,14 @@ pub struct SaConfig {
     pub total_iter_num: u32,
     /// Geometric cooling factor.
     pub cooling_rate: f64,
-    /// Starting temperature.
+    /// Starting temperature. Both presets start at 90; it stays settable
+    /// because `worse_moves_accepted_more_at_high_temperature` holds a
+    /// fixed temperature through it.
     pub initial_temp: f64,
     /// Episode ends when temperature drops below this.
     pub final_temp: f64,
-    /// Maximum exploitation rate η.
-    pub eta: f64,
     /// Optimization 1: guided randomness (false = naive mutation).
     pub guided: bool,
-    /// Global multiplier on the empirical steps `s_p`.
-    pub step_scale: f64,
 }
 
 impl SaConfig {
@@ -60,9 +61,7 @@ impl SaConfig {
             cooling_rate: 0.85,
             initial_temp: 90.0,
             final_temp: 10.0,
-            eta: 0.8,
             guided: true,
-            step_scale: 1.0,
         }
     }
 
@@ -204,14 +203,14 @@ impl SaTuner {
 
     fn mutate(&mut self, dominant: FlowType, mu: f64) -> DcqcnParams {
         let mut p = self.current;
-        let exploit = mu.min(self.cfg.eta).max(0.0);
+        let exploit = mu.clamp(0.0, ETA);
         // High temperature explores "in more random directions and
         // steps" (paper §III-C): the step amplitude shrinks as the
         // system cools, so a fresh (or restarted) episode moves fast and
         // the end-game fine-tunes.
         let temp_boost = 1.0 + 3.0 * (self.temp / self.cfg.initial_temp.max(1e-9)).min(1.0);
         for spec in self.space.clone().iter() {
-            let s = spec.step * self.cfg.step_scale * temp_boost * self.rng.gen_range(0.5..1.0);
+            let s = spec.step * temp_boost * self.rng.gen_range(0.5..1.0);
             let dominant_sign = match (dominant, spec.throughput_friendly) {
                 (FlowType::Elephant, Direction::Increase) => 1.0,
                 (FlowType::Elephant, Direction::Decrease) => -1.0,

@@ -114,7 +114,6 @@ proptest! {
                 cooling_rate: 0.5,
                 ..SaConfig::paper_default()
             },
-            initial: DcqcnParams::nvidia_default(),
             seed,
             eval_intervals: 2,
         };
@@ -145,7 +144,7 @@ proptest! {
     ) {
         let space = ParamSpace::standard();
         let mut acc = AccScheme::new(
-            AccConfig { seed, ..AccConfig::default() },
+            AccConfig { seed },
             DcqcnParams::nvidia_default(),
         );
         for u in utils {

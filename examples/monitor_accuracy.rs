@@ -89,8 +89,8 @@ fn main() {
     figure4_walkthrough();
 
     println!("\n--- direct monitor comparison on one switch feed ---");
-    let mut naive = NaiveSketchMonitor::new(1 << 20);
-    let mut para = ParaleonMonitor::new(WindowConfig::default());
+    let mut naive = NaiveSketchMonitor::default();
+    let mut para = ParaleonMonitor::default();
     // An elephant throttled to 0.3 MB per interval.
     for mi in 0..6 {
         let readings = vec![(0usize, vec![(42u64, 300 * 1024u64)])];
