@@ -10,7 +10,7 @@
 use paraleon::prelude::*;
 use serde::Serialize;
 
-use crate::{elephants_plus_incast, gbps_of, Ctx};
+use crate::{elephants_plus_incast, Ctx};
 
 #[derive(Serialize)]
 struct Point {
@@ -47,7 +47,7 @@ pub(crate) fn run(ctx: &Ctx) {
         Point {
             param: param.name().to_string(),
             value: v,
-            goodput_gbps: gbps_of(tp),
+            goodput_gbps: stats::gbps_of(tp),
             rtt_us: rtt,
         }
     });

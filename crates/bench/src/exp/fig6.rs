@@ -11,7 +11,7 @@
 use paraleon::prelude::*;
 use serde::Serialize;
 
-use crate::{elephants_plus_incast, gbps_of, grid, Ctx};
+use crate::{elephants_plus_incast, grid, Ctx};
 
 #[derive(Serialize)]
 struct Cell {
@@ -35,7 +35,7 @@ pub(crate) fn run(ctx: &Ctx) {
         Cell {
             rpg_time_reset,
             k_max,
-            goodput_gbps: gbps_of(tp),
+            goodput_gbps: stats::gbps_of(tp),
             rtt_us: rtt,
         }
     });

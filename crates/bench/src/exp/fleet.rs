@@ -11,9 +11,10 @@
 //! threaded byte-identity, per-tenant equivalence with a standalone
 //! `ClosedLoop`, and snapshot round-trip identity. Their verdicts are
 //! rows of the JSON, so they run on every invocation. The threaded twin
-//! is timed too: its wall, its phase A, and how full phase A kept its
-//! workers. `--smoke` is small sizes and short runs (CI); `--paper` the
-//! paper-scale SA schedule for the PARALEON tenants.
+//! is timed too: its wall, its phase A (the fan-out of every tenant's
+//! whole interval), and how full phase A kept its workers. `--smoke` is
+//! small sizes and short runs (CI); `--paper` the paper-scale SA
+//! schedule for the PARALEON tenants.
 
 use std::time::Instant;
 
@@ -80,13 +81,7 @@ fn topo_for(i: usize) -> TopoSpec {
 }
 
 fn topo_label(spec: &TopoSpec) -> String {
-    let family = match spec {
-        TopoSpec::TwoTier(_) => "clos",
-        TopoSpec::ThreeTier(_) => "3tier",
-        TopoSpec::Rail(_) => "rail",
-        TopoSpec::MixedRate(_) => "mixed",
-    };
-    format!("{family}/{}h", spec.n_hosts())
+    format!("{}/{}h", spec.family(), spec.n_hosts())
 }
 
 /// Build tenant `i` of an `n`-tenant fleet: heterogeneous along every
@@ -158,14 +153,18 @@ struct FleetRow {
     wall_ms: f64,
     mean_tick_us: f64,
     max_tick_us: f64,
+    /// Phase A: the fan-out of every tenant's whole interval (fabric
+    /// and controller turn).
     mean_phase_a_us: f64,
+    /// Phase B: the coordinator's replay of the telemetry the tenants
+    /// captured (next to nothing while the registry is off).
     mean_phase_b_us: f64,
     /// Worker threads of the threaded twin the next three are from.
     threads: usize,
     threaded_wall_ms: f64,
     threaded_mean_phase_a_us: f64,
     /// Σ busy / (workers × Σ phase A) on the twin: 1.0 is every worker
-    /// advancing a fabric for all of every phase A.
+    /// running a tenant's interval for all of every fan-out.
     phase_a_efficiency: f64,
     controller_mem_bytes: usize,
     mem_per_tenant_bytes: usize,
@@ -185,7 +184,8 @@ struct FleetReport {
     rows: Vec<FleetRow>,
 }
 
-/// Wall-clock of one fleet's run, from its `TickReport`s.
+/// Wall-clock of one fleet's run, from its `TickReport`s (phases as in
+/// [`FleetRow`]).
 struct Timing {
     wall_ms: f64,
     /// Phase A + phase B of every tick.

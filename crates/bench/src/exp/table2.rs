@@ -11,7 +11,7 @@
 use paraleon::prelude::*;
 use serde::Serialize;
 
-use crate::{alltoall, gbps_of, grid, Ctx, Scale};
+use crate::{alltoall, grid, Ctx, Scale};
 
 #[derive(Serialize)]
 struct Row {
@@ -37,7 +37,7 @@ pub(crate) fn run(ctx: &Ctx) {
         Row {
             scheme: name,
             message_mb: msg as f64 / (1 << 20) as f64,
-            algbw_gbps: gbps_of(a2a.algbw_bytes_per_sec(0).unwrap_or(0.0)),
+            algbw_gbps: stats::gbps_of(a2a.algbw_bytes_per_sec(0).unwrap_or(0.0)),
             round_ms: a2a.round_durations().first().copied().unwrap_or(0) as f64 / 1e6,
         }
     });

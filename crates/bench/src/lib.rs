@@ -269,7 +269,7 @@ pub fn influx_series(dump: &TelemetryDump) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let rtt = dump.series_get("avg_rtt_ns", 0);
     (
         goodput.iter().map(|&(t, _)| t as f64 / 1e6).collect(),
-        goodput.iter().map(|&(_, v)| gbps_of(v)).collect(),
+        goodput.iter().map(|&(_, v)| stats::gbps_of(v)).collect(),
         rtt.iter().map(|&(_, v)| v / 1e3).collect(),
     )
 }
@@ -288,14 +288,9 @@ pub fn steady_algbw_gbps(coll: &Collective) -> f64 {
     let take = (done / 2).max(1);
     let vals: Vec<f64> = (done.saturating_sub(take)..done)
         .filter_map(|i| coll.algbw_bytes_per_sec(i))
-        .map(gbps_of)
+        .map(stats::gbps_of)
         .collect();
     stats::mean(&vals)
-}
-
-/// Gbps pretty-print from bytes/sec.
-pub fn gbps_of(bytes_per_sec: f64) -> f64 {
-    bytes_per_sec * 8.0 / 1e9
 }
 
 /// The tracked `results/` directory: workspace root when run via cargo,

@@ -30,6 +30,11 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
+/// Bytes/s as Gbit/s.
+pub fn gbps_of(bytes_per_sec: f64) -> f64 {
+    bytes_per_sec * 8.0 / 1e9
+}
+
 /// One row of a Figure-7-style FCT-slowdown-vs-flow-size table.
 #[derive(Debug, Clone)]
 pub struct SlowdownBin {

@@ -1,5 +1,5 @@
 //! The one job-level fan-out: experiment grids (`paraleon-bench`'s `exp`
-//! harness), the hunter's evaluation batches and the fleet's phase A all
+//! harness), the hunter's evaluation batches and the fleet's tick all
 //! go through it.
 //!
 //! Every (configuration, seed) cell of a sweep, every hunt candidate and

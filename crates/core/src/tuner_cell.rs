@@ -385,7 +385,10 @@ impl TunerCell {
     /// them at the fabric — the one place the controller's decisions
     /// reach the simulator. A clean-channel dispatch sent during
     /// interval `k−1`'s controller phase lands here, before the fabric
-    /// advances.
+    /// advances. Its flight event is stamped with the fabric's clock:
+    /// this runs before [`TunerCell::process_interval`] moves the
+    /// registry clock, which holds the same time only when nothing else
+    /// (another fleet tenant, say) moved it since the previous interval.
     pub fn deliver_due_dispatches(&mut self, sim: &mut Engine, k: u64) {
         let ctrl = &mut self.ctrl;
         for msg in ctrl.down.deliver(k) {
@@ -393,15 +396,21 @@ impl TunerCell {
             ctrl.up.send(k, UpMsg::Ack { epoch: acked });
             match action {
                 Some(TuningAction::Global(p)) => {
-                    tel::event(tel::Event::Dispatch {
-                        scope: tel::DispatchScope::Global,
-                    });
+                    tel::event_at(
+                        sim.now(),
+                        tel::Event::Dispatch {
+                            scope: tel::DispatchScope::Global,
+                        },
+                    );
                     sim.set_dcqcn_params(&p);
                 }
                 Some(TuningAction::PerSwitchEcn(updates)) => {
-                    tel::event(tel::Event::Dispatch {
-                        scope: tel::DispatchScope::PerSwitch,
-                    });
+                    tel::event_at(
+                        sim.now(),
+                        tel::Event::Dispatch {
+                            scope: tel::DispatchScope::PerSwitch,
+                        },
+                    );
                     for (idx, p) in updates {
                         // `set_switch_ecn` bounds-checks; an out-of-range
                         // index simply does not reach any switch.

@@ -9,13 +9,14 @@
 //! ordinary [`Engine`], paired with the controller state extracted into
 //! [`TunerCell`] — under one deterministic cooperative scheduler.
 //!
-//! The service tick is two-phase (see [`FleetService::tick`]): fabrics
-//! advance one λ_MI each (optionally on worker threads), then the
-//! coordinator gives every tenant, in id order, its one controller turn
-//! over the interval its fabric just produced — the paper's one monitor
-//! → tune → dispatch round per λ_MI. The whole service checkpoints into
-//! a [`FleetSnapshot`] that restores mid-run, with or without crash
-//! semantics. Tenants can be admitted at runtime.
+//! A service tick is one fan-out (see [`FleetService::tick`]): every
+//! tenant, optionally on a worker thread, runs one interval exactly as
+//! its standalone loop would — its fabric advances one λ_MI, then its
+//! cell takes its one controller turn over that interval, the paper's
+//! one monitor → tune → dispatch round per λ_MI — and the coordinator
+//! replays the telemetry they captured in tenant id order. The whole
+//! service checkpoints into a [`FleetSnapshot`] that restores mid-run,
+//! with or without crash semantics. Tenants can be admitted at runtime.
 //!
 //! Two properties anchor everything (enforced in tests and by
 //! `exp fleet`):

@@ -1,32 +1,26 @@
 //! The fleet scheduler: one controller process, N tenant fabrics.
 //!
-//! [`FleetService::tick`] advances the whole fleet by one monitor
-//! interval in two phases:
+//! [`FleetService::tick`] advances every tenant by one monitor interval
+//! of its own λ_MI — the paper's one monitor → tune → dispatch round —
+//! in one fan-out over [`paraleon::sweep`], the runner experiment grids
+//! and the hunt use. A job is one tenant's whole interval
+//! ([`TunerCell::process_interval`] included), the calls its standalone
+//! [`ClosedLoop`] makes, so each cell observes its standalone loop's
+//! operation sequence by construction — bit-for-bit, which
+//! `tests/fleet_properties.rs` and `exp fleet` enforce.
 //!
-//! * **Phase A (fabric)** — every tenant admits its due flows, delivers
-//!   due control-plane dispatches, advances its fabric one λ_MI and
-//!   collects interval metrics. Tenants are mutually independent, so
-//!   phase A is a job list for [`paraleon::sweep`], the runner experiment
-//!   grids and the hunt use: [`FleetConfig::threads`] workers pull one
-//!   tenant at a time off a shared cursor, longest first (by the events
-//!   each fabric processed last tick), so no worker idles while another
-//!   holds two heavy fabrics. Neither the order nor the worker a tenant
-//!   lands on can show in any output: a job touches only its own
-//!   tenant's engine, results go back into tenant-id order, and while
-//!   the coordinator's telemetry registry is enabled (sampled once per
-//!   tick) every emission is captured per tenant and replayed by the
-//!   coordinator in ascending tenant id — the order the one-thread
-//!   scheduler emits in, which is what makes any thread count byte-
-//!   identical to one thread.
-//! * **Phase B (controller)** — on the coordinator, one loop over the
-//!   tenants in ascending id: replay the tenant's captured telemetry,
-//!   then give its cell one turn ([`TunerCell::process_interval`]) over
-//!   the interval phase A just produced.
-//!
-//! Every tenant gets exactly one controller turn per tick, right after
-//! its fabric's interval, so each cell observes the operation sequence
-//! of its standalone [`ClosedLoop`] by construction — bit-for-bit,
-//! which `tests/fleet_properties.rs` and `exp fleet` enforce.
+//! Tenants are mutually independent: [`FleetConfig::threads`] workers
+//! pull one tenant at a time off a shared cursor, longest first (by the
+//! events each fabric processed last tick), so no worker idles while
+//! another holds two heavy fabrics. Neither the order nor the worker a
+//! tenant lands on can show in any output. A job touches only its own
+//! tenant, and while the coordinator's telemetry registry is enabled
+//! (sampled once per tick) every emission is captured per tenant. The
+//! coordinator then replays the captures in ascending tenant id, each
+//! stamped with its tenant and with its interval's end on the registry
+//! clock — what that tenant's standalone loop records, in the order the
+//! one-thread scheduler emits, which is what makes any thread count
+//! byte-identical to one thread.
 //!
 //! [`TunerCell::process_interval`]: paraleon::prelude::TunerCell::process_interval
 //! [`ClosedLoop`]: paraleon::prelude::ClosedLoop
@@ -35,7 +29,6 @@ use std::cmp::Reverse;
 use std::time::{Duration, Instant};
 
 use paraleon::sweep;
-use paraleon_netsim::IntervalMetrics;
 use paraleon_telemetry as tel;
 
 use crate::tenant::{Tenant, TenantId, TenantSpec};
@@ -43,8 +36,8 @@ use crate::tenant::{Tenant, TenantId, TenantSpec};
 /// Scheduler knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
-    /// Phase-A worker threads (1 = serial). Results are byte-identical
-    /// across any thread count.
+    /// Worker threads tenants' intervals fan out on (1 = serial).
+    /// Results are byte-identical across any thread count.
     pub threads: usize,
 }
 
@@ -60,15 +53,16 @@ impl Default for FleetConfig {
 pub struct TickReport {
     /// Tick index just completed (1-based after the first tick).
     pub tick: u64,
-    /// Wall-clock spent advancing fabrics (phase A).
+    /// Wall-clock of the fan-out of every tenant's whole interval
+    /// (phase A).
     pub phase_a: Duration,
-    /// Σ over tenants of the wall-clock each one's advance took: the work
-    /// in `phase_a`, so `busy / (workers × phase_a)` is how full phase A
-    /// kept its workers.
+    /// Σ over tenants of the wall-clock each one's interval took: the
+    /// work in `phase_a`, so `busy / (workers × phase_a)` is how full the
+    /// fan-out kept its workers.
     pub busy: Duration,
-    /// Workers phase A ran on.
+    /// Workers the fan-out ran on.
     pub workers: usize,
-    /// Wall-clock spent replaying telemetry and in the controller
+    /// Wall-clock of replaying the captured telemetry on the coordinator
     /// (phase B).
     pub phase_b: Duration,
 }
@@ -172,27 +166,39 @@ impl FleetService {
                 .sum::<usize>()
     }
 
-    /// Advance the whole fleet one monitor interval: phase A (fabrics,
-    /// possibly threaded) then phase B (shared controller, always on
-    /// the coordinator).
+    /// Advance every tenant one monitor interval: fan its whole
+    /// interval out to the workers (phase A), then replay what each
+    /// emitted, in ascending tenant id (phase B).
     pub fn tick(&mut self) -> TickReport {
+        // Capture iff the replay below would record anything.
+        let capture = tel::enabled();
         let t0 = Instant::now();
-        // Phase A: advance every fabric, capturing telemetry per tenant
-        // iff the replay below would record it.
-        let results = self.phase_a(tel::enabled());
+        let results = self.fan_out(|t| {
+            let t0 = Instant::now();
+            if capture {
+                tel::capture_begin();
+            }
+            t.step();
+            let captured = if capture {
+                tel::capture_take()
+            } else {
+                Vec::new()
+            };
+            (captured, t0.elapsed())
+        });
         let phase_a = t0.elapsed();
 
-        // Phase B, in ascending tenant id — the one canonical emission
-        // order: replay the tenant's fabric telemetry, then its one
-        // controller turn. The tenant id is stamped onto series entities
-        // and flight events here (workers run untenanted).
+        // The one canonical emission order. The tenant id is stamped onto
+        // series entities and flight events here (workers run untenanted),
+        // and emissions that read the registry clock read the tenant's
+        // interval end, as in its standalone loop.
         let t1 = Instant::now();
         let mut busy = Duration::ZERO;
-        for (t, (captured, metrics, took)) in self.tenants.iter_mut().zip(results) {
+        for (t, (captured, took)) in self.tenants.iter().zip(results) {
             busy += took;
             tel::set_tenant(t.id);
+            tel::set_time(t.sim.now());
             tel::capture_replay(&captured);
-            t.cell.process_interval(&t.sim, &metrics);
             tel::set_tenant(0);
         }
         self.tick += 1;
@@ -211,18 +217,6 @@ impl FleetService {
         for _ in 0..n {
             self.tick();
         }
-    }
-
-    /// Advance every fabric one interval, timing each: one job per
-    /// tenant. With telemetry captured on whichever thread runs the job
-    /// and nothing recorded until the caller's replay, every thread count
-    /// emits identically.
-    fn phase_a(&mut self, capture: bool) -> Vec<(Vec<tel::Captured>, IntervalMetrics, Duration)> {
-        self.fan_out(|t| {
-            let t0 = Instant::now();
-            let (captured, metrics) = t.advance_captured(capture);
-            (captured, metrics, t0.elapsed())
-        })
     }
 
     /// Run `job` once per tenant on `cfg.threads` workers, handed out in
@@ -244,7 +238,7 @@ impl FleetService {
     }
 }
 
-/// Phase A's job order over tenant indices: descending events processed
+/// The fan-out's job order over tenant indices: descending events processed
 /// last tick — the cheapest deterministic estimate of this tick's cost,
 /// and longest-first is what keeps a work-conserving runner's last worker
 /// from starting a heavy fabric when the others are done. Ties, and the
@@ -462,7 +456,7 @@ mod tests {
         tel::reset();
     }
 
-    /// A tenant that panics in phase A fails the tick with its own
+    /// A tenant that panics in its interval fails the tick with its own
     /// message, on the coordinator and through a worker alike.
     #[test]
     fn a_panicking_tenant_re_raises_its_own_payload() {
@@ -482,7 +476,7 @@ mod tests {
         }
     }
 
-    /// The audit registry is thread-local: a violation on a phase-A
+    /// The audit registry is thread-local: a violation on a fan-out
     /// worker must be counted on the coordinator (`exp fleet`'s audit
     /// tail reads it there), and only if the coordinator audits at all.
     #[cfg(feature = "audit")]
@@ -555,24 +549,33 @@ mod tests {
         tel::reset();
     }
 
+    /// Whichever thread runs a tenant's interval, its emissions reach
+    /// the registry only when the coordinator records: a disabled
+    /// registry stays empty, an enabled one gets every tenant's.
     #[test]
-    fn phase_a_captures_only_for_a_recording_coordinator() {
+    fn a_tick_records_only_into_a_recording_coordinator() {
         for threads in [1, 3] {
+            tel::reset();
             let mut fleet = FleetService::new(FleetConfig { threads });
             for s in [clos_spec(51), rail_spec(52), mixed_spec(53)] {
                 fleet.admit(s);
             }
-            let off = fleet.phase_a(false);
+            fleet.tick();
             assert!(
-                off.iter().all(|(captured, ..)| captured.is_empty()),
-                "{threads} thread(s): nothing to replay into a disabled registry"
+                tel::series_points().is_empty()
+                    && tel::flight_events().is_empty()
+                    && tel::counters_snapshot().iter().all(|&(_, n)| n == 0),
+                "{threads} thread(s): a disabled registry records nothing"
             );
-            let on = fleet.phase_a(true);
-            assert!(
-                on.iter().all(|(captured, ..)| !captured.is_empty()),
-                "{threads} thread(s): an enabled registry gets every tenant's emissions"
-            );
+            tel::set_enabled(true);
+            fleet.tick();
+            tel::set_enabled(false);
+            for t in fleet.tenants() {
+                let pts = tel::series_get("utility", tel::tenant_entity(t.id, 0));
+                assert_eq!(pts.len(), 1, "{threads} thread(s): tenant {}", t.id);
+            }
         }
+        tel::reset();
     }
 
     /// What the registry holds, minus the `fleet_*` counters a standalone
@@ -644,6 +647,77 @@ mod tests {
 
         let pair = [spec, rail_spec(62)];
         assert_eq!(fleet_run(2, &pair), fleet_run(1, &pair));
+        tel::reset();
+    }
+
+    /// The series points and flight events stamped with tenant `id`, the
+    /// events in time order. The recorder's dump merges the tenants'
+    /// control lanes with one shared data lane, which tenants of mixed
+    /// λ_MI fill out of time order, so a dump's order within one tenant
+    /// depends on the others.
+    fn recorded_by(
+        id: TenantId,
+        (_, series, events): &TelemetryState,
+    ) -> (Vec<tel::SeriesPoint>, Vec<tel::TimedEvent>) {
+        let mut own: Vec<_> = events.iter().filter(|e| e.tenant == id).cloned().collect();
+        own.sort_by_key(|e| e.t_ns);
+        let series = series.iter().filter(|p| p.entity >> 16 == id).cloned();
+        (series.collect(), own)
+    }
+
+    /// Each tenant's flight events and series, stamped with its id, are
+    /// what its standalone loop records under the same id: the same
+    /// points at the same times. Tenants differ in λ_MI and engine shards
+    /// and all tune from the first interval, so every one dispatches, and
+    /// a dispatch is stamped with its own fabric's clock, not with the
+    /// clock another tenant's interval left in the registry.
+    #[test]
+    fn every_tenant_records_what_its_standalone_loop_records() {
+        const TICKS: u64 = 8;
+        let mut sharded = clos_spec(63);
+        sharded.engine_threads = 2;
+        let mut slow = mixed_spec(64);
+        slow.loop_cfg.lambda_mi = 2 * MILLI;
+        let mut specs = [sharded, slow, clos_spec(65)];
+        for s in &mut specs {
+            s.loop_cfg.force_tuning = true;
+        }
+        let standalone: Vec<_> = (1..)
+            .zip(&specs)
+            .map(|(id, spec)| {
+                tel::reset();
+                tel::set_tenant(id);
+                tel::set_enabled(true);
+                standalone_run(spec, TICKS);
+                tel::set_enabled(false);
+                tel::set_tenant(0);
+                let recorded = recorded_by(id, &telemetry_state());
+                let dispatches = recorded
+                    .1
+                    .iter()
+                    .filter(|e| matches!(e.event, tel::Event::Dispatch { .. }))
+                    .count();
+                assert!(dispatches > 1, "tenant {id} dispatches {dispatches} times");
+                recorded
+            })
+            .collect();
+        for threads in [1, 2] {
+            tel::reset();
+            tel::set_enabled(true);
+            let mut fleet = FleetService::new(FleetConfig { threads });
+            for s in &specs {
+                fleet.admit(s.clone());
+            }
+            fleet.run(TICKS);
+            tel::set_enabled(false);
+            assert_eq!(tel::flight_dropped(), 0, "no ring wrapped");
+            let state = telemetry_state();
+            for (id, want) in (1..).zip(&standalone) {
+                let got = recorded_by(id, &state);
+                assert_eq!(got.1, want.1, "{threads} thread(s): tenant {id}'s events");
+                assert_eq!(got.0, want.0, "{threads} thread(s): tenant {id}'s series");
+            }
+        }
         tel::reset();
     }
 }

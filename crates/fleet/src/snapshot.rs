@@ -129,11 +129,13 @@ impl FleetService {
     /// current interval — so each conversation
     /// re-converges (`ctrl_diverged` returns to `false` once quiet).
     /// The service clock is not rewound: the service keeps ticking
-    /// forward from now.
+    /// forward from now. Each tenant's crash and resync events are
+    /// stamped with its own fabric's clock.
     pub fn crash_restore(&mut self, snap: &FleetSnapshot) -> Result<(), RestoreError> {
         self.check_tenant_set(snap)?;
         for (t, ts) in self.tenants.iter_mut().zip(&snap.tenants) {
             paraleon_telemetry::set_tenant(t.id);
+            paraleon_telemetry::set_time(t.sim.now());
             let k = t.cell.interval_index();
             t.cell.crash_restore(&ts.cell, k);
             paraleon_telemetry::set_tenant(0);
@@ -282,5 +284,41 @@ mod tests {
             );
         }
         assert!(fleet.tick >= 15, "crash restore never rewinds ticks");
+    }
+
+    /// Tenants of different λ_MI are at different times when the
+    /// service restarts: each one's crash and resync events carry its
+    /// own fabric's clock, not the clock the last tenant's tick left.
+    #[test]
+    fn crash_restore_stamps_each_tenant_with_its_own_clock() {
+        use paraleon_telemetry as tel;
+        tel::reset();
+        tel::set_enabled(true);
+        let mut fleet = FleetService::new(FleetConfig::default());
+        let mut slow = spec(8);
+        slow.loop_cfg.lambda_mi = 2 * MILLI;
+        for s in [spec(7), slow] {
+            fleet.admit(s);
+        }
+        fleet.run(4);
+        let snap = fleet.snapshot().unwrap();
+        fleet.crash_restore(&snap).unwrap();
+        tel::set_enabled(false);
+        let events = tel::flight_events();
+        for t in fleet.tenants() {
+            let stamps: Vec<u64> = events
+                .iter()
+                .filter(|e| e.tenant == t.id)
+                .filter(|e| {
+                    matches!(
+                        e.event,
+                        tel::Event::CtrlCrash { .. } | tel::Event::CtrlResync { .. }
+                    )
+                })
+                .map(|e| e.t_ns)
+                .collect();
+            assert_eq!(stamps, [t.sim.now(); 2], "tenant {}", t.id);
+        }
+        tel::reset();
     }
 }

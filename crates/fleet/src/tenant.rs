@@ -4,22 +4,17 @@
 //! A tenant is exactly the state of one standalone [`ClosedLoop`] — the
 //! service builds it through [`TenantSpec::closed_loop`], the ordinary
 //! builder, and destructures the loop, so a fleet tenant and a
-//! standalone loop start from bit-identical state. The difference is
-//! *where* the two halves run: a fleet tenant's fabric advances in
-//! phase A of the service tick (possibly on a worker thread), and the
-//! coordinator hands the interval's metrics to its cell in phase B of
-//! the same tick. Both halves are the ones [`ClosedLoop::step`] calls —
-//! [`TunerCell::advance_fabric`] and [`TunerCell::process_interval`] —
-//! so the cell observes the standalone loop's operation sequence, the
-//! fleet's headline byte-identity property, checked against
-//! [`standalone_run`]. Flow admission is not re-implemented here: the
-//! tenant and the standalone comparator both call
-//! [`drivers::admit_due`], the rule every workload driver uses.
+//! standalone loop start from bit-identical state. Each service tick
+//! runs [`Tenant::step`], one whole interval with the calls a standalone
+//! loop makes: [`drivers::admit_due`], then the two halves of
+//! [`ClosedLoop::step`], [`TunerCell::advance_fabric`] and
+//! [`TunerCell::process_interval`]. So the cell observes the standalone
+//! loop's operation sequence, the fleet's headline byte-identity
+//! property, checked against [`standalone_run`].
 
 use paraleon::prelude::*;
 use paraleon::Nanos;
-use paraleon_netsim::{Engine, IntervalMetrics};
-use paraleon_telemetry as tel;
+use paraleon_netsim::Engine;
 
 /// Fleet-assigned tenant identity. Nonzero — telemetry entity id 0 is
 /// reserved for untenanted (standalone) emission, and the tenant id is
@@ -164,9 +159,11 @@ impl Tenant {
         &self.spec
     }
 
-    /// Phase-A work: admit due flows, then the cell's fabric half
-    /// ([`TunerCell::advance_fabric`]).
-    pub(crate) fn advance(&mut self) -> IntervalMetrics {
+    /// One monitor interval, as [`drivers::Stepper::step`] runs it for
+    /// a standalone loop: admit due flows, advance the fabric one λ_MI
+    /// ([`TunerCell::advance_fabric`]), then the cell's controller turn
+    /// over that interval ([`TunerCell::process_interval`]).
+    pub(crate) fn step(&mut self) {
         drivers::admit_due(
             &mut self.sim,
             &self.spec.schedule,
@@ -178,27 +175,7 @@ impl Tenant {
             .cell
             .advance_fabric(&mut self.sim, &mut self.completions);
         self.last_events = self.sim.events_processed() - before;
-        metrics
-    }
-
-    /// [`Tenant::advance`] as phase A runs it. `capture` is the
-    /// coordinator's registry flag, sampled once per tick before the
-    /// fan-out: when set, every telemetry emission is diverted into a
-    /// capture buffer, so worker threads need no telemetry state and the
-    /// coordinator can replay all tenants' emissions in one
-    /// deterministic order (ascending tenant id) in both the serial and
-    /// threaded schedulers; when clear, the replay would record nothing,
-    /// so nothing is captured and the buffer comes back empty.
-    pub(crate) fn advance_captured(
-        &mut self,
-        capture: bool,
-    ) -> (Vec<tel::Captured>, IntervalMetrics) {
-        if !capture {
-            return (Vec::new(), self.advance());
-        }
-        tel::capture_begin();
-        let metrics = self.advance();
-        (tel::capture_take(), metrics)
+        self.cell.process_interval(&self.sim, &metrics);
     }
 
     /// Controller-side memory footprint: the cell's state. Excludes the
@@ -247,13 +224,17 @@ mod tests {
     }
 
     #[test]
-    fn tenant_fabric_clock_tracks_advances() {
-        let mut t = Tenant::build(tiny_spec(), 1);
-        for k in 0..5u64 {
+    fn a_tenant_step_is_one_closed_loop_interval() {
+        let spec = tiny_spec();
+        let mut t = Tenant::build(spec.clone(), 1);
+        for k in 1..=5u64 {
+            t.step();
             assert_eq!(t.sim.now(), k * MILLI);
-            let metrics = t.advance();
-            assert_eq!(metrics.end, (k + 1) * MILLI);
+            assert_eq!(t.cell.history.len() as u64, k);
+            if k == 1 {
+                assert!(t.last_events > 0, "the first interval carries the elephant");
+            }
         }
-        assert_eq!(t.cell.history.len(), 0, "phase A never runs the cell");
+        assert_eq!(t.cell.history, standalone_run(&spec, 5).cell.history);
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the fleet service's two anchor guarantees:
 //! snapshot round-trips are identities, and the scheduler's results are
-//! invariant to the phase-A thread count.
+//! invariant to the thread count ticks fan out on.
 
 use paraleon::prelude::*;
 use paraleon_fleet::{FleetConfig, FleetService, TenantSpec};
@@ -104,8 +104,8 @@ proptest! {
         assert_fleets_identical(&fleet, &control);
     }
 
-    /// The scheduler's results are invariant to the phase-A thread
-    /// count: `threads: N` is byte-identical to `threads: 1`.
+    /// The scheduler's results are invariant to its thread count:
+    /// `threads: N` is byte-identical to `threads: 1`.
     #[test]
     fn scheduler_is_thread_count_invariant(
         specs in specs_strategy(),

@@ -16,6 +16,7 @@
 
 use std::ops::Range;
 
+use paraleon::stats::{gbps_of, mean};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::eval::RunMetrics;
@@ -117,14 +118,6 @@ pub struct CtrlMeasure {
     /// Lost fraction of sent control messages, `[0, 1]` — the smooth
     /// stress signal the search climbs before divergence manifests.
     pub loss_ratio: f64,
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
 }
 
 /// The pathology classes the hunter can confirm.
@@ -327,11 +320,6 @@ impl OracleReport {
     }
 }
 
-/// Convert bytes/sec to Gbps.
-fn to_gbps(bytes_per_sec: f64) -> f64 {
-    bytes_per_sec * 8.0 / 1e9
-}
-
 /// Judge a faulted run against its fault-free twin.
 ///
 /// `audit_violations` is whatever the evaluator drained from the audit
@@ -348,8 +336,8 @@ pub(crate) fn judge(
     // --- Goodput collapse vs the twin. ---
     let tail = goodput_collapse(&run.goodput, 0..0, tail_len).tail;
     let twin_tail = goodput_collapse(&twin.goodput, 0..0, tail_len).tail;
-    let tail_gbps = to_gbps(tail);
-    let twin_gbps = to_gbps(twin_tail);
+    let tail_gbps = gbps_of(tail);
+    let twin_gbps = gbps_of(twin_tail);
     let meaningful_twin = twin_gbps >= cfg.collapse_floor_gbps;
     let ratio = if meaningful_twin {
         tail / twin_tail.max(1.0)
