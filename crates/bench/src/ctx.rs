@@ -11,13 +11,14 @@
 //! `<!-- exp:<file> -->` … `<!-- /exp -->` section of `EXPERIMENTS.md`
 //! (next to `results/`), if the doc has one.
 //!
-//! `--check` has one meaning everywhere: regenerate, write nothing, and —
-//! for a `pinned` experiment — fail unless the regenerated bytes equal the
-//! committed file and the rendered table equals the doc section.
-//! Experiments with a differential twin (collectives' 2-shard re-run) add
-//! it under `ctx.check`.
+//! `--check` has one meaning everywhere: regenerate, write nothing but
+//! the row's wall-clock sidecar ([`Ctx::timing`]), and fail unless the
+//! regenerated bytes equal the committed file and the rendered table
+//! equals the doc section. Experiments with a differential twin
+//! (collectives' 2-shard re-run) add it under `ctx.check`.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -34,9 +35,6 @@ pub struct Experiment {
     pub name: &'static str,
     /// One line for `exp list`.
     pub about: &'static str,
-    /// The JSON is a pure function of the code (no wall-clock in it), so
-    /// `--check` compares it with the committed bytes.
-    pub pinned: bool,
     /// Scales the experiment defines; the first is its default.
     pub scales: &'static [Scale],
     /// The experiment body.
@@ -44,12 +42,11 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// A paper table/figure: pinned, at reduced (default) and paper scale.
+    /// A paper table/figure, at reduced (default) and paper scale.
     pub const fn figure(name: &'static str, about: &'static str, run: fn(&Ctx)) -> Self {
         Self {
             name,
             about,
-            pinned: true,
             scales: &[Scale::Reduced, Scale::Paper],
             run,
         }
@@ -166,6 +163,8 @@ pub fn run(table: &'static [Experiment], args: &[String], results: &Path) -> u8 
             exp,
             results: results.to_path_buf(),
             failures: Mutex::new(Vec::new()),
+            started: row_started,
+            timed: AtomicBool::new(false),
         };
         let (name, scale, threads) = (exp.name, ctx.scale.label(), ctx.threads);
         println!(
@@ -220,6 +219,9 @@ pub struct Ctx {
     results: PathBuf,
     /// Failed gates. Behind a mutex so sweep cells can gate too.
     failures: Mutex<Vec<String>>,
+    /// When the row began, and whether it has written its timing sidecar.
+    started: Instant,
+    timed: AtomicBool,
 }
 
 impl Ctx {
@@ -249,20 +251,31 @@ impl Ctx {
     /// The experiment's result rows, the one place its results leave the
     /// run: serialised to its results file ([`Experiment::results_file`])
     /// and rendered (`render`) to stdout and to that file's section of
-    /// `EXPERIMENTS.md`. Under `--check` nothing is written; a pinned
-    /// experiment fails unless both the file and the section reproduce.
+    /// `EXPERIMENTS.md`. Under `--check` nothing is written, and the run
+    /// fails unless both the file and the section reproduce.
     pub fn write<T: Serialize>(&self, rows: &T) {
         let file = self.exp.results_file(self.scale);
-        let path = self.results.join(&file);
         let table = render(&rows.serialize_value());
         print!("\n{table}");
-        if self.check && !self.exp.pinned {
-            println!("[check: {} carries wall-clock, gates only]", path.display());
-            return;
-        }
-        self.pin(&path, rows, !self.check);
+        self.pin(&self.results.join(&file), rows, !self.check);
         let doc = self.results.join("../EXPERIMENTS.md");
         self.fail_on(sync_section(&doc, &file, &table, self.check));
+    }
+
+    /// The one writer of the git-ignored sidecar `results/timing/<file>`:
+    /// the row's wall so far, sweep width and wall-clock `columns`, on every
+    /// run, `--check` included, never compared or rendered. A row calls it
+    /// at most once, last; the harness passes `null` for a row that did not.
+    pub fn timing<T: Serialize>(&self, columns: &T) {
+        self.timed.store(true, Ordering::Relaxed);
+        let wall_s = self.started.elapsed().as_secs_f64();
+        let doc = Value::Object(vec![
+            ("wall_s".into(), Value::Float(wall_s)),
+            ("threads".into(), Value::UInt(self.threads as u64)),
+            ("columns".into(), columns.serialize_value()),
+        ]);
+        let file = self.exp.results_file(self.scale);
+        self.pin(&self.results.join("timing").join(file), &doc, true);
     }
 
     /// The one way a file under `results/` or `corpus/` is kept: with
@@ -327,6 +340,9 @@ impl Ctx {
     /// audited release build does not panic at the violation, so it must
     /// fail here), report, and say whether the experiment passed.
     fn finish(self) -> bool {
+        if !self.timed.load(Ordering::Relaxed) {
+            self.timing(&Value::Null);
+        }
         if paraleon_audit::compiled_in() {
             let (n, reports) = paraleon_audit::drain();
             for rep in reports.iter().take(5) {
@@ -345,8 +361,8 @@ impl Ctx {
     }
 }
 
-/// `--check` on a pinned experiment: the regenerated rows must serialise
-/// to exactly the committed bytes of `path`.
+/// `--check`: the regenerated rows must serialise to exactly the
+/// committed bytes of `path`.
 fn reproduces<T: Serialize>(path: &Path, rows: &T) -> Result<(), String> {
     let fail = |msg: String| format!("{}: {msg}", path.display());
     let new = serde_json::to_string_pretty(rows).map_err(|e| fail(e.to_string()))?;
@@ -411,9 +427,7 @@ fn render(doc: &Value) -> String {
     let Value::Object(fields) = doc else {
         return rows_table(doc.as_array().unwrap_or_default());
     };
-    let mut pairs = Vec::new();
-    leaves("", doc, &mut pairs);
-    let pairs = pairs.into_iter().map(|(k, v)| vec![k, v]).collect();
+    let pairs = cells(doc).into_iter().map(|(k, v)| vec![k, v]).collect();
     let mut out = markdown(&["field".into(), "value".into()], pairs);
     for (name, field) in fields {
         let rows = field.as_array().unwrap_or_default();
@@ -426,14 +440,7 @@ fn render(doc: &Value) -> String {
 
 /// One table, one line per row; a row without some column leaves it blank.
 fn rows_table(rows: &[Value]) -> String {
-    let rows: Vec<Vec<(String, String)>> = rows
-        .iter()
-        .map(|row| {
-            let mut cells = Vec::new();
-            leaves("", row, &mut cells);
-            cells
-        })
-        .collect();
+    let rows: Vec<_> = rows.iter().map(cells).collect();
     let mut header: Vec<String> = Vec::new();
     for (key, _) in rows.iter().flatten() {
         if !header.contains(key) {
@@ -449,6 +456,13 @@ fn rows_table(rows: &[Value]) -> String {
         .map(|row| header.iter().map(|key| lookup(row, key)).collect())
         .collect();
     markdown(&header, body)
+}
+
+/// The scalar leaves of `v` as `(column, cell)`, in order.
+fn cells(v: &Value) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    leaves("", v, &mut out);
+    out
 }
 
 /// The scalar leaves of `v` under `prefix` as `(column, cell)`, in order.
@@ -503,27 +517,31 @@ mod tests {
         ctx.gate(false, "boom");
     }
 
+    /// The same rows plus a timing column that differs on every run.
+    fn wall(ctx: &Ctx) {
+        static RUNS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        rows(ctx);
+        ctx.timing(&RUNS.fetch_add(1, Ordering::Relaxed));
+    }
+
     static TABLE: [Experiment; 3] = [
         Experiment {
             name: "rows",
             about: "writes three rows",
-            pinned: true,
             scales: &[Scale::Reduced, Scale::Smoke],
             run: rows,
         },
         Experiment {
             name: "boom",
             about: "fails a gate",
-            pinned: true,
             scales: &[Scale::Reduced],
             run: boom,
         },
         Experiment {
             name: "wall",
-            about: "rows that carry wall-clock",
-            pinned: false,
+            about: "rows plus wall-clock columns",
             scales: &[Scale::Reduced],
-            run: rows,
+            run: wall,
         },
     ];
 
@@ -535,7 +553,19 @@ mod tests {
             exp: &TABLE[0],
             results: results.to_path_buf(),
             failures: Mutex::new(Vec::new()),
+            started: Instant::now(),
+            timed: AtomicBool::new(false),
         }
+    }
+
+    /// The file names directly under `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let entries = std::fs::read_dir(dir).expect("dir");
+        let mut names: Vec<String> = entries
+            .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+            .collect();
+        names.sort_unstable();
+        names
     }
 
     fn args(line: &str) -> Vec<String> {
@@ -621,17 +651,18 @@ mod tests {
     }
 
     #[test]
-    fn check_compares_pinned_rows_and_never_writes() {
+    fn check_compares_rows_and_writes_only_timing() {
         // `EXPERIMENTS.md` sits next to `results/`, as in the repository.
         let root = scratch("check");
         let dir = root.join("results");
         std::fs::create_dir_all(&dir).expect("results dir");
         let doc = root.join("EXPERIMENTS.md");
-        // Nothing committed yet: a pinned check fails, an unpinned one
-        // has nothing to compare, and neither creates a file.
+        // Nothing committed yet: every row's check fails, and the only
+        // files it leaves are the timing sidecars.
         assert_eq!(run(&TABLE, &args("rows --check"), &dir), 1);
-        assert_eq!(run(&TABLE, &args("wall --check"), &dir), 0);
-        assert!(std::fs::read_dir(&dir).expect("dir").next().is_none());
+        assert_eq!(run(&TABLE, &args("wall --check"), &dir), 1);
+        assert_eq!(listing(&dir), ["timing"]);
+        assert_eq!(listing(&dir.join("timing")), ["rows.json", "wall.json"]);
         assert!(!doc.exists());
 
         // A doc without a section for the row stays byte-identical.
@@ -666,12 +697,6 @@ mod tests {
         assert!(failures[0].contains(at), "{failures:?}");
         assert_eq!(std::fs::read_to_string(&doc).expect("doc"), edited);
 
-        // An unpinned row's section is never compared.
-        let typed = "<!-- exp:wall.json -->\nhand-typed\n<!-- /exp -->\n";
-        std::fs::write(&doc, typed).expect("write");
-        assert_eq!(run(&TABLE, &args("wall --check"), &dir), 0);
-        assert_eq!(std::fs::read_to_string(&doc).expect("doc"), typed);
-
         std::fs::write(&doc, "").expect("write");
         let path = dir.join("rows.json");
         let edited = std::fs::read_to_string(&path)
@@ -680,6 +705,46 @@ mod tests {
         std::fs::write(&path, &edited).expect("write");
         assert_eq!(run(&TABLE, &args("rows --check"), &dir), 1);
         assert_eq!(std::fs::read_to_string(&path).expect("rows.json"), edited);
+    }
+
+    #[test]
+    fn timing_goes_to_its_sidecar_and_is_never_compared() {
+        let root = scratch("timing");
+        let dir = root.join("results");
+        let doc = root.join("EXPERIMENTS.md");
+        let section = |body: &str| format!("<!-- exp:wall.json -->\n{body}<!-- /exp -->\n");
+        std::fs::write(&doc, section("")).expect("write");
+        assert_eq!(run(&TABLE, &args("wall"), &dir), 0);
+        let read = |path: &Path| std::fs::read_to_string(path).expect("read");
+        let sidecar = dir.join("timing/wall.json");
+        let first = read(&sidecar);
+        for key in [r#""wall_s""#, r#""threads""#, r#""columns""#] {
+            assert!(first.contains(key), "{key} missing from {first}");
+        }
+        // The results file and the section hold the rows, nothing timed.
+        assert_eq!(
+            read(&dir.join("wall.json")),
+            serde_json::to_string_pretty(&vec![1u32, 2, 3]).expect("json")
+        );
+        let table = "\n| value |\n| --- |\n| 1 |\n| 2 |\n| 3 |\n\n";
+        assert_eq!(read(&doc), section(table));
+
+        // Only the timing differs: the check passes and rewrites the
+        // sidecar, and nothing else.
+        std::fs::remove_file(&sidecar).expect("remove");
+        assert_eq!(run(&TABLE, &args("wall --check"), &dir), 0);
+        assert_ne!(read(&sidecar), first);
+        assert_eq!(read(&doc), section(table));
+        assert_eq!(listing(&dir), ["timing", "wall.json"]);
+
+        // A row that times nothing still gets its wall.
+        assert_eq!(run(&TABLE, &args("rows"), &dir), 0);
+        assert!(read(&dir.join("timing/rows.json")).contains(r#""columns": null"#));
+
+        // A hand-edited deterministic cell fails the check.
+        let edited = read(&dir.join("wall.json")).replace('2', "7");
+        std::fs::write(dir.join("wall.json"), edited).expect("write");
+        assert_eq!(run(&TABLE, &args("wall --check"), &dir), 1);
     }
 
     #[derive(Serialize)]
@@ -789,7 +854,7 @@ mod tests {
             Experiment::figure("leaks", "", leaks),
             Experiment::figure("clean", "", clean),
         ];
-        assert_eq!(run(&PAIR, &args("all"), Path::new("unused")), 0);
+        assert_eq!(run(&PAIR, &args("all"), &scratch("fresh")), 0);
     }
 
     #[test]
@@ -915,11 +980,11 @@ mod tests {
                 .filter(|e| owned(e).iter().any(|f| f == file));
             assert_eq!(owners.count(), 1, "owners of results/{file}");
         }
-        for e in crate::exp::ALL.iter().filter(|e| e.pinned) {
+        for e in &crate::exp::ALL {
             let file = &owned(e)[0];
             assert!(
                 results.join(file).exists(),
-                "pinned `{}` has no committed results/{file}",
+                "`{}` has no committed results/{file}",
                 e.name
             );
         }

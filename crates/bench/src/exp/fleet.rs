@@ -10,11 +10,13 @@
 //! Every size is then held to the fleet's correctness gates: serial vs
 //! threaded byte-identity, per-tenant equivalence with a standalone
 //! `ClosedLoop`, and snapshot round-trip identity. Their verdicts are
-//! rows of the JSON, so they run on every invocation. The threaded twin
-//! is timed too: its wall, its phase A (the fan-out of every tenant's
-//! whole interval), and how full phase A kept its workers. `--smoke` is
-//! small sizes and short runs (CI); `--paper` the paper-scale SA
-//! schedule for the PARALEON tenants.
+//! rows of the JSON, so they run on every invocation. The wall-clock —
+//! each fleet's wall and tick latencies, and the threaded twin's wall,
+//! its phase A (the fan-out of every tenant's whole interval) and how
+//! full phase A kept its workers — goes to the row's timing sidecar,
+//! since it moves from run to run and the twin's width is the
+//! machine's. `--smoke` is small sizes and short runs (CI); `--paper`
+//! the paper-scale SA schedule for the PARALEON tenants.
 
 use std::time::Instant;
 
@@ -150,6 +152,24 @@ struct TenantSummary {
 struct FleetRow {
     n_tenants: usize,
     ticks: u64,
+    controller_mem_bytes: usize,
+    mem_per_tenant_bytes: usize,
+    serial_threaded_identical: bool,
+    standalone_identical: bool,
+    snapshot_round_trip_ok: bool,
+    tenants: Vec<TenantSummary>,
+}
+
+#[derive(Serialize)]
+struct FleetReport {
+    scale: String,
+    rows: Vec<FleetRow>,
+}
+
+/// One size's wall-clock, for the timing sidecar.
+#[derive(Serialize)]
+struct SizeTiming {
+    n_tenants: usize,
     wall_ms: f64,
     mean_tick_us: f64,
     max_tick_us: f64,
@@ -166,26 +186,17 @@ struct FleetRow {
     /// Σ busy / (workers × Σ phase A) on the twin: 1.0 is every worker
     /// running a tenant's interval for all of every fan-out.
     phase_a_efficiency: f64,
-    controller_mem_bytes: usize,
-    mem_per_tenant_bytes: usize,
-    serial_threaded_identical: bool,
-    standalone_identical: bool,
-    snapshot_round_trip_ok: bool,
-    tenants: Vec<TenantSummary>,
 }
 
 #[derive(Serialize)]
-struct FleetReport {
-    smoke: bool,
-    checked: bool,
-    scale: String,
+struct FleetTiming {
     threads_checked: usize,
     threads_available: usize,
-    rows: Vec<FleetRow>,
+    rows: Vec<SizeTiming>,
 }
 
 /// Wall-clock of one fleet's run, from its `TickReport`s (phases as in
-/// [`FleetRow`]).
+/// [`SizeTiming`]).
 struct Timing {
     wall_ms: f64,
     /// Phase A + phase B of every tick.
@@ -268,7 +279,7 @@ fn gates(
     )
 }
 
-fn run_size(ctx: &Ctx, n: usize, ticks: u64, dump: bool) -> FleetRow {
+fn run_size(ctx: &Ctx, n: usize, ticks: u64, dump: bool) -> (FleetRow, SizeTiming) {
     let specs: Vec<TenantSpec> = (0..n).map(|i| tenant_spec(i, ticks, ctx.scale)).collect();
 
     if dump {
@@ -301,9 +312,18 @@ fn run_size(ctx: &Ctx, n: usize, ticks: u64, dump: bool) -> FleetRow {
     let (serial_threaded_identical, standalone_identical, snapshot_round_trip_ok) =
         gates(&fleet, &threaded, &specs, ticks);
     let per_tick = ticks.max(1) as f64;
-    FleetRow {
+    let row = FleetRow {
         n_tenants: n,
         ticks,
+        controller_mem_bytes: mem,
+        mem_per_tenant_bytes: mem / n.max(1),
+        serial_threaded_identical,
+        standalone_identical,
+        snapshot_round_trip_ok,
+        tenants,
+    };
+    let timing = SizeTiming {
+        n_tenants: n,
         wall_ms: serial.wall_ms,
         mean_tick_us: serial.tick_us.iter().sum::<f64>() / per_tick,
         max_tick_us: serial.tick_us.iter().cloned().fold(0.0, f64::max),
@@ -313,13 +333,8 @@ fn run_size(ctx: &Ctx, n: usize, ticks: u64, dump: bool) -> FleetRow {
         threaded_wall_ms: twin.wall_ms,
         threaded_mean_phase_a_us: twin.phase_a_us / per_tick,
         phase_a_efficiency: twin.phase_a_efficiency,
-        controller_mem_bytes: mem,
-        mem_per_tenant_bytes: mem / n.max(1),
-        serial_threaded_identical,
-        standalone_identical,
-        snapshot_round_trip_ok,
-        tenants,
-    }
+    };
+    (row, timing)
 }
 
 pub(crate) fn run(ctx: &Ctx) {
@@ -327,12 +342,12 @@ pub(crate) fn run(ctx: &Ctx) {
         Scale::Smoke => (&[2, 8], 12),
         _ => (&[2, 4, 8, 16], 40),
     };
-    // One size at a time on this thread, not a sweep: each row is a
-    // wall-clock measurement a concurrent neighbour would perturb.
-    let mut rows = Vec::new();
+    // One size at a time on this thread, not a sweep: each size's timing
+    // is a wall-clock measurement a concurrent neighbour would perturb.
+    let (mut rows, mut timings) = (Vec::new(), Vec::new());
     for &n in sizes {
         println!("[fleet: {n} tenants, {ticks} ticks]");
-        let row = run_size(ctx, n, ticks, Some(&n) == sizes.last());
+        let (row, timing) = run_size(ctx, n, ticks, Some(&n) == sizes.last());
         for (ok, gate) in [
             (row.serial_threaded_identical, "threaded != serial"),
             (row.standalone_identical, "a tenant != its standalone loop"),
@@ -344,14 +359,16 @@ pub(crate) fn run(ctx: &Ctx) {
             ctx.gate(ok, format!("{n} tenants: {gate}"));
         }
         rows.push(row);
+        timings.push(timing);
     }
 
     ctx.write(&FleetReport {
-        smoke: ctx.scale == Scale::Smoke,
-        checked: true, // the gates above ran; kept for the committed file's shape
         scale: ctx.scale.label().to_string(),
+        rows,
+    });
+    ctx.timing(&FleetTiming {
         threads_checked: twin_threads(),
         threads_available: sweep::effective_threads(usize::MAX),
-        rows,
+        rows: timings,
     });
 }

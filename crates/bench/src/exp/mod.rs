@@ -35,19 +35,11 @@ pub static ALL: [Experiment; 20] = [
     Experiment::figure("fig12", "Fig 12: SA ablation convergence", fig12::run),
     Experiment::figure("fig13", "Fig 13: alltoall algbw vs scale", fig13::run),
     Experiment::figure("fig14", "Fig 14: SolarRPC burst dynamics", fig14::run),
-    // One serial run whose CPU shares are wall-clock ratios.
-    Experiment {
-        name: "table4",
-        about: "Table IV: controller CPU, memory and control-channel bytes",
-        pinned: false,
-        scales: &[Scale::Reduced, Scale::Paper],
-        run: table4::run,
-    },
+    Experiment::figure("table4", "Table IV: CPU, memory, ctrl bytes", table4::run),
     Experiment::figure("collectives", "collective/topology sweep", collectives::run),
     Experiment {
         name: "faults",
         about: "link flap + PFC storm + rogue dispatch: guardrail acceptance",
-        pinned: true,
         scales: &[Scale::Reduced, Scale::Smoke],
         run: faults::run,
     },
@@ -55,15 +47,12 @@ pub static ALL: [Experiment; 20] = [
     Experiment {
         name: "ctrl_faults",
         about: "lossy control channel + warm controller crash: protocol acceptance",
-        pinned: true,
         scales: &[Scale::Reduced],
         run: ctrl_faults::run,
     },
-    // Rows are per-tick latencies and wall time.
     Experiment {
         name: "fleet",
-        about: "fleet service: N heterogeneous tenants, memory + tick latency + gates",
-        pinned: false,
+        about: "fleet service: N heterogeneous tenants, memory + identity gates",
         scales: &[Scale::Reduced, Scale::Paper, Scale::Smoke],
         run: fleet::run,
     },
@@ -72,7 +61,6 @@ pub static ALL: [Experiment; 20] = [
     Experiment {
         name: "probe",
         about: "determinism pin: paper fabric, FB_Hadoop, full loop (2-worker twin under --check)",
-        pinned: true,
         scales: &[Scale::Paper],
         run: probe::run,
     },
@@ -81,14 +69,12 @@ pub static ALL: [Experiment; 20] = [
     Experiment {
         name: "hunt",
         about: "anomaly hunt: seed 42, budget 64, every default oracle plus a ctrl_divergence lane",
-        pinned: true,
         scales: &[Scale::Reduced],
         run: hunt::hunt,
     },
     Experiment {
         name: "corpus",
         about: "regression corpus: every corpus/*.json case fires again (repinned without --check)",
-        pinned: true,
         scales: &[Scale::Reduced],
         run: hunt::corpus,
     },

@@ -650,19 +650,15 @@ mod tests {
         tel::reset();
     }
 
-    /// The series points and flight events stamped with tenant `id`, the
-    /// events in time order. The recorder's dump merges the tenants'
-    /// control lanes with one shared data lane, which tenants of mixed
-    /// λ_MI fill out of time order, so a dump's order within one tenant
-    /// depends on the others.
+    /// The series points and flight events stamped with tenant `id`, in
+    /// the order the dump holds them.
     fn recorded_by(
         id: TenantId,
         (_, series, events): &TelemetryState,
     ) -> (Vec<tel::SeriesPoint>, Vec<tel::TimedEvent>) {
-        let mut own: Vec<_> = events.iter().filter(|e| e.tenant == id).cloned().collect();
-        own.sort_by_key(|e| e.t_ns);
+        let own = events.iter().filter(|e| e.tenant == id).cloned();
         let series = series.iter().filter(|p| p.entity >> 16 == id).cloned();
-        (series.collect(), own)
+        (series.collect(), own.collect())
     }
 
     /// Each tenant's flight events and series, stamped with its id, are
@@ -712,6 +708,11 @@ mod tests {
             tel::set_enabled(false);
             assert_eq!(tel::flight_dropped(), 0, "no ring wrapped");
             let state = telemetry_state();
+            let oldest_first = state.2.windows(2).all(|w| w[0].t_ns <= w[1].t_ns);
+            assert!(
+                oldest_first,
+                "{threads} thread(s): the dump is out of time order"
+            );
             for (id, want) in (1..).zip(&standalone) {
                 let got = recorded_by(id, &state);
                 assert_eq!(got.1, want.1, "{threads} thread(s): tenant {id}'s events");

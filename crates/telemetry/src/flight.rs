@@ -232,34 +232,42 @@ pub struct TimedEvent {
     pub event: Event,
 }
 
-/// Fixed-capacity ring of recent [`TimedEvent`]s. When full, the oldest
-/// entry is evicted and counted in `dropped`.
+/// Which of a tenant's two lanes an event lives in. `Control` sorts
+/// first: at equal times the transition is the cause, the data-plane
+/// burst the effect.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Lane {
+    Control,
+    Data,
+}
+
+/// Fixed-capacity rings of recent [`TimedEvent`]s. When a ring is full,
+/// its oldest entry is evicted and counted in `dropped`.
 ///
-/// Per-packet data-plane events (ECN marks, CNPs, rate changes) share
-/// one lane; rare control-plane transitions (faults, guardrail actions,
-/// dispatches — see [`Event::is_control_plane`]) get **one lane per
-/// tenant**. Each lane only evicts its own kind, so a data-plane flood
-/// can never push a fault or rollback record out of the post-mortem
-/// window — and in a multi-tenant fleet, one noisy tenant's control
-/// churn can never evict another tenant's control-plane events.
+/// Each tenant has two lanes: per-packet data-plane events (ECN marks,
+/// CNPs, rate changes) in one, rare control-plane transitions (faults,
+/// guardrail actions, dispatches — see [`Event::is_control_plane`]) in
+/// the other. Each lane only evicts its own kind of its own tenant, so a
+/// data-plane flood can never push a fault or rollback record out of the
+/// post-mortem window, and in a multi-tenant fleet one noisy tenant can
+/// never evict another tenant's events. A tenant records in time order,
+/// so each lane is time-ordered even when a fleet replays tenants of
+/// different λ_MI interleaved.
 #[derive(Debug)]
 pub(crate) struct FlightRecorder {
-    data: VecDeque<TimedEvent>,
-    control: BTreeMap<u32, VecDeque<TimedEvent>>,
+    lanes: BTreeMap<(u32, Lane), VecDeque<TimedEvent>>,
     data_capacity: usize,
     control_capacity: usize,
     dropped: u64,
 }
 
 impl FlightRecorder {
-    /// Ring holding at most `capacity` data-plane events plus, per
-    /// tenant, a quarter of that (at least 64) control-plane
-    /// transitions.
+    /// Rings holding, per tenant, at most `capacity` data-plane events
+    /// and a quarter of that (at least 64) control-plane transitions.
     pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         FlightRecorder {
-            data: VecDeque::with_capacity(capacity),
-            control: BTreeMap::new(),
+            lanes: BTreeMap::new(),
             data_capacity: capacity,
             control_capacity: (capacity / 4).max(64),
             dropped: 0,
@@ -270,66 +278,40 @@ impl FlightRecorder {
     #[inline]
     pub(crate) fn push(&mut self, t_ns: u64, tenant: u32, event: Event) {
         let (lane, cap) = if event.is_control_plane() {
-            (
-                self.control.entry(tenant).or_default(),
-                self.control_capacity,
-            )
+            (Lane::Control, self.control_capacity)
         } else {
-            (&mut self.data, self.data_capacity)
+            (Lane::Data, self.data_capacity)
         };
-        if lane.len() == cap {
-            lane.pop_front();
+        let ring = self.lanes.entry((tenant, lane)).or_default();
+        if ring.len() == cap {
+            ring.pop_front();
             self.dropped += 1;
         }
-        lane.push_back(TimedEvent {
+        ring.push_back(TimedEvent {
             t_ns,
             tenant,
             event,
         });
     }
 
-    /// Events currently retained, merged across all lanes oldest first.
-    /// Ties resolve control-plane first (the transition is the cause,
-    /// the data-plane burst the effect), then by ascending tenant.
+    /// Events currently retained, merged across all lanes oldest first:
+    /// repeatedly the lane head with the smallest (time, lane, tenant),
+    /// so ties resolve control-plane first, then by ascending tenant.
     /// Within a lane, insertion order is preserved — a backdated
-    /// `event_at` stays where it was pushed, exactly as in the
-    /// single-tenant two-lane merge.
+    /// `event_at` stays where it was pushed.
     pub(crate) fn events(&self) -> impl Iterator<Item = &TimedEvent> {
-        let mut merged: Vec<&TimedEvent> = Vec::with_capacity(self.len());
-        // One cursor per lane (control lanes in ascending tenant order,
-        // then the data lane); repeatedly emit the head with the
-        // smallest (t_ns, rank, tenant) key, rank 0 = control.
-        let mut lanes: Vec<(
-            u8,
-            u32,
-            std::iter::Peekable<std::collections::vec_deque::Iter<'_, TimedEvent>>,
-        )> = self
-            .control
+        let mut heads: Vec<_> = self
+            .lanes
             .iter()
-            .map(|(&t, lane)| (0u8, t, lane.iter().peekable()))
+            .map(|(&(tenant, lane), ring)| ((lane, tenant), ring.iter().peekable()))
             .collect();
-        lanes.push((1, 0, self.data.iter().peekable()));
-        loop {
-            let mut best: Option<(usize, (u64, u8, u32))> = None;
-            for (i, (rank, tenant, it)) in lanes.iter_mut().enumerate() {
-                if let Some(e) = it.peek() {
-                    let key = (e.t_ns, *rank, *tenant);
-                    if best.is_none_or(|(_, bk)| key < bk) {
-                        best = Some((i, key));
-                    }
-                }
-            }
-            match best {
-                Some((i, _)) => merged.push(lanes[i].2.next().unwrap()),
-                None => break,
-            }
-        }
-        merged.into_iter()
-    }
-
-    /// Number of retained events across all lanes.
-    pub(crate) fn len(&self) -> usize {
-        self.data.len() + self.control.values().map(VecDeque::len).sum::<usize>()
+        std::iter::from_fn(move || {
+            let (_, ring) = heads
+                .iter_mut()
+                .filter_map(|(key, ring)| Some(((ring.peek()?.t_ns, *key), ring)))
+                .min_by_key(|(at, _)| *at)?;
+            ring.next()
+        })
     }
 
     /// Events evicted so far because a lane was full.
@@ -339,17 +321,14 @@ impl FlightRecorder {
 
     /// Discard all retained events and the drop counter.
     pub(crate) fn clear(&mut self) {
-        self.data.clear();
-        self.control.clear();
+        self.lanes.clear();
         self.dropped = 0;
     }
 
-    /// Heap + inline bytes held by this recorder (capacity-based: the
-    /// data lane pre-allocates).
+    /// Heap + inline bytes held by this recorder (capacity-based).
     pub(crate) fn memory_bytes(&self) -> usize {
-        let control: usize = self.control.values().map(VecDeque::capacity).sum();
-        std::mem::size_of::<Self>()
-            + (self.data.capacity() + control) * std::mem::size_of::<TimedEvent>()
+        let slots: usize = self.lanes.values().map(VecDeque::capacity).sum();
+        std::mem::size_of::<Self>() + slots * std::mem::size_of::<TimedEvent>()
     }
 }
 
@@ -363,7 +342,6 @@ mod tests {
         for i in 0..5u64 {
             fr.push(i, 0, Event::RateIncrease);
         }
-        assert_eq!(fr.len(), 3);
         assert_eq!(fr.dropped(), 2);
         let ts: Vec<u64> = fr.events().map(|e| e.t_ns).collect();
         assert_eq!(ts, vec![2, 3, 4]);
@@ -407,6 +385,47 @@ mod tests {
         // Tenant 2 keeps only the newest `control_capacity` of its own.
         let tenant2 = fr.events().filter(|e| e.tenant == 2).count();
         assert_eq!(tenant2 as u64 + fr.dropped(), 10_000);
+    }
+
+    /// A fleet replays its tenants in id order each tick, so a 1 ms
+    /// tenant's events at k ms and a 2 ms tenant's at 2k ms arrive
+    /// interleaved, out of time order.
+    #[test]
+    fn tenants_of_different_lambda_dump_in_time_order_and_flood_alone() {
+        const MS: u64 = 1_000_000;
+        let mark = Event::EcnMark {
+            switch: 0,
+            queue_bytes: 0,
+        };
+        let mut fr = FlightRecorder::new(8);
+        for tick in 1..=4 {
+            fr.push(tick * MS, 1, mark);
+            fr.push(2 * tick * MS, 2, Event::RateIncrease);
+            fr.push(2 * tick * MS, 2, Event::SaEpisodeEnd { best_utility: 0.5 });
+        }
+        let in_time_order = |fr: &FlightRecorder| {
+            let ts: Vec<u64> = fr.events().map(|e| e.t_ns).collect();
+            assert!(
+                ts.windows(2).all(|w| w[0] <= w[1]),
+                "not oldest first: {ts:?}"
+            );
+            let retained: usize = fr.lanes.values().map(VecDeque::len).sum();
+            assert_eq!(ts.len(), retained, "the merge skips nothing");
+        };
+        in_time_order(&fr);
+        // Tenant 2 floods its data lane far past its capacity.
+        for i in 0..1_000 {
+            fr.push(8 * MS + i, 2, mark);
+        }
+        in_time_order(&fr);
+        let tenant1: Vec<u64> = fr
+            .events()
+            .filter(|e| e.tenant == 1)
+            .map(|e| e.t_ns)
+            .collect();
+        assert_eq!(tenant1, [MS, 2 * MS, 3 * MS, 4 * MS], "tenant 1 keeps all");
+        assert_eq!(fr.dropped(), 4 + 1_000 - 8, "tenant 2 evicts only its own");
+        assert_eq!(fr.events().filter(|e| e.tenant == 2).count(), 4 + 8);
     }
 
     #[test]
