@@ -485,7 +485,7 @@ impl TunerCell {
                     delay_max,
                     dup,
                 } => {
-                    tel::event(tel::Event::CtrlImpairSet {
+                    tel::event(tel::Event::CtrlImpair {
                         loss,
                         delay_max: delay_max as u32,
                         dup,

@@ -165,6 +165,58 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A case whose topology or run length is out of range is refused
+    /// where it enters, naming the type and the field, before anything
+    /// builds the fabric or runs the clock (either would panic).
+    #[test]
+    fn load_refuses_invalid_cases_naming_type_and_field() {
+        let dir = std::env::temp_dir().join("paraleon_hunt_corpus_invalid");
+        fs::create_dir_all(&dir).expect("dir");
+        let with_clos = |edit: fn(&mut ClosSpec)| {
+            let mut c = case();
+            if let TopoSpec::TwoTier(s) = &mut c.point.topo {
+                edit(s);
+            }
+            c
+        };
+        // 20 intervals of 10^18 ns end past the u64 clock.
+        let mut overflow = case();
+        overflow.eval.intervals = 20;
+        overflow.eval.lambda_mi = 1_000_000_000_000_000_000;
+        let cases = [
+            (
+                with_clos(|s| s.n_leaf = 0),
+                "ClosSpec: `n_leaf` must be >= 1",
+            ),
+            (
+                with_clos(|s| s.delay_ns = 0),
+                "ClosSpec: delay_ns must be >= 1",
+            ),
+            (
+                with_clos(|s| s.host_gbps = 0.0),
+                "ClosSpec: `host_gbps` must be positive and finite",
+            ),
+            (
+                with_clos(|s| s.uplink_gbps = -100.0),
+                "ClosSpec: `uplink_gbps` must be positive and finite",
+            ),
+            (
+                overflow,
+                "EvalConfig: intervals × lambda_mi overflows the u64 clock",
+            ),
+        ];
+        for (i, (c, want)) in cases.into_iter().enumerate() {
+            let path = dir.join(format!("bad_{i}.json"));
+            fs::write(&path, serde_json::to_string_pretty(&c).unwrap()).expect("writes");
+            let err = HuntCase::load(&path).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{}: {want}", path.display())),
+                "{err}"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn missing_corpus_dir_is_empty() {
         let cases = load_dir(Path::new("/nonexistent/paraleon")).expect("empty");

@@ -51,11 +51,15 @@ impl Default for EvalConfig {
 }
 
 impl EvalConfig {
-    /// Check that every run length is positive (a case file may say
-    /// otherwise).
+    /// Check that every run length is positive and that the run's end,
+    /// `intervals × lambda_mi`, fits the `u64` clock (a case file may
+    /// say otherwise).
     pub fn validate(&self) -> Result<(), String> {
         if self.intervals == 0 || self.lambda_mi == 0 || self.tail == 0 {
             return Err("EvalConfig: intervals, lambda_mi and tail must be positive".into());
+        }
+        if self.intervals.checked_mul(self.lambda_mi).is_none() {
+            return Err("EvalConfig: intervals × lambda_mi overflows the u64 clock".into());
         }
         Ok(())
     }

@@ -31,9 +31,9 @@ pub struct FlowSpec {
     pub gap: Nanos,
 }
 
-/// One point in the hunt search space. Its reader checks each field
-/// (and runs the topology validator); [`HuntPoint::validate`] checks
-/// the fields against each other.
+/// One point in the hunt search space. Its reader checks each field's
+/// type; [`HuntPoint::validate`] checks the topology spec, then the
+/// fields against each other.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HuntPoint {
     /// Topology recipe (any [`TopoSpec`] family).
@@ -55,10 +55,13 @@ pub struct HuntPoint {
 }
 
 impl HuntPoint {
-    /// Check internal consistency: every flow endpoint, collective rank
-    /// and fault target must exist in the topology the spec builds, and
-    /// a collective must be valid and bounded (evaluations terminate).
+    /// Check internal consistency: the topology spec must pass
+    /// [`TopoSpec::validate`] (so nothing below builds a spec that
+    /// panics), every flow endpoint, collective rank and fault target
+    /// must exist in the topology it builds, and a collective must be
+    /// valid and bounded (evaluations terminate).
     pub fn validate(&self) -> Result<(), String> {
+        self.topo.validate()?;
         let n_hosts = self.topo.n_hosts();
         for (i, f) in self.workload.iter().enumerate() {
             if f.src >= n_hosts || f.dst >= n_hosts {

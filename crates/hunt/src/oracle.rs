@@ -17,7 +17,7 @@
 use std::ops::Range;
 
 use paraleon::stats::{gbps_of, mean};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::eval::RunMetrics;
 
@@ -216,7 +216,7 @@ pub struct OracleOutcome {
 /// The full oracle evaluation of one faulted run + twin pair. Every
 /// field is derived deterministically from the two runs, so a replay of
 /// a corpus case must reproduce this struct *byte for byte* in JSON.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct OracleReport {
     /// Per-oracle verdicts: [`ALL_ORACLES`] order, plus a trailing
     /// [`OracleKind::CtrlDivergence`] entry when the probe ran.
@@ -246,57 +246,12 @@ pub struct OracleReport {
     /// Intervals the faulted run actually completed.
     pub intervals_run: u64,
     /// Control-plane probe measure — present only for candidates that
-    /// schedule control-plane faults.
+    /// schedule control-plane faults. Omitted rather than `null` when
+    /// absent, so the reports of ctrl-free candidates (every corpus case
+    /// committed before the control-plane oracle among them) keep their
+    /// bytes.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub ctrl: Option<CtrlMeasure>,
-}
-
-// Hand-written (mirroring the derive's field-ordered object) so that
-// `ctrl` is *omitted* rather than serialized as `null` when absent:
-// reports of ctrl-free candidates — including every corpus case
-// committed before the control-plane oracle existed — keep their exact
-// pre-existing bytes, which the replay gate compares verbatim.
-impl Serialize for OracleReport {
-    fn serialize_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = vec![
-            ("outcomes".into(), self.outcomes.serialize_value()),
-            (
-                "tail_goodput_gbps".into(),
-                self.tail_goodput_gbps.serialize_value(),
-            ),
-            (
-                "twin_tail_goodput_gbps".into(),
-                self.twin_tail_goodput_gbps.serialize_value(),
-            ),
-            (
-                "collapse_ratio".into(),
-                self.collapse_ratio.serialize_value(),
-            ),
-            (
-                "peak_pause_window".into(),
-                self.peak_pause_window.serialize_value(),
-            ),
-            ("jain_tail".into(), self.jain_tail.serialize_value()),
-            ("starved_flows".into(), self.starved_flows.serialize_value()),
-            (
-                "eligible_flows".into(),
-                self.eligible_flows.serialize_value(),
-            ),
-            (
-                "audit_violations".into(),
-                self.audit_violations.serialize_value(),
-            ),
-            (
-                "events_processed".into(),
-                self.events_processed.serialize_value(),
-            ),
-            ("aborted_early".into(), self.aborted_early.serialize_value()),
-            ("intervals_run".into(), self.intervals_run.serialize_value()),
-        ];
-        if let Some(m) = &self.ctrl {
-            fields.push(("ctrl".into(), m.serialize_value()));
-        }
-        Value::Object(fields)
-    }
 }
 
 impl OracleReport {

@@ -23,7 +23,7 @@
 //! that runs it — follows at the end of the file.
 
 use paraleon_telemetry as tel;
-use serde::{field, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::core::FAULT_NS;
 use crate::error::SimError;
@@ -38,8 +38,10 @@ use crate::{Nanos, NodeId};
 /// divided by the factor) far from the end of the `u64` clock.
 const MIN_DEGRADE_FACTOR: f64 = 1e-6;
 
-/// What a single scheduled fault does.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What a single scheduled fault does. Serialized as one object, the
+/// variant name under `"kind"` followed by its fields.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind")]
 pub enum FaultKind {
     /// Take the link out of service: packets serialized onto it are
     /// lost, and ECMP steers new traffic around it where an alternate
@@ -93,80 +95,6 @@ pub enum FaultKind {
         /// Whether a snapshot survives the crash.
         warm: bool,
     },
-}
-
-// The vendored derive handles unit-only enums; `Degrade`/`PktLoss`
-// carry data, so the enum serializes by hand as an internally tagged
-// object with a stable field order (`kind` first).
-impl Serialize for FaultKind {
-    fn serialize_value(&self) -> Value {
-        let tag = |name: &str| (String::from("kind"), Value::String(name.into()));
-        match self {
-            FaultKind::LinkDown => Value::Object(vec![tag("LinkDown")]),
-            FaultKind::LinkUp => Value::Object(vec![tag("LinkUp")]),
-            FaultKind::Degrade { factor } => Value::Object(vec![
-                tag("Degrade"),
-                (String::from("factor"), Value::Float(*factor)),
-            ]),
-            FaultKind::PktLoss { drop_prob } => Value::Object(vec![
-                tag("PktLoss"),
-                (String::from("drop_prob"), Value::Float(*drop_prob)),
-            ]),
-            FaultKind::PfcStormStart => Value::Object(vec![tag("PfcStormStart")]),
-            FaultKind::PfcStormEnd => Value::Object(vec![tag("PfcStormEnd")]),
-            FaultKind::CtrlImpair {
-                up,
-                down,
-                loss,
-                delay_max,
-                dup,
-            } => Value::Object(vec![
-                tag("CtrlImpair"),
-                (String::from("up"), Value::Bool(*up)),
-                (String::from("down"), Value::Bool(*down)),
-                (String::from("loss"), Value::Float(*loss)),
-                (String::from("delay_max"), Value::UInt(*delay_max)),
-                (String::from("dup"), Value::Float(*dup)),
-            ]),
-            FaultKind::CtrlCrash { warm } => Value::Object(vec![
-                tag("CtrlCrash"),
-                (String::from("warm"), Value::Bool(*warm)),
-            ]),
-        }
-    }
-}
-
-// Read back from the same tagged object.
-impl Deserialize for FaultKind {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let tag: String = field(v, "FaultKind", "kind")?;
-        let ty = format!("FaultKind::{tag}");
-        let get = |name: &str| field::<f64>(v, &ty, name);
-        let flag = |name: &str| field::<bool>(v, &ty, name);
-        match tag.as_str() {
-            "LinkDown" => Ok(FaultKind::LinkDown),
-            "LinkUp" => Ok(FaultKind::LinkUp),
-            "Degrade" => Ok(FaultKind::Degrade {
-                factor: get("factor")?,
-            }),
-            "PktLoss" => Ok(FaultKind::PktLoss {
-                drop_prob: get("drop_prob")?,
-            }),
-            "PfcStormStart" => Ok(FaultKind::PfcStormStart),
-            "PfcStormEnd" => Ok(FaultKind::PfcStormEnd),
-            "CtrlImpair" => Ok(FaultKind::CtrlImpair {
-                up: flag("up")?,
-                down: flag("down")?,
-                loss: get("loss")?,
-                delay_max: field(v, &ty, "delay_max")?,
-                dup: get("dup")?,
-            }),
-            "CtrlCrash" => Ok(FaultKind::CtrlCrash {
-                warm: flag("warm")?,
-            }),
-            other => Err(format!("FaultKind: unknown tag `{other}`")),
-        }
-    }
 }
 
 impl FaultKind {
@@ -594,6 +522,31 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A malformed fault is an `Err` naming the type and the field.
+    #[test]
+    fn malformed_fault_kinds_are_typed_errors() {
+        let cases = [
+            (r#"{"factor":0.5}"#, "FaultKind: missing `kind`"),
+            (
+                r#"{"kind":"Meltdown"}"#,
+                "FaultKind: unknown kind `Meltdown`",
+            ),
+            (
+                r#"{"kind":"Degrade","factor":"half"}"#,
+                "FaultKind::Degrade.factor: expected a number",
+            ),
+            (
+                r#"{"kind":"CtrlImpair","up":true,"down":true,"loss":0.1,"dup":0.0}"#,
+                "FaultKind::CtrlImpair: missing `delay_max`",
+            ),
+            (r#""LinkDown""#, "expected a FaultKind object"),
+        ];
+        for (text, want) in cases {
+            let v = serde_json::from_str_value(text).unwrap();
+            assert_eq!(FaultKind::from_value(&v), Err(want.to_string()), "{text}");
+        }
+    }
 
     #[test]
     fn flap_builder_alternates_down_up() {

@@ -884,9 +884,11 @@ mod tests {
     fn topo_spec_round_trips_every_family() {
         for spec in specs() {
             let v = spec.serialize_value();
+            assert_eq!(v.get("family"), Some(&Value::String(spec.family().into())));
             let back =
                 TopoSpec::from_value(&v).unwrap_or_else(|e| panic!("{}: {e}", spec.family()));
             assert_eq!(back, spec);
+            assert_eq!(spec.validate(), Ok(()), "{}", spec.family());
             // Spec-level counts agree with the built topology.
             let t = spec.build();
             assert_eq!(t.n_hosts(), spec.n_hosts(), "{}", spec.family());
@@ -894,77 +896,76 @@ mod tests {
         }
     }
 
-    #[test]
-    fn untagged_spec_is_refused_naming_family() {
-        // A bare ClosSpec object, the form corpus files had before
-        // topology families existed.
-        let v = specs()[0]
-            .as_two_tier()
-            .expect("two-tier")
-            .serialize_value();
-        assert!(v.get("family").is_none());
-        let err = TopoSpec::from_value(&v).unwrap_err();
-        assert!(err.contains("`family`"), "{err}");
+    /// `spec` with its field `key` set to `value`, through the reader
+    /// (which checks types only).
+    fn with(spec: TopoSpec, key: &str, value: Value) -> TopoSpec {
+        let Value::Object(mut entries) = spec.serialize_value() else {
+            unreachable!("a spec serializes to an object")
+        };
+        for (k, val) in entries.iter_mut() {
+            if k == key {
+                *val = value.clone();
+            }
+        }
+        TopoSpec::from_value(&Value::Object(entries)).expect("well-typed spec")
     }
 
+    /// A malformed spec is an `Err` naming the type and the field.
     #[test]
-    fn unknown_family_is_rejected() {
-        let mut v = specs()[0].serialize_value();
-        if let Value::Object(entries) = &mut v {
-            entries[0].1 = Value::String("hypercube".into());
+    fn malformed_specs_are_typed_errors() {
+        let parse = |text: &str| TopoSpec::from_value(&serde_json::from_str_value(text).unwrap());
+        let cases = [
+            // A bare ClosSpec object, the form corpus files had before
+            // topology families existed.
+            (
+                r#"{"n_tor":2,"hosts_per_tor":2,"n_leaf":1,"host_gbps":100.0,"uplink_gbps":100.0,"delay_ns":1000}"#,
+                "TopoSpec: missing `family`",
+            ),
+            (
+                r#"{"family":"hypercube"}"#,
+                "TopoSpec: unknown family `hypercube`",
+            ),
+            (
+                r#"{"family":"rail","n_rail":"4","n_server":2,"n_spine":2,"host_gbps":100.0,"uplink_gbps":100.0,"delay_ns":1000}"#,
+                "RailSpec.n_rail: expected a usize",
+            ),
+            (
+                r#"{"family":"three_tier","n_pod":2,"tors_per_pod":2}"#,
+                "ThreeTierSpec: missing `hosts_per_tor`",
+            ),
+            (r#"{"family":7}"#, "TopoSpec.family: expected a string"),
+            ("[]", "expected a TopoSpec object"),
+        ];
+        for (text, want) in cases {
+            assert_eq!(parse(text), Err(want.to_string()), "{text}");
         }
-        assert!(TopoSpec::from_value(&v).unwrap_err().contains("hypercube"));
     }
 
     /// `delay_ns == 0` would zero the parallel engine's lookahead; every
-    /// spec family rejects it (satellite regression — `ClosSpec` used to
-    /// accept it).
+    /// spec family rejects it (`ClosSpec` used to accept it).
     #[test]
     fn specs_reject_zero_delay() {
         for spec in specs() {
-            let mut v = spec.serialize_value();
-            if let Value::Object(entries) = &mut v {
-                for (k, val) in entries.iter_mut() {
-                    if k == "delay_ns" {
-                        *val = Value::UInt(0);
-                    }
-                }
-            }
-            let err = TopoSpec::from_value(&v).unwrap_err();
+            let err = with(spec, "delay_ns", Value::UInt(0))
+                .validate()
+                .unwrap_err();
             assert!(err.contains("delay_ns"), "{}: {err}", spec.family());
         }
     }
 
     #[test]
     fn specs_reject_zero_dimensions_and_bad_rates() {
-        let base = TopoSpec::TwoTier(ClosSpec {
-            n_tor: 2,
-            hosts_per_tor: 2,
-            n_leaf: 1,
-            host_gbps: 100.0,
-            uplink_gbps: 100.0,
-            delay_ns: 1_000,
-        });
-        let mut v = base.serialize_value();
-        if let Value::Object(entries) = &mut v {
-            for (k, val) in entries.iter_mut() {
-                if k == "n_leaf" {
-                    *val = Value::UInt(0);
-                }
-            }
+        let base = specs()[0];
+        let err = with(base, "n_leaf", Value::UInt(0)).validate().unwrap_err();
+        assert_eq!(err, "ClosSpec: `n_leaf` must be >= 1");
+        for rate in [-1.0, 0.0, f64::NAN] {
+            let spec = with(base, "uplink_gbps", Value::Float(rate));
+            let err = spec.validate().unwrap_err();
+            assert_eq!(
+                err, "ClosSpec: `uplink_gbps` must be positive and finite",
+                "{rate}"
+            );
         }
-        let err = TopoSpec::from_value(&v).unwrap_err();
-        assert!(err.contains("`n_leaf` must be >= 1"), "{err}");
-        let mut v = base.serialize_value();
-        if let Value::Object(entries) = &mut v {
-            for (k, val) in entries.iter_mut() {
-                if k == "uplink_gbps" {
-                    *val = Value::Float(-1.0);
-                }
-            }
-        }
-        let err = TopoSpec::from_value(&v).unwrap_err();
-        assert!(err.contains("link rates must be positive"), "{err}");
     }
 
     /// Events address ports as `u16` and nodes as `u32`; a spec that
@@ -1001,7 +1002,7 @@ mod tests {
             }),
         ];
         for spec in too_wide {
-            let err = TopoSpec::from_value(&spec.serialize_value()).unwrap_err();
+            let err = spec.validate().unwrap_err();
             assert!(err.contains("radix"), "{}: {err}", spec.family());
         }
         // Only a three-tier fabric can stay within the radix bound and
@@ -1012,15 +1013,14 @@ mod tests {
             hosts_per_tor: 2_000,
             ..three
         };
-        let err =
-            TopoSpec::from_value(&TopoSpec::ThreeTier(too_many).serialize_value()).unwrap_err();
+        let err = TopoSpec::ThreeTier(too_many).validate().unwrap_err();
         assert!(err.contains("nodes"), "{err}");
         // The widest fabric that fits still passes.
         let widest = TopoSpec::TwoTier(ClosSpec {
             n_tor: 65_535,
             ..clos
         });
-        assert_eq!(TopoSpec::from_value(&widest.serialize_value()), Ok(widest));
+        assert_eq!(widest.validate(), Ok(()));
     }
 
     /// Specs have public fields, so `build` is reachable without

@@ -2,12 +2,12 @@
 //! a built graph, so harnesses (the anomaly hunter's genome, replayable
 //! corpus cases) can round-trip it through JSON and rebuild an identical
 //! topology. A spec is read by the derived `Deserialize`, checked by one
-//! validator where it enters ([`TopoSpec`]'s reader), and is what its
+//! validator ([`TopoSpec::validate`]) where it enters, and is what its
 //! family's builder takes.
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use super::{gbps, NodeKind, Port, Tiers, Topology};
 use crate::{Nanos, NodeId};
@@ -117,7 +117,7 @@ fn validate(
     dims: &[(&str, usize)],
     radix: usize,
     n_nodes: usize,
-    rates: &[f64],
+    rates: &[(&str, f64)],
     delay_ns: Nanos,
 ) -> Result<(), String> {
     if let Some((name, _)) = dims.iter().find(|&&(_, v)| v == 0) {
@@ -129,8 +129,8 @@ fn validate(
     if n_nodes > u32::MAX as usize {
         return Err(format!("{what}: {n_nodes} nodes exceed {}", u32::MAX));
     }
-    if rates.iter().any(|r| !r.is_finite() || *r <= 0.0) {
-        return Err(format!("{what}: link rates must be positive"));
+    if let Some((name, _)) = rates.iter().find(|&&(_, r)| !r.is_finite() || r <= 0.0) {
+        return Err(format!("{what}: `{name}` must be positive and finite"));
     }
     if delay_ns == 0 {
         return Err(format!(
@@ -138,6 +138,14 @@ fn validate(
         ));
     }
     Ok(())
+}
+
+/// Panic with the validator's message: building an invalid spec is a
+/// caller bug ([`TopoSpec::validate`] is the checked way in).
+fn assert_valid(checked: Result<(), String>) {
+    if let Err(e) = checked {
+        panic!("{e}");
+    }
 }
 
 impl ClosSpec {
@@ -169,7 +177,12 @@ impl ClosSpec {
     /// `0..H`, ToRs `H..H+n_tor`, leaves after that. Like every family's
     /// `build`, panics on a spec the validator rejects.
     pub fn build(&self) -> Topology {
-        self.as_mixed().checked("ClosSpec").wire(false)
+        assert_valid(self.validate());
+        self.as_mixed().wire(false)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        self.as_mixed().validate_as("ClosSpec", ["uplink_gbps"; 2])
     }
 }
 
@@ -204,7 +217,11 @@ impl ThreeTierSpec {
             ("aggs_per_pod", self.aggs_per_pod),
             ("spines_per_agg", self.spines_per_agg),
         ];
-        let rates = [self.host_gbps, self.agg_gbps, self.spine_gbps];
+        let rates = [
+            ("host_gbps", self.host_gbps),
+            ("agg_gbps", self.agg_gbps),
+            ("spine_gbps", self.spine_gbps),
+        ];
         let (radix, nodes) = (tor.max(agg).max(self.n_pod), self.n_nodes());
         validate("ThreeTierSpec", &dims, radix, nodes, &rates, self.delay_ns)
     }
@@ -214,7 +231,7 @@ impl ThreeTierSpec {
     /// kind [`NodeKind::Leaf`]), spines (plane-major, kind
     /// [`NodeKind::Spine`]).
     pub fn build(&self) -> Topology {
-        self.validate().unwrap_or_else(|e| panic!("{e}"));
+        assert_valid(self.validate());
         let Self {
             n_pod,
             tors_per_pod,
@@ -279,7 +296,10 @@ impl RailSpec {
             ("n_server", self.n_server),
             ("n_spine", self.n_spine),
         ];
-        let rates = [self.host_gbps, self.uplink_gbps];
+        let rates = [
+            ("host_gbps", self.host_gbps),
+            ("uplink_gbps", self.uplink_gbps),
+        ];
         let (radix, n_nodes) = (radix.max(self.n_rail), self.n_nodes());
         validate("RailSpec", &dims, radix, n_nodes, &rates, self.delay_ns)
     }
@@ -290,7 +310,7 @@ impl RailSpec {
     /// the ToR role, spines the leaf role); only the host↔switch
     /// incidence differs.
     pub fn build(&self) -> Topology {
-        self.validate().unwrap_or_else(|e| panic!("{e}"));
+        assert_valid(self.validate());
         let clos = TopoSpec::Rail(*self).to_two_tier();
         clos.as_mixed().wire(true)
     }
@@ -308,9 +328,14 @@ impl MixedRateSpec {
         self.n_hosts().saturating_add(switches)
     }
 
-    /// Validate as family `what` (the plain Clos is the uniform-rate case
-    /// and shares the dimension names).
-    fn validate(&self, what: &str) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
+        self.validate_as("MixedRateSpec", ["fast_gbps", "slow_gbps"])
+    }
+
+    /// Validate as family `what` whose leaf planes' rates are named
+    /// `planes` (the plain Clos is the uniform-rate case and shares the
+    /// dimension names).
+    fn validate_as(&self, what: &str, planes: [&str; 2]) -> Result<(), String> {
         // A ToR faces its hosts and every leaf; a leaf faces every ToR.
         let radix = self.hosts_per_tor.saturating_add(self.n_leaf);
         let dims = [
@@ -318,22 +343,19 @@ impl MixedRateSpec {
             ("hosts_per_tor", self.hosts_per_tor),
             ("n_leaf", self.n_leaf),
         ];
-        let rates = [self.host_gbps, self.fast_gbps, self.slow_gbps];
+        let rates = [
+            ("host_gbps", self.host_gbps),
+            (planes[0], self.fast_gbps),
+            (planes[1], self.slow_gbps),
+        ];
         let (radix, nodes) = (radix.max(self.n_tor), self.n_nodes());
         validate(what, &dims, radix, nodes, &rates, self.delay_ns)
     }
 
-    /// `self`, or a panic with the validator's message: building an
-    /// invalid spec is a caller bug ([`TopoSpec`]'s `Deserialize` is the
-    /// checked way in).
-    fn checked(self, what: &str) -> Self {
-        self.validate(what).unwrap_or_else(|e| panic!("{e}"));
-        self
-    }
-
     /// Materialize the spec into a routed [`Topology`].
     pub fn build(&self) -> Topology {
-        self.checked("MixedRateSpec").wire(false)
+        assert_valid(self.validate());
+        self.wire(false)
     }
 
     /// Wire the two-tier graph of an already validated spec: every ToR
@@ -435,9 +457,11 @@ impl Topology {
 /// route and partition a fabric, round-trippable through JSON like
 /// [`ClosSpec`] (which it embeds as its first family).
 ///
-/// Serialized form is the family spec's fields plus a `"family"` tag;
-/// an object without one is refused.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Serialized form is a `"family"` tag followed by the family spec's
+/// fields; an object without one is refused. Reading does not validate:
+/// [`TopoSpec::validate`] does, where a spec enters.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "family", rename_all = "snake_case")]
 pub enum TopoSpec {
     /// The paper's two-tier Clos ([`ClosSpec`]).
     TwoTier(ClosSpec),
@@ -448,22 +472,6 @@ pub enum TopoSpec {
     /// Two-tier Clos with alternating fast/slow leaf planes
     /// ([`MixedRateSpec`]).
     MixedRate(MixedRateSpec),
-}
-
-impl Serialize for TopoSpec {
-    fn serialize_value(&self) -> Value {
-        let fields = match self {
-            Self::TwoTier(s) => s.serialize_value(),
-            Self::ThreeTier(s) => s.serialize_value(),
-            Self::Rail(s) => s.serialize_value(),
-            Self::MixedRate(s) => s.serialize_value(),
-        };
-        let mut entries = vec![("family".to_string(), Value::String(self.family().into()))];
-        if let Value::Object(fields) = fields {
-            entries.extend(fields);
-        }
-        Value::Object(entries)
-    }
 }
 
 impl TopoSpec {
@@ -548,6 +556,18 @@ impl TopoSpec {
         }
     }
 
+    /// Check the family's dimensions, rates, delay, radix and node count,
+    /// where a spec enters (a hunt genome's `HuntPoint::validate` runs it
+    /// first); [`build`](Self::build) panics on a spec this refuses.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            Self::TwoTier(s) => s.validate(),
+            Self::ThreeTier(s) => s.validate(),
+            Self::Rail(s) => s.validate(),
+            Self::MixedRate(s) => s.validate(),
+        }
+    }
+
     /// Materialize into a routed [`Topology`].
     pub fn build(&self) -> Topology {
         match self {
@@ -556,26 +576,5 @@ impl TopoSpec {
             Self::Rail(s) => s.build(),
             Self::MixedRate(s) => s.build(),
         }
-    }
-}
-
-/// Every family is validated here, where a spec enters.
-impl Deserialize for TopoSpec {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let spec = match v.get("family").and_then(Value::as_str) {
-            None => return Err("TopoSpec: missing `family` tag".into()),
-            Some("two_tier") => Self::TwoTier(ClosSpec::from_value(v)?),
-            Some("three_tier") => Self::ThreeTier(ThreeTierSpec::from_value(v)?),
-            Some("rail") => Self::Rail(RailSpec::from_value(v)?),
-            Some("mixed_rate") => Self::MixedRate(MixedRateSpec::from_value(v)?),
-            Some(other) => return Err(format!("TopoSpec: unknown family `{other}`")),
-        };
-        let checked = match &spec {
-            Self::TwoTier(s) => s.as_mixed().validate("ClosSpec"),
-            Self::ThreeTier(s) => s.validate(),
-            Self::Rail(s) => s.validate(),
-            Self::MixedRate(s) => s.validate("MixedRateSpec"),
-        };
-        checked.map(|()| spec)
     }
 }

@@ -11,23 +11,24 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use serde::{field, Deserialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::{
     counters_snapshot, flight_dropped, flight_events, gauges_snapshot, histogram, series_points,
-    Hist,
+    Hist, TimedEvent,
 };
 
-/// Quantiles exported per histogram.
-const QUANTILES: [(&str, f64); 4] = [("p50", 0.5), ("p90", 0.9), ("p99", 0.99), ("p999", 0.999)];
-
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// One exported line: the variant's name under `"kind"`, then its
+/// fields (an event's payload nests under `"event"`).
+#[derive(Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
+enum Line {
+    Counter { name: String, value: u64 },
+    Gauge { name: String, value: f64 },
+    Hist(HistSummary),
+    Series(OwnedSeriesPoint),
+    Event(TimedEvent),
+    FlightMeta { dropped: u64 },
 }
 
 /// Export the whole registry as JSONL. Parent directories are created;
@@ -37,88 +38,60 @@ pub fn write_jsonl(path: impl AsRef<Path>) -> io::Result<PathBuf> {
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
     }
-    let mut out = io::BufWriter::new(fs::File::create(path)?);
-    let line = |out: &mut dyn Write, v: &Value| -> io::Result<()> {
-        let s = serde_json::to_string(v).expect("telemetry values always serialize");
-        writeln!(out, "{s}")
-    };
-
-    for (name, value) in counters_snapshot() {
-        line(
-            &mut out,
-            &obj(vec![
-                ("kind", Value::String("counter".into())),
-                ("name", Value::String(name.into())),
-                ("value", Value::UInt(value)),
-            ]),
-        )?;
-    }
-    for (name, value) in gauges_snapshot() {
-        line(
-            &mut out,
-            &obj(vec![
-                ("kind", Value::String("gauge".into())),
-                ("name", Value::String(name.into())),
-                ("value", Value::Float(value)),
-            ]),
-        )?;
-    }
-    for h in Hist::ALL {
+    let counters = counters_snapshot()
+        .into_iter()
+        .map(|(name, value)| Line::Counter {
+            name: name.into(),
+            value,
+        });
+    let gauges = gauges_snapshot()
+        .into_iter()
+        .map(|(name, value)| Line::Gauge {
+            name: name.into(),
+            value,
+        });
+    let hists = Hist::ALL.iter().map(|&h| {
         let snap = histogram(h);
-        let mut entries = vec![
-            ("kind", Value::String("hist".into())),
-            ("name", Value::String(h.name().into())),
-            ("count", Value::UInt(snap.count())),
-            ("min", Value::UInt(snap.min())),
-            ("max", Value::UInt(snap.max())),
-            ("mean", Value::Float(snap.mean())),
-        ];
-        for (label, q) in QUANTILES {
-            entries.push((label, Value::UInt(snap.value_at_quantile(q))));
-        }
-        line(&mut out, &obj(entries))?;
+        Line::Hist(HistSummary {
+            name: h.name().into(),
+            count: snap.count(),
+            min: snap.min(),
+            max: snap.max(),
+            mean: snap.mean(),
+            p50: snap.value_at_quantile(0.5),
+            p90: snap.value_at_quantile(0.9),
+            p99: snap.value_at_quantile(0.99),
+            p999: snap.value_at_quantile(0.999),
+        })
+    });
+    let series = series_points().into_iter().map(|p| {
+        Line::Series(OwnedSeriesPoint {
+            metric: p.metric.into(),
+            entity: p.entity,
+            t_ns: p.t_ns,
+            value: p.value,
+        })
+    });
+    let events = flight_events().into_iter().map(Line::Event);
+    let meta = Line::FlightMeta {
+        dropped: flight_dropped(),
+    };
+    let mut out = io::BufWriter::new(fs::File::create(path)?);
+    let lines = counters
+        .chain(gauges)
+        .chain(hists)
+        .chain(series)
+        .chain(events);
+    for line in lines.chain([meta]) {
+        let text = serde_json::to_string(&line).map_err(io::Error::other)?;
+        writeln!(out, "{text}")?;
     }
-    for p in series_points() {
-        line(
-            &mut out,
-            &obj(vec![
-                ("kind", Value::String("series".into())),
-                ("metric", Value::String(p.metric.into())),
-                ("entity", Value::UInt(p.entity as u64)),
-                ("t_ns", Value::UInt(p.t_ns)),
-                ("value", Value::Float(p.value)),
-            ]),
-        )?;
-    }
-    for ev in flight_events() {
-        let mut entries = vec![
-            ("kind", Value::String("event".into())),
-            ("t_ns", Value::UInt(ev.t_ns)),
-            ("event", Value::String(ev.event.name().into())),
-        ];
-        if ev.tenant != 0 {
-            // Only multi-tenant (fleet) runs carry the dimension, so
-            // standalone dumps stay byte-identical to older exports.
-            entries.push(("tenant", Value::UInt(ev.tenant as u64)));
-        }
-        for (field, value) in ev.event.fields() {
-            entries.push((field, Value::Float(value)));
-        }
-        line(&mut out, &obj(entries))?;
-    }
-    line(
-        &mut out,
-        &obj(vec![
-            ("kind", Value::String("flight_meta".into())),
-            ("dropped", Value::UInt(flight_dropped())),
-        ]),
-    )?;
     out.flush()?;
     Ok(path.to_path_buf())
 }
 
 /// A histogram's exported summary.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistSummary {
     /// Histogram name.
     pub name: String,
@@ -141,7 +114,7 @@ pub struct HistSummary {
 }
 
 /// A time-series point read back from disk.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OwnedSeriesPoint {
     /// Metric name.
     pub metric: String,
@@ -151,19 +124,6 @@ pub struct OwnedSeriesPoint {
     pub t_ns: u64,
     /// Sample value.
     pub value: f64,
-}
-
-/// A flight-recorder event read back from disk.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OwnedEvent {
-    /// Simulation time, nanoseconds.
-    pub t_ns: u64,
-    /// Owning tenant (0 = standalone/default; absent in the file).
-    pub tenant: u32,
-    /// Event type name (e.g. `"sa_accept"`).
-    pub name: String,
-    /// Event payload fields.
-    pub fields: Vec<(String, f64)>,
 }
 
 /// Everything one exported JSONL file contained.
@@ -178,7 +138,7 @@ pub struct TelemetryDump {
     /// All series points, in file (= time) order.
     pub series: Vec<OwnedSeriesPoint>,
     /// Flight-recorder events, oldest first.
-    pub events: Vec<OwnedEvent>,
+    pub events: Vec<TimedEvent>,
     /// Events the flight recorder evicted before export.
     pub flight_dropped: u64,
 }
@@ -206,9 +166,13 @@ impl TelemetryDump {
             .collect()
     }
 
-    /// Events of one type, oldest first.
-    pub fn events_named(&self, name: &str) -> Vec<&OwnedEvent> {
-        self.events.iter().filter(|e| e.name == name).collect()
+    /// Events of one type ([`Event::name`](crate::Event::name)), oldest
+    /// first.
+    pub fn events_named(&self, name: &str) -> Vec<&TimedEvent> {
+        self.events
+            .iter()
+            .filter(|e| e.event.name() == name)
+            .collect()
     }
 }
 
@@ -220,46 +184,22 @@ pub fn read_jsonl(path: impl AsRef<Path>) -> io::Result<TelemetryDump> {
         if raw.trim().is_empty() {
             continue;
         }
-        read_line(raw, &mut dump).map_err(|e| {
+        let line = serde_json::from_str_value(raw)
+            .map_err(|e| e.to_string())
+            .and_then(|v| Line::from_value(&v));
+        match line.map_err(|e| {
             let what = format!("telemetry jsonl line {}: {e}", i + 1);
             io::Error::new(io::ErrorKind::InvalidData, what)
-        })?;
+        })? {
+            Line::Counter { name, value } => dump.counters.push((name, value)),
+            Line::Gauge { name, value } => dump.gauges.push((name, value)),
+            Line::Hist(h) => dump.histograms.push(h),
+            Line::Series(p) => dump.series.push(p),
+            Line::Event(e) => dump.events.push(e),
+            Line::FlightMeta { dropped } => dump.flight_dropped = dropped,
+        }
     }
     Ok(dump)
-}
-
-/// Add one exported line to `dump`.
-fn read_line(raw: &str, dump: &mut TelemetryDump) -> Result<(), String> {
-    let v = serde_json::from_str_value(raw).map_err(|e| format!("parse error: {e}"))?;
-    let Value::Object(entries) = &v else {
-        return Err("not an object".into());
-    };
-    let kind: String = field(&v, "telemetry", "kind")?;
-    let kind = kind.as_str();
-    match kind {
-        "counter" => dump
-            .counters
-            .push((field(&v, kind, "name")?, field(&v, kind, "value")?)),
-        "gauge" => dump
-            .gauges
-            .push((field(&v, kind, "name")?, field(&v, kind, "value")?)),
-        "hist" => dump.histograms.push(HistSummary::from_value(&v)?),
-        "series" => dump.series.push(OwnedSeriesPoint::from_value(&v)?),
-        // The payload is flattened into the line, so events are read by hand.
-        "event" => dump.events.push(OwnedEvent {
-            t_ns: field(&v, kind, "t_ns")?,
-            tenant: field::<Option<u32>>(&v, kind, "tenant")?.unwrap_or(0),
-            name: field(&v, kind, "event")?,
-            fields: entries
-                .iter()
-                .filter(|(k, _)| !matches!(k.as_str(), "kind" | "t_ns" | "event" | "tenant"))
-                .filter_map(|(k, x)| x.as_f64().map(|f| (k.clone(), f)))
-                .collect(),
-        }),
-        "flight_meta" => dump.flight_dropped = field(&v, kind, "dropped")?,
-        other => return Err(format!("unknown kind `{other}`")),
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -308,7 +248,11 @@ mod tests {
         let kl = dump.events_named("kl_trigger");
         assert_eq!(kl.len(), 1);
         assert_eq!(kl[0].t_ns, 2_000);
-        assert!(kl[0].fields.contains(&("kl".into(), 0.02)));
+        let trigger = Event::KlTrigger {
+            kl: 0.02,
+            theta: 0.01,
+        };
+        assert_eq!(kl[0].event, trigger);
         assert_eq!(dump.flight_dropped, 0);
         // An entity that does not fit its `u32` is refused, not read as 0.
         let line = r#"{"kind":"series","metric":"m","entity":4294967296,"t_ns":0,"value":1.0}"#;
@@ -317,6 +261,58 @@ mod tests {
         assert!(err.contains("line 1: OwnedSeriesPoint.entity"), "{err}");
         crate::reset();
         crate::set_enabled(false);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Every malformed line is an `Err` naming the line, the type and
+    /// the field, never a panic or a silently skipped line.
+    #[test]
+    fn malformed_lines_are_typed_errors() {
+        let dir = std::env::temp_dir().join("paraleon-telemetry-malformed");
+        let path = dir.join("bad.jsonl");
+        fs::create_dir_all(&dir).unwrap();
+        let cases = [
+            (r#"{"name":"ecn_marks","value":1}"#, "Line: missing `kind`"),
+            (r#"{"kind":"bogus"}"#, "Line: unknown kind `bogus`"),
+            (
+                r#"{"kind":"counter","name":"ecn_marks","value":-1}"#,
+                "Line::Counter.value: expected a u64",
+            ),
+            (
+                r#"{"kind":"gauge","name":"sa_temp"}"#,
+                "Line::Gauge: missing `value`",
+            ),
+            (
+                r#"{"kind":"hist","name":"rtt_ns"}"#,
+                "HistSummary: missing `count`",
+            ),
+            (
+                r#"{"kind":"event","t_ns":1,"event":{"kl":0.1}}"#,
+                "TimedEvent.event: Event: missing `name`",
+            ),
+            (
+                r#"{"kind":"event","t_ns":1,"event":{"name":"boom"}}"#,
+                "TimedEvent.event: Event: unknown name `boom`",
+            ),
+            (
+                r#"{"kind":"event","t_ns":1,"event":{"name":"ctrl_crash","warm":1}}"#,
+                "TimedEvent.event: Event::CtrlCrash.warm: expected a bool",
+            ),
+            (
+                r#"{"kind":"event","t_ns":1,"event":{"name":"kl_trigger","kl":0.1}}"#,
+                "TimedEvent.event: Event::KlTrigger: missing `theta`",
+            ),
+            (
+                r#"{"kind":"event","event":{"name":"safe_mode_exit"}}"#,
+                "TimedEvent: missing `t_ns`",
+            ),
+            ("[1]", "expected a Line object"),
+        ];
+        for (line, want) in cases {
+            fs::write(&path, line).unwrap();
+            let err = read_jsonl(&path).unwrap_err().to_string();
+            assert_eq!(err, format!("telemetry jsonl line 1: {want}"), "{line}");
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -3,8 +3,11 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use serde::{Deserialize, Serialize};
+
 /// Which layer an adaptive dispatch targeted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum DispatchScope {
     /// One parameter set applied to every RNIC and switch.
     Global,
@@ -12,18 +15,10 @@ pub enum DispatchScope {
     PerSwitch,
 }
 
-impl DispatchScope {
-    /// Stable export name.
-    pub fn name(self) -> &'static str {
-        match self {
-            DispatchScope::Global => "global",
-            DispatchScope::PerSwitch => "per_switch",
-        }
-    }
-}
-
-/// A typed event worth keeping in the flight recorder.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A typed event worth keeping in the flight recorder. Exported as one
+/// object: its [`name`](Event::name) under `"name"`, then its fields.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "name", rename_all = "snake_case")]
 pub enum Event {
     /// A switch ingress crossed the PFC pause threshold.
     PfcXoff { switch: u32, port: u32 },
@@ -79,7 +74,7 @@ pub enum Event {
     SafeModeExit,
     /// The control-plane channel's impairment changed (all-zero values
     /// restore a clean channel).
-    CtrlImpairSet { loss: f64, delay_max: u32, dup: f64 },
+    CtrlImpair { loss: f64, delay_max: u32, dup: f64 },
     /// The controller crashed (`warm`: a snapshot survived).
     CtrlCrash { warm: bool },
     /// A parameter dispatch was resent after its ACK timed out.
@@ -110,14 +105,14 @@ impl Event {
                 | Event::GuardrailRollback
                 | Event::SafeModeEnter { .. }
                 | Event::SafeModeExit
-                | Event::CtrlImpairSet { .. }
+                | Event::CtrlImpair { .. }
                 | Event::CtrlCrash { .. }
                 | Event::CtrlRetry { .. }
                 | Event::CtrlResync { .. }
         )
     }
 
-    /// Stable export name for the event type.
+    /// Stable export name for the event type: its serialized `"name"`.
     pub fn name(&self) -> &'static str {
         match self {
             Event::PfcXoff { .. } => "pfc_xoff",
@@ -141,95 +136,29 @@ impl Event {
             Event::GuardrailRollback => "guardrail_rollback",
             Event::SafeModeEnter { .. } => "safe_mode_enter",
             Event::SafeModeExit => "safe_mode_exit",
-            Event::CtrlImpairSet { .. } => "ctrl_impair",
+            Event::CtrlImpair { .. } => "ctrl_impair",
             Event::CtrlCrash { .. } => "ctrl_crash",
             Event::CtrlRetry { .. } => "ctrl_retry",
             Event::CtrlResync { .. } => "ctrl_resync",
         }
     }
-
-    /// The event's payload as `(field, value)` pairs for export.
-    pub fn fields(&self) -> Vec<(&'static str, f64)> {
-        match *self {
-            Event::PfcXoff { switch, port } | Event::PfcXon { switch, port } => {
-                vec![("switch", switch as f64), ("port", port as f64)]
-            }
-            Event::EcnMark {
-                switch,
-                queue_bytes,
-            } => vec![
-                ("switch", switch as f64),
-                ("queue_bytes", queue_bytes as f64),
-            ],
-            Event::CnpSent { host, flow } => {
-                vec![("host", host as f64), ("flow", flow as f64)]
-            }
-            Event::RateDecrease { rate_bytes_per_sec } => {
-                vec![("rate_bytes_per_sec", rate_bytes_per_sec)]
-            }
-            Event::RateIncrease => vec![],
-            Event::KlTrigger { kl, theta } => vec![("kl", kl), ("theta", theta)],
-            Event::SaAccept { temp, utility } | Event::SaReject { temp, utility } => {
-                vec![("temp", temp), ("utility", utility)]
-            }
-            Event::SaEpisodeEnd { best_utility } => vec![("best_utility", best_utility)],
-            Event::FaultLinkDown { node, port } | Event::FaultLinkUp { node, port } => {
-                vec![("node", node as f64), ("port", port as f64)]
-            }
-            Event::FaultDegrade { node, port, factor } => vec![
-                ("node", node as f64),
-                ("port", port as f64),
-                ("factor", factor),
-            ],
-            Event::FaultPktLoss {
-                node,
-                port,
-                drop_prob,
-            } => vec![
-                ("node", node as f64),
-                ("port", port as f64),
-                ("drop_prob", drop_prob),
-            ],
-            Event::PfcStormStart { host } | Event::PfcStormEnd { host } => {
-                vec![("host", host as f64)]
-            }
-            Event::GuardrailReject | Event::GuardrailRollback | Event::SafeModeExit => vec![],
-            Event::SafeModeEnter { backoff_intervals } => {
-                vec![("backoff_intervals", backoff_intervals as f64)]
-            }
-            Event::Dispatch { scope } => vec![(
-                "per_switch",
-                match scope {
-                    DispatchScope::Global => 0.0,
-                    DispatchScope::PerSwitch => 1.0,
-                },
-            )],
-            Event::CtrlImpairSet {
-                loss,
-                delay_max,
-                dup,
-            } => vec![
-                ("loss", loss),
-                ("delay_max", delay_max as f64),
-                ("dup", dup),
-            ],
-            Event::CtrlCrash { warm } => vec![("warm", if warm { 1.0 } else { 0.0 })],
-            Event::CtrlRetry { epoch } | Event::CtrlResync { epoch } => {
-                vec![("epoch", epoch as f64)]
-            }
-        }
-    }
 }
 
 /// An event stamped with simulation time and owning tenant.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TimedEvent {
     /// Simulation time in nanoseconds.
     pub t_ns: u64,
-    /// Owning tenant (0 = the standalone/default tenant).
+    /// Owning tenant (0 = the standalone/default tenant). Only a fleet's
+    /// tenants write the key, so a standalone dump carries none.
+    #[serde(skip_serializing_if = "is_standalone", default)]
     pub tenant: u32,
     /// The event payload.
     pub event: Event,
+}
+
+fn is_standalone(tenant: &u32) -> bool {
+    *tenant == 0
 }
 
 /// Which of a tenant's two lanes an event lives in. `Control` sorts
@@ -458,20 +387,76 @@ mod tests {
         );
     }
 
+    /// `name()` is what `TelemetryDump::events_named` matches, so it
+    /// must be the tag the export writes, for every variant.
     #[test]
-    fn event_names_and_fields_are_stable() {
-        let e = Event::SaAccept {
-            temp: 50.0,
-            utility: 0.9,
-        };
-        assert_eq!(e.name(), "sa_accept");
-        assert_eq!(e.fields(), vec![("temp", 50.0), ("utility", 0.9)]);
-        assert_eq!(
+    fn every_event_name_is_its_serialized_tag() {
+        let (node, port, host) = (1, 2, 3);
+        let every = [
+            Event::PfcXoff { switch: 4, port },
+            Event::PfcXon { switch: 4, port },
+            Event::EcnMark {
+                switch: 4,
+                queue_bytes: 5,
+            },
+            Event::CnpSent { host, flow: 6 },
+            Event::RateDecrease {
+                rate_bytes_per_sec: 1e9,
+            },
+            Event::RateIncrease,
+            Event::KlTrigger {
+                kl: 0.02,
+                theta: 0.01,
+            },
+            Event::SaAccept {
+                temp: 50.0,
+                utility: 0.9,
+            },
+            Event::SaReject {
+                temp: 50.0,
+                utility: 0.1,
+            },
+            Event::SaEpisodeEnd { best_utility: 0.9 },
             Event::Dispatch {
-                scope: DispatchScope::PerSwitch
-            }
-            .fields(),
-            vec![("per_switch", 1.0)]
-        );
+                scope: DispatchScope::PerSwitch,
+            },
+            Event::FaultLinkDown { node, port },
+            Event::FaultLinkUp { node, port },
+            Event::FaultDegrade {
+                node,
+                port,
+                factor: 0.5,
+            },
+            Event::FaultPktLoss {
+                node,
+                port,
+                drop_prob: 0.1,
+            },
+            Event::PfcStormStart { host },
+            Event::PfcStormEnd { host },
+            Event::GuardrailReject,
+            Event::GuardrailRollback,
+            Event::SafeModeEnter {
+                backoff_intervals: 8,
+            },
+            Event::SafeModeExit,
+            Event::CtrlImpair {
+                loss: 0.1,
+                delay_max: 2,
+                dup: 0.0,
+            },
+            Event::CtrlCrash { warm: true },
+            Event::CtrlRetry { epoch: 7 },
+            Event::CtrlResync { epoch: 7 },
+        ];
+        for e in every {
+            let v = e.serialize_value();
+            assert_eq!(v.get("name").and_then(|n| n.as_str()), Some(e.name()));
+            assert_eq!(Event::from_value(&v), Ok(e), "{}", e.name());
+        }
+        let names: std::collections::BTreeSet<_> = every.iter().map(Event::name).collect();
+        assert_eq!(names.len(), every.len(), "one value of each variant");
+        let text = serde_json::to_string(&every[10]).unwrap();
+        assert_eq!(text, r#"{"name":"dispatch","scope":"per_switch"}"#);
     }
 }
