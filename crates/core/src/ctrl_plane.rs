@@ -68,8 +68,11 @@ pub enum DownMsg {
     },
 }
 
-/// Fabric → controller traffic.
+/// Fabric → controller traffic. Uploads are most of it and carry their
+/// FSD inline: boxing them would put one allocation per point on every
+/// interval to spare the rarer ACKs a few hundred bytes of queue slot.
 #[derive(Debug, Clone, PartialEq)]
+#[allow(clippy::large_enum_variant)]
 pub enum UpMsg {
     /// One monitoring point's sequence-numbered FSD upload.
     Fsd(FsdUpload),

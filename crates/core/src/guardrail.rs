@@ -26,7 +26,6 @@
 //! [`Guardrail::observe`] on every interval's health signals, and
 //! applies whatever comes back.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use paraleon_dcqcn::{DcqcnParams, ParamId, ParamSpace};
@@ -228,8 +227,10 @@ pub struct Guardrail {
     consecutive_rollbacks: u32,
     next_backoff: u32,
     interval: u64,
-    /// Interval each known switch index last uploaded at.
-    last_seen: HashMap<usize, u64>,
+    /// Interval each known switch index last uploaded at, sorted by
+    /// index (a fabric has a dozen switches: a binary search beats a
+    /// hash, and a steady interval inserts nothing).
+    last_seen: Vec<(usize, u64)>,
     /// Candidates refused by validation.
     pub rejects: u64,
     /// Rollbacks performed.
@@ -256,7 +257,7 @@ impl Guardrail {
             consecutive_rollbacks: 0,
             next_backoff,
             interval: 0,
-            last_seen: HashMap::new(),
+            last_seen: Vec::new(),
             rejects: 0,
             rollbacks: 0,
             safe_mode_entries: 0,
@@ -268,6 +269,13 @@ impl Guardrail {
     /// Whether tuning is currently frozen.
     pub fn in_safe_mode(&self) -> bool {
         matches!(self.state, GuardState::SafeMode { .. })
+    }
+
+    /// Whether switch `idx` uploaded within the staleness horizon.
+    fn is_live(&self, idx: usize) -> bool {
+        self.last_seen
+            .binary_search_by_key(&idx, |&(i, _)| i)
+            .is_ok()
     }
 
     /// Snapshot of the guardrail's event counters, in one serializable
@@ -315,7 +323,7 @@ impl Guardrail {
                 // switches (a dead switch cannot apply a threshold).
                 let filtered: Vec<(usize, DcqcnParams)> = updates
                     .into_iter()
-                    .filter(|(idx, _)| *idx < n_switches && self.last_seen.contains_key(idx))
+                    .filter(|(idx, _)| *idx < n_switches && self.is_live(*idx))
                     .collect();
                 if filtered.is_empty() {
                     self.suppressed += 1;
@@ -339,11 +347,14 @@ impl Guardrail {
     ) -> Option<GuardAction> {
         self.interval += 1;
         for &idx in reporting {
-            self.last_seen.insert(idx, self.interval);
+            match self.last_seen.binary_search_by_key(&idx, |&(i, _)| i) {
+                Ok(at) => self.last_seen[at].1 = self.interval,
+                Err(at) => self.last_seen.insert(at, (idx, self.interval)),
+            }
         }
         let horizon = self.interval.saturating_sub(STALE_AFTER_INTERVALS);
         let before = self.last_seen.len();
-        self.last_seen.retain(|_, &mut seen| seen > horizon);
+        self.last_seen.retain(|&(_, seen)| seen > horizon);
         self.stale_aged_out += (before - self.last_seen.len()) as u64;
 
         let collapsed = self.is_collapse(utility, goodput, pause_ratio);

@@ -30,7 +30,9 @@
 use std::time::{Duration, Instant};
 
 use paraleon_dcqcn::DcqcnParams;
-use paraleon_monitor::{ChangeDetector, FsdMonitor, MetricSample, TransferLedger, UtilityWeights};
+use paraleon_monitor::{
+    ChangeDetector, FsdMonitor, FsdUpload, MetricSample, TransferLedger, UtilityWeights,
+};
 use paraleon_netsim::{
     CtrlImpairment, Engine, FaultEvent, FaultKind, FaultPlan, FlowRecord, IntervalMetrics, MILLI,
 };
@@ -194,6 +196,12 @@ pub struct TunerCell {
     prev_lost: u64,
     prev_duplicated: u64,
     prev_stale_rejected: u64,
+    /// The switch indexes that reported, rebuilt every interval for the
+    /// guardrail; kept for its capacity.
+    reporting: Vec<usize>,
+    /// The scheme's per-switch observations, rebuilt every interval;
+    /// kept for its capacity.
+    switch_obs: Vec<SwitchLocalObs>,
 }
 
 /// What the monitoring stage concluded about one interval.
@@ -276,6 +284,8 @@ impl TunerCell {
             prev_lost: 0,
             prev_duplicated: 0,
             prev_stale_rejected: 0,
+            reporting: Vec::new(),
+            switch_obs: Vec::new(),
         }
     }
 
@@ -391,7 +401,8 @@ impl TunerCell {
     /// (another fleet tenant, say) moved it since the previous interval.
     pub fn deliver_due_dispatches(&mut self, sim: &mut Engine, k: u64) {
         let ctrl = &mut self.ctrl;
-        for msg in ctrl.down.deliver(k) {
+        ctrl.down.deliver(k);
+        while let Some(msg) = ctrl.down.take_delivered() {
             let (action, acked) = ctrl.fabric.on_dispatch(msg);
             ctrl.up.send(k, UpMsg::Ack { epoch: acked });
             match action {
@@ -450,8 +461,9 @@ impl TunerCell {
     /// zero-age merge is the plain in-process merge.
     fn ctrl_receive(&mut self, k: u64) -> Fsd {
         let ctrl = &mut self.ctrl;
+        ctrl.up.deliver(k);
         let mut resent = Vec::new();
-        for msg in ctrl.up.deliver(k) {
+        while let Some(msg) = ctrl.up.take_delivered() {
             match msg {
                 UpMsg::Fsd(u) => {
                     ctrl.state.merger.ingest(u);
@@ -698,17 +710,15 @@ impl TunerCell {
         utility: f64,
     ) -> Verdict {
         let n_hosts = sim.topology().n_hosts();
-        let reporting: Vec<usize> = metrics
-            .switch_obs
-            .iter()
-            .map(|s| s.node - n_hosts)
-            .collect();
+        let reporting = &mut self.reporting;
+        reporting.clear();
+        reporting.extend(metrics.switch_obs.iter().map(|s| s.node - n_hosts));
         let guard_action = self.controller.guard.as_mut().and_then(|guard| {
             guard.observe(
                 utility,
                 metrics.goodput_bytes_per_sec(),
                 metrics.pfc_pause_ratio,
-                &reporting,
+                reporting,
             )
         });
         let mut verdict = Verdict::default();
@@ -759,6 +769,14 @@ impl TunerCell {
             return None;
         }
         let n_hosts = sim.topology().n_hosts();
+        let mut switch_obs = std::mem::take(&mut self.switch_obs);
+        switch_obs.clear();
+        switch_obs.extend(metrics.switch_obs.iter().map(|s| SwitchLocalObs {
+            switch_index: s.node - n_hosts,
+            tx_utilization: s.tx_utilization,
+            marking_rate: s.marking_rate,
+            queue_frac: s.queue_frac,
+        }));
         let obs = Observation {
             now: metrics.end,
             utility: scored.utility,
@@ -766,20 +784,12 @@ impl TunerCell {
             dominant: seen.dominant,
             mu: seen.mu,
             tuning_triggered: seen.triggered,
-            switch_obs: metrics
-                .switch_obs
-                .iter()
-                .map(|s| SwitchLocalObs {
-                    switch_index: s.node - n_hosts,
-                    tx_utilization: s.tx_utilization,
-                    marking_rate: s.marking_rate,
-                    queue_frac: s.queue_frac,
-                })
-                .collect(),
+            switch_obs,
         };
         let t1 = Instant::now();
         let action = self.controller.scheme.on_interval(&obs);
         self.tuner_cpu += t1.elapsed();
+        self.switch_obs = obs.switch_obs;
         action
     }
 
@@ -915,16 +925,21 @@ impl TunerCell {
     }
 
     /// Estimated controller-resident bytes for this cell: the struct
-    /// itself, the interval history, and the upload merger's retained
-    /// per-point FSDs. A capacity-based estimate for footprint tables
+    /// itself (its FSDs' histograms are inline), the interval history,
+    /// the per-interval buffers and the upload merger's retained
+    /// per-point uploads. A capacity-based estimate for footprint tables
     /// (Table IV-style), not an allocator measurement.
     pub fn memory_bytes(&self) -> usize {
-        let mut total = std::mem::size_of::<Self>();
-        total += self.history.capacity() * std::mem::size_of::<IntervalRecord>();
-        total += self.ctrl_events.capacity() * std::mem::size_of::<FaultEvent>();
-        // Each retained merger point holds one FSD (3 f64 bins +
-        // bookkeeping) plus the BTreeMap node.
-        total += self.ctrl.state.merger.n_points() * (std::mem::size_of::<Fsd>() + 64);
+        use std::mem::size_of;
+        let mut total = size_of::<Self>();
+        total += self.history.capacity() * size_of::<IntervalRecord>();
+        total += self.ctrl_events.capacity() * size_of::<FaultEvent>();
+        total += self.reporting.capacity() * size_of::<usize>();
+        total += self.switch_obs.capacity() * size_of::<SwitchLocalObs>();
+        // Each retained merger point holds one upload (an FSD with its
+        // 40 f64 bins inline, plus point, seq and interval) and its share
+        // of a BTreeMap node.
+        total += self.ctrl.state.merger.n_points() * (size_of::<FsdUpload>() + 64);
         total
     }
 }

@@ -6,8 +6,6 @@
 //! is the "switch control plane agent" that runs every λ_MI, plus the
 //! per-interval upload accounting.
 
-use std::collections::HashMap;
-
 use paraleon_sketch::{Fsd, SlidingWindowClassifier, WindowConfig};
 
 use crate::{FsdMonitor, FsdUpload, Nanos, PointId, SketchReadings, STALE_AFTER_INTERVALS};
@@ -15,6 +13,7 @@ use crate::{FsdMonitor, FsdUpload, Nanos, PointId, SketchReadings, STALE_AFTER_I
 /// One measurement point's switch-control-plane agent.
 #[derive(Debug)]
 struct Agent {
+    point: PointId,
     classifier: SlidingWindowClassifier,
     /// Interval index the point last uploaded at.
     last_seen: u64,
@@ -22,15 +21,20 @@ struct Agent {
 
 /// PARALEON's layered FSD monitor (Keypoint 2 on top of Keypoint 1),
 /// classifying with `WindowConfig::default()` (τ = 1 MB, δ = 3).
+///
+/// Its per-point state sits in point-sorted vectors: a fabric has a
+/// handful of ToRs, which a binary search finds faster than a hash, and
+/// a steady interval inserts nothing.
 #[derive(Debug, Default)]
 pub struct ParaleonMonitor {
-    /// One agent per measurement point (lazy-created).
-    agents: HashMap<PointId, Agent>,
-    /// Next upload sequence number per point (control-plane mode). Not
-    /// part of `Agent` on purpose: a point that ages out and returns must
-    /// continue its sequence, or `StalenessMerger::ingest` would count a
-    /// sender restart that never happened.
-    seqs: HashMap<PointId, u64>,
+    /// One agent per measurement point (lazy-created), sorted by point.
+    agents: Vec<Agent>,
+    /// Next upload sequence number per point (control-plane mode),
+    /// sorted by point. Not part of `Agent` on purpose: a point that
+    /// ages out and returns must continue its sequence, or
+    /// `StalenessMerger::ingest` would count a sender restart that never
+    /// happened.
+    seqs: Vec<(PointId, u64)>,
     /// Intervals processed so far.
     interval: u64,
     uploaded: u64,
@@ -40,47 +44,68 @@ impl ParaleonMonitor {
     /// Total control-plane memory across switch agents (Table IV).
     pub fn control_plane_memory_bytes(&self) -> usize {
         self.agents
-            .values()
+            .iter()
             .map(|a| a.classifier.memory_bytes())
             .sum()
     }
 
     /// The fabric-side half of one interval: run every reporting point's
-    /// classifier, account its upload, and age out points that stopped
-    /// reporting. Returns the per-point local FSDs in `readings` order
-    /// (the central merge and the per-point upload path share this).
-    fn ingest_points(&mut self, readings: &SketchReadings) -> Vec<(PointId, Fsd)> {
+    /// classifier, account its upload, hand `emit` the point's local FSD
+    /// in `readings` order (the central merge and the per-point upload
+    /// path share this), and age out points that stopped reporting.
+    fn ingest_points(&mut self, readings: &SketchReadings, mut emit: impl FnMut(PointId, Fsd)) {
         self.interval += 1;
-        let mut locals = Vec::with_capacity(readings.len());
         // Only points that actually uploaded contribute: a dead switch
         // is skipped entirely rather than averaged in as zeros.
         for (point, entries) in readings {
-            let agent = self.agents.entry(*point).or_insert_with(|| Agent {
-                classifier: SlidingWindowClassifier::new(WindowConfig::default()),
-                last_seen: 0,
-            });
+            let at = match self.agents.binary_search_by_key(point, |a| a.point) {
+                Ok(at) => at,
+                Err(at) => {
+                    self.agents.insert(
+                        at,
+                        Agent {
+                            point: *point,
+                            classifier: SlidingWindowClassifier::new(WindowConfig::default()),
+                            last_seen: 0,
+                        },
+                    );
+                    at
+                }
+            };
+            let agent = &mut self.agents[at];
             agent.last_seen = self.interval;
             agent.classifier.end_interval(entries.iter().copied());
             let local = agent.classifier.local_fsd();
             // Layered upload: each switch ships only its local FSD.
             self.uploaded += local.wire_size_bytes() as u64;
-            locals.push((*point, local));
+            emit(*point, local);
         }
         // Age out points that stopped reporting: a dead switch's stale
         // window holds control-plane memory and would resume with
         // out-of-date flow history after a long outage.
         let horizon = self.interval.saturating_sub(STALE_AFTER_INTERVALS);
-        self.agents.retain(|_, agent| agent.last_seen > horizon);
-        locals
+        self.agents.retain(|agent| agent.last_seen > horizon);
+    }
+
+    /// Take `point`'s next upload sequence number.
+    fn next_seq(&mut self, point: PointId) -> u64 {
+        let at = match self.seqs.binary_search_by_key(&point, |&(p, _)| p) {
+            Ok(at) => at,
+            Err(at) => {
+                self.seqs.insert(at, (point, 0));
+                at
+            }
+        };
+        let seq = &mut self.seqs[at].1;
+        *seq += 1;
+        *seq - 1
     }
 }
 
 impl FsdMonitor for ParaleonMonitor {
     fn on_interval(&mut self, readings: &SketchReadings, _now: Nanos) -> Option<Fsd> {
         let mut network = Fsd::empty();
-        for (_, local) in self.ingest_points(readings) {
-            network.merge(&local);
-        }
+        self.ingest_points(readings, |_, local| network.merge(&local));
         Some(network)
     }
 
@@ -88,21 +113,19 @@ impl FsdMonitor for ParaleonMonitor {
         // Layered by construction: each point ships its own local FSD
         // with a per-point monotone sequence number — no synthetic
         // central wrapper needed.
-        let locals = self.ingest_points(readings);
-        locals
-            .into_iter()
-            .map(|(point, fsd)| {
-                let seq = self.seqs.entry(point).or_insert(0);
-                let this = *seq;
-                *seq += 1;
-                FsdUpload {
-                    point,
-                    seq: this,
-                    interval,
-                    fsd,
-                }
-            })
-            .collect()
+        let mut ups = Vec::with_capacity(readings.len());
+        self.ingest_points(readings, |point, fsd| {
+            ups.push(FsdUpload {
+                point,
+                seq: 0,
+                interval,
+                fsd,
+            });
+        });
+        for up in &mut ups {
+            up.seq = self.next_seq(up.point);
+        }
+        ups
     }
 
     fn uploaded_bytes(&self) -> u64 {
@@ -205,7 +228,7 @@ mod tests {
         }
         m.on_interval(&[(0, vec![(1, MB)])], 0);
         assert_eq!(m.agents.len(), 1, "past tolerance: state aged out");
-        assert!(!m.agents.contains_key(&1));
+        assert!(m.agents.iter().all(|a| a.point != 1));
         // If it comes back, it restarts with a fresh window (no stale
         // elephant history).
         let fsd = m.on_interval(&[(1, vec![(9, 1_000)])], 0).unwrap();
@@ -229,7 +252,7 @@ mod tests {
                 assert!(merger.ingest(u));
             }
         }
-        assert_eq!(m.agents.keys().collect::<Vec<_>>(), [&0]);
+        assert_eq!(m.agents.iter().map(|a| a.point).collect::<Vec<_>>(), [0]);
         let ups = m.uploads(&both, 0, back_at);
         assert_eq!(m.agents.len(), 2);
         let back = ups.iter().find(|u| u.point == 1).expect("point 1 reported");

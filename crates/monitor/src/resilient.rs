@@ -131,8 +131,8 @@ impl StalenessMerger {
             let age = now.saturating_sub(up.interval);
             let w = Self::weight(age);
             if age == 0 {
-                // `scaled(1.0)` clones, but merging the original keeps
-                // the clean-channel fast path allocation-free.
+                // `scaled(1.0)` copies; merging the original skips the
+                // copy on the clean-channel fast path.
                 network.merge(&up.fsd);
             } else {
                 network.merge(&up.fsd.scaled(w));

@@ -85,7 +85,11 @@ struct InFlight<T> {
 pub struct CtrlChannel<T> {
     impair: CtrlImpairment,
     rng: StdRng,
+    /// In send order.
     queue: Vec<InFlight<T>>,
+    /// Delivered messages not yet taken, last to be taken first. Kept
+    /// for its capacity: a steady delivery allocates nothing.
+    delivered: Vec<InFlight<T>>,
     next_seq: u64,
     /// Delivery counters for this direction.
     pub stats: CtrlChannelStats,
@@ -98,6 +102,7 @@ impl<T: Clone> CtrlChannel<T> {
             impair: CtrlImpairment::default(),
             rng: StdRng::seed_from_u64(seed),
             queue: Vec::new(),
+            delivered: Vec::new(),
             next_seq: 0,
             stats: CtrlChannelStats::default(),
         }
@@ -122,55 +127,55 @@ impl<T: Clone> CtrlChannel<T> {
     /// Send `msg` at tick `now`. Under a clean channel it is due
     /// immediately (delivered at the receiver's next poll); under
     /// impairment it may be dropped, delayed by up to `delay_max` extra
-    /// ticks, or duplicated.
+    /// ticks, or duplicated. Only a duplicated message is cloned.
     pub fn send(&mut self, now: u64, msg: T) {
         self.stats.sent += 1;
         if self.impair.loss > 0.0 && self.rng.gen_bool(self.impair.loss) {
             self.stats.lost += 1;
             return;
         }
-        let mut delay = 0u64;
-        if self.impair.delay_max > 0 {
-            delay = self.rng.gen_range(0..=self.impair.delay_max);
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(InFlight {
-            due: now + delay,
-            seq,
-            msg: msg.clone(),
-        });
+        let delay = self.draw_delay();
         if self.impair.dup > 0.0 && self.rng.gen_bool(self.impair.dup) {
             self.stats.duplicated += 1;
-            let mut dup_delay = 0u64;
-            if self.impair.delay_max > 0 {
-                dup_delay = self.rng.gen_range(0..=self.impair.delay_max);
-            }
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.queue.push(InFlight {
-                due: now + dup_delay,
-                seq,
-                msg,
-            });
+            let dup_delay = self.draw_delay();
+            self.enqueue(now + delay, msg.clone());
+            self.enqueue(now + dup_delay, msg);
+        } else {
+            self.enqueue(now + delay, msg);
         }
     }
 
-    /// Deliver every message due at or before tick `now`, ordered by
-    /// `(due, send sequence)`.
-    pub fn deliver(&mut self, now: u64) -> Vec<T> {
-        let mut due: Vec<InFlight<T>> = Vec::new();
-        let mut i = 0;
-        while i < self.queue.len() {
-            if self.queue[i].due <= now {
-                due.push(self.queue.swap_remove(i));
-            } else {
-                i += 1;
-            }
+    /// One message's extra delay: drawn only when `delay_max > 0`.
+    fn draw_delay(&mut self) -> u64 {
+        if self.impair.delay_max > 0 {
+            self.rng.gen_range(0..=self.impair.delay_max)
+        } else {
+            0
         }
-        due.sort_by_key(|m| (m.due, m.seq));
-        self.stats.delivered += due.len() as u64;
-        due.into_iter().map(|m| m.msg).collect()
+    }
+
+    fn enqueue(&mut self, due: u64, msg: T) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.queue.push(InFlight { due, seq, msg });
+    }
+
+    /// Deliver every message due at or before tick `now`: the receiver
+    /// takes them with [`CtrlChannel::take_delivered`], ordered by
+    /// `(due, send sequence)`.
+    pub fn deliver(&mut self, now: u64) {
+        let before = self.delivered.len();
+        self.delivered
+            .extend(self.queue.extract_if(.., |m| m.due <= now));
+        self.stats.delivered += (self.delivered.len() - before) as u64;
+        // Send sequences are unique, so the unstable sort is exact.
+        self.delivered
+            .sort_unstable_by_key(|m| std::cmp::Reverse((m.due, m.seq)));
+    }
+
+    /// The next delivered message, if any is left.
+    pub fn take_delivered(&mut self) -> Option<T> {
+        self.delivered.pop().map(|m| m.msg)
     }
 
     /// Drop everything in flight (the receiving end ceased to exist —
@@ -184,13 +189,18 @@ impl<T: Clone> CtrlChannel<T> {
 mod tests {
     use super::*;
 
+    fn due<T: Clone>(ch: &mut CtrlChannel<T>, now: u64) -> Vec<T> {
+        ch.deliver(now);
+        std::iter::from_fn(|| ch.take_delivered()).collect()
+    }
+
     #[test]
     fn clean_channel_is_a_zero_delay_fifo() {
         let mut ch: CtrlChannel<u32> = CtrlChannel::new(1);
         ch.send(1, 10);
         ch.send(1, 11);
-        assert!(ch.deliver(0).is_empty(), "nothing due before send tick");
-        assert_eq!(ch.deliver(1), vec![10, 11]);
+        assert!(due(&mut ch, 0).is_empty(), "nothing due before send tick");
+        assert_eq!(due(&mut ch, 1), vec![10, 11]);
         assert_eq!(ch.stats.sent, 2);
         assert_eq!(ch.stats.delivered, 2);
         assert_eq!(ch.stats.lost, 0);
@@ -207,7 +217,7 @@ mod tests {
             ch.send(t, t as u32);
         }
         assert_eq!(ch.stats.lost, 10);
-        assert!(ch.deliver(100).is_empty());
+        assert!(due(&mut ch, 100).is_empty());
     }
 
     #[test]
@@ -221,9 +231,9 @@ mod tests {
             let mut out = Vec::new();
             for t in 0..20u64 {
                 ch.send(t, t as u32);
-                out.extend(ch.deliver(t));
+                out.extend(due(&mut ch, t));
             }
-            out.extend(ch.deliver(100));
+            out.extend(due(&mut ch, 100));
             out
         };
         let a = run(7);
@@ -245,7 +255,7 @@ mod tests {
         });
         ch.send(0, 42);
         assert_eq!(ch.stats.duplicated, 1);
-        assert_eq!(ch.deliver(1), vec![42, 42]);
+        assert_eq!(due(&mut ch, 1), vec![42, 42]);
     }
 
     #[test]
@@ -254,7 +264,7 @@ mod tests {
         ch.send(0, 1);
         ch.send(0, 2);
         ch.clear_in_flight();
-        assert!(ch.deliver(10).is_empty());
+        assert!(due(&mut ch, 10).is_empty());
         assert_eq!(ch.in_flight(), 0);
     }
 
@@ -272,7 +282,7 @@ mod tests {
         ch.set_impairment(CtrlImpairment::default());
         assert!(ch.impairment().is_clean());
         ch.send(50, 99);
-        let late: Vec<u32> = ch.deliver(50);
+        let late: Vec<u32> = due(&mut ch, 50);
         assert_eq!(late.last(), Some(&99), "clean sends due the same tick");
     }
 }

@@ -281,13 +281,14 @@ impl Simulator {
     }
 
     /// Let QPs that blocked on host `h`'s NIC queue depth pace again.
+    /// The list is drained in place, so its buffer outlives the release.
     pub(crate) fn unblock_host_flows(&mut self, h: Owned) {
         let host = &mut self.hosts[h.slot];
         if host.blocked.is_empty() || host.port.depth(CLASS_DATA) >= NIC_QUEUE_PKTS {
             return;
         }
         let now = self.core.now();
-        for f in std::mem::take(&mut host.blocked) {
+        for f in host.blocked.drain(..) {
             if let Some(s) = host.senders.get_mut(&f) {
                 s.blocked = false;
                 if !s.send_scheduled && s.sent < s.bytes {

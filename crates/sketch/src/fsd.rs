@@ -36,8 +36,10 @@ pub enum FlowType {
 /// One interval's flow size distribution snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fsd {
-    /// Per-bin flow mass (bin = ⌊log₂ size⌋, clamped).
-    hist: Vec<f64>,
+    /// Per-bin flow mass (bin = ⌊log₂ size⌋, clamped). Inline, so a
+    /// snapshot is built, cloned, uploaded and merged without touching
+    /// the heap.
+    hist: [f64; FSD_BINS],
     /// Bytes attributed to elephants (E fully, PE by likelihood).
     elephant_bytes: f64,
     /// Bytes attributed to mice.
@@ -59,7 +61,7 @@ impl Fsd {
     /// An empty distribution.
     pub fn empty() -> Self {
         Self {
-            hist: vec![0.0; FSD_BINS],
+            hist: [0.0; FSD_BINS],
             elephant_bytes: 0.0,
             mice_bytes: 0.0,
             elephant_mass: 0.0,
@@ -144,7 +146,7 @@ impl Fsd {
         }
         let w = w.max(0.0);
         Fsd {
-            hist: self.hist.iter().map(|h| h * w).collect(),
+            hist: self.hist.map(|h| h * w),
             elephant_bytes: self.elephant_bytes * w,
             mice_bytes: self.mice_bytes * w,
             elephant_mass: self.elephant_mass * w,
@@ -154,12 +156,12 @@ impl Fsd {
 
     /// Histogram normalised to a probability distribution (uniform when
     /// empty, so KL against it is well defined).
-    pub fn normalized_hist(&self) -> Vec<f64> {
+    pub fn normalized_hist(&self) -> [f64; FSD_BINS] {
         let total: f64 = self.hist.iter().sum();
         if total <= 0.0 {
-            return vec![1.0 / FSD_BINS as f64; FSD_BINS];
+            return [1.0 / FSD_BINS as f64; FSD_BINS];
         }
-        self.hist.iter().map(|h| h / total).collect()
+        self.hist.map(|h| h / total)
     }
 
     /// Smoothed Kullback–Leibler divergence `KL(self ‖ prev)` between the

@@ -18,15 +18,19 @@ pub fn hash64(key: u64, seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// [`Hasher`] over [`hash64`] for the control plane's flow-keyed maps.
+/// [`Hasher`] for the control plane's flow-keyed maps: one folded
+/// multiply (the low and high halves of a 128-bit product, xored), so
+/// every key bit reaches both the low bits the map indexes by and the
+/// high bits it tags entries with.
 ///
 /// `SlidingWindowClassifier` only *looks flows up* in its `index` (flow →
 /// record slot); no result depends on the map's iteration order — its
 /// float sums run over its active list. What the fixed function
-/// still buys over the standard per-instance-seeded SipHash: one SplitMix
-/// round per lookup on the per-interval hot path, and a map whose layout
-/// and probe lengths repeat in every run and every `Clone`, so timings
-/// are comparable between runs. Not DoS-resistant: the keys are the
+/// still buys over the standard per-instance-seeded SipHash: one
+/// multiply per lookup on the per-interval hot path, where a mouse flow
+/// costs an insert and a removal, and a map whose layout and probe
+/// lengths repeat in every run and every `Clone`, so timings are
+/// comparable between runs. Not DoS-resistant: the keys are the
 /// simulator's own flow ids.
 #[derive(Default)]
 pub(crate) struct FlowIdHasher(u64);
@@ -48,7 +52,8 @@ impl Hasher for FlowIdHasher {
 
     #[inline]
     fn write_u64(&mut self, n: u64) {
-        self.0 = hash64(n, self.0);
+        let p = u128::from(n ^ self.0) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
     }
 }
 

@@ -237,7 +237,10 @@ impl SlidingWindowClassifier {
             self.records[slot].pending += bytes;
         }
         // The active list: slide each window, update the state, and
-        // either keep the flow (positive bytes) or let it go idle.
+        // either keep the flow (positive bytes) or let it go idle — onto
+        // the wheel bucket of the call its idle run reaches the expiry.
+        let expiry = self.expiry();
+        let due_bucket = ((now + expiry - 1) % expiry) as usize;
         let mut b = FsdBuilder::new();
         let mut kept = 0;
         for i in 0..self.active.len() {
@@ -254,7 +257,7 @@ impl SlidingWindowClassifier {
                 self.active[kept] = slot as u32;
                 kept += 1;
             } else {
-                self.go_idle(slot, now);
+                self.go_idle(slot, now, due_bucket);
             }
         }
         self.active.truncate(kept);
@@ -284,10 +287,10 @@ impl SlidingWindowClassifier {
 
     /// The flow in `slot` went idle in call `now`: count it in the
     /// tallies, its whole row included (every cell is live), and put it
-    /// on the wheel.
-    fn go_idle(&mut self, slot: usize, now: u64) {
-        let (delta, expiry) = (self.cfg.delta, self.expiry());
-        self.wheel[((now + expiry - 1) % expiry) as usize].push(slot as u32);
+    /// on the wheel in `due_bucket`.
+    fn go_idle(&mut self, slot: usize, now: u64, due_bucket: usize) {
+        let delta = self.cfg.delta;
+        self.wheel[due_bucket].push(slot as u32);
         let rec = &mut self.records[slot];
         rec.active = false;
         rec.idle_since = now;
@@ -329,18 +332,30 @@ impl SlidingWindowClassifier {
     /// Expire the idle flows whose idle run reaches `expiry_intervals`
     /// in call `now`. Runs after the sweep, so that at an expiry of 1 a
     /// flow goes in the call it falls idle.
+    ///
+    /// Once every cell of the row has rolled out (`idle_since + δ ≤
+    /// now`, always the case when the expiry exceeds δ) the columns hold
+    /// none of the flow's bytes: only its bin and class leave the
+    /// tallies, and its cold row is left alone — a reused slot is zeroed.
     fn expire_due(&mut self, now: u64) {
-        let expiry = self.expiry();
+        let (delta, expiry) = (self.cfg.delta as u64, self.expiry());
         let bucket = (now % expiry) as usize;
         let mut due = std::mem::take(&mut self.wheel[bucket]);
         for &slot in &due {
             let slot = slot as usize;
             let rec = &self.records[slot];
-            if !rec.active && rec.idle_since + expiry - 1 == now {
-                self.leave_idle(slot, now);
-                self.index.remove(&self.records[slot].flow);
-                self.free.push(slot as u32);
+            if rec.active || rec.idle_since + expiry - 1 != now {
+                continue;
             }
+            let flow = rec.flow;
+            if rec.idle_since + delta <= now {
+                self.idle.bins[size_bin(rec.cum_bytes)] -= 1;
+                self.idle.flows[rec.class()] -= 1;
+            } else {
+                self.leave_idle(slot, now);
+            }
+            self.index.remove(&flow);
+            self.free.push(slot as u32);
         }
         due.clear();
         self.wheel[bucket] = due;

@@ -209,8 +209,9 @@ impl SaTuner {
         // system cools, so a fresh (or restarted) episode moves fast and
         // the end-game fine-tunes.
         let temp_boost = 1.0 + 3.0 * (self.temp / self.cfg.initial_temp.max(1e-9)).min(1.0);
-        for spec in self.space.clone().iter() {
-            let s = spec.step * temp_boost * self.rng.gen_range(0.5..1.0);
+        let Self { space, rng, .. } = self;
+        for spec in space.iter() {
+            let s = spec.step * temp_boost * rng.gen_range(0.5..1.0);
             let dominant_sign = match (dominant, spec.throughput_friendly) {
                 (FlowType::Elephant, Direction::Increase) => 1.0,
                 (FlowType::Elephant, Direction::Decrease) => -1.0,
@@ -218,12 +219,12 @@ impl SaTuner {
                 (FlowType::Mice, Direction::Decrease) => 1.0,
             };
             let sign = if self.cfg.guided {
-                if self.rng.gen::<f64>() < exploit {
+                if rng.gen::<f64>() < exploit {
                     dominant_sign
                 } else {
                     -dominant_sign
                 }
-            } else if self.rng.gen::<bool>() {
+            } else if rng.gen::<bool>() {
                 1.0
             } else {
                 -1.0
@@ -231,7 +232,7 @@ impl SaTuner {
             let v = spec.clamp(p.get(spec.id) + sign * s);
             p.set(spec.id, v);
         }
-        p.normalize(&self.space);
+        p.normalize(space);
         p
     }
 }
